@@ -1,0 +1,82 @@
+"""Golden digests: the bytes every bundled run and a fixed campaign produce.
+
+Each bundled scenario is run through `fluttersim run`, and the SHA-256 of
+the JSONL trace and of the report JSON it writes is pinned below, as is
+the digest of the summary of a fixed campaign (seeds 0..4, all six
+behaviors, default dep policies, serialized as `fluttersim campaign`
+writes it). A refactor must leave every digest unchanged.
+
+A digest may change only in a change that sets out to change traces or
+reports; that change records the new digests, and why they moved, in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+import fluttersim.cli as cli
+from fluttersim import load_scenario, run_campaign
+from fluttersim.adversary import BEHAVIORS
+
+from conftest import SCENARIOS_DIR
+
+# scenario -> (trace digest, report digest)
+RUN_DIGESTS = {
+    "blink_fast": (
+        "d0d8ce4960f17396bdbf6702971b3e5452dc27a199b269c5dd6d3c50f453dd05",
+        "669a5be47103d310136c0b28ea43e3b898c8cbc20497e5bdd83386731fa79b79",
+    ),
+    "campaign_base": (
+        "37cc4f6862b7e99d6a2bb02dcfa1d272058673bfc32ce3147aeb69f2840d0e13",
+        "c10edc5fe6a57d89e075320ee8037bbe78e316389a060e51da411d37beea72ad",
+    ),
+    "equivocator": (
+        "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
+        "81a6ad51b225f01e339e2ff97759026ae0da1ba2cc12bc51110a136322d3e9ae",
+    ),
+    "goodcase": (
+        "1d57350ffaadc9c6332f7fe09f6f68c34064a7f87cb78ac80f71da47197f6a67",
+        "1dce605c6e2352f6c262b4ae8e0a415536702515dcb8754b806327ddbc8a9f7b",
+    ),
+    "partial_dissemination": (
+        "7c59198de71d076677c0b7fc9809912e4b0980938bf2d0d0e439d6a2f03761c0",
+        "c52ae4c2b9dbb229bd12fd78b1b66510be78222be3d4d3c327ac3b276f14fabe",
+    ),
+    "retry": (
+        "5824e51ae5204434b848339f1983ca0150e22f56633060cfc9a97db7643ab3a2",
+        "d294d805493a43db7f90c188539f42739af23019380f507a4910364240d38492",
+    ),
+}
+
+CAMPAIGN_DIGEST = "df201ff761c878a45d3b659710322b4af0e3043589a4543c4e1dbb0bd893fdaf"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIOS_DIR.glob("*.json")) == sorted(RUN_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_trace_and_report_digests(name, tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    report_path = tmp_path / "report.json"
+    code = cli.main(
+        ["run", str(SCENARIOS_DIR / f"{name}.json"), "--trace", str(trace_path), "--report", str(report_path)]
+    )
+    assert code == cli.EXIT_OK
+    assert (sha256(trace_path.read_bytes()), sha256(report_path.read_bytes())) == RUN_DIGESTS[name]
+
+
+def test_campaign_summary_digest():
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    summary = run_campaign(base, range(5), sorted(BEHAVIORS))
+    assert summary["runs"] == 60 and summary["all_pass"]
+    rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert sha256(rendered.encode()) == CAMPAIGN_DIGEST
