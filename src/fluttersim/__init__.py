@@ -4,7 +4,7 @@ from .checkers import CheckerConfig, CheckReport, run_all_checks
 from .runner import RunResult, build_simulation, run_campaign, run_scenario
 from .scenario import Scenario, load_scenario, parse_scenario
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
-from .types import BroadcastTuple, compare_tuples
+from .types import BroadcastTuple
 
 __all__ = [
     "BroadcastTuple",
@@ -18,7 +18,6 @@ __all__ = [
     "SeededRandom",
     "Simulator",
     "build_simulation",
-    "compare_tuples",
     "load_scenario",
     "parse_scenario",
     "run_all_checks",

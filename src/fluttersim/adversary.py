@@ -3,8 +3,8 @@
 Each behavior replaces a process handler wholesale: it may send
 arbitrary well-formed wire messages on real links but cannot forge
 sender identity, drop other processes' traffic, or act outside the
-network model. Behaviors share a scratchpad and may read the trace,
-so separate faulty processes can coordinate adaptively.
+network model. A behavior sees only its own inbox, its local clock and
+the global time: there is no shared scratchpad and no trace access.
 """
 
 from __future__ import annotations
@@ -224,7 +224,3 @@ BEHAVIORS: dict[str, type] = {
     "stale_relay": StaleRelay,
     "partial_disseminator": PartialDisseminator,
 }
-
-
-def builtin_behaviors() -> dict[str, type]:
-    return dict(BEHAVIORS)

@@ -68,7 +68,11 @@ class BlinkInstance:
 
 
 class BlinkNode:
-    """Standalone consensus server: scripted proposals, no broadcast layer."""
+    """Consensus server hosting BlinkInstances; alone it runs scripted proposals.
+
+    FlutterServer extends it with the broadcast layer, so both node kinds
+    share this instance hosting and Suggest dispatch.
+    """
 
     def __init__(self, name: str, f: int, oracle):
         self.name = name

@@ -66,6 +66,50 @@ def _fmt_key(key) -> str:
     return f"({client}, 0x{message}, bet={bet})"
 
 
+def _tuple_of(payload: dict) -> BroadcastTuple | None:
+    """The tuple a rendered instance or Observe payload names; None for a label."""
+    if "label" in payload:
+        return None
+    return BroadcastTuple(payload["client"], bytes.fromhex(payload["message"]), payload["bet"])
+
+
+def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent: bool):
+    """Witness events where two (key, event) sequences first diverge, else None.
+
+    Before quiescence a sequence may be a strict prefix of another; at
+    quiescence that counts as divergence too.
+    """
+    for i, a in enumerate(seqs):
+        for b in seqs[i + 1 :]:
+            for (ka, ea), (kb, eb) in zip(a, b):
+                if ka != kb:
+                    return [ea, eb]
+            if quiescent and len(a) != len(b):
+                longer = a if len(a) > len(b) else b
+                return [longer[min(len(a), len(b))][1]]
+    return None
+
+
+def _check_one_decide_per_server(prop: str, label: str, decides, what: str) -> CheckReport:
+    """At most one of `decides` ((server, value, event) triples) per server."""
+    by_server: dict[str, list[tr.TraceEvent]] = {}
+    for server, _v, event in decides:
+        by_server.setdefault(server, []).append(event)
+    twice = next((evs for evs in by_server.values() if len(evs) > 1), None)
+    if twice:
+        return _fail(prop, f"instance {label}: two {what} at one server", twice[:2])
+    return _ok(prop, f"instance {label}")
+
+
+def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
+    """Not both True and False among `decides` ((server, value, event) triples)."""
+    one = next((e for _s, v, e in decides if v), None)
+    other = next((e for _s, v, e in decides if not v), None)
+    if one and other:
+        return _fail(prop, f"instance {label}: {what}", [one, other])
+    return _ok(prop, f"instance {label}")
+
+
 @dataclass
 class CheckerConfig:
     kind: str
@@ -166,26 +210,10 @@ def check_tob(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckRepor
     else:
         reports.append(_ok("tob-integrity"))
 
-    def key(event: tr.TraceEvent):
-        return (event.payload["client"], event.payload["message"], event.payload["bet"])
-
-    order_fail = None
-    names = list(seqs)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = seqs[names[i]], seqs[names[j]]
-            for k in range(min(len(a), len(b))):
-                if key(a[k]) != key(b[k]):
-                    order_fail = [a[k], b[k]]
-                    break
-            else:
-                if cfg.quiescent and len(a) != len(b):
-                    longer = a if len(a) > len(b) else b
-                    order_fail = [longer[min(len(a), len(b))]]
-            if order_fail:
-                break
-        if order_fail:
-            break
+    keyed = [
+        [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
+    ]
+    order_fail = _prefix_divergence(keyed, cfg.quiescent)
     if order_fail:
         reports.append(_fail("tob-total-order", "correct servers' delivery sequences diverge", order_fail))
     elif cfg.quiescent:
@@ -230,9 +258,7 @@ def check_tob(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckRepor
 # ---------------------------------------------------------------- consensus
 
 
-def check_consensus(
-    trace: list[tr.TraceEvent], cfg: CheckerConfig, instance=None
-) -> list[CheckReport]:
+def check_consensus(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
     correct = set(cfg.correct_servers)
     per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}
 
@@ -255,32 +281,14 @@ def check_consensus(
         key = tr.instance_key_from_payload(event.payload["instance"])
         slot(key)[bucket].append((event.process, event.payload["value"], event))
 
-    keys = [instance] if instance is not None else sorted(per, key=repr)
     reports: list[CheckReport] = []
-    for key in keys:
-        entry = per.get(key)
+    for key in sorted(per, key=repr):
+        entry = per[key]
         label = _fmt_key(key)
-        if entry is None:
-            reports.append(_na("consensus-termination", f"instance {label}: no events in trace"))
-            continue
-
-        by_server: dict[str, list[tr.TraceEvent]] = {}
-        for server, _v, event in entry["decide"]:
-            by_server.setdefault(server, []).append(event)
-        twice = next((evs for evs in by_server.values() if len(evs) > 1), None)
-        if twice:
-            reports.append(_fail("consensus-integrity", f"instance {label}: two decides at one server", twice[:2]))
-        else:
-            reports.append(_ok("consensus-integrity", f"instance {label}"))
+        reports.append(_check_one_decide_per_server("consensus-integrity", label, entry["decide"], "decides"))
+        reports.append(_check_one_value("consensus-agreement", label, entry["decide"], "both values decided"))
 
         values = {v for _s, v, _e in entry["decide"]}
-        if len(values) > 1:
-            one = next(e for _s, v, e in entry["decide"] if v)
-            other = next(e for _s, v, e in entry["decide"] if not v)
-            reports.append(_fail("consensus-agreement", f"instance {label}: both values decided", [one, other]))
-        else:
-            reports.append(_ok("consensus-agreement", f"instance {label}"))
-
         rep_fail = None
         for decided in sorted(values):
             supporters = {s for s, v, _e in entry["propose"] if v == decided}
@@ -336,30 +344,17 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
     else:
         reports.append(_ok("dep-weak-validity", f"instance {label}"))
 
-    values = {v for _s, v, _e in dep_decides}
-    if len(values) > 1:
-        one = next(e for _s, v, e in dep_decides if v)
-        other = next(e for _s, v, e in dep_decides if not v)
-        reports.append(_fail("dep-agreement", f"instance {label}: dep decided both values", [one, other]))
-    else:
-        reports.append(_ok("dep-agreement", f"instance {label}"))
-
-    by_server: dict[str, list[tr.TraceEvent]] = {}
-    for server, _v, event in dep_decides:
-        by_server.setdefault(server, []).append(event)
-    twice = next((evs for evs in by_server.values() if len(evs) > 1), None)
-    if twice:
-        reports.append(_fail("dep-integrity", f"instance {label}: two dep decide indications at one server", twice[:2]))
-    else:
-        reports.append(_ok("dep-integrity", f"instance {label}"))
+    reports.append(_check_one_value("dep-agreement", label, dep_decides, "dep decided both values"))
+    reports.append(_check_one_decide_per_server("dep-integrity", label, dep_decides, "dep decide indications"))
 
     proposers = {s for s, _v, _e in dep_proposals}
+    deciders = {s for s, _v, _e in dep_decides}
     if not quiescent:
         reports.append(_na("dep-termination", f"instance {label}: run was cut before quiescence"))
     elif proposers != correct:
         reports.append(_na("dep-termination", f"instance {label}: not every correct server dep-proposed"))
-    elif set(by_server) != correct:
-        missing = sorted(correct - set(by_server))
+    elif deciders != correct:
+        missing = sorted(correct - deciders)
         reports.append(
             _fail("dep-termination", f"instance {label}: {missing} got no dep decide indication", [dep_proposals[0][2]])
         )
@@ -480,8 +475,7 @@ class _ServerReplay:
     def lock(self):
         return _lock_bruteforce(list(self.remote_times.values()), self.cfg.f)
 
-    def _spot(self, client: str, message_hex: str, bet: int) -> None:
-        t = BroadcastTuple(client, bytes.fromhex(message_hex), bet)
+    def _spot(self, t: BroadcastTuple) -> None:
         if t.bet > self.lock():
             self.candidates.add(t)
 
@@ -505,9 +499,8 @@ class _ServerReplay:
             self.app_delivers.append(event)
             return None
         if event.kind == tr.DECIDE:
-            key = tr.instance_key_from_payload(event.payload["instance"])
-            if key[0] != "label":
-                t = BroadcastTuple(key[0], bytes.fromhex(key[1]), key[2])
+            t = _tuple_of(event.payload["instance"])
+            if t is not None:
                 self.decisions[t] = event.payload["value"]
                 self._drain(event)
             return None
@@ -528,10 +521,10 @@ class _ServerReplay:
                 return "server-lock-vs-local"
             self._drain(event)
         elif kind == "Observe" and src in self.remote_times:
-            self._spot(msg["client"], msg["message"], msg["bet"])
+            self._spot(_tuple_of(msg))
             self._drain(event)
         elif kind == "Message" and src in self.cfg.clients:
-            self._spot(src, msg["message"], msg["bet"])
+            self._spot(BroadcastTuple(src, bytes.fromhex(msg["message"]), msg["bet"]))
             self._drain(event)
         return None
 
@@ -563,9 +556,8 @@ def check_server_invariants(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> l
     decided_true: dict[BroadcastTuple, tr.TraceEvent] = {}
     for event in trace:
         if event.kind == tr.DECIDE and event.process in replays and event.payload["value"]:
-            key = tr.instance_key_from_payload(event.payload["instance"])
-            if key[0] != "label":
-                t = BroadcastTuple(key[0], bytes.fromhex(key[1]), key[2])
+            t = _tuple_of(event.payload["instance"])
+            if t is not None:
                 decided_true.setdefault(t, event)
     if not cfg.quiescent:
         reports.append(_na("server-candidate-completeness", "run was cut before quiescence"))
@@ -599,24 +591,7 @@ def check_server_invariants(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> l
     else:
         reports.append(_ok("server-order-ascending"))
 
-    names = list(replays)
-    agree_fail = None
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a = replays[names[i]].orders
-            b = replays[names[j]].orders
-            for k in range(min(len(a), len(b))):
-                if a[k][0] != b[k][0]:
-                    agree_fail = [a[k][1], b[k][1]]
-                    break
-            else:
-                if cfg.quiescent and len(a) != len(b):
-                    longer = a if len(a) > len(b) else b
-                    agree_fail = [longer[min(len(a), len(b))][1]]
-            if agree_fail:
-                break
-        if agree_fail:
-            break
+    agree_fail = _prefix_divergence([r.orders for r in replays.values()], cfg.quiescent)
     if agree_fail:
         reports.append(_fail("server-order-agreement", "servers processed accepted tuples in different orders", agree_fail))
     else:

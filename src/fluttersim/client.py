@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import trace as tr
 from .errors import ProtocolBugError
-from .types import Decision, Message
+from .types import Decision, Message, quorum_small
 
 
 class FlutterClient:
@@ -66,5 +66,5 @@ class FlutterClient:
             for (m, b, s), v in self.decisions.items()
             if m == msg.message and b == msg.bet and v is False
         )
-        if falses >= self.f + 1:
+        if falses >= quorum_small(self.f):
             self._submit(ctx, msg.message, current[0] + 1)

@@ -15,7 +15,7 @@ from .adversary import BEHAVIORS, BehaviorSetup
 from .blink import BlinkNode
 from .checkers import FAIL, CheckerConfig, CheckReport, run_all_checks
 from .client import FlutterClient
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError
 from .scenario import ClientSpec, Scenario, ServerFault
 from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
@@ -63,7 +63,7 @@ def build_simulation(scenario: Scenario) -> Simulator:
             setup = BehaviorSetup(scenario.n, scenario.f, scenario.delta, scenario.network.seed, fault.params)
             handler = BEHAVIORS[fault.behavior](name, setup)
         elif scenario.kind == "flutter":
-            handler = FlutterServer(name, scenario.n, scenario.f, oracle, scenario.periodic_beat)
+            handler = FlutterServer(name, scenario.f, oracle, scenario.periodic_beat)
         else:
             handler = BlinkNode(name, scenario.f, oracle)
         sim.add_process(name, "server", handler)
@@ -202,13 +202,15 @@ def _run_one(args: tuple[Scenario, str, str, int]) -> dict:
     variant = campaign_variant(base, behavior, policy, seed)
     try:
         result = run_scenario(variant)
-    except BudgetExceededError as e:
+    except (BudgetExceededError, ProtocolBugError, OracleViolationError, AssertionError) as e:
+        # One bad run is a failing row; the rest of the campaign still runs.
+        prop = "budget" if isinstance(e, BudgetExceededError) else type(e).__name__
         return {
             "run": variant.name,
             "behavior": behavior,
             "policy": policy,
             "seed": seed,
-            "fails": [{"property": "budget", "detail": str(e)}],
+            "fails": [{"property": prop, "detail": str(e)}],
             "verdicts": {},
             "max_suggest": 0,
         }

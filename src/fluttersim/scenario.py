@@ -145,7 +145,7 @@ def _hex_bytes(raw, where: str) -> bytes:
         raise _fail(f"{where} is not valid hex: {e}") from None
 
 
-def _parse_network(obj, where: str) -> NetworkConfig:
+def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
     _require(obj, {"strategy", "seed", "delays"}, where)
     strategy = obj.get("strategy", "exact_delta")
     if strategy not in _STRATEGIES:
@@ -161,6 +161,8 @@ def _parse_network(obj, where: str) -> NetworkConfig:
             raise _fail(f"{where}.delays key {link!r} must look like 'src->dst'")
         if not isinstance(ds, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in ds):
             raise _fail(f"{where}.delays[{link!r}] must be a list of integers")
+        if not all(1 <= d <= delta for d in ds):
+            raise _fail(f"{where}.delays[{link!r}] entries must lie in [1, delta={delta}]")
     if strategy != "scripted" and delays:
         raise _fail(f"{where}.delays only applies to the scripted strategy")
     return NetworkConfig(strategy, seed, dict(delays))
@@ -236,7 +238,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     delta = _int(obj, "delta", "scenario", minimum=1)
     drift = _int(obj, "drift", "scenario", default=0, minimum=0)
     epsilon = _int(obj, "epsilon", "scenario", default=1, minimum=1)
-    network = _parse_network(obj.get("network", {}), "scenario.network")
+    network = _parse_network(obj.get("network", {}), "scenario.network", delta)
 
     names = set(server_names(n))
     server_faults: dict[str, ServerFault] = {}

@@ -12,7 +12,7 @@ still win a consensus instance.
 from __future__ import annotations
 
 from . import trace as tr
-from .blink import BlinkInstance
+from .blink import BlinkNode
 from .types import (
     NEG_INF,
     BroadcastTuple,
@@ -20,18 +20,16 @@ from .types import (
     InstanceKey,
     Message,
     Observe,
-    Suggest,
     Time,
     quorum_large,
 )
 
 
-class FlutterServer:
-    def __init__(self, name: str, n: int, f: int, oracle, periodic_beat: int | None = None):
-        self.name = name
-        self.n = n
-        self.f = f
-        self.oracle = oracle
+class FlutterServer(BlinkNode):
+    """A BlinkNode that feeds one consensus instance per spotted tuple."""
+
+    def __init__(self, name: str, f: int, oracle, periodic_beat: int | None = None):
+        super().__init__(name, f, oracle)
         self.periodic_beat = periodic_beat
         self.observed: set[BroadcastTuple] = set()
         self.proposed: set[BroadcastTuple] = set()
@@ -40,13 +38,11 @@ class FlutterServer:
         self.decisions: dict[BroadcastTuple, bool] = {}
         self.last_processed: BroadcastTuple | None = None
         self.remote_times: dict[str, int | float] = {}
-        self.instances: dict[InstanceKey, BlinkInstance] = {}
         self._expiry: dict[str, BroadcastTuple] = {}
-        self._server_set: frozenset[str] = frozenset()
         self._client_set: frozenset[str] = frozenset()
 
     def on_init(self, ctx) -> None:
-        self._server_set = frozenset(ctx.servers)
+        super().on_init(ctx)
         self._client_set = frozenset(ctx.clients)
         self.remote_times = {s: NEG_INF for s in ctx.servers}
         if self.periodic_beat is not None:
@@ -56,12 +52,6 @@ class FlutterServer:
         ranked = sorted(self.remote_times.values(), reverse=True)
         return ranked[quorum_large(self.f) - 1]
 
-    def instance(self, key: InstanceKey) -> BlinkInstance:
-        inst = self.instances.get(key)
-        if inst is None:
-            inst = self.instances[key] = BlinkInstance(key, self.f, self)
-        return inst
-
     def on_deliver(self, ctx, src: str, msg) -> None:
         if isinstance(msg, Message) and src in self._client_set:
             self._on_message(ctx, src, msg.message, msg.bet)
@@ -70,8 +60,8 @@ class FlutterServer:
             self._process_next(ctx)
         elif isinstance(msg, Time) and src in self._server_set:
             self._on_time(ctx, src, msg.time)
-        elif isinstance(msg, Suggest) and src in self._server_set:
-            self.instance(msg.instance).on_suggest(ctx, src, msg.value)
+        else:
+            super().on_deliver(ctx, src, msg)
 
     def _on_message(self, ctx, client: str, message: bytes, bet: int) -> None:
         t = BroadcastTuple(client, message, bet)
@@ -117,12 +107,6 @@ class FlutterServer:
         if time > self.remote_times[src]:
             self.remote_times[src] = time
         self._process_next(ctx)
-
-    def dep_propose(self, key: InstanceKey, value: bool) -> None:
-        self.oracle.propose(key, self.name, value)
-
-    def on_dep_decide(self, ctx, key: InstanceKey, value: bool) -> None:
-        self.instance(key).on_dep_decide(ctx, value)
 
     def on_decided(self, ctx, key: InstanceKey, value: bool) -> None:
         if not isinstance(key, BroadcastTuple):

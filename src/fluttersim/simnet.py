@@ -109,18 +109,11 @@ class Context:
     def clients(self) -> list[str]:
         return self.sim.clients
 
-    # Adversary-only conveniences. Correct processes never touch these:
-    # the model gives them only their local clock and their own inbox.
+    # Global time. Behaviors may read it freely; the only correct-process
+    # caller is a client checking its scripted crash time, which is part of
+    # the scenario rather than of the protocol.
     def now(self) -> SimTime:
         return self.sim.now
-
-    @property
-    def trace(self) -> list[tr.TraceEvent]:
-        return self.sim.trace
-
-    @property
-    def pad(self) -> dict:
-        return self.sim.adversary_pad
 
 
 class Simulator:
@@ -134,7 +127,6 @@ class Simulator:
         self.contexts: dict[str, Context] = {}
         self.servers: list[str] = []
         self.clients: list[str] = []
-        self.adversary_pad: dict = {}
         self._heap: list = []
         self._seq = 0
         self._links: dict[tuple[str, str], list] = {}  # (src, dst) -> [last_delivery, sends]
@@ -149,6 +141,8 @@ class Simulator:
         (self.servers if kind == "server" else self.clients).append(name)
 
     def _push(self, time: SimTime, kind: int, a, b, c=None) -> None:
+        if time < self.now:  # past target: fires this step, after the current handler
+            time = self.now
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, a, b, c))
 
@@ -171,20 +165,13 @@ class Simulator:
         self._push(when, _DELIVER, src, dst, msg)
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
-        when = self.clock.global_for_local(name, fire_at_local)
-        if when < self.now:  # past target: fires this step, after the current handler
-            when = self.now
-        self._push(when, _TIMER, name, token)
+        self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
 
     def schedule_global(self, name: str, when: SimTime, token: str) -> None:
         """Global-time timer, for scenario scripts rather than protocol logic."""
-        if when < self.now:
-            when = self.now
         self._push(when, _TIMER, name, token)
 
     def schedule_dep_decide(self, when: SimTime, server: str, instance, value: bool) -> None:
-        if when < self.now:
-            when = self.now
         self._push(when, _DEP, server, instance, value)
 
     def start(self) -> None:
@@ -226,7 +213,3 @@ class Simulator:
                 self.emit(a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c})
                 handler.on_dep_decide(self.contexts[a], b, c)
         return True
-
-    @property
-    def pending(self) -> list:
-        return sorted(self._heap)

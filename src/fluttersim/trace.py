@@ -21,8 +21,6 @@ TIMER_FIRE = "TimerFire"
 DEP_PROPOSE = "DepPropose"
 DEP_DECIDE = "DepDecide"
 
-KINDS = (SEND, DELIVER, PROPOSE, DECIDE, APP_DELIVER, BROADCAST, TIMER_FIRE, DEP_PROPOSE, DEP_DECIDE)
-
 
 @dataclass(slots=True)
 class TraceEvent:

@@ -8,39 +8,10 @@ below every int.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 SimTime = int
 NEG_INF = float("-inf")
-
-SERVER = "server"
-CLIENT = "client"
-
-
-@dataclass(frozen=True, slots=True)
-class ProcessId:
-    kind: str  # SERVER or CLIENT
-    index: int
-    name: str
-
-    @property
-    def byte_name(self) -> bytes:
-        return self.name.encode("ascii")
-
-
-def server_id(index: int) -> ProcessId:
-    return ProcessId(SERVER, index, f"s{index:03d}")
-
-
-def client_id(index: int) -> ProcessId:
-    return ProcessId(CLIENT, index, f"c{index:03d}")
-
-
-class Ordering(enum.IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +31,6 @@ class BroadcastTuple:
 
     def __le__(self, other: "BroadcastTuple") -> bool:
         return self.key() <= other.key()
-
-
-def compare_tuples(a: BroadcastTuple, b: BroadcastTuple) -> Ordering:
-    ka, kb = a.key(), b.key()
-    if ka < kb:
-        return Ordering.LESS
-    if ka == kb:
-        return Ordering.EQUAL
-    return Ordering.GREATER
 
 
 # A consensus instance is keyed by the tuple it decides on; standalone

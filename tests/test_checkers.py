@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import copy
 
+import pytest
+
 from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, run_all_checks
 from fluttersim.runner import run_scenario
 from fluttersim.scenario import parse_scenario
-from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, PROPOSE, TraceEvent
+from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, TraceEvent
 
 from conftest import scenario_dict
+
+FIRST = {"client": "c000", "message": "01", "bet": 11}  # the two-message run's first tuple
+
+
+def event(time, process, kind, payload):
+    return {"time": time, "process": process, "kind": kind, "payload": payload}
 
 
 def two_message_doc():
@@ -67,7 +75,21 @@ def test_swapped_deliveries_fail_total_order():
     i, j = mine
     trace[i].payload, trace[j].payload = trace[j].payload, trace[i].payload
     report = failing(trace, cfg, "tob-total-order")
-    assert report.witness  # concrete events, not a bare verdict
+    assert report.detail == "correct servers' delivery sequences diverge"
+    assert report.witness == [
+        event(21, "s000", APP_DELIVER, {"client": "c000", "message": "02", "bet": 13}),
+        event(21, "s001", APP_DELIVER, FIRST),
+    ]
+
+
+def test_missing_last_delivery_fails_total_order_at_quiescence():
+    result, cfg = clean_run()
+    trace = copy.deepcopy(result.trace)
+    last = max(i for i, e in enumerate(trace) if e.kind == APP_DELIVER and e.process == "s002")
+    del trace[last]
+    # s002's sequence is a strict prefix of the others: divergence only at quiescence
+    report = failing(trace, cfg, "tob-total-order")
+    assert report.witness == [event(23, "s000", APP_DELIVER, {"client": "c000", "message": "02", "bet": 13})]
 
 
 def test_duplicate_delivery_fails_no_duplication():
@@ -88,10 +110,18 @@ def test_unbroadcast_delivery_fails_integrity():
     failing(trace, cfg, "tob-integrity")
 
 
-def test_split_decision_fails_consensus_agreement():
+@pytest.mark.parametrize(
+    "kind, prop, detail",
+    [
+        (DECIDE, "consensus-agreement", "both values decided"),
+        (DEP_DECIDE, "dep-agreement", "dep decided both values"),
+    ],
+    ids=[DECIDE, DEP_DECIDE],
+)
+def test_split_decision_fails_consensus_agreement(kind, prop, detail):
     result, cfg = clean_run()
     trace = copy.deepcopy(result.trace)
-    ev = next(e for e in trace if e.kind == DECIDE and e.process == "s000")
+    ev = next(e for e in trace if e.kind == kind and e.process == "s000")
     flipped = copy.deepcopy(ev)
     flipped.process = "s001"
     flipped.payload["value"] = not flipped.payload["value"]
@@ -100,22 +130,37 @@ def test_split_decision_fails_consensus_agreement():
         e
         for e in trace
         if not (
-            e.kind == DECIDE
+            e.kind == kind
             and e.process == "s001"
             and e.payload["instance"] == ev.payload["instance"]
         )
     ]
     trace.append(flipped)
-    report = failing(trace, cfg, "consensus-agreement")
-    assert report.witness
+    report = failing(trace, cfg, prop)
+    assert report.detail == f"instance (c000, 0x01, bet=11): {detail}"
+    assert report.witness == [
+        event(20, "s000", kind, {"instance": FIRST, "value": True}),
+        event(20, "s001", kind, {"instance": FIRST, "value": False}),
+    ]
 
 
-def test_double_decide_fails_consensus_integrity():
+@pytest.mark.parametrize(
+    "kind, prop, what",
+    [
+        (DECIDE, "consensus-integrity", "decides"),
+        (DEP_DECIDE, "dep-integrity", "dep decide indications"),
+    ],
+    ids=[DECIDE, DEP_DECIDE],
+)
+def test_double_decide_fails_consensus_integrity(kind, prop, what):
     result, cfg = clean_run()
     trace = copy.deepcopy(result.trace)
-    ev = next(e for e in trace if e.kind == DECIDE)
+    assert sum(1 for e in trace if e.kind == kind) == 12  # two instances x six servers
+    ev = next(e for e in trace if e.kind == kind)
     trace.append(copy.deepcopy(ev))
-    failing(trace, cfg, "consensus-integrity")
+    report = failing(trace, cfg, prop)
+    assert report.detail == f"instance (c000, 0x01, bet=11): two {what} at one server"
+    assert report.witness == [event(20, "s000", kind, {"instance": FIRST, "value": True})] * 2
 
 
 def test_unproposed_value_fails_representative_validity():
@@ -196,7 +241,12 @@ def test_flipped_local_decide_fails_order_agreement():
         e for e in trace if e.kind == DECIDE and e.process == "s002" and e.payload["value"] is True
     )
     first.payload["value"] = False
-    failing(trace, cfg, "server-order-agreement")
+    report = failing(trace, cfg, "server-order-agreement")
+    assert report.detail == "servers processed accepted tuples in different orders"
+    assert report.witness == [
+        event(21, "s000", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 11}}),
+        event(23, "s002", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 13}}),
+    ]
 
 
 def test_late_delivery_fails_delay_bounds():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from fluttersim.adversary import Mute
+from fluttersim.errors import OracleViolationError, ProtocolBugError
 from fluttersim.runner import campaign_variant, run_campaign, run_scenario
 from fluttersim.scenario import load_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, SEND
@@ -128,6 +132,24 @@ def test_campaign_small_sweep_all_pass():
     for row in summary["per_behavior"].values():
         assert row["runs"] == 3
         assert row["complexity_ok"] is True
+
+
+@pytest.mark.parametrize("error", [ProtocolBugError, OracleViolationError, AssertionError])
+def test_campaign_records_a_crashing_run_as_a_failing_row(error, monkeypatch):
+    def crash(self, ctx):
+        raise error("mutant crashed")
+
+    monkeypatch.setattr(Mute, "on_init", crash)  # only the mute runs crash
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    summary = run_campaign(base, range(2), ["mute", "equivocator"], ["adversarial_value"])
+    assert summary["runs"] == 4
+    assert summary["all_pass"] is False
+    assert summary["fails"] == [
+        {"run": f"campaign_base+mute+adversarial_value+s{seed}", "property": error.__name__, "detail": "mutant crashed"}
+        for seed in range(2)
+    ]
+    assert summary["per_behavior"]["equivocator"]["fails"] == 0
+    assert summary["verdicts"]["Pass"] > 0  # the equivocator runs were still checked
 
 
 def test_rerun_is_event_identical():

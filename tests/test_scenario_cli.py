@@ -52,6 +52,16 @@ def test_scripted_delay_endpoints_must_exist():
     )
 
 
+@pytest.mark.parametrize("delays", [[0], [11], [10, 1, 0], [1] * 40 + [11]])
+def test_scripted_delays_must_lie_in_one_to_delta(delays):
+    # the last case is out of range only past the sends s000->s001 ever makes
+    reject(
+        scenario_dict(network={"strategy": "scripted", "delays": {"s000->s001": delays}}),
+        r"entries must lie in \[1, delta=10\]",
+    )
+    parse_scenario(scenario_dict(network={"strategy": "scripted", "delays": {"s000->s001": [1, 10]}}))
+
+
 def test_clock_offset_bounded_by_drift():
     reject(scenario_dict(drift=1, clock_offsets={"s000": 2}), "drift")
     parse_scenario(scenario_dict(drift=2, clock_offsets={"s000": -2}))

@@ -22,7 +22,7 @@ def lock_bruteforce(times, f):
 
 
 def make_server():
-    srv = FlutterServer("s000", 6, 1, oracle=None)
+    srv = FlutterServer("s000", 1, oracle=None)
     srv._server_set = frozenset(SERVERS)
     srv._client_set = frozenset(["c000"])
     srv.remote_times = {s: NEG_INF for s in SERVERS}
@@ -80,7 +80,7 @@ def test_lock_time_matches_bruteforce_any_f(f, data):
     values = data.draw(
         st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n)
     )
-    srv = FlutterServer("s000", n, f, oracle=None)
+    srv = FlutterServer("s000", f, oracle=None)
     srv.remote_times = dict(zip(names, values))
     assert srv.lock_time() == lock_bruteforce(srv.remote_times, f)
 

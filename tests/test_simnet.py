@@ -166,8 +166,10 @@ def test_run_until_cutoff_preserves_pending_events():
     sim.add_process("b", "server", Sink())
     quiescent = sim.run(until=20)
     assert not quiescent
-    assert sim.pending
     assert deliveries(sim) == [(10, 0)]
+    # the held-back delivery is still queued: resuming delivers it on time
+    assert sim.run()
+    assert deliveries(sim) == [(10, 0), (60, 1)]
 
 
 def test_step_budget_exceeded_raises():

@@ -11,16 +11,12 @@ from fluttersim.types import (
     Decision,
     Message,
     Observe,
-    Ordering,
     Suggest,
     Time,
-    compare_tuples,
-    client_id,
     instance_payload,
     quorum_large,
     quorum_majority,
     quorum_small,
-    server_id,
     wire_payload,
 )
 
@@ -47,17 +43,6 @@ def test_order_transitive(a, b, c):
 @given(tuples, tuples)
 def test_order_total(a, b):
     assert (a < b) or (b < a) or (a.key() == b.key())
-
-
-@given(tuples, tuples)
-def test_compare_matches_operators(a, b):
-    cmp = compare_tuples(a, b)
-    if cmp is Ordering.LESS:
-        assert a < b
-    elif cmp is Ordering.GREATER:
-        assert b < a
-    else:
-        assert a.key() == b.key()
 
 
 def test_bet_dominates_ordering():
@@ -89,14 +74,6 @@ def test_quorum_sizes():
     assert quorum_large(3) == 13
     assert quorum_majority(3) == 7
     assert quorum_small(3) == 4
-
-
-def test_process_ids():
-    assert server_id(0).name == "s000"
-    assert server_id(12).name == "s012"
-    assert server_id(12).kind == "server"
-    assert client_id(3).name == "c003"
-    assert client_id(3).kind == "client"
 
 
 def test_wire_payload_rendering():
