@@ -11,7 +11,8 @@ itself in the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 from . import trace as tr
 from .types import NEG_INF, BroadcastTuple, quorum_large
@@ -26,7 +27,7 @@ class CheckReport:
     prop: str
     verdict: str
     detail: str = ""
-    witness: list[dict] = field(default_factory=list)
+    witness: list[dict] | tuple = ()  # Fail reports only; the others share one empty tuple
 
     def to_dict(self) -> dict:
         return {
@@ -97,8 +98,8 @@ def _check_one_decide_per_server(prop: str, label: str, decides, what: str) -> C
         by_server.setdefault(server, []).append(event)
     twice = next((evs for evs in by_server.values() if len(evs) > 1), None)
     if twice:
-        return _fail(prop, f"instance {label}: two {what} at one server", twice[:2])
-    return _ok(prop, f"instance {label}")
+        return _fail(prop, f"{label}: two {what} at one server", twice[:2])
+    return _ok(prop, label)
 
 
 def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
@@ -106,8 +107,8 @@ def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
     one = next((e for _s, v, e in decides if v), None)
     other = next((e for _s, v, e in decides if not v), None)
     if one and other:
-        return _fail(prop, f"instance {label}: {what}", [one, other])
-    return _ok(prop, f"instance {label}")
+        return _fail(prop, f"{label}: {what}", [one, other])
+    return _ok(prop, label)
 
 
 @dataclass
@@ -237,21 +238,17 @@ def check_tob(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckRepor
             b = broadcasts.get((client, message_hex))
             missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
             if b is None or missing:
-                validity_fail = (
-                    [b] if b is not None else [],
-                    f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}",
-                )
+                detail = f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}"
+                if b is None:  # witness: the message's deliveries, else the run's last event
+                    mine = [e for evs in seqs.values() for e in evs if e.payload["message"] == message_hex
+                            and e.payload["client"] == client]
+                    validity_fail = _fail("tob-validity", detail + " (broadcast event missing)", mine or trace[-1:])
+                else:
+                    validity_fail = _fail("tob-validity", detail, [b])
                 break
         if validity_fail:
             break
-    if validity_fail:
-        witness, detail = validity_fail
-        if not witness:
-            reports.append(CheckReport("tob-validity", FAIL, detail + " (broadcast event missing)"))
-        else:
-            reports.append(_fail("tob-validity", detail, witness))
-    else:
-        reports.append(_ok("tob-validity", f"{checked} broadcast(s) delivered everywhere"))
+    reports.append(validity_fail or _ok("tob-validity", f"{checked} broadcast(s) delivered everywhere"))
     return reports
 
 
@@ -284,7 +281,7 @@ def check_consensus(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[Chec
     reports: list[CheckReport] = []
     for key in sorted(per, key=repr):
         entry = per[key]
-        label = _fmt_key(key)
+        label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
         reports.append(_check_one_decide_per_server("consensus-integrity", label, entry["decide"], "decides"))
         reports.append(_check_one_value("consensus-agreement", label, entry["decide"], "both values decided"))
 
@@ -296,7 +293,7 @@ def check_consensus(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[Chec
                 witness = next(e for _s, v, e in entry["decide"] if v == decided)
                 rep_fail = _fail(
                     "consensus-representative-validity",
-                    f"instance {label}: decided {decided} with only {len(supporters)} correct proposer(s), "
+                    f"{label}: decided {decided} with only {len(supporters)} correct proposer(s), "
                     f"need {cfg.f + 1}",
                     [witness],
                 )
@@ -304,25 +301,25 @@ def check_consensus(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[Chec
         if rep_fail:
             reports.append(rep_fail)
         else:
-            detail = f"instance {label}" + ("" if values else ": nothing decided")
+            detail = label + ("" if values else ": nothing decided")
             reports.append(_ok("consensus-representative-validity", detail))
 
         proposers = {s for s, _v, _e in entry["propose"]}
         deciders = {s for s, _v, _e in entry["decide"]}
         if not cfg.quiescent:
-            reports.append(_na("consensus-termination", f"instance {label}: run was cut before quiescence"))
+            reports.append(_na("consensus-termination", f"{label}: run was cut before quiescence"))
         elif proposers != correct:
             reports.append(
-                _na("consensus-termination", f"instance {label}: only {len(proposers)}/{len(correct)} correct servers proposed")
+                _na("consensus-termination", f"{label}: only {len(proposers)}/{len(correct)} correct servers proposed")
             )
         elif deciders != correct:
             missing = sorted(correct - deciders)
             witness = [entry["propose"][0][2]]
             reports.append(
-                _fail("consensus-termination", f"instance {label}: {missing} never decided at quiescence", witness)
+                _fail("consensus-termination", f"{label}: {missing} never decided at quiescence", witness)
             )
         else:
-            reports.append(_ok("consensus-termination", f"instance {label}"))
+            reports.append(_ok("consensus-termination", label))
 
         reports.extend(_check_dep(entry, label, correct, cfg.quiescent))
     return reports
@@ -339,10 +336,10 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
     stray = next((e for _s, v, e in dep_decides if v not in allowed), None)
     if stray:
         reports.append(
-            _fail("dep-weak-validity", f"instance {label}: dep decided a value no correct server dep-proposed", [stray])
+            _fail("dep-weak-validity", f"{label}: dep decided a value no correct server dep-proposed", [stray])
         )
     else:
-        reports.append(_ok("dep-weak-validity", f"instance {label}"))
+        reports.append(_ok("dep-weak-validity", label))
 
     reports.append(_check_one_value("dep-agreement", label, dep_decides, "dep decided both values"))
     reports.append(_check_one_decide_per_server("dep-integrity", label, dep_decides, "dep decide indications"))
@@ -350,16 +347,16 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
     proposers = {s for s, _v, _e in dep_proposals}
     deciders = {s for s, _v, _e in dep_decides}
     if not quiescent:
-        reports.append(_na("dep-termination", f"instance {label}: run was cut before quiescence"))
+        reports.append(_na("dep-termination", f"{label}: run was cut before quiescence"))
     elif proposers != correct:
-        reports.append(_na("dep-termination", f"instance {label}: not every correct server dep-proposed"))
+        reports.append(_na("dep-termination", f"{label}: not every correct server dep-proposed"))
     elif deciders != correct:
         missing = sorted(correct - deciders)
         reports.append(
-            _fail("dep-termination", f"instance {label}: {missing} got no dep decide indication", [dep_proposals[0][2]])
+            _fail("dep-termination", f"{label}: {missing} got no dep decide indication", [dep_proposals[0][2]])
         )
     else:
-        reports.append(_ok("dep-termination", f"instance {label}"))
+        reports.append(_ok("dep-termination", label))
     return reports
 
 
@@ -466,29 +463,27 @@ class _ServerReplay:
         self.cfg = cfg
         self.name = name
         self.remote_times: dict[str, int | float] = {s: NEG_INF for s in cfg.servers}
+        self.lock = _lock_bruteforce(list(self.remote_times.values()), cfg.f)  # redone when an entry changes
         self.candidates: set[BroadcastTuple] = set()
+        self.pending: list[BroadcastTuple] = []  # heap of candidates not yet processed
         self.decisions: dict[BroadcastTuple, bool] = {}
         self.last: BroadcastTuple | None = None
         self.orders: list[tuple[BroadcastTuple, tr.TraceEvent]] = []
         self.app_delivers: list[tr.TraceEvent] = []
 
-    def lock(self):
-        return _lock_bruteforce(list(self.remote_times.values()), self.cfg.f)
-
     def _spot(self, t: BroadcastTuple) -> None:
-        if t.bet > self.lock():
+        if t.bet > self.lock and t not in self.candidates:
             self.candidates.add(t)
+            heapq.heappush(self.pending, t)
 
     def _drain(self, event: tr.TraceEvent) -> None:
-        while True:
-            best = None
-            for t in self.candidates:
-                if self.last is not None and t <= self.last:
-                    continue
-                if best is None or t < best:
-                    best = t
-            if best is None or best not in self.decisions or best.bet > self.lock():
+        # Entries only rise, so neither does the lock fall: a candidate admitted
+        # above the lock lies above every tuple processed before it.
+        while self.pending:
+            best = self.pending[0]
+            if best not in self.decisions or best.bet > self.lock:
                 return
+            heapq.heappop(self.pending)
             if self.decisions[best]:
                 self.orders.append((best, event))
             self.last = best
@@ -510,10 +505,11 @@ class _ServerReplay:
         msg = event.payload["msg"]
         kind = msg["kind"]
         if kind == "Time" and src in self.remote_times:
-            before = self.lock()
+            before = self.lock
             if msg["time"] > self.remote_times[src]:
                 self.remote_times[src] = msg["time"]
-            after = self.lock()
+                self.lock = _lock_bruteforce(list(self.remote_times.values()), self.cfg.f)
+            after = self.lock
             if after < before:
                 return "server-lock-monotonic"
             good_senders = len(self.cfg.correct_servers) == self.cfg.n and self.cfg.drift == 0

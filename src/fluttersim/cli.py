@@ -1,7 +1,8 @@
 """Command-line front end: run one scenario, or sweep a campaign.
 
 Exit codes: 0 all checks Pass/NotApplicable; 1 at least one Fail;
-2 malformed scenario or configuration; 3 step budget exceeded.
+2 malformed scenario or configuration; 3 step budget exceeded;
+4 a protocol or dep-oracle invariant broke during the run.
 The FLUTTERSIM_OUT environment variable sets the default output
 directory for traces and reports (default: current directory).
 """
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .adversary import BEHAVIORS
-from .errors import BudgetExceededError, ConfigError, ScenarioError
+from .errors import BudgetExceededError, ConfigError, OracleViolationError, ProtocolBugError, ScenarioError
 from .runner import run_campaign, run_scenario
 from .scenario import load_scenario
 from .trace import write_trace
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SCENARIO = 2
 EXIT_BUDGET = 3
+EXIT_PROTOCOL = 4
 
 
 def _out_dir() -> Path:
@@ -150,6 +152,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ProtocolBugError, OracleViolationError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

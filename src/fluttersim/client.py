@@ -21,6 +21,7 @@ class FlutterClient:
         self.crash_time = crash_time
         self.submissions: dict[bytes, tuple[int, int]] = {}
         self.decisions: dict[tuple[bytes, int, str], bool] = {}
+        self._falses: dict[tuple[bytes, int], int] = {}  # False entries of decisions per (message, bet)
         self._margins: dict[bytes, tuple[int, int]] = {}  # message -> (delta_estimate, epsilon)
         self._server_set: frozenset[str] = frozenset()
 
@@ -57,14 +58,12 @@ class FlutterClient:
             return
         if not isinstance(msg, Decision) or src not in self._server_set:
             return
-        self.decisions[(msg.message, msg.bet, src)] = msg.value
+        slot = (msg.message, msg.bet)
+        was_false = self.decisions.get((*slot, src)) is False
+        self.decisions[(*slot, src)] = msg.value
+        falses = self._falses[slot] = self._falses.get(slot, 0) + (msg.value is False) - was_false
         current = self.submissions.get(msg.message)
         if current is None or current[1] != msg.bet:
             return
-        falses = sum(
-            1
-            for (m, b, s), v in self.decisions.items()
-            if m == msg.message and b == msg.bet and v is False
-        )
         if falses >= quorum_small(self.f):
             self._submit(ctx, msg.message, current[0] + 1)

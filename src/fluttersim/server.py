@@ -11,6 +11,8 @@ still win a consensus instance.
 
 from __future__ import annotations
 
+import heapq
+
 from . import trace as tr
 from .blink import BlinkNode
 from .types import (
@@ -34,10 +36,12 @@ class FlutterServer(BlinkNode):
         self.observed: set[BroadcastTuple] = set()
         self.proposed: set[BroadcastTuple] = set()
         self.candidates: set[BroadcastTuple] = set()
+        self._queue: list[BroadcastTuple] = []  # heap of candidates above last_processed
         self.delivered: set[tuple[str, bytes]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
         self.last_processed: BroadcastTuple | None = None
         self.remote_times: dict[str, int | float] = {}
+        self._lock: int | float = NEG_INF  # lock_time(), recomputed when an entry rises
         self._expiry: dict[str, BroadcastTuple] = {}
         self._client_set: frozenset[str] = frozenset()
 
@@ -72,8 +76,9 @@ class FlutterServer(BlinkNode):
         self._process_next(ctx)
 
     def _spot(self, ctx, t: BroadcastTuple) -> None:
-        if t.bet > self.lock_time():
+        if t.bet > self._lock and t not in self.candidates:
             self.candidates.add(t)
+            heapq.heappush(self._queue, t)
         if t not in self.observed:
             # Relay before scheduling the beat: every Time(b') with b' >= bet
             # then trails the Observe on each link, so whoever advances our
@@ -106,6 +111,7 @@ class FlutterServer(BlinkNode):
     def _on_time(self, ctx, src: str, time: int) -> None:
         if time > self.remote_times[src]:
             self.remote_times[src] = time
+            self._lock = self.lock_time()
         self._process_next(ctx)
 
     def on_decided(self, ctx, key: InstanceKey, value: bool) -> None:
@@ -116,15 +122,12 @@ class FlutterServer(BlinkNode):
         self._process_next(ctx)
 
     def _process_next(self, ctx) -> None:
-        while True:
-            best: BroadcastTuple | None = None
-            for t in self.candidates:
-                if self.last_processed is not None and t <= self.last_processed:
-                    continue
-                if best is None or t < best:
-                    best = t
-            if best is None or best not in self.decisions or best.bet > self.lock_time():
+        # Queued bets cleared a lock that never falls, so all lie above last_processed.
+        while self._queue:
+            best = self._queue[0]
+            if best not in self.decisions or best.bet > self._lock:
                 return
+            heapq.heappop(self._queue)
             if self.decisions[best]:
                 self._order(ctx, best)
             self.last_processed = best

@@ -21,6 +21,8 @@ TIMER_FIRE = "TimerFire"
 DEP_PROPOSE = "DepPropose"
 DEP_DECIDE = "DepDecide"
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # shared; json.dumps would build one per line
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -30,9 +32,8 @@ class TraceEvent:
     payload: dict
 
     def to_line(self) -> str:
-        return json.dumps(
-            {"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload},
-            separators=(",", ":"),
+        return _ENCODER.encode(
+            {"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload}
         )
 
 

@@ -23,8 +23,8 @@ class BroadcastTuple:
     bet: SimTime
 
     def key(self) -> tuple:
-        # bet dominates, then client name bytes, then message bytes
-        return (self.bet, self.client.encode("ascii"), self.message)
+        # bet dominates, then client name (ASCII, so str order is byte order), then message
+        return (self.bet, self.client, self.message)
 
     def __lt__(self, other: "BroadcastTuple") -> bool:
         return self.key() < other.key()

@@ -8,10 +8,10 @@ import pytest
 
 from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, run_all_checks
 from fluttersim.runner import run_scenario
-from fluttersim.scenario import parse_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, TraceEvent
 
-from conftest import scenario_dict
+from conftest import SCENARIOS_DIR, scenario_dict
 
 FIRST = {"client": "c000", "message": "01", "bet": 11}  # the two-message run's first tuple
 
@@ -108,6 +108,31 @@ def test_unbroadcast_delivery_fails_integrity():
         TraceEvent(99, "s000", APP_DELIVER, {"client": "c000", "message": "ff", "bet": 50})
     )
     failing(trace, cfg, "tob-integrity")
+
+
+def goodcase_run():
+    scenario = load_scenario(SCENARIOS_DIR / "goodcase.json")
+    result = run_scenario(scenario, check=False)
+    return result, CheckerConfig.from_scenario(scenario, quiescent=result.quiescent)
+
+
+def test_missing_broadcast_event_fails_validity_with_the_deliveries_as_witness():
+    result, cfg = goodcase_run()
+    trace = [e for e in result.trace if e.kind != BROADCAST]
+    report = failing(trace, cfg, "tob-validity")
+    assert report.detail == "broadcast (c000, 0x6d) not delivered by [] (broadcast event missing)"
+    delivers = [e for e in trace if e.kind == APP_DELIVER]
+    assert [e.process for e in delivers] == cfg.correct_servers
+    assert report.witness == [event(e.time, e.process, e.kind, e.payload) for e in delivers]
+
+
+def test_missing_broadcast_and_deliveries_fail_validity_at_the_last_event():
+    result, cfg = goodcase_run()
+    trace = [e for e in result.trace if e.kind not in (BROADCAST, APP_DELIVER)]
+    report = failing(trace, cfg, "tob-validity")
+    assert report.detail == f"broadcast (c000, 0x6d) not delivered by {cfg.correct_servers} (broadcast event missing)"
+    last = trace[-1]
+    assert report.witness == [event(last.time, last.process, last.kind, last.payload)]
 
 
 @pytest.mark.parametrize(

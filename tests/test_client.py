@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fluttersim.client import FlutterClient
 from fluttersim.errors import ProtocolBugError
@@ -88,6 +90,41 @@ def test_duplicate_false_from_same_server_does_not_count_twice():
     deliver_false(cl, ctx, "s000", b"\x6d", 11)
     deliver_false(cl, ctx, "s000", b"\x6d", 11)
     assert ctx.sent == []
+
+
+def test_true_then_false_from_same_server_counts_once():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, b"\x6d", 10, 1)
+    ctx.sent.clear()
+    cl.on_deliver(ctx, "s000", Decision(b"\x6d", 11, True))
+    deliver_false(cl, ctx, "s000", b"\x6d", 11)  # replaces the True: one False report
+    assert ctx.sent == []
+    deliver_false(cl, ctx, "s001", b"\x6d", 11)
+    assert cl.submissions[b"\x6d"][0] == 1
+
+
+def test_false_then_true_from_same_server_stops_counting():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, b"\x6d", 10, 1)
+    ctx.sent.clear()
+    deliver_false(cl, ctx, "s000", b"\x6d", 11)
+    cl.on_deliver(ctx, "s000", Decision(b"\x6d", 11, True))  # replaces the False
+    deliver_false(cl, ctx, "s001", b"\x6d", 11)
+    assert ctx.sent == []
+
+
+@given(st.lists(st.tuples(st.sampled_from(SERVERS), st.sampled_from([11, 31]), st.booleans()), max_size=30))
+def test_false_counter_matches_sum_over_decisions(reports):
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, b"\x6d", 10, 1)
+    for src, bet, value in reports:
+        cl.on_deliver(ctx, src, Decision(b"\x6d", bet, value))
+        for b in (11, 31):
+            falses = sum(1 for (m, bb, _s), v in cl.decisions.items() if (m, bb) == (b"\x6d", b) and v is False)
+            assert cl._falses.get((b"\x6d", b), 0) == falses
 
 
 def test_stale_bet_reports_are_ignored():

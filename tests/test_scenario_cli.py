@@ -10,6 +10,8 @@ import fluttersim.cli as cli
 from fluttersim.checkers import CheckReport
 from fluttersim.errors import ScenarioError
 from fluttersim.scenario import parse_scenario
+from fluttersim.server import FlutterServer
+from fluttersim.weakcon import FirstProposal
 
 from conftest import SCENARIOS_DIR, scenario_dict
 
@@ -236,6 +238,40 @@ def test_cli_fail_report_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
     code = cli.main(["run", str(SCENARIOS_DIR / "goodcase.json")])
     assert code == 1
+
+
+def expiry_forgets_proposal(real):
+    """Server mutant: the expiry timer votes False even after proposing."""
+
+    def on_timer(self, ctx, token):
+        if token.startswith("expiry@"):
+            self.instance(self._expiry[token]).propose(ctx, False)
+        else:
+            real(self, ctx, token)
+
+    return on_timer
+
+
+def policy_invents_value(_real):
+    """Dep-policy mutant: decides the value no correct server proposed."""
+    return lambda self, order, proposals: not order[0][1]
+
+
+@pytest.mark.parametrize(
+    "owner, attr, mutant, error",
+    [
+        (FlutterServer, "on_timer", expiry_forgets_proposal, "ProtocolBugError"),
+        (FirstProposal, "choose", policy_invents_value, "OracleViolationError"),
+    ],
+)
+def test_cli_protocol_bug_exit_code(tmp_path, monkeypatch, capsys, owner, attr, mutant, error):
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
+    code = cli.main(["run", str(SCENARIOS_DIR / "goodcase.json")])
+    assert code == cli.EXIT_PROTOCOL == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ")
+    assert "Traceback" not in err
 
 
 def test_cli_campaign_small_sweep(tmp_path, monkeypatch):

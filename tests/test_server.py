@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fluttersim.server import FlutterServer
@@ -51,6 +51,16 @@ class FakeCtx:
 
     def emit(self, kind, payload):
         self.emitted.append((kind, payload))
+
+
+def set_lock(srv, ctx, time):
+    """Every server's Time entry reaches `time`, so the lock time does too."""
+    for s in SERVERS:
+        srv._on_time(ctx, s, time)
+
+
+def delivered_bets(ctx):
+    return [p["bet"] for k, p in ctx.emitted if k == APP_DELIVER]
 
 
 def test_lock_time_frozen_examples():
@@ -110,8 +120,8 @@ def test_spot_known_tuple_does_not_relay_again():
 
 def test_spot_late_tuple_relayed_but_not_candidate():
     srv = make_server()
-    srv.remote_times = dict(zip(SERVERS, [20] * 6))  # lock = 20
     ctx = FakeCtx()
+    set_lock(srv, ctx, 20)
     t = BroadcastTuple("c000", b"\x6d", 15)
     srv._spot(ctx, t)
     assert t not in srv.candidates
@@ -173,12 +183,13 @@ def test_process_next_releases_in_bet_order_after_lock():
     ctx = FakeCtx()
     a = BroadcastTuple("c000", b"\x01", 5)
     b = BroadcastTuple("c000", b"\x02", 8)
-    srv.candidates = {a, b}
-    srv.decisions = {a: True, b: True}
-    srv.remote_times = dict(zip(SERVERS, [9] * 6))  # lock = 9 > both bets
-    srv._process_next(ctx)
-    delivered = [p for k, p in ctx.emitted if k == APP_DELIVER]
-    assert [d["bet"] for d in delivered] == [5, 8]
+    srv._spot(ctx, b)
+    srv._spot(ctx, a)
+    srv.on_decided(ctx, b, True)
+    srv.on_decided(ctx, a, True)
+    assert delivered_bets(ctx) == []  # lock still -inf
+    set_lock(srv, ctx, 9)  # lock = 9 > both bets
+    assert delivered_bets(ctx) == [5, 8]
     assert srv.last_processed == b
 
 
@@ -187,10 +198,10 @@ def test_process_next_stalls_on_undecided_minimum():
     ctx = FakeCtx()
     a = BroadcastTuple("c000", b"\x01", 5)
     b = BroadcastTuple("c000", b"\x02", 8)
-    srv.candidates = {a, b}
-    srv.decisions = {b: True}  # a undecided blocks everything
-    srv.remote_times = dict(zip(SERVERS, [9] * 6))
-    srv._process_next(ctx)
+    srv._spot(ctx, a)
+    srv._spot(ctx, b)
+    srv.on_decided(ctx, b, True)  # a undecided blocks everything
+    set_lock(srv, ctx, 9)
     assert ctx.emitted == []
     assert srv.last_processed is None
 
@@ -199,20 +210,17 @@ def test_process_next_stalls_until_lock_passes_bet():
     srv = make_server()
     ctx = FakeCtx()
     a = BroadcastTuple("c000", b"\x01", 5)
-    srv.candidates = {a}
-    srv.decisions = {a: True}
-    srv.remote_times = dict(zip(SERVERS, [5] * 6))
-    srv._process_next(ctx)
-    delivered = [p for k, p in ctx.emitted if k == APP_DELIVER]
-    assert [d["bet"] for d in delivered] == [5]  # bet 5 <= lock 5 releases
+    srv._spot(ctx, a)
+    srv.on_decided(ctx, a, True)
+    set_lock(srv, ctx, 5)
+    assert delivered_bets(ctx) == [5]  # bet 5 <= lock 5 releases
 
     srv2 = make_server()
     ctx2 = FakeCtx()
     b = BroadcastTuple("c000", b"\x02", 6)
-    srv2.candidates = {b}
-    srv2.decisions = {b: True}
-    srv2.remote_times = dict(zip(SERVERS, [5] * 6))  # lock 5 < bet 6 stalls
-    srv2._process_next(ctx2)
+    srv2._spot(ctx2, b)
+    srv2.on_decided(ctx2, b, True)
+    set_lock(srv2, ctx2, 5)  # lock 5 < bet 6 stalls
     assert ctx2.emitted == []
 
 
@@ -221,13 +229,93 @@ def test_false_decision_advances_cursor_without_delivery():
     ctx = FakeCtx()
     a = BroadcastTuple("c000", b"\x01", 5)
     b = BroadcastTuple("c000", b"\x02", 8)
-    srv.candidates = {a, b}
-    srv.decisions = {a: False, b: True}
-    srv.remote_times = dict(zip(SERVERS, [9] * 6))
-    srv._process_next(ctx)
+    srv._spot(ctx, a)
+    srv._spot(ctx, b)
+    srv.on_decided(ctx, a, False)
+    srv.on_decided(ctx, b, True)
+    set_lock(srv, ctx, 9)
     delivered = [p for k, p in ctx.emitted if k == APP_DELIVER]
     assert [d["message"] for d in delivered] == ["02"]
     assert srv.last_processed == b
+
+
+class ScanModel:
+    """Reference ordering core: a full candidate scan on every step and a
+    lock time recomputed from scratch on every read."""
+
+    def __init__(self):
+        self.times = {s: NEG_INF for s in SERVERS}
+        self.candidates = set()
+        self.decisions = {}
+        self.last = None
+        self.seen = set()
+        self.delivered = []
+
+    def spot(self, t):
+        if t.bet > lock_bruteforce(self.times, 1):
+            self.candidates.add(t)
+
+    def time(self, src, value):
+        self.times[src] = max(self.times[src], value)
+        self.process()
+
+    def decide(self, t, value):
+        self.decisions[t] = value
+        self.process()
+
+    def process(self):
+        while True:
+            best = None
+            for t in self.candidates:
+                if self.last is not None and t <= self.last:
+                    continue
+                if best is None or t < best:
+                    best = t
+            if best is None or best not in self.decisions or best.bet > lock_bruteforce(self.times, 1):
+                return
+            if self.decisions[best] and (best.client, best.message) not in self.seen:
+                self.seen.add((best.client, best.message))
+                self.delivered.append((best.client, best.message.hex(), best.bet))
+            self.last = best
+
+
+MODEL_TUPLES = [
+    BroadcastTuple(c, m, bet) for c in ("c000", "c001") for m in (b"\x01", b"\x02") for bet in range(1, 4)
+]
+MODEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("spot"), st.sampled_from(MODEL_TUPLES)),
+        st.tuples(st.just("time"), st.sampled_from(SERVERS), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("beat"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("decide"), st.sampled_from(MODEL_TUPLES), st.booleans()),
+    ),
+    max_size=80,
+)
+
+
+@given(MODEL_OPS)
+@example([("spot", MODEL_TUPLES[1]), ("decide", MODEL_TUPLES[1], True), ("beat", 2)])  # lock == bet releases
+def test_candidate_heap_matches_full_scan(ops):
+    srv = make_server()
+    ctx = FakeCtx()
+    model = ScanModel()
+    for op in ops:
+        if op[0] == "spot":
+            srv._spot(ctx, op[1])
+            model.spot(op[1])
+        elif op[0] == "time":
+            srv._on_time(ctx, op[1], op[2])
+            model.time(op[1], op[2])
+        elif op[0] == "beat":  # every server's clock announcement reaches op[1]
+            set_lock(srv, ctx, op[1])
+            for src in SERVERS:
+                model.time(src, op[1])
+        elif op[1] not in model.decisions:  # an instance decides once
+            srv.on_decided(ctx, op[1], op[2])
+            model.decide(op[1], op[2])
+        delivered = [(p["client"], p["message"], p["bet"]) for k, p in ctx.emitted if k == APP_DELIVER]
+        assert delivered == model.delivered
+        assert srv.last_processed == model.last
 
 
 def test_order_dedups_same_client_message_across_bets():
