@@ -96,9 +96,9 @@ class TimeLiar:
             return
         self.blasts_left -= 1
         self.last_blast = ctx.now()
-        lie = ctx.local_time() + self.ahead
+        lie = Time(ctx.local_time() + self.ahead)
         for server in ctx.servers:
-            ctx.send(server, Time(lie))
+            ctx.send(server, lie)
 
     def on_init(self, ctx) -> None:
         self._blast(ctx)
@@ -128,9 +128,9 @@ class ObserveForger:
         if victim is None or victim not in ctx.clients:
             raise ConfigError(f"observe_forger needs an existing victim client, got {victim!r}")
         bet = self.bet if self.bet is not None else ctx.local_time() + self.bet_offset
-        forged = BroadcastTuple(victim, self.message, bet)
+        forged = Observe(BroadcastTuple(victim, self.message, bet))
         for server in ctx.servers:
-            ctx.send(server, Observe(forged))
+            ctx.send(server, forged)
 
     def on_timer(self, ctx, token: str) -> None:
         pass
@@ -180,10 +180,11 @@ class StaleRelay:
         self.seen.add(key)
         # Time first, Observe second on every link: FIFO then shows each
         # peer a clock already past the bet before it can spot the tuple.
+        stale, relay = Time(key.bet + self.lead), Observe(key)
         for server in ctx.servers:
-            ctx.send(server, Time(key.bet + self.lead))
+            ctx.send(server, stale)
         for server in ctx.servers:
-            ctx.send(server, Observe(key))
+            ctx.send(server, relay)
 
 
 class PartialDisseminator:
@@ -208,9 +209,9 @@ class PartialDisseminator:
             if not 0 <= i < len(ctx.servers):
                 raise ConfigError(f"partial_disseminator target {i} out of range")
         ctx.emit(tr.BROADCAST, {"message": self.message.hex()})
-        bet = ctx.local_time() + self.bet_offset
+        submission = Message(self.message, ctx.local_time() + self.bet_offset)
         for i in self.targets:
-            ctx.send(ctx.servers[i], Message(self.message, bet))
+            ctx.send(ctx.servers[i], submission)
 
     def on_deliver(self, ctx, src: str, msg) -> None:
         pass

@@ -33,8 +33,9 @@ class BlinkInstance:
             raise ProtocolBugError(f"{ctx.name} proposed twice to instance {self.key!r}")
         self.self_proposed = True
         ctx.emit(tr.PROPOSE, {"instance": instance_payload(self.key), "value": value})
+        suggest = Suggest(self.key, value)
         for server in ctx.servers:
-            ctx.send(server, Suggest(self.key, value))
+            ctx.send(server, suggest)
 
     def on_suggest(self, ctx, sender: str, value: bool) -> None:
         self.suggestions[sender] = value

@@ -449,21 +449,20 @@ def _check_blink_latency(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> Chec
 # ---------------------------------------------------------------- server replay
 
 
-def _lock_bruteforce(values, f: int):
-    """Largest t supported by at least 4f+1 entries, by direct scan."""
-    best = NEG_INF
-    for t in values:
-        if t > best and sum(1 for x in values if x >= t) >= quorum_large(f):
-            best = t
-    return best
+def _lock_rank(values, f: int):
+    """Largest t that at least 4f+1 entries reach: the (4f+1)-th largest entry."""
+    ranked = sorted(values)
+    q = quorum_large(f)
+    return ranked[-q] if len(ranked) >= q else NEG_INF
 
 
 class _ServerReplay:
-    def __init__(self, cfg: CheckerConfig, name: str):
+    def __init__(self, cfg: CheckerConfig, name: str, observed: dict[int, BroadcastTuple]):
         self.cfg = cfg
         self.name = name
+        self.observed = observed  # id(Observe msg dict) -> its tuple, shared by all replays
         self.remote_times: dict[str, int | float] = {s: NEG_INF for s in cfg.servers}
-        self.lock = _lock_bruteforce(list(self.remote_times.values()), cfg.f)  # redone when an entry changes
+        self.lock = _lock_rank(self.remote_times.values(), cfg.f)  # redone when an entry changes
         self.candidates: set[BroadcastTuple] = set()
         self.pending: list[BroadcastTuple] = []  # heap of candidates not yet processed
         self.decisions: dict[BroadcastTuple, bool] = {}
@@ -508,7 +507,7 @@ class _ServerReplay:
             before = self.lock
             if msg["time"] > self.remote_times[src]:
                 self.remote_times[src] = msg["time"]
-                self.lock = _lock_bruteforce(list(self.remote_times.values()), self.cfg.f)
+                self.lock = _lock_rank(self.remote_times.values(), self.cfg.f)
             after = self.lock
             if after < before:
                 return "server-lock-monotonic"
@@ -517,7 +516,10 @@ class _ServerReplay:
                 return "server-lock-vs-local"
             self._drain(event)
         elif kind == "Observe" and src in self.remote_times:
-            self._spot(_tuple_of(msg))
+            t = self.observed.get(id(msg))
+            if t is None:  # an Observe broadcast shares one dict: parse it once
+                t = self.observed[id(msg)] = _tuple_of(msg)
+            self._spot(t)
             self._drain(event)
         elif kind == "Message" and src in self.cfg.clients:
             self._spot(BroadcastTuple(src, bytes.fromhex(msg["message"]), msg["bet"]))
@@ -527,7 +529,8 @@ class _ServerReplay:
 
 def check_server_invariants(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
     reports: list[CheckReport] = []
-    replays = {s: _ServerReplay(cfg, s) for s in cfg.correct_servers}
+    observed: dict[int, BroadcastTuple] = {}  # id()-keyed: `trace` keeps every dict alive
+    replays = {s: _ServerReplay(cfg, s, observed) for s in cfg.correct_servers}
     violation: tuple[str, tr.TraceEvent] | None = None
     for event in trace:
         replay = replays.get(event.process)
@@ -640,7 +643,8 @@ def check_network(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckR
             break
         last_deliver = 0
         for s_ev, d_ev in zip(ss, ds):
-            if s_ev.payload["msg"] != d_ev.payload["msg"]:
+            s_msg, d_msg = s_ev.payload["msg"], d_ev.payload["msg"]
+            if s_msg is not d_msg and s_msg != d_msg:
                 fifo_fail = ("deliveries out of send order", [s_ev, d_ev])
                 break
             if d_ev.time < last_deliver:

@@ -50,8 +50,9 @@ class FlutterClient:
         estimate, epsilon = self._margins[message]
         bet = ctx.local_time() + (2**attempt) * estimate + epsilon
         self.submissions[message] = (attempt, bet)
+        submission = Message(message, bet)
         for server in ctx.servers:
-            ctx.send(server, Message(message, bet))
+            ctx.send(server, submission)
 
     def on_deliver(self, ctx, src: str, msg) -> None:
         if self._crashed(ctx):

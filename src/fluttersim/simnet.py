@@ -130,6 +130,8 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._links: dict[tuple[str, str], list] = {}  # (src, dst) -> [last_delivery, sends]
+        self._last_msg: WireMessage | None = None  # held, so `is` cannot match a recycled id
+        self._last_wire: dict | None = None  # wire_payload(_last_msg)
         self._started = False
         self._steps = 0
 
@@ -140,11 +142,11 @@ class Simulator:
         self.contexts[name] = Context(self, name)
         (self.servers if kind == "server" else self.clients).append(name)
 
-    def _push(self, time: SimTime, kind: int, a, b, c=None) -> None:
+    def _push(self, time: SimTime, kind: int, a, b, c=None, d=None) -> None:
         if time < self.now:  # past target: fires this step, after the current handler
             time = self.now
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, a, b, c))
+        heapq.heappush(self._heap, (time, self._seq, kind, a, b, c, d))
 
     def emit(self, process: str, kind: str, payload: dict) -> None:
         self.trace.append(tr.TraceEvent(self.now, process, kind, payload))
@@ -161,8 +163,14 @@ class Simulator:
         if when < link[0]:  # FIFO repair: never deliver before an earlier send
             when = link[0]
         link[0] = when
-        self.emit(src, tr.SEND, {"dst": dst, "msg": wire_payload(msg)})
-        self._push(when, _DELIVER, src, dst, msg)
+        # A broadcast sends one message object to every peer: render it once,
+        # and let its Send and Deliver events share that dict.
+        if msg is not self._last_msg:
+            self._last_msg = msg
+            self._last_wire = wire_payload(msg)
+        wire = self._last_wire
+        self.emit(src, tr.SEND, {"dst": dst, "msg": wire})
+        self._push(when, _DELIVER, src, dst, msg, wire)
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
         self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
@@ -198,11 +206,11 @@ class Simulator:
             self._steps += 1
             if self._steps > self.step_budget:
                 raise BudgetExceededError(f"no quiescence after {self.step_budget} events")
-            time, _seq, kind, a, b, c = heapq.heappop(heap)
+            time, _seq, kind, a, b, c, d = heapq.heappop(heap)
             self.now = time
             if kind == _DELIVER:
                 handler = self.handlers[b]
-                self.emit(b, tr.DELIVER, {"src": a, "msg": wire_payload(c)})
+                self.emit(b, tr.DELIVER, {"src": a, "msg": d})
                 handler.on_deliver(self.contexts[b], a, c)
             elif kind == _TIMER:
                 handler = self.handlers[a]

@@ -5,11 +5,14 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, run_all_checks
+from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, _lock_rank, run_all_checks
 from fluttersim.runner import run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
-from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, TraceEvent
+from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
+from fluttersim.types import NEG_INF, quorum_large
 
 from conftest import SCENARIOS_DIR, scenario_dict
 
@@ -65,6 +68,22 @@ def test_clean_two_message_run_passes_everything():
     reports = run_all_checks(result.trace, cfg)
     assert all(r.verdict in (PASS, NA) for r in reports)
     assert by_prop(reports)["tob-total-order"][0].verdict == PASS
+
+
+def test_replay_spots_tuples_from_relays_alone():
+    # Without the c000 -> s001 link, s001's replay learns both tuples only
+    # from Observe relays, and must still count each as a candidate.
+    result, cfg = clean_run()
+    trace = [
+        e
+        for e in result.trace
+        if not (e.kind == SEND and e.process == "c000" and e.payload["dst"] == "s001")
+        and not (e.kind == DELIVER and e.process == "s001" and e.payload["src"] == "c000")
+    ]
+    assert len(trace) < len(result.trace)
+    reports = run_all_checks(trace, cfg)
+    assert all(r.verdict in (PASS, NA) for r in reports)
+    assert by_prop(reports)["server-candidate-completeness"][0].detail == "2 accepted tuple(s)"
 
 
 def test_swapped_deliveries_fail_total_order():
@@ -314,3 +333,23 @@ def test_report_dict_shape():
     reports = run_all_checks(result.trace, cfg)
     d = reports[0].to_dict()
     assert set(d) >= {"property", "verdict"}
+
+
+def _lock_bruteforce(values, f: int):
+    """Largest t supported by at least 4f+1 entries, by direct scan: the replay's reference oracle."""
+    best = NEG_INF
+    for t in values:
+        if t > best and sum(1 for x in values if x >= t) >= quorum_large(f):
+            best = t
+    return best
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.one_of(st.just(NEG_INF), st.integers(min_value=-20, max_value=20)), max_size=24),
+)
+@example(0, [5])
+@example(1, [3, NEG_INF, 4, 1, 5])
+@example(1, [3, 9, 4, 1])
+def test_lock_rank_matches_bruteforce(f, values):
+    assert _lock_rank(values, f) == _lock_bruteforce(values, f)

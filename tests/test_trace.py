@@ -1,0 +1,99 @@
+"""The JSONL trace writer, its reader, and the shared message payloads."""
+
+from __future__ import annotations
+
+import pytest
+
+from fluttersim.adversary import BEHAVIORS
+from fluttersim.checkers import CheckerConfig, run_all_checks
+from fluttersim.runner import campaign_variant, run_scenario
+from fluttersim.scenario import load_scenario
+from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, load_trace, write_trace
+
+from conftest import SCENARIOS_DIR
+
+BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
+
+
+def bundled_trace(name):
+    return run_scenario(load_scenario(SCENARIOS_DIR / f"{name}.json"), check=False).trace
+
+
+def written(tmp_path, trace) -> bytes:
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, trace)
+    return path.read_bytes()
+
+
+def lines_of(trace) -> bytes:
+    return "".join(e.to_line() + "\n" for e in trace).encode()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_writer_matches_to_line_on_bundled_runs(tmp_path, name):
+    trace = bundled_trace(name)
+    assert written(tmp_path, trace) == lines_of(trace)
+
+
+@pytest.mark.parametrize("behavior", sorted(BEHAVIORS))
+def test_writer_matches_to_line_on_campaign_variants(tmp_path, behavior):
+    # The equivocator sends a different Suggest to each peer: unshared dicts.
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    trace = run_scenario(campaign_variant(base, behavior, "adversarial_value", 3), check=False).trace
+    assert written(tmp_path, trace) == lines_of(trace)
+
+
+def test_writer_matches_to_line_on_hand_built_events(tmp_path):
+    shared = {"kind": "Suggest", "instance": {"label": 'l"a\\b\nelé'}, "value": True}
+    other = {"kind": "Time", "time": 4}
+    trace = [
+        TraceEvent(1, 's"0\\0', SEND, {"dst": "t\tabé", "msg": shared}),
+        TraceEvent(2, "t\tabé", DELIVER, {"src": 's"0\\0', "msg": shared}),
+        # equal by value, distinct objects: each renders on its own
+        TraceEvent(3, 1, SEND, {"dst": True, "msg": other}),
+        TraceEvent(4, True, DELIVER, {"src": 1, "msg": dict(other)}),
+        # layouts and times that `to_line` alone renders
+        TraceEvent(5, "p", SEND, {"msg": other, "dst": "q"}),
+        TraceEvent(6, "q", DELIVER, {"src": "p", "msg": other, "note": "x"}),
+        TraceEvent(7, "q", DELIVER, {"src": "p", "note": "x"}),
+        TraceEvent(8.5, "p", SEND, {"dst": "q", "msg": other}),
+        TraceEvent(True, "p", SEND, {"dst": "q", "msg": other}),
+        TraceEvent(9, "p", TIMER_FIRE, {"token": 'b"eat'}),
+    ]
+    assert written(tmp_path, trace) == lines_of(trace)
+
+
+@pytest.mark.parametrize(
+    ("kind", "sender"),
+    [("Observe", "s000"), ("Time", "s000"), ("Suggest", "s000"), ("Message", "c000")],
+)
+def test_broadcast_shares_one_msg_dict(kind, sender):
+    trace = bundled_trace("goodcase")
+    servers = [f"s{i:03d}" for i in range(6)]
+    first = next(
+        i for i, e in enumerate(trace) if e.kind == SEND and e.process == sender and e.payload["msg"]["kind"] == kind
+    )
+    msg = trace[first].payload["msg"]
+    sends = trace[first : first + len(servers)]
+    assert [(e.kind, e.process, e.payload["dst"]) for e in sends] == [(SEND, sender, s) for s in servers]
+    assert all(e.payload["msg"] is msg for e in sends)
+    sharing = [e for e in trace if e.kind in (SEND, DELIVER) and e.payload["msg"] is msg]
+    assert len(sharing) == 2 * len(servers)
+    assert sorted(e.process for e in sharing if e.kind == DELIVER) == servers
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_load_trace_round_trips(tmp_path, name):
+    scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    result = run_scenario(scenario)
+    data = written(tmp_path, result.trace)
+    loaded = load_trace(tmp_path / "trace.jsonl")
+    assert [(e.time, e.process, e.kind, e.payload) for e in loaded] == [
+        (e.time, e.process, e.kind, e.payload) for e in result.trace
+    ]
+    again = tmp_path / "again"
+    again.mkdir()
+    assert written(again, loaded) == data
+    # a loaded trace shares no dicts, and the checkers must not need it to
+    cfg = CheckerConfig.from_scenario(scenario, result.quiescent)
+    assert [r.to_dict() for r in run_all_checks(loaded, cfg)] == [r.to_dict() for r in result.reports]
