@@ -37,18 +37,41 @@ def _sighted_key(src: str, msg) -> InstanceKey | None:
     return None
 
 
-class Equivocator:
-    """Suggests conflicting consensus inputs to different servers."""
+class Behavior:
+    """A fault behavior: its slot, its declared params, no-op handler hooks.
+
+    `params` maps each accepted param name to the JSON type of its value
+    ("int", "bool", "str", "hex", "ints", "strs"; see `scenario`), or to a
+    tuple of its allowed values. Scenario parsing rejects any other key or
+    value, so the handlers can trust what they read.
+    """
 
     role = "server"
+    params: dict[str, object] = {}
 
     def __init__(self, name: str, setup: BehaviorSetup):
         self.name = name
+
+    def on_init(self, ctx) -> None:
+        pass
+
+    def on_timer(self, ctx, token: str) -> None:
+        pass
+
+    def on_deliver(self, ctx, src: str, msg) -> None:
+        pass
+
+
+class Equivocator(Behavior):
+    """Suggests conflicting consensus inputs to different servers."""
+
+    params = {"mode": ("split", "all_false", "all_true"), "instances": "strs", "react": "bool"}
+
+    def __init__(self, name: str, setup: BehaviorSetup):
+        super().__init__(name, setup)
         self.mode = setup.params.get("mode", "split")
-        if self.mode not in ("split", "all_false", "all_true"):
-            raise ConfigError(f"unknown equivocator mode {self.mode!r}")
-        self.initial = list(setup.params.get("instances", []))
-        self.react = bool(setup.params.get("react", True))
+        self.initial = setup.params.get("instances", [])
+        self.react = setup.params.get("react", True)
         self.seen: set[InstanceKey] = set()
 
     def _equivocate(self, ctx, key: InstanceKey) -> None:
@@ -67,9 +90,6 @@ class Equivocator:
         for label in self.initial:
             self._equivocate(ctx, label)
 
-    def on_timer(self, ctx, token: str) -> None:
-        pass
-
     def on_deliver(self, ctx, src: str, msg) -> None:
         if not self.react:
             return
@@ -78,17 +98,17 @@ class Equivocator:
             self._equivocate(ctx, key)
 
 
-class TimeLiar:
+class TimeLiar(Behavior):
     """Floods clock reports far from its real local time."""
 
-    role = "server"
+    params = {"ahead": "int", "max_blasts": "int"}
 
     def __init__(self, name: str, setup: BehaviorSetup):
-        self.name = name
-        self.ahead = int(setup.params.get("ahead", 1000))
+        super().__init__(name, setup)
+        self.ahead = setup.params.get("ahead", 1000)
         # Two liars echoing each other would blast forever; a finite budget
         # keeps every run quiescent without weakening the single-liar case.
-        self.blasts_left = int(setup.params.get("max_blasts", 64))
+        self.blasts_left = setup.params.get("max_blasts", 64)
         self.last_blast: int | None = None
 
     def _blast(self, ctx) -> None:
@@ -103,25 +123,22 @@ class TimeLiar:
     def on_init(self, ctx) -> None:
         self._blast(ctx)
 
-    def on_timer(self, ctx, token: str) -> None:
-        pass
-
     def on_deliver(self, ctx, src: str, msg) -> None:
         if src != self.name:
             self._blast(ctx)
 
 
-class ObserveForger:
+class ObserveForger(Behavior):
     """Injects an observation for a message no client ever sent."""
 
-    role = "server"
+    params = {"client": "str", "message": "hex", "bet": "int", "bet_offset": "int"}
 
     def __init__(self, name: str, setup: BehaviorSetup):
-        self.name = name
+        super().__init__(name, setup)
         self.victim = setup.params.get("client")
         self.message = bytes.fromhex(setup.params.get("message", "f00d"))
         self.bet = setup.params.get("bet")
-        self.bet_offset = int(setup.params.get("bet_offset", 5 * setup.delta))
+        self.bet_offset = setup.params.get("bet_offset", 5 * setup.delta)
 
     def on_init(self, ctx) -> None:
         victim = self.victim if self.victim is not None else (ctx.clients[0] if ctx.clients else None)
@@ -132,46 +149,20 @@ class ObserveForger:
         for server in ctx.servers:
             ctx.send(server, forged)
 
-    def on_timer(self, ctx, token: str) -> None:
-        pass
 
-    def on_deliver(self, ctx, src: str, msg) -> None:
-        pass
-
-
-class Mute:
+class Mute(Behavior):
     """Sends nothing at all."""
 
-    role = "server"
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        self.name = name
-
-    def on_init(self, ctx) -> None:
-        pass
-
-    def on_timer(self, ctx, token: str) -> None:
-        pass
-
-    def on_deliver(self, ctx, src: str, msg) -> None:
-        pass
-
-
-class StaleRelay:
+class StaleRelay(Behavior):
     """Reports a clock past each tuple's bet before relaying the tuple."""
 
-    role = "server"
+    params = {"lead": "int"}
 
     def __init__(self, name: str, setup: BehaviorSetup):
-        self.name = name
-        self.lead = int(setup.params.get("lead", 0))
+        super().__init__(name, setup)
+        self.lead = setup.params.get("lead", 0)
         self.seen: set[BroadcastTuple] = set()
-
-    def on_init(self, ctx) -> None:
-        pass
-
-    def on_timer(self, ctx, token: str) -> None:
-        pass
 
     def on_deliver(self, ctx, src: str, msg) -> None:
         key = _sighted_key(src, msg)
@@ -187,16 +178,17 @@ class StaleRelay:
             ctx.send(server, relay)
 
 
-class PartialDisseminator:
+class PartialDisseminator(Behavior):
     """Faulty client: submits to a strict subset of servers, then goes silent."""
 
     role = "client"
+    params = {"targets": "ints", "at": "int", "bet_offset": "int", "message": "hex"}
 
     def __init__(self, name: str, setup: BehaviorSetup):
-        self.name = name
-        self.targets = list(setup.params.get("targets", [0]))
-        self.at = int(setup.params.get("at", 0))
-        self.bet_offset = int(setup.params.get("bet_offset", 10 * setup.delta))
+        super().__init__(name, setup)
+        self.targets = setup.params.get("targets", [0])
+        self.at = setup.params.get("at", 0)
+        self.bet_offset = setup.params.get("bet_offset", 10 * setup.delta)
         self.message = bytes.fromhex(setup.params.get("message", "fade"))
 
     def on_init(self, ctx) -> None:
@@ -213,11 +205,8 @@ class PartialDisseminator:
         for i in self.targets:
             ctx.send(ctx.servers[i], submission)
 
-    def on_deliver(self, ctx, src: str, msg) -> None:
-        pass
 
-
-BEHAVIORS: dict[str, type] = {
+BEHAVIORS: dict[str, type[Behavior]] = {
     "equivocator": Equivocator,
     "time_liar": TimeLiar,
     "observe_forger": ObserveForger,

@@ -124,7 +124,6 @@ class CheckerConfig:
     clients: list[str]
     honest_clients: list[str]
     correct_clients: list[str]
-    offsets: dict[str, int]
     quiescent: bool
     broadcast_scripts: dict[str, list[tuple[str, int, int]]]  # client -> (msg hex, est, eps)
 
@@ -142,7 +141,6 @@ class CheckerConfig:
             clients=scenario.client_names,
             honest_clients=scenario.honest_clients(),
             correct_clients=scenario.correct_clients(),
-            offsets=dict(scenario.clock_offsets),
             quiescent=quiescent,
             broadcast_scripts={
                 c.name: [(b.message.hex(), b.delta_estimate, b.epsilon) for b in c.broadcasts]
@@ -158,6 +156,11 @@ class CheckerConfig:
             and len(self.correct_servers) == self.n
             and self.correct_clients == self.clients
         )
+
+    @property
+    def lock_within_local(self) -> bool:
+        """Whether every lock must stay within local time: all servers correct, zero drift."""
+        return len(self.correct_servers) == self.n and self.drift == 0
 
 
 # ---------------------------------------------------------------- TOB
@@ -466,7 +469,7 @@ class _ServerReplay:
         self.candidates: set[BroadcastTuple] = set()
         self.pending: list[BroadcastTuple] = []  # heap of candidates not yet processed
         self.decisions: dict[BroadcastTuple, bool] = {}
-        self.last: BroadcastTuple | None = None
+        self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         self.orders: list[tuple[BroadcastTuple, tr.TraceEvent]] = []
         self.app_delivers: list[tr.TraceEvent] = []
 
@@ -485,7 +488,6 @@ class _ServerReplay:
             heapq.heappop(self.pending)
             if self.decisions[best]:
                 self.orders.append((best, event))
-            self.last = best
 
     def feed(self, event: tr.TraceEvent) -> str | None:
         """Returns an invariant name on violation, else None."""
@@ -511,8 +513,7 @@ class _ServerReplay:
             after = self.lock
             if after < before:
                 return "server-lock-monotonic"
-            good_senders = len(self.cfg.correct_servers) == self.cfg.n and self.cfg.drift == 0
-            if good_senders and after > event.time + self.cfg.offsets.get(self.name, 0):
+            if self.lock_within_local and after > event.time:
                 return "server-lock-vs-local"
             self._drain(event)
         elif kind == "Observe" and src in self.remote_times:
@@ -540,12 +541,11 @@ def check_server_invariants(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> l
         if broken and violation is None:
             violation = (broken, event)
 
-    checked_lock_local = len(cfg.correct_servers) == cfg.n and cfg.drift == 0
     if violation and violation[0] == "server-lock-monotonic":
         reports.append(_fail("server-lock-monotonic", f"lock time decreased at {violation[1].process}", [violation[1]]))
     else:
         reports.append(_ok("server-lock-monotonic"))
-    if not checked_lock_local:
+    if not cfg.lock_within_local:
         reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
     elif violation and violation[0] == "server-lock-vs-local":
         reports.append(_fail("server-lock-vs-local", f"lock time passed local time at {violation[1].process}", [violation[1]]))

@@ -100,11 +100,11 @@ class RunResult:
         }
 
 
-def run_scenario(scenario: Scenario, check: bool = True) -> RunResult:
+def run_scenario(scenario: Scenario) -> RunResult:
     sim = build_simulation(scenario)
     quiescent = sim.run(until=scenario.until)
     cfg = CheckerConfig.from_scenario(scenario, quiescent)
-    reports = run_all_checks(sim.trace, cfg) if check else []
+    reports = run_all_checks(sim.trace, cfg)
     metrics = compute_metrics(sim.trace, scenario, quiescent)
     return RunResult(scenario, sim.trace, quiescent, reports, metrics)
 

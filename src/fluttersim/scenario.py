@@ -19,7 +19,23 @@ from .weakcon import POLICIES
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_HEX_RE = re.compile(r"^(?:[0-9A-Fa-f]{2})+$")
 _STRATEGIES = ("exact_delta", "seeded_random", "scripted")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# behavior param type -> (what the error message asks for, test of a JSON value)
+_PARAM_TYPES = {
+    "int": ("an integer", _is_int),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "hex": ("a nonempty hex string", lambda v: isinstance(v, str) and _HEX_RE.match(v) is not None),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
 
 
 def server_names(n: int) -> list[str]:
@@ -129,7 +145,7 @@ def _int(obj: dict, key: str, where: str, default=None, minimum=None, optional=F
             return default
         raise _fail(f"missing {key} in {where}")
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise _fail(f"{where}.{key} must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise _fail(f"{where}.{key} must be >= {minimum}, got {v}")
@@ -143,6 +159,30 @@ def _hex_bytes(raw, where: str) -> bytes:
         return bytes.fromhex(raw)
     except ValueError as e:
         raise _fail(f"{where} is not valid hex: {e}") from None
+
+
+def _behavior_params(obj: dict, role: str, where: str) -> dict:
+    """The params of `obj`'s behavior, held to the names and types it declares."""
+    behavior = obj.get("behavior")
+    cls = BEHAVIORS.get(behavior)
+    if cls is None:
+        raise _fail(f"{where}: unknown behavior {behavior!r}")
+    if cls.role != role:
+        raise _fail(f"{where}: behavior {behavior!r} is not a {role} behavior")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise _fail(f"{where}.params must be an object")
+    _require(params, set(cls.params), f"{where}.params")
+    for key, value in params.items():
+        kind = cls.params[key]
+        if isinstance(kind, tuple):
+            wanted, ok = f"one of {list(kind)}", value in kind
+        else:
+            wanted, test = _PARAM_TYPES[kind]
+            ok = test(value)
+        if not ok:
+            raise _fail(f"{where}.params.{key} must be {wanted}, got {value!r}")
+    return params
 
 
 def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
@@ -159,7 +199,7 @@ def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
     for link, ds in delays.items():
         if "->" not in link:
             raise _fail(f"{where}.delays key {link!r} must look like 'src->dst'")
-        if not isinstance(ds, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in ds):
+        if not isinstance(ds, list) or not all(map(_is_int, ds)):
             raise _fail(f"{where}.delays[{link!r}] must be a list of integers")
         if not all(1 <= d <= delta for d in ds):
             raise _fail(f"{where}.delays[{link!r}] entries must lie in [1, delta={delta}]")
@@ -179,20 +219,16 @@ def _parse_client(obj, scenario_delta: int, scenario_epsilon: int, idx: int) -> 
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise _fail(f"{where}.name must match {_NAME_RE.pattern}, got {name!r}")
     behavior = obj.get("behavior")
+    params: dict = {}
     if behavior is not None:
-        cls = BEHAVIORS.get(behavior)
-        if cls is None:
-            raise _fail(f"{where}: unknown behavior {behavior!r}")
-        if cls.role != "client":
-            raise _fail(f"{where}: behavior {behavior!r} is not a client behavior")
+        params = _behavior_params(obj, "client", where)
         if obj.get("broadcasts"):
             raise _fail(f"{where}: a behavior client cannot also carry a broadcast script")
+    elif obj.get("params"):
+        raise _fail(f"{where}.params needs a behavior")
     delta_estimate = _int(obj, "delta_estimate", where, default=scenario_delta, minimum=0)
     epsilon = _int(obj, "epsilon", where, default=scenario_epsilon, minimum=1)
     crash_time = _int(obj, "crash_time", where, optional=True, minimum=0)
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise _fail(f"{where}.params must be an object")
     broadcasts: list[BroadcastScript] = []
     seen_messages: set[bytes] = set()
     for j, b in enumerate(obj.get("broadcasts", [])):
@@ -247,16 +283,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         if sname not in names:
             raise _fail(f"{where}: no such server (servers are {server_names(n)[0]}..{server_names(n)[-1]})")
         _require(conf, {"behavior", "params"}, where)
-        behavior = conf.get("behavior")
-        cls = BEHAVIORS.get(behavior)
-        if cls is None:
-            raise _fail(f"{where}: unknown behavior {behavior!r}")
-        if cls.role != "server":
-            raise _fail(f"{where}: behavior {behavior!r} is not a server behavior")
-        params = conf.get("params", {})
-        if not isinstance(params, dict):
-            raise _fail(f"{where}.params must be an object")
-        server_faults[sname] = ServerFault(behavior, params)
+        server_faults[sname] = ServerFault(conf.get("behavior"), _behavior_params(conf, "server", where))
     if len(server_faults) > f:
         raise _fail(f"{len(server_faults)} Byzantine servers assigned but f={f}")
 
@@ -277,7 +304,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     for pname, off in offsets_raw.items():
         if pname not in known:
             raise _fail(f"clock_offsets names unknown process {pname!r}")
-        if isinstance(off, bool) or not isinstance(off, int):
+        if not _is_int(off):
             raise _fail(f"clock_offsets[{pname!r}] must be an integer")
         if abs(off) > drift:
             raise _fail(f"clock_offsets[{pname!r}]={off} exceeds drift bound {drift}")
@@ -299,7 +326,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     for sname, d in extra.items():
         if sname not in names:
             raise _fail(f"scenario.dep.extra_delays names unknown server {sname!r}")
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+        if not _is_int(d) or d < 0:
             raise _fail(f"scenario.dep.extra_delays[{sname!r}] must be a nonnegative integer")
     dep = DepConfig(policy, budget, dict(extra))
 

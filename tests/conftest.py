@@ -8,6 +8,8 @@ from typing import Any
 
 import pytest
 
+from fluttersim.runner import build_simulation
+
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -33,6 +35,13 @@ def scenario_dict(**overrides: Any) -> dict[str, Any]:
     }
     base.update(overrides)
     return base
+
+
+def simulate(scenario) -> tuple[list, bool]:
+    """Run a scenario without checking it: its trace, and whether it quiesced."""
+    sim = build_simulation(scenario)
+    quiescent = sim.run(until=scenario.until)
+    return sim.trace, quiescent
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Acceptance gate: nine frozen end-to-end guarantees, one test each.
 
-Each test is one pass/fail line under `pytest -v`. Tolerances are zero
+Each test is one pass/fail line under `pytest -v`, or one per swept value:
+criterion 01 runs over the delay bound and criterion 05 over the client's
+delay estimate. Tolerances are zero
 ticks unless a runtime ceiling is stated; no expected value here was
 invented, each was derived by hand or computed by an independent brute
 force before being frozen.
@@ -11,12 +13,14 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
+import pytest
+
 from fluttersim.runner import run_campaign, run_scenario
-from fluttersim.scenario import load_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND, write_trace
 from fluttersim.weakcon import POLICIES
 
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, scenario_dict
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
 CORRECT5 = [f"s{i:03d}" for i in range(5)]
@@ -26,15 +30,24 @@ def run_bundled(name):
     return run_scenario(load_scenario(SCENARIOS_DIR / f"{name}.json"))
 
 
-def test_criterion_01_good_case_delivery_at_t_plus_2delta_plus_epsilon():
-    # n=6, f=1, exact delta 10, zero drift, margin 1, broadcast at t=0:
-    # every server app-delivers at exactly 0 + 2*10 + 1 = 21.
+def run_one_broadcast(delta, estimate):
+    # the bundled goodcase and retry files, at another delta or estimate
+    client = {"name": "c000", "delta_estimate": estimate, "epsilon": 1, "broadcasts": [{"at": 0, "message": "6d"}]}
+    return run_scenario(parse_scenario(scenario_dict(delta=delta, clients=[client])))
+
+
+@pytest.mark.parametrize("delta", [2, 5, 10, 20, 50], ids="delta={}".format)
+def test_criterion_01_good_case_delivery_at_t_plus_2delta_plus_epsilon(delta):
+    # n=6, f=1, exact delta, zero drift, margin 1, truthful estimate,
+    # broadcast at t=0: every server app-delivers at exactly 0 + 2*delta + 1
+    # (21 for the bundled goodcase at delta 10).
     t0 = time.perf_counter()
-    result = run_bundled("goodcase")
+    result = run_bundled("goodcase") if delta == 10 else run_one_broadcast(delta, delta)
     elapsed = time.perf_counter() - t0
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
-    assert deliveries == [(21, s) for s in SERVERS]
+    assert deliveries == [(2 * delta + 1, s) for s in SERVERS]
     assert not result.failed
+    assert [r.verdict for r in result.reports if r.prop == "latency-tob"] == ["Pass"]
     assert result.quiescent
     assert elapsed < 1.0
 
@@ -87,17 +100,28 @@ def test_criterion_04_partial_dissemination_dies_with_false_decisions():
             assert r.verdict == "Pass", (r.prop, r.verdict)
 
 
-def test_criterion_05_backoff_clears_underestimate_at_bruteforced_r():
-    # estimate 1 against true delta 10, zero drift: the first attempt r
-    # with 2^r * estimate strictly above delta + 2*drift is r=4
-    # (2^4 = 16 > 10, 2^3 = 8 <= 10), found here by brute force, never
-    # assumed. Attempts 0..3 must be voted down, attempt 4 delivered,
-    # and the trace must contain exactly 5 consensus instances.
-    estimate, delta, drift = 1, 10, 0
-    r_star = next(r for r in range(64) if (2**r) * estimate > delta + 2 * drift)
-    assert r_star == 4
+# delay estimate -> (attempt count, r*), each recomputed by brute force below
+BACKOFF = {1: (5, 4), 2: (4, 3), 3: (3, 2), 5: (2, 2), 10: (1, 1), 20: (1, 0)}
 
-    result = run_bundled("retry")
+
+@pytest.mark.parametrize("estimate", sorted(BACKOFF), ids="estimate={}".format)
+def test_criterion_05_backoff_clears_underestimate_at_bruteforced_r(estimate):
+    # true delta 10, margin 1, zero drift, exact delays, synchronized
+    # clocks: attempt r arrives in time iff 2^r * estimate + epsilon >
+    # delta, so the last attempt is the smallest such r, and it lies at
+    # or below the general guarantee r* (2^r * estimate > delta + 2*drift).
+    # Both are found here by brute force, never assumed: estimate 1 needs
+    # r=4 (2^4 + 1 = 17 > 10, 2^3 + 1 = 9 <= 10), so attempts 0..3 are
+    # voted down, attempt 4 is delivered, and the trace holds exactly 5
+    # consensus instances (the bundled retry file).
+    attempts, r_star = BACKOFF[estimate]
+    delta, epsilon, drift = 10, 1, 0
+    last = next(r for r in range(64) if (2**r) * estimate + epsilon > delta)
+    assert last + 1 == attempts
+    assert next(r for r in range(64) if (2**r) * estimate > delta + 2 * drift) == r_star
+    assert last <= r_star
+
+    result = run_bundled("retry") if estimate == 1 else run_one_broadcast(delta, estimate)
     bets = sorted(
         {
             e.payload["msg"]["bet"]
@@ -105,13 +129,13 @@ def test_criterion_05_backoff_clears_underestimate_at_bruteforced_r():
             if e.kind == SEND and e.process == "c000" and e.payload["msg"]["kind"] == "Message"
         }
     )
-    assert len(bets) == r_star + 1 == 5
-    outcome_by_attempt = {}
+    assert len(bets) == attempts
+    outcome_by_attempt = {s: {} for s in SERVERS}
     for e in result.trace:
-        if e.kind == DECIDE and e.process == "s000":
-            outcome_by_attempt[bets.index(e.payload["instance"]["bet"])] = e.payload["value"]
-    assert outcome_by_attempt == {0: False, 1: False, 2: False, 3: False, 4: True}
-    assert result.metrics["consensus_instances"] == 5
+        if e.kind == DECIDE:
+            outcome_by_attempt[e.process][bets.index(e.payload["instance"]["bet"])] = e.payload["value"]
+    assert outcome_by_attempt == {s: {r: r == last for r in range(attempts)} for s in SERVERS}
+    assert result.metrics["consensus_instances"] == attempts
     deliverers = {e.process for e in result.trace if e.kind == APP_DELIVER}
     assert deliverers == set(SERVERS)
     assert not result.failed

@@ -9,12 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, _lock_rank, run_all_checks
-from fluttersim.runner import run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
 from fluttersim.types import NEG_INF, quorum_large
 
-from conftest import SCENARIOS_DIR, scenario_dict
+from conftest import SCENARIOS_DIR, scenario_dict, simulate
 
 FIRST = {"client": "c000", "message": "01", "bet": 11}  # the two-message run's first tuple
 
@@ -41,9 +40,8 @@ def two_message_doc():
 
 def clean_run(doc=None):
     scenario = parse_scenario(doc or two_message_doc())
-    result = run_scenario(scenario, check=False)
-    cfg = CheckerConfig.from_scenario(scenario, quiescent=result.quiescent)
-    return result, cfg
+    trace, quiescent = simulate(scenario)
+    return trace, CheckerConfig.from_scenario(scenario, quiescent=quiescent)
 
 
 def by_prop(reports):
@@ -64,8 +62,8 @@ def failing(trace, cfg, prop):
 
 
 def test_clean_two_message_run_passes_everything():
-    result, cfg = clean_run()
-    reports = run_all_checks(result.trace, cfg)
+    clean, cfg = clean_run()
+    reports = run_all_checks(clean, cfg)
     assert all(r.verdict in (PASS, NA) for r in reports)
     assert by_prop(reports)["tob-total-order"][0].verdict == PASS
 
@@ -73,22 +71,22 @@ def test_clean_two_message_run_passes_everything():
 def test_replay_spots_tuples_from_relays_alone():
     # Without the c000 -> s001 link, s001's replay learns both tuples only
     # from Observe relays, and must still count each as a candidate.
-    result, cfg = clean_run()
+    clean, cfg = clean_run()
     trace = [
         e
-        for e in result.trace
+        for e in clean
         if not (e.kind == SEND and e.process == "c000" and e.payload["dst"] == "s001")
         and not (e.kind == DELIVER and e.process == "s001" and e.payload["src"] == "c000")
     ]
-    assert len(trace) < len(result.trace)
+    assert len(trace) < len(clean)
     reports = run_all_checks(trace, cfg)
     assert all(r.verdict in (PASS, NA) for r in reports)
     assert by_prop(reports)["server-candidate-completeness"][0].detail == "2 accepted tuple(s)"
 
 
 def test_swapped_deliveries_fail_total_order():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     mine = [i for i, e in enumerate(trace) if e.kind == APP_DELIVER and e.process == "s000"]
     assert len(mine) == 2
     i, j = mine
@@ -102,8 +100,8 @@ def test_swapped_deliveries_fail_total_order():
 
 
 def test_missing_last_delivery_fails_total_order_at_quiescence():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     last = max(i for i, e in enumerate(trace) if e.kind == APP_DELIVER and e.process == "s002")
     del trace[last]
     # s002's sequence is a strict prefix of the others: divergence only at quiescence
@@ -112,8 +110,8 @@ def test_missing_last_delivery_fails_total_order_at_quiescence():
 
 
 def test_duplicate_delivery_fails_no_duplication():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     ev = next(e for e in trace if e.kind == APP_DELIVER)
     trace.append(TraceEvent(ev.time + 1, ev.process, APP_DELIVER, dict(ev.payload)))
     report = failing(trace, cfg, "tob-no-duplication")
@@ -121,8 +119,8 @@ def test_duplicate_delivery_fails_no_duplication():
 
 
 def test_unbroadcast_delivery_fails_integrity():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     trace.append(
         TraceEvent(99, "s000", APP_DELIVER, {"client": "c000", "message": "ff", "bet": 50})
     )
@@ -131,13 +129,13 @@ def test_unbroadcast_delivery_fails_integrity():
 
 def goodcase_run():
     scenario = load_scenario(SCENARIOS_DIR / "goodcase.json")
-    result = run_scenario(scenario, check=False)
-    return result, CheckerConfig.from_scenario(scenario, quiescent=result.quiescent)
+    trace, quiescent = simulate(scenario)
+    return trace, CheckerConfig.from_scenario(scenario, quiescent=quiescent)
 
 
 def test_missing_broadcast_event_fails_validity_with_the_deliveries_as_witness():
-    result, cfg = goodcase_run()
-    trace = [e for e in result.trace if e.kind != BROADCAST]
+    clean, cfg = goodcase_run()
+    trace = [e for e in clean if e.kind != BROADCAST]
     report = failing(trace, cfg, "tob-validity")
     assert report.detail == "broadcast (c000, 0x6d) not delivered by [] (broadcast event missing)"
     delivers = [e for e in trace if e.kind == APP_DELIVER]
@@ -146,8 +144,8 @@ def test_missing_broadcast_event_fails_validity_with_the_deliveries_as_witness()
 
 
 def test_missing_broadcast_and_deliveries_fail_validity_at_the_last_event():
-    result, cfg = goodcase_run()
-    trace = [e for e in result.trace if e.kind not in (BROADCAST, APP_DELIVER)]
+    clean, cfg = goodcase_run()
+    trace = [e for e in clean if e.kind not in (BROADCAST, APP_DELIVER)]
     report = failing(trace, cfg, "tob-validity")
     assert report.detail == f"broadcast (c000, 0x6d) not delivered by {cfg.correct_servers} (broadcast event missing)"
     last = trace[-1]
@@ -163,8 +161,8 @@ def test_missing_broadcast_and_deliveries_fail_validity_at_the_last_event():
     ids=[DECIDE, DEP_DECIDE],
 )
 def test_split_decision_fails_consensus_agreement(kind, prop, detail):
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     ev = next(e for e in trace if e.kind == kind and e.process == "s000")
     flipped = copy.deepcopy(ev)
     flipped.process = "s001"
@@ -197,8 +195,8 @@ def test_split_decision_fails_consensus_agreement(kind, prop, detail):
     ids=[DECIDE, DEP_DECIDE],
 )
 def test_double_decide_fails_consensus_integrity(kind, prop, what):
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     assert sum(1 for e in trace if e.kind == kind) == 12  # two instances x six servers
     ev = next(e for e in trace if e.kind == kind)
     trace.append(copy.deepcopy(ev))
@@ -208,8 +206,8 @@ def test_double_decide_fails_consensus_integrity(kind, prop, what):
 
 
 def test_unproposed_value_fails_representative_validity():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     # all correct proposals said True for the first instance; flip every
     # decide for it to False
     target = next(e.payload["instance"] for e in trace if e.kind == PROPOSE and e.payload["value"] is True)
@@ -220,10 +218,10 @@ def test_unproposed_value_fails_representative_validity():
 
 
 def test_missing_decide_fails_termination_when_quiescent():
-    result, cfg = clean_run()
+    clean, cfg = clean_run()
     trace = [
         e
-        for e in copy.deepcopy(result.trace)
+        for e in copy.deepcopy(clean)
         if not (e.kind == DECIDE and e.process == "s000")
     ]
     failing(trace, cfg, "consensus-termination")
@@ -233,10 +231,10 @@ def test_truncated_run_reports_liveness_not_applicable():
     doc = two_message_doc()
     doc["until"] = 15  # proposals happen at t=10, decisions never do
     scenario = parse_scenario(doc)
-    result = run_scenario(scenario, check=False)
-    assert not result.quiescent
-    cfg = CheckerConfig.from_scenario(scenario, quiescent=result.quiescent)
-    reports = by_prop(run_all_checks(result.trace, cfg))
+    trace, quiescent = simulate(scenario)
+    assert not quiescent
+    cfg = CheckerConfig.from_scenario(scenario, quiescent=quiescent)
+    reports = by_prop(run_all_checks(trace, cfg))
     assert all(r.verdict == NA for r in reports["tob-validity"])
     assert all(r.verdict == NA for r in reports["consensus-termination"])
     # safety still judged on the prefix
@@ -245,12 +243,12 @@ def test_truncated_run_reports_liveness_not_applicable():
 
 
 def test_starved_server_fails_candidate_completeness():
-    result, cfg = clean_run()
+    clean, cfg = clean_run()
     # drop every Message/Observe delivery at s001: it can never spot the
     # tuples the others decided True
     trace = [
         e
-        for e in copy.deepcopy(result.trace)
+        for e in copy.deepcopy(clean)
         if not (
             e.kind == DELIVER
             and e.process == "s001"
@@ -261,8 +259,8 @@ def test_starved_server_fails_candidate_completeness():
 
 
 def test_held_back_delivery_fails_appdeliver_match():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     dropped = False
     out = []
     for e in trace:
@@ -277,8 +275,8 @@ def test_held_back_delivery_fails_appdeliver_match():
 
 
 def test_flipped_local_decide_fails_order_agreement():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     # s002's replay sees a False decide for its first tuple and skips it;
     # everyone else orders that tuple first
     first = next(
@@ -294,8 +292,8 @@ def test_flipped_local_decide_fails_order_agreement():
 
 
 def test_late_delivery_fails_delay_bounds():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     ev = next(e for e in trace if e.kind == DELIVER)
     ev.time = ev.time + 1000
     reports = by_prop(run_all_checks(sorted(trace, key=lambda e: e.time), cfg))
@@ -304,8 +302,8 @@ def test_late_delivery_fails_delay_bounds():
 
 
 def test_reordered_link_fails_fifo():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     # swap the payloads of two deliveries on the same link
     link_events = [
         e
@@ -319,8 +317,8 @@ def test_reordered_link_fails_fifo():
 
 
 def test_fail_reports_carry_witnesses():
-    result, cfg = clean_run()
-    trace = copy.deepcopy(result.trace)
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
     ev = next(e for e in trace if e.kind == APP_DELIVER)
     trace.append(TraceEvent(ev.time + 1, ev.process, APP_DELIVER, dict(ev.payload)))
     for r in run_all_checks(trace, cfg):
@@ -329,8 +327,8 @@ def test_fail_reports_carry_witnesses():
 
 
 def test_report_dict_shape():
-    result, cfg = clean_run()
-    reports = run_all_checks(result.trace, cfg)
+    clean, cfg = clean_run()
+    reports = run_all_checks(clean, cfg)
     d = reports[0].to_dict()
     assert set(d) >= {"property", "verdict"}
 

@@ -1,0 +1,39 @@
+"""Import rules: a stdlib-only package, and a checker that shares no protocol code."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluttersim"
+PROTOCOL_MODULES = {"server", "blink", "client", "adversary", "weakcon", "simnet"}
+
+
+def imports(path: Path) -> list[str]:
+    """The absolute dotted name of everything one package module imports."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "fluttersim" if node.level else ""  # the package has no subpackages
+            module = ".".join(part for part in (base, node.module) if part)
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_package_imports_only_the_stdlib_and_itself():
+    allowed = sys.stdlib_module_names | {"fluttersim"}
+    outside = {
+        path.name: [name for name in imports(path) if name.split(".")[0] not in allowed]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert len(outside) > 10
+    assert {file: names for file, names in outside.items() if names} == {}
+
+
+def test_checker_replay_imports_no_protocol_module():
+    used = {name.split(".")[1] for name in imports(PACKAGE / "checkers.py") if name.startswith("fluttersim.")}
+    assert "trace" in used
+    assert used & PROTOCOL_MODULES == set()

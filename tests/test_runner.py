@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from fluttersim.adversary import Mute
+from fluttersim.adversary import BEHAVIORS, Mute
 from fluttersim.errors import OracleViolationError, ProtocolBugError
 from fluttersim.runner import campaign_variant, run_campaign, run_scenario
 from fluttersim.scenario import load_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, SEND
 
 from conftest import SCENARIOS_DIR
+from test_golden import CAMPAIGN_DIGEST, sha256
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
 CORRECT5 = [f"s{i:03d}" for i in range(5)]
@@ -120,6 +123,13 @@ def test_campaign_variant_construction():
     w = campaign_variant(base, "partial_disseminator", "first", 3)
     assert "s005" not in w.server_faults
     assert any(c.name == "c900" and c.behavior == "partial_disseminator" for c in w.clients)
+
+
+def test_campaign_worker_pool_matches_the_serial_digest():
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    summary = run_campaign(base, range(5), sorted(BEHAVIORS), parallel=2)
+    rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert sha256(rendered.encode()) == CAMPAIGN_DIGEST
 
 
 def test_campaign_small_sweep_all_pass():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -217,6 +218,29 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "slots, fragment",
+    [
+        ({"servers": {"s005": {"behavior": "time_liar", "params": {"ahaed": 5}}}}, r"unknown keys \['ahaed'\]"),
+        ({"servers": {"s005": {"behavior": "time_liar", "params": {"ahead": "soon"}}}}, "ahead must be an integer"),
+        ({"servers": {"s005": {"behavior": "observe_forger", "params": {"message": "zz"}}}}, "message must be a nonempty hex"),
+        (
+            {"clients": [{"name": "c000", "behavior": "partial_disseminator", "params": {"targets": 5}}]},
+            "targets must be a list of integers",
+        ),
+        ({"servers": {"s005": {"behavior": "equivocator", "params": {"mode": "both"}}}}, "mode must be one of"),
+        ({"servers": {"s005": {"behavior": "mute", "params": {"lead": 1}}}}, r"unknown keys \['lead'\]"),
+        ({"clients": [{"name": "c000", "params": {"at": 1}}]}, "params needs a behavior"),
+    ],
+    ids=["unknown-key", "ill-typed-int", "bad-hex", "not-a-list", "bad-choice", "mute-takes-none", "no-behavior"],
+)
+def test_cli_rejects_bad_behavior_params(write_scenario, capsys, slots, fragment):
+    code = cli.main(["run", str(write_scenario(scenario_dict(**slots)))])
+    assert code == cli.EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(fragment, err), err
+
+
 def test_cli_budget_exhaustion_exit_code(tmp_path, write_scenario):
     doc = scenario_dict(step_budget=10)
     path = write_scenario(doc)
@@ -229,8 +253,8 @@ def test_cli_fail_report_exit_code(tmp_path, monkeypatch):
     # the exit-code contract
     real = cli.run_scenario
 
-    def rigged(scenario, check=True):
-        result = real(scenario, check=check)
+    def rigged(scenario):
+        result = real(scenario)
         result.reports.append(CheckReport("tob-total-order", "Fail", "planted", [{"k": 1}]))
         return result
 

@@ -10,13 +10,13 @@ from fluttersim.runner import campaign_variant, run_scenario
 from fluttersim.scenario import load_scenario
 from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, load_trace, write_trace
 
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, simulate
 
 BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
 
 
 def bundled_trace(name):
-    return run_scenario(load_scenario(SCENARIOS_DIR / f"{name}.json"), check=False).trace
+    return simulate(load_scenario(SCENARIOS_DIR / f"{name}.json"))[0]
 
 
 def written(tmp_path, trace) -> bytes:
@@ -39,7 +39,7 @@ def test_writer_matches_to_line_on_bundled_runs(tmp_path, name):
 def test_writer_matches_to_line_on_campaign_variants(tmp_path, behavior):
     # The equivocator sends a different Suggest to each peer: unshared dicts.
     base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
-    trace = run_scenario(campaign_variant(base, behavior, "adversarial_value", 3), check=False).trace
+    trace, _ = simulate(campaign_variant(base, behavior, "adversarial_value", 3))
     assert written(tmp_path, trace) == lines_of(trace)
 
 
