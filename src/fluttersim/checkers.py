@@ -1,25 +1,30 @@
-"""Post-hoc trace checkers for every property the protocols promise.
+"""Checkers for every property the protocols promise, as observers of a run's events.
 
-Checkers are pure functions of a finished trace plus the scenario-derived
-config: same trace, same reports. Liveness properties are only decided at
-quiescence; a run cut at a deadline reports NotApplicable for them, since
-a finite prefix cannot refute "eventually". Server-side invariants are
-checked by replaying each server's delivery stream through an independent
-minimal state machine, so a bug in the live implementation cannot hide
-itself in the checker.
+A `CheckPass` reads each event's kind once and feeds the event only to the
+observers (checkers, and the run's `Metrics`) that handle that kind; each
+observer judges the run in `finish`. The pass checks a finished trace, or a
+live run as the simulator's event sink, keeping no trace. The replay's
+Observe cache, the network's Send/Deliver pairing and the metrics' runs of
+Sends compare dicts by identity, and each holds the dicts it compares, so a
+recycled id() cannot match. Liveness is decided only at quiescence, since a
+finite prefix cannot refute "eventually". Server invariants are checked by
+an independent replay of each server's inputs, so a bug in the live
+implementation cannot hide in the checker.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from . import trace as tr
-from .types import NEG_INF, BroadcastTuple, quorum_large
+from .types import NEG_INF, quorum_large
 
 PASS = "Pass"
 FAIL = "Fail"
 NA = "NotApplicable"
+_WIRE_OVERHEAD_BYTES = 8  # headers, ids, timestamps: the O(1) part of each message
 
 
 @dataclass
@@ -60,6 +65,11 @@ def _na(prop: str, reason: str) -> CheckReport:
     return CheckReport(prop, NA, reason)
 
 
+def _verdict(prop: str, fail, detail: str = "") -> CheckReport:
+    """Fail if `fail` is a (detail, witness events) pair, else Pass with `detail`."""
+    return _fail(prop, *fail) if fail else _ok(prop, detail)
+
+
 def _fmt_key(key) -> str:
     if key[0] == "label":
         return f"label:{key[1]}"
@@ -67,11 +77,11 @@ def _fmt_key(key) -> str:
     return f"({client}, 0x{message}, bet={bet})"
 
 
-def _tuple_of(payload: dict) -> BroadcastTuple | None:
-    """The tuple a rendered instance or Observe payload names; None for a label."""
+def _key_of(payload: dict) -> tuple | None:
+    """(bet, client, message bytes) of the tuple a payload names, ordered as BroadcastTuple; None for a label."""
     if "label" in payload:
         return None
-    return BroadcastTuple(payload["client"], bytes.fromhex(payload["message"]), payload["bet"])
+    return (payload["bet"], payload["client"], bytes.fromhex(payload["message"]))
 
 
 def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent: bool):
@@ -111,6 +121,19 @@ def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
     return _ok(prop, label)
 
 
+def _check_termination(prop, label, proposals, decides, correct, quiescent, unproposed, undecided) -> CheckReport:
+    """Every correct server decides, at quiescence, once every correct server proposed."""
+    proposers = {s for s, _v, _e in proposals}
+    if not quiescent:
+        return _na(prop, f"{label}: run was cut before quiescence")
+    if proposers != correct:
+        return _na(prop, f"{label}: " + unproposed.format(len(proposers), len(correct)))
+    missing = sorted(correct - {s for s, _v, _e in decides})
+    if missing:
+        return _fail(prop, f"{label}: {missing} {undecided}", [proposals[0][2]])
+    return _ok(prop, label)
+
+
 @dataclass
 class CheckerConfig:
     kind: str
@@ -124,7 +147,7 @@ class CheckerConfig:
     clients: list[str]
     honest_clients: list[str]
     correct_clients: list[str]
-    quiescent: bool
+    quiescent: bool  # read by the check_* drivers; a CheckPass takes it in finish()
     broadcast_scripts: dict[str, list[tuple[str, int, int]]]  # client -> (msg hex, est, eps)
 
     @classmethod
@@ -163,287 +186,248 @@ class CheckerConfig:
         return len(self.correct_servers) == self.n and self.drift == 0
 
 
+class CheckPass:
+    """Feeds a run's events, in one loop, to the observers that handle each event's kind.
+
+    An observer class is built as cls(cfg); `handles` maps event kinds to its
+    handler methods' names, and finish(quiescent, run) gives its reports, `run`
+    being this pass (`events` fed, the `last` one). No observer refers back to
+    the pass, so reference counting, not the cyclic collector, frees it.
+    """
+
+    def __init__(self, cfg: CheckerConfig, observers):
+        self.events = 0
+        self.last: tr.TraceEvent | None = None
+        self.observers = [cls(cfg) for cls in observers]
+        self.metrics = next((obs for obs in self.observers if isinstance(obs, Metrics)), None)
+        self.routes: dict[str, list] = {}  # event kind -> the handlers of that kind
+        for obs in self.observers:
+            for kind, name in obs.handles.items():
+                self.routes.setdefault(kind, []).append(getattr(obs, name))
+
+    def feed(self, event: tr.TraceEvent) -> None:
+        self.events += 1
+        self.last = event
+        for handler in self.routes.get(event.kind, ()):
+            handler(event)
+
+    def run(self, trace) -> "CheckPass":
+        """Feed every event of a finished trace, or of any iterable of events."""
+        for event in trace:
+            self.feed(event)
+        return self
+
+    def finish(self, quiescent: bool) -> list[CheckReport]:
+        return [report for obs in self.observers for report in obs.finish(quiescent, self)]
+
+
 # ---------------------------------------------------------------- TOB
 
 
-def check_tob(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in cfg.correct_servers}
-    broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
-    for event in trace:
-        if event.kind == tr.APP_DELIVER and event.process in seqs:
-            seqs[event.process].append(event)
-        elif event.kind == tr.BROADCAST:
-            broadcasts.setdefault((event.process, event.payload["message"]), event)
+class _Tob:
+    handles = {tr.APP_DELIVER: "keep", tr.BROADCAST: "keep"}
 
-    dup = None
-    for evs in seqs.values():
-        seen: dict[tuple[str, str], tr.TraceEvent] = {}
-        for event in evs:
-            k = (event.payload["client"], event.payload["message"])
-            if k in seen:
-                dup = (seen[k], event)
-                break
-            seen[k] = event
-        if dup:
-            break
-    if dup:
-        reports.append(
-            _fail("tob-no-duplication", f"{dup[1].process} delivered {dup[1].payload} twice", list(dup))
-        )
-    else:
-        reports.append(_ok("tob-no-duplication"))
+    def __init__(self, cfg: CheckerConfig):
+        self.cfg = cfg
+        self.kept: list[tr.TraceEvent] = []
+        self.keep = self.kept.append
 
-    honest = set(cfg.honest_clients)
-    bad = None
-    for evs in seqs.values():
-        for event in evs:
-            client = event.payload["client"]
-            if client not in honest:
-                continue
-            b = broadcasts.get((client, event.payload["message"]))
-            if b is None or b.time > event.time:
-                bad = ([event] if b is None else [b, event], client)
-                break
-        if bad:
-            break
-    if bad:
-        reports.append(
-            _fail("tob-integrity", f"delivery of a message {bad[1]} never broadcast (or broadcast later)", bad[0])
-        )
-    else:
-        reports.append(_ok("tob-integrity"))
-
-    keyed = [
-        [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
-    ]
-    order_fail = _prefix_divergence(keyed, cfg.quiescent)
-    if order_fail:
-        reports.append(_fail("tob-total-order", "correct servers' delivery sequences diverge", order_fail))
-    elif cfg.quiescent:
-        reports.append(_ok("tob-total-order", "sequences identical at quiescence"))
-    else:
-        reports.append(_ok("tob-total-order", "sequences pairwise prefix-compatible at cutoff"))
-
-    if not cfg.quiescent:
-        reports.append(_na("tob-validity", "run was cut before quiescence"))
-        return reports
-    delivered: dict[str, set[tuple[str, str]]] = {
-        s: {(e.payload["client"], e.payload["message"]) for e in evs} for s, evs in seqs.items()
-    }
-    validity_fail = None
-    checked = 0
-    for client in cfg.correct_clients:
-        for message_hex, estimate, _eps in cfg.broadcast_scripts.get(client, []):
-            if estimate < 1:
-                continue  # degenerate estimate: backoff cannot grow, bound does not apply
-            checked += 1
-            b = broadcasts.get((client, message_hex))
-            missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
-            if b is None or missing:
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        cfg = self.cfg
+        seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in cfg.correct_servers}
+        broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
+        for event in self.kept:
+            if event.kind == tr.BROADCAST:
+                broadcasts.setdefault((event.process, event.payload["message"]), event)
+            elif event.process in seqs:
+                seqs[event.process].append(event)
+        honest = set(cfg.honest_clients)
+        dup = bad = None  # the first duplicate, and the first delivery of an unsent message, in server order
+        for evs in seqs.values():
+            seen: dict[tuple[str, str], tr.TraceEvent] = {}
+            for event in evs:
+                client, message = k = event.payload["client"], event.payload["message"]
+                if dup is None and k in seen:
+                    dup = (f"{event.process} delivered {event.payload} twice", [seen[k], event])
+                seen.setdefault(k, event)
+                b = broadcasts.get(k)
+                if bad is None and client in honest and (b is None or b.time > event.time):
+                    bad = (f"delivery of a message {client} never broadcast (or broadcast later)",
+                           [event] if b is None else [b, event])
+        keyed = [
+            [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
+        ]
+        order = _prefix_divergence(keyed, quiescent)
+        reports = [
+            _verdict("tob-no-duplication", dup),
+            _verdict("tob-integrity", bad),
+            _verdict("tob-total-order", order and ("correct servers' delivery sequences diverge", order),
+                     "sequences identical at quiescence" if quiescent
+                     else "sequences pairwise prefix-compatible at cutoff"),
+        ]
+        if not quiescent:
+            return reports + [_na("tob-validity", "run was cut before quiescence")]
+        delivered: dict[str, set[tuple[str, str]]] = {
+            s: {(e.payload["client"], e.payload["message"]) for e in evs} for s, evs in seqs.items()
+        }
+        checked = 0
+        for client in cfg.correct_clients:
+            for message_hex, estimate, _eps in cfg.broadcast_scripts.get(client, []):
+                if estimate < 1:
+                    continue  # degenerate estimate: backoff cannot grow, bound does not apply
+                checked += 1
+                b = broadcasts.get((client, message_hex))
+                missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
+                if b is not None and not missing:
+                    continue
                 detail = f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}"
-                if b is None:  # witness: the message's deliveries, else the run's last event
-                    mine = [e for evs in seqs.values() for e in evs if e.payload["message"] == message_hex
-                            and e.payload["client"] == client]
-                    validity_fail = _fail("tob-validity", detail + " (broadcast event missing)", mine or trace[-1:])
-                else:
-                    validity_fail = _fail("tob-validity", detail, [b])
-                break
-        if validity_fail:
-            break
-    reports.append(validity_fail or _ok("tob-validity", f"{checked} broadcast(s) delivered everywhere"))
-    return reports
+                if b is not None:
+                    return reports + [_fail("tob-validity", detail, [b])]
+                # witness: the message's deliveries, else the run's last event
+                mine = [e for evs in seqs.values() for e in evs
+                        if e.payload["message"] == message_hex and e.payload["client"] == client]
+                return reports + [_fail("tob-validity", detail + " (broadcast event missing)", mine or [run.last])]
+        return reports + [_ok("tob-validity", f"{checked} broadcast(s) delivered everywhere")]
 
 
 # ---------------------------------------------------------------- consensus
 
+_BUCKETS = {tr.PROPOSE: "propose", tr.DECIDE: "decide", tr.DEP_PROPOSE: "dep_propose", tr.DEP_DECIDE: "dep_decide"}
 
-def check_consensus(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    correct = set(cfg.correct_servers)
-    per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}
 
-    def slot(key):
-        entry = per.get(key)
-        if entry is None:
-            entry = per[key] = {"propose": [], "decide": [], "dep_propose": [], "dep_decide": []}
-        return entry
+class _Consensus:
+    handles = dict.fromkeys(_BUCKETS, "keep")
 
-    kinds = {
-        tr.PROPOSE: "propose",
-        tr.DECIDE: "decide",
-        tr.DEP_PROPOSE: "dep_propose",
-        tr.DEP_DECIDE: "dep_decide",
-    }
-    for event in trace:
-        bucket = kinds.get(event.kind)
-        if bucket is None or event.process not in correct:
-            continue
-        key = tr.instance_key_from_payload(event.payload["instance"])
-        slot(key)[bucket].append((event.process, event.payload["value"], event))
+    def __init__(self, cfg: CheckerConfig):
+        self.f = cfg.f
+        self.correct = set(cfg.correct_servers)
+        self.kept: list[tr.TraceEvent] = []
+        self.keep = self.kept.append
 
-    reports: list[CheckReport] = []
-    for key in sorted(per, key=repr):
-        entry = per[key]
-        label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
-        reports.append(_check_one_decide_per_server("consensus-integrity", label, entry["decide"], "decides"))
-        reports.append(_check_one_value("consensus-agreement", label, entry["decide"], "both values decided"))
-
-        values = {v for _s, v, _e in entry["decide"]}
-        rep_fail = None
-        for decided in sorted(values):
-            supporters = {s for s, v, _e in entry["propose"] if v == decided}
-            if len(supporters) < cfg.f + 1:
-                witness = next(e for _s, v, e in entry["decide"] if v == decided)
-                rep_fail = _fail(
-                    "consensus-representative-validity",
-                    f"{label}: decided {decided} with only {len(supporters)} correct proposer(s), "
-                    f"need {cfg.f + 1}",
-                    [witness],
-                )
-                break
-        if rep_fail:
-            reports.append(rep_fail)
-        else:
-            detail = label + ("" if values else ": nothing decided")
-            reports.append(_ok("consensus-representative-validity", detail))
-
-        proposers = {s for s, _v, _e in entry["propose"]}
-        deciders = {s for s, _v, _e in entry["decide"]}
-        if not cfg.quiescent:
-            reports.append(_na("consensus-termination", f"{label}: run was cut before quiescence"))
-        elif proposers != correct:
-            reports.append(
-                _na("consensus-termination", f"{label}: only {len(proposers)}/{len(correct)} correct servers proposed")
-            )
-        elif deciders != correct:
-            missing = sorted(correct - deciders)
-            witness = [entry["propose"][0][2]]
-            reports.append(
-                _fail("consensus-termination", f"{label}: {missing} never decided at quiescence", witness)
-            )
-        else:
-            reports.append(_ok("consensus-termination", label))
-
-        reports.extend(_check_dep(entry, label, correct, cfg.quiescent))
-    return reports
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        correct, need = self.correct, self.f + 1
+        per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}
+        for event in self.kept:
+            if event.process in correct:
+                entry = per.setdefault(tr.instance_key_from_payload(event.payload["instance"]),
+                                       {"propose": [], "decide": [], "dep_propose": [], "dep_decide": []})
+                entry[_BUCKETS[event.kind]].append((event.process, event.payload["value"], event))
+        reports: list[CheckReport] = []
+        for key in sorted(per, key=repr):
+            entry = per[key]
+            proposes, decides = entry["propose"], entry["decide"]
+            label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
+            reports.append(_check_one_decide_per_server("consensus-integrity", label, decides, "decides"))
+            reports.append(_check_one_value("consensus-agreement", label, decides, "both values decided"))
+            values = {v for _s, v, _e in decides}
+            rep_fail = None
+            for decided in sorted(values):
+                supporters = {s for s, v, _e in proposes if v == decided}
+                if len(supporters) < need:
+                    rep_fail = (f"{label}: decided {decided} with only {len(supporters)} correct proposer(s), "
+                                f"need {need}", [next(e for _s, v, e in decides if v == decided)])
+                    break
+            reports.append(_verdict("consensus-representative-validity", rep_fail,
+                                    label + ("" if values else ": nothing decided")))
+            reports.append(_check_termination("consensus-termination", label, proposes, decides, correct, quiescent,
+                                              "only {}/{} correct servers proposed", "never decided at quiescence"))
+            reports.extend(_check_dep(entry, label, correct, quiescent))
+        return reports
 
 
 def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[CheckReport]:
-    reports: list[CheckReport] = []
     dep_proposals = entry["dep_propose"]
     dep_decides = entry["dep_decide"]
     if not dep_proposals and not dep_decides:
-        return reports
-
+        return []
     allowed = {v for _s, v, _e in dep_proposals}
     stray = next((e for _s, v, e in dep_decides if v not in allowed), None)
-    if stray:
-        reports.append(
-            _fail("dep-weak-validity", f"{label}: dep decided a value no correct server dep-proposed", [stray])
-        )
-    else:
-        reports.append(_ok("dep-weak-validity", label))
-
-    reports.append(_check_one_value("dep-agreement", label, dep_decides, "dep decided both values"))
-    reports.append(_check_one_decide_per_server("dep-integrity", label, dep_decides, "dep decide indications"))
-
-    proposers = {s for s, _v, _e in dep_proposals}
-    deciders = {s for s, _v, _e in dep_decides}
-    if not quiescent:
-        reports.append(_na("dep-termination", f"{label}: run was cut before quiescence"))
-    elif proposers != correct:
-        reports.append(_na("dep-termination", f"{label}: not every correct server dep-proposed"))
-    elif deciders != correct:
-        missing = sorted(correct - deciders)
-        reports.append(
-            _fail("dep-termination", f"{label}: {missing} got no dep decide indication", [dep_proposals[0][2]])
-        )
-    else:
-        reports.append(_ok("dep-termination", label))
-    return reports
+    return [
+        _verdict("dep-weak-validity",
+                 stray and (f"{label}: dep decided a value no correct server dep-proposed", [stray]), label),
+        _check_one_value("dep-agreement", label, dep_decides, "dep decided both values"),
+        _check_one_decide_per_server("dep-integrity", label, dep_decides, "dep decide indications"),
+        _check_termination("dep-termination", label, dep_proposals, dep_decides, correct, quiescent,
+                           "not every correct server dep-proposed", "got no dep decide indication"),
+    ]
 
 
 # ---------------------------------------------------------------- latency
 
 
-def check_latency(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    if not cfg.good_case:
-        reason = "not a good-case run (needs exact_delta, zero drift, no faults)"
-        return [_na("latency-blink", reason), _na("latency-tob", reason)]
-    if not cfg.quiescent:
-        reason = "run was cut before quiescence"
-        return [_na("latency-blink", reason), _na("latency-tob", reason)]
-    reports = [_check_blink_latency(trace, cfg)]
+class _Latency:
+    """Good-case latency bounds; outside the good case it handles no event."""
 
-    scripts = [e for c in cfg.correct_clients for e in cfg.broadcast_scripts.get(c, [])]
-    if cfg.kind != "flutter" or not scripts:
-        reports.append(_na("latency-tob", "no broadcast script in this run"))
-        return reports
-    if any(est != cfg.delta for _m, est, _e in scripts):
-        reports.append(_na("latency-tob", "a client's delay estimate differs from the true delta"))
-        return reports
-    epsilons = {(c, m): eps for c in cfg.correct_clients for m, _est, eps in cfg.broadcast_scripts.get(c, [])}
-    delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
-    broadcast_evs: list[tr.TraceEvent] = []
-    for event in trace:
-        if event.kind == tr.BROADCAST and event.process in cfg.correct_clients:
-            broadcast_evs.append(event)
-        elif event.kind == tr.APP_DELIVER:
-            delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
-    for b in broadcast_evs:
-        eps = epsilons[(b.process, b.payload["message"])]
-        bound = b.time + 2 * cfg.delta + eps
-        per_server = delivered.get((b.process, b.payload["message"]), {})
-        for server in cfg.correct_servers:
-            event = per_server.get(server)
-            if event is None:
-                return reports + [
-                    _fail("latency-tob", f"{server} never delivered broadcast at t={b.time}", [b])
-                ]
-            if event.time != bound:
-                return reports + [
-                    _fail("latency-tob", f"delivery at t={event.time}, bound is exactly t={bound}", [b, event])
-                ]
-    reports.append(_ok("latency-tob", f"all deliveries exactly at t+2*delta+epsilon for {len(broadcast_evs)} broadcast(s)"))
-    return reports
+    handles = dict.fromkeys((tr.PROPOSE, tr.DECIDE, tr.BROADCAST, tr.APP_DELIVER), "keep")
+
+    def __init__(self, cfg: CheckerConfig):
+        self.cfg = cfg
+        self.kept: list[tr.TraceEvent] = []
+        self.keep = self.kept.append
+        if not cfg.good_case:
+            self.handles = {}
+
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        cfg = self.cfg
+        reason = ("not a good-case run (needs exact_delta, zero drift, no faults)" if not cfg.good_case
+                  else None if quiescent else "run was cut before quiescence")
+        if reason:
+            return [_na("latency-blink", reason), _na("latency-tob", reason)]
+        proposes: dict[object, list[tuple[str, bool, tr.TraceEvent]]] = {}
+        decides: dict[object, list[tr.TraceEvent]] = {}
+        delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
+        broadcasts: list[tr.TraceEvent] = []
+        for event in self.kept:
+            if event.kind == tr.BROADCAST:
+                if event.process in cfg.correct_clients:
+                    broadcasts.append(event)
+            elif event.kind == tr.APP_DELIVER:
+                delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
+            elif event.kind == tr.PROPOSE:
+                key = tr.instance_key_from_payload(event.payload["instance"])
+                proposes.setdefault(key, []).append((event.process, event.payload["value"], event))
+            else:
+                decides.setdefault(tr.instance_key_from_payload(event.payload["instance"]), []).append(event)
+        reports = [_blink_latency(cfg, proposes, decides)]
+        scripts = [e for c in cfg.correct_clients for e in cfg.broadcast_scripts.get(c, [])]
+        if cfg.kind != "flutter" or not scripts:
+            return reports + [_na("latency-tob", "no broadcast script in this run")]
+        if any(est != cfg.delta for _m, est, _e in scripts):
+            return reports + [_na("latency-tob", "a client's delay estimate differs from the true delta")]
+        epsilons = {(c, m): eps for c in cfg.correct_clients for m, _est, eps in cfg.broadcast_scripts.get(c, [])}
+        for b in broadcasts:
+            bound = b.time + 2 * cfg.delta + epsilons[(b.process, b.payload["message"])]
+            per_server = delivered.get((b.process, b.payload["message"]), {})
+            for server in cfg.correct_servers:
+                event = per_server.get(server)
+                if event is None:
+                    return reports + [_fail("latency-tob", f"{server} never delivered broadcast at t={b.time}", [b])]
+                if event.time != bound:
+                    return reports + [
+                        _fail("latency-tob", f"delivery at t={event.time}, bound is exactly t={bound}", [b, event])
+                    ]
+        return reports + [
+            _ok("latency-tob", f"all deliveries exactly at t+2*delta+epsilon for {len(broadcasts)} broadcast(s)")
+        ]
 
 
-def _check_blink_latency(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> CheckReport:
-    proposes: dict[object, list[tuple[str, bool, tr.TraceEvent]]] = {}
-    decides: dict[object, list[tr.TraceEvent]] = {}
-    for event in trace:
-        if event.kind == tr.PROPOSE:
-            key = tr.instance_key_from_payload(event.payload["instance"])
-            proposes.setdefault(key, []).append((event.process, event.payload["value"], event))
-        elif event.kind == tr.DECIDE:
-            key = tr.instance_key_from_payload(event.payload["instance"])
-            decides.setdefault(key, []).append(event)
+def _blink_latency(cfg: CheckerConfig, proposes, decides) -> CheckReport:
     unanimous = 0
     for key, plist in proposes.items():
-        if {s for s, _v, _e in plist} != set(cfg.correct_servers):
-            continue
-        if len({v for _s, v, _e in plist}) != 1:
+        if {s for s, _v, _e in plist} != set(cfg.correct_servers) or len({v for _s, v, _e in plist}) != 1:
             continue
         unanimous += 1
         times = [e.time for _s, _v, e in plist]
-        last = max(times)
-        deadline = last + cfg.delta
-        exact = min(times) == last
+        deadline = max(times) + cfg.delta
+        exact = min(times) == max(times)
         for event in decides.get(key, []):
             if event.time > deadline or (exact and event.time != deadline):
                 want = f"exactly t={deadline}" if exact else f"at most t={deadline}"
-                return _fail(
-                    "latency-blink",
-                    f"instance {_fmt_key(key)}: decide at t={event.time}, expected {want}",
-                    [plist[-1][2], event],
-                )
+                return _fail("latency-blink", f"instance {_fmt_key(key)}: decide at t={event.time}, expected {want}",
+                             [plist[-1][2], event])
         missing = set(cfg.correct_servers) - {e.process for e in decides.get(key, [])}
         if missing:
-            return _fail(
-                "latency-blink",
-                f"instance {_fmt_key(key)}: {sorted(missing)} never decided",
-                [plist[0][2]],
-            )
+            return _fail("latency-blink", f"instance {_fmt_key(key)}: {sorted(missing)} never decided", [plist[0][2]])
     if unanimous == 0:
         return _na("latency-blink", "no unanimous instance in this run")
     return _ok("latency-blink", f"{unanimous} unanimous instance(s) decided within one delta")
@@ -460,257 +444,354 @@ def _lock_rank(values, f: int):
 
 
 class _ServerReplay:
-    def __init__(self, cfg: CheckerConfig, name: str, observed: dict[int, BroadcastTuple]):
-        self.cfg = cfg
+    """One correct server's ordering state, rebuilt from its inputs; tuples are `_key_of` keys."""
+
+    def __init__(self, name: str, servers: list[str], lock):
         self.name = name
-        self.observed = observed  # id(Observe msg dict) -> its tuple, shared by all replays
-        self.remote_times: dict[str, int | float] = {s: NEG_INF for s in cfg.servers}
-        self.lock = _lock_rank(self.remote_times.values(), cfg.f)  # redone when an entry changes
-        self.candidates: set[BroadcastTuple] = set()
-        self.pending: list[BroadcastTuple] = []  # heap of candidates not yet processed
-        self.decisions: dict[BroadcastTuple, bool] = {}
-        self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
-        self.orders: list[tuple[BroadcastTuple, tr.TraceEvent]] = []
+        self.remote_times: dict[str, int | float] = dict.fromkeys(servers, NEG_INF)
+        self.lock = lock  # _lock_rank of remote_times, redone when an entry rises
+        self.candidates: set[tuple] = set()
+        self.pending: list[tuple] = []  # heap of candidates not yet processed
+        self.decisions: dict[tuple, bool] = {}
+        self.ready = False  # whether the lock rose since the last drain
+        self.orders: list[tuple[tuple, tr.TraceEvent]] = []
         self.app_delivers: list[tr.TraceEvent] = []
 
-    def _spot(self, t: BroadcastTuple) -> None:
-        if t.bet > self.lock and t not in self.candidates:
-            self.candidates.add(t)
-            heapq.heappush(self.pending, t)
-
-    def _drain(self, event: tr.TraceEvent) -> None:
+    def drain(self, event: tr.TraceEvent) -> None:
         # Entries only rise, so neither does the lock fall: a candidate admitted
         # above the lock lies above every tuple processed before it.
-        while self.pending:
-            best = self.pending[0]
-            if best not in self.decisions or best.bet > self.lock:
+        self.ready = False
+        pending = self.pending
+        while pending:
+            best = pending[0]
+            if best not in self.decisions or best[0] > self.lock:
                 return
-            heapq.heappop(self.pending)
+            heapq.heappop(pending)
             if self.decisions[best]:
                 self.orders.append((best, event))
 
-    def feed(self, event: tr.TraceEvent) -> str | None:
-        """Returns an invariant name on violation, else None."""
-        if event.kind == tr.APP_DELIVER:
-            self.app_delivers.append(event)
-            return None
-        if event.kind == tr.DECIDE:
-            t = _tuple_of(event.payload["instance"])
-            if t is not None:
-                self.decisions[t] = event.payload["value"]
-                self._drain(event)
-            return None
-        if event.kind != tr.DELIVER:
-            return None
+
+class _ServerInvariants:
+    """Replays each correct server's inputs.
+
+    Only a Decide or a rise of the lock makes a candidate processable, so a
+    replay drains after a Decide and after the first input since its lock rose.
+    """
+
+    handles = {tr.DELIVER: "deliver", tr.DECIDE: "decide", tr.APP_DELIVER: "app_deliver"}
+
+    def __init__(self, cfg: CheckerConfig):
+        self.cfg = cfg
+        self.clients = set(cfg.clients)
+        self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
+        lock = _lock_rank([NEG_INF] * len(cfg.servers), cfg.f)
+        self.replays = {s: _ServerReplay(s, cfg.servers, lock) for s in cfg.correct_servers}
+        self.observed: dict[int, tuple[dict, tuple]] = {}  # id(Observe msg dict) -> (that dict, its key)
+        self.violation: tuple[str, tr.TraceEvent] | None = None
+        self.decided_true: dict[tuple, tr.TraceEvent] = {}
+
+    def deliver(self, event: tr.TraceEvent) -> None:
+        replay = self.replays.get(event.process)
+        if replay is None:
+            return
         src = event.payload["src"]
         msg = event.payload["msg"]
         kind = msg["kind"]
-        if kind == "Time" and src in self.remote_times:
-            before = self.lock
-            if msg["time"] > self.remote_times[src]:
-                self.remote_times[src] = msg["time"]
-                self.lock = _lock_rank(self.remote_times.values(), self.cfg.f)
-            after = self.lock
-            if after < before:
-                return "server-lock-monotonic"
-            if self.lock_within_local and after > event.time:
-                return "server-lock-vs-local"
-            self._drain(event)
-        elif kind == "Observe" and src in self.remote_times:
-            t = self.observed.get(id(msg))
-            if t is None:  # an Observe broadcast shares one dict: parse it once
-                t = self.observed[id(msg)] = _tuple_of(msg)
-            self._spot(t)
-            self._drain(event)
-        elif kind == "Message" and src in self.cfg.clients:
-            self._spot(BroadcastTuple(src, bytes.fromhex(msg["message"]), msg["bet"]))
-            self._drain(event)
-        return None
-
-
-def check_server_invariants(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    observed: dict[int, BroadcastTuple] = {}  # id()-keyed: `trace` keeps every dict alive
-    replays = {s: _ServerReplay(cfg, s, observed) for s in cfg.correct_servers}
-    violation: tuple[str, tr.TraceEvent] | None = None
-    for event in trace:
-        replay = replays.get(event.process)
-        if replay is None:
-            continue
-        broken = replay.feed(event)
-        if broken and violation is None:
-            violation = (broken, event)
-
-    if violation and violation[0] == "server-lock-monotonic":
-        reports.append(_fail("server-lock-monotonic", f"lock time decreased at {violation[1].process}", [violation[1]]))
-    else:
-        reports.append(_ok("server-lock-monotonic"))
-    if not cfg.lock_within_local:
-        reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
-    elif violation and violation[0] == "server-lock-vs-local":
-        reports.append(_fail("server-lock-vs-local", f"lock time passed local time at {violation[1].process}", [violation[1]]))
-    else:
-        reports.append(_ok("server-lock-vs-local"))
-
-    decided_true: dict[BroadcastTuple, tr.TraceEvent] = {}
-    for event in trace:
-        if event.kind == tr.DECIDE and event.process in replays and event.payload["value"]:
-            t = _tuple_of(event.payload["instance"])
-            if t is not None:
-                decided_true.setdefault(t, event)
-    if not cfg.quiescent:
-        reports.append(_na("server-candidate-completeness", "run was cut before quiescence"))
-    else:
-        miss = None
-        for t, event in decided_true.items():
-            for s, replay in replays.items():
-                if t not in replay.candidates:
-                    miss = (s, event)
-                    break
-            if miss:
-                break
-        if miss:
-            reports.append(
-                _fail("server-candidate-completeness", f"tuple decided True is no candidate at {miss[0]}", [miss[1]])
-            )
+        if kind == "Time" and src in replay.remote_times:
+            before = replay.lock
+            if msg["time"] > replay.remote_times[src]:
+                replay.remote_times[src] = msg["time"]
+                replay.lock = _lock_rank(replay.remote_times.values(), self.cfg.f)
+                replay.ready = replay.lock != before
+            broken = ("server-lock-monotonic" if replay.lock < before
+                      else "server-lock-vs-local" if self.lock_within_local and replay.lock > event.time else None)
+            if broken:
+                if self.violation is None:
+                    self.violation = (broken, event)
+                return
         else:
-            reports.append(_ok("server-candidate-completeness", f"{len(decided_true)} accepted tuple(s)"))
+            if kind == "Observe" and src in replay.remote_times:
+                hit = self.observed.get(id(msg))
+                if hit is None or hit[0] is not msg:  # an Observe broadcast shares one dict: parse it once
+                    hit = self.observed[id(msg)] = (msg, _key_of(msg))
+                t = hit[1]
+            elif kind == "Message" and src in self.clients:
+                t = (msg["bet"], src, bytes.fromhex(msg["message"]))
+            else:
+                return
+            if t[0] > replay.lock and t not in replay.candidates:  # spotted: a new candidate lies above the lock
+                replay.candidates.add(t)
+                heapq.heappush(replay.pending, t)
+        if replay.ready:
+            replay.drain(event)
 
-    asc_fail = None
-    for replay in replays.values():
-        seq = replay.orders
-        for k in range(1, len(seq)):
-            if not seq[k - 1][0] < seq[k][0]:
-                asc_fail = seq[k][1]
+    def decide(self, event: tr.TraceEvent) -> None:
+        replay = self.replays.get(event.process)
+        t = None if replay is None else _key_of(event.payload["instance"])
+        if t is not None:
+            value = replay.decisions[t] = event.payload["value"]
+            replay.drain(event)
+            if value:
+                self.decided_true.setdefault(t, event)
+
+    def app_deliver(self, event: tr.TraceEvent) -> None:
+        replay = self.replays.get(event.process)
+        if replay is not None:
+            replay.app_delivers.append(event)
+
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        replays = self.replays.values()
+        broken, at = self.violation or (None, None)
+        reports = [_verdict("server-lock-monotonic",
+                            broken == "server-lock-monotonic" and (f"lock time decreased at {at.process}", [at]))]
+        if not self.cfg.lock_within_local:
+            reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
+        else:
+            reports.append(_verdict("server-lock-vs-local", broken == "server-lock-vs-local"
+                                    and (f"lock time passed local time at {at.process}", [at])))
+        if not quiescent:
+            reports.append(_na("server-candidate-completeness", "run was cut before quiescence"))
+        else:
+            miss = next(((r.name, e) for t, e in self.decided_true.items() for r in replays
+                         if t not in r.candidates), None)
+            reports.append(_verdict("server-candidate-completeness",
+                                    miss and (f"tuple decided True is no candidate at {miss[0]}", [miss[1]]),
+                                    f"{len(self.decided_true)} accepted tuple(s)"))
+        asc = next((b[1] for r in replays for a, b in zip(r.orders, r.orders[1:]) if not a[0] < b[0]), None)
+        reports.append(_verdict("server-order-ascending", asc and ("ordered tuples not strictly increasing", [asc])))
+        agree = _prefix_divergence([r.orders for r in replays], quiescent)
+        reports.append(_verdict("server-order-agreement",
+                                agree and ("servers processed accepted tuples in different orders", agree)))
+        match_fail = None
+        for replay in replays:
+            expect: list[tuple[str, str, int]] = []
+            seen_cm: set[tuple[str, bytes]] = set()
+            for (bet, client, message), _e in replay.orders:
+                if (client, message) not in seen_cm:
+                    seen_cm.add((client, message))
+                    expect.append((client, message.hex(), bet))
+            if expect != [(e.payload["client"], e.payload["message"], e.payload["bet"]) for e in replay.app_delivers]:
+                extra = replay.app_delivers or [o[1] for o in replay.orders]
+                match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
                 break
-        if asc_fail:
-            break
-    if asc_fail:
-        reports.append(_fail("server-order-ascending", "ordered tuples not strictly increasing", [asc_fail]))
-    else:
-        reports.append(_ok("server-order-ascending"))
-
-    agree_fail = _prefix_divergence([r.orders for r in replays.values()], cfg.quiescent)
-    if agree_fail:
-        reports.append(_fail("server-order-agreement", "servers processed accepted tuples in different orders", agree_fail))
-    else:
-        reports.append(_ok("server-order-agreement"))
-
-    match_fail = None
-    for replay in replays.values():
-        expect: list[tuple[str, str, int]] = []
-        seen_cm: set[tuple[str, bytes]] = set()
-        for t, _e in replay.orders:
-            if (t.client, t.message) not in seen_cm:
-                seen_cm.add((t.client, t.message))
-                expect.append((t.client, t.message.hex(), t.bet))
-        got = [(e.payload["client"], e.payload["message"], e.payload["bet"]) for e in replay.app_delivers]
-        if expect != got:
-            extra = replay.app_delivers or [o[1] for o in replay.orders]
-            match_fail = (replay.name, extra[:2])
-            break
-    if match_fail:
-        reports.append(
-            _fail(
-                "server-order-matches-appdeliver",
-                f"{match_fail[0]}: app deliveries disagree with replayed ordering",
-                match_fail[1],
-            )
-        )
-    else:
-        reports.append(_ok("server-order-matches-appdeliver"))
-    return reports
+        reports.append(_verdict("server-order-matches-appdeliver", match_fail))
+        return reports
 
 
 # ---------------------------------------------------------------- network
 
 
-def check_network(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    sends: dict[tuple[str, str], list[tr.TraceEvent]] = {}
-    delivers: dict[tuple[str, str], list[tr.TraceEvent]] = {}
-    for event in trace:
-        if event.kind == tr.SEND:
-            sends.setdefault((event.process, event.payload["dst"]), []).append(event)
-        elif event.kind == tr.DELIVER:
-            delivers.setdefault((event.payload["src"], event.process), []).append(event)
+class _Link:
+    """One (src, dst) link: its events not yet paired, in order, and its first bad pair."""
 
-    fifo_fail = None
-    bound_fail = None
-    for link, ds in delivers.items():
-        ss = sends.get(link, [])
-        if len(ds) > len(ss):
-            fifo_fail = ("delivery without a matching send", [ds[len(ss)]])
-            break
-        last_deliver = 0
-        for s_ev, d_ev in zip(ss, ds):
-            s_msg, d_msg = s_ev.payload["msg"], d_ev.payload["msg"]
-            if s_msg is not d_msg and s_msg != d_msg:
-                fifo_fail = ("deliveries out of send order", [s_ev, d_ev])
+    __slots__ = ("sends", "delivers", "last", "fail")
+
+    def __init__(self):
+        self.sends: deque[tr.TraceEvent] = deque()
+        self.delivers: deque[tr.TraceEvent] = deque()
+        self.last = 0  # time of the last delivery paired before any bad pair
+        self.fail: tuple[str, str, list[tr.TraceEvent]] | None = None
+
+
+class _Network:
+    """Pairs the k-th Send on a link with its k-th Deliver; holds a Send only until then."""
+
+    handles = {tr.SEND: "send", tr.DELIVER: "deliver"}
+
+    def __init__(self, cfg: CheckerConfig):
+        self.delta = cfg.delta
+        self.exact = cfg.strategy == "exact_delta"
+        self.sent: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
+        self.delivered: dict[tuple[str, str], _Link] = {}  # in order of each link's first Deliver
+
+    def send(self, event: tr.TraceEvent) -> None:
+        key = (event.process, event.payload["dst"])
+        link = self.sent.get(key)
+        if link is None:
+            link = self.sent[key] = self.delivered.get(key) or _Link()
+        link.sends.append(event)
+        if link.delivers:  # its Deliver came first in trace order: pair them now
+            self.deliver(link.delivers.popleft())
+
+    def deliver(self, event: tr.TraceEvent) -> None:
+        key = (event.payload["src"], event.process)
+        link = self.delivered.get(key)
+        if link is None:
+            link = self.delivered[key] = self.sent.get(key) or _Link()
+        if not link.sends:
+            link.delivers.append(event)
+            return
+        s_ev = link.sends.popleft()
+        if link.fail:
+            return
+        s_msg, d_msg = s_ev.payload["msg"], event.payload["msg"]
+        t = event.time
+        dt = t - s_ev.time
+        if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_ev until now
+            link.fail = ("net-fifo", "deliveries out of send order", [s_ev, event])
+        elif t < link.last:
+            link.fail = ("net-fifo", "delivery times decreased along a link", [event])
+        elif dt < 1 or (t > s_ev.time + self.delta and t > link.last):
+            link.fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", [s_ev, event])
+        elif self.exact and dt != self.delta:
+            link.fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", [s_ev, event])
+        else:
+            link.last = t
+
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}
+        for link in self.delivered.values():  # the first link with an unmatched Deliver or a bad pair
+            if link.delivers:
+                fails["net-fifo"] = ("delivery without a matching send", [link.delivers[0]])
+            elif link.fail:
+                fails[link.fail[0]] = link.fail[1:]
+            if fails:
                 break
-            if d_ev.time < last_deliver:
-                fifo_fail = ("delivery times decreased along a link", [d_ev])
-                break
-            dt = d_ev.time - s_ev.time
-            limit = max(s_ev.time + cfg.delta, last_deliver)
-            if dt < 1 or d_ev.time > limit:
-                bound_fail = (f"delay {dt} outside [1, {cfg.delta}] (after FIFO repair)", [s_ev, d_ev])
-                break
-            if cfg.strategy == "exact_delta" and dt != cfg.delta:
-                bound_fail = (f"exact_delta delivered after {dt} ticks, not {cfg.delta}", [s_ev, d_ev])
-                break
-            last_deliver = d_ev.time
-        if fifo_fail or bound_fail:
-            break
-    if not fifo_fail and cfg.quiescent:
-        for link, ss in sends.items():
-            if len(delivers.get(link, [])) != len(ss):
-                fifo_fail = ("send never delivered by quiescence", [ss[len(delivers.get(link, []))]])
-                break
-
-    reports = [
-        _fail("net-fifo", *fifo_fail) if fifo_fail else _ok("net-fifo"),
-        _fail("net-delay-bounds", *bound_fail) if bound_fail else _ok("net-delay-bounds"),
-    ]
-    return reports
+        if "net-fifo" not in fails and quiescent:
+            stuck = next((link.sends[0] for link in self.sent.values() if link.sends), None)
+            if stuck:
+                fails["net-fifo"] = ("send never delivered by quiescence", [stuck])
+        return [_verdict(prop, fails.get(prop)) for prop in ("net-fifo", "net-delay-bounds")]
 
 
-# ---------------------------------------------------------------- complexity
+# ---------------------------------------------------------------- metrics and complexity
 
 
-def check_complexity(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> CheckReport:
-    """Correct servers' Suggest traffic stays within n^2 sends per instance."""
-    correct = set(cfg.correct_servers)
-    counts: dict[object, int] = {}
-    worst: dict[object, tr.TraceEvent] = {}
-    for event in trace:
-        if event.kind != tr.SEND or event.process not in correct:
-            continue
+class Metrics:
+    """A run's traffic, broadcast and instance counts (`summary`), and its suggest-complexity report.
+
+    The Sends of one broadcast share one `msg` dict and come in a row: each
+    such run of Sends from one sender is booked once, when it ends.
+    """
+
+    handles = {tr.SEND: "send", tr.BROADCAST: "keep", tr.APP_DELIVER: "keep", tr.PROPOSE: "keep"}
+
+    def __init__(self, cfg: CheckerConfig):
+        self.n = cfg.n
+        self.correct = set(cfg.correct_servers)
+        self.sends_by_kind: dict[str, int] = {}
+        self.total_bits = 0
+        self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
+        self.last_suggest: dict[object, tr.TraceEvent] = {}
+        self.attempts: dict[tuple[str, str], set[int]] = {}
+        self.kept: list[tr.TraceEvent] = []  # Broadcast, AppDeliver and Propose events
+        self.keep = self.kept.append
+        # The current run of Sends: its dict (held, so `is` is sound), sender, length and last event.
+        self.msg: dict | None = None
+        self.sender = None
+        self.copies = 0
+        self.tail: tr.TraceEvent | None = None
+
+    def send(self, event: tr.TraceEvent) -> None:
         msg = event.payload["msg"]
-        if msg["kind"] != "Suggest":
-            continue
-        key = tr.instance_key_from_payload(msg["instance"])
-        counts[key] = counts.get(key, 0) + 1
-        worst[key] = event
-    limit = cfg.n * cfg.n
-    for key, count in counts.items():
-        if count > limit:
-            return _fail(
-                "suggest-complexity",
-                f"instance {_fmt_key(key)}: {count} Suggest sends from correct servers exceeds n^2={limit}",
-                [worst[key]],
+        if msg is not self.msg or event.process != self.sender:
+            self._book()
+            self.msg, self.sender = msg, event.process
+        self.copies += 1
+        self.tail = event
+
+    def _book(self) -> None:
+        msg, copies, sender = self.msg, self.copies, self.sender
+        if not copies:
+            return
+        self.copies = 0
+        kind = msg["kind"]
+        self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + copies
+        self.total_bits += copies * 8 * (_WIRE_OVERHEAD_BYTES + len(msg.get("message", "")) // 2)  # Time/Suggest: 0
+        if kind == "Suggest" and sender in self.correct:
+            key = tr.instance_key_from_payload(msg["instance"])
+            self.suggests[key] = self.suggests.get(key, 0) + copies
+            self.last_suggest[key] = self.tail
+        elif kind == "Message":
+            self.attempts.setdefault((sender, msg["message"]), set()).add(msg["bet"])
+
+    @property
+    def max_suggest(self) -> int:
+        self._book()
+        return max(self.suggests.values(), default=0)
+
+    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+        """Correct servers' Suggest traffic stays within n^2 sends per instance."""
+        limit = self.n * self.n
+        top = self.max_suggest
+        over = next((key for key, count in self.suggests.items() if count > limit), None)
+        if over is not None:
+            detail = f"{self.suggests[over]} Suggest sends from correct servers exceeds n^2={limit}"
+            return [_fail("suggest-complexity", f"instance {_fmt_key(over)}: {detail}", [self.last_suggest[over]])]
+        return [_ok("suggest-complexity", f"max {top} Suggest sends per instance (limit {limit})")]
+
+    def summary(self, quiescent: bool, run: CheckPass) -> dict:
+        self._book()
+        broadcasts: list[tuple[str, str, int]] = []
+        app_delivers: dict[tuple[str, str], dict[str, int]] = {}
+        instances: set[object] = set()
+        for event in self.kept:
+            if event.kind == tr.BROADCAST:
+                broadcasts.append((event.process, event.payload["message"], event.time))
+            elif event.kind == tr.APP_DELIVER:
+                key = (event.payload["client"], event.payload["message"])
+                app_delivers.setdefault(key, {})[event.process] = event.time
+            else:
+                instances.add(tr.instance_key_from_payload(event.payload["instance"]))
+        per_broadcast = []
+        for client, message, at in broadcasts:
+            deliveries = app_delivers.get((client, message), {})
+            done = all(s in deliveries for s in self.correct)
+            per_broadcast.append(
+                {
+                    "client": client,
+                    "message": message,
+                    "time": at,
+                    "attempts": len(self.attempts.get((client, message), set())),
+                    "delivered_everywhere": done,
+                    "latency": max(deliveries.values()) - at if done and deliveries else None,
+                }
             )
-    top = max(counts.values(), default=0)
-    return _ok("suggest-complexity", f"max {top} Suggest sends per instance (limit {limit})")
+        return {
+            "final_time": run.last.time if run.last else 0,
+            "quiescent": quiescent,
+            "events": run.events,
+            "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
+            "total_bits": self.total_bits,
+            "consensus_instances": len(instances),
+            "max_suggest_sends_per_instance": self.max_suggest,
+            "per_broadcast": per_broadcast,
+        }
 
 
-def run_all_checks(trace: list[tr.TraceEvent], cfg: CheckerConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    if cfg.kind == "flutter":
-        reports.extend(check_tob(trace, cfg))
-    reports.extend(check_consensus(trace, cfg))
-    reports.extend(check_latency(trace, cfg))
-    if cfg.kind == "flutter":
-        reports.extend(check_server_invariants(trace, cfg))
-    reports.extend(check_network(trace, cfg))
-    reports.append(check_complexity(trace, cfg))
-    return reports
+# ---------------------------------------------------------------- drivers
+
+
+def check_pass(cfg: CheckerConfig) -> CheckPass:
+    """A pass of every checker `run_all_checks` runs, in its order, and the run's `Metrics`."""
+    flutter = cfg.kind == "flutter"
+    return CheckPass(cfg, [_Tob] * flutter + [_Consensus, _Latency] + [_ServerInvariants] * flutter
+                     + [_Network, Metrics])
+
+
+def check_tob(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return CheckPass(cfg, [_Tob]).run(trace).finish(cfg.quiescent)
+
+
+def check_consensus(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return CheckPass(cfg, [_Consensus]).run(trace).finish(cfg.quiescent)
+
+
+def check_latency(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return CheckPass(cfg, [_Latency]).run(trace).finish(cfg.quiescent)
+
+
+def check_server_invariants(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return CheckPass(cfg, [_ServerInvariants]).run(trace).finish(cfg.quiescent)
+
+
+def check_network(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return CheckPass(cfg, [_Network]).run(trace).finish(cfg.quiescent)
+
+
+def check_complexity(trace, cfg: CheckerConfig) -> CheckReport:
+    return CheckPass(cfg, [Metrics]).run(trace).finish(cfg.quiescent)[0]
+
+
+def run_all_checks(trace, cfg: CheckerConfig) -> list[CheckReport]:
+    return check_pass(cfg).run(trace).finish(cfg.quiescent)

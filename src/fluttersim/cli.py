@@ -40,7 +40,7 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, list[str]]:
     scenario = load_scenario(args.scenario)
     result = run_scenario(scenario)
     trace_path = Path(args.trace) if args.trace else _out_dir() / f"{scenario.name}.trace.jsonl"
@@ -49,21 +49,21 @@ def _cmd_run(args) -> int:
     write_trace(trace_path, result.trace)
     _write_json(report_path, result.report_dict())
 
-    print(f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "
-          f"at t={result.metrics['final_time']}, {result.metrics['events']} events")
+    lines = [f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "
+             f"at t={result.metrics['final_time']}, {result.metrics['events']} events"]
     for report in result.reports:
         line = f"  [{report.verdict}] {report.prop}"
         if report.detail:
             line += f": {report.detail}"
-        print(line)
+        lines.append(line)
     for row in result.metrics["per_broadcast"]:
         latency = row["latency"] if row["latency"] is not None else "n/a"
-        print(f"  broadcast ({row['client']}, 0x{row['message']}) at t={row['time']}: "
-              f"attempts={row['attempts']}, latency={latency}")
-    print(f"  sends: {result.metrics['sends_by_kind']}, total_bits={result.metrics['total_bits']}")
-    print(f"  trace: {trace_path}")
-    print(f"  report: {report_path}")
-    return EXIT_FAIL if result.failed else EXIT_OK
+        lines.append(f"  broadcast ({row['client']}, 0x{row['message']}) at t={row['time']}: "
+                     f"attempts={row['attempts']}, latency={latency}")
+    lines.append(f"  sends: {result.metrics['sends_by_kind']}, total_bits={result.metrics['total_bits']}")
+    lines.append(f"  trace: {trace_path}")
+    lines.append(f"  report: {report_path}")
+    return (EXIT_FAIL if result.failed else EXIT_OK), lines
 
 
 def _parse_seeds(raw: str) -> range:
@@ -101,7 +101,7 @@ def _parse_policies(raw: str) -> list[str]:
     return names
 
 
-def _cmd_campaign(args) -> int:
+def _cmd_campaign(args) -> tuple[int, list[str]]:
     base = load_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds)
     behaviors = _parse_behaviors(args.behaviors)
@@ -110,17 +110,17 @@ def _cmd_campaign(args) -> int:
     report_path = Path(args.report) if args.report else _out_dir() / f"{base.name}.campaign.json"
     _write_json(report_path, summary)
 
-    print(f"campaign {base.name}: {summary['runs']} runs "
-          f"({len(behaviors)} behaviors x {len(policies)} policies x {len(seeds)} seeds)")
+    lines = [f"campaign {base.name}: {summary['runs']} runs "
+             f"({len(behaviors)} behaviors x {len(policies)} policies x {len(seeds)} seeds)"]
     for behavior, row in summary["per_behavior"].items():
-        print(f"  {behavior}: runs={row['runs']} fails={row['fails']} "
-              f"max_suggest_per_instance={row['max_suggest_sends_per_instance']} "
-              f"(limit {summary['suggest_limit_per_instance']})")
-    print(f"  verdicts: {summary['verdicts']}")
+        lines.append(f"  {behavior}: runs={row['runs']} fails={row['fails']} "
+                     f"max_suggest_per_instance={row['max_suggest_sends_per_instance']} "
+                     f"(limit {summary['suggest_limit_per_instance']})")
+    lines.append(f"  verdicts: {summary['verdicts']}")
     for failure in summary["fails"]:
-        print(f"  FAIL {failure['run']}: {failure['property']} {failure['detail']}")
-    print(f"  report: {report_path}")
-    return EXIT_OK if summary["all_pass"] else EXIT_FAIL
+        lines.append(f"  FAIL {failure['run']}: {failure['property']} {failure['detail']}")
+    lines.append(f"  report: {report_path}")
+    return (EXIT_OK if summary["all_pass"] else EXIT_FAIL), lines
 
 
 def main(argv=None) -> int:
@@ -143,9 +143,7 @@ def main(argv=None) -> int:
     camp.add_argument("--report", help="summary output path (JSON)")
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "run":
-            return _cmd_run(args)
-        return _cmd_campaign(args)
+        code, lines = _cmd_run(args) if args.cmd == "run" else _cmd_campaign(args)
     except (ScenarioError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -155,6 +153,14 @@ def main(argv=None) -> int:
     except (ProtocolBugError, OracleViolationError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (say, `| head`); the trace and report are written.
+        # Point stdout at devnull, so the interpreter's last flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Campaign runs sweep seeds x behaviors x dep policies over one base
 scenario; every run gets the full checker suite, so each behavior is a
-falsification attempt rather than a fixture with blessed output.
+falsification attempt rather than a fixture with blessed output. A
+campaign run is checked online, as it runs, and keeps no trace.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from dataclasses import dataclass, field
 from . import trace as tr
 from .adversary import BEHAVIORS, BehaviorSetup
 from .blink import BlinkNode
-from .checkers import FAIL, CheckerConfig, CheckReport, run_all_checks
+from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
 from .client import FlutterClient
 from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError
 from .scenario import ClientSpec, Scenario, ServerFault
 from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
 from .weakcon import AdversarialTiming, AdversarialValue, DepOracle, FirstProposal
-
-_WIRE_OVERHEAD_BYTES = 8  # headers, ids, timestamps: the O(1) part of each message
 
 
 def _strategy(scenario: Scenario):
@@ -101,73 +100,17 @@ class RunResult:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
+    """Simulate, keeping the trace, then check it and measure it in one pass."""
     sim = build_simulation(scenario)
     quiescent = sim.run(until=scenario.until)
-    cfg = CheckerConfig.from_scenario(scenario, quiescent)
-    reports = run_all_checks(sim.trace, cfg)
-    metrics = compute_metrics(sim.trace, scenario, quiescent)
-    return RunResult(scenario, sim.trace, quiescent, reports, metrics)
-
-
-def _message_bits(msg: dict) -> int:
-    payload = len(msg.get("message", "")) // 2  # Time/Suggest carry no payload bytes
-    return 8 * (_WIRE_OVERHEAD_BYTES + payload)
+    checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent)).run(sim.trace)
+    reports = checks.finish(quiescent)
+    return RunResult(scenario, sim.trace, quiescent, reports, checks.metrics.summary(quiescent, checks))
 
 
 def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: bool) -> dict:
-    sends_by_kind: dict[str, int] = {}
-    total_bits = 0
-    suggest_per_instance: dict[object, int] = {}
-    correct = set(scenario.correct_servers)
-    broadcasts: list[tuple[str, str, int]] = []
-    app_delivers: dict[tuple[str, str], dict[str, int]] = {}
-    attempts: dict[tuple[str, str], set[int]] = {}
-    instances: set[object] = set()
-
-    for event in trace:
-        if event.kind == tr.SEND:
-            msg = event.payload["msg"]
-            kind = msg["kind"]
-            sends_by_kind[kind] = sends_by_kind.get(kind, 0) + 1
-            total_bits += _message_bits(msg)
-            if kind == "Suggest" and event.process in correct:
-                key = tr.instance_key_from_payload(msg["instance"])
-                suggest_per_instance[key] = suggest_per_instance.get(key, 0) + 1
-            elif kind == "Message":
-                attempts.setdefault((event.process, msg["message"]), set()).add(msg["bet"])
-        elif event.kind == tr.BROADCAST:
-            broadcasts.append((event.process, event.payload["message"], event.time))
-        elif event.kind == tr.APP_DELIVER:
-            key = (event.payload["client"], event.payload["message"])
-            app_delivers.setdefault(key, {})[event.process] = event.time
-        elif event.kind == tr.PROPOSE:
-            instances.add(tr.instance_key_from_payload(event.payload["instance"]))
-
-    per_broadcast = []
-    for client, message, at in broadcasts:
-        deliveries = app_delivers.get((client, message), {})
-        done = all(s in deliveries for s in correct)
-        per_broadcast.append(
-            {
-                "client": client,
-                "message": message,
-                "time": at,
-                "attempts": len(attempts.get((client, message), set())),
-                "delivered_everywhere": done,
-                "latency": max(deliveries.values()) - at if done and deliveries else None,
-            }
-        )
-
-    return {
-        "final_time": trace[-1].time if trace else 0,
-        "quiescent": quiescent,
-        "events": len(trace),
-        "sends_by_kind": dict(sorted(sends_by_kind.items())),
-        "total_bits": total_bits,
-        "consensus_instances": len(instances),
-        "max_suggest_sends_per_instance": max(suggest_per_instance.values(), default=0),
-        "per_broadcast": per_broadcast,
-    }
+    checks = CheckPass(CheckerConfig.from_scenario(scenario, quiescent), [Metrics]).run(trace)
+    return checks.metrics.summary(quiescent, checks)
 
 
 # ---------------------------------------------------------------- campaigns
@@ -200,32 +143,24 @@ def campaign_variant(base: Scenario, behavior: str, policy: str, seed: int) -> S
 def _run_one(args: tuple[Scenario, str, str, int]) -> dict:
     base, behavior, policy, seed = args
     variant = campaign_variant(base, behavior, policy, seed)
+    row = {"run": variant.name, "behavior": behavior, "policy": policy, "seed": seed}
     try:
-        result = run_scenario(variant)
+        # Checked online: each event goes to the observers as it is emitted, and no trace is kept.
+        sim = build_simulation(variant)
+        checks = check_pass(CheckerConfig.from_scenario(variant, quiescent=False))
+        sim.sink = checks.feed
+        quiescent = sim.run(until=variant.until)
+        sim.sink = sim.trace.append  # the simulator is cyclic garbage: unhooked, the pass is freed at once
+        reports = checks.finish(quiescent)
     except (BudgetExceededError, ProtocolBugError, OracleViolationError, AssertionError) as e:
         # One bad run is a failing row; the rest of the campaign still runs.
         prop = "budget" if isinstance(e, BudgetExceededError) else type(e).__name__
-        return {
-            "run": variant.name,
-            "behavior": behavior,
-            "policy": policy,
-            "seed": seed,
-            "fails": [{"property": prop, "detail": str(e)}],
-            "verdicts": {},
-            "max_suggest": 0,
-        }
+        return {**row, "fails": [{"property": prop, "detail": str(e)}], "verdicts": {}, "max_suggest": 0}
     verdicts: dict[str, int] = {}
-    for report in result.reports:
+    for report in reports:
         verdicts[report.verdict] = verdicts.get(report.verdict, 0) + 1
-    return {
-        "run": variant.name,
-        "behavior": behavior,
-        "policy": policy,
-        "seed": seed,
-        "fails": [{"property": r.prop, "detail": r.detail} for r in result.failed],
-        "verdicts": verdicts,
-        "max_suggest": result.metrics["max_suggest_sends_per_instance"],
-    }
+    fails = [{"property": r.prop, "detail": r.detail} for r in reports if r.verdict == FAIL]
+    return {**row, "fails": fails, "verdicts": verdicts, "max_suggest": checks.metrics.max_suggest}
 
 
 def run_campaign(

@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulator.
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
-static per-process clock offsets, local-time timers, and full tracing.
+static per-process clock offsets, local-time timers, and full tracing:
+every event goes to `sink`, by default appended to `trace`.
 Events are processed in (time, global sequence) order; handler work is
 instantaneous (takes zero ticks). Quiescence = empty event queue.
 """
@@ -123,6 +124,7 @@ class Simulator:
         self.step_budget = step_budget
         self.now: SimTime = 0
         self.trace: list[tr.TraceEvent] = []
+        self.sink = self.trace.append  # takes every emitted event; replace it to keep no trace
         self.handlers: dict[str, object] = {}
         self.contexts: dict[str, Context] = {}
         self.servers: list[str] = []
@@ -149,7 +151,7 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, kind, a, b, c, d))
 
     def emit(self, process: str, kind: str, payload: dict) -> None:
-        self.trace.append(tr.TraceEvent(self.now, process, kind, payload))
+        self.sink(tr.TraceEvent(self.now, process, kind, payload))
 
     def send(self, src: str, dst: str, msg: WireMessage) -> None:
         if dst not in self.handlers:
@@ -169,7 +171,7 @@ class Simulator:
             self._last_msg = msg
             self._last_wire = wire_payload(msg)
         wire = self._last_wire
-        self.emit(src, tr.SEND, {"dst": dst, "msg": wire})
+        self.sink(tr.TraceEvent(self.now, src, tr.SEND, {"dst": dst, "msg": wire}))
         self._push(when, _DELIVER, src, dst, msg, wire)
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
@@ -210,14 +212,14 @@ class Simulator:
             self.now = time
             if kind == _DELIVER:
                 handler = self.handlers[b]
-                self.emit(b, tr.DELIVER, {"src": a, "msg": d})
+                self.sink(tr.TraceEvent(time, b, tr.DELIVER, {"src": a, "msg": d}))
                 handler.on_deliver(self.contexts[b], a, c)
             elif kind == _TIMER:
                 handler = self.handlers[a]
-                self.emit(a, tr.TIMER_FIRE, {"token": b})
+                self.sink(tr.TraceEvent(time, a, tr.TIMER_FIRE, {"token": b}))
                 handler.on_timer(self.contexts[a], b)
             else:  # _DEP: decide indication from the weak-consensus oracle
                 handler = self.handlers[a]
-                self.emit(a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c})
+                self.sink(tr.TraceEvent(time, a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
                 handler.on_dep_decide(self.contexts[a], b, c)
         return True

@@ -8,6 +8,8 @@ A wire message is rendered once: every Send event of one broadcast and
 the Deliver event of each of those sends hold the same `msg` dict. Treat
 payloads as read-only; code that edits one must copy the event (say,
 with copy.deepcopy) first, or the edit shows up in every event sharing it.
+Events reach the checkers one by one, from a kept trace or, in a campaign
+run, straight from the simulator with no trace kept.
 """
 
 from __future__ import annotations

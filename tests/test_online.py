@@ -1,0 +1,137 @@
+"""A run checked as it goes gets the reports and metrics its kept trace gets."""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+import pytest
+
+from fluttersim import checkers, runner
+from fluttersim import trace as tr
+from fluttersim.adversary import BEHAVIORS
+from fluttersim.checkers import FAIL, CheckerConfig, run_all_checks
+from fluttersim.runner import _run_one, campaign_variant, compute_metrics
+from fluttersim.scenario import load_scenario
+from fluttersim.server import FlutterServer
+
+from conftest import SCENARIOS_DIR, simulate
+from test_checkers import clean_run
+
+BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
+POLICIES = ["adversarial_value", "adversarial_timing"]
+
+
+def campaign_base():
+    return load_scenario(SCENARIOS_DIR / "campaign_base.json")
+
+
+def streamed(path):
+    """Each event of a written trace, parsed from its line: no dict outlives the event fed."""
+    with open(path) as fh:
+        for line in fh:
+            obj = json.loads(line)
+            yield tr.TraceEvent(obj["time"], obj["process"], obj["kind"], obj["payload"])
+
+
+@pytest.mark.parametrize("name", BUNDLED + [f"campaign+{b}" for b in sorted(BEHAVIORS)])
+def test_streamed_trace_checks_like_the_kept_trace(tmp_path, name):
+    if name.startswith("campaign+"):
+        scenario = campaign_variant(campaign_base(), name.split("+")[1], "adversarial_value", 3)
+    else:
+        scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    trace, quiescent = simulate(scenario)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    path = tmp_path / "trace.jsonl"
+    tr.write_trace(path, trace)
+    kept = [r.to_dict() for r in run_all_checks(trace, cfg)]
+    assert [r.to_dict() for r in run_all_checks(streamed(path), cfg)] == kept
+    assert compute_metrics(streamed(path), scenario, quiescent) == compute_metrics(trace, scenario, quiescent)
+
+
+def test_observe_cache_survives_recycled_ids(monkeypatch):
+    # Without the c000 -> s001 link, s001 spots both tuples only through
+    # Observe relays. Every dict then reports the same id(), as a dict freed
+    # and reallocated may: a cache that trusts id() alone spots one tuple.
+    clean, cfg = clean_run()
+    trace = [
+        e
+        for e in clean
+        if not (e.kind == tr.SEND and e.process == "c000" and e.payload["dst"] == "s001")
+        and not (e.kind == tr.DELIVER and e.process == "s001" and e.payload["src"] == "c000")
+    ]
+    expected = [r.to_dict() for r in run_all_checks(trace, cfg)]
+    monkeypatch.setattr(checkers, "id", lambda obj: 0, raising=False)
+    assert [r.to_dict() for r in run_all_checks(trace, cfg)] == expected
+
+
+def test_metrics_book_a_shared_message_per_sender():
+    # s005 is the faulty server: its copies of a shared Suggest dict are no correct sends.
+    scenario = campaign_variant(campaign_base(), "mute", "adversarial_value", 0)
+    shared = {"kind": "Suggest", "instance": {"label": "x"}, "value": True}
+    trace = [
+        tr.TraceEvent(1, "s000", tr.SEND, {"dst": "s001", "msg": shared}),
+        tr.TraceEvent(1, "s005", tr.SEND, {"dst": "s001", "msg": shared}),
+        tr.TraceEvent(1, "s005", tr.SEND, {"dst": "s002", "msg": shared}),
+        tr.TraceEvent(2, "s000", tr.SEND, {"dst": "s002", "msg": shared}),
+    ]
+    metrics = compute_metrics(trace, scenario, quiescent=False)
+    assert metrics["sends_by_kind"] == {"Suggest": 4}
+    assert metrics["max_suggest_sends_per_instance"] == 2
+
+
+def offline_row(base, behavior, policy, seed) -> dict:
+    """The campaign row of one variant, from its kept trace."""
+    variant = campaign_variant(base, behavior, policy, seed)
+    trace, quiescent = simulate(variant)
+    reports = run_all_checks(trace, CheckerConfig.from_scenario(variant, quiescent))
+    return {
+        "run": variant.name,
+        "behavior": behavior,
+        "policy": policy,
+        "seed": seed,
+        "fails": [{"property": r.prop, "detail": r.detail} for r in reports if r.verdict == FAIL],
+        "verdicts": dict(Counter(r.verdict for r in reports)),
+        "max_suggest": compute_metrics(trace, variant, quiescent)["max_suggest_sends_per_instance"],
+    }
+
+
+@pytest.fixture
+def online_sims(monkeypatch):
+    """Every simulator a campaign run builds."""
+    sims = []
+    real = runner.build_simulation
+
+    def build(scenario):
+        sims.append(real(scenario))
+        return sims[-1]
+
+    monkeypatch.setattr(runner, "build_simulation", build)
+    return sims
+
+
+@pytest.mark.parametrize("behavior", sorted(BEHAVIORS))
+def test_online_campaign_rows_equal_offline_rows(behavior, online_sims):
+    base = campaign_base()
+    for policy in POLICIES:
+        for seed in range(10):
+            assert _run_one((base, behavior, policy, seed)) == offline_row(base, behavior, policy, seed)
+    assert len(online_sims) == 2 * 10
+    assert all(sim.trace == [] for sim in online_sims)
+
+
+def test_online_and_offline_fails_agree_on_a_double_delivering_server(monkeypatch, online_sims):
+    # Server mutant: every ordered tuple is app-delivered once more.
+    real = FlutterServer._order
+
+    def order_twice(self, ctx, t):
+        real(self, ctx, t)
+        ctx.emit(tr.APP_DELIVER, {"client": t.client, "message": t.message.hex(), "bet": t.bet})
+
+    monkeypatch.setattr(FlutterServer, "_order", order_twice)
+    base = campaign_base()
+    for behavior in ("mute", "time_liar"):
+        online = _run_one((base, behavior, "adversarial_value", 1))
+        assert {f["property"] for f in online["fails"]} >= {"tob-no-duplication", "server-order-matches-appdeliver"}
+        assert online == offline_row(base, behavior, "adversarial_value", 1)
+    assert all(sim.trace == [] for sim in online_sims)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +346,28 @@ def test_cli_campaign_rejects_unknown_behavior():
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", str(SCENARIOS_DIR / "goodcase.json")],
+        ["campaign", str(SCENARIOS_DIR / "campaign_base.json"), "--seeds", "0..1", "--behaviors", "mute"],
+    ],
+    ids=["run", "campaign"],
+)
+def test_cli_reader_closing_early_keeps_the_verdict(tmp_path, args, lines_read):
+    # `fluttersim run ... | head -1`: the pipe closes while the summary is printed.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, FLUTTERSIM_OUT=str(tmp_path), PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fluttersim", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_OK
+    assert err == b""
