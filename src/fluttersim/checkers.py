@@ -1,8 +1,10 @@
-"""Checkers for every property the protocols promise, as observers of a run's events.
+"""Checkers for every property the protocols promise, judged in one pass over a run's events.
 
-A `CheckPass` reads each event's kind once and feeds the event only to the
-observers (checkers, and the run's `Metrics`) that handle that kind; each
-observer judges the run in `finish`. The pass checks a finished trace, or a
+A `CheckPass` reads each event's kind once. It keeps each low-volume event
+(Broadcast, AppDeliver and the consensus kinds) once, in one list per kind,
+for the checkers that judge only at the end, and streams Sends, Delivers
+and Decides to the observers that judge as they go: the server replay, the
+network and the run's `Metrics`. The pass checks a finished trace, or a
 live run as the simulator's event sink, keeping no trace. The replay's
 Observe cache, the network's Send/Deliver pairing and the metrics' runs of
 Sends compare dicts by identity, and each holds the dicts it compares, so a
@@ -186,23 +188,26 @@ class CheckerConfig:
         return len(self.correct_servers) == self.n and self.drift == 0
 
 
-class CheckPass:
-    """Feeds a run's events, in one loop, to the observers that handle each event's kind.
+_INSTANCE_KINDS = (tr.PROPOSE, tr.DECIDE, tr.DEP_PROPOSE, tr.DEP_DECIDE)
 
-    An observer class is built as cls(cfg); `handles` maps event kinds to its
-    handler methods' names, and finish(quiescent, run) gives its reports, `run`
-    being this pass (`events` fed, the `last` one). No observer refers back to
-    the pass, so reference counting, not the cyclic collector, frees it.
+
+class CheckPass:
+    """Keeps each low-volume event once, in `kept` (kind -> events in trace order), and streams the rest.
+
+    A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
+    cls(cfg), with `handles` (event kind -> method name) and finish(quiescent, run). No observer holds the pass.
     """
 
-    def __init__(self, cfg: CheckerConfig, observers):
+    def __init__(self, cfg: CheckerConfig, checks):
+        self.cfg = cfg
         self.events = 0
         self.last: tr.TraceEvent | None = None
-        self.observers = [cls(cfg) for cls in observers]
-        self.metrics = next((obs for obs in self.observers if isinstance(obs, Metrics)), None)
-        self.routes: dict[str, list] = {}  # event kind -> the handlers of that kind
-        for obs in self.observers:
-            for kind, name in obs.handles.items():
+        self.kept = {kind: [] for kind in (tr.BROADCAST, tr.APP_DELIVER) + _INSTANCE_KINDS}
+        self.routes = {kind: [events.append] for kind, events in self.kept.items()}  # event kind -> its handlers
+        self.checks = [check(cfg) if isinstance(check, type) else check for check in checks]
+        self.metrics = next((obs for obs in self.checks if isinstance(obs, Metrics)), None)
+        for obs in self.checks:
+            for kind, name in getattr(obs, "handles", {}).items():
                 self.routes.setdefault(kind, []).append(getattr(obs, name))
 
     def feed(self, event: tr.TraceEvent) -> None:
@@ -218,126 +223,116 @@ class CheckPass:
         return self
 
     def finish(self, quiescent: bool) -> list[CheckReport]:
-        return [report for obs in self.observers for report in obs.finish(quiescent, self)]
+        return [report for check in self.checks for report in getattr(check, "finish", check)(quiescent, self)]
+
+
+def _delivered(run: CheckPass, servers) -> dict[str, list[tr.TraceEvent]]:
+    """Each of `servers`' AppDeliver events, in trace order."""
+    seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in servers}
+    for event in run.kept[tr.APP_DELIVER]:
+        if event.process in seqs:
+            seqs[event.process].append(event)
+    return seqs
 
 
 # ---------------------------------------------------------------- TOB
 
 
-class _Tob:
-    handles = {tr.APP_DELIVER: "keep", tr.BROADCAST: "keep"}
-
-    def __init__(self, cfg: CheckerConfig):
-        self.cfg = cfg
-        self.kept: list[tr.TraceEvent] = []
-        self.keep = self.kept.append
-
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        cfg = self.cfg
-        seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in cfg.correct_servers}
-        broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
-        for event in self.kept:
-            if event.kind == tr.BROADCAST:
-                broadcasts.setdefault((event.process, event.payload["message"]), event)
-            elif event.process in seqs:
-                seqs[event.process].append(event)
-        honest = set(cfg.honest_clients)
-        dup = bad = None  # the first duplicate, and the first delivery of an unsent message, in server order
-        for evs in seqs.values():
-            seen: dict[tuple[str, str], tr.TraceEvent] = {}
-            for event in evs:
-                client, message = k = event.payload["client"], event.payload["message"]
-                if dup is None and k in seen:
-                    dup = (f"{event.process} delivered {event.payload} twice", [seen[k], event])
-                seen.setdefault(k, event)
-                b = broadcasts.get(k)
-                if bad is None and client in honest and (b is None or b.time > event.time):
-                    bad = (f"delivery of a message {client} never broadcast (or broadcast later)",
-                           [event] if b is None else [b, event])
-        keyed = [
-            [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
-        ]
-        order = _prefix_divergence(keyed, quiescent)
-        reports = [
-            _verdict("tob-no-duplication", dup),
-            _verdict("tob-integrity", bad),
-            _verdict("tob-total-order", order and ("correct servers' delivery sequences diverge", order),
-                     "sequences identical at quiescence" if quiescent
-                     else "sequences pairwise prefix-compatible at cutoff"),
-        ]
-        if not quiescent:
-            return reports + [_na("tob-validity", "run was cut before quiescence")]
-        delivered: dict[str, set[tuple[str, str]]] = {
-            s: {(e.payload["client"], e.payload["message"]) for e in evs} for s, evs in seqs.items()
-        }
-        checked = 0
-        for client in cfg.correct_clients:
-            for message_hex, estimate, _eps in cfg.broadcast_scripts.get(client, []):
-                if estimate < 1:
-                    continue  # degenerate estimate: backoff cannot grow, bound does not apply
-                checked += 1
-                b = broadcasts.get((client, message_hex))
-                missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
-                if b is not None and not missing:
-                    continue
-                detail = f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}"
-                if b is not None:
-                    return reports + [_fail("tob-validity", detail, [b])]
-                # witness: the message's deliveries, else the run's last event
-                mine = [e for evs in seqs.values() for e in evs
-                        if e.payload["message"] == message_hex and e.payload["client"] == client]
-                return reports + [_fail("tob-validity", detail + " (broadcast event missing)", mine or [run.last])]
-        return reports + [_ok("tob-validity", f"{checked} broadcast(s) delivered everywhere")]
+def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
+    cfg = run.cfg
+    seqs = _delivered(run, cfg.correct_servers)
+    broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
+    for event in run.kept[tr.BROADCAST]:
+        broadcasts.setdefault((event.process, event.payload["message"]), event)
+    honest = set(cfg.honest_clients)
+    dup = bad = None  # the first duplicate, and the first delivery of an unsent message, in server order
+    for evs in seqs.values():
+        seen: dict[tuple[str, str], tr.TraceEvent] = {}
+        for event in evs:
+            client, message = k = event.payload["client"], event.payload["message"]
+            if dup is None and k in seen:
+                dup = (f"{event.process} delivered {event.payload} twice", [seen[k], event])
+            seen.setdefault(k, event)
+            b = broadcasts.get(k)
+            if bad is None and client in honest and (b is None or b.time > event.time):
+                bad = (f"delivery of a message {client} never broadcast (or broadcast later)",
+                       [event] if b is None else [b, event])
+    keyed = [
+        [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
+    ]
+    order = _prefix_divergence(keyed, quiescent)
+    reports = [
+        _verdict("tob-no-duplication", dup),
+        _verdict("tob-integrity", bad),
+        _verdict("tob-total-order", order and ("correct servers' delivery sequences diverge", order),
+                 "sequences identical at quiescence" if quiescent
+                 else "sequences pairwise prefix-compatible at cutoff"),
+    ]
+    if not quiescent:
+        return reports + [_na("tob-validity", "run was cut before quiescence")]
+    if run.last is None:  # no event could witness a missing broadcast
+        return reports + [_na("tob-validity", "the trace has no events")]
+    delivered: dict[str, set[tuple[str, str]]] = {
+        s: {(e.payload["client"], e.payload["message"]) for e in evs} for s, evs in seqs.items()
+    }
+    checked = 0
+    for client in cfg.correct_clients:
+        for message_hex, estimate, _eps in cfg.broadcast_scripts.get(client, []):
+            if estimate < 1:
+                continue  # degenerate estimate: backoff cannot grow, bound does not apply
+            checked += 1
+            b = broadcasts.get((client, message_hex))
+            missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
+            if b is not None and not missing:
+                continue
+            detail = f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}"
+            if b is not None:
+                return reports + [_fail("tob-validity", detail, [b])]
+            # witness: the message's deliveries, else the run's last event
+            mine = [e for evs in seqs.values() for e in evs
+                    if e.payload["message"] == message_hex and e.payload["client"] == client]
+            return reports + [_fail("tob-validity", detail + " (broadcast event missing)", mine or [run.last])]
+    return reports + [_ok("tob-validity", f"{checked} broadcast(s) delivered everywhere")]
 
 
 # ---------------------------------------------------------------- consensus
 
-_BUCKETS = {tr.PROPOSE: "propose", tr.DECIDE: "decide", tr.DEP_PROPOSE: "dep_propose", tr.DEP_DECIDE: "dep_decide"}
 
-
-class _Consensus:
-    handles = dict.fromkeys(_BUCKETS, "keep")
-
-    def __init__(self, cfg: CheckerConfig):
-        self.f = cfg.f
-        self.correct = set(cfg.correct_servers)
-        self.kept: list[tr.TraceEvent] = []
-        self.keep = self.kept.append
-
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        correct, need = self.correct, self.f + 1
-        per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}
-        for event in self.kept:
+def _consensus(quiescent: bool, run: CheckPass) -> list[CheckReport]:
+    correct, need = set(run.cfg.correct_servers), run.cfg.f + 1
+    per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}  # instance -> kind -> its events
+    for kind in _INSTANCE_KINDS:
+        for event in run.kept[kind]:
             if event.process in correct:
                 entry = per.setdefault(tr.instance_key_from_payload(event.payload["instance"]),
-                                       {"propose": [], "decide": [], "dep_propose": [], "dep_decide": []})
-                entry[_BUCKETS[event.kind]].append((event.process, event.payload["value"], event))
-        reports: list[CheckReport] = []
-        for key in sorted(per, key=repr):
-            entry = per[key]
-            proposes, decides = entry["propose"], entry["decide"]
-            label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
-            reports.append(_check_one_decide_per_server("consensus-integrity", label, decides, "decides"))
-            reports.append(_check_one_value("consensus-agreement", label, decides, "both values decided"))
-            values = {v for _s, v, _e in decides}
-            rep_fail = None
-            for decided in sorted(values):
-                supporters = {s for s, v, _e in proposes if v == decided}
-                if len(supporters) < need:
-                    rep_fail = (f"{label}: decided {decided} with only {len(supporters)} correct proposer(s), "
-                                f"need {need}", [next(e for _s, v, e in decides if v == decided)])
-                    break
-            reports.append(_verdict("consensus-representative-validity", rep_fail,
-                                    label + ("" if values else ": nothing decided")))
-            reports.append(_check_termination("consensus-termination", label, proposes, decides, correct, quiescent,
-                                              "only {}/{} correct servers proposed", "never decided at quiescence"))
-            reports.extend(_check_dep(entry, label, correct, quiescent))
-        return reports
+                                       {k: [] for k in _INSTANCE_KINDS})
+                entry[kind].append((event.process, event.payload["value"], event))
+    reports: list[CheckReport] = []
+    for key in sorted(per, key=repr):
+        entry = per[key]
+        proposes, decides = entry[tr.PROPOSE], entry[tr.DECIDE]
+        label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
+        reports.append(_check_one_decide_per_server("consensus-integrity", label, decides, "decides"))
+        reports.append(_check_one_value("consensus-agreement", label, decides, "both values decided"))
+        values = {v for _s, v, _e in decides}
+        rep_fail = None
+        for decided in sorted(values):
+            supporters = {s for s, v, _e in proposes if v == decided}
+            if len(supporters) < need:
+                rep_fail = (f"{label}: decided {decided} with only {len(supporters)} correct proposer(s), "
+                            f"need {need}", [next(e for _s, v, e in decides if v == decided)])
+                break
+        reports.append(_verdict("consensus-representative-validity", rep_fail,
+                                label + ("" if values else ": nothing decided")))
+        reports.append(_check_termination("consensus-termination", label, proposes, decides, correct, quiescent,
+                                          "only {}/{} correct servers proposed", "never decided at quiescence"))
+        reports.extend(_check_dep(entry, label, correct, quiescent))
+    return reports
 
 
 def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[CheckReport]:
-    dep_proposals = entry["dep_propose"]
-    dep_decides = entry["dep_decide"]
+    dep_proposals = entry[tr.DEP_PROPOSE]
+    dep_decides = entry[tr.DEP_DECIDE]
     if not dep_proposals and not dep_decides:
         return []
     allowed = {v for _s, v, _e in dep_proposals}
@@ -355,63 +350,51 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
 # ---------------------------------------------------------------- latency
 
 
-class _Latency:
-    """Good-case latency bounds; outside the good case it handles no event."""
-
-    handles = dict.fromkeys((tr.PROPOSE, tr.DECIDE, tr.BROADCAST, tr.APP_DELIVER), "keep")
-
-    def __init__(self, cfg: CheckerConfig):
-        self.cfg = cfg
-        self.kept: list[tr.TraceEvent] = []
-        self.keep = self.kept.append
-        if not cfg.good_case:
-            self.handles = {}
-
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        cfg = self.cfg
-        reason = ("not a good-case run (needs exact_delta, zero drift, no faults)" if not cfg.good_case
-                  else None if quiescent else "run was cut before quiescence")
-        if reason:
-            return [_na("latency-blink", reason), _na("latency-tob", reason)]
-        proposes: dict[object, list[tuple[str, bool, tr.TraceEvent]]] = {}
-        decides: dict[object, list[tr.TraceEvent]] = {}
-        delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
-        broadcasts: list[tr.TraceEvent] = []
-        for event in self.kept:
-            if event.kind == tr.BROADCAST:
-                if event.process in cfg.correct_clients:
-                    broadcasts.append(event)
-            elif event.kind == tr.APP_DELIVER:
-                delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
-            elif event.kind == tr.PROPOSE:
-                key = tr.instance_key_from_payload(event.payload["instance"])
-                proposes.setdefault(key, []).append((event.process, event.payload["value"], event))
-            else:
-                decides.setdefault(tr.instance_key_from_payload(event.payload["instance"]), []).append(event)
-        reports = [_blink_latency(cfg, proposes, decides)]
-        scripts = [e for c in cfg.correct_clients for e in cfg.broadcast_scripts.get(c, [])]
-        if cfg.kind != "flutter" or not scripts:
-            return reports + [_na("latency-tob", "no broadcast script in this run")]
-        if any(est != cfg.delta for _m, est, _e in scripts):
-            return reports + [_na("latency-tob", "a client's delay estimate differs from the true delta")]
-        epsilons = {(c, m): eps for c in cfg.correct_clients for m, _est, eps in cfg.broadcast_scripts.get(c, [])}
-        for b in broadcasts:
-            bound = b.time + 2 * cfg.delta + epsilons[(b.process, b.payload["message"])]
-            per_server = delivered.get((b.process, b.payload["message"]), {})
-            for server in cfg.correct_servers:
-                event = per_server.get(server)
-                if event is None:
-                    return reports + [_fail("latency-tob", f"{server} never delivered broadcast at t={b.time}", [b])]
-                if event.time != bound:
-                    return reports + [
-                        _fail("latency-tob", f"delivery at t={event.time}, bound is exactly t={bound}", [b, event])
-                    ]
-        return reports + [
-            _ok("latency-tob", f"all deliveries exactly at t+2*delta+epsilon for {len(broadcasts)} broadcast(s)")
-        ]
+def _latency(quiescent: bool, run: CheckPass) -> list[CheckReport]:
+    """Good-case latency bounds."""
+    cfg = run.cfg
+    reason = ("not a good-case run (needs exact_delta, zero drift, no faults)" if not cfg.good_case
+              else None if quiescent else "run was cut before quiescence")
+    if reason:
+        return [_na("latency-blink", reason), _na("latency-tob", reason)]
+    reports = [_blink_latency(cfg, run)]
+    scripts = [e for c in cfg.correct_clients for e in cfg.broadcast_scripts.get(c, [])]
+    if cfg.kind != "flutter" or not scripts:
+        return reports + [_na("latency-tob", "no broadcast script in this run")]
+    if any(est != cfg.delta for _m, est, _e in scripts):
+        return reports + [_na("latency-tob", "a client's delay estimate differs from the true delta")]
+    epsilons = {(c, m): eps for c in cfg.correct_clients for m, _est, eps in cfg.broadcast_scripts.get(c, [])}
+    delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
+    for event in run.kept[tr.APP_DELIVER]:
+        delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
+    broadcasts = [b for b in run.kept[tr.BROADCAST] if b.process in cfg.correct_clients]
+    for b in broadcasts:
+        key = (b.process, b.payload["message"])
+        if key not in epsilons:
+            return reports + [_fail("latency-tob", f"broadcast ({b.process}, 0x{key[1]}) is not in the script", [b])]
+        bound = b.time + 2 * cfg.delta + epsilons[key]
+        per_server = delivered.get(key, {})
+        for server in cfg.correct_servers:
+            event = per_server.get(server)
+            if event is None:
+                return reports + [_fail("latency-tob", f"{server} never delivered broadcast at t={b.time}", [b])]
+            if event.time != bound:
+                return reports + [
+                    _fail("latency-tob", f"delivery at t={event.time}, bound is exactly t={bound}", [b, event])
+                ]
+    return reports + [
+        _ok("latency-tob", f"all deliveries exactly at t+2*delta+epsilon for {len(broadcasts)} broadcast(s)")
+    ]
 
 
-def _blink_latency(cfg: CheckerConfig, proposes, decides) -> CheckReport:
+def _blink_latency(cfg: CheckerConfig, run: CheckPass) -> CheckReport:
+    proposes: dict[object, list[tuple[str, bool, tr.TraceEvent]]] = {}
+    for event in run.kept[tr.PROPOSE]:
+        key = tr.instance_key_from_payload(event.payload["instance"])
+        proposes.setdefault(key, []).append((event.process, event.payload["value"], event))
+    decides: dict[object, list[tr.TraceEvent]] = {}
+    for event in run.kept[tr.DECIDE]:
+        decides.setdefault(tr.instance_key_from_payload(event.payload["instance"]), []).append(event)
     unanimous = 0
     for key, plist in proposes.items():
         if {s for s, _v, _e in plist} != set(cfg.correct_servers) or len({v for _s, v, _e in plist}) != 1:
@@ -455,7 +438,6 @@ class _ServerReplay:
         self.decisions: dict[tuple, bool] = {}
         self.ready = False  # whether the lock rose since the last drain
         self.orders: list[tuple[tuple, tr.TraceEvent]] = []
-        self.app_delivers: list[tr.TraceEvent] = []
 
     def drain(self, event: tr.TraceEvent) -> None:
         # Entries only rise, so neither does the lock fall: a candidate admitted
@@ -478,7 +460,7 @@ class _ServerInvariants:
     replay drains after a Decide and after the first input since its lock rose.
     """
 
-    handles = {tr.DELIVER: "deliver", tr.DECIDE: "decide", tr.APP_DELIVER: "app_deliver"}
+    handles = {tr.DELIVER: "deliver", tr.DECIDE: "decide"}
 
     def __init__(self, cfg: CheckerConfig):
         self.cfg = cfg
@@ -534,11 +516,6 @@ class _ServerInvariants:
             if value:
                 self.decided_true.setdefault(t, event)
 
-    def app_deliver(self, event: tr.TraceEvent) -> None:
-        replay = self.replays.get(event.process)
-        if replay is not None:
-            replay.app_delivers.append(event)
-
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         replays = self.replays.values()
         broken, at = self.violation or (None, None)
@@ -563,6 +540,7 @@ class _ServerInvariants:
         reports.append(_verdict("server-order-agreement",
                                 agree and ("servers processed accepted tuples in different orders", agree)))
         match_fail = None
+        delivered = _delivered(run, self.replays)
         for replay in replays:
             expect: list[tuple[str, str, int]] = []
             seen_cm: set[tuple[str, bytes]] = set()
@@ -570,8 +548,9 @@ class _ServerInvariants:
                 if (client, message) not in seen_cm:
                     seen_cm.add((client, message))
                     expect.append((client, message.hex(), bet))
-            if expect != [(e.payload["client"], e.payload["message"], e.payload["bet"]) for e in replay.app_delivers]:
-                extra = replay.app_delivers or [o[1] for o in replay.orders]
+            app_delivers = delivered[replay.name]
+            if expect != [(e.payload["client"], e.payload["message"], e.payload["bet"]) for e in app_delivers]:
+                extra = app_delivers or [o[1] for o in replay.orders]
                 match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
                 break
         reports.append(_verdict("server-order-matches-appdeliver", match_fail))
@@ -664,7 +643,7 @@ class Metrics:
     such run of Sends from one sender is booked once, when it ends.
     """
 
-    handles = {tr.SEND: "send", tr.BROADCAST: "keep", tr.APP_DELIVER: "keep", tr.PROPOSE: "keep"}
+    handles = {tr.SEND: "send"}
 
     def __init__(self, cfg: CheckerConfig):
         self.n = cfg.n
@@ -674,8 +653,6 @@ class Metrics:
         self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
         self.last_suggest: dict[object, tr.TraceEvent] = {}
         self.attempts: dict[tuple[str, str], set[int]] = {}
-        self.kept: list[tr.TraceEvent] = []  # Broadcast, AppDeliver and Propose events
-        self.keep = self.kept.append
         # The current run of Sends: its dict (held, so `is` is sound), sender, length and last event.
         self.msg: dict | None = None
         self.sender = None
@@ -722,20 +699,13 @@ class Metrics:
 
     def summary(self, quiescent: bool, run: CheckPass) -> dict:
         self._book()
-        broadcasts: list[tuple[str, str, int]] = []
-        app_delivers: dict[tuple[str, str], dict[str, int]] = {}
-        instances: set[object] = set()
-        for event in self.kept:
-            if event.kind == tr.BROADCAST:
-                broadcasts.append((event.process, event.payload["message"], event.time))
-            elif event.kind == tr.APP_DELIVER:
-                key = (event.payload["client"], event.payload["message"])
-                app_delivers.setdefault(key, {})[event.process] = event.time
-            else:
-                instances.add(tr.instance_key_from_payload(event.payload["instance"]))
+        delivered: dict[tuple[str, str], dict[str, int]] = {}
+        for event in run.kept[tr.APP_DELIVER]:
+            delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event.time
         per_broadcast = []
-        for client, message, at in broadcasts:
-            deliveries = app_delivers.get((client, message), {})
+        for event in run.kept[tr.BROADCAST]:
+            client, message, at = event.process, event.payload["message"], event.time
+            deliveries = delivered.get((client, message), {})
             done = all(s in deliveries for s in self.correct)
             per_broadcast.append(
                 {
@@ -753,7 +723,8 @@ class Metrics:
             "events": run.events,
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
             "total_bits": self.total_bits,
-            "consensus_instances": len(instances),
+            "consensus_instances": len({tr.instance_key_from_payload(e.payload["instance"])
+                                        for e in run.kept[tr.PROPOSE]}),
             "max_suggest_sends_per_instance": self.max_suggest,
             "per_broadcast": per_broadcast,
         }
@@ -765,20 +736,20 @@ class Metrics:
 def check_pass(cfg: CheckerConfig) -> CheckPass:
     """A pass of every checker `run_all_checks` runs, in its order, and the run's `Metrics`."""
     flutter = cfg.kind == "flutter"
-    return CheckPass(cfg, [_Tob] * flutter + [_Consensus, _Latency] + [_ServerInvariants] * flutter
+    return CheckPass(cfg, [_tob] * flutter + [_consensus, _latency] + [_ServerInvariants] * flutter
                      + [_Network, Metrics])
 
 
 def check_tob(trace, cfg: CheckerConfig) -> list[CheckReport]:
-    return CheckPass(cfg, [_Tob]).run(trace).finish(cfg.quiescent)
+    return CheckPass(cfg, [_tob]).run(trace).finish(cfg.quiescent)
 
 
 def check_consensus(trace, cfg: CheckerConfig) -> list[CheckReport]:
-    return CheckPass(cfg, [_Consensus]).run(trace).finish(cfg.quiescent)
+    return CheckPass(cfg, [_consensus]).run(trace).finish(cfg.quiescent)
 
 
 def check_latency(trace, cfg: CheckerConfig) -> list[CheckReport]:
-    return CheckPass(cfg, [_Latency]).run(trace).finish(cfg.quiescent)
+    return CheckPass(cfg, [_latency]).run(trace).finish(cfg.quiescent)
 
 
 def check_server_invariants(trace, cfg: CheckerConfig) -> list[CheckReport]:

@@ -79,39 +79,31 @@ def _parse_seeds(raw: str) -> range:
     return range(start, stop + 1)
 
 
-def _parse_behaviors(raw: str) -> list[str]:
-    if raw == "all":
-        return sorted(BEHAVIORS)
-    names = [b.strip() for b in raw.split(",") if b.strip()]
+def _parse_names(raw: str, known, what: str, option: str) -> list[str]:
+    """The names in a comma-separated list, each one of `known`; `what` and `option` word the errors."""
+    names = [n.strip() for n in raw.split(",") if n.strip()]
     for name in names:
-        if name not in BEHAVIORS:
-            raise ScenarioError(f"unknown behavior {name!r} (available: {sorted(BEHAVIORS)})")
+        if name not in known:
+            raise ScenarioError(f"unknown {what} {name!r} (available: {sorted(known)})")
     if not names:
-        raise ScenarioError("--behaviors list is empty")
-    return names
-
-
-def _parse_policies(raw: str) -> list[str]:
-    names = [p.strip() for p in raw.split(",") if p.strip()]
-    for name in names:
-        if name not in POLICIES:
-            raise ScenarioError(f"unknown dep policy {name!r} (available: {sorted(POLICIES)})")
-    if not names:
-        raise ScenarioError("--policies list is empty")
+        raise ScenarioError(f"{option} list is empty")
     return names
 
 
 def _cmd_campaign(args) -> tuple[int, list[str]]:
     base = load_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds)
-    behaviors = _parse_behaviors(args.behaviors)
-    policies = _parse_policies(args.policies)
+    behaviors = (sorted(BEHAVIORS) if args.behaviors == "all"
+                 else _parse_names(args.behaviors, BEHAVIORS, "behavior", "--behaviors"))
+    policies = None if args.policies is None else _parse_names(args.policies, POLICIES, "dep policy", "--policies")
+    if args.parallel < 1:
+        raise ScenarioError(f"--parallel must be at least 1, got {args.parallel}")
     summary = run_campaign(base, seeds, behaviors, policies, parallel=args.parallel)
     report_path = Path(args.report) if args.report else _out_dir() / f"{base.name}.campaign.json"
     _write_json(report_path, summary)
 
     lines = [f"campaign {base.name}: {summary['runs']} runs "
-             f"({len(behaviors)} behaviors x {len(policies)} policies x {len(seeds)} seeds)"]
+             f"({len(behaviors)} behaviors x {len(summary['policies'])} policies x {len(seeds)} seeds)"]
     for behavior, row in summary["per_behavior"].items():
         lines.append(f"  {behavior}: runs={row['runs']} fails={row['fails']} "
                      f"max_suggest_per_instance={row['max_suggest_sends_per_instance']} "
@@ -137,8 +129,7 @@ def main(argv=None) -> int:
     camp.add_argument("scenario", help="path to the base scenario JSON file")
     camp.add_argument("--seeds", required=True, help="inclusive seed range, e.g. 0..499")
     camp.add_argument("--behaviors", required=True, help="comma-separated behavior names, or 'all'")
-    camp.add_argument("--policies", default="adversarial_value,adversarial_timing",
-                      help="comma-separated dep policies")
+    camp.add_argument("--policies", help="comma-separated dep policies (default: the two adversarial ones)")
     camp.add_argument("--parallel", type=int, default=1, help="worker processes")
     camp.add_argument("--report", help="summary output path (JSON)")
     args = parser.parse_args(argv)

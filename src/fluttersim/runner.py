@@ -145,7 +145,7 @@ def _run_one(args: tuple[Scenario, str, str, int]) -> dict:
     variant = campaign_variant(base, behavior, policy, seed)
     row = {"run": variant.name, "behavior": behavior, "policy": policy, "seed": seed}
     try:
-        # Checked online: each event goes to the observers as it is emitted, and no trace is kept.
+        # Checked online: the check pass takes each event as it is emitted, and no trace is kept.
         sim = build_simulation(variant)
         checks = check_pass(CheckerConfig.from_scenario(variant, quiescent=False))
         sim.sink = checks.feed
@@ -177,10 +177,11 @@ def run_campaign(
         for policy in policies
         for seed in seeds
     ]
-    if parallel > 1:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(parallel) as pool:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_run_one, jobs, chunksize=32)
     else:
         rows = [_run_one(job) for job in jobs]

@@ -10,7 +10,6 @@ over dep behaviors instead of trusting one implementation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import trace as tr
 from .errors import OracleViolationError, ProtocolBugError
@@ -31,8 +30,9 @@ def _minority_value(proposals: dict[str, bool]) -> bool:
 class FirstProposal:
     name = "first"
 
-    def choose(self, order: list[tuple[str, bool]], proposals: dict[str, bool]) -> bool:
-        return order[0][1]
+    def choose(self, proposals: dict[str, bool]) -> bool:
+        """The first proposal's value: `proposals` is in proposal order."""
+        return next(iter(proposals.values()))
 
     def delay(self, server: str, rng: random.Random, budget: int) -> int:
         return 0
@@ -41,7 +41,7 @@ class FirstProposal:
 class AdversarialValue(FirstProposal):
     name = "adversarial_value"
 
-    def choose(self, order, proposals):
+    def choose(self, proposals):
         return _minority_value(proposals)
 
 
@@ -62,14 +62,6 @@ class AdversarialTiming(AdversarialValue):
 POLICIES = {p.name: p for p in (FirstProposal, AdversarialValue, AdversarialTiming)}
 
 
-@dataclass
-class DepInstance:
-    key: InstanceKey
-    proposals: dict[str, bool] = field(default_factory=dict)
-    order: list[tuple[str, bool]] = field(default_factory=list)
-    decided: bool | None = None
-
-
 class DepOracle:
     def __init__(self, sim, correct_servers: list[str], policy, budget: int, seed=None):
         self.sim = sim
@@ -77,32 +69,28 @@ class DepOracle:
         self.policy = policy
         self.budget = budget
         self.seed = seed
-        self.instances: dict[InstanceKey, DepInstance] = {}
+        self.instances: dict[InstanceKey, dict[str, bool]] = {}  # server -> value, in proposal order
 
     def propose(self, instance: InstanceKey, server: str, value: bool) -> None:
         if server not in self.correct:
             raise ProtocolBugError(f"dep proposal from non-correct process {server}")
-        st = self.instances.get(instance)
-        if st is None:
-            st = self.instances[instance] = DepInstance(instance)
-        if server in st.proposals:
+        proposals = self.instances.setdefault(instance, {})
+        if server in proposals:
             raise ProtocolBugError(f"{server} proposed twice to dep instance {instance!r}")
-        st.proposals[server] = value
-        st.order.append((server, value))
+        proposals[server] = value
         self.sim.emit(server, tr.DEP_PROPOSE, {"instance": instance_payload(instance), "value": value})
-        if len(st.proposals) == len(self.correct):
-            self._decide(st)
+        if len(proposals) == len(self.correct):
+            self._decide(instance, proposals)
 
-    def _decide(self, st: DepInstance) -> None:
-        value = self.policy.choose(st.order, st.proposals)
-        if value not in st.proposals.values():
+    def _decide(self, instance: InstanceKey, proposals: dict[str, bool]) -> None:
+        value = self.policy.choose(proposals)
+        if value not in proposals.values():
             raise OracleViolationError(
-                f"policy chose {value} for {st.key!r} but correct proposals were {st.proposals}"
+                f"policy chose {value} for {instance!r} but correct proposals were {proposals}"
             )
-        st.decided = value
-        rng = random.Random(f"{self.seed}|dep|{instance_payload(st.key)}")
+        rng = random.Random(f"{self.seed}|dep|{instance_payload(instance)}")
         now = self.sim.now
         for server in self.correct:
             d = self.policy.delay(server, rng, self.budget)
             assert 0 <= d <= self.budget
-            self.sim.schedule_dep_decide(now + d, server, st.key, value)
+            self.sim.schedule_dep_decide(now + d, server, instance, value)

@@ -8,7 +8,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fluttersim.checkers import FAIL, NA, PASS, CheckerConfig, _lock_rank, run_all_checks
+from fluttersim.adversary import BEHAVIORS
+from fluttersim.checkers import (
+    FAIL,
+    NA,
+    PASS,
+    CheckerConfig,
+    _lock_rank,
+    check_complexity,
+    check_consensus,
+    check_latency,
+    check_network,
+    check_server_invariants,
+    check_tob,
+    run_all_checks,
+)
+from fluttersim.runner import campaign_variant
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
 from fluttersim.types import NEG_INF, quorum_large
@@ -351,3 +366,63 @@ def _lock_bruteforce(values, f: int):
 @example(1, [3, 9, 4, 1])
 def test_lock_rank_matches_bruteforce(f, values):
     assert _lock_rank(values, f) == _lock_bruteforce(values, f)
+
+
+# run_all_checks order; True marks the drivers it runs for flutter scenarios only.
+DRIVERS = [
+    (check_tob, True),
+    (check_consensus, False),
+    (check_latency, False),
+    (check_server_invariants, True),
+    (check_network, False),
+    (check_complexity, False),
+]
+CUTS = {
+    "clean": lambda trace: trace,
+    "no-broadcasts": lambda trace: [e for e in trace if e.kind != BROADCAST],
+    "first-half": lambda trace: trace[: len(trace) // 2],
+}
+
+
+def bundled_or_variant(name):
+    if name.startswith("campaign+"):
+        base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+        return campaign_variant(base, name.split("+")[1], "adversarial_value", 3)
+    return load_scenario(SCENARIOS_DIR / f"{name}.json")
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in SCENARIOS_DIR.glob("*.json")) + [f"campaign+{b}" for b in sorted(BEHAVIORS)]
+)
+def test_the_check_drivers_add_up_to_run_all_checks(name, cut):
+    scenario = bundled_or_variant(name)
+    trace, quiescent = simulate(scenario)
+    trace = CUTS[cut](trace)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    reports = []
+    for driver, flutter_only in DRIVERS:
+        if flutter_only and cfg.kind != "flutter":
+            continue
+        out = driver(trace, cfg)
+        reports.extend(out if isinstance(out, list) else [out])
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in run_all_checks(trace, cfg)]
+
+
+def test_an_empty_trace_leaves_tob_validity_not_applicable():
+    cfg = CheckerConfig.from_scenario(load_scenario(SCENARIOS_DIR / "goodcase.json"), quiescent=True)
+    assert [r.verdict for r in check_tob([], cfg) if r.prop == "tob-validity"] == [NA]
+    (validity,) = verdicts_of([], cfg, "tob-validity")
+    assert (validity.verdict, validity.detail) == (NA, "the trace has no events")
+
+
+def test_an_unscripted_broadcast_fails_latency_with_it_as_witness():
+    scenario = load_scenario(SCENARIOS_DIR / "goodcase.json")
+    trace, quiescent = simulate(scenario)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    assert [r.verdict for r in check_latency(trace, cfg)] == [PASS, PASS]
+    stray = TraceEvent(trace[-1].time, "c000", BROADCAST, {"message": "beef"})
+    (report,) = [r for r in check_latency(trace + [stray], cfg) if r.prop == "latency-tob"]
+    assert report.verdict == FAIL
+    assert "c000" in report.detail and "beef" in report.detail
+    assert report.witness == [event(stray.time, "c000", BROADCAST, {"message": "beef"})]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -130,6 +131,34 @@ def test_campaign_worker_pool_matches_the_serial_digest():
     summary = run_campaign(base, range(5), sorted(BEHAVIORS), parallel=2)
     rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert sha256(rendered.encode()) == CAMPAIGN_DIGEST
+
+
+def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and runs the jobs in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    summary = run_campaign(base, range(6), ["mute"], parallel=64)  # 1 behavior x 2 default policies x 6 seeds
+    assert summary["runs"] == 12
+    assert summary["policies"] == ["adversarial_value", "adversarial_timing"]
+    assert sizes == [12]
+    run_campaign(base, range(1), ["mute"], ["adversarial_value"], parallel=64)  # one job: run serially
+    assert sizes == [12]
 
 
 def test_campaign_small_sweep_all_pass():

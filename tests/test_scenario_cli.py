@@ -282,7 +282,7 @@ def expiry_forgets_proposal(real):
 
 def policy_invents_value(_real):
     """Dep-policy mutant: decides the value no correct server proposed."""
-    return lambda self, order, proposals: not order[0][1]
+    return lambda self, proposals: not next(iter(proposals.values()))
 
 
 @pytest.mark.parametrize(
@@ -346,6 +346,40 @@ def test_cli_campaign_rejects_unknown_behavior():
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_cli_campaign_rejects_parallel_below_one(parallel, capsys):
+    code = cli.main(
+        [
+            "campaign",
+            str(SCENARIOS_DIR / "campaign_base.json"),
+            "--seeds",
+            "0..0",
+            "--behaviors",
+            "mute",
+            "--parallel",
+            parallel,
+        ]
+    )
+    assert code == cli.EXIT_SCENARIO == 2
+    assert capsys.readouterr().err == f"error: --parallel must be at least 1, got {parallel}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, error",
+    [
+        ("--behaviors", " , ", "--behaviors list is empty"),
+        ("--policies", "", "--policies list is empty"),
+        ("--policies", "first,coin", "unknown dep policy 'coin'"),
+    ],
+)
+def test_cli_campaign_rejects_bad_name_lists(option, value, error, capsys):
+    # A repeated option takes its last value, so this one overrides "--behaviors mute".
+    code = cli.main(["campaign", str(SCENARIOS_DIR / "campaign_base.json"), "--seeds", "0..0",
+                     "--behaviors", "mute", option, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 @pytest.mark.parametrize("lines_read", [0, 1])

@@ -148,8 +148,8 @@ def test_policy_choosing_unproposed_value_is_oracle_violation():
     class Rogue(FirstProposal):
         name = "rogue"
 
-        def choose(self, order, proposals):
-            return not order[0][1]
+        def choose(self, proposals):
+            return not next(iter(proposals.values()))
 
     sim, oracle, _ = make_sim(Rogue())
     sim.start()
