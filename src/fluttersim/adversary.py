@@ -9,22 +9,9 @@ the global time: there is no shared scratchpad and no trace access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ConfigError
 from .types import BroadcastTuple, InstanceKey, Message, Observe, Suggest, Time
 from . import trace as tr
-
-
-@dataclass
-class BehaviorSetup:
-    """Resolved per-process behavior config handed over by the runner."""
-
-    n: int
-    f: int
-    delta: int
-    seed: object = None
-    params: dict = field(default_factory=dict)
 
 
 def _sighted_key(src: str, msg) -> InstanceKey | None:
@@ -33,7 +20,7 @@ def _sighted_key(src: str, msg) -> InstanceKey | None:
     if isinstance(msg, Observe):
         return msg.tuple
     if isinstance(msg, Message):
-        return BroadcastTuple(src, msg.message, msg.bet)
+        return BroadcastTuple(msg.bet, src, msg.message)
     return None
 
 
@@ -43,13 +30,14 @@ class Behavior:
     `params` maps each accepted param name to the JSON type of its value
     ("int", "bool", "str", "hex", "ints", "strs"; see `scenario`), or to a
     tuple of its allowed values. Scenario parsing rejects any other key or
-    value, so the handlers can trust what they read.
+    value, and stores a hex value lowercase, so the handlers can trust what
+    they read. A behavior is built as cls(name, delta, params).
     """
 
     role = "server"
     params: dict[str, object] = {}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
+    def __init__(self, name: str, delta: int, params: dict):
         self.name = name
 
     def on_init(self, ctx) -> None:
@@ -67,11 +55,11 @@ class Equivocator(Behavior):
 
     params = {"mode": ("split", "all_false", "all_true"), "instances": "strs", "react": "bool"}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        super().__init__(name, setup)
-        self.mode = setup.params.get("mode", "split")
-        self.initial = setup.params.get("instances", [])
-        self.react = setup.params.get("react", True)
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.mode = params.get("mode", "split")
+        self.initial = params.get("instances", [])
+        self.react = params.get("react", True)
         self.seen: set[InstanceKey] = set()
 
     def _equivocate(self, ctx, key: InstanceKey) -> None:
@@ -103,12 +91,12 @@ class TimeLiar(Behavior):
 
     params = {"ahead": "int", "max_blasts": "int"}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        super().__init__(name, setup)
-        self.ahead = setup.params.get("ahead", 1000)
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.ahead = params.get("ahead", 1000)
         # Two liars echoing each other would blast forever; a finite budget
         # keeps every run quiescent without weakening the single-liar case.
-        self.blasts_left = setup.params.get("max_blasts", 64)
+        self.blasts_left = params.get("max_blasts", 64)
         self.last_blast: int | None = None
 
     def _blast(self, ctx) -> None:
@@ -133,19 +121,19 @@ class ObserveForger(Behavior):
 
     params = {"client": "str", "message": "hex", "bet": "int", "bet_offset": "int"}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        super().__init__(name, setup)
-        self.victim = setup.params.get("client")
-        self.message = bytes.fromhex(setup.params.get("message", "f00d"))
-        self.bet = setup.params.get("bet")
-        self.bet_offset = setup.params.get("bet_offset", 5 * setup.delta)
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.victim = params.get("client")
+        self.message = params.get("message", "f00d")
+        self.bet = params.get("bet")
+        self.bet_offset = params.get("bet_offset", 5 * delta)
 
     def on_init(self, ctx) -> None:
         victim = self.victim if self.victim is not None else (ctx.clients[0] if ctx.clients else None)
         if victim is None or victim not in ctx.clients:
             raise ConfigError(f"observe_forger needs an existing victim client, got {victim!r}")
         bet = self.bet if self.bet is not None else ctx.local_time() + self.bet_offset
-        forged = Observe(BroadcastTuple(victim, self.message, bet))
+        forged = Observe(BroadcastTuple(bet, victim, self.message))
         for server in ctx.servers:
             ctx.send(server, forged)
 
@@ -159,9 +147,9 @@ class StaleRelay(Behavior):
 
     params = {"lead": "int"}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        super().__init__(name, setup)
-        self.lead = setup.params.get("lead", 0)
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.lead = params.get("lead", 0)
         self.seen: set[BroadcastTuple] = set()
 
     def on_deliver(self, ctx, src: str, msg) -> None:
@@ -184,12 +172,12 @@ class PartialDisseminator(Behavior):
     role = "client"
     params = {"targets": "ints", "at": "int", "bet_offset": "int", "message": "hex"}
 
-    def __init__(self, name: str, setup: BehaviorSetup):
-        super().__init__(name, setup)
-        self.targets = setup.params.get("targets", [0])
-        self.at = setup.params.get("at", 0)
-        self.bet_offset = setup.params.get("bet_offset", 10 * setup.delta)
-        self.message = bytes.fromhex(setup.params.get("message", "fade"))
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.targets = params.get("targets", [0])
+        self.at = params.get("at", 0)
+        self.bet_offset = params.get("bet_offset", 10 * delta)
+        self.message = params.get("message", "fade")
 
     def on_init(self, ctx) -> None:
         ctx.schedule_global(self.at, "send")
@@ -200,7 +188,7 @@ class PartialDisseminator(Behavior):
         for i in self.targets:
             if not 0 <= i < len(ctx.servers):
                 raise ConfigError(f"partial_disseminator target {i} out of range")
-        ctx.emit(tr.BROADCAST, {"message": self.message.hex()})
+        ctx.emit(tr.BROADCAST, {"message": self.message})
         submission = Message(self.message, ctx.local_time() + self.bet_offset)
         for i in self.targets:
             ctx.send(ctx.servers[i], submission)

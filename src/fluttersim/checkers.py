@@ -5,12 +5,12 @@ A `CheckPass` reads each event's kind once. It keeps each low-volume event
 for the checkers that judge only at the end, and streams Sends, Delivers
 and Decides to the observers that judge as they go: the server replay, the
 network and the run's `Metrics`. The pass checks a finished trace, or a
-live run as the simulator's event sink, keeping no trace. The replay's
-Observe cache, the network's Send/Deliver pairing and the metrics' runs of
-Sends compare dicts by identity, and each holds the dicts it compares, so a
-recycled id() cannot match. Liveness is decided only at quiescence, since a
-finite prefix cannot refute "eventually". Server invariants are checked by
-an independent replay of each server's inputs, so a bug in the live
+live run as the simulator's event sink, keeping no trace. The network's
+Send/Deliver pairing and the metrics' runs of Sends compare dicts by
+identity, and each holds the dicts it compares, so a recycled id() cannot
+match. Liveness is decided only at quiescence, since a finite prefix
+cannot refute "eventually". Server invariants are checked by an
+independent replay of each server's inputs, so a bug in the live
 implementation cannot hide in the checker.
 """
 
@@ -80,10 +80,10 @@ def _fmt_key(key) -> str:
 
 
 def _key_of(payload: dict) -> tuple | None:
-    """(bet, client, message bytes) of the tuple a payload names, ordered as BroadcastTuple; None for a label."""
+    """(bet, client, message) of the tuple a payload names, ordered as BroadcastTuple; None for a label."""
     if "label" in payload:
         return None
-    return (payload["bet"], payload["client"], bytes.fromhex(payload["message"]))
+    return (payload["bet"], payload["client"], payload["message"])
 
 
 def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent: bool):
@@ -168,7 +168,7 @@ class CheckerConfig:
             correct_clients=scenario.correct_clients(),
             quiescent=quiescent,
             broadcast_scripts={
-                c.name: [(b.message.hex(), b.delta_estimate, b.epsilon) for b in c.broadcasts]
+                c.name: [(b.message, b.delta_estimate, b.epsilon) for b in c.broadcasts]
                 for c in scenario.clients
             },
         )
@@ -257,10 +257,7 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
             if bad is None and client in honest and (b is None or b.time > event.time):
                 bad = (f"delivery of a message {client} never broadcast (or broadcast later)",
                        [event] if b is None else [b, event])
-    keyed = [
-        [((e.payload["client"], e.payload["message"], e.payload["bet"]), e) for e in evs] for evs in seqs.values()
-    ]
-    order = _prefix_divergence(keyed, quiescent)
+    order = _prefix_divergence([[(_key_of(e.payload), e) for e in evs] for evs in seqs.values()], quiescent)
     reports = [
         _verdict("tob-no-duplication", dup),
         _verdict("tob-integrity", bad),
@@ -468,7 +465,6 @@ class _ServerInvariants:
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         lock = _lock_rank([NEG_INF] * len(cfg.servers), cfg.f)
         self.replays = {s: _ServerReplay(s, cfg.servers, lock) for s in cfg.correct_servers}
-        self.observed: dict[int, tuple[dict, tuple]] = {}  # id(Observe msg dict) -> (that dict, its key)
         self.violation: tuple[str, tr.TraceEvent] | None = None
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
@@ -493,12 +489,9 @@ class _ServerInvariants:
                 return
         else:
             if kind == "Observe" and src in replay.remote_times:
-                hit = self.observed.get(id(msg))
-                if hit is None or hit[0] is not msg:  # an Observe broadcast shares one dict: parse it once
-                    hit = self.observed[id(msg)] = (msg, _key_of(msg))
-                t = hit[1]
+                t = _key_of(msg)
             elif kind == "Message" and src in self.clients:
-                t = (msg["bet"], src, bytes.fromhex(msg["message"]))
+                t = (msg["bet"], src, msg["message"])
             else:
                 return
             if t[0] > replay.lock and t not in replay.candidates:  # spotted: a new candidate lies above the lock
@@ -542,14 +535,14 @@ class _ServerInvariants:
         match_fail = None
         delivered = _delivered(run, self.replays)
         for replay in replays:
-            expect: list[tuple[str, str, int]] = []
-            seen_cm: set[tuple[str, bytes]] = set()
+            expect: list[tuple] = []
+            seen_cm: set[tuple[str, str]] = set()
             for (bet, client, message), _e in replay.orders:
                 if (client, message) not in seen_cm:
                     seen_cm.add((client, message))
-                    expect.append((client, message.hex(), bet))
+                    expect.append((bet, client, message))
             app_delivers = delivered[replay.name]
-            if expect != [(e.payload["client"], e.payload["message"], e.payload["bet"]) for e in app_delivers]:
+            if expect != [_key_of(e.payload) for e in app_delivers]:
                 extra = app_delivers or [o[1] for o in replay.orders]
                 match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
                 break

@@ -19,10 +19,10 @@ class FlutterClient:
         self.f = f
         self.script = list(script or [])  # BroadcastScript entries
         self.crash_time = crash_time
-        self.submissions: dict[bytes, tuple[int, int]] = {}
-        self.decisions: dict[tuple[bytes, int, str], bool] = {}
-        self._falses: dict[tuple[bytes, int], int] = {}  # False entries of decisions per (message, bet)
-        self._margins: dict[bytes, tuple[int, int]] = {}  # message -> (delta_estimate, epsilon)
+        self.submissions: dict[str, tuple[int, int]] = {}
+        self.decisions: dict[tuple[str, int, str], bool] = {}
+        self._falses: dict[tuple[str, int], int] = {}  # False entries of decisions per (message, bet)
+        self._margins: dict[str, tuple[int, int]] = {}  # message -> (delta_estimate, epsilon)
         self._server_set: frozenset[str] = frozenset()
 
     def _crashed(self, ctx) -> bool:
@@ -39,14 +39,14 @@ class FlutterClient:
         entry = self.script[int(token.removeprefix("broadcast@"))]
         self.broadcast(ctx, entry.message, entry.delta_estimate, entry.epsilon)
 
-    def broadcast(self, ctx, message: bytes, delta_estimate: int, epsilon: int) -> None:
+    def broadcast(self, ctx, message: str, delta_estimate: int, epsilon: int) -> None:
         if message in self.submissions:
-            raise ProtocolBugError(f"{self.name} broadcast {message.hex()} twice")
+            raise ProtocolBugError(f"{self.name} broadcast {message} twice")
         self._margins[message] = (delta_estimate, epsilon)
-        ctx.emit(tr.BROADCAST, {"message": message.hex()})
+        ctx.emit(tr.BROADCAST, {"message": message})
         self._submit(ctx, message, 0)
 
-    def _submit(self, ctx, message: bytes, attempt: int) -> None:
+    def _submit(self, ctx, message: str, attempt: int) -> None:
         estimate, epsilon = self._margins[message]
         bet = ctx.local_time() + (2**attempt) * estimate + epsilon
         self.submissions[message] = (attempt, bet)

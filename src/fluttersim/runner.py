@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from . import trace as tr
-from .adversary import BEHAVIORS, BehaviorSetup
+from .adversary import BEHAVIORS
 from .blink import BlinkNode
 from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
 from .client import FlutterClient
@@ -59,8 +59,7 @@ def build_simulation(scenario: Scenario) -> Simulator:
     for name in scenario.servers:
         fault = scenario.server_faults.get(name)
         if fault is not None:
-            setup = BehaviorSetup(scenario.n, scenario.f, scenario.delta, scenario.network.seed, fault.params)
-            handler = BEHAVIORS[fault.behavior](name, setup)
+            handler = BEHAVIORS[fault.behavior](name, scenario.delta, fault.params)
         elif scenario.kind == "flutter":
             handler = FlutterServer(name, scenario.f, oracle, scenario.periodic_beat)
         else:
@@ -68,8 +67,7 @@ def build_simulation(scenario: Scenario) -> Simulator:
         sim.add_process(name, "server", handler)
     for spec in scenario.clients:
         if spec.behavior is not None:
-            setup = BehaviorSetup(scenario.n, scenario.f, scenario.delta, scenario.network.seed, spec.params)
-            handler = BEHAVIORS[spec.behavior](spec.name, setup)
+            handler = BEHAVIORS[spec.behavior](spec.name, scenario.delta, spec.params)
         else:
             handler = FlutterClient(spec.name, scenario.f, spec.broadcasts, spec.crash_time)
         sim.add_process(spec.name, "client", handler)
@@ -182,7 +180,7 @@ def run_campaign(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_run_one, jobs, chunksize=32)
+            rows = pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
     else:
         rows = [_run_one(job) for job in jobs]
 

@@ -3,7 +3,10 @@
 A scenario fixes the full experiment: population sizes, delay model,
 clock offsets, fault assignments, client scripts, dep policy, budgets.
 Parsing is strict; unknown keys and inconsistent parameters are errors,
-so a typo cannot silently weaken a run.
+so a typo cannot silently weaken a run. This is the one module that
+reads hex: each message body, in a broadcast script or a behavior's
+"hex" param, is checked here and stored as lowercase hex, so "6D" and
+"6d" name one message and every later module compares plain strings.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def server_names(n: int) -> list[str]:
 @dataclass
 class BroadcastScript:
     at: int
-    message: bytes
+    message: str  # lowercase hex
     delta_estimate: int
     epsilon: int
 
@@ -152,11 +155,11 @@ def _int(obj: dict, key: str, where: str, default=None, minimum=None, optional=F
     return v
 
 
-def _hex_bytes(raw, where: str) -> bytes:
+def _hex(raw, where: str) -> str:
     if not isinstance(raw, str) or not raw:
         raise _fail(f"{where} must be a nonempty hex string")
     try:
-        return bytes.fromhex(raw)
+        return bytes.fromhex(raw).hex()
     except ValueError as e:
         raise _fail(f"{where} is not valid hex: {e}") from None
 
@@ -173,6 +176,7 @@ def _behavior_params(obj: dict, role: str, where: str) -> dict:
     if not isinstance(params, dict):
         raise _fail(f"{where}.params must be an object")
     _require(params, set(cls.params), f"{where}.params")
+    params = dict(params)
     for key, value in params.items():
         kind = cls.params[key]
         if isinstance(kind, tuple):
@@ -182,6 +186,8 @@ def _behavior_params(obj: dict, role: str, where: str) -> dict:
             ok = test(value)
         if not ok:
             raise _fail(f"{where}.params.{key} must be {wanted}, got {value!r}")
+        if kind == "hex":
+            params[key] = bytes.fromhex(value).hex()
     return params
 
 
@@ -230,13 +236,13 @@ def _parse_client(obj, scenario_delta: int, scenario_epsilon: int, idx: int) -> 
     epsilon = _int(obj, "epsilon", where, default=scenario_epsilon, minimum=1)
     crash_time = _int(obj, "crash_time", where, optional=True, minimum=0)
     broadcasts: list[BroadcastScript] = []
-    seen_messages: set[bytes] = set()
+    seen_messages: set[str] = set()
     for j, b in enumerate(obj.get("broadcasts", [])):
         bwhere = f"{where}.broadcasts[{j}]"
         _require(b, {"at", "message", "delta_estimate", "epsilon"}, bwhere)
-        message = _hex_bytes(b.get("message"), f"{bwhere}.message")
+        message = _hex(b.get("message"), f"{bwhere}.message")
         if message in seen_messages:
-            raise _fail(f"{bwhere}: client {name} broadcasts {message.hex()} twice")
+            raise _fail(f"{bwhere}: client {name} broadcasts {message} twice")
         seen_messages.add(message)
         broadcasts.append(
             BroadcastScript(

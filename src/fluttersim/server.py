@@ -23,6 +23,7 @@ from .types import (
     Message,
     Observe,
     Time,
+    instance_payload,
     quorum_large,
 )
 
@@ -37,7 +38,7 @@ class FlutterServer(BlinkNode):
         self.proposed: set[BroadcastTuple] = set()
         self.candidates: set[BroadcastTuple] = set()
         self._queue: list[BroadcastTuple] = []  # heap of candidates above last_processed
-        self.delivered: set[tuple[str, bytes]] = set()
+        self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
         self.last_processed: BroadcastTuple | None = None
         self.remote_times: dict[str, int | float] = {}
@@ -67,8 +68,8 @@ class FlutterServer(BlinkNode):
         else:
             super().on_deliver(ctx, src, msg)
 
-    def _on_message(self, ctx, client: str, message: bytes, bet: int) -> None:
-        t = BroadcastTuple(client, message, bet)
+    def _on_message(self, ctx, client: str, message: str, bet: int) -> None:
+        t = BroadcastTuple(bet, client, message)
         self._spot(ctx, t)
         if t not in self.proposed:
             self.proposed.add(t)
@@ -136,7 +137,4 @@ class FlutterServer(BlinkNode):
     def _order(self, ctx, t: BroadcastTuple) -> None:
         if (t.client, t.message) not in self.delivered:
             self.delivered.add((t.client, t.message))
-            ctx.emit(
-                tr.APP_DELIVER,
-                {"client": t.client, "message": t.message.hex(), "bet": t.bet},
-            )
+            ctx.emit(tr.APP_DELIVER, instance_payload(t))

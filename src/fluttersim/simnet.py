@@ -24,8 +24,6 @@ _DEP = 2
 class ExactDelta:
     """Every message takes exactly delta."""
 
-    name = "exact_delta"
-
     def __init__(self, delta: int):
         self.delta = delta
 
@@ -35,8 +33,6 @@ class ExactDelta:
 
 class SeededRandom:
     """Uniform delays in [1, delta], drawn in send order from one stream."""
-
-    name = "seeded_random"
 
     def __init__(self, delta: int, seed):
         self.delta = delta
@@ -48,8 +44,6 @@ class SeededRandom:
 
 class Scripted:
     """Per-link delay lists keyed "src->dst"; unlisted sends take delta."""
-
-    name = "scripted"
 
     def __init__(self, delta: int, table: dict[str, list[int]]):
         self.delta = delta

@@ -3,34 +3,29 @@
 Time is integer ticks. Local clocks are the global tick plus a static
 per-process offset. NEG_INF stands in for the "minus infinity" initial
 value of remote time entries and the processing cursor; it compares
-below every int.
+below every int. A message body is a lowercase hex string throughout:
+`scenario` parses it once, and nothing converts it after.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 SimTime = int
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
-class BroadcastTuple:
-    """The unit Flutter agrees on: (client, message, bet)."""
+class BroadcastTuple(namedtuple("BroadcastTuple", "bet client message")):
+    """The unit Flutter agrees on: (client, message, bet), ordered as a plain tuple.
 
-    client: str  # client process name; zero-padded so byte order == index order
-    message: bytes
-    bet: SimTime
+    The field order is the ordering: bet dominates, then the client name
+    (ASCII and zero-padded, so str order is byte order and index order),
+    then the message body. A body is a lowercase hex string, whose str
+    order is the order of its bytes.
+    """
 
-    def key(self) -> tuple:
-        # bet dominates, then client name (ASCII, so str order is byte order), then message
-        return (self.bet, self.client, self.message)
-
-    def __lt__(self, other: "BroadcastTuple") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "BroadcastTuple") -> bool:
-        return self.key() <= other.key()
+    __slots__ = ()
 
 
 # A consensus instance is keyed by the tuple it decides on; standalone
@@ -56,13 +51,13 @@ class Observe:
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    message: bytes
+    message: str
     bet: SimTime
 
 
 @dataclass(frozen=True, slots=True)
 class Decision:
-    message: bytes
+    message: str
     bet: SimTime
     value: bool
 
@@ -72,11 +67,7 @@ WireMessage = Suggest | Time | Observe | Message | Decision
 
 def instance_payload(instance: InstanceKey) -> dict:
     if isinstance(instance, BroadcastTuple):
-        return {
-            "client": instance.client,
-            "message": instance.message.hex(),
-            "bet": instance.bet,
-        }
+        return {"client": instance.client, "message": instance.message, "bet": instance.bet}
     return {"label": instance}
 
 
@@ -87,12 +78,11 @@ def wire_payload(msg: WireMessage) -> dict:
     if isinstance(msg, Time):
         return {"kind": "Time", "time": msg.time}
     if isinstance(msg, Observe):
-        t = msg.tuple
-        return {"kind": "Observe", "client": t.client, "message": t.message.hex(), "bet": t.bet}
+        return {"kind": "Observe", **instance_payload(msg.tuple)}
     if isinstance(msg, Message):
-        return {"kind": "Message", "message": msg.message.hex(), "bet": msg.bet}
+        return {"kind": "Message", "message": msg.message, "bet": msg.bet}
     if isinstance(msg, Decision):
-        return {"kind": "Decision", "message": msg.message.hex(), "bet": msg.bet, "value": msg.value}
+        return {"kind": "Decision", "message": msg.message, "bet": msg.bet, "value": msg.value}
     raise TypeError(f"not a wire message: {msg!r}")
 
 

@@ -55,63 +55,63 @@ def deliver_false(cl, ctx, src, message, bet):
 def test_first_bet_is_local_plus_estimate_plus_epsilon():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
-    assert cl.submissions[b"\x6d"] == (0, 11)
+    cl.broadcast(ctx, "6d", 10, 1)
+    assert cl.submissions["6d"] == (0, 11)
     assert [m.bet for _, m in ctx.sent if isinstance(m, Message)] == [11] * 6
 
 
 def test_retry_bet_doubles_estimate():
     cl = make_client()
     ctx = FakeCtx(local=50)
-    cl._margins[b"\x6d"] = (10, 1)
-    cl._submit(ctx, b"\x6d", 2)
+    cl._margins["6d"] = (10, 1)
+    cl._submit(ctx, "6d", 2)
     # 50 + 2^2 * 10 + 1
-    assert cl.submissions[b"\x6d"] == (2, 91)
+    assert cl.submissions["6d"] == (2, 91)
 
 
 def test_retry_fires_at_exactly_f_plus_one_false_reports():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
+    deliver_false(cl, ctx, "s000", "6d", 11)
     assert ctx.sent == []  # one False is not proof
-    deliver_false(cl, ctx, "s001", b"\x6d", 11)
+    deliver_false(cl, ctx, "s001", "6d", 11)
     resubmits = [m for _, m in ctx.sent if isinstance(m, Message)]
     assert len(resubmits) == 6
-    assert cl.submissions[b"\x6d"][0] == 1
+    assert cl.submissions["6d"][0] == 1
 
 
 def test_duplicate_false_from_same_server_does_not_count_twice():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
+    deliver_false(cl, ctx, "s000", "6d", 11)
+    deliver_false(cl, ctx, "s000", "6d", 11)
     assert ctx.sent == []
 
 
 def test_true_then_false_from_same_server_counts_once():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
-    cl.on_deliver(ctx, "s000", Decision(b"\x6d", 11, True))
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)  # replaces the True: one False report
+    cl.on_deliver(ctx, "s000", Decision("6d", 11, True))
+    deliver_false(cl, ctx, "s000", "6d", 11)  # replaces the True: one False report
     assert ctx.sent == []
-    deliver_false(cl, ctx, "s001", b"\x6d", 11)
-    assert cl.submissions[b"\x6d"][0] == 1
+    deliver_false(cl, ctx, "s001", "6d", 11)
+    assert cl.submissions["6d"][0] == 1
 
 
 def test_false_then_true_from_same_server_stops_counting():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
-    cl.on_deliver(ctx, "s000", Decision(b"\x6d", 11, True))  # replaces the False
-    deliver_false(cl, ctx, "s001", b"\x6d", 11)
+    deliver_false(cl, ctx, "s000", "6d", 11)
+    cl.on_deliver(ctx, "s000", Decision("6d", 11, True))  # replaces the False
+    deliver_false(cl, ctx, "s001", "6d", 11)
     assert ctx.sent == []
 
 
@@ -119,42 +119,42 @@ def test_false_then_true_from_same_server_stops_counting():
 def test_false_counter_matches_sum_over_decisions(reports):
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     for src, bet, value in reports:
-        cl.on_deliver(ctx, src, Decision(b"\x6d", bet, value))
+        cl.on_deliver(ctx, src, Decision("6d", bet, value))
         for b in (11, 31):
-            falses = sum(1 for (m, bb, _s), v in cl.decisions.items() if (m, bb) == (b"\x6d", b) and v is False)
-            assert cl._falses.get((b"\x6d", b), 0) == falses
+            falses = sum(1 for (m, bb, _s), v in cl.decisions.items() if (m, bb) == ("6d", b) and v is False)
+            assert cl._falses.get(("6d", b), 0) == falses
 
 
 def test_stale_bet_reports_are_ignored():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
-    deliver_false(cl, ctx, "s001", b"\x6d", 11)  # retry: current bet moves on
+    cl.broadcast(ctx, "6d", 10, 1)
+    deliver_false(cl, ctx, "s000", "6d", 11)
+    deliver_false(cl, ctx, "s001", "6d", 11)  # retry: current bet moves on
     ctx.sent.clear()
-    deliver_false(cl, ctx, "s002", b"\x6d", 11)  # report about the old bet
+    deliver_false(cl, ctx, "s002", "6d", 11)  # report about the old bet
     assert ctx.sent == []
 
 
 def test_true_decisions_do_not_trigger_retry():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
     for s in SERVERS:
-        cl.on_deliver(ctx, s, Decision(b"\x6d", 11, True))
+        cl.on_deliver(ctx, s, Decision("6d", 11, True))
     assert ctx.sent == []
 
 
 def test_decision_from_non_server_is_dropped():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
-    deliver_false(cl, ctx, "c999", b"\x6d", 11)
-    deliver_false(cl, ctx, "c998", b"\x6d", 11)
+    deliver_false(cl, ctx, "c999", "6d", 11)
+    deliver_false(cl, ctx, "c998", "6d", 11)
     assert ctx.sent == []
     assert cl.decisions == {}
 
@@ -162,31 +162,31 @@ def test_decision_from_non_server_is_dropped():
 def test_double_broadcast_same_message_is_protocol_bug():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     with pytest.raises(ProtocolBugError):
-        cl.broadcast(ctx, b"\x6d", 10, 1)
+        cl.broadcast(ctx, "6d", 10, 1)
 
 
 def test_crashed_client_ignores_decisions():
     cl = FlutterClient("c000", 1, crash_time=5)
     cl._server_set = frozenset(SERVERS)
     ctx = FakeCtx(local=0, global_now=0)
-    cl.broadcast(ctx, b"\x6d", 10, 1)
+    cl.broadcast(ctx, "6d", 10, 1)
     ctx.sent.clear()
     ctx.global_now = 5
-    deliver_false(cl, ctx, "s000", b"\x6d", 11)
-    deliver_false(cl, ctx, "s001", b"\x6d", 11)
+    deliver_false(cl, ctx, "s000", "6d", 11)
+    deliver_false(cl, ctx, "s001", "6d", 11)
     assert ctx.sent == []
 
 
 def test_script_entries_schedule_global_timers():
     script = [
-        BroadcastScript(at=0, message=b"\x01", delta_estimate=10, epsilon=1),
-        BroadcastScript(at=7, message=b"\x02", delta_estimate=5, epsilon=2),
+        BroadcastScript(at=0, message="01", delta_estimate=10, epsilon=1),
+        BroadcastScript(at=7, message="02", delta_estimate=5, epsilon=2),
     ]
     cl = FlutterClient("c000", 1, script=script)
     ctx = FakeCtx()
     cl.on_init(ctx)
     assert ctx.globals == [(0, "broadcast@0"), (7, "broadcast@1")]
     cl.on_timer(ctx, "broadcast@1")
-    assert cl.submissions[b"\x02"] == (0, 0 + 5 + 2)
+    assert cl.submissions["02"] == (0, 0 + 5 + 2)

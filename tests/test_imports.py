@@ -1,4 +1,4 @@
-"""Import rules: a stdlib-only package, and a checker that shares no protocol code."""
+"""Import rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module."""
 
 from __future__ import annotations
 
@@ -37,3 +37,10 @@ def test_checker_replay_imports_no_protocol_module():
     used = {name.split(".")[1] for name in imports(PACKAGE / "checkers.py") if name.startswith("fluttersim.")}
     assert "trace" in used
     assert used & PROTOCOL_MODULES == set()
+
+
+def test_only_the_scenario_parser_converts_hex():
+    # A message body is lowercase hex from the scenario file on: no other module converts it.
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert "fromhex(" in texts.pop("scenario.py")
+    assert [name for name, text in texts.items() if "fromhex(" in text or ".hex()" in text] == []

@@ -134,13 +134,13 @@ def test_campaign_worker_pool_matches_the_serial_digest():
 
 
 def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
-    sizes = []
+    pools = []  # [size, chunks mapped] of each pool
 
     class SerialPool:
-        """Records its size and runs the jobs in this process."""
+        """Records its size and how many chunks it hands out, and runs the jobs in this process."""
 
         def __init__(self, processes):
-            sizes.append(processes)
+            pools.append([processes, None])
 
         def __enter__(self):
             return self
@@ -149,6 +149,7 @@ def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
             return False
 
         def map(self, fn, jobs, chunksize=1):
+            pools[-1][1] = -(-len(jobs) // chunksize)
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
@@ -156,9 +157,12 @@ def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
     summary = run_campaign(base, range(6), ["mute"], parallel=64)  # 1 behavior x 2 default policies x 6 seeds
     assert summary["runs"] == 12
     assert summary["policies"] == ["adversarial_value", "adversarial_timing"]
-    assert sizes == [12]
+    assert [size for size, _chunks in pools] == [12]
     run_campaign(base, range(1), ["mute"], ["adversarial_value"], parallel=64)  # one job: run serially
-    assert sizes == [12]
+    assert len(pools) == 1
+    run_campaign(base, range(6), ["mute"], parallel=2)
+    assert [size for size, _chunks in pools] == [12, 2]
+    assert all(chunks >= size for size, chunks in pools)  # every worker gets a chunk
 
 
 def test_campaign_small_sweep_all_pass():

@@ -16,9 +16,10 @@ from fluttersim.checkers import CheckReport
 from fluttersim.errors import ScenarioError
 from fluttersim.scenario import parse_scenario
 from fluttersim.server import FlutterServer
+from fluttersim.trace import write_trace
 from fluttersim.weakcon import FirstProposal
 
-from conftest import SCENARIOS_DIR, scenario_dict
+from conftest import SCENARIOS_DIR, scenario_dict, simulate
 
 
 def reject(doc, fragment):
@@ -130,6 +131,31 @@ def test_duplicate_broadcast_message_rejected():
         ),
         "6d",
     )
+
+
+def test_hex_case_names_one_message():
+    doc = scenario_dict()
+    doc["clients"][0]["broadcasts"] = [{"at": 0, "message": "6d"}, {"at": 5, "message": "6D"}]
+    reject(doc, "broadcasts 6d twice")
+
+
+def test_hex_case_leaves_the_trace_unchanged(tmp_path):
+    def trace_bytes(case) -> bytes:
+        doc = scenario_dict(
+            servers={"s005": {"behavior": "observe_forger", "params": {"client": "c000", "message": case("beef")}}},
+            clients=[
+                {"name": "c000", "broadcasts": [{"at": 0, "message": case("6d")}, {"at": 3, "message": case("0a")}]},
+                {"name": "c001", "behavior": "partial_disseminator",
+                 "params": {"targets": [0, 1], "message": case("fade")}},
+            ],
+        )
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, simulate(parse_scenario(doc))[0])
+        return path.read_bytes()
+
+    lower = trace_bytes(str.lower)
+    assert b'"message":"beef"' in lower and b'"message":"fade"' in lower and b'"message":"0a"' in lower
+    assert trace_bytes(str.upper) == lower
 
 
 def test_behavior_client_cannot_carry_broadcasts():

@@ -98,7 +98,7 @@ def test_lock_time_matches_bruteforce_any_f(f, data):
 def test_spot_new_tuple_relays_then_schedules_then_observes():
     srv = make_server()
     ctx = FakeCtx()
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
     assert t in srv.candidates  # lock is -inf, every bet clears it
     assert [dst for dst, _ in ctx.sent] == SERVERS
@@ -111,7 +111,7 @@ def test_spot_new_tuple_relays_then_schedules_then_observes():
 def test_spot_known_tuple_does_not_relay_again():
     srv = make_server()
     ctx = FakeCtx()
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
     sent_before = len(ctx.sent)
     srv._spot(ctx, t)
@@ -122,7 +122,7 @@ def test_spot_late_tuple_relayed_but_not_candidate():
     srv = make_server()
     ctx = FakeCtx()
     set_lock(srv, ctx, 20)
-    t = BroadcastTuple("c000", b"\x6d", 15)
+    t = BroadcastTuple(15, "c000", "6d")
     srv._spot(ctx, t)
     assert t not in srv.candidates
     assert t in srv.observed
@@ -132,7 +132,7 @@ def test_spot_late_tuple_relayed_but_not_candidate():
 def test_expiry_votes_false_when_bet_passed_unproposed():
     srv = make_server()
     ctx = FakeCtx(local=0)
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
     token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
     ctx.local = 11  # local clock reached the bet
@@ -145,7 +145,7 @@ def test_expiry_votes_false_when_bet_passed_unproposed():
 def test_expiry_is_noop_when_already_proposed():
     srv = make_server()
     ctx = FakeCtx(local=0)
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
     token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
     srv.proposed.add(t)
@@ -158,13 +158,13 @@ def test_expiry_is_noop_when_already_proposed():
 def test_message_in_time_proposes_true_late_proposes_false():
     srv = make_server()
     ctx = FakeCtx(local=0)
-    srv._on_message(ctx, "c000", b"\x6d", 11)  # bet 11 > local 0
+    srv._on_message(ctx, "c000", "6d", 11)  # bet 11 > local 0
     suggests = [m for _, m in ctx.sent if not isinstance(m, Observe)]
     assert all(m.value is True for m in suggests)
 
     srv2 = make_server()
     ctx2 = FakeCtx(local=11)
-    srv2._on_message(ctx2, "c000", b"\x6d", 11)  # bet 11 == local 11, not strictly ahead
+    srv2._on_message(ctx2, "c000", "6d", 11)  # bet 11 == local 11, not strictly ahead
     suggests2 = [m for _, m in ctx2.sent if not isinstance(m, Observe)]
     assert all(m.value is False for m in suggests2)
 
@@ -181,8 +181,8 @@ def test_time_updates_are_monotonic_max():
 def test_process_next_releases_in_bet_order_after_lock():
     srv = make_server()
     ctx = FakeCtx()
-    a = BroadcastTuple("c000", b"\x01", 5)
-    b = BroadcastTuple("c000", b"\x02", 8)
+    a = BroadcastTuple(5, "c000", "01")
+    b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, b)
     srv._spot(ctx, a)
     srv.on_decided(ctx, b, True)
@@ -196,8 +196,8 @@ def test_process_next_releases_in_bet_order_after_lock():
 def test_process_next_stalls_on_undecided_minimum():
     srv = make_server()
     ctx = FakeCtx()
-    a = BroadcastTuple("c000", b"\x01", 5)
-    b = BroadcastTuple("c000", b"\x02", 8)
+    a = BroadcastTuple(5, "c000", "01")
+    b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, a)
     srv._spot(ctx, b)
     srv.on_decided(ctx, b, True)  # a undecided blocks everything
@@ -209,7 +209,7 @@ def test_process_next_stalls_on_undecided_minimum():
 def test_process_next_stalls_until_lock_passes_bet():
     srv = make_server()
     ctx = FakeCtx()
-    a = BroadcastTuple("c000", b"\x01", 5)
+    a = BroadcastTuple(5, "c000", "01")
     srv._spot(ctx, a)
     srv.on_decided(ctx, a, True)
     set_lock(srv, ctx, 5)
@@ -217,7 +217,7 @@ def test_process_next_stalls_until_lock_passes_bet():
 
     srv2 = make_server()
     ctx2 = FakeCtx()
-    b = BroadcastTuple("c000", b"\x02", 6)
+    b = BroadcastTuple(6, "c000", "02")
     srv2._spot(ctx2, b)
     srv2.on_decided(ctx2, b, True)
     set_lock(srv2, ctx2, 5)  # lock 5 < bet 6 stalls
@@ -227,8 +227,8 @@ def test_process_next_stalls_until_lock_passes_bet():
 def test_false_decision_advances_cursor_without_delivery():
     srv = make_server()
     ctx = FakeCtx()
-    a = BroadcastTuple("c000", b"\x01", 5)
-    b = BroadcastTuple("c000", b"\x02", 8)
+    a = BroadcastTuple(5, "c000", "01")
+    b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, a)
     srv._spot(ctx, b)
     srv.on_decided(ctx, a, False)
@@ -275,12 +275,12 @@ class ScanModel:
                 return
             if self.decisions[best] and (best.client, best.message) not in self.seen:
                 self.seen.add((best.client, best.message))
-                self.delivered.append((best.client, best.message.hex(), best.bet))
+                self.delivered.append((best.client, best.message, best.bet))
             self.last = best
 
 
 MODEL_TUPLES = [
-    BroadcastTuple(c, m, bet) for c in ("c000", "c001") for m in (b"\x01", b"\x02") for bet in range(1, 4)
+    BroadcastTuple(bet, c, m) for c in ("c000", "c001") for m in ("01", "02") for bet in range(1, 4)
 ]
 MODEL_OPS = st.lists(
     st.one_of(
@@ -321,6 +321,6 @@ def test_candidate_heap_matches_full_scan(ops):
 def test_order_dedups_same_client_message_across_bets():
     srv = make_server()
     ctx = FakeCtx()
-    srv._order(ctx, BroadcastTuple("c000", b"\x6d", 11))
-    srv._order(ctx, BroadcastTuple("c000", b"\x6d", 33))
+    srv._order(ctx, BroadcastTuple(11, "c000", "6d"))
+    srv._order(ctx, BroadcastTuple(33, "c000", "6d"))
     assert len([1 for k, _ in ctx.emitted if k == APP_DELIVER]) == 1

@@ -20,12 +20,17 @@ from fluttersim.types import (
     wire_payload,
 )
 
-tuples = st.builds(
+tuples = st.builds(  # narrow ranges, so bet and client ties leave the message to decide
     BroadcastTuple,
-    client=st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8),
-    message=st.binary(min_size=0, max_size=6),
-    bet=st.integers(min_value=-1000, max_value=1000),
+    bet=st.integers(min_value=-3, max_value=3),
+    client=st.text(alphabet="ab0", min_size=1, max_size=2),
+    message=st.binary(min_size=0, max_size=3).map(bytes.hex),
 )
+
+
+def byte_key(t):
+    """The order of bet, then client, then the message's bytes."""
+    return (t.bet, t.client, bytes.fromhex(t.message))
 
 
 @given(tuples, tuples)
@@ -42,24 +47,35 @@ def test_order_transitive(a, b, c):
 
 @given(tuples, tuples)
 def test_order_total(a, b):
-    assert (a < b) or (b < a) or (a.key() == b.key())
+    assert (a < b) or (b < a) or (a == b)
+
+
+@given(tuples, tuples)
+def test_hex_order_is_byte_order(a, b):
+    for x, y in ((a, b), (a, a._replace(message=b.message))):  # the second pair ties on bet and client
+        assert (x < y) == (byte_key(x) < byte_key(y))
+        assert (x == y) == (byte_key(x) == byte_key(y))
+
+
+def test_order_is_the_plain_tuple_order():
+    assert not {"key", "__lt__", "__le__"} & set(vars(BroadcastTuple))
 
 
 def test_bet_dominates_ordering():
-    lo = BroadcastTuple("zzz", b"\xff", 5)
-    hi = BroadcastTuple("aaa", b"\x00", 6)
+    lo = BroadcastTuple(5, "zzz", "ff")
+    hi = BroadcastTuple(6, "aaa", "00")
     assert lo < hi
 
 
 def test_client_breaks_bet_ties():
-    a = BroadcastTuple("alice", b"\xff", 5)
-    b = BroadcastTuple("bob", b"\x00", 5)
+    a = BroadcastTuple(5, "alice", "ff")
+    b = BroadcastTuple(5, "bob", "00")
     assert a < b
 
 
 def test_message_breaks_client_ties():
-    a = BroadcastTuple("alice", b"\x01", 5)
-    b = BroadcastTuple("alice", b"\x02", 5)
+    a = BroadcastTuple(5, "alice", "01")
+    b = BroadcastTuple(5, "alice", "02")
     assert a < b
 
 
@@ -77,7 +93,7 @@ def test_quorum_sizes():
 
 
 def test_wire_payload_rendering():
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     assert wire_payload(Observe(t)) == {
         "kind": "Observe",
         "client": "c000",
@@ -85,12 +101,12 @@ def test_wire_payload_rendering():
         "bet": 11,
     }
     assert wire_payload(Time(7)) == {"kind": "Time", "time": 7}
-    assert wire_payload(Message(b"\x6d", 11)) == {
+    assert wire_payload(Message("6d", 11)) == {
         "kind": "Message",
         "message": "6d",
         "bet": 11,
     }
-    assert wire_payload(Decision(b"\x6d", 11, True)) == {
+    assert wire_payload(Decision("6d", 11, True)) == {
         "kind": "Decision",
         "message": "6d",
         "bet": 11,
@@ -103,7 +119,7 @@ def test_wire_payload_rendering():
 
 
 def test_instance_payload_forms():
-    t = BroadcastTuple("c000", b"\x6d", 11)
+    t = BroadcastTuple(11, "c000", "6d")
     assert instance_payload(t) == {"client": "c000", "message": "6d", "bet": 11}
     assert instance_payload("i0") == {"label": "i0"}
 
