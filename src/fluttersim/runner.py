@@ -127,7 +127,7 @@ def campaign_variant(base: Scenario, behavior: str, policy: str, seed: int) -> S
         victim = base.servers[-1]
         server_faults[victim] = ServerFault(behavior, {})
     else:
-        clients.append(ClientSpec(name=_CAMPAIGN_CLIENT, delta_estimate=base.delta, epsilon=base.epsilon, behavior=behavior))
+        clients.append(ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior))
     return dataclasses.replace(
         base,
         name=f"{base.name}+{behavior}+{policy}+s{seed}",

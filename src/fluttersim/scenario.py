@@ -2,11 +2,16 @@
 
 A scenario fixes the full experiment: population sizes, delay model,
 clock offsets, fault assignments, client scripts, dep policy, budgets.
-Parsing is strict; unknown keys and inconsistent parameters are errors,
-so a typo cannot silently weaken a run. This is the one module that
+Parsing is strict: every value goes through one reader per JSON shape
+(`_object`, `_list`, `_int`, `_choice`, `_name`, `_hex`), so an unknown
+key, a misshapen value or an inconsistent parameter is a ScenarioError
+and a typo cannot silently weaken a run. This is the one module that
 reads hex: each message body, in a broadcast script or a behavior's
-"hex" param, is checked here and stored as lowercase hex, so "6D" and
-"6d" name one message and every later module compares plain strings.
+"hex" param, is pairs of hex digits checked by `_hex` and stored
+lowercase, so "6D" and "6d" name one message and every later module
+compares plain strings. The parsed `Scenario` holds what the run uses;
+`epsilon` and `delta_estimate` above the broadcast level are only
+defaults for the broadcasts below them.
 """
 
 from __future__ import annotations
@@ -20,22 +25,22 @@ from .adversary import BEHAVIORS
 from .errors import ScenarioError
 from .weakcon import POLICIES
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_HEX_RE = re.compile(r"^(?:[0-9A-Fa-f]{2})+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_-]+")
+_HEX_RE = re.compile(r"(?:[0-9A-Fa-f]{2})+")
 _STRATEGIES = ("exact_delta", "seeded_random", "scripted")
+_REQUIRED = object()  # `_int`'s default for a key the file must set
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# behavior param type -> (what the error message asks for, test of a JSON value)
+# behavior param type -> (what the error message asks for, test of a JSON value);
+# "int" and "hex" params, and choices among values, are read by `_int`, `_hex` and `_choice`
 _PARAM_TYPES = {
-    "int": ("an integer", _is_int),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "hex": ("a nonempty hex string", lambda v: isinstance(v, str) and _HEX_RE.match(v) is not None),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
@@ -56,8 +61,6 @@ class BroadcastScript:
 @dataclass
 class ClientSpec:
     name: str
-    delta_estimate: int
-    epsilon: int
     broadcasts: list[BroadcastScript] = field(default_factory=list)
     crash_time: int | None = None
     behavior: str | None = None
@@ -73,7 +76,7 @@ class ServerFault:
 @dataclass
 class NetworkConfig:
     strategy: str = "exact_delta"
-    seed: object = None
+    seed: int | str | None = None
     delays: dict[str, list[int]] = field(default_factory=dict)
 
 
@@ -100,7 +103,6 @@ class Scenario:
     f: int
     delta: int
     drift: int = 0
-    epsilon: int = 1
     network: NetworkConfig = field(default_factory=NetworkConfig)
     clock_offsets: dict[str, int] = field(default_factory=dict)
     server_faults: dict[str, ServerFault] = field(default_factory=dict)
@@ -132,241 +134,227 @@ class Scenario:
         return [c.name for c in self.clients if c.behavior is None]
 
 
-def _fail(msg: str) -> ScenarioError:
-    return ScenarioError(msg)
+# ---------------------------------------------------------------- readers
+# One per JSON shape: each takes the raw value and where it sits, and
+# returns it checked or raises ScenarioError. An absent key reads as None.
 
 
-def _require(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
+def _object(raw, where: str, keys: set[str] | None = None) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object, got {raw!r}")
+    extra = sorted(set(raw) - keys) if keys is not None else []
     if extra:
-        raise _fail(f"unknown keys {sorted(extra)} in {where}")
+        raise ScenarioError(f"unknown keys {extra} in {where}")
+    return raw
 
 
-def _int(obj: dict, key: str, where: str, default=None, minimum=None, optional=False):
-    if key not in obj or obj[key] is None:
-        if default is not None or optional:
-            return default
-        raise _fail(f"missing {key} in {where}")
-    v = obj[key]
-    if not _is_int(v):
-        raise _fail(f"{where}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise _fail(f"{where}.{key} must be >= {minimum}, got {v}")
-    return v
+def _list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where} must be a list, got {raw!r}")
+    return raw
+
+
+def _int(raw, where: str, default=_REQUIRED, minimum: int | None = None):
+    if raw is None and default is not _REQUIRED:
+        return default
+    if not _is_int(raw):
+        raise ScenarioError(f"{where} must be an integer, got {raw!r}")
+    if minimum is not None and raw < minimum:
+        raise ScenarioError(f"{where} must be >= {minimum}, got {raw}")
+    return raw
+
+
+def _choice(raw, choices, where: str) -> str:
+    if not isinstance(raw, str) or raw not in choices:
+        raise ScenarioError(f"{where} must be one of {sorted(choices)}, got {raw!r}")
+    return raw
+
+
+def _name(raw, where: str, pattern: re.Pattern = _NAME_RE) -> str:
+    if not isinstance(raw, str) or not pattern.fullmatch(raw):
+        raise ScenarioError(f"{where} must match {pattern.pattern}, got {raw!r}")
+    return raw
 
 
 def _hex(raw, where: str) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise _fail(f"{where} must be a nonempty hex string")
-    try:
-        return bytes.fromhex(raw).hex()
-    except ValueError as e:
-        raise _fail(f"{where} is not valid hex: {e}") from None
+    """A message body: pairs of hex digits, no spaces, stored lowercase."""
+    if not isinstance(raw, str) or not _HEX_RE.fullmatch(raw):
+        raise ScenarioError(f"{where} must be a nonempty hex string, got {raw!r}")
+    return bytes.fromhex(raw).hex()
 
 
-def _behavior_params(obj: dict, role: str, where: str) -> dict:
-    """The params of `obj`'s behavior, held to the names and types it declares."""
-    behavior = obj.get("behavior")
-    cls = BEHAVIORS.get(behavior)
-    if cls is None:
-        raise _fail(f"{where}: unknown behavior {behavior!r}")
+def _param(kind, raw, where: str):
+    """One behavior param, read as the type its behavior declares."""
+    if isinstance(kind, tuple):
+        return _choice(raw, kind, where)
+    if kind == "int":
+        return _int(raw, where)
+    if kind == "hex":
+        return _hex(raw, where)
+    wanted, ok = _PARAM_TYPES[kind]
+    if not ok(raw):
+        raise ScenarioError(f"{where} must be {wanted}, got {raw!r}")
+    return raw
+
+
+# ---------------------------------------------------------------- sections
+
+
+def _behavior(obj: dict, role: str, where: str) -> tuple[str, dict]:
+    """`obj`'s behavior name, and its params held to the names and types it declares."""
+    behavior = _choice(obj.get("behavior"), BEHAVIORS, f"{where}.behavior")
+    cls = BEHAVIORS[behavior]
     if cls.role != role:
-        raise _fail(f"{where}: behavior {behavior!r} is not a {role} behavior")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise _fail(f"{where}.params must be an object")
-    _require(params, set(cls.params), f"{where}.params")
-    params = dict(params)
-    for key, value in params.items():
-        kind = cls.params[key]
-        if isinstance(kind, tuple):
-            wanted, ok = f"one of {list(kind)}", value in kind
-        else:
-            wanted, test = _PARAM_TYPES[kind]
-            ok = test(value)
-        if not ok:
-            raise _fail(f"{where}.params.{key} must be {wanted}, got {value!r}")
-        if kind == "hex":
-            params[key] = bytes.fromhex(value).hex()
-    return params
+        raise ScenarioError(f"{where}: behavior {behavior!r} is not a {role} behavior")
+    params = _object(obj.get("params", {}), f"{where}.params", set(cls.params))
+    return behavior, {k: _param(cls.params[k], v, f"{where}.params.{k}") for k, v in params.items()}
 
 
 def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
-    _require(obj, {"strategy", "seed", "delays"}, where)
-    strategy = obj.get("strategy", "exact_delta")
-    if strategy not in _STRATEGIES:
-        raise _fail(f"{where}.strategy must be one of {_STRATEGIES}, got {strategy!r}")
+    _object(obj, where, {"strategy", "seed", "delays"})
+    strategy = _choice(obj.get("strategy", "exact_delta"), _STRATEGIES, f"{where}.strategy")
     seed = obj.get("seed")
     if strategy == "seeded_random" and seed is None:
-        raise _fail(f"{where}: seeded_random requires a seed")
-    delays = obj.get("delays", {})
-    if not isinstance(delays, dict):
-        raise _fail(f"{where}.delays must be an object")
+        raise ScenarioError(f"{where}: seeded_random requires a seed")
+    if seed is not None and not (_is_int(seed) or isinstance(seed, str)):
+        raise ScenarioError(f"{where}.seed must be an integer or a string, got {seed!r}")
+    delays = _object(obj.get("delays", {}), f"{where}.delays")
     for link, ds in delays.items():
         if "->" not in link:
-            raise _fail(f"{where}.delays key {link!r} must look like 'src->dst'")
-        if not isinstance(ds, list) or not all(map(_is_int, ds)):
-            raise _fail(f"{where}.delays[{link!r}] must be a list of integers")
-        if not all(1 <= d <= delta for d in ds):
-            raise _fail(f"{where}.delays[{link!r}] entries must lie in [1, delta={delta}]")
+            raise ScenarioError(f"{where}.delays key {link!r} must look like 'src->dst'")
+        if not all(1 <= d <= delta for d in _param("ints", ds, f"{where}.delays[{link!r}]")):
+            raise ScenarioError(f"{where}.delays[{link!r}] entries must lie in [1, delta={delta}]")
     if strategy != "scripted" and delays:
-        raise _fail(f"{where}.delays only applies to the scripted strategy")
+        raise ScenarioError(f"{where}.delays only applies to the scripted strategy")
     return NetworkConfig(strategy, seed, dict(delays))
 
 
-def _parse_client(obj, scenario_delta: int, scenario_epsilon: int, idx: int) -> ClientSpec:
+def _parse_client(obj, delta_estimate: int, epsilon: int, idx: int) -> ClientSpec:
+    """One client; `delta_estimate` and `epsilon` are the defaults its broadcasts inherit."""
     where = f"clients[{idx}]"
-    _require(
-        obj,
-        {"name", "delta_estimate", "epsilon", "broadcasts", "crash_time", "behavior", "params"},
-        where,
-    )
-    name = obj.get("name")
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise _fail(f"{where}.name must match {_NAME_RE.pattern}, got {name!r}")
-    behavior = obj.get("behavior")
-    params: dict = {}
-    if behavior is not None:
-        params = _behavior_params(obj, "client", where)
+    _object(obj, where, {"name", "delta_estimate", "epsilon", "broadcasts", "crash_time", "behavior", "params"})
+    name = _name(obj.get("name"), f"{where}.name")
+    behavior, params = None, {}
+    if obj.get("behavior") is not None:
+        behavior, params = _behavior(obj, "client", where)
         if obj.get("broadcasts"):
-            raise _fail(f"{where}: a behavior client cannot also carry a broadcast script")
+            raise ScenarioError(f"{where}: a behavior client cannot also carry a broadcast script")
     elif obj.get("params"):
-        raise _fail(f"{where}.params needs a behavior")
-    delta_estimate = _int(obj, "delta_estimate", where, default=scenario_delta, minimum=0)
-    epsilon = _int(obj, "epsilon", where, default=scenario_epsilon, minimum=1)
-    crash_time = _int(obj, "crash_time", where, optional=True, minimum=0)
+        raise ScenarioError(f"{where}.params needs a behavior")
+    delta_estimate = _int(obj.get("delta_estimate"), f"{where}.delta_estimate", default=delta_estimate, minimum=0)
+    epsilon = _int(obj.get("epsilon"), f"{where}.epsilon", default=epsilon, minimum=1)
+    crash_time = _int(obj.get("crash_time"), f"{where}.crash_time", default=None, minimum=0)
     broadcasts: list[BroadcastScript] = []
     seen_messages: set[str] = set()
-    for j, b in enumerate(obj.get("broadcasts", [])):
+    for j, b in enumerate(_list(obj.get("broadcasts", []), f"{where}.broadcasts")):
         bwhere = f"{where}.broadcasts[{j}]"
-        _require(b, {"at", "message", "delta_estimate", "epsilon"}, bwhere)
+        _object(b, bwhere, {"at", "message", "delta_estimate", "epsilon"})
         message = _hex(b.get("message"), f"{bwhere}.message")
         if message in seen_messages:
-            raise _fail(f"{bwhere}: client {name} broadcasts {message} twice")
+            raise ScenarioError(f"{bwhere}: client {name} broadcasts {message} twice")
         seen_messages.add(message)
         broadcasts.append(
             BroadcastScript(
-                at=_int(b, "at", bwhere, minimum=0),
+                at=_int(b.get("at"), f"{bwhere}.at", minimum=0),
                 message=message,
-                delta_estimate=_int(b, "delta_estimate", bwhere, default=delta_estimate, minimum=0),
-                epsilon=_int(b, "epsilon", bwhere, default=epsilon, minimum=1),
+                delta_estimate=_int(b.get("delta_estimate"), f"{bwhere}.delta_estimate",
+                                    default=delta_estimate, minimum=0),
+                epsilon=_int(b.get("epsilon"), f"{bwhere}.epsilon", default=epsilon, minimum=1),
             )
         )
-    return ClientSpec(name, delta_estimate, epsilon, broadcasts, crash_time, behavior, params)
+    return ClientSpec(name, broadcasts, crash_time, behavior, params)
 
 
 def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
-    if not isinstance(obj, dict):
-        raise _fail("scenario file must contain a JSON object")
-    _require(
+    _object(
         obj,
+        "scenario",
         {
             "name", "kind", "n", "f", "delta", "drift", "epsilon", "network",
             "clock_offsets", "servers", "clients", "dep", "blink_script",
             "periodic_beat", "step_budget", "until",
         },
-        "scenario",
     )
-    name = obj.get("name", default_name)
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise _fail(f"scenario.name must match {_NAME_RE.pattern}, got {name!r}")
-    kind = obj.get("kind", "flutter")
-    if kind not in ("flutter", "blink"):
-        raise _fail(f"scenario.kind must be 'flutter' or 'blink', got {kind!r}")
-    n = _int(obj, "n", "scenario", minimum=1)
-    f = _int(obj, "f", "scenario", minimum=0)
+    name = _name(obj.get("name", default_name), "scenario.name")
+    kind = _choice(obj.get("kind", "flutter"), ("flutter", "blink"), "scenario.kind")
+    n = _int(obj.get("n"), "scenario.n", minimum=1)
+    f = _int(obj.get("f"), "scenario.f", minimum=0)
     if n < 5 * f + 1:
-        raise _fail(f"n={n} violates n >= 5f+1 (f={f} needs n >= {5 * f + 1})")
-    delta = _int(obj, "delta", "scenario", minimum=1)
-    drift = _int(obj, "drift", "scenario", default=0, minimum=0)
-    epsilon = _int(obj, "epsilon", "scenario", default=1, minimum=1)
+        raise ScenarioError(f"n={n} violates n >= 5f+1 (f={f} needs n >= {5 * f + 1})")
+    delta = _int(obj.get("delta"), "scenario.delta", minimum=1)
+    drift = _int(obj.get("drift"), "scenario.drift", default=0, minimum=0)
+    epsilon = _int(obj.get("epsilon"), "scenario.epsilon", default=1, minimum=1)
     network = _parse_network(obj.get("network", {}), "scenario.network", delta)
 
     names = set(server_names(n))
     server_faults: dict[str, ServerFault] = {}
-    for sname, conf in obj.get("servers", {}).items():
+    for sname, conf in _object(obj.get("servers", {}), "scenario.servers").items():
         where = f"servers[{sname!r}]"
         if sname not in names:
-            raise _fail(f"{where}: no such server (servers are {server_names(n)[0]}..{server_names(n)[-1]})")
-        _require(conf, {"behavior", "params"}, where)
-        server_faults[sname] = ServerFault(conf.get("behavior"), _behavior_params(conf, "server", where))
+            raise ScenarioError(f"{where}: no such server (servers are {server_names(n)[0]}..{server_names(n)[-1]})")
+        _object(conf, where, {"behavior", "params"})
+        server_faults[sname] = ServerFault(*_behavior(conf, "server", where))
     if len(server_faults) > f:
-        raise _fail(f"{len(server_faults)} Byzantine servers assigned but f={f}")
+        raise ScenarioError(f"{len(server_faults)} Byzantine servers assigned but f={f}")
 
-    clients = [_parse_client(c, delta, epsilon, i) for i, c in enumerate(obj.get("clients", []))]
+    clients_raw = _list(obj.get("clients", []), "scenario.clients")
+    clients = [_parse_client(c, delta, epsilon, i) for i, c in enumerate(clients_raw)]
     seen_clients: set[str] = set()
     for c in clients:
         if c.name in seen_clients:
-            raise _fail(f"duplicate client name {c.name!r}")
+            raise ScenarioError(f"duplicate client name {c.name!r}")
         if c.name in names:
-            raise _fail(f"client name {c.name!r} collides with a server name")
+            raise ScenarioError(f"client name {c.name!r} collides with a server name")
         seen_clients.add(c.name)
 
-    offsets_raw = obj.get("clock_offsets", {})
-    if not isinstance(offsets_raw, dict):
-        raise _fail("scenario.clock_offsets must be an object")
     known = names | seen_clients
     offsets: dict[str, int] = {}
-    for pname, off in offsets_raw.items():
+    for pname, off in _object(obj.get("clock_offsets", {}), "scenario.clock_offsets").items():
         if pname not in known:
-            raise _fail(f"clock_offsets names unknown process {pname!r}")
-        if not _is_int(off):
-            raise _fail(f"clock_offsets[{pname!r}] must be an integer")
+            raise ScenarioError(f"clock_offsets names unknown process {pname!r}")
+        offsets[pname] = _int(off, f"clock_offsets[{pname!r}]")
         if abs(off) > drift:
-            raise _fail(f"clock_offsets[{pname!r}]={off} exceeds drift bound {drift}")
-        offsets[pname] = off
+            raise ScenarioError(f"clock_offsets[{pname!r}]={off} exceeds drift bound {drift}")
     for link in network.delays:
         src, _, dst = link.partition("->")
         if src not in known or dst not in known:
-            raise _fail(f"network.delays link {link!r} names an unknown process")
+            raise ScenarioError(f"network.delays link {link!r} names an unknown process")
 
-    dep_raw = obj.get("dep", {})
-    _require(dep_raw, {"policy", "latency_budget", "extra_delays"}, "scenario.dep")
-    policy = dep_raw.get("policy", "first")
-    if policy not in POLICIES:
-        raise _fail(f"scenario.dep.policy must be one of {sorted(POLICIES)}, got {policy!r}")
-    budget = _int(dep_raw, "latency_budget", "scenario.dep", optional=True, minimum=0)
-    extra = dep_raw.get("extra_delays", {})
-    if not isinstance(extra, dict):
-        raise _fail("scenario.dep.extra_delays must be an object")
+    dep_raw = _object(obj.get("dep", {}), "scenario.dep", {"policy", "latency_budget", "extra_delays"})
+    policy = _choice(dep_raw.get("policy", "first"), POLICIES, "scenario.dep.policy")
+    budget = _int(dep_raw.get("latency_budget"), "scenario.dep.latency_budget", default=None, minimum=0)
+    extra = _object(dep_raw.get("extra_delays", {}), "scenario.dep.extra_delays")
     for sname, d in extra.items():
         if sname not in names:
-            raise _fail(f"scenario.dep.extra_delays names unknown server {sname!r}")
-        if not _is_int(d) or d < 0:
-            raise _fail(f"scenario.dep.extra_delays[{sname!r}] must be a nonnegative integer")
+            raise ScenarioError(f"scenario.dep.extra_delays names unknown server {sname!r}")
+        _int(d, f"scenario.dep.extra_delays[{sname!r}]", minimum=0)
     dep = DepConfig(policy, budget, dict(extra))
 
     blink_script: list[BlinkScriptEntry] = []
-    script_raw = obj.get("blink_script", [])
+    script_raw = _list(obj.get("blink_script", []), "scenario.blink_script")
     if script_raw and kind != "blink":
-        raise _fail("blink_script requires kind 'blink'")
+        raise ScenarioError("blink_script requires kind 'blink'")
     if kind == "blink" and clients:
-        raise _fail("kind 'blink' takes no clients")
+        raise ScenarioError("kind 'blink' takes no clients")
     scripted_pairs: set[tuple[str, str]] = set()
     for j, entry in enumerate(script_raw):
         where = f"blink_script[{j}]"
-        _require(entry, {"at", "server", "instance", "value"}, where)
-        sname = entry.get("server")
-        if sname not in names:
-            raise _fail(f"{where}.server {sname!r} is not a server")
+        _object(entry, where, {"at", "server", "instance", "value"})
+        sname = _choice(entry.get("server"), names, f"{where}.server")
         if sname in server_faults:
-            raise _fail(f"{where}: {sname} is Byzantine and cannot be scripted")
-        label = entry.get("instance")
-        if not isinstance(label, str) or not _LABEL_RE.match(label):
-            raise _fail(f"{where}.instance must match {_LABEL_RE.pattern}")
+            raise ScenarioError(f"{where}: {sname} is Byzantine and cannot be scripted")
+        label = _name(entry.get("instance"), f"{where}.instance", _LABEL_RE)
         if (sname, label) in scripted_pairs:
-            raise _fail(f"{where}: {sname} already proposes to instance {label!r}")
+            raise ScenarioError(f"{where}: {sname} already proposes to instance {label!r}")
         scripted_pairs.add((sname, label))
-        value = entry.get("value")
-        if not isinstance(value, bool):
-            raise _fail(f"{where}.value must be a boolean")
-        blink_script.append(BlinkScriptEntry(_int(entry, "at", where, minimum=0), sname, label, value))
+        value = _param("bool", entry.get("value"), f"{where}.value")
+        blink_script.append(BlinkScriptEntry(_int(entry.get("at"), f"{where}.at", minimum=0), sname, label, value))
 
-    periodic_beat = _int(obj, "periodic_beat", "scenario", optional=True, minimum=1)
-    until = _int(obj, "until", "scenario", optional=True, minimum=0)
+    periodic_beat = _int(obj.get("periodic_beat"), "scenario.periodic_beat", default=None, minimum=1)
+    until = _int(obj.get("until"), "scenario.until", default=None, minimum=0)
     if periodic_beat is not None and until is None:
-        raise _fail("periodic_beat without an until cutoff never quiesces")
-    step_budget = _int(obj, "step_budget", "scenario", default=1_000_000, minimum=1)
+        raise ScenarioError("periodic_beat without an until cutoff never quiesces")
+    step_budget = _int(obj.get("step_budget"), "scenario.step_budget", default=1_000_000, minimum=1)
 
     return Scenario(
         name=name,
@@ -375,7 +363,6 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         f=f,
         delta=delta,
         drift=drift,
-        epsilon=epsilon,
         network=network,
         clock_offsets=offsets,
         server_faults=server_faults,
@@ -391,9 +378,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
-        raise _fail(f"cannot read scenario {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise _fail(f"scenario {path} is not valid JSON: {e}") from None
+        raise ScenarioError(f"cannot read scenario {path}: {e}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
+        raise ScenarioError(f"scenario {path} is not valid UTF-8 JSON: {e}") from None
     return parse_scenario(obj, default_name=path.stem)

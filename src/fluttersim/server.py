@@ -36,7 +36,6 @@ class FlutterServer(BlinkNode):
         self.periodic_beat = periodic_beat
         self.observed: set[BroadcastTuple] = set()
         self.proposed: set[BroadcastTuple] = set()
-        self.candidates: set[BroadcastTuple] = set()
         self._queue: list[BroadcastTuple] = []  # heap of candidates above last_processed
         self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
@@ -77,21 +76,22 @@ class FlutterServer(BlinkNode):
         self._process_next(ctx)
 
     def _spot(self, ctx, t: BroadcastTuple) -> None:
-        if t.bet > self._lock and t not in self.candidates:
-            self.candidates.add(t)
+        if t in self.observed:
+            return
+        # The lock never falls, so a tuple is a candidate iff it clears the lock when first spotted.
+        if t.bet > self._lock:
             heapq.heappush(self._queue, t)
-        if t not in self.observed:
-            # Relay before scheduling the beat: every Time(b') with b' >= bet
-            # then trails the Observe on each link, so whoever advances our
-            # entry past the bet has already spotted the tuple.
-            obs = Observe(t)
-            for server in ctx.servers:
-                ctx.send(server, obs)
-            token = f"expiry@{len(self._expiry)}"
-            self._expiry[token] = t
-            ctx.schedule_local(t.bet, f"beat@{t.bet}")
-            ctx.schedule_local(t.bet, token)
-            self.observed.add(t)
+        # Relay before scheduling the beat: every Time(b') with b' >= bet
+        # then trails the Observe on each link, so whoever advances our
+        # entry past the bet has already spotted the tuple.
+        obs = Observe(t)
+        for server in ctx.servers:
+            ctx.send(server, obs)
+        token = f"expiry@{len(self._expiry)}"
+        self._expiry[token] = t
+        ctx.schedule_local(t.bet, f"beat@{t.bet}")
+        ctx.schedule_local(t.bet, token)
+        self.observed.add(t)
 
     def on_timer(self, ctx, token: str) -> None:
         if token == "pbeat":

@@ -42,5 +42,10 @@ def test_checker_replay_imports_no_protocol_module():
 def test_only_the_scenario_parser_converts_hex():
     # A message body is lowercase hex from the scenario file on: no other module converts it.
     texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert "fromhex(" in texts.pop("scenario.py")
+    scenario = texts.pop("scenario.py")
+    # One hex grammar: `fromhex(` appears once, in the scenario reader `_hex`.
+    assert scenario.count("fromhex(") == 1
+    readers = {node.name: ast.get_source_segment(scenario, node)
+               for node in ast.parse(scenario).body if isinstance(node, ast.FunctionDef)}
+    assert "fromhex(" in readers["_hex"]
     assert [name for name, text in texts.items() if "fromhex(" in text or ".hex()" in text] == []

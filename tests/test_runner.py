@@ -10,10 +10,10 @@ import pytest
 from fluttersim.adversary import BEHAVIORS, Mute
 from fluttersim.errors import OracleViolationError, ProtocolBugError
 from fluttersim.runner import campaign_variant, run_campaign, run_scenario
-from fluttersim.scenario import load_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, SEND
 
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, scenario_dict
 from test_golden import CAMPAIGN_DIGEST, sha256
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
@@ -111,6 +111,23 @@ def test_equivocator_frozen_outcome():
     assert not result.failed
     decides = [(e.time, e.process, e.payload["value"]) for e in result.trace if e.kind == DECIDE]
     assert decides == [(10, s, True) for s in CORRECT5]
+
+
+def test_crashed_client_is_held_to_nothing_and_its_peer_still_delivers():
+    # c000 bets 0 + 1 + 1 = 2 and crashes at 5, before any Decision can reach it.
+    doc = scenario_dict(clients=[
+        {"name": "c000", "delta_estimate": 1, "crash_time": 5, "broadcasts": [{"at": 0, "message": "6d"}]},
+        {"name": "c001", "broadcasts": [{"at": 0, "message": "6e"}]},
+    ])
+    result = run_scenario(parse_scenario(doc))
+    assert result.quiescent
+    assert not result.failed
+    verdicts = {r.prop: (r.verdict, r.detail) for r in result.reports}
+    assert verdicts["tob-validity"] == ("Pass", "1 broadcast(s) delivered everywhere")  # c001's only
+    assert verdicts["latency-tob"][0] == verdicts["latency-blink"][0] == "NotApplicable"
+    rows = {row["client"]: row for row in result.metrics["per_broadcast"]}
+    assert (rows["c000"]["attempts"], rows["c000"]["delivered_everywhere"]) == (1, False)
+    assert (rows["c001"]["attempts"], rows["c001"]["delivered_everywhere"]) == (1, True)
 
 
 def test_campaign_variant_construction():

@@ -10,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluttersim.cli as cli
 from fluttersim.checkers import CheckReport
-from fluttersim.errors import ScenarioError
+from fluttersim.errors import ConfigError, ScenarioError
+from fluttersim.runner import build_simulation
 from fluttersim.scenario import parse_scenario
 from fluttersim.server import FlutterServer
 from fluttersim.trace import write_trace
@@ -199,6 +202,116 @@ def test_blink_duplicate_proposal_rejected():
 def test_periodic_beat_requires_cutoff():
     reject(scenario_dict(periodic_beat=5), "until")
     parse_scenario(scenario_dict(periodic_beat=5, until=100))
+
+
+# --- every field, any JSON value ---
+
+FLUTTER_DOC = scenario_dict(
+    drift=1,
+    network={"strategy": "seeded_random", "seed": 7},
+    clock_offsets={"s000": 1, "c000": -1},
+    servers={"s005": {"behavior": "observe_forger", "params": {"client": "c000", "message": "beef", "bet": 50}}},
+    clients=[
+        {"name": "c000", "delta_estimate": 10, "epsilon": 1, "crash_time": 90,
+         "broadcasts": [{"at": 0, "message": "6d", "delta_estimate": 5, "epsilon": 2}]},
+        {"name": "c001", "behavior": "partial_disseminator", "params": {"targets": [0, 1], "message": "fade"}},
+    ],
+    dep={"policy": "adversarial_timing", "latency_budget": 20, "extra_delays": {"s001": 3}},
+    periodic_beat=7,
+    until=200,
+    step_budget=100_000,
+)
+BLINK_DOC = scenario_dict(
+    kind="blink",
+    clients=[],
+    servers={"s005": {"behavior": "equivocator", "params": {"mode": "split", "instances": ["i0"], "react": True}}},
+    blink_script=[
+        {"at": 0, "server": "s000", "instance": "i0", "value": True},
+        {"at": 1, "server": "s001", "instance": "i0", "value": False},
+    ],
+)
+
+
+def field_paths(doc, prefix=()):
+    """The path of every value inside `doc`, through objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def splice(doc, path, value):
+    """A deep copy of `doc` with the value at `path` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    slot = doc
+    for key in parents:
+        slot = slot[key]
+    slot[last] = value
+    return doc
+
+
+SPLICE_SITES = [(doc, path) for doc in (FLUTTER_DOC, BLINK_DOC) for path in field_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=40) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["s000", "s005", "c000", "6d", "6D", " 6d", "mute", "i0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(SPLICE_SITES), JSON_VALUES)
+def test_any_value_in_any_field_is_rejected_or_builds(site, value):
+    doc, path = site
+    try:
+        scenario = parse_scenario(splice(doc, path, value))
+    except ScenarioError:
+        return
+    try:
+        build_simulation(scenario)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("dep",), []),
+        (("network",), []),
+        (("servers",), []),
+        (("servers", "s005"), "mute"),
+        (("clients",), 5),
+        (("clients",), [5]),
+        (("clients", 0, "broadcasts"), 5),
+        (("clients", 0, "broadcasts"), [5]),
+        (("dep", "policy"), []),
+        (("servers", "s005", "behavior"), {}),
+        (("network", "seed"), [1]),
+        (("clients", 0, "broadcasts", 0, "message"), " 6d 6E "),
+    ],
+)
+def test_cli_rejects_a_misshapen_field(write_scenario, capsys, path, value):
+    code = cli.main(["run", str(write_scenario(splice(FLUTTER_DOC, path, value)))])
+    assert code == cli.EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps(scenario_dict(name="caf\u00e9"), ensure_ascii=False).encode("latin-1"),
+        b"[" * 100_000 + b"]" * 100_000,  # valid JSON, nested past the decoder's recursion limit
+    ],
+    ids=["latin-1", "nested-too-deep"],
+)
+def test_cli_rejects_a_file_that_is_not_utf8_json(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not valid UTF-8 JSON" in err and err.count("\n") == 1, err
 
 
 def test_bad_json_file_is_scenario_error(tmp_path):

@@ -100,7 +100,7 @@ def test_spot_new_tuple_relays_then_schedules_then_observes():
     ctx = FakeCtx()
     t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
-    assert t in srv.candidates  # lock is -inf, every bet clears it
+    assert t in srv._queue  # lock is -inf, every bet clears it
     assert [dst for dst, _ in ctx.sent] == SERVERS
     assert all(isinstance(m, Observe) and m.tuple == t for _, m in ctx.sent)
     assert (11, "beat@11") in ctx.timers
@@ -116,6 +116,7 @@ def test_spot_known_tuple_does_not_relay_again():
     sent_before = len(ctx.sent)
     srv._spot(ctx, t)
     assert len(ctx.sent) == sent_before
+    assert srv._queue == [t]
 
 
 def test_spot_late_tuple_relayed_but_not_candidate():
@@ -124,7 +125,7 @@ def test_spot_late_tuple_relayed_but_not_candidate():
     set_lock(srv, ctx, 20)
     t = BroadcastTuple(15, "c000", "6d")
     srv._spot(ctx, t)
-    assert t not in srv.candidates
+    assert t not in srv._queue
     assert t in srv.observed
     assert len(ctx.sent) == 6  # still relayed for candidate completeness
 
