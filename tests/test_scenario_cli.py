@@ -291,7 +291,8 @@ def test_any_value_in_any_field_is_rejected_or_builds(site, value):
         (("clients", 0, "broadcasts", 0, "message"), " 6d 6E "),
     ],
 )
-def test_cli_rejects_a_misshapen_field(write_scenario, capsys, path, value):
+def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, capsys, path, value):
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))  # a run that wrongly passes writes here
     code = cli.main(["run", str(write_scenario(splice(FLUTTER_DOC, path, value)))])
     assert code == cli.EXIT_SCENARIO
     err = capsys.readouterr().err
