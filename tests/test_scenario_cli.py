@@ -260,6 +260,11 @@ JSON_VALUES = st.recursive(
 )
 
 
+@pytest.mark.parametrize("doc", [FLUTTER_DOC, BLINK_DOC], ids=["flutter", "blink"])
+def test_the_splice_bases_build(doc):
+    build_simulation(parse_scenario(doc))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(SPLICE_SITES), JSON_VALUES)
 def test_any_value_in_any_field_is_rejected_or_builds(site, value):
