@@ -104,9 +104,7 @@ class TimeLiar(Behavior):
             return
         self.blasts_left -= 1
         self.last_blast = ctx.now()
-        lie = Time(ctx.local_time() + self.ahead)
-        for server in ctx.servers:
-            ctx.send(server, lie)
+        ctx.broadcast(Time(ctx.local_time() + self.ahead))
 
     def on_init(self, ctx) -> None:
         self._blast(ctx)
@@ -133,9 +131,7 @@ class ObserveForger(Behavior):
         if victim is None or victim not in ctx.clients:
             raise ConfigError(f"observe_forger needs an existing victim client, got {victim!r}")
         bet = self.bet if self.bet is not None else ctx.local_time() + self.bet_offset
-        forged = Observe(BroadcastTuple(bet, victim, self.message))
-        for server in ctx.servers:
-            ctx.send(server, forged)
+        ctx.broadcast(Observe(BroadcastTuple(bet, victim, self.message)))
 
 
 class Mute(Behavior):
@@ -159,11 +155,8 @@ class StaleRelay(Behavior):
         self.seen.add(key)
         # Time first, Observe second on every link: FIFO then shows each
         # peer a clock already past the bet before it can spot the tuple.
-        stale, relay = Time(key.bet + self.lead), Observe(key)
-        for server in ctx.servers:
-            ctx.send(server, stale)
-        for server in ctx.servers:
-            ctx.send(server, relay)
+        ctx.broadcast(Time(key.bet + self.lead))
+        ctx.broadcast(Observe(key))
 
 
 class PartialDisseminator(Behavior):

@@ -17,13 +17,14 @@ from .types import InstanceKey, Suggest, instance_payload, quorum_large, quorum_
 class BlinkInstance:
     """Per-instance state machine; the host wires it to the network and dep."""
 
-    __slots__ = ("key", "f", "host", "suggestions", "self_proposed", "dep_proposed", "decided")
+    __slots__ = ("key", "f", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decided")
 
     def __init__(self, key: InstanceKey, f: int, host):
         self.key = key
         self.f = f
         self.host = host
         self.suggestions: dict[str, bool] = {}
+        self.trues = 0  # True entries in `suggestions`
         self.self_proposed = False
         self.dep_proposed = False
         self.decided = False
@@ -33,21 +34,22 @@ class BlinkInstance:
             raise ProtocolBugError(f"{ctx.name} proposed twice to instance {self.key!r}")
         self.self_proposed = True
         ctx.emit(tr.PROPOSE, {"instance": instance_payload(self.key), "value": value})
-        suggest = Suggest(self.key, value)
-        for server in ctx.servers:
-            ctx.send(server, suggest)
+        ctx.broadcast(Suggest(self.key, value))
 
     def on_suggest(self, ctx, sender: str, value: bool) -> None:
+        # A sender's later suggestion replaces its earlier one, in the tally too.
+        self.trues += value - (self.suggestions.get(sender) is True)
         self.suggestions[sender] = value
         large = quorum_large(self.f)
-        if len(self.suggestions) >= large and not self.dep_proposed:
+        count = len(self.suggestions)
+        if count >= large and not self.dep_proposed:
             self.dep_proposed = True
             self.host.dep_propose(self.key, self._majority())
         if not self.decided:
-            for v in (True, False):
-                if sum(1 for s in self.suggestions.values() if s == v) >= large:
-                    self._decide(ctx, v)
-                    break
+            if self.trues >= large:
+                self._decide(ctx, True)
+            elif count - self.trues >= large:
+                self._decide(ctx, False)
 
     def on_dep_decide(self, ctx, value: bool) -> None:
         if not self.decided:

@@ -50,9 +50,7 @@ class FlutterClient:
         estimate, epsilon = self._margins[message]
         bet = ctx.local_time() + (2**attempt) * estimate + epsilon
         self.submissions[message] = (attempt, bet)
-        submission = Message(message, bet)
-        for server in ctx.servers:
-            ctx.send(server, submission)
+        ctx.broadcast(Message(message, bet))
 
     def on_deliver(self, ctx, src: str, msg) -> None:
         if self._crashed(ctx):

@@ -46,6 +46,9 @@ _PARAM_TYPES = {
 }
 
 
+MAX_SERVERS = 1000  # server names s000..s999
+
+
 def server_names(n: int) -> list[str]:
     return [f"s{i:03d}" for i in range(n)]
 
@@ -278,6 +281,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     name = _name(obj.get("name", default_name), "scenario.name")
     kind = _choice(obj.get("kind", "flutter"), ("flutter", "blink"), "scenario.kind")
     n = _int(obj.get("n"), "scenario.n", minimum=1)
+    if n > MAX_SERVERS:  # before any per-server structure is built
+        raise ScenarioError(f"scenario.n must be <= {MAX_SERVERS}, got {n}")
     f = _int(obj.get("f"), "scenario.f", minimum=0)
     if n < 5 * f + 1:
         raise ScenarioError(f"n={n} violates n >= 5f+1 (f={f} needs n >= {5 * f + 1})")

@@ -84,9 +84,7 @@ class FlutterServer(BlinkNode):
         # Relay before scheduling the beat: every Time(b') with b' >= bet
         # then trails the Observe on each link, so whoever advances our
         # entry past the bet has already spotted the tuple.
-        obs = Observe(t)
-        for server in ctx.servers:
-            ctx.send(server, obs)
+        ctx.broadcast(Observe(t))
         token = f"expiry@{len(self._expiry)}"
         self._expiry[token] = t
         ctx.schedule_local(t.bet, f"beat@{t.bet}")
@@ -106,9 +104,7 @@ class FlutterServer(BlinkNode):
                 self.instance(t).propose(ctx, False)
 
     def _beat(self, ctx) -> None:
-        beat = Time(ctx.local_time())
-        for server in ctx.servers:
-            ctx.send(server, beat)
+        ctx.broadcast(Time(ctx.local_time()))
 
     def _on_time(self, ctx, src: str, time: int) -> None:
         if time > self.remote_times[src]:

@@ -3,6 +3,8 @@
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets, local-time timers, and full tracing:
 every event goes to `sink`, by default appended to `trace`.
+`Simulator.send` is the one send path: a call renders its message once
+and sends a copy to each destination, so a broadcast is one call.
 Events are processed in (time, global sequence) order; handler work is
 instantaneous (takes zero ticks). Quiescence = empty event queue.
 """
@@ -37,9 +39,15 @@ class SeededRandom:
     def __init__(self, delta: int, seed):
         self.delta = delta
         self.rng = random.Random(seed)
+        self._bits = delta.bit_length()
 
     def delay(self, src: str, dst: str, nth: int) -> int:
-        return self.rng.randint(1, self.delta)
+        # rng.randint(1, delta) inlined: the same rejection draw from the same stream.
+        bits, delta, getrandbits = self._bits, self.delta, self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= delta:
+            r = getrandbits(bits)
+        return r + 1
 
 
 class Scripted:
@@ -85,7 +93,11 @@ class Context:
         return self.sim.clock.local(self.name, self.sim.now)
 
     def send(self, dst: str, msg: WireMessage) -> None:
-        self.sim.send(self.name, dst, msg)
+        self.sim.send(self.name, (dst,), msg)
+
+    def broadcast(self, msg: WireMessage) -> None:
+        """Send `msg` to every server, this one included, in server order."""
+        self.sim.send(self.name, self.sim.servers, msg)
 
     def schedule_local(self, fire_at_local: SimTime, token: str) -> None:
         self.sim.schedule_timer(self.name, fire_at_local, token)
@@ -126,8 +138,6 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._links: dict[tuple[str, str], list] = {}  # (src, dst) -> [last_delivery, sends]
-        self._last_msg: WireMessage | None = None  # held, so `is` cannot match a recycled id
-        self._last_wire: dict | None = None  # wire_payload(_last_msg)
         self._started = False
         self._steps = 0
 
@@ -147,26 +157,28 @@ class Simulator:
     def emit(self, process: str, kind: str, payload: dict) -> None:
         self.sink(tr.TraceEvent(self.now, process, kind, payload))
 
-    def send(self, src: str, dst: str, msg: WireMessage) -> None:
-        if dst not in self.handlers:
-            raise ConfigError(f"send to unknown process {dst}")
-        link = self._links.get((src, dst))
-        if link is None:
-            link = self._links[(src, dst)] = [0, 0]
-        d = self.strategy.delay(src, dst, link[1])
-        link[1] += 1
-        when = self.now + d
-        if when < link[0]:  # FIFO repair: never deliver before an earlier send
-            when = link[0]
-        link[0] = when
-        # A broadcast sends one message object to every peer: render it once,
-        # and let its Send and Deliver events share that dict.
-        if msg is not self._last_msg:
-            self._last_msg = msg
-            self._last_wire = wire_payload(msg)
-        wire = self._last_wire
-        self.sink(tr.TraceEvent(self.now, src, tr.SEND, {"dst": dst, "msg": wire}))
-        self._push(when, _DELIVER, src, dst, msg, wire)
+    def send(self, src: str, dsts: list[str] | tuple[str, ...], msg: WireMessage) -> None:
+        """Send `msg` from `src` to each of `dsts` in order.
+
+        The message is rendered once: every Send event of the call and the
+        Deliver event of each copy hold the same `msg` dict.
+        """
+        wire = wire_payload(msg)
+        now, links, delay, sink, heap = self.now, self._links, self.strategy.delay, self.sink, self._heap
+        for dst in dsts:
+            link = links.get((src, dst))
+            if link is None:
+                if dst not in self.handlers:
+                    raise ConfigError(f"send to unknown process {dst}")
+                link = links[(src, dst)] = [0, 0]
+            when = now + delay(src, dst, link[1])
+            link[1] += 1
+            if when < link[0]:  # FIFO repair: never deliver before an earlier send
+                when = link[0]
+            link[0] = when
+            sink(tr.TraceEvent(now, src, tr.SEND, {"dst": dst, "msg": wire}))
+            self._seq += 1
+            heapq.heappush(heap, (when, self._seq, _DELIVER, src, dst, msg, wire))
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
         self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)

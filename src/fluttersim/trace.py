@@ -4,8 +4,9 @@ One JSON object per line, keys always time/process/kind/payload in that
 order. Payloads are built as JSON-ready dicts up front so the in-memory
 trace and the file render identically byte for byte.
 
-A wire message is rendered once: every Send event of one broadcast and
-the Deliver event of each of those sends hold the same `msg` dict. Treat
+A wire message is rendered once per send call, and a broadcast is one
+call: every Send event of the call and the Deliver event of each of
+those sends hold the same `msg` dict. Treat
 payloads as read-only; code that edits one must copy the event (say,
 with copy.deepcopy) first, or the edit shows up in every event sharing it.
 Events reach the checkers one by one, from a kept trace or, in a campaign

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fluttersim.blink import BlinkInstance
 from fluttersim.errors import ProtocolBugError
@@ -31,6 +33,10 @@ class FakeCtx:
 
     def send(self, dst, msg):
         self.sent.append((dst, msg))
+
+    def broadcast(self, msg):
+        for server in self.servers:
+            self.send(server, msg)
 
     def emit(self, kind, payload):
         self.emitted.append((kind, payload))
@@ -131,3 +137,35 @@ def test_slow_path_majority_examples():
     assert inst._majority() is True
     inst.suggestions = {"s000": False, "s001": False, "s002": False, "s003": True, "s004": True}
     assert inst._majority() is False
+
+
+def recount(votes, f):
+    """Reference model: recount every suggestion after each delivery."""
+    large, table, dep, decided = 4 * f + 1, {}, [], []
+    for sender, value in votes:
+        table[sender] = value
+        trues = sum(1 for v in table.values() if v is True)
+        falses = sum(1 for v in table.values() if v is False)
+        if len(table) >= large and not dep:
+            dep.append(trues >= 2 * f + 1)
+        if not decided and (trues >= large or falses >= large):
+            decided.append(trues >= large)
+        yield trues, dep[:], decided[:]
+
+
+SENDERS = [f"s{i:03d}" for i in range(12)]
+
+
+@given(st.integers(0, 2), st.lists(st.tuples(st.sampled_from(SENDERS), st.booleans()), max_size=60))
+@example(1, [("s000", True), ("s001", True), ("s002", True), ("s003", True), ("s000", False),
+             ("s004", True), ("s000", True)])  # a flip costs s000's True vote, a flip back restores it
+@example(1, [("s000", False), ("s001", False), ("s000", True), ("s002", False), ("s003", False),
+             ("s004", False), ("s000", False)])
+def test_suggestion_tally_matches_a_full_recount(f, votes):
+    host, ctx = FakeHost(), FakeCtx()
+    inst = BlinkInstance("i0", f, host)
+    for vote, (trues, dep, decided) in zip(votes, recount(votes, f)):
+        inst.on_suggest(ctx, *vote)
+        assert inst.trues == trues
+        assert host.dep_proposals == [("i0", v) for v in dep]
+        assert host.decisions == [("i0", v) for v in decided]

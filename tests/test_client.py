@@ -35,6 +35,10 @@ class FakeCtx:
     def send(self, dst, msg):
         self.sent.append((dst, msg))
 
+    def broadcast(self, msg):
+        for server in self.servers:
+            self.send(server, msg)
+
     def emit(self, kind, payload):
         self.emitted.append((kind, payload))
 

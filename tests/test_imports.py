@@ -1,8 +1,10 @@
-"""Import rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module."""
+"""Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
+fan-out in the simulator."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -49,3 +51,11 @@ def test_only_the_scenario_parser_converts_hex():
                for node in ast.parse(scenario).body if isinstance(node, ast.FunctionDef)}
     assert "fromhex(" in readers["_hex"]
     assert [name for name, text in texts.items() if "fromhex(" in text or ".hex()" in text] == []
+
+
+def test_only_the_simulator_fans_out():
+    # A broadcast is one `ctx.broadcast` call, which the simulator loops over in one frame.
+    loop = re.compile(r"for \w+ in ctx\.servers:\s*ctx\.send\(")
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "simnet.py"}
+    assert len(texts) > 10
+    assert [name for name, text in texts.items() if loop.search(text)] == []

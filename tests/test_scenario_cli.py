@@ -36,6 +36,31 @@ def test_resilience_bound_enforced():
     parse_scenario(scenario_dict(n=11, f=2, clients=[]))
 
 
+def test_server_count_bounded():
+    reject(scenario_dict(n=1001, f=0, clients=[]), r"scenario.n must be <= 1000, got 1001")
+    assert len(build_simulation(parse_scenario(scenario_dict(n=1000, f=0, clients=[]))).servers) == 1000
+
+
+def test_cli_rejects_a_huge_server_count_within_a_second(tmp_path, write_scenario):
+    # Unbounded, n = 10^8 would build every server name first (about 15 GB): the child
+    # runs under a 512 MiB address-space cap, so a missing bound fails fast instead.
+    path = write_scenario(scenario_dict(n=10**8, f=0, clients=[]))
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from fluttersim.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main(['run', {str(path)!r}])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, FLUTTERSIM_OUT=str(tmp_path), PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_SCENARIO, proc.stderr
+    assert "scenario.n must be <= 1000" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
 def test_unknown_top_level_key_rejected():
     reject(scenario_dict(surprise=1), "surprise")
 

@@ -46,6 +46,10 @@ class FakeCtx:
     def send(self, dst, msg):
         self.sent.append((dst, msg))
 
+    def broadcast(self, msg):
+        for server in self.servers:
+            self.send(server, msg)
+
     def schedule_local(self, at, token):
         self.timers.append((at, token))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fluttersim.errors import BudgetExceededError, ConfigError
@@ -222,3 +224,69 @@ def test_timer_fire_traced():
     assert len(fires) == 1
     assert fires[0].time == 4
     assert fires[0].process == "a"
+
+
+@pytest.mark.parametrize("seed", [0, 104729, "fluttersim"])
+def test_seeded_delays_are_the_randint_stream(seed):
+    # SeededRandom inlines randint(1, delta): every golden digest rests on the two streams agreeing.
+    for delta in range(1, 71):
+        strategy, reference = SeededRandom(delta, seed), random.Random(seed)
+        assert [strategy.delay("a", "b", i) for i in range(100)] == [reference.randint(1, delta) for _ in range(100)]
+
+
+class Fanout:
+    """Sends Time(t) to every server at each listed local time t, by broadcast or by a send loop."""
+
+    def __init__(self, times, loop):
+        self.times = times
+        self.loop = loop
+
+    def on_init(self, ctx):
+        for t in self.times:
+            ctx.schedule_local(t, str(t))
+
+    def on_deliver(self, ctx, src, msg):
+        pass
+
+    def on_timer(self, ctx, token):
+        msg = Time(int(token))
+        if self.loop:
+            for server in ctx.servers:
+                ctx.send(server, msg)
+        else:
+            ctx.broadcast(msg)
+
+
+FIFO_REPAIR = {"s000->s001": [10, 2], "s000->s002": [9, 1, 1]}  # later sends would overtake earlier ones
+
+
+def fanout_trace(strategy, loop):
+    sim = Simulator(strategy)
+    sim.add_process("s000", "server", Fanout([0, 1, 4], loop))
+    for name in ("s001", "s002"):
+        sim.add_process(name, "server", Sink())
+    sim.add_process("c000", "client", Sink())
+    assert sim.run()
+    return sim.trace
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [lambda: ExactDelta(10), lambda: SeededRandom(10, 7), lambda: Scripted(10, FIFO_REPAIR)],
+    ids=["exact", "seeded", "scripted-fifo-repair"],
+)
+def test_broadcast_matches_a_send_loop(strategy):
+    looped, broadcast = fanout_trace(strategy(), True), fanout_trace(strategy(), False)
+    assert [(e.time, e.process, e.kind, e.payload) for e in broadcast] == [
+        (e.time, e.process, e.kind, e.payload) for e in looped
+    ]
+    assert {e.process for e in broadcast if e.kind == DELIVER} == {"s000", "s001", "s002"}  # servers only
+    # One call renders the message once: its Sends share one dict.
+    for t in (0, 1, 4):
+        assert len({id(e.payload["msg"]) for e in broadcast if e.kind == SEND and e.time == t}) == 1
+
+
+def test_scripted_table_forces_fifo_repair_on_broadcast():
+    trace = fanout_trace(Scripted(10, FIFO_REPAIR), False)
+    at = {(e.process, e.payload["msg"]["time"]): e.time for e in trace if e.kind == DELIVER}
+    assert at[("s001", 1)] == 10 and at[("s002", 1)] == 9 and at[("s002", 4)] == 9  # held behind earlier sends
