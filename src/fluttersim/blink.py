@@ -57,10 +57,9 @@ class BlinkInstance:
 
     def _majority(self) -> bool:
         majority = quorum_majority(self.f)
-        trues = sum(1 for v in self.suggestions.values() if v)
-        if trues >= majority:
+        if self.trues >= majority:
             return True
-        if len(self.suggestions) - trues >= majority:
+        if len(self.suggestions) - self.trues >= majority:
             return False
         raise AssertionError("no 2f+1 majority among 4f+1 binary suggestions")
 

@@ -16,11 +16,11 @@ from .adversary import BEHAVIORS
 from .blink import BlinkNode
 from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
 from .client import FlutterClient
-from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError
+from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
 from .scenario import ClientSpec, Scenario, ServerFault
 from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
-from .weakcon import AdversarialTiming, AdversarialValue, DepOracle, FirstProposal
+from .weakcon import POLICIES, DepOracle
 
 
 def _strategy(scenario: Scenario):
@@ -32,36 +32,17 @@ def _strategy(scenario: Scenario):
     return Scripted(scenario.delta, net.delays)
 
 
-def _dep_policy(scenario: Scenario):
-    if scenario.dep.policy == "first":
-        return FirstProposal()
-    if scenario.dep.policy == "adversarial_value":
-        return AdversarialValue()
-    return AdversarialTiming(scenario.dep.extra_delays)
-
-
 def build_simulation(scenario: Scenario) -> Simulator:
-    sim = Simulator(
-        _strategy(scenario),
-        ClockModel(dict(scenario.clock_offsets)),
-        step_budget=scenario.step_budget,
-    )
-    budget = scenario.dep.latency_budget
-    if budget is None:
-        budget = 3 * scenario.delta
-    oracle = DepOracle(
-        sim,
-        scenario.correct_servers,
-        _dep_policy(scenario),
-        budget,
-        seed=scenario.network.seed,
-    )
+    sim = Simulator(_strategy(scenario), ClockModel(dict(scenario.clock_offsets)), step_budget=scenario.step_budget)
+    # Decide indications land within 3 delta of the last correct proposal.
+    policy = POLICIES[scenario.dep_policy]()
+    oracle = DepOracle(sim, scenario.correct_servers, policy, 3 * scenario.delta, seed=scenario.network.seed)
     for name in scenario.servers:
         fault = scenario.server_faults.get(name)
         if fault is not None:
             handler = BEHAVIORS[fault.behavior](name, scenario.delta, fault.params)
         elif scenario.kind == "flutter":
-            handler = FlutterServer(name, scenario.f, oracle, scenario.periodic_beat)
+            handler = FlutterServer(name, scenario.f, oracle)
         else:
             handler = BlinkNode(name, scenario.f, oracle)
         sim.add_process(name, "server", handler)
@@ -116,23 +97,28 @@ def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: b
 _CAMPAIGN_CLIENT = "c900"
 
 
+def _inject(base: Scenario, behavior: str) -> tuple[dict[str, ServerFault], list[ClientSpec]]:
+    """`base`'s faults plus one `behavior` process; a server one takes the highest-numbered correct server."""
+    server_faults, clients = dict(base.server_faults), list(base.clients)
+    if BEHAVIORS[behavior].role == "client":
+        if _CAMPAIGN_CLIENT in base.client_names:
+            raise ScenarioError(f"campaign base {base.name} already has a client named {_CAMPAIGN_CLIENT}")
+        clients.append(ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior))
+    elif len(server_faults) >= base.f:
+        raise ScenarioError(f"campaign base {base.name} has no server left for {behavior}: f={base.f} faults already")
+    else:
+        server_faults[base.correct_servers[-1]] = ServerFault(behavior, {})
+    return server_faults, clients
+
+
 def campaign_variant(base: Scenario, behavior: str, policy: str, seed: int) -> Scenario:
     """One campaign run: seeded delays, chosen dep policy, one injected fault."""
-    cls = BEHAVIORS[behavior]
-    network = dataclasses.replace(base.network, strategy="seeded_random", seed=seed, delays={})
-    dep = dataclasses.replace(base.dep, policy=policy)
-    server_faults = dict(base.server_faults)
-    clients = list(base.clients)
-    if cls.role == "server":
-        victim = base.servers[-1]
-        server_faults[victim] = ServerFault(behavior, {})
-    else:
-        clients.append(ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior))
+    server_faults, clients = _inject(base, behavior)
     return dataclasses.replace(
         base,
         name=f"{base.name}+{behavior}+{policy}+s{seed}",
-        network=network,
-        dep=dep,
+        network=dataclasses.replace(base.network, strategy="seeded_random", seed=seed, delays={}),
+        dep_policy=policy,
         server_faults=server_faults,
         clients=clients,
     )
@@ -169,6 +155,8 @@ def run_campaign(
     parallel: int = 1,
 ) -> dict:
     policies = policies or ["adversarial_value", "adversarial_timing"]
+    for behavior in behaviors:  # a base with no room for a behavior fails before the first run
+        _inject(base, behavior)
     jobs = [
         (base, behavior, policy, seed)
         for behavior in behaviors

@@ -84,13 +84,6 @@ class NetworkConfig:
 
 
 @dataclass
-class DepConfig:
-    policy: str = "first"
-    latency_budget: int | None = None
-    extra_delays: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class BlinkScriptEntry:
     at: int
     server: str
@@ -110,9 +103,8 @@ class Scenario:
     clock_offsets: dict[str, int] = field(default_factory=dict)
     server_faults: dict[str, ServerFault] = field(default_factory=dict)
     clients: list[ClientSpec] = field(default_factory=list)
-    dep: DepConfig = field(default_factory=DepConfig)
+    dep_policy: str = "first"
     blink_script: list[BlinkScriptEntry] = field(default_factory=list)
-    periodic_beat: int | None = None
     step_budget: int = 1_000_000
     until: int | None = None
 
@@ -275,7 +267,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         {
             "name", "kind", "n", "f", "delta", "drift", "epsilon", "network",
             "clock_offsets", "servers", "clients", "dep", "blink_script",
-            "periodic_beat", "step_budget", "until",
+            "step_budget", "until",
         },
     )
     name = _name(obj.get("name", default_name), "scenario.name")
@@ -325,15 +317,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         if src not in known or dst not in known:
             raise ScenarioError(f"network.delays link {link!r} names an unknown process")
 
-    dep_raw = _object(obj.get("dep", {}), "scenario.dep", {"policy", "latency_budget", "extra_delays"})
-    policy = _choice(dep_raw.get("policy", "first"), POLICIES, "scenario.dep.policy")
-    budget = _int(dep_raw.get("latency_budget"), "scenario.dep.latency_budget", default=None, minimum=0)
-    extra = _object(dep_raw.get("extra_delays", {}), "scenario.dep.extra_delays")
-    for sname, d in extra.items():
-        if sname not in names:
-            raise ScenarioError(f"scenario.dep.extra_delays names unknown server {sname!r}")
-        _int(d, f"scenario.dep.extra_delays[{sname!r}]", minimum=0)
-    dep = DepConfig(policy, budget, dict(extra))
+    dep = _object(obj.get("dep", {}), "scenario.dep", {"policy"})
+    dep_policy = _choice(dep.get("policy", "first"), POLICIES, "scenario.dep.policy")
 
     blink_script: list[BlinkScriptEntry] = []
     script_raw = _list(obj.get("blink_script", []), "scenario.blink_script")
@@ -355,10 +340,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         value = _param("bool", entry.get("value"), f"{where}.value")
         blink_script.append(BlinkScriptEntry(_int(entry.get("at"), f"{where}.at", minimum=0), sname, label, value))
 
-    periodic_beat = _int(obj.get("periodic_beat"), "scenario.periodic_beat", default=None, minimum=1)
     until = _int(obj.get("until"), "scenario.until", default=None, minimum=0)
-    if periodic_beat is not None and until is None:
-        raise ScenarioError("periodic_beat without an until cutoff never quiesces")
     step_budget = _int(obj.get("step_budget"), "scenario.step_budget", default=1_000_000, minimum=1)
 
     return Scenario(
@@ -372,9 +354,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         clock_offsets=offsets,
         server_faults=server_faults,
         clients=clients,
-        dep=dep,
+        dep_policy=dep_policy,
         blink_script=blink_script,
-        periodic_beat=periodic_beat,
         step_budget=step_budget,
         until=until,
     )

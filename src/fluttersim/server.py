@@ -31,9 +31,8 @@ from .types import (
 class FlutterServer(BlinkNode):
     """A BlinkNode that feeds one consensus instance per spotted tuple."""
 
-    def __init__(self, name: str, f: int, oracle, periodic_beat: int | None = None):
+    def __init__(self, name: str, f: int, oracle):
         super().__init__(name, f, oracle)
-        self.periodic_beat = periodic_beat
         self.observed: set[BroadcastTuple] = set()
         self.proposed: set[BroadcastTuple] = set()
         self._queue: list[BroadcastTuple] = []  # heap of candidates above last_processed
@@ -49,8 +48,6 @@ class FlutterServer(BlinkNode):
         super().on_init(ctx)
         self._client_set = frozenset(ctx.clients)
         self.remote_times = {s: NEG_INF for s in ctx.servers}
-        if self.periodic_beat is not None:
-            ctx.schedule_local(ctx.local_time() + self.periodic_beat, "pbeat")
 
     def lock_time(self) -> int | float:
         ranked = sorted(self.remote_times.values(), reverse=True)
@@ -92,19 +89,13 @@ class FlutterServer(BlinkNode):
         self.observed.add(t)
 
     def on_timer(self, ctx, token: str) -> None:
-        if token == "pbeat":
-            self._beat(ctx)
-            ctx.schedule_local(ctx.local_time() + self.periodic_beat, "pbeat")
-        elif token.startswith("beat@"):
-            self._beat(ctx)
+        if token.startswith("beat@"):
+            ctx.broadcast(Time(ctx.local_time()))
         else:
             t = self._expiry[token]
             if t not in self.proposed and t.bet <= ctx.local_time():
                 self.proposed.add(t)
                 self.instance(t).propose(ctx, False)
-
-    def _beat(self, ctx) -> None:
-        ctx.broadcast(Time(ctx.local_time()))
 
     def _on_time(self, ctx, src: str, time: int) -> None:
         if time > self.remote_times[src]:

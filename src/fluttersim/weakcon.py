@@ -46,16 +46,11 @@ class AdversarialValue(FirstProposal):
 
 
 class AdversarialTiming(AdversarialValue):
-    """Minority value plus per-server indication delays within the budget."""
+    """Minority value plus seeded per-server indication delays within the budget."""
 
     name = "adversarial_timing"
 
-    def __init__(self, extra_delays: dict[str, int] | None = None):
-        self.extra_delays = extra_delays or {}
-
     def delay(self, server, rng, budget):
-        if server in self.extra_delays:
-            return max(0, min(self.extra_delays[server], budget))
         return rng.randint(0, budget)
 
 

@@ -122,20 +122,26 @@ def test_double_propose_is_protocol_bug():
         inst.propose(ctx, False)
 
 
+def poke(inst, suggestions):
+    """Set an instance's suggestions and, with them, its running True tally."""
+    inst.suggestions = suggestions
+    inst.trues = sum(suggestions.values())
+
+
 def test_majority_guard_unreachable_split_asserts():
     # A 2/2 split cannot arise from 4f+1 = 5 binary suggestions, so the
     # guard is an assert; poke it directly.
     inst, host, ctx = make()
-    inst.suggestions = {"s000": True, "s001": True, "s002": False, "s003": False}
+    poke(inst, {"s000": True, "s001": True, "s002": False, "s003": False})
     with pytest.raises(AssertionError):
         inst._majority()
 
 
 def test_slow_path_majority_examples():
     inst, host, ctx = make()
-    inst.suggestions = {"s000": True, "s001": True, "s002": True, "s003": False, "s004": False}
+    poke(inst, {"s000": True, "s001": True, "s002": True, "s003": False, "s004": False})
     assert inst._majority() is True
-    inst.suggestions = {"s000": False, "s001": False, "s002": False, "s003": True, "s004": True}
+    poke(inst, {"s000": False, "s001": False, "s002": False, "s003": True, "s004": True})
     assert inst._majority() is False
 
 

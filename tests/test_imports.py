@@ -1,12 +1,15 @@
 """Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
-fan-out in the simulator."""
+fan-out in the simulator, no scenario field that is stored and never read."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
+
+from fluttersim import scenario as sc
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluttersim"
 PROTOCOL_MODULES = {"server", "blink", "client", "adversary", "weakcon", "simnet"}
@@ -59,3 +62,14 @@ def test_only_the_simulator_fans_out():
     texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "simnet.py"}
     assert len(texts) > 10
     assert [name for name, text in texts.items() if loop.search(text)] == []
+
+
+def test_every_scenario_field_is_read_outside_the_parser():
+    # A field the parser fills but no other module reads is a knob that changes nothing.
+    texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "scenario.py"]
+    classes = [sc.Scenario, sc.NetworkConfig, sc.ClientSpec, sc.ServerFault, sc.BroadcastScript, sc.BlinkScriptEntry]
+    fields = [(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)]
+    assert len(fields) > 25
+    unread = [f"{owner}.{name}" for owner, name in fields
+              if not any(re.search(rf"\.{name}\b", text) for text in texts)]
+    assert unread == []

@@ -8,7 +8,7 @@ import multiprocessing
 import pytest
 
 from fluttersim.adversary import BEHAVIORS, Mute
-from fluttersim.errors import OracleViolationError, ProtocolBugError
+from fluttersim.errors import OracleViolationError, ProtocolBugError, ScenarioError
 from fluttersim.runner import campaign_variant, run_campaign, run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, SEND
@@ -136,11 +136,25 @@ def test_campaign_variant_construction():
     assert v.name == "campaign_base+mute+adversarial_value+s7"
     assert v.network.seed == 7
     assert v.server_faults["s005"].behavior == "mute"
-    assert v.dep.policy == "adversarial_value"
+    assert v.dep_policy == "adversarial_value"
 
     w = campaign_variant(base, "partial_disseminator", "first", 3)
     assert "s005" not in w.server_faults
     assert any(c.name == "c900" and c.behavior == "partial_disseminator" for c in w.clients)
+
+
+def test_campaign_places_a_server_behavior_on_a_correct_server():
+    # equivocator.json's s005 is its one fault and f=1: no server behavior fits, and s005 is never replaced.
+    base = load_scenario(SCENARIOS_DIR / "equivocator.json")
+    with pytest.raises(ScenarioError, match="no server left for mute: f=1 faults already"):
+        campaign_variant(base, "mute", "first", 0)
+    assert base.server_faults["s005"].behavior == "equivocator"
+    # With room for two faults, the behavior takes the highest-numbered server the base leaves correct.
+    wide = parse_scenario(scenario_dict(n=11, f=2, servers={"s010": {"behavior": "mute"}}))
+    v = campaign_variant(wide, "time_liar", "first", 0)
+    assert {s: fault.behavior for s, fault in v.server_faults.items()} == {"s009": "time_liar", "s010": "mute"}
+    summary = run_campaign(wide, range(2), ["stale_relay", "time_liar", "mute"])
+    assert (summary["runs"], summary["fail_count"], summary["all_pass"]) == (12, 0, True)
 
 
 def test_campaign_worker_pool_matches_the_serial_digest():

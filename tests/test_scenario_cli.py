@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluttersim.cli as cli
+import fluttersim.runner as runner
 from fluttersim.checkers import CheckReport
 from fluttersim.errors import ConfigError, ScenarioError
 from fluttersim.runner import build_simulation
@@ -224,11 +225,6 @@ def test_blink_duplicate_proposal_rejected():
     reject(doc, "i0")
 
 
-def test_periodic_beat_requires_cutoff():
-    reject(scenario_dict(periodic_beat=5), "until")
-    parse_scenario(scenario_dict(periodic_beat=5, until=100))
-
-
 # --- every field, any JSON value ---
 
 FLUTTER_DOC = scenario_dict(
@@ -241,8 +237,7 @@ FLUTTER_DOC = scenario_dict(
          "broadcasts": [{"at": 0, "message": "6d", "delta_estimate": 5, "epsilon": 2}]},
         {"name": "c001", "behavior": "partial_disseminator", "params": {"targets": [0, 1], "message": "fade"}},
     ],
-    dep={"policy": "adversarial_timing", "latency_budget": 20, "extra_delays": {"s001": 3}},
-    periodic_beat=7,
+    dep={"policy": "adversarial_timing"},
     until=200,
     step_budget=100_000,
 )
@@ -319,6 +314,10 @@ def test_any_value_in_any_field_is_rejected_or_builds(site, value):
         (("servers", "s005", "behavior"), {}),
         (("network", "seed"), [1]),
         (("clients", 0, "broadcasts", 0, "message"), " 6d 6E "),
+        # not scenario keys: the dep oracle's bound is fixed at 3 delta, and beats follow spotted bets
+        (("periodic_beat",), 7),
+        (("dep", "latency_budget"), 20),
+        (("dep", "extra_delays"), {"s001": 3}),
     ],
 )
 def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, capsys, path, value):
@@ -327,6 +326,7 @@ def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, ca
     assert code == cli.EXIT_SCENARIO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path[-1]) in err, err
 
 
 @pytest.mark.parametrize(
@@ -550,6 +550,30 @@ def test_cli_campaign_rejects_bad_name_lists(option, value, error, capsys):
                      "--behaviors", "mute", option, value])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize(
+    "doc, behavior, error",
+    [
+        (scenario_dict(servers={"s000": {"behavior": "mute"}}), "stale_relay,time_liar,mute",
+         "campaign base unit has no server left for stale_relay: f=1 faults already"),
+        (scenario_dict(clients=[{"name": "c900", "broadcasts": [{"at": 0, "message": "6d"}]}]),
+         "mute,partial_disseminator", "campaign base unit already has a client named c900"),
+    ],
+    ids=["f-server-faults", "campaign-client-name"],
+)
+def test_cli_campaign_rejects_a_base_without_room_before_any_run(
+    write_scenario, tmp_path, monkeypatch, capsys, doc, behavior, error
+):
+    def no_run(job):
+        raise AssertionError(f"campaign run started: {job[1:]}")
+
+    monkeypatch.setattr(runner, "_run_one", no_run)
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path / "out"))
+    code = cli.main(["campaign", str(write_scenario(doc)), "--seeds", "0..19", "--behaviors", behavior])
+    assert code == cli.EXIT_SCENARIO
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lines_read", [0, 1])

@@ -91,17 +91,15 @@ def test_adversarial_value_policy_decides_minority():
     assert all(v is False for (_, _, _, v) in decides)
 
 
-def test_adversarial_timing_delays_bounded_and_table_overrides():
-    policy = AdversarialTiming({"s000": 99, "s001": 4})
-    sim, oracle, recorders = make_sim(policy, budget=30)
+def test_adversarial_timing_delays_bounded():
+    sim, oracle, recorders = make_sim(AdversarialTiming(), budget=30)
     sim.start()
     for s in SERVERS:
         oracle.propose("i0", s, True)
     sim.run()
     by_server = {name: t for r in recorders.values() for (t, name, _, _) in r.decides}
-    assert by_server["s000"] == 30  # table value clamped to budget
-    assert by_server["s001"] == 4
-    for s in ("s002", "s003", "s004"):
+    assert sorted(by_server) == SERVERS
+    for s in SERVERS:
         assert 0 <= by_server[s] <= 30
 
 
