@@ -217,9 +217,14 @@ class CheckPass:
             handler(event)
 
     def run(self, trace) -> "CheckPass":
-        """Feed every event of a finished trace, or of any iterable of events."""
-        for event in trace:
-            self.feed(event)
+        """Feed every event of a finished trace, or of any iterable of events, as `feed` would."""
+        routes, events, last = self.routes, 0, self.last
+        for last in trace:
+            events += 1
+            for handler in routes.get(last.kind, ()):
+                handler(last)
+        self.events += events
+        self.last = last
         return self
 
     def finish(self, quiescent: bool) -> list[CheckReport]:

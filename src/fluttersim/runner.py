@@ -97,30 +97,35 @@ def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: b
 _CAMPAIGN_CLIENT = "c900"
 
 
-def _inject(base: Scenario, behavior: str) -> tuple[dict[str, ServerFault], list[ClientSpec]]:
-    """`base`'s faults plus one `behavior` process; a server one takes the highest-numbered correct server."""
-    server_faults, clients = dict(base.server_faults), list(base.clients)
+def _inject(base: Scenario, behavior: str) -> dict:
+    """The fields of `base` that one more `behavior` process changes.
+
+    A server behavior takes the highest-numbered correct server, whose blink script entries go:
+    a Byzantine server runs no script.
+    """
     if BEHAVIORS[behavior].role == "client":
+        if base.kind == "blink":
+            raise ScenarioError(f"campaign base {base.name} has no room for {behavior}: kind 'blink' takes no clients")
         if _CAMPAIGN_CLIENT in base.client_names:
             raise ScenarioError(f"campaign base {base.name} already has a client named {_CAMPAIGN_CLIENT}")
-        clients.append(ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior))
-    elif len(server_faults) >= base.f:
+        return {"clients": [*base.clients, ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior)]}
+    if len(base.server_faults) >= base.f:
         raise ScenarioError(f"campaign base {base.name} has no server left for {behavior}: f={base.f} faults already")
-    else:
-        server_faults[base.correct_servers[-1]] = ServerFault(behavior, {})
-    return server_faults, clients
+    server = base.correct_servers[-1]
+    return {
+        "server_faults": {**base.server_faults, server: ServerFault(behavior, {})},
+        "blink_script": [entry for entry in base.blink_script if entry.server != server],
+    }
 
 
 def campaign_variant(base: Scenario, behavior: str, policy: str, seed: int) -> Scenario:
     """One campaign run: seeded delays, chosen dep policy, one injected fault."""
-    server_faults, clients = _inject(base, behavior)
     return dataclasses.replace(
         base,
         name=f"{base.name}+{behavior}+{policy}+s{seed}",
         network=dataclasses.replace(base.network, strategy="seeded_random", seed=seed, delays={}),
         dep_policy=policy,
-        server_faults=server_faults,
-        clients=clients,
+        **_inject(base, behavior),
     )
 
 

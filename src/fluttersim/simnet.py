@@ -2,9 +2,11 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets, local-time timers, and full tracing:
-every event goes to `sink`, by default appended to `trace`.
+every event goes to `sink`, by default appended to `trace`; `run()` reads
+`sink` when it starts, so replace it before then.
 `Simulator.send` is the one send path: a call renders its message once
-and sends a copy to each destination, so a broadcast is one call.
+and sends a copy to each destination, so a broadcast is one call. The
+Deliver events of one call share one payload dict.
 Events are processed in (time, global sequence) order; handler work is
 instantaneous (takes zero ticks). Quiescence = empty event queue.
 """
@@ -137,7 +139,7 @@ class Simulator:
         self.clients: list[str] = []
         self._heap: list = []
         self._seq = 0
-        self._links: dict[tuple[str, str], list] = {}  # (src, dst) -> [last_delivery, sends]
+        self._links: dict[str, dict[str, list]] = {}  # src -> dst -> [last_delivery, sends]
         self._started = False
         self._steps = 0
 
@@ -161,24 +163,30 @@ class Simulator:
         """Send `msg` from `src` to each of `dsts` in order.
 
         The message is rendered once: every Send event of the call and the
-        Deliver event of each copy hold the same `msg` dict.
+        Deliver event of each copy hold the same `msg` dict, and the Deliver
+        events all hold the same payload dict.
         """
         wire = wire_payload(msg)
-        now, links, delay, sink, heap = self.now, self._links, self.strategy.delay, self.sink, self._heap
+        delivered = {"src": src, "msg": wire}
+        links = self._links.get(src)
+        if links is None:
+            links = self._links[src] = {}
+        now, delay, sink, heap, seq = self.now, self.strategy.delay, self.sink, self._heap, self._seq
+        self._seq += len(dsts)  # taken up front: an error mid-loop skips numbers but never reuses one
         for dst in dsts:
-            link = links.get((src, dst))
+            link = links.get(dst)
             if link is None:
                 if dst not in self.handlers:
                     raise ConfigError(f"send to unknown process {dst}")
-                link = links[(src, dst)] = [0, 0]
+                link = links[dst] = [0, 0]
             when = now + delay(src, dst, link[1])
             link[1] += 1
             if when < link[0]:  # FIFO repair: never deliver before an earlier send
                 when = link[0]
             link[0] = when
             sink(tr.TraceEvent(now, src, tr.SEND, {"dst": dst, "msg": wire}))
-            self._seq += 1
-            heapq.heappush(heap, (when, self._seq, _DELIVER, src, dst, msg, wire))
+            seq += 1
+            heapq.heappush(heap, (when, seq, _DELIVER, src, dst, msg, delivered))
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
         self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
@@ -207,25 +215,22 @@ class Simulator:
         pending events in the queue for inspection.
         """
         self.start()
-        heap = self._heap
+        heap, heappop, handlers, contexts, sink = self._heap, heapq.heappop, self.handlers, self.contexts, self.sink
         while heap:
             if until is not None and heap[0][0] > until:
                 return False
             self._steps += 1
             if self._steps > self.step_budget:
                 raise BudgetExceededError(f"no quiescence after {self.step_budget} events")
-            time, _seq, kind, a, b, c, d = heapq.heappop(heap)
+            time, _seq, kind, a, b, c, d = heappop(heap)
             self.now = time
             if kind == _DELIVER:
-                handler = self.handlers[b]
-                self.sink(tr.TraceEvent(time, b, tr.DELIVER, {"src": a, "msg": d}))
-                handler.on_deliver(self.contexts[b], a, c)
+                sink(tr.TraceEvent(time, b, tr.DELIVER, d))
+                handlers[b].on_deliver(contexts[b], a, c)
             elif kind == _TIMER:
-                handler = self.handlers[a]
-                self.sink(tr.TraceEvent(time, a, tr.TIMER_FIRE, {"token": b}))
-                handler.on_timer(self.contexts[a], b)
+                sink(tr.TraceEvent(time, a, tr.TIMER_FIRE, {"token": b}))
+                handlers[a].on_timer(contexts[a], b)
             else:  # _DEP: decide indication from the weak-consensus oracle
-                handler = self.handlers[a]
-                self.sink(tr.TraceEvent(time, a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
-                handler.on_dep_decide(self.contexts[a], b, c)
+                sink(tr.TraceEvent(time, a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                handlers[a].on_dep_decide(contexts[a], b, c)
         return True

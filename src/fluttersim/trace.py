@@ -6,9 +6,10 @@ trace and the file render identically byte for byte.
 
 A wire message is rendered once per send call, and a broadcast is one
 call: every Send event of the call and the Deliver event of each of
-those sends hold the same `msg` dict. Treat
-payloads as read-only; code that edits one must copy the event (say,
-with copy.deepcopy) first, or the edit shows up in every event sharing it.
+those sends hold the same `msg` dict, and the Deliver events of the call
+share one payload dict. Treat payloads as read-only; code that edits one
+must copy the event (say, with copy.deepcopy) first, or the edit shows up
+in every event sharing it.
 Events reach the checkers one by one, from a kept trace or, in a campaign
 run, straight from the simulator with no trace kept.
 """

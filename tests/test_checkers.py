@@ -19,6 +19,7 @@ from fluttersim.checkers import (
     check_consensus,
     check_latency,
     check_network,
+    check_pass,
     check_server_invariants,
     check_tob,
     run_all_checks,
@@ -414,6 +415,8 @@ def test_an_empty_trace_leaves_tob_validity_not_applicable():
     assert [r.verdict for r in check_tob([], cfg) if r.prop == "tob-validity"] == [NA]
     (validity,) = verdicts_of([], cfg, "tob-validity")
     assert (validity.verdict, validity.detail) == (NA, "the trace has no events")
+    empty = check_pass(cfg).run([])  # tob-validity reads `last` to tell an empty trace
+    assert (empty.events, empty.last) == (0, None)
 
 
 def test_an_unscripted_broadcast_fails_latency_with_it_as_witness():

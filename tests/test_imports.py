@@ -1,5 +1,5 @@
 """Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
-fan-out in the simulator, no scenario field that is stored and never read."""
+fan-out and Deliver events in the simulator, no scenario field that is stored and never read."""
 
 from __future__ import annotations
 
@@ -62,6 +62,14 @@ def test_only_the_simulator_fans_out():
     texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "simnet.py"}
     assert len(texts) > 10
     assert [name for name, text in texts.items() if loop.search(text)] == []
+
+
+def test_only_the_simulator_builds_deliver_events():
+    # The copies of one send call share one Deliver payload, which `Simulator.send` builds.
+    deliver = re.compile(r"TraceEvent\([^)]*\bDELIVER\b")
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert deliver.search(texts.pop("simnet.py"))
+    assert [name for name, text in texts.items() if deliver.search(text)] == []
 
 
 def test_every_scenario_field_is_read_outside_the_parser():

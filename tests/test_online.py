@@ -10,7 +10,7 @@ import pytest
 from fluttersim import runner
 from fluttersim import trace as tr
 from fluttersim.adversary import BEHAVIORS
-from fluttersim.checkers import FAIL, CheckerConfig, run_all_checks
+from fluttersim.checkers import FAIL, CheckerConfig, check_pass, run_all_checks
 from fluttersim.runner import _run_one, campaign_variant, compute_metrics
 from fluttersim.scenario import load_scenario
 from fluttersim.server import FlutterServer
@@ -46,6 +46,24 @@ def test_streamed_trace_checks_like_the_kept_trace(tmp_path, name):
     kept = [r.to_dict() for r in run_all_checks(trace, cfg)]
     assert [r.to_dict() for r in run_all_checks(streamed(path), cfg)] == kept
     assert compute_metrics(streamed(path), scenario, quiescent) == compute_metrics(trace, scenario, quiescent)
+
+
+@pytest.mark.parametrize("name", ["goodcase", "campaign+equivocator"])
+def test_run_in_two_parts_matches_feeding_every_event(name):
+    if name.startswith("campaign+"):
+        scenario = campaign_variant(campaign_base(), name.split("+")[1], "adversarial_value", 3)
+    else:
+        scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    trace, quiescent = simulate(scenario)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    half = len(trace) // 2
+    ran = check_pass(cfg).run(trace[:half]).run(iter(trace[half:]))
+    fed = check_pass(cfg)
+    for event in trace:
+        fed.feed(event)
+    assert (ran.events, ran.last) == (fed.events, fed.last) == (len(trace), trace[-1])
+    assert [r.to_dict() for r in ran.finish(quiescent)] == [r.to_dict() for r in fed.finish(quiescent)]
+    assert ran.metrics.summary(quiescent, ran) == fed.metrics.summary(quiescent, fed)
 
 
 def test_metrics_book_a_shared_message_per_sender():

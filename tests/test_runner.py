@@ -157,6 +157,16 @@ def test_campaign_places_a_server_behavior_on_a_correct_server():
     assert (summary["runs"], summary["fail_count"], summary["all_pass"]) == (12, 0, True)
 
 
+def test_campaign_over_a_blink_base_scripts_no_faulty_server():
+    base = load_scenario(SCENARIOS_DIR / "blink_fast.json")
+    v = campaign_variant(base, "mute", "first", 0)
+    assert {s: fault.behavior for s, fault in v.server_faults.items()} == {"s005": "mute"}
+    assert [entry.server for entry in v.blink_script] == [f"s{i:03d}" for i in range(5)]
+    assert len(base.blink_script) == 6 and base.server_faults == {}  # the base is left as it was
+    with pytest.raises(ScenarioError, match="no room for partial_disseminator: kind 'blink' takes no clients"):
+        campaign_variant(base, "partial_disseminator", "first", 0)
+
+
 def test_campaign_worker_pool_matches_the_serial_digest():
     base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
     summary = run_campaign(base, range(5), sorted(BEHAVIORS), parallel=2)

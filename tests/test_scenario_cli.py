@@ -576,6 +576,21 @@ def test_cli_campaign_rejects_a_base_without_room_before_any_run(
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_campaign_rejects_a_client_behavior_over_a_blink_base(tmp_path, monkeypatch, capsys):
+    def no_run(job):
+        raise AssertionError(f"campaign run started: {job[1:]}")
+
+    monkeypatch.setattr(runner, "_run_one", no_run)
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path / "out"))
+    base = str(SCENARIOS_DIR / "blink_fast.json")
+    code = cli.main(["campaign", base, "--seeds", "0..19", "--behaviors", "partial_disseminator"])
+    assert code == cli.EXIT_SCENARIO
+    assert capsys.readouterr().err == (
+        "error: campaign base blink_fast has no room for partial_disseminator: kind 'blink' takes no clients\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("lines_read", [0, 1])
 @pytest.mark.parametrize(
     "args",

@@ -46,6 +46,7 @@ def test_writer_matches_to_line_on_campaign_variants(tmp_path, behavior):
 def test_writer_matches_to_line_on_hand_built_events(tmp_path):
     shared = {"kind": "Suggest", "instance": {"label": 'l"a\\b\nelé'}, "value": True}
     other = {"kind": "Time", "time": 4}
+    delivered = {"src": "p", "msg": shared}
     trace = [
         TraceEvent(1, 's"0\\0', SEND, {"dst": "t\tabé", "msg": shared}),
         TraceEvent(2, "t\tabé", DELIVER, {"src": 's"0\\0', "msg": shared}),
@@ -59,6 +60,9 @@ def test_writer_matches_to_line_on_hand_built_events(tmp_path):
         TraceEvent(8.5, "p", SEND, {"dst": "q", "msg": other}),
         TraceEvent(True, "p", SEND, {"dst": "q", "msg": other}),
         TraceEvent(9, "p", TIMER_FIRE, {"token": 'b"eat'}),
+        # one Deliver payload shared by the copies of one send call
+        TraceEvent(10, "u", DELIVER, delivered),
+        TraceEvent(12, "v", DELIVER, delivered),
     ]
     assert written(tmp_path, trace) == lines_of(trace)
 
@@ -80,6 +84,23 @@ def test_broadcast_shares_one_msg_dict(kind, sender):
     sharing = [e for e in trace if e.kind in (SEND, DELIVER) and e.payload["msg"] is msg]
     assert len(sharing) == 2 * len(servers)
     assert sorted(e.process for e in sharing if e.kind == DELIVER) == servers
+    # the call's Deliver events hold one payload dict; each Send holds its own
+    assert len({id(e.payload) for e in sharing if e.kind == DELIVER}) == 1
+    assert len({id(e.payload) for e in sharing if e.kind == SEND}) == len(servers)
+
+
+@pytest.mark.parametrize("name", ["goodcase", "campaign+stale_relay"])
+def test_one_deliver_payload_per_send_call(name):
+    # Each send call renders one `msg` dict, so distinct Deliver payloads count the calls delivered.
+    if name.startswith("campaign+"):
+        base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+        trace, _ = simulate(campaign_variant(base, name.split("+")[1], "adversarial_value", 3))
+    else:
+        trace = bundled_trace(name)
+    delivers = [e for e in trace if e.kind == DELIVER]
+    calls = len({id(e.payload["msg"]) for e in delivers})
+    assert len(delivers) > calls > 10
+    assert len({id(e.payload) for e in delivers}) == calls
 
 
 @pytest.mark.parametrize("name", BUNDLED)
