@@ -9,7 +9,6 @@ the global time: there is no shared scratchpad and no trace access.
 
 from __future__ import annotations
 
-from .errors import ConfigError
 from .types import BroadcastTuple, InstanceKey, Message, Observe, Suggest, Time
 from . import trace as tr
 
@@ -28,14 +27,18 @@ class Behavior:
     """A fault behavior: its slot, its declared params, no-op handler hooks.
 
     `params` maps each accepted param name to the JSON type of its value
-    ("int", "bool", "str", "hex", "ints", "strs"; see `scenario`), or to a
-    tuple of its allowed values. Scenario parsing rejects any other key or
+    ("bool", "hex" or "strs"; see `scenario`), or to a tuple of its allowed
+    values, the default first. Scenario parsing rejects any other key or
     value, and stores a hex value lowercase, so the handlers can trust what
-    they read. A behavior is built as cls(name, delta, params).
+    they read. A param is declared only while a bundled scenario sets it;
+    every other knob is a constant. `needs_client` marks a behavior that
+    parsing admits only into a scenario with a client. A behavior is built
+    as cls(name, delta, params).
     """
 
     role = "server"
     params: dict[str, object] = {}
+    needs_client = False
 
     def __init__(self, name: str, delta: int, params: dict):
         self.name = name
@@ -53,7 +56,7 @@ class Behavior:
 class Equivocator(Behavior):
     """Suggests conflicting consensus inputs to different servers."""
 
-    params = {"mode": ("split", "all_false", "all_true"), "instances": "strs", "react": "bool"}
+    params = {"mode": ("split", "all_false"), "instances": "strs", "react": "bool"}
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
@@ -68,11 +71,7 @@ class Equivocator(Behavior):
         self.seen.add(key)
         half = len(ctx.servers) // 2
         for i, server in enumerate(ctx.servers):
-            if self.mode == "split":
-                value = i < half
-            else:
-                value = self.mode == "all_true"
-            ctx.send(server, Suggest(key, value))
+            ctx.send(server, Suggest(key, self.mode == "split" and i < half))
 
     def on_init(self, ctx) -> None:
         for label in self.initial:
@@ -87,16 +86,13 @@ class Equivocator(Behavior):
 
 
 class TimeLiar(Behavior):
-    """Floods clock reports far from its real local time."""
-
-    params = {"ahead": "int", "max_blasts": "int"}
+    """Floods clock reports 1000 past its real local time, in at most 64 rounds."""
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
-        self.ahead = params.get("ahead", 1000)
         # Two liars echoing each other would blast forever; a finite budget
         # keeps every run quiescent without weakening the single-liar case.
-        self.blasts_left = params.get("max_blasts", 64)
+        self.blasts_left = 64
         self.last_blast: int | None = None
 
     def _blast(self, ctx) -> None:
@@ -104,7 +100,7 @@ class TimeLiar(Behavior):
             return
         self.blasts_left -= 1
         self.last_blast = ctx.now()
-        ctx.broadcast(Time(ctx.local_time() + self.ahead))
+        ctx.broadcast(Time(ctx.local_time() + 1000))
 
     def on_init(self, ctx) -> None:
         self._blast(ctx)
@@ -115,23 +111,16 @@ class TimeLiar(Behavior):
 
 
 class ObserveForger(Behavior):
-    """Injects an observation for a message no client ever sent."""
+    """Injects an observation of message f00d, bet 5 delta ahead, from the first client, which never sent it."""
 
-    params = {"client": "str", "message": "hex", "bet": "int", "bet_offset": "int"}
+    needs_client = True
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
-        self.victim = params.get("client")
-        self.message = params.get("message", "f00d")
-        self.bet = params.get("bet")
-        self.bet_offset = params.get("bet_offset", 5 * delta)
+        self.bet_offset = 5 * delta
 
     def on_init(self, ctx) -> None:
-        victim = self.victim if self.victim is not None else (ctx.clients[0] if ctx.clients else None)
-        if victim is None or victim not in ctx.clients:
-            raise ConfigError(f"observe_forger needs an existing victim client, got {victim!r}")
-        bet = self.bet if self.bet is not None else ctx.local_time() + self.bet_offset
-        ctx.broadcast(Observe(BroadcastTuple(bet, victim, self.message)))
+        ctx.broadcast(Observe(BroadcastTuple(ctx.local_time() + self.bet_offset, ctx.clients[0], "f00d")))
 
 
 class Mute(Behavior):
@@ -139,13 +128,10 @@ class Mute(Behavior):
 
 
 class StaleRelay(Behavior):
-    """Reports a clock past each tuple's bet before relaying the tuple."""
-
-    params = {"lead": "int"}
+    """Reports a clock at each tuple's bet before relaying the tuple."""
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
-        self.lead = params.get("lead", 0)
         self.seen: set[BroadcastTuple] = set()
 
     def on_deliver(self, ctx, src: str, msg) -> None:
@@ -154,37 +140,28 @@ class StaleRelay(Behavior):
             return
         self.seen.add(key)
         # Time first, Observe second on every link: FIFO then shows each
-        # peer a clock already past the bet before it can spot the tuple.
-        ctx.broadcast(Time(key.bet + self.lead))
+        # peer a clock already at the bet before it can spot the tuple.
+        ctx.broadcast(Time(key.bet))
         ctx.broadcast(Observe(key))
 
 
 class PartialDisseminator(Behavior):
-    """Faulty client: submits to a strict subset of servers, then goes silent."""
+    """Faulty client: at global time 0 submits, bet 10 delta ahead, to server 0 alone, then goes silent."""
 
     role = "client"
-    params = {"targets": "ints", "at": "int", "bet_offset": "int", "message": "hex"}
+    params = {"message": "hex"}
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
-        self.targets = params.get("targets", [0])
-        self.at = params.get("at", 0)
-        self.bet_offset = params.get("bet_offset", 10 * delta)
+        self.bet_offset = 10 * delta
         self.message = params.get("message", "fade")
 
     def on_init(self, ctx) -> None:
-        ctx.schedule_global(self.at, "send")
+        ctx.schedule_global(0, "send")
 
-    def on_timer(self, ctx, token: str) -> None:
-        if token != "send":
-            return
-        for i in self.targets:
-            if not 0 <= i < len(ctx.servers):
-                raise ConfigError(f"partial_disseminator target {i} out of range")
+    def on_timer(self, ctx, token: str) -> None:  # its one timer, "send"
         ctx.emit(tr.BROADCAST, {"message": self.message})
-        submission = Message(self.message, ctx.local_time() + self.bet_offset)
-        for i in self.targets:
-            ctx.send(ctx.servers[i], submission)
+        ctx.send(ctx.servers[0], Message(self.message, ctx.local_time() + self.bet_offset))
 
 
 BEHAVIORS: dict[str, type[Behavior]] = {

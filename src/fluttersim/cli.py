@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     camp.add_argument("--seeds", required=True, help="inclusive seed range, e.g. 0..499")
     camp.add_argument("--behaviors", required=True, help="comma-separated behavior names, or 'all'")
     camp.add_argument("--policies", help="comma-separated dep policies (default: the two adversarial ones)")
-    camp.add_argument("--parallel", type=int, default=1, help="worker processes")
+    camp.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per CPU")
     camp.add_argument("--report", help="summary output path (JSON)")
     args = parser.parse_args(argv)
     try:

@@ -9,6 +9,7 @@ campaign run is checked online, as it runs, and keeps no trace.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 
 from . import trace as tr
@@ -17,7 +18,7 @@ from .blink import BlinkNode
 from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
 from .client import FlutterClient
 from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
-from .scenario import ClientSpec, Scenario, ServerFault
+from .scenario import ClientSpec, Scenario, ServerFault, require_a_client
 from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
 from .weakcon import POLICIES, DepOracle
@@ -111,6 +112,7 @@ def _inject(base: Scenario, behavior: str) -> dict:
         return {"clients": [*base.clients, ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior)]}
     if len(base.server_faults) >= base.f:
         raise ScenarioError(f"campaign base {base.name} has no server left for {behavior}: f={base.f} faults already")
+    require_a_client(behavior, base.clients, f"campaign base {base.name}")
     server = base.correct_servers[-1]
     return {
         "server_faults": {**base.server_faults, server: ServerFault(behavior, {})},
@@ -168,7 +170,7 @@ def run_campaign(
         for policy in policies
         for seed in seeds
     ]
-    workers = min(parallel, len(jobs))
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 

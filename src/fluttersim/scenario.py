@@ -36,11 +36,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# behavior param type -> (what the error message asks for, test of a JSON value);
-# "int" and "hex" params, and choices among values, are read by `_int`, `_hex` and `_choice`
+# param type -> (what the error message asks for, test of a JSON value): behaviors declare
+# "bool" and "strs", and the network delays and blink script reuse "ints" and "bool";
+# "hex" params and choices among values are read by `_hex` and `_choice`
 _PARAM_TYPES = {
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
@@ -182,8 +182,6 @@ def _param(kind, raw, where: str):
     """One behavior param, read as the type its behavior declares."""
     if isinstance(kind, tuple):
         return _choice(raw, kind, where)
-    if kind == "int":
-        return _int(raw, where)
     if kind == "hex":
         return _hex(raw, where)
     wanted, ok = _PARAM_TYPES[kind]
@@ -203,6 +201,12 @@ def _behavior(obj: dict, role: str, where: str) -> tuple[str, dict]:
         raise ScenarioError(f"{where}: behavior {behavior!r} is not a {role} behavior")
     params = _object(obj.get("params", {}), f"{where}.params", set(cls.params))
     return behavior, {k: _param(cls.params[k], v, f"{where}.params.{k}") for k, v in params.items()}
+
+
+def require_a_client(behavior: str, clients: list, where: str) -> None:
+    """A behavior that forges a client's message joins only a scenario with a client."""
+    if BEHAVIORS[behavior].needs_client and not clients:
+        raise ScenarioError(f"{where}: {behavior} needs a client to forge from, and there is none")
 
 
 def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
@@ -303,6 +307,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         if c.name in names:
             raise ScenarioError(f"client name {c.name!r} collides with a server name")
         seen_clients.add(c.name)
+    for sname, fault in server_faults.items():
+        require_a_client(fault.behavior, clients, f"servers[{sname!r}]")
 
     known = names | seen_clients
     offsets: dict[str, int] = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fluttersim.adversary import BEHAVIORS
-from fluttersim.errors import ConfigError
+from fluttersim.errors import ScenarioError
 from fluttersim.runner import run_scenario
 from fluttersim.scenario import parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND
@@ -87,7 +87,7 @@ def test_equivocator_reacts_to_sighted_instances():
 
 def test_time_liar_cannot_move_the_lock_alone():
     doc = scenario_dict(
-        servers={"s005": {"behavior": "time_liar", "params": {"ahead": 100000}}},
+        servers={"s005": {"behavior": "time_liar"}},
     )
     result = run(doc)
     assert result.quiescent
@@ -104,15 +104,13 @@ def test_two_time_liars_rejected_by_f_bound():
             "s005": {"behavior": "time_liar"},
         },
     )
-    from fluttersim.errors import ScenarioError
-
     with pytest.raises(ScenarioError):
         parse_scenario(doc)
 
 
 def test_observe_forger_victim_never_delivers_forged_message():
     doc = scenario_dict(
-        servers={"s005": {"behavior": "observe_forger", "params": {"message": "f00d", "bet_offset": 50}}},
+        servers={"s005": {"behavior": "observe_forger"}},
     )
     result = run(doc)
     assert fails(result) == []
@@ -130,9 +128,10 @@ def test_observe_forger_victim_never_delivers_forged_message():
 
 
 def test_observe_forger_needs_a_client_somewhere():
+    # Rejected when the scenario is parsed, not in the middle of its run.
     doc = blink_doc(servers={"s005": {"behavior": "observe_forger", "params": {}}})
-    with pytest.raises(ConfigError):
-        run(doc)
+    with pytest.raises(ScenarioError, match=r"servers\['s005'\]: observe_forger needs a client"):
+        parse_scenario(doc)
 
 
 def test_mute_server_does_not_block_delivery():
@@ -146,7 +145,7 @@ def test_mute_server_does_not_block_delivery():
 
 
 def test_stale_relay_times_precede_observes_per_link():
-    doc = scenario_dict(servers={"s005": {"behavior": "stale_relay", "params": {"lead": 5}}})
+    doc = scenario_dict(servers={"s005": {"behavior": "stale_relay"}})
     result = run(doc)
     assert fails(result) == []
     for dst in [f"s{i:03d}" for i in range(6)]:
@@ -165,28 +164,15 @@ def test_partial_disseminator_sends_to_subset_then_silence():
             {
                 "name": "c000",
                 "behavior": "partial_disseminator",
-                "params": {"targets": [0, 1], "at": 0, "bet_offset": 100, "message": "6d"},
+                "params": {"message": "6d"},
             }
         ],
     )
     result = run(doc)
     assert fails(result) == []
     msgs = sends_from(result.trace, "c000", "Message")
-    assert sorted(e.payload["dst"] for e in msgs) == ["s000", "s001"]
+    assert [e.payload["dst"] for e in msgs] == ["s000"]
     assert not [e for e in result.trace if e.kind == APP_DELIVER]
     decides = [e for e in result.trace if e.kind == DECIDE]
     assert decides and all(e.payload["value"] is False for e in decides)
 
-
-def test_partial_disseminator_target_out_of_range():
-    doc = scenario_dict(
-        clients=[
-            {
-                "name": "c000",
-                "behavior": "partial_disseminator",
-                "params": {"targets": [9], "at": 0},
-            }
-        ],
-    )
-    with pytest.raises(ConfigError):
-        run(doc)

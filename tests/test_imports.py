@@ -1,5 +1,6 @@
 """Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
-fan-out and Deliver events in the simulator, no scenario field that is stored and never read."""
+fan-out and Deliver events in the simulator, no scenario field that is stored and never read, and no
+behavior param that no bundled scenario sets."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ import sys
 from pathlib import Path
 
 from fluttersim import scenario as sc
+from fluttersim.adversary import BEHAVIORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluttersim"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 PROTOCOL_MODULES = {"server", "blink", "client", "adversary", "weakcon", "simnet"}
 
 
@@ -81,3 +84,23 @@ def test_every_scenario_field_is_read_outside_the_parser():
     unread = [f"{owner}.{name}" for owner, name in fields
               if not any(re.search(rf"\.{name}\b", text) for text in texts)]
     assert unread == []
+
+
+def test_every_behavior_param_is_set_by_a_bundled_scenario():
+    # A param only tests set is a knob no run turns: it stays a constant of its behavior.
+    uses: dict[str, list[dict]] = {name: [] for name in BEHAVIORS}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = sc.load_scenario(path)
+        slots = [*scenario.server_faults.values(), *(c for c in scenario.clients if c.behavior is not None)]
+        for slot in slots:
+            uses[slot.behavior].append(slot.params)
+    declared = [(name, param, kind) for name, cls in BEHAVIORS.items() for param, kind in cls.params.items()]
+    assert len(declared) >= 4
+    unset = []
+    for name, param, kind in declared:
+        values = [params[param] for params in uses[name] if param in params]
+        if not values:
+            unset.append(f"{name}.{param}")
+        elif isinstance(kind, tuple):  # its first value is the default
+            unset += [f"{name}.{param}={value}" for value in kind[1:] if value not in values]
+    assert unset == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -194,6 +195,7 @@ def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
     summary = run_campaign(base, range(6), ["mute"], parallel=64)  # 1 behavior x 2 default policies x 6 seeds
     assert summary["runs"] == 12
@@ -203,6 +205,13 @@ def test_campaign_starts_no_more_workers_than_jobs(monkeypatch):
     assert len(pools) == 1
     run_campaign(base, range(6), ["mute"], parallel=2)
     assert [size for size, _chunks in pools] == [12, 2]
+    # No more workers than CPUs, however many are asked for; an unknown count runs serially.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_campaign(base, range(6), ["mute"], parallel=1000)
+    assert [size for size, _chunks in pools] == [12, 2, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_campaign(base, range(6), ["mute"], parallel=1000)
+    assert len(pools) == 3
     assert all(chunks >= size for size, chunks in pools)  # every worker gets a chunk
 
 

@@ -171,11 +171,9 @@ def test_hex_case_names_one_message():
 def test_hex_case_leaves_the_trace_unchanged(tmp_path):
     def trace_bytes(case) -> bytes:
         doc = scenario_dict(
-            servers={"s005": {"behavior": "observe_forger", "params": {"client": "c000", "message": case("beef")}}},
             clients=[
                 {"name": "c000", "broadcasts": [{"at": 0, "message": case("6d")}, {"at": 3, "message": case("0a")}]},
-                {"name": "c001", "behavior": "partial_disseminator",
-                 "params": {"targets": [0, 1], "message": case("fade")}},
+                {"name": "c001", "behavior": "partial_disseminator", "params": {"message": case("fade")}},
             ],
         )
         path = tmp_path / "trace.jsonl"
@@ -183,7 +181,7 @@ def test_hex_case_leaves_the_trace_unchanged(tmp_path):
         return path.read_bytes()
 
     lower = trace_bytes(str.lower)
-    assert b'"message":"beef"' in lower and b'"message":"fade"' in lower and b'"message":"0a"' in lower
+    assert b'"message":"fade"' in lower and b'"message":"0a"' in lower
     assert trace_bytes(str.upper) == lower
 
 
@@ -231,11 +229,11 @@ FLUTTER_DOC = scenario_dict(
     drift=1,
     network={"strategy": "seeded_random", "seed": 7},
     clock_offsets={"s000": 1, "c000": -1},
-    servers={"s005": {"behavior": "observe_forger", "params": {"client": "c000", "message": "beef", "bet": 50}}},
+    servers={"s005": {"behavior": "observe_forger", "params": {}}},
     clients=[
         {"name": "c000", "delta_estimate": 10, "epsilon": 1, "crash_time": 90,
          "broadcasts": [{"at": 0, "message": "6d", "delta_estimate": 5, "epsilon": 2}]},
-        {"name": "c001", "behavior": "partial_disseminator", "params": {"targets": [0, 1], "message": "fade"}},
+        {"name": "c001", "behavior": "partial_disseminator", "params": {"message": "fade"}},
     ],
     dep={"policy": "adversarial_timing"},
     until=200,
@@ -318,6 +316,17 @@ def test_any_value_in_any_field_is_rejected_or_builds(site, value):
         (("periodic_beat",), 7),
         (("dep", "latency_budget"), 20),
         (("dep", "extra_delays"), {"s001": 3}),
+        # not behavior params: each is a constant of its behavior
+        (("servers", "s005", "params", "client"), "c000"),
+        (("servers", "s005", "params", "message"), "beef"),
+        (("servers", "s005", "params", "bet"), 50),
+        (("servers", "s005", "params", "bet_offset"), 50),
+        (("clients", 1, "params", "targets"), [0]),
+        (("clients", 1, "params", "at"), 0),
+        (("clients", 1, "params", "bet_offset"), 100),
+        (("servers", "s005"), {"behavior": "time_liar", "params": {"ahead": 1000}}),
+        (("servers", "s005"), {"behavior": "time_liar", "params": {"max_blasts": 64}}),
+        (("servers", "s005"), {"behavior": "stale_relay", "params": {"lead": 0}}),
     ],
 )
 def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, capsys, path, value):
@@ -396,17 +405,25 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     "slots, fragment",
     [
         ({"servers": {"s005": {"behavior": "time_liar", "params": {"ahaed": 5}}}}, r"unknown keys \['ahaed'\]"),
-        ({"servers": {"s005": {"behavior": "time_liar", "params": {"ahead": "soon"}}}}, "ahead must be an integer"),
-        ({"servers": {"s005": {"behavior": "observe_forger", "params": {"message": "zz"}}}}, "message must be a nonempty hex"),
+        ({"servers": {"s005": {"behavior": "equivocator", "params": {"react": "soon"}}}}, "react must be a boolean"),
         (
-            {"clients": [{"name": "c000", "behavior": "partial_disseminator", "params": {"targets": 5}}]},
-            "targets must be a list of integers",
+            {"clients": [{"name": "c000", "behavior": "partial_disseminator", "params": {"message": "zz"}}]},
+            "message must be a nonempty hex",
+        ),
+        (
+            {"servers": {"s005": {"behavior": "equivocator", "params": {"instances": "i0"}}}},
+            "instances must be a list of strings",
         ),
         ({"servers": {"s005": {"behavior": "equivocator", "params": {"mode": "both"}}}}, "mode must be one of"),
+        (
+            {"servers": {"s005": {"behavior": "equivocator", "params": {"mode": "all_true"}}}},
+            r"mode must be one of \['all_false', 'split'\], got 'all_true'",
+        ),
         ({"servers": {"s005": {"behavior": "mute", "params": {"lead": 1}}}}, r"unknown keys \['lead'\]"),
         ({"clients": [{"name": "c000", "params": {"at": 1}}]}, "params needs a behavior"),
     ],
-    ids=["unknown-key", "ill-typed-int", "bad-hex", "not-a-list", "bad-choice", "mute-takes-none", "no-behavior"],
+    ids=["unknown-key", "ill-typed-bool", "bad-hex", "not-a-list", "bad-choice", "deleted-choice", "mute-takes-none",
+         "no-behavior"],
 )
 def test_cli_rejects_bad_behavior_params(write_scenario, capsys, slots, fragment):
     code = cli.main(["run", str(write_scenario(scenario_dict(**slots)))])
@@ -559,8 +576,10 @@ def test_cli_campaign_rejects_bad_name_lists(option, value, error, capsys):
          "campaign base unit has no server left for stale_relay: f=1 faults already"),
         (scenario_dict(clients=[{"name": "c900", "broadcasts": [{"at": 0, "message": "6d"}]}]),
          "mute,partial_disseminator", "campaign base unit already has a client named c900"),
+        (json.loads((SCENARIOS_DIR / "blink_fast.json").read_text()), "mute,observe_forger",
+         "campaign base blink_fast: observe_forger needs a client to forge from, and there is none"),
     ],
-    ids=["f-server-faults", "campaign-client-name"],
+    ids=["f-server-faults", "campaign-client-name", "clientless-observe-forger"],
 )
 def test_cli_campaign_rejects_a_base_without_room_before_any_run(
     write_scenario, tmp_path, monkeypatch, capsys, doc, behavior, error
