@@ -143,6 +143,7 @@ class CheckerConfig:
     f: int
     delta: int
     drift: int
+    epsilon: int
     strategy: str
     servers: list[str]
     correct_servers: list[str]
@@ -150,7 +151,8 @@ class CheckerConfig:
     honest_clients: list[str]
     correct_clients: list[str]
     quiescent: bool  # read by the check_* drivers; a CheckPass takes it in finish()
-    broadcast_scripts: dict[str, list[tuple[str, int, int]]]  # client -> (msg hex, est, eps)
+    delta_estimates: dict[str, int]  # client -> its guess of delta
+    scripts: dict[str, list[str]]  # client -> the message hexes it is scripted to broadcast
 
     @classmethod
     def from_scenario(cls, scenario, quiescent: bool) -> "CheckerConfig":
@@ -160,6 +162,7 @@ class CheckerConfig:
             f=scenario.f,
             delta=scenario.delta,
             drift=scenario.drift,
+            epsilon=scenario.epsilon,
             strategy=scenario.network.strategy,
             servers=scenario.servers,
             correct_servers=scenario.correct_servers,
@@ -167,10 +170,8 @@ class CheckerConfig:
             honest_clients=scenario.honest_clients(),
             correct_clients=scenario.correct_clients(),
             quiescent=quiescent,
-            broadcast_scripts={
-                c.name: [(b.message, b.delta_estimate, b.epsilon) for b in c.broadcasts]
-                for c in scenario.clients
-            },
+            delta_estimates={c.name: c.delta_estimate for c in scenario.clients},
+            scripts={c.name: [b.message for b in c.broadcasts] for c in scenario.clients},
         )
 
     @property
@@ -279,9 +280,7 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     }
     checked = 0
     for client in cfg.correct_clients:
-        for message_hex, estimate, _eps in cfg.broadcast_scripts.get(client, []):
-            if estimate < 1:
-                continue  # degenerate estimate: backoff cannot grow, bound does not apply
+        for message_hex in cfg.scripts[client]:
             checked += 1
             b = broadcasts.get((client, message_hex))
             missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
@@ -360,21 +359,21 @@ def _latency(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     if reason:
         return [_na("latency-blink", reason), _na("latency-tob", reason)]
     reports = [_blink_latency(cfg, run)]
-    scripts = [e for c in cfg.correct_clients for e in cfg.broadcast_scripts.get(c, [])]
-    if cfg.kind != "flutter" or not scripts:
+    scripting = [c for c in cfg.correct_clients if cfg.scripts[c]]
+    if cfg.kind != "flutter" or not scripting:
         return reports + [_na("latency-tob", "no broadcast script in this run")]
-    if any(est != cfg.delta for _m, est, _e in scripts):
+    if any(cfg.delta_estimates[c] != cfg.delta for c in scripting):
         return reports + [_na("latency-tob", "a client's delay estimate differs from the true delta")]
-    epsilons = {(c, m): eps for c in cfg.correct_clients for m, _est, eps in cfg.broadcast_scripts.get(c, [])}
+    scripted = {(c, m) for c in scripting for m in cfg.scripts[c]}
     delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
     for event in run.kept[tr.APP_DELIVER]:
         delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
     broadcasts = [b for b in run.kept[tr.BROADCAST] if b.process in cfg.correct_clients]
     for b in broadcasts:
         key = (b.process, b.payload["message"])
-        if key not in epsilons:
+        if key not in scripted:
             return reports + [_fail("latency-tob", f"broadcast ({b.process}, 0x{key[1]}) is not in the script", [b])]
-        bound = b.time + 2 * cfg.delta + epsilons[key]
+        bound = b.time + 2 * cfg.delta + cfg.epsilon
         per_server = delivered.get(key, {})
         for server in cfg.correct_servers:
             event = per_server.get(server)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks Pass/NotApplicable; 1 at least one Fail;
 2 malformed scenario or configuration; 3 step budget exceeded;
-4 a protocol or dep-oracle invariant broke during the run.
+4 a protocol, dep-oracle or internal invariant broke during the run.
 The FLUTTERSIM_OUT environment variable sets the default output
 directory for traces and reports (default: current directory).
 """
@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .adversary import BEHAVIORS
-from .errors import BudgetExceededError, ConfigError, OracleViolationError, ProtocolBugError, ScenarioError
-from .runner import run_campaign, run_scenario
+from .errors import BudgetExceededError, ConfigError, ScenarioError
+from .runner import RUN_BREAKERS, run_campaign, run_scenario
 from .scenario import load_scenario
 from .trace import write_trace
 from .weakcon import POLICIES
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ProtocolBugError, OracleViolationError) as e:
+    except RUN_BREAKERS as e:  # after BudgetExceededError, which has its own code
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
     try:

@@ -14,15 +14,17 @@ from .types import Decision, Message, quorum_small
 
 
 class FlutterClient:
-    def __init__(self, name: str, f: int, script=None, crash_time: int | None = None):
+    def __init__(self, name: str, f: int, delta_estimate: int, epsilon: int, script=None,
+                 crash_time: int | None = None):
         self.name = name
         self.f = f
+        self.delta_estimate = delta_estimate
+        self.epsilon = epsilon
         self.script = list(script or [])  # BroadcastScript entries
         self.crash_time = crash_time
         self.submissions: dict[str, tuple[int, int]] = {}
-        self.decisions: dict[tuple[str, int, str], bool] = {}
-        self._falses: dict[tuple[str, int], int] = {}  # False entries of decisions per (message, bet)
-        self._margins: dict[str, tuple[int, int]] = {}  # message -> (delta_estimate, epsilon)
+        # (message, bet) -> the servers whose latest Decision on that bet is False
+        self.falses: dict[tuple[str, int], set[str]] = {}
         self._server_set: frozenset[str] = frozenset()
 
     def _crashed(self, ctx) -> bool:
@@ -36,19 +38,16 @@ class FlutterClient:
     def on_timer(self, ctx, token: str) -> None:
         if self._crashed(ctx) or not token.startswith("broadcast@"):
             return
-        entry = self.script[int(token.removeprefix("broadcast@"))]
-        self.broadcast(ctx, entry.message, entry.delta_estimate, entry.epsilon)
+        self.broadcast(ctx, self.script[int(token.removeprefix("broadcast@"))].message)
 
-    def broadcast(self, ctx, message: str, delta_estimate: int, epsilon: int) -> None:
+    def broadcast(self, ctx, message: str) -> None:
         if message in self.submissions:
             raise ProtocolBugError(f"{self.name} broadcast {message} twice")
-        self._margins[message] = (delta_estimate, epsilon)
         ctx.emit(tr.BROADCAST, {"message": message})
         self._submit(ctx, message, 0)
 
     def _submit(self, ctx, message: str, attempt: int) -> None:
-        estimate, epsilon = self._margins[message]
-        bet = ctx.local_time() + (2**attempt) * estimate + epsilon
+        bet = ctx.local_time() + (2**attempt) * self.delta_estimate + self.epsilon
         self.submissions[message] = (attempt, bet)
         ctx.broadcast(Message(message, bet))
 
@@ -57,12 +56,11 @@ class FlutterClient:
             return
         if not isinstance(msg, Decision) or src not in self._server_set:
             return
-        slot = (msg.message, msg.bet)
-        was_false = self.decisions.get((*slot, src)) is False
-        self.decisions[(*slot, src)] = msg.value
-        falses = self._falses[slot] = self._falses.get(slot, 0) + (msg.value is False) - was_false
+        falses = self.falses.setdefault((msg.message, msg.bet), set())
+        if msg.value is False:
+            falses.add(src)
+        else:
+            falses.discard(src)
         current = self.submissions.get(msg.message)
-        if current is None or current[1] != msg.bet:
-            return
-        if falses >= quorum_small(self.f):
+        if current is not None and current[1] == msg.bet and len(falses) >= quorum_small(self.f):
             self._submit(ctx, msg.message, current[0] + 1)

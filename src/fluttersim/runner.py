@@ -23,6 +23,9 @@ from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
 from .weakcon import POLICIES, DepOracle
 
+# What a run can raise that ends the run, not the program: a campaign books it as a failing row.
+RUN_BREAKERS = (BudgetExceededError, ProtocolBugError, OracleViolationError, AssertionError)
+
 
 def _strategy(scenario: Scenario):
     net = scenario.network
@@ -51,7 +54,8 @@ def build_simulation(scenario: Scenario) -> Simulator:
         if spec.behavior is not None:
             handler = BEHAVIORS[spec.behavior](spec.name, scenario.delta, spec.params)
         else:
-            handler = FlutterClient(spec.name, scenario.f, spec.broadcasts, spec.crash_time)
+            handler = FlutterClient(spec.name, scenario.f, spec.delta_estimate, scenario.epsilon, spec.broadcasts,
+                                    spec.crash_time)
         sim.add_process(spec.name, "client", handler)
     for entry in scenario.blink_script:
         sim.schedule_global(entry.server, entry.at, f"propose@{entry.instance}:{1 if entry.value else 0}")
@@ -109,7 +113,7 @@ def _inject(base: Scenario, behavior: str) -> dict:
             raise ScenarioError(f"campaign base {base.name} has no room for {behavior}: kind 'blink' takes no clients")
         if _CAMPAIGN_CLIENT in base.client_names:
             raise ScenarioError(f"campaign base {base.name} already has a client named {_CAMPAIGN_CLIENT}")
-        return {"clients": [*base.clients, ClientSpec(name=_CAMPAIGN_CLIENT, behavior=behavior)]}
+        return {"clients": [*base.clients, ClientSpec(_CAMPAIGN_CLIENT, base.delta, behavior=behavior)]}
     if len(base.server_faults) >= base.f:
         raise ScenarioError(f"campaign base {base.name} has no server left for {behavior}: f={base.f} faults already")
     require_a_client(behavior, base.clients, f"campaign base {base.name}")
@@ -143,7 +147,7 @@ def _run_one(args: tuple[Scenario, str, str, int]) -> dict:
         quiescent = sim.run(until=variant.until)
         sim.sink = sim.trace.append  # the simulator is cyclic garbage: unhooked, the pass is freed at once
         reports = checks.finish(quiescent)
-    except (BudgetExceededError, ProtocolBugError, OracleViolationError, AssertionError) as e:
+    except RUN_BREAKERS as e:
         # One bad run is a failing row; the rest of the campaign still runs.
         prop = "budget" if isinstance(e, BudgetExceededError) else type(e).__name__
         return {**row, "fails": [{"property": prop, "detail": str(e)}], "verdicts": {}, "max_suggest": 0}

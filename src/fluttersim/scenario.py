@@ -9,9 +9,7 @@ and a typo cannot silently weaken a run. This is the one module that
 reads hex: each message body, in a broadcast script or a behavior's
 "hex" param, is pairs of hex digits checked by `_hex` and stored
 lowercase, so "6D" and "6d" name one message and every later module
-compares plain strings. The parsed `Scenario` holds what the run uses;
-`epsilon` and `delta_estimate` above the broadcast level are only
-defaults for the broadcasts below them.
+compares plain strings. The parsed `Scenario` holds what the run uses.
 """
 
 from __future__ import annotations
@@ -57,13 +55,12 @@ def server_names(n: int) -> list[str]:
 class BroadcastScript:
     at: int
     message: str  # lowercase hex
-    delta_estimate: int
-    epsilon: int
 
 
 @dataclass
 class ClientSpec:
     name: str
+    delta_estimate: int  # the client's guess of delta, which its bets double from
     broadcasts: list[BroadcastScript] = field(default_factory=list)
     crash_time: int | None = None
     behavior: str | None = None
@@ -99,6 +96,7 @@ class Scenario:
     f: int
     delta: int
     drift: int = 0
+    epsilon: int = 1  # the margin every client adds to its bets
     network: NetworkConfig = field(default_factory=NetworkConfig)
     clock_offsets: dict[str, int] = field(default_factory=dict)
     server_faults: dict[str, ServerFault] = field(default_factory=dict)
@@ -228,10 +226,9 @@ def _parse_network(obj, where: str, delta: int) -> NetworkConfig:
     return NetworkConfig(strategy, seed, dict(delays))
 
 
-def _parse_client(obj, delta_estimate: int, epsilon: int, idx: int) -> ClientSpec:
-    """One client; `delta_estimate` and `epsilon` are the defaults its broadcasts inherit."""
+def _parse_client(obj, delta: int, idx: int) -> ClientSpec:
     where = f"clients[{idx}]"
-    _object(obj, where, {"name", "delta_estimate", "epsilon", "broadcasts", "crash_time", "behavior", "params"})
+    _object(obj, where, {"name", "delta_estimate", "broadcasts", "crash_time", "behavior", "params"})
     name = _name(obj.get("name"), f"{where}.name")
     behavior, params = None, {}
     if obj.get("behavior") is not None:
@@ -240,28 +237,19 @@ def _parse_client(obj, delta_estimate: int, epsilon: int, idx: int) -> ClientSpe
             raise ScenarioError(f"{where}: a behavior client cannot also carry a broadcast script")
     elif obj.get("params"):
         raise ScenarioError(f"{where}.params needs a behavior")
-    delta_estimate = _int(obj.get("delta_estimate"), f"{where}.delta_estimate", default=delta_estimate, minimum=0)
-    epsilon = _int(obj.get("epsilon"), f"{where}.epsilon", default=epsilon, minimum=1)
+    delta_estimate = _int(obj.get("delta_estimate"), f"{where}.delta_estimate", default=delta, minimum=1)
     crash_time = _int(obj.get("crash_time"), f"{where}.crash_time", default=None, minimum=0)
     broadcasts: list[BroadcastScript] = []
     seen_messages: set[str] = set()
     for j, b in enumerate(_list(obj.get("broadcasts", []), f"{where}.broadcasts")):
         bwhere = f"{where}.broadcasts[{j}]"
-        _object(b, bwhere, {"at", "message", "delta_estimate", "epsilon"})
+        _object(b, bwhere, {"at", "message"})
         message = _hex(b.get("message"), f"{bwhere}.message")
         if message in seen_messages:
             raise ScenarioError(f"{bwhere}: client {name} broadcasts {message} twice")
         seen_messages.add(message)
-        broadcasts.append(
-            BroadcastScript(
-                at=_int(b.get("at"), f"{bwhere}.at", minimum=0),
-                message=message,
-                delta_estimate=_int(b.get("delta_estimate"), f"{bwhere}.delta_estimate",
-                                    default=delta_estimate, minimum=0),
-                epsilon=_int(b.get("epsilon"), f"{bwhere}.epsilon", default=epsilon, minimum=1),
-            )
-        )
-    return ClientSpec(name, broadcasts, crash_time, behavior, params)
+        broadcasts.append(BroadcastScript(_int(b.get("at"), f"{bwhere}.at", minimum=0), message))
+    return ClientSpec(name, delta_estimate, broadcasts, crash_time, behavior, params)
 
 
 def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
@@ -299,7 +287,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"{len(server_faults)} Byzantine servers assigned but f={f}")
 
     clients_raw = _list(obj.get("clients", []), "scenario.clients")
-    clients = [_parse_client(c, delta, epsilon, i) for i, c in enumerate(clients_raw)]
+    clients = [_parse_client(c, delta, i) for i, c in enumerate(clients_raw)]
     seen_clients: set[str] = set()
     for c in clients:
         if c.name in seen_clients:
@@ -356,6 +344,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         f=f,
         delta=delta,
         drift=drift,
+        epsilon=epsilon,
         network=network,
         clock_offsets=offsets,
         server_faults=server_faults,

@@ -28,7 +28,6 @@ def scenario_dict(**overrides: Any) -> dict[str, Any]:
             {
                 "name": "c000",
                 "delta_estimate": 10,
-                "epsilon": 1,
                 "broadcasts": [{"at": 0, "message": "6d"}],
             }
         ],

@@ -32,7 +32,7 @@ def run_bundled(name):
 
 def run_one_broadcast(delta, estimate):
     # the bundled goodcase and retry files, at another delta or estimate
-    client = {"name": "c000", "delta_estimate": estimate, "epsilon": 1, "broadcasts": [{"at": 0, "message": "6d"}]}
+    client = {"name": "c000", "delta_estimate": estimate, "broadcasts": [{"at": 0, "message": "6d"}]}
     return run_scenario(parse_scenario(scenario_dict(delta=delta, clients=[client])))
 
 

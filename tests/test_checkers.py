@@ -44,7 +44,6 @@ def two_message_doc():
             {
                 "name": "c000",
                 "delta_estimate": 10,
-                "epsilon": 1,
                 "broadcasts": [
                     {"at": 0, "message": "01"},
                     {"at": 2, "message": "02"},

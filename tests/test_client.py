@@ -47,7 +47,7 @@ class FakeCtx:
 
 
 def make_client():
-    cl = FlutterClient("c000", 1)
+    cl = FlutterClient("c000", 1, 10, 1)
     cl._server_set = frozenset(SERVERS)
     return cl
 
@@ -59,7 +59,7 @@ def deliver_false(cl, ctx, src, message, bet):
 def test_first_bet_is_local_plus_estimate_plus_epsilon():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     assert cl.submissions["6d"] == (0, 11)
     assert [m.bet for _, m in ctx.sent if isinstance(m, Message)] == [11] * 6
 
@@ -67,7 +67,6 @@ def test_first_bet_is_local_plus_estimate_plus_epsilon():
 def test_retry_bet_doubles_estimate():
     cl = make_client()
     ctx = FakeCtx(local=50)
-    cl._margins["6d"] = (10, 1)
     cl._submit(ctx, "6d", 2)
     # 50 + 2^2 * 10 + 1
     assert cl.submissions["6d"] == (2, 91)
@@ -76,7 +75,7 @@ def test_retry_bet_doubles_estimate():
 def test_retry_fires_at_exactly_f_plus_one_false_reports():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     deliver_false(cl, ctx, "s000", "6d", 11)
     assert ctx.sent == []  # one False is not proof
@@ -89,7 +88,7 @@ def test_retry_fires_at_exactly_f_plus_one_false_reports():
 def test_duplicate_false_from_same_server_does_not_count_twice():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     deliver_false(cl, ctx, "s000", "6d", 11)
     deliver_false(cl, ctx, "s000", "6d", 11)
@@ -99,7 +98,7 @@ def test_duplicate_false_from_same_server_does_not_count_twice():
 def test_true_then_false_from_same_server_counts_once():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     cl.on_deliver(ctx, "s000", Decision("6d", 11, True))
     deliver_false(cl, ctx, "s000", "6d", 11)  # replaces the True: one False report
@@ -111,7 +110,7 @@ def test_true_then_false_from_same_server_counts_once():
 def test_false_then_true_from_same_server_stops_counting():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     deliver_false(cl, ctx, "s000", "6d", 11)
     cl.on_deliver(ctx, "s000", Decision("6d", 11, True))  # replaces the False
@@ -123,18 +122,20 @@ def test_false_then_true_from_same_server_stops_counting():
 def test_false_counter_matches_sum_over_decisions(reports):
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
+    latest: dict[tuple[int, str], bool] = {}  # (bet, server) -> its latest reported value
     for src, bet, value in reports:
         cl.on_deliver(ctx, src, Decision("6d", bet, value))
+        latest[(bet, src)] = value
         for b in (11, 31):
-            falses = sum(1 for (m, bb, _s), v in cl.decisions.items() if (m, bb) == ("6d", b) and v is False)
-            assert cl._falses.get(("6d", b), 0) == falses
+            falses = {s for (bb, s), v in latest.items() if bb == b and v is False}
+            assert cl.falses.get(("6d", b), set()) == falses
 
 
 def test_stale_bet_reports_are_ignored():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     deliver_false(cl, ctx, "s000", "6d", 11)
     deliver_false(cl, ctx, "s001", "6d", 11)  # retry: current bet moves on
     ctx.sent.clear()
@@ -145,7 +146,7 @@ def test_stale_bet_reports_are_ignored():
 def test_true_decisions_do_not_trigger_retry():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     for s in SERVERS:
         cl.on_deliver(ctx, s, Decision("6d", 11, True))
@@ -155,27 +156,27 @@ def test_true_decisions_do_not_trigger_retry():
 def test_decision_from_non_server_is_dropped():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     deliver_false(cl, ctx, "c999", "6d", 11)
     deliver_false(cl, ctx, "c998", "6d", 11)
     assert ctx.sent == []
-    assert cl.decisions == {}
+    assert cl.falses == {}
 
 
 def test_double_broadcast_same_message_is_protocol_bug():
     cl = make_client()
     ctx = FakeCtx(local=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     with pytest.raises(ProtocolBugError):
-        cl.broadcast(ctx, "6d", 10, 1)
+        cl.broadcast(ctx, "6d")
 
 
 def test_crashed_client_ignores_decisions():
-    cl = FlutterClient("c000", 1, crash_time=5)
+    cl = FlutterClient("c000", 1, 10, 1, crash_time=5)
     cl._server_set = frozenset(SERVERS)
     ctx = FakeCtx(local=0, global_now=0)
-    cl.broadcast(ctx, "6d", 10, 1)
+    cl.broadcast(ctx, "6d")
     ctx.sent.clear()
     ctx.global_now = 5
     deliver_false(cl, ctx, "s000", "6d", 11)
@@ -184,11 +185,8 @@ def test_crashed_client_ignores_decisions():
 
 
 def test_script_entries_schedule_global_timers():
-    script = [
-        BroadcastScript(at=0, message="01", delta_estimate=10, epsilon=1),
-        BroadcastScript(at=7, message="02", delta_estimate=5, epsilon=2),
-    ]
-    cl = FlutterClient("c000", 1, script=script)
+    script = [BroadcastScript(at=0, message="01"), BroadcastScript(at=7, message="02")]
+    cl = FlutterClient("c000", 1, 5, 2, script=script)
     ctx = FakeCtx()
     cl.on_init(ctx)
     assert ctx.globals == [(0, "broadcast@0"), (7, "broadcast@1")]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 
 import fluttersim.cli as cli
 import fluttersim.runner as runner
+from fluttersim.blink import BlinkInstance
 from fluttersim.checkers import CheckReport
 from fluttersim.errors import ConfigError, ScenarioError
 from fluttersim.runner import build_simulation
-from fluttersim.scenario import parse_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
 from fluttersim.trace import write_trace
 from fluttersim.weakcon import FirstProposal
@@ -129,15 +131,15 @@ def test_client_name_collisions_rejected():
     reject(
         scenario_dict(
             clients=[
-                {"name": "c000", "delta_estimate": 10, "epsilon": 1, "broadcasts": []},
-                {"name": "c000", "delta_estimate": 10, "epsilon": 1, "broadcasts": []},
+                {"name": "c000", "delta_estimate": 10, "broadcasts": []},
+                {"name": "c000", "delta_estimate": 10, "broadcasts": []},
             ]
         ),
         "c000",
     )
     reject(
         scenario_dict(
-            clients=[{"name": "s000", "delta_estimate": 10, "epsilon": 1, "broadcasts": []}]
+            clients=[{"name": "s000", "delta_estimate": 10, "broadcasts": []}]
         ),
         "s000",
     )
@@ -150,7 +152,6 @@ def test_duplicate_broadcast_message_rejected():
                 {
                     "name": "c000",
                     "delta_estimate": 10,
-                    "epsilon": 1,
                     "broadcasts": [
                         {"at": 0, "message": "6d"},
                         {"at": 5, "message": "6d"},
@@ -227,12 +228,12 @@ def test_blink_duplicate_proposal_rejected():
 
 FLUTTER_DOC = scenario_dict(
     drift=1,
+    epsilon=2,
     network={"strategy": "seeded_random", "seed": 7},
     clock_offsets={"s000": 1, "c000": -1},
     servers={"s005": {"behavior": "observe_forger", "params": {}}},
     clients=[
-        {"name": "c000", "delta_estimate": 10, "epsilon": 1, "crash_time": 90,
-         "broadcasts": [{"at": 0, "message": "6d", "delta_estimate": 5, "epsilon": 2}]},
+        {"name": "c000", "delta_estimate": 5, "crash_time": 90, "broadcasts": [{"at": 0, "message": "6d"}]},
         {"name": "c001", "behavior": "partial_disseminator", "params": {"message": "fade"}},
     ],
     dep={"policy": "adversarial_timing"},
@@ -283,6 +284,26 @@ def test_the_splice_bases_build(doc):
     build_simulation(parse_scenario(doc))
 
 
+def benchmark_workloads():
+    """The benchmark's input generators, `perfbench/workloads.py`, loaded from its file."""
+    path = SCENARIOS_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [101, 104729])
+@pytest.mark.parametrize("workload", ["tob_scale", "retry_storm"])
+def test_benchmark_scenarios_parse_and_build(workload, seed):
+    # A benchmark input the grammar rejects would fail every benchmark pass, not a test.
+    build_simulation(parse_scenario(getattr(benchmark_workloads(), workload)(seed)))
+
+
+def test_benchmark_campaign_base_parses_and_builds():
+    build_simulation(load_scenario(SCENARIOS_DIR.parent / benchmark_workloads().CAMPAIGN_BASE))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(SPLICE_SITES), JSON_VALUES)
 def test_any_value_in_any_field_is_rejected_or_builds(site, value):
@@ -327,6 +348,12 @@ def test_any_value_in_any_field_is_rejected_or_builds(site, value):
         (("servers", "s005"), {"behavior": "time_liar", "params": {"ahead": 1000}}),
         (("servers", "s005"), {"behavior": "time_liar", "params": {"max_blasts": 64}}),
         (("servers", "s005"), {"behavior": "stale_relay", "params": {"lead": 0}}),
+        # not client or broadcast keys: epsilon is the run's, and the delay estimate each client's own
+        (("clients", 0, "epsilon"), 1),
+        (("clients", 0, "broadcasts", 0, "delta_estimate"), 5),
+        (("clients", 0, "broadcasts", 0, "epsilon"), 2),
+        # an estimate of 0 never grows under doubling, so a lost bet is never won
+        (("clients", 0, "delta_estimate"), 0),
     ],
 )
 def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, capsys, path, value):
@@ -357,8 +384,6 @@ def test_cli_rejects_a_file_that_is_not_utf8_json(tmp_path, capsys, content):
 def test_bad_json_file_is_scenario_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
-    from fluttersim.scenario import load_scenario
-
     with pytest.raises(ScenarioError):
         load_scenario(path)
 
@@ -472,11 +497,21 @@ def policy_invents_value(_real):
     return lambda self, proposals: not next(iter(proposals.values()))
 
 
+def majority_unreachable(_real):
+    """Blink mutant: an internal assertion breaks when a server first dep-proposes."""
+
+    def _majority(self):
+        raise AssertionError("no 2f+1 majority among 4f+1 binary suggestions")
+
+    return _majority
+
+
 @pytest.mark.parametrize(
     "owner, attr, mutant, error",
     [
         (FlutterServer, "on_timer", expiry_forgets_proposal, "ProtocolBugError"),
         (FirstProposal, "choose", policy_invents_value, "OracleViolationError"),
+        (BlinkInstance, "_majority", majority_unreachable, "AssertionError"),
     ],
 )
 def test_cli_protocol_bug_exit_code(tmp_path, monkeypatch, capsys, owner, attr, mutant, error):
