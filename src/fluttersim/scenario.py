@@ -235,6 +235,9 @@ def _parse_client(obj, delta: int, idx: int) -> ClientSpec:
         behavior, params = _behavior(obj, "client", where)
         if obj.get("broadcasts"):
             raise ScenarioError(f"{where}: a behavior client cannot also carry a broadcast script")
+        for key in ("delta_estimate", "crash_time"):  # the behavior runs instead of the client, and reads neither
+            if obj.get(key) is not None:
+                raise ScenarioError(f"{where}.{key}: a behavior client takes no {key}")
     elif obj.get("params"):
         raise ScenarioError(f"{where}.params needs a behavior")
     delta_estimate = _int(obj.get("delta_estimate"), f"{where}.delta_estimate", default=delta, minimum=1)

@@ -7,17 +7,20 @@ every event goes to `sink`, by default appended to `trace`; `run()` reads
 `Simulator.send` is the one send path: a call renders its message once
 and sends a copy to each destination, so a broadcast is one call. The
 Deliver events of one call share one payload dict.
-Events are processed in (time, global sequence) order; handler work is
-instantaneous (takes zero ticks). Quiescence = empty event queue.
+Pending events wait in per-tick buckets: one list per pending time, in
+push order, plus a heap of the distinct pending times. Events run tick by
+tick, and within a tick in push order, so an event a handler schedules at
+the current time runs later in the same tick. Handler work is
+instantaneous (takes zero ticks). Quiescence = no pending event.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 
-from . import trace as tr
 from .errors import BudgetExceededError, ConfigError
+from .trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, TraceEvent
 from .types import SimTime, WireMessage, instance_payload, wire_payload
 
 _DELIVER = 0
@@ -131,14 +134,14 @@ class Simulator:
         self.clock = clock or ClockModel()
         self.step_budget = step_budget
         self.now: SimTime = 0
-        self.trace: list[tr.TraceEvent] = []
+        self.trace: list[TraceEvent] = []
         self.sink = self.trace.append  # takes every emitted event; replace it to keep no trace
         self.handlers: dict[str, object] = {}
         self.contexts: dict[str, Context] = {}
         self.servers: list[str] = []
         self.clients: list[str] = []
-        self._heap: list = []
-        self._seq = 0
+        self._buckets: dict[SimTime, list] = {}  # time -> its pending (kind, a, b, c, d), in push order
+        self._times: list[SimTime] = []  # heap of the times in _buckets
         self._links: dict[str, dict[str, list]] = {}  # src -> dst -> [last_delivery, sends]
         self._started = False
         self._steps = 0
@@ -151,13 +154,16 @@ class Simulator:
         (self.servers if kind == "server" else self.clients).append(name)
 
     def _push(self, time: SimTime, kind: int, a, b, c=None, d=None) -> None:
-        if time < self.now:  # past target: fires this step, after the current handler
+        if time < self.now:  # past target: fires this tick, after the current handler
             time = self.now
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, a, b, c, d))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = []
+            heappush(self._times, time)
+        bucket.append((kind, a, b, c, d))
 
     def emit(self, process: str, kind: str, payload: dict) -> None:
-        self.sink(tr.TraceEvent(self.now, process, kind, payload))
+        self.sink(TraceEvent(self.now, process, kind, payload))
 
     def send(self, src: str, dsts: list[str] | tuple[str, ...], msg: WireMessage) -> None:
         """Send `msg` from `src` to each of `dsts` in order.
@@ -171,8 +177,7 @@ class Simulator:
         links = self._links.get(src)
         if links is None:
             links = self._links[src] = {}
-        now, delay, sink, heap, seq = self.now, self.strategy.delay, self.sink, self._heap, self._seq
-        self._seq += len(dsts)  # taken up front: an error mid-loop skips numbers but never reuses one
+        now, delay, sink, buckets = self.now, self.strategy.delay, self.sink, self._buckets
         for dst in dsts:
             link = links.get(dst)
             if link is None:
@@ -184,9 +189,12 @@ class Simulator:
             if when < link[0]:  # FIFO repair: never deliver before an earlier send
                 when = link[0]
             link[0] = when
-            sink(tr.TraceEvent(now, src, tr.SEND, {"dst": dst, "msg": wire}))
-            seq += 1
-            heapq.heappush(heap, (when, seq, _DELIVER, src, dst, msg, delivered))
+            sink(TraceEvent(now, src, SEND, {"dst": dst, "msg": wire}))
+            bucket = buckets.get(when)
+            if bucket is None:
+                bucket = buckets[when] = []
+                heappush(self._times, when)
+            bucket.append((_DELIVER, src, dst, msg, delivered))
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
         self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
@@ -211,26 +219,35 @@ class Simulator:
     def run(self, until: SimTime | None = None) -> bool:
         """Process events until quiescence or past `until`.
 
-        Returns True iff the queue drained (quiescence). A cutoff leaves
-        pending events in the queue for inspection.
+        Returns True iff no event is pending (quiescence). A cutoff runs
+        every event of each tick up to `until`, those handlers add at that
+        tick included, and leaves later ticks pending, so a later call
+        resumes where it stopped. A run that raised cannot be resumed.
         """
         self.start()
-        heap, heappop, handlers, contexts, sink = self._heap, heapq.heappop, self.handlers, self.contexts, self.sink
-        while heap:
-            if until is not None and heap[0][0] > until:
-                return False
-            self._steps += 1
-            if self._steps > self.step_budget:
-                raise BudgetExceededError(f"no quiescence after {self.step_budget} events")
-            time, _seq, kind, a, b, c, d = heappop(heap)
-            self.now = time
-            if kind == _DELIVER:
-                sink(tr.TraceEvent(time, b, tr.DELIVER, d))
-                handlers[b].on_deliver(contexts[b], a, c)
-            elif kind == _TIMER:
-                sink(tr.TraceEvent(time, a, tr.TIMER_FIRE, {"token": b}))
-                handlers[a].on_timer(contexts[a], b)
-            else:  # _DEP: decide indication from the weak-consensus oracle
-                sink(tr.TraceEvent(time, a, tr.DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
-                handlers[a].on_dep_decide(contexts[a], b, c)
-        return True
+        buckets, times, handlers, contexts, sink = self._buckets, self._times, self.handlers, self.contexts, self.sink
+        budget, steps = self.step_budget, self._steps
+        try:
+            while times:
+                time = times[0]
+                if until is not None and time > until:
+                    return False
+                heappop(times)
+                self.now = time
+                for kind, a, b, c, d in buckets[time]:  # also reaches entries handlers append at `time`
+                    steps += 1
+                    if steps > budget:
+                        raise BudgetExceededError(f"no quiescence after {budget} events")
+                    if kind == _DELIVER:
+                        sink(TraceEvent(time, b, DELIVER, d))
+                        handlers[b].on_deliver(contexts[b], a, c)
+                    elif kind == _TIMER:
+                        sink(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
+                        handlers[a].on_timer(contexts[a], b)
+                    else:  # _DEP: decide indication from the weak-consensus oracle
+                        sink(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                        handlers[a].on_dep_decide(contexts[a], b, c)
+                del buckets[time]
+            return True
+        finally:
+            self._steps = steps

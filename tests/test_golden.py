@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -80,3 +81,57 @@ def test_campaign_summary_digest():
     assert summary["runs"] == 60 and summary["all_pass"]
     rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert sha256(rendered.encode()) == CAMPAIGN_DIGEST
+
+
+# Large runs: n=16 and a retry storm have many same-tick collisions, which
+# the n=6 bundled scenarios barely reach. Each shape is generated here, from
+# seed 101, so that nothing outside this file can move its input.
+# shape -> trace digest
+LARGE_RUN_DIGESTS = {
+    "n16-4x10": "a91c3f142dd09c74da1ec655d6608cce2977245add7a542209f586a1db4e391b",
+    "retry-storm": "2b26f4f4f42a38a58adad3840b5cb4567b9ce13909f4928bbd46bbb645acad20",
+}
+
+
+def _large_run(shape: str, seed: int) -> dict:
+    """n=16, f=3, 4 clients x 10 broadcasts, or n=6 with estimate 1 against delta 10 and a Time liar."""
+    rng = random.Random(seed)
+    n, f, drift, epsilon, estimate = (16, 3, 2, 5, 10) if shape == "n16-4x10" else (6, 1, 0, 1, 1)
+    clients = [
+        {
+            "name": f"c{c:03d}",
+            "delta_estimate": estimate,
+            "broadcasts": [
+                {"at": 10 * i + rng.randrange(10), "message": (bytes([c, i]) + rng.randbytes(6)).hex()}
+                for i in range(10)
+            ],
+        }
+        for c in range(4)
+    ]
+    processes = [f"s{i:03d}" for i in range(n)] + [c["name"] for c in clients]
+    doc = {
+        "name": shape,
+        "kind": "flutter",
+        "n": n,
+        "f": f,
+        "delta": 10,
+        "drift": drift,
+        "epsilon": epsilon,
+        "network": {"strategy": "seeded_random", "seed": rng.randrange(2**31)},
+        "clock_offsets": {p: rng.randint(-drift, drift) for p in processes},
+        "clients": clients,
+        "dep": {"policy": "adversarial_value"},
+    }
+    if shape == "retry-storm":
+        doc["servers"] = {"s005": {"behavior": "time_liar"}}
+    return doc
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE_RUN_DIGESTS))
+def test_large_run_trace_digests(shape, tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(_large_run(shape, 101)))
+    trace_path = tmp_path / "trace.jsonl"
+    code = cli.main(["run", str(scenario_path), "--trace", str(trace_path), "--report", str(tmp_path / "report.json")])
+    assert code == cli.EXIT_OK
+    assert sha256(trace_path.read_bytes()) == LARGE_RUN_DIGESTS[shape]

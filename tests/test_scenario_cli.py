@@ -354,6 +354,9 @@ def test_any_value_in_any_field_is_rejected_or_builds(site, value):
         (("clients", 0, "broadcasts", 0, "epsilon"), 2),
         # an estimate of 0 never grows under doubling, so a lost bet is never won
         (("clients", 0, "delta_estimate"), 0),
+        # a behavior client runs its behavior alone: it neither crashes on schedule nor bets
+        (("clients", 1, "crash_time"), 0),
+        (("clients", 1, "delta_estimate"), 5),
     ],
 )
 def test_cli_rejects_a_misshapen_field(write_scenario, tmp_path, monkeypatch, capsys, path, value):

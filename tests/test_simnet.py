@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fluttersim import simnet
 from fluttersim.errors import BudgetExceededError, ConfigError
 from fluttersim.simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
-from fluttersim.trace import DELIVER, SEND, TIMER_FIRE
-from fluttersim.types import Time
+from fluttersim.trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, TraceEvent
+from fluttersim.types import Time, instance_payload, wire_payload
 
 
 class Sink:
@@ -162,6 +166,21 @@ def test_seeded_delays_stay_in_bounds_and_replay_identically():
         assert 1 <= dt <= 10
 
 
+class SameTick:
+    """At local 20, schedules a timer for the current time and sends Time(1) to b."""
+
+    def on_init(self, ctx):
+        ctx.schedule_local(20, "first")
+
+    def on_deliver(self, ctx, src, msg):
+        pass
+
+    def on_timer(self, ctx, token):
+        if token == "first":
+            ctx.schedule_local(ctx.local_time(), "again")
+            ctx.send("b", Time(1))
+
+
 def test_run_until_cutoff_preserves_pending_events():
     sim = Simulator(ExactDelta(10))
     sim.add_process("a", "server", SendAt("b", [0, 50]))
@@ -172,6 +191,23 @@ def test_run_until_cutoff_preserves_pending_events():
     # the held-back delivery is still queued: resuming delivers it on time
     assert sim.run()
     assert deliveries(sim) == [(10, 0), (60, 1)]
+
+    # A timer a handler schedules at now, in the last tick the cutoff admits, runs in that tick.
+    def same_tick():
+        sim = Simulator(ExactDelta(10))
+        sim.add_process("a", "server", SameTick())
+        sim.add_process("b", "server", Sink())
+        return sim
+
+    cut = same_tick()
+    assert not cut.run(until=20)
+    assert [(e.time, e.payload["token"]) for e in cut.trace if e.kind == TIMER_FIRE] == [(20, "first"), (20, "again")]
+    assert deliveries(cut) == []
+    assert cut.run()
+    whole = same_tick()
+    assert whole.run()
+    assert deliveries(whole) == [(30, 1)]
+    assert [e.to_line() for e in cut.trace] == [e.to_line() for e in whole.trace]
 
 
 def test_step_budget_exceeded_raises():
@@ -190,6 +226,19 @@ def test_step_budget_exceeded_raises():
     sim.add_process("b", "server", PingPong())
     with pytest.raises(BudgetExceededError):
         sim.run()
+
+    # The edge: three timer fires and three deliveries quiesce on a budget of six, and raise on five.
+    def six_events(budget):
+        sim = Simulator(ExactDelta(5), step_budget=budget)
+        sim.add_process("a", "server", SendAt("b", [0, 1, 1]))
+        sim.add_process("b", "server", Sink())
+        return sim
+
+    sim = six_events(6)
+    assert sim.run()
+    assert len([e for e in sim.trace if e.kind in (TIMER_FIRE, DELIVER)]) == 6
+    with pytest.raises(BudgetExceededError):
+        six_events(5).run()
 
 
 def test_on_init_runs_in_insertion_order_before_any_event():
@@ -290,3 +339,117 @@ def test_scripted_table_forces_fifo_repair_on_broadcast():
     trace = fanout_trace(Scripted(10, FIFO_REPAIR), False)
     at = {(e.process, e.payload["msg"]["time"]): e.time for e in trace if e.kind == DELIVER}
     assert at[("s001", 1)] == 10 and at[("s002", 1)] == 9 and at[("s002", 4)] == 9  # held behind earlier sends
+
+
+class HeapSimulator(Simulator):
+    """The reference event loop: one heap of (time, seq, kind, a, b, c, d), popped one event at a time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._heap = []
+        self._seq = 0
+
+    def _push(self, time, kind, a, b, c=None, d=None):
+        self._seq += 1
+        heapq.heappush(self._heap, (max(time, self.now), self._seq, kind, a, b, c, d))
+
+    def send(self, src, dsts, msg):
+        wire = wire_payload(msg)
+        delivered = {"src": src, "msg": wire}
+        links = self._links.setdefault(src, {})
+        for dst in dsts:
+            if dst not in self.handlers:
+                raise ConfigError(f"send to unknown process {dst}")
+            link = links.setdefault(dst, [0, 0])
+            when = max(self.now + self.strategy.delay(src, dst, link[1]), link[0])
+            link[0], link[1] = when, link[1] + 1
+            self.sink(TraceEvent(self.now, src, SEND, {"dst": dst, "msg": wire}))
+            self._push(when, simnet._DELIVER, src, dst, msg, delivered)
+
+    def run(self, until=None):
+        self.start()
+        while self._heap:
+            if until is not None and self._heap[0][0] > until:
+                return False
+            self._steps += 1
+            if self._steps > self.step_budget:
+                raise BudgetExceededError(f"no quiescence after {self.step_budget} events")
+            time, _seq, kind, a, b, c, d = heapq.heappop(self._heap)
+            self.now = time
+            if kind == simnet._DELIVER:
+                self.sink(TraceEvent(time, b, DELIVER, d))
+                self.handlers[b].on_deliver(self.contexts[b], a, c)
+            elif kind == simnet._TIMER:
+                self.sink(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
+                self.handlers[a].on_timer(self.contexts[a], b)
+            else:
+                self.sink(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                self.handlers[a].on_dep_decide(self.contexts[a], b, c)
+        return True
+
+
+PROBES = ("p0", "p1", "p2", "q0")  # three servers and a client
+ACTION = st.one_of(
+    st.tuples(st.just("timer"), st.integers(-3, 3)),  # local timer in the past, at now, or ahead
+    st.tuples(st.just("send"), st.sampled_from(PROBES)),
+    st.tuples(st.just("broadcast"), st.just(0)),
+    st.tuples(st.just("dep"), st.integers(-2, 3)),  # dep decide at a global time, clamped to now if past
+)
+
+
+class Probe:
+    """Logs every handler call; its k-th call performs the k-th action list of its script."""
+
+    def __init__(self, script, calls):
+        self.script = script
+        self.calls = calls
+        self.k = 0
+
+    def act(self, ctx, kind, arg):
+        self.calls.append((ctx.sim.now, ctx.name, kind, arg))
+        actions = self.script[self.k] if self.k < len(self.script) else []
+        self.k += 1
+        for i, (what, x) in enumerate(actions):
+            tag = f"{ctx.name}.{self.k}.{i}"
+            if what == "timer":
+                ctx.schedule_local(ctx.local_time() + x, tag)
+            elif what == "send":
+                ctx.send(x, Time(self.k))
+            elif what == "broadcast":
+                ctx.broadcast(Time(self.k))
+            else:
+                ctx.sim.schedule_dep_decide(ctx.sim.now + x, ctx.name, tag, self.k % 2 == 0)
+
+    def on_init(self, ctx):
+        self.act(ctx, "init", None)
+
+    def on_deliver(self, ctx, src, msg):
+        self.act(ctx, "deliver", (src, msg.time))
+
+    def on_timer(self, ctx, token):
+        self.act(ctx, "timer", token)
+
+    def on_dep_decide(self, ctx, instance, value):
+        self.act(ctx, "dep", (instance, value))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    scripts=st.lists(st.lists(st.lists(ACTION, max_size=3), max_size=6), min_size=4, max_size=4),
+    delta=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    offsets=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    until=st.none() | st.integers(0, 12),
+)
+def test_event_order_matches_the_reference_heap_loop(scripts, delta, seed, offsets, until):
+    def run(cls):
+        calls = []
+        sim = cls(SeededRandom(delta, seed), ClockModel(dict(zip(PROBES, offsets))))
+        for name, script in zip(PROBES, scripts):
+            sim.add_process(name, "client" if name.startswith("q") else "server", Probe(script, calls))
+        cut = sim.run(until)
+        at_cut = (cut, sim.now, len(calls), len(sim.trace))
+        assert sim.run()
+        return at_cut, calls, [e.to_line() for e in sim.trace]
+
+    assert run(Simulator) == run(HeapSimulator)
