@@ -3,6 +3,7 @@
 Exit codes: 0 all checks Pass/NotApplicable; 1 at least one Fail;
 2 malformed scenario or configuration; 3 step budget exceeded;
 4 a protocol, dep-oracle or internal invariant broke during the run.
+`run` streams its trace: a run that exits 3 or 4 leaves it up to the error, and no report.
 The FLUTTERSIM_OUT environment variable sets the default output
 directory for traces and reports (default: current directory).
 """
@@ -17,9 +18,9 @@ from pathlib import Path
 
 from .adversary import BEHAVIORS
 from .errors import BudgetExceededError, ConfigError, ScenarioError
-from .runner import RUN_BREAKERS, run_campaign, run_scenario
+from .runner import RUN_BREAKERS, run_campaign, run_checked
 from .scenario import load_scenario
-from .trace import write_trace
+from .trace import TraceWriter
 from .weakcon import POLICIES
 
 EXIT_OK = 0
@@ -42,11 +43,11 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _cmd_run(args) -> tuple[int, list[str]]:
     scenario = load_scenario(args.scenario)
-    result = run_scenario(scenario)
     trace_path = Path(args.trace) if args.trace else _out_dir() / f"{scenario.name}.trace.jsonl"
     report_path = Path(args.report) if args.report else _out_dir() / f"{scenario.name}.report.json"
     trace_path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace(trace_path, result.trace)
+    with open(trace_path, "w") as fh:
+        result = run_checked(scenario, TraceWriter(fh).write)
     _write_json(report_path, result.report_dict())
 
     lines = [f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "

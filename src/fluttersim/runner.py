@@ -2,8 +2,8 @@
 
 Campaign runs sweep seeds x behaviors x dep policies over one base
 scenario; every run gets the full checker suite, so each behavior is a
-falsification attempt rather than a fixture with blessed output. A
-campaign run is checked online, as it runs, and keeps no trace.
+falsification attempt rather than a fixture with blessed output. Every
+run is checked online, by `run_checked`; `run_scenario` keeps its trace.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def build_simulation(scenario: Scenario) -> Simulator:
 @dataclass
 class RunResult:
     scenario: Scenario
-    trace: list[tr.TraceEvent]
+    trace: list[tr.TraceEvent]  # empty unless kept (`run_scenario`)
     quiescent: bool
     reports: list[CheckReport]
     metrics: dict
@@ -83,13 +83,20 @@ class RunResult:
         }
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    """Simulate, keeping the trace, then check it and measure it in one pass."""
+def run_checked(scenario: Scenario, sink=None) -> RunResult:
+    """Simulate `scenario` with no trace kept, checking each event as emitted (after `sink`, if given)."""
     sim = build_simulation(scenario)
+    checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False))
+    sim.sink = checks.feed if sink is None else lambda event, feed=checks.feed: (sink(event), feed(event))
     quiescent = sim.run(until=scenario.until)
-    checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent)).run(sim.trace)
-    reports = checks.finish(quiescent)
-    return RunResult(scenario, sim.trace, quiescent, reports, checks.metrics.summary(quiescent, checks))
+    sim.sink = sim.trace.append  # the simulator is cyclic garbage: unhooked, the pass is freed at once
+    return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(quiescent, checks))
+
+
+def run_scenario(scenario: Scenario) -> RunResult:
+    """Simulate and check `scenario`, keeping its trace."""
+    trace: list[tr.TraceEvent] = []
+    return dataclasses.replace(run_checked(scenario, trace.append), trace=trace)
 
 
 def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: bool) -> dict:
@@ -140,22 +147,16 @@ def _run_one(args: tuple[Scenario, str, str, int]) -> dict:
     variant = campaign_variant(base, behavior, policy, seed)
     row = {"run": variant.name, "behavior": behavior, "policy": policy, "seed": seed}
     try:
-        # Checked online: the check pass takes each event as it is emitted, and no trace is kept.
-        sim = build_simulation(variant)
-        checks = check_pass(CheckerConfig.from_scenario(variant, quiescent=False))
-        sim.sink = checks.feed
-        quiescent = sim.run(until=variant.until)
-        sim.sink = sim.trace.append  # the simulator is cyclic garbage: unhooked, the pass is freed at once
-        reports = checks.finish(quiescent)
+        run = run_checked(variant)
     except RUN_BREAKERS as e:
         # One bad run is a failing row; the rest of the campaign still runs.
         prop = "budget" if isinstance(e, BudgetExceededError) else type(e).__name__
         return {**row, "fails": [{"property": prop, "detail": str(e)}], "verdicts": {}, "max_suggest": 0}
     verdicts: dict[str, int] = {}
-    for report in reports:
+    for report in run.reports:
         verdicts[report.verdict] = verdicts.get(report.verdict, 0) + 1
-    fails = [{"property": r.prop, "detail": r.detail} for r in reports if r.verdict == FAIL]
-    return {**row, "fails": fails, "verdicts": verdicts, "max_suggest": checks.metrics.max_suggest}
+    fails = [{"property": r.prop, "detail": r.detail} for r in run.failed]
+    return {**row, "fails": fails, "verdicts": verdicts, "max_suggest": run.metrics["max_suggest_sends_per_instance"]}
 
 
 def run_campaign(

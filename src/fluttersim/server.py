@@ -35,10 +35,9 @@ class FlutterServer(BlinkNode):
         super().__init__(name, f, oracle)
         self.observed: set[BroadcastTuple] = set()
         self.proposed: set[BroadcastTuple] = set()
-        self._queue: list[BroadcastTuple] = []  # heap of candidates above last_processed
+        self._queue: list[BroadcastTuple] = []  # heap of unprocessed candidates: tuples whose bet cleared the lock
         self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
-        self.last_processed: BroadcastTuple | None = None
         self.remote_times: dict[str, int | float] = {}
         self._lock: int | float = NEG_INF  # lock_time(), recomputed when an entry rises
         self._expiry: dict[str, BroadcastTuple] = {}
@@ -111,7 +110,7 @@ class FlutterServer(BlinkNode):
         self._process_next(ctx)
 
     def _process_next(self, ctx) -> None:
-        # Queued bets cleared a lock that never falls, so all lie above last_processed.
+        # Queued bets cleared a lock that never falls, so all lie above every tuple already taken.
         while self._queue:
             best = self._queue[0]
             if best not in self.decisions or best.bet > self._lock:
@@ -119,7 +118,6 @@ class FlutterServer(BlinkNode):
             heapq.heappop(self._queue)
             if self.decisions[best]:
                 self._order(ctx, best)
-            self.last_processed = best
 
     def _order(self, ctx, t: BroadcastTuple) -> None:
         if (t.client, t.message) not in self.delivered:

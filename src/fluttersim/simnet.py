@@ -2,8 +2,8 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets, local-time timers, and full tracing:
-every event goes to `sink`, by default appended to `trace`; `run()` reads
-`sink` when it starts, so replace it before then.
+every event goes to `sink` (`trace.append`, or a check pass in
+`runner.run_checked`), which `run()` reads when it starts.
 `Simulator.send` is the one send path: a call renders its message once
 and sends a copy to each destination, so a broadcast is one call. The
 Deliver events of one call share one payload dict.

@@ -10,14 +10,15 @@ those sends hold the same `msg` dict, and the Deliver events of the call
 share one payload dict. Treat payloads as read-only; code that edits one
 must copy the event (say, with copy.deepcopy) first, or the edit shows up
 in every event sharing it.
-Events reach the checkers one by one, from a kept trace or, in a campaign
-run, straight from the simulator with no trace kept.
+A run reaches the checkers, and `fluttersim run`'s `TraceWriter`, one event
+at a time from the simulator; `read_trace` streams a saved trace back so.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # what _ENCODER.encode does with a str
 
 # Event kinds
 SEND = "Send"
@@ -41,60 +42,59 @@ class TraceEvent:
     payload: dict
 
     def to_line(self) -> str:
-        return _ENCODER.encode(
-            {"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload}
-        )
+        return _ENCODER.encode({"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload})
 
 
-def _encode_into(memo: dict[int, str], obj) -> str:
-    text = memo[id(obj)] = _ENCODER.encode(obj)
-    return text
+class TraceWriter:
+    """Writes trace events to an open text file one at a time, each as `to_line` renders it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        # A call's Sends hold one msg dict, as does each copy's Deliver, so a message's line tails are built once:
+        # id(msg) -> [msg, tail, sender JSON + tail, sender, copies in flight]; holding msg keeps its id() unique.
+        self.msgs: dict[int, list] = {}
+
+    def write(self, ev: TraceEvent) -> None:
+        kind, process, payload, msgs = ev.kind, ev.process, ev.payload, self.msgs
+        sending, peer_key = (True, "dst") if kind == SEND else (False, "src")
+        # Only an int time, str names and the exact payload layout {peer_key, "msg"} take the cached path.
+        if ((not sending and kind != DELIVER) or type(ev.time) is not int or len(payload) != 2
+                or next(iter(payload)) != peer_key or "msg" not in payload
+                or type(process) is not str or type(peer := payload[peer_key]) is not str):
+            self.fh.write(ev.to_line() + "\n")
+            return
+        entry = msgs.get(id(msg := payload["msg"]))
+        if sending:
+            if entry is None:
+                tail = f',"msg":{_ENCODER.encode(msg)}}}}}\n'
+                entry = msgs[id(msg)] = [msg, tail, _quote(process) + tail, process, 0]
+            entry[4] += 1
+            self.fh.write(f'{{"time":{ev.time},"process":{_quote(process)},"kind":"Send","payload":{{"dst":'
+                          f'{_quote(peer)}{entry[1]}')
+        elif entry is None or entry[3] != peer:  # no matching Send: the stream (say, read from a file) shares no dicts
+            msgs.clear()
+            self.fh.write(ev.to_line() + "\n")
+        else:
+            entry[4] -= 1
+            if not entry[4]:
+                del msgs[id(msg)]
+            self.fh.write(f'{{"time":{ev.time},"process":{_quote(process)},"kind":"Deliver","payload":{{"src":'
+                          f'{entry[2]}')
 
 
-def write_trace(path, trace: list[TraceEvent]) -> None:
-    """Write `trace` as JSONL, byte for byte as `to_line` renders each event.
-
-    Send and Deliver lines are assembled from cached JSON pieces: each
-    message dict (shared by its Send and Deliver events), each process
-    name and each peer name is encoded once. The cache is keyed by id(),
-    which stays valid because `trace` keeps every cached object alive.
-    """
-    memo: dict[int, str] = {}
+def write_trace(path, events) -> None:
+    """Write `events`, any iterable of trace events, as JSONL."""
     with open(path, "w") as fh:
-        for ev in trace:
-            kind = ev.kind
-            peer_key = "dst" if kind == SEND else "src" if kind == DELIVER else None
-            payload = ev.payload
-            # Only an int time and the exact payload layout {peer_key, "msg"} take the cached path.
-            if (
-                peer_key is None
-                or type(ev.time) is not int
-                or len(payload) != 2
-                or next(iter(payload)) != peer_key
-                or "msg" not in payload
-            ):
-                fh.write(ev.to_line() + "\n")
-                continue
-            process, peer, msg = ev.process, payload[peer_key], payload["msg"]
-            process = memo.get(id(process)) or _encode_into(memo, process)
-            peer = memo.get(id(peer)) or _encode_into(memo, peer)
-            msg = memo.get(id(msg)) or _encode_into(memo, msg)
-            fh.write(
-                f'{{"time":{ev.time},"process":{process},"kind":"{kind}",'
-                f'"payload":{{"{peer_key}":{peer},"msg":{msg}}}}}\n'
-            )
+        write = TraceWriter(fh).write
+        for ev in events:
+            write(ev)
 
 
-def load_trace(path) -> list[TraceEvent]:
-    out = []
+def read_trace(path):
+    """Yield the events of a JSONL trace, one per line; no two share a dict."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(TraceEvent(obj["time"], obj["process"], obj["kind"], obj["payload"]))
-    return out
+        for obj in map(json.loads, filter(str.strip, fh)):
+            yield TraceEvent(obj["time"], obj["process"], obj["kind"], obj["payload"])
 
 
 def instance_key_from_payload(obj: dict) -> tuple:

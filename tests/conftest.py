@@ -8,6 +8,7 @@ from typing import Any
 
 import pytest
 
+from fluttersim import runner
 from fluttersim.runner import build_simulation
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -53,3 +54,17 @@ def write_scenario(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def online_sims(monkeypatch):
+    """Every simulator a run builds from here on."""
+    sims = []
+    real = runner.build_simulation
+
+    def build(scenario):
+        sims.append(real(scenario))
+        return sims[-1]
+
+    monkeypatch.setattr(runner, "build_simulation", build)
+    return sims

@@ -1,6 +1,6 @@
 """Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
-fan-out and Deliver events in the simulator, no scenario field that is stored and never read, and no
-behavior param that no bundled scenario sets."""
+fan-out and Deliver events in the simulator, one module that hooks the simulator's sink, no scenario
+field that is stored and never read, and no behavior param that no bundled scenario sets."""
 
 from __future__ import annotations
 
@@ -73,6 +73,14 @@ def test_only_the_simulator_builds_deliver_events():
     texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert deliver.search(texts.pop("simnet.py"))
     assert [name for name, text in texts.items() if deliver.search(text)] == []
+
+
+def test_only_the_runner_hooks_the_sink():
+    # One run path: the simulator's default sink keeps the trace, and only the runner points it elsewhere.
+    assign = re.compile(r"\.sink\s*=(?!=)")
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(texts) > 10
+    assert sorted(name for name, text in texts.items() if assign.search(text)) == ["runner.py", "simnet.py"]
 
 
 def test_every_scenario_field_is_read_outside_the_parser():

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import pytest
 
-from fluttersim import runner
 from fluttersim import trace as tr
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, CheckerConfig, check_pass, run_all_checks
@@ -25,14 +23,6 @@ def campaign_base():
     return load_scenario(SCENARIOS_DIR / "campaign_base.json")
 
 
-def streamed(path):
-    """Each event of a written trace, parsed from its line: no dict outlives the event fed."""
-    with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            yield tr.TraceEvent(obj["time"], obj["process"], obj["kind"], obj["payload"])
-
-
 @pytest.mark.parametrize("name", BUNDLED + [f"campaign+{b}" for b in sorted(BEHAVIORS)])
 def test_streamed_trace_checks_like_the_kept_trace(tmp_path, name):
     if name.startswith("campaign+"):
@@ -44,8 +34,8 @@ def test_streamed_trace_checks_like_the_kept_trace(tmp_path, name):
     path = tmp_path / "trace.jsonl"
     tr.write_trace(path, trace)
     kept = [r.to_dict() for r in run_all_checks(trace, cfg)]
-    assert [r.to_dict() for r in run_all_checks(streamed(path), cfg)] == kept
-    assert compute_metrics(streamed(path), scenario, quiescent) == compute_metrics(trace, scenario, quiescent)
+    assert [r.to_dict() for r in run_all_checks(tr.read_trace(path), cfg)] == kept
+    assert compute_metrics(tr.read_trace(path), scenario, quiescent) == compute_metrics(trace, scenario, quiescent)
 
 
 @pytest.mark.parametrize("name", ["goodcase", "campaign+equivocator"])
@@ -95,20 +85,6 @@ def offline_row(base, behavior, policy, seed) -> dict:
         "verdicts": dict(Counter(r.verdict for r in reports)),
         "max_suggest": compute_metrics(trace, variant, quiescent)["max_suggest_sends_per_instance"],
     }
-
-
-@pytest.fixture
-def online_sims(monkeypatch):
-    """Every simulator a campaign run builds."""
-    sims = []
-    real = runner.build_simulation
-
-    def build(scenario):
-        sims.append(real(scenario))
-        return sims[-1]
-
-    monkeypatch.setattr(runner, "build_simulation", build)
-    return sims
 
 
 @pytest.mark.parametrize("behavior", sorted(BEHAVIORS))

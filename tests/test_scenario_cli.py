@@ -461,23 +461,38 @@ def test_cli_rejects_bad_behavior_params(write_scenario, capsys, slots, fragment
 
 
 def test_cli_budget_exhaustion_exit_code(tmp_path, write_scenario):
-    doc = scenario_dict(step_budget=10)
-    path = write_scenario(doc)
-    code = cli.main(["run", str(path)])
-    assert code == 3
+    # The trace streams to its file as the run goes: a run cut by its budget leaves its own events, no report.
+    full = tmp_path / "full.jsonl"
+    args = ["--trace", str(full), "--report", str(tmp_path / "full.report.json")]
+    assert cli.main(["run", str(write_scenario(scenario_dict(), "full.json")), *args]) == cli.EXIT_OK
+    trace, report = tmp_path / "trace.jsonl", tmp_path / "report.json"
+    trace.write_text('{"stale": "trace of an earlier run"}\n')
+    path = write_scenario(scenario_dict(step_budget=10))
+    code = cli.main(["run", str(path), "--trace", str(trace), "--report", str(report)])
+    assert code == cli.EXIT_BUDGET == 3
+    assert not report.exists()
+    data = trace.read_bytes()
+    assert 0 < len(data) < len(full.read_bytes()) and full.read_bytes().startswith(data) and data.endswith(b"\n")
+
+
+def test_cli_run_keeps_no_trace(tmp_path, online_sims):
+    code = cli.main(["run", str(SCENARIOS_DIR / "goodcase.json"), "--trace", str(tmp_path / "trace.jsonl"),
+                     "--report", str(tmp_path / "report.json")])
+    assert code == cli.EXIT_OK
+    assert len(online_sims) == 1 and online_sims[0].trace == []
 
 
 def test_cli_fail_report_exit_code(tmp_path, monkeypatch):
     # no built-in behavior can break safety; fake one failing report to pin
     # the exit-code contract
-    real = cli.run_scenario
+    real = cli.run_checked
 
-    def rigged(scenario):
-        result = real(scenario)
+    def rigged(scenario, sink):
+        result = real(scenario, sink)
         result.reports.append(CheckReport("tob-total-order", "Fail", "planted", [{"k": 1}]))
         return result
 
-    monkeypatch.setattr(cli, "run_scenario", rigged)
+    monkeypatch.setattr(cli, "run_checked", rigged)
     monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
     code = cli.main(["run", str(SCENARIOS_DIR / "goodcase.json")])
     assert code == 1

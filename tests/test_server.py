@@ -195,7 +195,7 @@ def test_process_next_releases_in_bet_order_after_lock():
     assert delivered_bets(ctx) == []  # lock still -inf
     set_lock(srv, ctx, 9)  # lock = 9 > both bets
     assert delivered_bets(ctx) == [5, 8]
-    assert srv.last_processed == b
+    assert srv._queue == []
 
 
 def test_process_next_stalls_on_undecided_minimum():
@@ -208,7 +208,7 @@ def test_process_next_stalls_on_undecided_minimum():
     srv.on_decided(ctx, b, True)  # a undecided blocks everything
     set_lock(srv, ctx, 9)
     assert ctx.emitted == []
-    assert srv.last_processed is None
+    assert sorted(srv._queue) == [a, b]
 
 
 def test_process_next_stalls_until_lock_passes_bet():
@@ -241,7 +241,7 @@ def test_false_decision_advances_cursor_without_delivery():
     set_lock(srv, ctx, 9)
     delivered = [p for k, p in ctx.emitted if k == APP_DELIVER]
     assert [d["message"] for d in delivered] == ["02"]
-    assert srv.last_processed == b
+    assert srv._queue == []
 
 
 class ScanModel:
@@ -320,7 +320,7 @@ def test_candidate_heap_matches_full_scan(ops):
             model.decide(op[1], op[2])
         delivered = [(p["client"], p["message"], p["bet"]) for k, p in ctx.emitted if k == APP_DELIVER]
         assert delivered == model.delivered
-        assert srv.last_processed == model.last
+        assert sorted(srv._queue) == sorted(t for t in model.candidates if model.last is None or t > model.last)
 
 
 def test_order_dedups_same_client_message_across_bets():

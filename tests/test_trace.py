@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, run_all_checks
 from fluttersim.runner import campaign_variant, run_scenario
 from fluttersim.scenario import load_scenario
-from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, load_trace, write_trace
+from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, TraceWriter, read_trace, write_trace
 
 from conftest import SCENARIOS_DIR, simulate
 
 BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
+CAMPAIGN = [f"campaign+{b}" for b in sorted(BEHAVIORS)]
 
 
-def bundled_trace(name):
-    return simulate(load_scenario(SCENARIOS_DIR / f"{name}.json"))[0]
+def named_scenario(name):
+    """A bundled scenario, or for "campaign+<behavior>" a campaign_base variant."""
+    if name.startswith("campaign+"):
+        base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+        return campaign_variant(base, name.split("+")[1], "adversarial_value", 3)
+    return load_scenario(SCENARIOS_DIR / f"{name}.json")
+
+
+def named_trace(name):
+    return simulate(named_scenario(name))[0]
 
 
 def written(tmp_path, trace) -> bytes:
@@ -31,15 +42,14 @@ def lines_of(trace) -> bytes:
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_writer_matches_to_line_on_bundled_runs(tmp_path, name):
-    trace = bundled_trace(name)
+    trace = named_trace(name)
     assert written(tmp_path, trace) == lines_of(trace)
 
 
 @pytest.mark.parametrize("behavior", sorted(BEHAVIORS))
 def test_writer_matches_to_line_on_campaign_variants(tmp_path, behavior):
     # The equivocator sends a different Suggest to each peer: unshared dicts.
-    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
-    trace, _ = simulate(campaign_variant(base, behavior, "adversarial_value", 3))
+    trace = named_trace(f"campaign+{behavior}")
     assert written(tmp_path, trace) == lines_of(trace)
 
 
@@ -65,6 +75,24 @@ def test_writer_matches_to_line_on_hand_built_events(tmp_path):
         TraceEvent(12, "v", DELIVER, delivered),
     ]
     assert written(tmp_path, trace) == lines_of(trace)
+    # Streamed: each event is a fresh copy, freed once written, so a later dict may take its id().
+    assert written(tmp_path, (copy.deepcopy(e) for e in trace)) == lines_of(trace)
+
+
+def test_writer_holds_only_messages_in_flight(tmp_path):
+    trace = named_trace("goodcase")
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, trace)
+    for stream in (trace, read_trace(path)):  # dicts shared by a call's events, or one set per line
+        with open(tmp_path / "again.jsonl", "w") as fh:
+            writer = TraceWriter(fh)
+            in_flight = held = 0
+            for event in stream:
+                writer.write(event)
+                in_flight += (event.kind == SEND) - (event.kind == DELIVER)
+                held = max(held, len(writer.msgs) - in_flight)
+        assert (in_flight, len(writer.msgs), held) == (0, 0, 0)
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -72,7 +100,7 @@ def test_writer_matches_to_line_on_hand_built_events(tmp_path):
     [("Observe", "s000"), ("Time", "s000"), ("Suggest", "s000"), ("Message", "c000")],
 )
 def test_broadcast_shares_one_msg_dict(kind, sender):
-    trace = bundled_trace("goodcase")
+    trace = named_trace("goodcase")
     servers = [f"s{i:03d}" for i in range(6)]
     first = next(
         i for i, e in enumerate(trace) if e.kind == SEND and e.process == sender and e.payload["msg"]["kind"] == kind
@@ -92,29 +120,25 @@ def test_broadcast_shares_one_msg_dict(kind, sender):
 @pytest.mark.parametrize("name", ["goodcase", "campaign+stale_relay"])
 def test_one_deliver_payload_per_send_call(name):
     # Each send call renders one `msg` dict, so distinct Deliver payloads count the calls delivered.
-    if name.startswith("campaign+"):
-        base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
-        trace, _ = simulate(campaign_variant(base, name.split("+")[1], "adversarial_value", 3))
-    else:
-        trace = bundled_trace(name)
-    delivers = [e for e in trace if e.kind == DELIVER]
+    delivers = [e for e in named_trace(name) if e.kind == DELIVER]
     calls = len({id(e.payload["msg"]) for e in delivers})
     assert len(delivers) > calls > 10
     assert len({id(e.payload) for e in delivers}) == calls
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", BUNDLED + CAMPAIGN)
 def test_load_trace_round_trips(tmp_path, name):
-    scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    scenario = named_scenario(name)
     result = run_scenario(scenario)
     data = written(tmp_path, result.trace)
-    loaded = load_trace(tmp_path / "trace.jsonl")
+    loaded = list(read_trace(tmp_path / "trace.jsonl"))
     assert [(e.time, e.process, e.kind, e.payload) for e in loaded] == [
         (e.time, e.process, e.kind, e.payload) for e in result.trace
     ]
     again = tmp_path / "again"
     again.mkdir()
-    assert written(again, loaded) == data
+    # streamed, each event read is freed once written, so a later line's dicts may take its id()s
+    assert written(again, read_trace(tmp_path / "trace.jsonl")) == data
     # a loaded trace shares no dicts, and the checkers must not need it to
     cfg = CheckerConfig.from_scenario(scenario, result.quiescent)
     assert [r.to_dict() for r in run_all_checks(loaded, cfg)] == [r.to_dict() for r in result.reports]
