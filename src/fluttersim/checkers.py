@@ -305,8 +305,9 @@ def _consensus(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     for kind in _INSTANCE_KINDS:
         for event in run.kept[kind]:
             if event.process in correct:
-                entry = per.setdefault(tr.instance_key_from_payload(event.payload["instance"]),
-                                       {k: [] for k in _INSTANCE_KINDS})
+                key = tr.instance_key_from_payload(event.payload["instance"])
+                if (entry := per.get(key)) is None:
+                    entry = per[key] = {k: [] for k in _INSTANCE_KINDS}
                 entry[kind].append((event.process, event.payload["value"], event))
     reports: list[CheckReport] = []
     for key in sorted(per, key=repr):
@@ -433,7 +434,8 @@ class _ServerReplay:
     def __init__(self, name: str, servers: list[str], lock):
         self.name = name
         self.remote_times: dict[str, int | float] = dict.fromkeys(servers, NEG_INF)
-        self.lock = lock  # _lock_rank of remote_times, redone when an entry rises
+        self.lock = lock  # _lock_rank of remote_times; it cannot move until 4f+1 entries lie above it
+        self.above = 0  # entries strictly above the lock; fewer than 4f+1 between Times
         self.candidates: set[tuple] = set()
         self.pending: list[tuple] = []  # heap of candidates not yet processed
         self.decisions: dict[tuple, bool] = {}
@@ -468,6 +470,7 @@ class _ServerInvariants:
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         lock = _lock_rank([NEG_INF] * len(cfg.servers), cfg.f)
+        self.quorum = quorum_large(cfg.f)
         self.replays = {s: _ServerReplay(s, cfg.servers, lock) for s in cfg.correct_servers}
         self.violation: tuple[str, tr.TraceEvent] | None = None
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
@@ -480,10 +483,14 @@ class _ServerInvariants:
         msg = event.payload["msg"]
         kind = msg["kind"]
         if kind == "Time" and src in replay.remote_times:
-            before = replay.lock
-            if msg["time"] > replay.remote_times[src]:
-                replay.remote_times[src] = msg["time"]
-                replay.lock = _lock_rank(replay.remote_times.values(), self.cfg.f)
+            before, old, time = replay.lock, replay.remote_times[src], msg["time"]
+            if time > old:
+                replay.remote_times[src] = time
+                if old <= before < time:
+                    replay.above += 1
+                    if replay.above >= self.quorum:
+                        lock = replay.lock = _lock_rank(replay.remote_times.values(), self.cfg.f)
+                        replay.above = sum(v > lock for v in replay.remote_times.values())
                 replay.ready = replay.lock != before
             broken = ("server-lock-monotonic" if replay.lock < before
                       else "server-lock-vs-local" if self.lock_within_local and replay.lock > event.time else None)

@@ -83,9 +83,11 @@ def _parse_seeds(raw: str) -> range:
 def _parse_names(raw: str, known, what: str, option: str) -> list[str]:
     """The names in a comma-separated list, each one of `known`; `what` and `option` word the errors."""
     names = [n.strip() for n in raw.split(",") if n.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise ScenarioError(f"unknown {what} {name!r} (available: {sorted(known)})")
+        if name in names[:i]:
+            raise ScenarioError(f"{what} {name!r} repeats in {option}")
     if not names:
         raise ScenarioError(f"{option} list is empty")
     return names

@@ -167,6 +167,9 @@ def run_campaign(
     parallel: int = 1,
 ) -> dict:
     policies = policies or ["adversarial_value", "adversarial_timing"]
+    for names in (behaviors, policies):  # each run is booked under its names, so a repeat would count it twice
+        if len(set(names)) < len(names):
+            raise ScenarioError(f"campaign names repeat: {names}")
     for behavior in behaviors:  # a base with no room for a behavior fails before the first run
         _inject(base, behavior)
     jobs = [

@@ -22,6 +22,7 @@ from .types import (
     InstanceKey,
     Message,
     Observe,
+    Suggest,
     Time,
     instance_payload,
     quorum_large,
@@ -39,7 +40,8 @@ class FlutterServer(BlinkNode):
         self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
         self.remote_times: dict[str, int | float] = {}
-        self._lock: int | float = NEG_INF  # lock_time(), recomputed when an entry rises
+        self._lock: int | float = NEG_INF  # lock_time(); it cannot move until 4f+1 entries lie above it
+        self._above = 0  # entries of remote_times strictly above _lock; fewer than 4f+1 between Times
         self._expiry: dict[str, BroadcastTuple] = {}
         self._client_set: frozenset[str] = frozenset()
 
@@ -53,15 +55,18 @@ class FlutterServer(BlinkNode):
         return ranked[quorum_large(self.f) - 1]
 
     def on_deliver(self, ctx, src: str, msg) -> None:
-        if isinstance(msg, Message) and src in self._client_set:
+        # Dispatch on the exact class, most frequent first; a sender of the wrong role is dropped.
+        cls = type(msg)
+        if src in self._server_set:
+            if cls is Suggest:
+                self.instance(msg.instance).on_suggest(ctx, src, msg.value)
+            elif cls is Time:
+                self._on_time(ctx, src, msg.time)
+            elif cls is Observe:
+                self._spot(ctx, msg.tuple)
+                self._process_next(ctx)
+        elif cls is Message and src in self._client_set:
             self._on_message(ctx, src, msg.message, msg.bet)
-        elif isinstance(msg, Observe) and src in self._server_set:
-            self._spot(ctx, msg.tuple)
-            self._process_next(ctx)
-        elif isinstance(msg, Time) and src in self._server_set:
-            self._on_time(ctx, src, msg.time)
-        else:
-            super().on_deliver(ctx, src, msg)
 
     def _on_message(self, ctx, client: str, message: str, bet: int) -> None:
         t = BroadcastTuple(bet, client, message)
@@ -97,9 +102,14 @@ class FlutterServer(BlinkNode):
                 self.instance(t).propose(ctx, False)
 
     def _on_time(self, ctx, src: str, time: int) -> None:
-        if time > self.remote_times[src]:
+        old, lock = self.remote_times[src], self._lock
+        if time > old:
             self.remote_times[src] = time
-            self._lock = self.lock_time()
+            if old <= lock < time:
+                self._above += 1
+                if self._above >= quorum_large(self.f):
+                    self._lock = lock = self.lock_time()
+                    self._above = sum(v > lock for v in self.remote_times.values())
         self._process_next(ctx)
 
     def on_decided(self, ctx, key: InstanceKey, value: bool) -> None:

@@ -2,7 +2,10 @@
 
 One JSON object per line, keys always time/process/kind/payload in that
 order. Payloads are built as JSON-ready dicts up front so the in-memory
-trace and the file render identically byte for byte.
+trace and the file render identically byte for byte. Lines are rendered
+by hand with f-strings for the payload shapes the simulator emits, each
+guarded by its key order and exact value types; every other shape falls
+back to the JSON encoder, whose bytes the hand renderers reproduce.
 
 A wire message is rendered once per send call, and a broadcast is one
 call: every Send event of the call and the Deliver event of each of
@@ -32,6 +35,67 @@ DEP_PROPOSE = "DepPropose"
 DEP_DECIDE = "DepDecide"
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # shared; json.dumps would build one per line
+_BOOL = {True: "true", False: "false"}
+
+
+# Hand renderers of the payload shapes the simulator emits. Each takes a dict's values in key order and
+# gives what _ENCODER makes of the dict, or None when a value is off its type, so `render` falls back.
+def _tuple(client, message, bet) -> str | None:  # AppDeliver, and a tuple's instance payload
+    if type(client) is str and type(message) is str and type(bet) is int:
+        return f'{{"client":{_quote(client)},"message":{_quote(message)},"bet":{bet}}}'
+    return None
+
+
+def _decided(instance, value) -> str | None:  # Propose, Decide, DepPropose, DepDecide
+    inst = _hand(instance)
+    return f'{{"instance":{inst},"value":{_BOOL[value]}}}' if inst and type(value) is bool else None
+
+
+def _message(message, bet) -> str | None:
+    return f'{{"message":{_quote(message)},"bet":{bet}}}' if type(message) is str and type(bet) is int else None
+
+
+def _decision(message, bet, value) -> str | None:
+    line = _message(message, bet)
+    return f'{line[:-1]},"value":{_BOOL[value]}}}' if line and type(value) is bool else None
+
+
+def _field(key: str, typ: type):  # a one-key payload: Time's body, a label instance, TimerFire, Broadcast
+    head = f'{{"{key}":'
+    return lambda value: f"{head}{_quote(value) if typ is str else value}}}" if type(value) is typ else None
+
+
+def _wire(body):
+    """The renderer of a wire dict {"kind": str, **d}, from the renderer `body` of d."""
+    def rendered(kind, *values) -> str | None:
+        line = body(*values)
+        return f'{{"kind":{_quote(kind)},{line[1:]}' if line and type(kind) is str else None
+    return rendered
+
+
+_SHAPES = {  # key order -> renderer
+    ("kind", "instance", "value"): _wire(_decided),
+    ("kind", "time"): _wire(_field("time", int)),
+    ("kind", "client", "message", "bet"): _wire(_tuple),
+    ("kind", "message", "bet"): _wire(_message),
+    ("kind", "message", "bet", "value"): _wire(_decision),
+    ("instance", "value"): _decided,
+    ("client", "message", "bet"): _tuple,
+    ("label",): _field("label", str),
+    ("token",): _field("token", str),
+    ("message",): _field("message", str),
+}
+
+
+def _hand(d) -> str | None:
+    """`d` rendered by hand, or None when it has no shape in _SHAPES."""
+    shape = _SHAPES.get(tuple(d)) if type(d) is dict else None
+    return shape and shape(*d.values())
+
+
+def render(payload) -> str:
+    """`payload` as _ENCODER renders it: by hand for a shape in _SHAPES, else by _ENCODER."""
+    return _hand(payload) or _ENCODER.encode(payload)
 
 
 @dataclass(slots=True)
@@ -42,6 +106,9 @@ class TraceEvent:
     payload: dict
 
     def to_line(self) -> str:
+        if type(self.time) is int and type(self.process) is str and type(self.kind) is str:
+            return (f'{{"time":{self.time},"process":{_quote(self.process)},"kind":{_quote(self.kind)},'
+                    f'"payload":{render(self.payload)}}}')
         return _ENCODER.encode({"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload})
 
 
@@ -66,7 +133,7 @@ class TraceWriter:
         entry = msgs.get(id(msg := payload["msg"]))
         if sending:
             if entry is None:
-                tail = f',"msg":{_ENCODER.encode(msg)}}}}}\n'
+                tail = f',"msg":{render(msg)}}}}}\n'
                 entry = msgs[id(msg)] = [msg, tail, _quote(process) + tail, process, 0]
             entry[4] += 1
             self.fh.write(f'{{"time":{ev.time},"process":{_quote(process)},"kind":"Send","payload":{{"dst":'

@@ -612,6 +612,9 @@ def test_cli_campaign_rejects_parallel_below_one(parallel, capsys):
         ("--behaviors", " , ", "--behaviors list is empty"),
         ("--policies", "", "--policies list is empty"),
         ("--policies", "first,coin", "unknown dep policy 'coin'"),
+        # A repeated name would run each of its runs again and book them all under it.
+        ("--behaviors", "mute, time_liar,mute", "behavior 'mute' repeats in --behaviors"),
+        ("--policies", "first,first", "dep policy 'first' repeats in --policies"),
     ],
 )
 def test_cli_campaign_rejects_bad_name_lists(option, value, error, capsys):
@@ -620,6 +623,16 @@ def test_cli_campaign_rejects_bad_name_lists(option, value, error, capsys):
                      "--behaviors", "mute", option, value])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("behaviors, policies", [(["mute", "mute"], ["first"]), (["mute"], ["first", "first"])])
+def test_run_campaign_refuses_repeated_names_before_any_run(monkeypatch, behaviors, policies):
+    def no_run(job):
+        raise AssertionError(f"campaign run started: {job[1:]}")
+
+    monkeypatch.setattr(runner, "_run_one", no_run)
+    with pytest.raises(ScenarioError, match="campaign names repeat"):
+        runner.run_campaign(load_scenario(SCENARIOS_DIR / "campaign_base.json"), range(2), behaviors, policies)
 
 
 @pytest.mark.parametrize(

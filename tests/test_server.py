@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
 from fluttersim.server import FlutterServer
-from fluttersim.trace import APP_DELIVER
+from fluttersim.trace import APP_DELIVER, DELIVER, TraceEvent
 from fluttersim.types import NEG_INF, BroadcastTuple, Observe, Time, quorum_large
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
@@ -97,6 +99,51 @@ def test_lock_time_matches_bruteforce_any_f(f, data):
     srv = FlutterServer("s000", f, oracle=None)
     srv.remote_times = dict(zip(names, values))
     assert srv.lock_time() == lock_bruteforce(srv.remote_times, f)
+
+
+# One Time at a time: (sender, how its entry moves, by how much). "tie" sends the current lock.
+HOW = st.sampled_from(["rise", "repeat", "fall", "tie"])
+TIME_STEPS = st.lists(st.tuples(st.integers(min_value=0, max_value=15), HOW, st.integers(min_value=1, max_value=4)),
+                      max_size=120)
+
+
+def next_time(entry, lock, how, by):
+    base = 0 if entry == NEG_INF else entry
+    if how == "tie":
+        return 0 if lock == NEG_INF else lock
+    return {"rise": base + by, "repeat": base, "fall": base - by}[how]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@settings(max_examples=200)
+@given(steps=TIME_STEPS)
+# At f=1: five rises lift the lock to 1, s005 falls to -1 and then ties the lock, which leaves it at 1.
+@example(steps=[(i, "rise", 1) for i in range(5)] + [(5, "fall", 1), (5, "tie", 1), (0, "rise", 1)])
+def test_lock_kept_by_count_matches_the_sort(f, steps):
+    """The server and the checker's replay recompute the lock only once 4f+1 entries lie above it.
+
+    After every Time, each lock must equal the full sort's, and each count the entries above it.
+    """
+    names = [f"s{i:03d}" for i in range(5 * f + 1)]
+    srv = FlutterServer("s000", f, oracle=None)
+    srv.remote_times = dict.fromkeys(names, NEG_INF)
+    ctx = FakeCtx()
+    cfg = CheckerConfig(kind="flutter", n=len(names), f=f, delta=10, drift=0, epsilon=1, strategy="exact_delta",
+                        servers=names, correct_servers=names, clients=[], honest_clients=[], correct_clients=[],
+                        quiescent=False, delta_estimates={}, scripts={})
+    invariants = _ServerInvariants(cfg)
+    replay = invariants.replays["s000"]
+    for i, (sender, how, by) in enumerate(steps):
+        src = names[sender % len(names)]
+        time = next_time(srv.remote_times[src], srv._lock, how, by)
+        srv._on_time(ctx, src, time)
+        invariants.deliver(TraceEvent(10**6 + i, "s000", DELIVER, {"src": src, "msg": {"kind": "Time", "time": time}}))
+        assert srv._lock == srv.lock_time()
+        assert srv._above == sum(v > srv._lock for v in srv.remote_times.values())
+        assert replay.remote_times == srv.remote_times
+        assert replay.lock == _lock_rank(replay.remote_times.values(), f) == srv._lock
+        assert replay.above == srv._above
+    assert invariants.violation is None
 
 
 def test_spot_new_tuple_relays_then_schedules_then_observes():

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import copy
+import enum
+import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fluttersim import trace as tr
 
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, run_all_checks
 from fluttersim.runner import campaign_variant, run_scenario
 from fluttersim.scenario import load_scenario
-from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, TraceWriter, read_trace, write_trace
+from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, TraceWriter, read_trace, render, write_trace
 
 from conftest import SCENARIOS_DIR, simulate
 
@@ -36,8 +44,12 @@ def written(tmp_path, trace) -> bytes:
     return path.read_bytes()
 
 
+STDLIB = json.JSONEncoder(separators=(",", ":"))  # the reference, sharing no code with the hand renderers
+
+
 def lines_of(trace) -> bytes:
-    return "".join(e.to_line() + "\n" for e in trace).encode()
+    return "".join(STDLIB.encode({"time": e.time, "process": e.process, "kind": e.kind, "payload": e.payload}) + "\n"
+                   for e in trace).encode()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -142,3 +154,82 @@ def test_load_trace_round_trips(tmp_path, name):
     # a loaded trace shares no dicts, and the checkers must not need it to
     cfg = CheckerConfig.from_scenario(scenario, result.quiescent)
     assert [r.to_dict() for r in run_all_checks(loaded, cfg)] == [r.to_dict() for r in result.reports]
+
+
+# ---------------------------------------------------------------- hand renderers against the stdlib encoder
+
+AWKWARD = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+TEXT = st.lists(st.one_of(st.sampled_from(AWKWARD), st.characters(exclude_categories=())), max_size=6).map("".join)
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+def shape(**fields):
+    """Dicts with these keys in this order, each value drawn from its strategy."""
+    return st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
+
+
+INSTANCES = st.one_of(shape(client=TEXT, message=TEXT, bet=INTS), shape(label=TEXT))
+# Every payload shape the simulator emits: the five wire dicts, then the event payloads.
+SHAPES = st.one_of(
+    shape(kind=TEXT, instance=INSTANCES, value=st.booleans()),
+    shape(kind=TEXT, time=INTS),
+    shape(kind=TEXT, client=TEXT, message=TEXT, bet=INTS),
+    shape(kind=TEXT, message=TEXT, bet=INTS),
+    shape(kind=TEXT, message=TEXT, bet=INTS, value=st.booleans()),
+    shape(instance=INSTANCES, value=st.booleans()),
+    shape(client=TEXT, message=TEXT, bet=INTS),
+    shape(token=TEXT),
+    shape(message=TEXT),
+)
+
+
+class Name(str):
+    pass
+
+
+class Tick(enum.IntEnum):
+    ONE = 1  # the encoder writes 1, an f-string Tick.ONE
+
+
+OFF_TYPE = [True, False, 0, 1, 2.0, -math.inf, math.nan, None, "7", Name("s000"), Tick.ONE, ["x"], {"kind": "Time"}]
+
+
+def encoded_by(payload) -> list:
+    """The objects `render(payload)` hands to the fallback encoder."""
+    calls, encoder = [], tr._ENCODER
+    spy = mock.Mock(encode=lambda obj: calls.append(obj) or encoder.encode(obj))
+    with mock.patch.object(tr, "_ENCODER", spy):
+        assert render(payload) == STDLIB.encode(payload)
+    return calls
+
+
+@given(SHAPES)
+def test_hand_rendered_shapes_match_the_stdlib_encoder(payload):
+    assert encoded_by(payload) == []
+
+
+@given(SHAPES, st.data())
+def test_near_miss_shapes_fall_back_and_still_match(payload, data):
+    # A near miss: one value swapped for another type (bool for int, int for bool, a float or -inf time, a
+    # non-str name), keys reordered, or one key too many; at the top level or inside the instance.
+    target = payload
+    if "instance" in payload and data.draw(st.booleans()):
+        target = payload["instance"] = dict(payload["instance"])
+    how = data.draw(st.sampled_from(["swap", "reorder", "extra"] if len(target) > 1 else ["swap", "extra"]))
+    if how == "swap":
+        key = data.draw(st.sampled_from(sorted(target)))
+        target[key] = data.draw(st.sampled_from([v for v in OFF_TYPE if type(v) is not type(target[key])]))
+    elif how == "reorder":
+        items = list(target.items())
+        items.insert(0, items.pop(data.draw(st.integers(min_value=1, max_value=len(items) - 1))))
+        target.clear()
+        target.update(items)
+    else:
+        target[data.draw(st.sampled_from(["note", "kind", "value"]).filter(lambda k: k not in target))] = 1
+    assert encoded_by(payload) == [payload]
+
+
+@given(st.one_of(INTS, st.booleans(), st.floats()), st.one_of(TEXT, INTS), SHAPES)
+def test_to_line_matches_the_stdlib_encoder(time, process, payload):
+    event = TraceEvent(time, process, DELIVER, payload)
+    assert event.to_line() == STDLIB.encode({"time": time, "process": process, "kind": DELIVER, "payload": payload})
