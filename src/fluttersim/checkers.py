@@ -2,16 +2,17 @@
 
 A `CheckPass` reads each event's kind once. It keeps each low-volume event
 (Broadcast, AppDeliver and the consensus kinds) once, in one list per kind,
-for the checkers that judge only at the end, and streams Sends, Delivers
-and Decides to the observers that judge as they go: the server replay, the
-network and the run's `Metrics`. The pass checks a finished trace, or a
-live run as the simulator's event sink, keeping no trace. The network's
-Send/Deliver pairing and the metrics' runs of Sends compare dicts by
-identity, and each holds the dicts it compares, so a recycled id() cannot
-match. Liveness is decided only at quiescence, since a finite prefix
-cannot refute "eventually". Server invariants are checked by an
-independent replay of each server's inputs, so a bug in the live
-implementation cannot hide in the checker.
+and groups those lists once into the run views read by the checkers that
+judge only at the end. It streams Sends, Delivers and Decides to the
+observers that judge as they go: the server replay, the network and the
+run's `Metrics`. The pass checks a finished trace, or a live run as the
+simulator's event sink, keeping no trace. The network's Send/Deliver
+pairing and the metrics' runs of Sends compare dicts by identity, and each
+holds the dicts it compares, so a recycled id() cannot match. Liveness is
+decided only at quiescence, since a finite prefix cannot refute
+"eventually". Server invariants are checked by an independent replay of
+each server's inputs, so a bug in the live implementation cannot hide in
+the checker.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import trace as tr
 from .types import NEG_INF, quorum_large
@@ -231,14 +233,39 @@ class CheckPass:
     def finish(self, quiescent: bool) -> list[CheckReport]:
         return [report for check in self.checks for report in getattr(check, "finish", check)(quiescent, self)]
 
+    # The run views: each built once, on first use, from the kept events; so read them only after the last event.
 
-def _delivered(run: CheckPass, servers) -> dict[str, list[tr.TraceEvent]]:
-    """Each of `servers`' AppDeliver events, in trace order."""
-    seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in servers}
-    for event in run.kept[tr.APP_DELIVER]:
-        if event.process in seqs:
-            seqs[event.process].append(event)
-    return seqs
+    @cached_property
+    def sequences(self) -> dict[str, list[tr.TraceEvent]]:
+        """Each server's AppDeliver events (and any other process's), in trace order."""
+        seqs: dict[str, list[tr.TraceEvent]] = {s: [] for s in self.cfg.servers}
+        for event in self.kept[tr.APP_DELIVER]:
+            seqs.setdefault(event.process, []).append(event)
+        return seqs
+
+    @cached_property
+    def last_delivery(self) -> dict[tuple[str, str], dict[str, tr.TraceEvent]]:
+        """(client, message) -> process -> its last AppDeliver of that message."""
+        out: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
+        for event in self.kept[tr.APP_DELIVER]:
+            out.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
+        return out
+
+    @cached_property
+    def instances(self) -> dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]]:
+        """Instance key -> kind -> its correct servers' (server, value, event) triples, in trace order.
+
+        Keys come in the order of their first Propose, then of their first event of the later kinds.
+        """
+        correct, per = set(self.cfg.correct_servers), {}
+        for kind in _INSTANCE_KINDS:
+            for event in self.kept[kind]:
+                if event.process in correct:
+                    key = tr.instance_key_from_payload(event.payload["instance"])
+                    if (entry := per.get(key)) is None:
+                        entry = per[key] = {k: [] for k in _INSTANCE_KINDS}
+                    entry[kind].append((event.process, event.payload["value"], event))
+        return per
 
 
 # ---------------------------------------------------------------- TOB
@@ -246,7 +273,7 @@ def _delivered(run: CheckPass, servers) -> dict[str, list[tr.TraceEvent]]:
 
 def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     cfg = run.cfg
-    seqs = _delivered(run, cfg.correct_servers)
+    seqs = {s: run.sequences[s] for s in cfg.correct_servers}
     broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
     for event in run.kept[tr.BROADCAST]:
         broadcasts.setdefault((event.process, event.payload["message"]), event)
@@ -275,15 +302,13 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
         return reports + [_na("tob-validity", "run was cut before quiescence")]
     if run.last is None:  # no event could witness a missing broadcast
         return reports + [_na("tob-validity", "the trace has no events")]
-    delivered: dict[str, set[tuple[str, str]]] = {
-        s: {(e.payload["client"], e.payload["message"]) for e in evs} for s, evs in seqs.items()
-    }
     checked = 0
     for client in cfg.correct_clients:
         for message_hex in cfg.scripts[client]:
             checked += 1
             b = broadcasts.get((client, message_hex))
-            missing = [s for s in seqs if (client, message_hex) not in delivered[s]]
+            delivered = run.last_delivery.get((client, message_hex), {})
+            missing = [s for s in seqs if s not in delivered]
             if b is not None and not missing:
                 continue
             detail = f"broadcast ({client}, 0x{message_hex}) not delivered by {missing}"
@@ -300,15 +325,7 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
 
 
 def _consensus(quiescent: bool, run: CheckPass) -> list[CheckReport]:
-    correct, need = set(run.cfg.correct_servers), run.cfg.f + 1
-    per: dict[object, dict[str, list[tuple[str, bool, tr.TraceEvent]]]] = {}  # instance -> kind -> its events
-    for kind in _INSTANCE_KINDS:
-        for event in run.kept[kind]:
-            if event.process in correct:
-                key = tr.instance_key_from_payload(event.payload["instance"])
-                if (entry := per.get(key)) is None:
-                    entry = per[key] = {k: [] for k in _INSTANCE_KINDS}
-                entry[kind].append((event.process, event.payload["value"], event))
+    correct, need, per = set(run.cfg.correct_servers), run.cfg.f + 1, run.instances
     reports: list[CheckReport] = []
     for key in sorted(per, key=repr):
         entry = per[key]
@@ -359,23 +376,20 @@ def _latency(quiescent: bool, run: CheckPass) -> list[CheckReport]:
               else None if quiescent else "run was cut before quiescence")
     if reason:
         return [_na("latency-blink", reason), _na("latency-tob", reason)]
-    reports = [_blink_latency(cfg, run)]
+    reports = [_blink_latency(run)]
     scripting = [c for c in cfg.correct_clients if cfg.scripts[c]]
     if cfg.kind != "flutter" or not scripting:
         return reports + [_na("latency-tob", "no broadcast script in this run")]
     if any(cfg.delta_estimates[c] != cfg.delta for c in scripting):
         return reports + [_na("latency-tob", "a client's delay estimate differs from the true delta")]
     scripted = {(c, m) for c in scripting for m in cfg.scripts[c]}
-    delivered: dict[tuple[str, str], dict[str, tr.TraceEvent]] = {}
-    for event in run.kept[tr.APP_DELIVER]:
-        delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event
     broadcasts = [b for b in run.kept[tr.BROADCAST] if b.process in cfg.correct_clients]
     for b in broadcasts:
         key = (b.process, b.payload["message"])
         if key not in scripted:
             return reports + [_fail("latency-tob", f"broadcast ({b.process}, 0x{key[1]}) is not in the script", [b])]
         bound = b.time + 2 * cfg.delta + cfg.epsilon
-        per_server = delivered.get(key, {})
+        per_server = run.last_delivery.get(key, {})
         for server in cfg.correct_servers:
             event = per_server.get(server)
             if event is None:
@@ -389,28 +403,22 @@ def _latency(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     ]
 
 
-def _blink_latency(cfg: CheckerConfig, run: CheckPass) -> CheckReport:
-    proposes: dict[object, list[tuple[str, bool, tr.TraceEvent]]] = {}
-    for event in run.kept[tr.PROPOSE]:
-        key = tr.instance_key_from_payload(event.payload["instance"])
-        proposes.setdefault(key, []).append((event.process, event.payload["value"], event))
-    decides: dict[object, list[tr.TraceEvent]] = {}
-    for event in run.kept[tr.DECIDE]:
-        decides.setdefault(tr.instance_key_from_payload(event.payload["instance"]), []).append(event)
-    unanimous = 0
-    for key, plist in proposes.items():
+def _blink_latency(run: CheckPass) -> CheckReport:
+    cfg, unanimous = run.cfg, 0
+    for key, entry in run.instances.items():
+        plist, decides = entry[tr.PROPOSE], entry[tr.DECIDE]
         if {s for s, _v, _e in plist} != set(cfg.correct_servers) or len({v for _s, v, _e in plist}) != 1:
             continue
         unanimous += 1
         times = [e.time for _s, _v, e in plist]
         deadline = max(times) + cfg.delta
         exact = min(times) == max(times)
-        for event in decides.get(key, []):
+        for _s, _v, event in decides:
             if event.time > deadline or (exact and event.time != deadline):
                 want = f"exactly t={deadline}" if exact else f"at most t={deadline}"
                 return _fail("latency-blink", f"instance {_fmt_key(key)}: decide at t={event.time}, expected {want}",
                              [plist[-1][2], event])
-        missing = set(cfg.correct_servers) - {e.process for e in decides.get(key, [])}
+        missing = set(cfg.correct_servers) - {s for s, _v, _e in decides}
         if missing:
             return _fail("latency-blink", f"instance {_fmt_key(key)}: {sorted(missing)} never decided", [plist[0][2]])
     if unanimous == 0:
@@ -429,23 +437,48 @@ def _lock_rank(values, f: int):
 
 
 class _ServerReplay:
-    """One correct server's ordering state, rebuilt from its inputs; tuples are `_key_of` keys."""
+    """One correct server's ordering state, rebuilt from its inputs; tuples are `_key_of` keys.
 
-    def __init__(self, name: str, servers: list[str], lock):
+    Only a rise of the lock or a Decide makes a candidate processable, so the replay drains on those two.
+    """
+
+    def __init__(self, name: str, servers: list[str], f: int):
         self.name = name
+        self.f = f
         self.remote_times: dict[str, int | float] = dict.fromkeys(servers, NEG_INF)
-        self.lock = lock  # _lock_rank of remote_times; it cannot move until 4f+1 entries lie above it
+        self.lock = NEG_INF  # _lock_rank of remote_times; it cannot move until 4f+1 entries lie above it
         self.above = 0  # entries strictly above the lock; fewer than 4f+1 between Times
         self.candidates: set[tuple] = set()
         self.pending: list[tuple] = []  # heap of candidates not yet processed
         self.decisions: dict[tuple, bool] = {}
-        self.ready = False  # whether the lock rose since the last drain
         self.orders: list[tuple[tuple, tr.TraceEvent]] = []
+
+    def time(self, src: str, time: int, event: tr.TraceEvent) -> None:
+        """A Time from server `src`: its entry rises, and with it the lock once 4f+1 entries lie above the lock."""
+        old, lock = self.remote_times[src], self.lock
+        if time <= old:
+            return
+        self.remote_times[src] = time
+        if old <= lock < time:
+            self.above += 1
+            if self.above >= quorum_large(self.f):
+                new = self.lock = _lock_rank(self.remote_times.values(), self.f)
+                self.above = sum(v > new for v in self.remote_times.values())
+                if new != lock:
+                    self.drain(event)
+
+    def spot(self, t: tuple) -> None:
+        if t[0] > self.lock and t not in self.candidates:  # a new candidate lies above the lock
+            self.candidates.add(t)
+            heapq.heappush(self.pending, t)
+
+    def decide(self, t: tuple, value: bool, event: tr.TraceEvent) -> None:
+        self.decisions[t] = value
+        self.drain(event)
 
     def drain(self, event: tr.TraceEvent) -> None:
         # Entries only rise, so neither does the lock fall: a candidate admitted
         # above the lock lies above every tuple processed before it.
-        self.ready = False
         pending = self.pending
         while pending:
             best = pending[0]
@@ -457,21 +490,14 @@ class _ServerReplay:
 
 
 class _ServerInvariants:
-    """Replays each correct server's inputs.
-
-    Only a Decide or a rise of the lock makes a candidate processable, so a
-    replay drains after a Decide and after the first input since its lock rose.
-    """
+    """Routes each correct server's inputs to its replay, and reports on the replays."""
 
     handles = {tr.DELIVER: "deliver", tr.DECIDE: "decide"}
 
     def __init__(self, cfg: CheckerConfig):
-        self.cfg = cfg
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
-        lock = _lock_rank([NEG_INF] * len(cfg.servers), cfg.f)
-        self.quorum = quorum_large(cfg.f)
-        self.replays = {s: _ServerReplay(s, cfg.servers, lock) for s in cfg.correct_servers}
+        self.replays = {s: _ServerReplay(s, cfg.servers, cfg.f) for s in cfg.correct_servers}
         self.violation: tuple[str, tr.TraceEvent] | None = None
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
@@ -482,41 +508,25 @@ class _ServerInvariants:
         src = event.payload["src"]
         msg = event.payload["msg"]
         kind = msg["kind"]
-        if kind == "Time" and src in replay.remote_times:
-            before, old, time = replay.lock, replay.remote_times[src], msg["time"]
-            if time > old:
-                replay.remote_times[src] = time
-                if old <= before < time:
-                    replay.above += 1
-                    if replay.above >= self.quorum:
-                        lock = replay.lock = _lock_rank(replay.remote_times.values(), self.cfg.f)
-                        replay.above = sum(v > lock for v in replay.remote_times.values())
-                replay.ready = replay.lock != before
-            broken = ("server-lock-monotonic" if replay.lock < before
-                      else "server-lock-vs-local" if self.lock_within_local and replay.lock > event.time else None)
-            if broken:
-                if self.violation is None:
+        if src in replay.remote_times:
+            if kind == "Time":
+                before = replay.lock
+                replay.time(src, msg["time"], event)
+                broken = ("server-lock-monotonic" if replay.lock < before
+                          else "server-lock-vs-local" if self.lock_within_local and replay.lock > event.time else None)
+                if broken and self.violation is None:
                     self.violation = (broken, event)
-                return
-        else:
-            if kind == "Observe" and src in replay.remote_times:
-                t = _key_of(msg)
-            elif kind == "Message" and src in self.clients:
-                t = (msg["bet"], src, msg["message"])
-            else:
-                return
-            if t[0] > replay.lock and t not in replay.candidates:  # spotted: a new candidate lies above the lock
-                replay.candidates.add(t)
-                heapq.heappush(replay.pending, t)
-        if replay.ready:
-            replay.drain(event)
+            elif kind == "Observe":
+                replay.spot(_key_of(msg))
+        elif kind == "Message" and src in self.clients:
+            replay.spot((msg["bet"], src, msg["message"]))
 
     def decide(self, event: tr.TraceEvent) -> None:
         replay = self.replays.get(event.process)
         t = None if replay is None else _key_of(event.payload["instance"])
         if t is not None:
-            value = replay.decisions[t] = event.payload["value"]
-            replay.drain(event)
+            value = event.payload["value"]
+            replay.decide(t, value, event)
             if value:
                 self.decided_true.setdefault(t, event)
 
@@ -525,7 +535,7 @@ class _ServerInvariants:
         broken, at = self.violation or (None, None)
         reports = [_verdict("server-lock-monotonic",
                             broken == "server-lock-monotonic" and (f"lock time decreased at {at.process}", [at]))]
-        if not self.cfg.lock_within_local:
+        if not self.lock_within_local:
             reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
         else:
             reports.append(_verdict("server-lock-vs-local", broken == "server-lock-vs-local"
@@ -538,21 +548,22 @@ class _ServerInvariants:
             reports.append(_verdict("server-candidate-completeness",
                                     miss and (f"tuple decided True is no candidate at {miss[0]}", [miss[1]]),
                                     f"{len(self.decided_true)} accepted tuple(s)"))
-        asc = next((b[1] for r in replays for a, b in zip(r.orders, r.orders[1:]) if not a[0] < b[0]), None)
-        reports.append(_verdict("server-order-ascending", asc and ("ordered tuples not strictly increasing", [asc])))
+        seqs = [run.sequences[name] for name in self.replays]
+        asc = next((b for evs in seqs for a, b in zip(evs, evs[1:]) if not _key_of(a.payload) < _key_of(b.payload)),
+                   None)
+        reports.append(_verdict("server-order-ascending",
+                                asc and (f"{asc.process} app-delivered tuples out of ascending order", [asc])))
         agree = _prefix_divergence([r.orders for r in replays], quiescent)
         reports.append(_verdict("server-order-agreement",
                                 agree and ("servers processed accepted tuples in different orders", agree)))
         match_fail = None
-        delivered = _delivered(run, self.replays)
-        for replay in replays:
+        for replay, app_delivers in zip(replays, seqs):
             expect: list[tuple] = []
             seen_cm: set[tuple[str, str]] = set()
             for (bet, client, message), _e in replay.orders:
                 if (client, message) not in seen_cm:
                     seen_cm.add((client, message))
                     expect.append((bet, client, message))
-            app_delivers = delivered[replay.name]
             if expect != [_key_of(e.payload) for e in app_delivers]:
                 extra = app_delivers or [o[1] for o in replay.orders]
                 match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
@@ -564,77 +575,68 @@ class _ServerInvariants:
 # ---------------------------------------------------------------- network
 
 
-class _Link:
-    """One (src, dst) link: its events not yet paired, in order, and its first bad pair."""
+class _Link(deque):
+    """One (src, dst) link: its Sends not yet delivered, in order."""
 
-    __slots__ = ("sends", "delivers", "last", "fail")
+    __slots__ = ("last",)
 
     def __init__(self):
-        self.sends: deque[tr.TraceEvent] = deque()
-        self.delivers: deque[tr.TraceEvent] = deque()
-        self.last = 0  # time of the last delivery paired before any bad pair
-        self.fail: tuple[str, str, list[tr.TraceEvent]] | None = None
+        super().__init__()
+        self.last: int | None = 0  # time of the last delivery paired; None once a bad pair ended the link's checks
 
 
 class _Network:
-    """Pairs the k-th Send on a link with its k-th Deliver; holds a Send only until then."""
+    """Pairs the k-th Send on a link with its k-th Deliver; holds a Send only until then.
+
+    Each property keeps its own first failure, in trace order.
+    """
 
     handles = {tr.SEND: "send", tr.DELIVER: "deliver"}
 
     def __init__(self, cfg: CheckerConfig):
         self.delta = cfg.delta
         self.exact = cfg.strategy == "exact_delta"
-        self.sent: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
-        self.delivered: dict[tuple[str, str], _Link] = {}  # in order of each link's first Deliver
+        self.links: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
+        self.fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}  # property -> its first (detail, witness)
 
     def send(self, event: tr.TraceEvent) -> None:
         key = (event.process, event.payload["dst"])
-        link = self.sent.get(key)
+        link = self.links.get(key)
         if link is None:
-            link = self.sent[key] = self.delivered.get(key) or _Link()
-        link.sends.append(event)
-        if link.delivers:  # its Deliver came first in trace order: pair them now
-            self.deliver(link.delivers.popleft())
+            link = self.links[key] = _Link()
+        link.append(event)
 
     def deliver(self, event: tr.TraceEvent) -> None:
-        key = (event.payload["src"], event.process)
-        link = self.delivered.get(key)
-        if link is None:
-            link = self.delivered[key] = self.sent.get(key) or _Link()
-        if not link.sends:
-            link.delivers.append(event)
+        link = self.links.get((event.payload["src"], event.process))
+        if not link:  # no link, or none of its Sends pending
+            self.fails.setdefault("net-fifo", ("delivery without a matching send", [event]))
             return
-        s_ev = link.sends.popleft()
-        if link.fail:
+        s_ev = link.popleft()
+        if link.last is None:
             return
         s_msg, d_msg = s_ev.payload["msg"], event.payload["msg"]
         t = event.time
         dt = t - s_ev.time
         if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_ev until now
-            link.fail = ("net-fifo", "deliveries out of send order", [s_ev, event])
+            fail = ("net-fifo", "deliveries out of send order", [s_ev, event])
         elif t < link.last:
-            link.fail = ("net-fifo", "delivery times decreased along a link", [event])
+            fail = ("net-fifo", "delivery times decreased along a link", [event])
         elif dt < 1 or (t > s_ev.time + self.delta and t > link.last):
-            link.fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", [s_ev, event])
+            fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", [s_ev, event])
         elif self.exact and dt != self.delta:
-            link.fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", [s_ev, event])
+            fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", [s_ev, event])
         else:
             link.last = t
+            return
+        link.last = None
+        self.fails.setdefault(fail[0], fail[1:])
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}
-        for link in self.delivered.values():  # the first link with an unmatched Deliver or a bad pair
-            if link.delivers:
-                fails["net-fifo"] = ("delivery without a matching send", [link.delivers[0]])
-            elif link.fail:
-                fails[link.fail[0]] = link.fail[1:]
-            if fails:
-                break
-        if "net-fifo" not in fails and quiescent:
-            stuck = next((link.sends[0] for link in self.sent.values() if link.sends), None)
+        if "net-fifo" not in self.fails and quiescent:
+            stuck = next((link[0] for link in self.links.values() if link), None)
             if stuck:
-                fails["net-fifo"] = ("send never delivered by quiescence", [stuck])
-        return [_verdict(prop, fails.get(prop)) for prop in ("net-fifo", "net-delay-bounds")]
+                self.fails["net-fifo"] = ("send never delivered by quiescence", [stuck])
+        return [_verdict(prop, self.fails.get(prop)) for prop in ("net-fifo", "net-delay-bounds")]
 
 
 # ---------------------------------------------------------------- metrics and complexity
@@ -703,13 +705,10 @@ class Metrics:
 
     def summary(self, quiescent: bool, run: CheckPass) -> dict:
         self._book()
-        delivered: dict[tuple[str, str], dict[str, int]] = {}
-        for event in run.kept[tr.APP_DELIVER]:
-            delivered.setdefault((event.payload["client"], event.payload["message"]), {})[event.process] = event.time
         per_broadcast = []
         for event in run.kept[tr.BROADCAST]:
             client, message, at = event.process, event.payload["message"], event.time
-            deliveries = delivered.get((client, message), {})
+            deliveries = run.last_delivery.get((client, message), {})
             done = all(s in deliveries for s in self.correct)
             per_broadcast.append(
                 {
@@ -718,7 +717,7 @@ class Metrics:
                     "time": at,
                     "attempts": len(self.attempts.get((client, message), set())),
                     "delivered_everywhere": done,
-                    "latency": max(deliveries.values()) - at if done and deliveries else None,
+                    "latency": max(e.time for e in deliveries.values()) - at if done and deliveries else None,
                 }
             )
         return {
@@ -727,8 +726,7 @@ class Metrics:
             "events": run.events,
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
             "total_bits": self.total_bits,
-            "consensus_instances": len({tr.instance_key_from_payload(e.payload["instance"])
-                                        for e in run.kept[tr.PROPOSE]}),
+            "consensus_instances": sum(1 for entry in run.instances.values() if entry[tr.PROPOSE]),
             "max_suggest_sends_per_instance": self.max_suggest,
             "per_broadcast": per_broadcast,
         }

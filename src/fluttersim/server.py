@@ -35,7 +35,6 @@ class FlutterServer(BlinkNode):
     def __init__(self, name: str, f: int, oracle):
         super().__init__(name, f, oracle)
         self.observed: set[BroadcastTuple] = set()
-        self.proposed: set[BroadcastTuple] = set()
         self._queue: list[BroadcastTuple] = []  # heap of unprocessed candidates: tuples whose bet cleared the lock
         self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
@@ -71,9 +70,9 @@ class FlutterServer(BlinkNode):
     def _on_message(self, ctx, client: str, message: str, bet: int) -> None:
         t = BroadcastTuple(bet, client, message)
         self._spot(ctx, t)
-        if t not in self.proposed:
-            self.proposed.add(t)
-            self.instance(t).propose(ctx, bet > ctx.local_time())
+        instance = self.instance(t)
+        if not instance.self_proposed:
+            instance.propose(ctx, bet > ctx.local_time())
         self._process_next(ctx)
 
     def _spot(self, ctx, t: BroadcastTuple) -> None:
@@ -96,10 +95,9 @@ class FlutterServer(BlinkNode):
         if token.startswith("beat@"):
             ctx.broadcast(Time(ctx.local_time()))
         else:
-            t = self._expiry[token]
-            if t not in self.proposed and t.bet <= ctx.local_time():
-                self.proposed.add(t)
-                self.instance(t).propose(ctx, False)
+            instance = self.instance(self._expiry[token])
+            if not instance.self_proposed and instance.key.bet <= ctx.local_time():
+                instance.propose(ctx, False)
 
     def _on_time(self, ctx, src: str, time: int) -> None:
         old, lock = self.remote_times[src], self._lock

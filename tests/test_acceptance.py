@@ -1,4 +1,4 @@
-"""Acceptance gate: nine frozen end-to-end guarantees, one test each.
+"""Acceptance gate: ten frozen end-to-end guarantees, one test each.
 
 Each test is one pass/fail line under `pytest -v`, or one per swept value:
 criterion 01 runs over the delay bound and criterion 05 over the client's
@@ -18,7 +18,7 @@ import pytest
 from fluttersim.runner import run_campaign, run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND, write_trace
-from fluttersim.weakcon import POLICIES
+from fluttersim.weakcon import POLICIES, DepOracle
 
 from conftest import SCENARIOS_DIR, scenario_dict
 
@@ -231,3 +231,28 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
         write_trace(first, run_bundled(name).trace)
         write_trace(second, run_bundled(name).trace)
         assert first.read_bytes() == second.read_bytes(), name
+
+
+def test_criterion_10_wide_campaign_contests_the_dep_value(monkeypatch):
+    # campaign_wide: 3 clients x 3 broadcasts, estimate 2 against delta 10,
+    # so bets are rejected and retried and some dep instances get split
+    # correct proposals, the only instances where the value adversary of
+    # both policies chooses. 6 behaviors x 2 policies x 10 seeds, serial,
+    # so the wrapped oracle counts every run. Zero Fail verdicts allowed.
+    split = []
+    real = DepOracle._decide
+
+    def decide(self, instance, proposals):
+        split.append(len(set(proposals.values())) > 1)
+        real(self, instance, proposals)
+
+    monkeypatch.setattr(DepOracle, "_decide", decide)
+    base = load_scenario(SCENARIOS_DIR / "campaign_wide.json")
+    behaviors = ["equivocator", "mute", "observe_forger", "partial_disseminator", "stale_relay", "time_liar"]
+    summary = run_campaign(base, range(10), behaviors, ["adversarial_value", "adversarial_timing"])
+    assert summary["runs"] == 120
+    assert summary["fail_count"] == 0
+    assert summary["verdicts"].get("Fail", 0) == 0
+    assert all(row["complexity_ok"] for row in summary["per_behavior"].values())
+    assert summary["all_pass"] is True
+    assert any(split), f"no split dep instance among {len(split)}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import example, given
@@ -106,6 +107,9 @@ def test_swapped_deliveries_fail_total_order():
     assert len(mine) == 2
     i, j = mine
     trace[i].payload, trace[j].payload = trace[j].payload, trace[i].payload
+    report = failing(trace, cfg, "server-order-ascending")
+    assert report.detail == "s000 app-delivered tuples out of ascending order"
+    assert report.witness == [event(23, "s000", APP_DELIVER, FIRST)]
     report = failing(trace, cfg, "tob-total-order")
     assert report.detail == "correct servers' delivery sequences diverge"
     assert report.witness == [
@@ -306,29 +310,114 @@ def test_flipped_local_decide_fails_order_agreement():
     ]
 
 
+def shifted_last_deliver(trace, ticks):
+    """`trace` with its last Deliver, the last on its link, moved by `ticks`, in time order."""
+    trace = list(trace)
+    i = max(i for i, e in enumerate(trace) if e.kind == DELIVER)
+    trace[i] = dataclasses.replace(trace[i], time=trace[i].time + ticks)
+    return sorted(trace, key=lambda e: e.time)
+
+
+DECISION_02 = {"kind": "Decision", "message": "02", "bet": 13, "value": True}  # s005 -> c000, the last Deliver
+
+
 def test_late_delivery_fails_delay_bounds():
     clean, cfg = clean_run()
-    trace = copy.deepcopy(clean)
-    ev = next(e for e in trace if e.kind == DELIVER)
-    ev.time = ev.time + 1000
-    reports = by_prop(run_all_checks(sorted(trace, key=lambda e: e.time), cfg))
-    hit = [r.verdict for r in reports["net-delay-bounds"] + reports["net-fifo"]]
-    assert FAIL in hit
+    # 1000 ticks late breaks the bound; 1 tick early breaks exact_delta's exact delay
+    for ticks, detail in [(1000, "delay 1010 outside [1, 10] (after FIFO repair)"),
+                          (-1, "exact_delta delivered after 9 ticks, not 10")]:
+        reports = by_prop(run_all_checks(shifted_last_deliver(clean, ticks), cfg))
+        assert [r.verdict for r in reports["net-fifo"]] == [PASS]
+        (report,) = reports["net-delay-bounds"]
+        assert (report.verdict, report.detail) == (FAIL, detail)
+        assert report.witness == [
+            event(22, "s005", SEND, {"dst": "c000", "msg": DECISION_02}),
+            event(32 + ticks, "c000", DELIVER, {"src": "s005", "msg": DECISION_02}),
+        ]
+
+
+def c000_s000_delivers(trace):
+    """The Deliver events on link c000 -> s000, the first link delivered: Messages 01 and 02."""
+    link_events = [e for e in trace if e.kind == DELIVER and e.process == "s000" and e.payload["src"] == "c000"]
+    assert [e.time for e in link_events] == [10, 12]
+    return link_events
 
 
 def test_reordered_link_fails_fifo():
     clean, cfg = clean_run()
     trace = copy.deepcopy(clean)
     # swap the payloads of two deliveries on the same link
-    link_events = [
-        e
-        for e in trace
-        if e.kind == DELIVER and e.process == "s000" and e.payload["src"] == "c000"
-    ]
-    assert len(link_events) >= 2
-    a, b = link_events[0], link_events[1]
+    a, b = c000_s000_delivers(trace)
     a.payload, b.payload = b.payload, a.payload
-    failing(trace, cfg, "net-fifo")
+    report = failing(trace, cfg, "net-fifo")
+    assert report.detail == "deliveries out of send order"
+    # or deliver the second message before the first one's time, in trace order
+    trace = copy.deepcopy(clean)
+    c000_s000_delivers(trace)[1].time = 9
+    report = failing(trace, cfg, "net-fifo")
+    assert report.detail == "delivery times decreased along a link"
+    second = {"kind": "Message", "message": "02", "bet": 13}
+    assert report.witness == [event(9, "s000", DELIVER, {"src": "c000", "msg": second})]
+    # or move a Send after its Deliver: that Deliver finds no Send pending on its link
+    i = max(i for i, e in enumerate(clean) if e.kind == SEND and e.process == "s005" and e.payload["dst"] == "c000")
+    report = failing(clean[:i] + clean[i + 1 :] + [clean[i]], cfg, "net-fifo")
+    assert report.detail == "delivery without a matching send"
+    assert report.witness == [event(32, "c000", DELIVER, {"src": "s005", "msg": DECISION_02})]
+
+
+def test_each_network_property_reports_its_own_first_failure():
+    # A FIFO swap on the first link delivered, and a last Deliver 1000 ticks late on a later link.
+    clean, cfg = clean_run()
+    trace = copy.deepcopy(clean)
+    a, b = c000_s000_delivers(trace)
+    a.payload, b.payload = b.payload, a.payload
+    reports = by_prop(run_all_checks(shifted_last_deliver(trace, 1000), cfg))
+    assert [(r.verdict, r.detail) for r in reports["net-fifo"] + reports["net-delay-bounds"]] == [
+        (FAIL, "deliveries out of send order"),
+        (FAIL, "delay 1010 outside [1, 10] (after FIFO repair)"),
+    ]
+
+
+def test_one_extra_suggest_fails_complexity():
+    clean, cfg = goodcase_run()
+    assert check_complexity(clean, cfg).detail == "max 36 Suggest sends per instance (limit 36)"
+    # a 37th Suggest send, one more copy in the last correct server's run of Suggest sends
+    i = max(i for i, e in enumerate(clean) if e.kind == SEND and e.payload["msg"]["kind"] == "Suggest")
+    report = check_complexity(clean[: i + 1] + [dataclasses.replace(clean[i])] + clean[i + 1 :], cfg)
+    assert report.verdict == FAIL
+    assert report.detail == "instance (c000, 0x6d, bet=11): 37 Suggest sends from correct servers exceeds n^2=36"
+    suggest = {"kind": "Suggest", "instance": {"client": "c000", "message": "6d", "bet": 11}, "value": True}
+    assert report.witness == [event(10, "s005", SEND, {"dst": "s005", "msg": suggest})]
+
+
+def test_late_decide_fails_blink_latency():
+    scenario = load_scenario(SCENARIOS_DIR / "blink_fast.json")
+    trace, quiescent = simulate(scenario)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    assert [r.verdict for r in check_latency(trace, cfg)] == [PASS, NA]
+    i = next(i for i, e in enumerate(trace) if e.kind == DECIDE and e.process == "s002")
+    late = trace[:i] + [dataclasses.replace(trace[i], time=trace[i].time + 1)] + trace[i + 1 :]
+    (report, _tob) = check_latency(late, cfg)
+    assert (report.prop, report.verdict) == ("latency-blink", FAIL)
+    assert report.detail == "instance label:i0: decide at t=11, expected exactly t=10"
+    assert report.witness == [
+        event(0, "s005", PROPOSE, {"instance": {"label": "i0"}, "value": True}),
+        event(11, "s002", DECIDE, {"instance": {"label": "i0"}, "value": True}),
+    ]
+
+
+def test_raised_time_reports_fail_lock_vs_local():
+    # s000-s004, 4f+1 servers, report a clock 100 ticks ahead: the replayed lock passes local time.
+    clean, cfg = goodcase_run()
+    trace = []
+    for e in clean:
+        src, msg = e.payload.get("src"), e.payload.get("msg", {})
+        if e.kind == DELIVER and msg["kind"] == "Time" and src != "s005":
+            e = TraceEvent(e.time, e.process, DELIVER, {"src": src, "msg": {"kind": "Time", "time": msg["time"] + 100}})
+        trace.append(e)
+    report = failing(trace, cfg, "server-lock-vs-local")
+    assert report.detail == "lock time passed local time at s000"
+    assert report.witness == [event(21, "s000", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 111}})]
 
 
 def test_fail_reports_carry_witnesses():

@@ -35,6 +35,10 @@ RUN_DIGESTS = {
         "37cc4f6862b7e99d6a2bb02dcfa1d272058673bfc32ce3147aeb69f2840d0e13",
         "c10edc5fe6a57d89e075320ee8037bbe78e316389a060e51da411d37beea72ad",
     ),
+    "campaign_wide": (
+        "d0789642dd9c42dea5c8d6dda01bbd788ae7faf20c15653f17c805583661e731",
+        "677577f52a63757e7b3a189968ac8487c7b76d1193ae6040fa50e0cd603d2318",
+    ),
     "equivocator": (
         "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
         "81a6ad51b225f01e339e2ff97759026ae0da1ba2cc12bc51110a136322d3e9ae",

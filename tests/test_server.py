@@ -189,7 +189,7 @@ def test_expiry_votes_false_when_bet_passed_unproposed():
     token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
     ctx.local = 11  # local clock reached the bet
     srv.on_timer(ctx, token)
-    assert t in srv.proposed
+    assert srv.instances[t].self_proposed
     suggests = [m for _, m in ctx.sent if not isinstance(m, Observe)]
     assert all(m.value is False for m in suggests)
 
@@ -200,7 +200,7 @@ def test_expiry_is_noop_when_already_proposed():
     t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
     token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
-    srv.proposed.add(t)
+    srv.instance(t).self_proposed = True
     sent_before = len(ctx.sent)
     ctx.local = 11
     srv.on_timer(ctx, token)
