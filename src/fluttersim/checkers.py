@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import trace as tr
-from .types import NEG_INF, quorum_large
+from .types import NEG_INF, Record, quorum_large
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -31,12 +30,14 @@ NA = "NotApplicable"
 _WIRE_OVERHEAD_BYTES = 8  # headers, ids, timestamps: the O(1) part of each message
 
 
-@dataclass
-class CheckReport:
-    prop: str
-    verdict: str
-    detail: str = ""
-    witness: list[dict] | tuple = ()  # Fail reports only; the others share one empty tuple
+class CheckReport(Record):
+    __slots__ = ("prop", "verdict", "detail", "witness")
+
+    def __init__(self, prop: str, verdict: str, detail: str = "", witness: list[dict] | tuple = ()):
+        self.prop = prop
+        self.verdict = verdict
+        self.detail = detail
+        self.witness = witness  # Fail reports only; the others share one empty tuple
 
     def to_dict(self) -> dict:
         return {
@@ -138,23 +139,29 @@ def _check_termination(prop, label, proposals, decides, correct, quiescent, unpr
     return _ok(prop, label)
 
 
-@dataclass
-class CheckerConfig:
-    kind: str
-    n: int
-    f: int
-    delta: int
-    drift: int
-    epsilon: int
-    strategy: str
-    servers: list[str]
-    correct_servers: list[str]
-    clients: list[str]
-    honest_clients: list[str]
-    correct_clients: list[str]
-    quiescent: bool  # read by the check_* drivers; a CheckPass takes it in finish()
-    delta_estimates: dict[str, int]  # client -> its guess of delta
-    scripts: dict[str, list[str]]  # client -> the message hexes it is scripted to broadcast
+class CheckerConfig(Record):
+    __slots__ = ("kind", "n", "f", "delta", "drift", "epsilon", "strategy", "servers", "correct_servers", "clients",
+                 "honest_clients", "correct_clients", "quiescent", "delta_estimates", "scripts")
+
+    def __init__(self, kind: str, n: int, f: int, delta: int, drift: int, epsilon: int, strategy: str,
+                 servers: list[str], correct_servers: list[str], clients: list[str], honest_clients: list[str],
+                 correct_clients: list[str], quiescent: bool, delta_estimates: dict[str, int],
+                 scripts: dict[str, list[str]]):
+        self.kind = kind
+        self.n = n
+        self.f = f
+        self.delta = delta
+        self.drift = drift
+        self.epsilon = epsilon
+        self.strategy = strategy
+        self.servers = servers
+        self.correct_servers = correct_servers
+        self.clients = clients
+        self.honest_clients = honest_clients
+        self.correct_clients = correct_clients
+        self.quiescent = quiescent  # read by the check_* drivers; a CheckPass takes it in finish()
+        self.delta_estimates = delta_estimates  # client -> its guess of delta
+        self.scripts = scripts  # client -> the message hexes it is scripted to broadcast
 
     @classmethod
     def from_scenario(cls, scenario, quiescent: bool) -> "CheckerConfig":

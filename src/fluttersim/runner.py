@@ -8,9 +8,7 @@ run is checked online, by `run_checked`; `run_scenario` keeps its trace.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass, field
 
 from . import trace as tr
 from .adversary import BEHAVIORS
@@ -21,6 +19,7 @@ from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError,
 from .scenario import ClientSpec, Scenario, ServerFault, require_a_client
 from .server import FlutterServer
 from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
+from .types import Record
 from .weakcon import POLICIES, DepOracle
 
 # What a run can raise that ends the run, not the program: a campaign books it as a failing row.
@@ -62,13 +61,16 @@ def build_simulation(scenario: Scenario) -> Simulator:
     return sim
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    trace: list[tr.TraceEvent]  # empty unless kept (`run_scenario`)
-    quiescent: bool
-    reports: list[CheckReport]
-    metrics: dict
+class RunResult(Record):
+    __slots__ = ("scenario", "trace", "quiescent", "reports", "metrics")
+
+    def __init__(self, scenario: Scenario, trace: list[tr.TraceEvent], quiescent: bool, reports: list[CheckReport],
+                 metrics: dict):
+        self.scenario = scenario
+        self.trace = trace  # empty unless kept (`run_scenario`)
+        self.quiescent = quiescent
+        self.reports = reports
+        self.metrics = metrics
 
     @property
     def failed(self) -> list[CheckReport]:
@@ -96,7 +98,7 @@ def run_checked(scenario: Scenario, sink=None) -> RunResult:
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate and check `scenario`, keeping its trace."""
     trace: list[tr.TraceEvent] = []
-    return dataclasses.replace(run_checked(scenario, trace.append), trace=trace)
+    return run_checked(scenario, trace.append).replace(trace=trace)
 
 
 def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: bool) -> dict:
@@ -133,10 +135,9 @@ def _inject(base: Scenario, behavior: str) -> dict:
 
 def campaign_variant(base: Scenario, behavior: str, policy: str, seed: int) -> Scenario:
     """One campaign run: seeded delays, chosen dep policy, one injected fault."""
-    return dataclasses.replace(
-        base,
+    return base.replace(
         name=f"{base.name}+{behavior}+{policy}+s{seed}",
-        network=dataclasses.replace(base.network, strategy="seeded_random", seed=seed, delays={}),
+        network=base.network.replace(strategy="seeded_random", seed=seed, delays={}),
         dep_policy=policy,
         **_inject(base, behavior),
     )

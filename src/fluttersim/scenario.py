@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adversary import BEHAVIORS
 from .errors import ScenarioError
+from .types import Record
 from .weakcon import POLICIES
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
@@ -51,60 +51,79 @@ def server_names(n: int) -> list[str]:
     return [f"s{i:03d}" for i in range(n)]
 
 
-@dataclass
-class BroadcastScript:
-    at: int
-    message: str  # lowercase hex
+class BroadcastScript(Record):
+    __slots__ = ("at", "message")
+
+    def __init__(self, at: int, message: str):
+        self.at = at
+        self.message = message  # lowercase hex
 
 
-@dataclass
-class ClientSpec:
-    name: str
-    delta_estimate: int  # the client's guess of delta, which its bets double from
-    broadcasts: list[BroadcastScript] = field(default_factory=list)
-    crash_time: int | None = None
-    behavior: str | None = None
-    params: dict = field(default_factory=dict)
+class ClientSpec(Record):
+    __slots__ = ("name", "delta_estimate", "broadcasts", "crash_time", "behavior", "params")
+
+    def __init__(self, name: str, delta_estimate: int, broadcasts: list[BroadcastScript] | None = None,
+                 crash_time: int | None = None, behavior: str | None = None, params: dict | None = None):
+        self.name = name
+        self.delta_estimate = delta_estimate  # the client's guess of delta, which its bets double from
+        self.broadcasts = [] if broadcasts is None else broadcasts
+        self.crash_time = crash_time
+        self.behavior = behavior
+        self.params = {} if params is None else params
 
 
-@dataclass
-class ServerFault:
-    behavior: str
-    params: dict = field(default_factory=dict)
+class ServerFault(Record):
+    __slots__ = ("behavior", "params")
+
+    def __init__(self, behavior: str, params: dict | None = None):
+        self.behavior = behavior
+        self.params = {} if params is None else params
 
 
-@dataclass
-class NetworkConfig:
-    strategy: str = "exact_delta"
-    seed: int | str | None = None
-    delays: dict[str, list[int]] = field(default_factory=dict)
+class NetworkConfig(Record):
+    __slots__ = ("strategy", "seed", "delays")
+
+    def __init__(self, strategy: str = "exact_delta", seed: int | str | None = None,
+                 delays: dict[str, list[int]] | None = None):
+        self.strategy = strategy
+        self.seed = seed
+        self.delays = {} if delays is None else delays
 
 
-@dataclass
-class BlinkScriptEntry:
-    at: int
-    server: str
-    instance: str
-    value: bool
+class BlinkScriptEntry(Record):
+    __slots__ = ("at", "server", "instance", "value")
+
+    def __init__(self, at: int, server: str, instance: str, value: bool):
+        self.at = at
+        self.server = server
+        self.instance = instance
+        self.value = value
 
 
-@dataclass
-class Scenario:
-    name: str
-    kind: str
-    n: int
-    f: int
-    delta: int
-    drift: int = 0
-    epsilon: int = 1  # the margin every client adds to its bets
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    clock_offsets: dict[str, int] = field(default_factory=dict)
-    server_faults: dict[str, ServerFault] = field(default_factory=dict)
-    clients: list[ClientSpec] = field(default_factory=list)
-    dep_policy: str = "first"
-    blink_script: list[BlinkScriptEntry] = field(default_factory=list)
-    step_budget: int = 1_000_000
-    until: int | None = None
+class Scenario(Record):
+    __slots__ = ("name", "kind", "n", "f", "delta", "drift", "epsilon", "network", "clock_offsets", "server_faults",
+                 "clients", "dep_policy", "blink_script", "step_budget", "until")
+
+    def __init__(self, name: str, kind: str, n: int, f: int, delta: int, drift: int = 0, epsilon: int = 1,
+                 network: NetworkConfig | None = None, clock_offsets: dict[str, int] | None = None,
+                 server_faults: dict[str, ServerFault] | None = None, clients: list[ClientSpec] | None = None,
+                 dep_policy: str = "first", blink_script: list[BlinkScriptEntry] | None = None,
+                 step_budget: int = 1_000_000, until: int | None = None):
+        self.name = name
+        self.kind = kind
+        self.n = n
+        self.f = f
+        self.delta = delta
+        self.drift = drift
+        self.epsilon = epsilon  # the margin every client adds to its bets
+        self.network = NetworkConfig() if network is None else network
+        self.clock_offsets = {} if clock_offsets is None else clock_offsets
+        self.server_faults = {} if server_faults is None else server_faults
+        self.clients = [] if clients is None else clients
+        self.dep_policy = dep_policy
+        self.blink_script = [] if blink_script is None else blink_script
+        self.step_budget = step_budget
+        self.until = until
 
     @property
     def servers(self) -> list[str]:

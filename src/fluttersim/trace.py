@@ -20,8 +20,9 @@ at a time from the simulator; `read_trace` streams a saved trace back so.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # what _ENCODER.encode does with a str
+
+from .types import Record
 
 # Event kinds
 SEND = "Send"
@@ -98,12 +99,14 @@ def render(payload) -> str:
     return _hand(payload) or _ENCODER.encode(payload)
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    time: int
-    process: str
-    kind: str
-    payload: dict
+class TraceEvent(Record):
+    __slots__ = ("time", "process", "kind", "payload")
+
+    def __init__(self, time: int, process: str, kind: str, payload: dict):
+        self.time = time
+        self.process = process
+        self.kind = kind
+        self.payload = payload
 
     def to_line(self) -> str:
         if type(self.time) is int and type(self.process) is str and type(self.kind) is str:

@@ -5,15 +5,45 @@ per-process offset. NEG_INF stands in for the "minus infinity" initial
 value of remote time entries and the processing cursor; it compares
 below every int. A message body is a lowercase hex string throughout:
 `scenario` parses it once, and nothing converts it after.
+
+Wire messages are immutable named tuples: one send call hands the same
+message object to every copy, so no receiver can rewrite what later
+receivers get. The package's other records subclass `Record`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 SimTime = int
 NEG_INF = float("-inf")
+
+
+class Record:
+    """A mutable record whose fields are its class's `__slots__`, in order.
+
+    Equality, repr and `replace` read the fields as a dataclass's do: two
+    records are equal when they are of one class and their fields are
+    equal, and a record, being mutable, is unhashable. A subclass declares
+    `__slots__` and an `__init__` that takes every field by name.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with `changes` applied; an unknown field is a TypeError, as the class's own call makes it."""
+        return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
 
 class BroadcastTuple(namedtuple("BroadcastTuple", "bet client message")):
@@ -33,33 +63,26 @@ class BroadcastTuple(namedtuple("BroadcastTuple", "bet client message")):
 InstanceKey = BroadcastTuple | str
 
 
-@dataclass(frozen=True, slots=True)
-class Suggest:
-    instance: InstanceKey
-    value: bool
+# Fields: Suggest(instance: InstanceKey, value: bool), Time(time: SimTime), Observe(tuple: BroadcastTuple),
+# Message(message: str, bet: SimTime), Decision(message: str, bet: SimTime, value: bool).
+class Suggest(namedtuple("Suggest", "instance value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Time:
-    time: SimTime
+class Time(namedtuple("Time", "time")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Observe:
-    tuple: BroadcastTuple
+class Observe(namedtuple("Observe", "tuple")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    message: str
-    bet: SimTime
+class Message(namedtuple("Message", "message bet")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    message: str
-    bet: SimTime
-    value: bool
+class Decision(namedtuple("Decision", "message bet value")):
+    __slots__ = ()
 
 
 WireMessage = Suggest | Time | Observe | Message | Decision

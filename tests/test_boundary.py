@@ -4,7 +4,7 @@ A checker that passes everything inside the model should fail something
 just outside it. Each row below breaks one premise and pins the verdict
 its loss causes, next to a control run inside the model that passes. The
 parser refuses every scenario past a premise, so each is built from a
-bundled one with `dataclasses.replace`.
+bundled one with `Scenario.replace`.
 
 - At most f faults. Blink, n=6, f=1, with two `split`/`react: false`
   equivocators (s004, s005) where the model allows one; s000-s003 propose
@@ -17,16 +17,26 @@ bundled one with `dataclasses.replace`.
   True: 4f+1 = 5 suggestions never reach a correct server, so
   `consensus-termination` Fails at quiescence. Control: n=6 with s005
   `mute` decides everywhere.
+- Clock offsets within `drift`. Campaign variants of `campaign_base` and
+  `campaign_wide` (6 behaviors x 2 adversarial policies x seeds 0..4, 120
+  runs) with every process's offset drawn in +-200 against `drift` 2 all
+  reach quiescence and Fail nothing: safety does not use clocks. Only the
+  clock-bound checks stand aside, as NotApplicable: `latency-tob`,
+  `latency-blink` and `server-lock-vs-local` judge good-case runs only, so
+  no checker sees what the skew does to latency. Pinned: all 60
+  `campaign_base` runs, and seed 0 of `campaign_wide` under
+  `adversarial_timing`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import random
 
 import pytest
 
-from fluttersim.checkers import FAIL, PASS
-from fluttersim.runner import run_checked
+from fluttersim.adversary import BEHAVIORS
+from fluttersim.checkers import FAIL, NA, PASS
+from fluttersim.runner import campaign_variant, run_checked
 from fluttersim.scenario import BlinkScriptEntry, NetworkConfig, ServerFault, load_scenario
 
 from conftest import SCENARIOS_DIR
@@ -45,8 +55,7 @@ def script(values):
 
 
 def equivocated(seed, policy, faulty, values):
-    return dataclasses.replace(
-        blink_fast(),
+    return blink_fast().replace(
         name=f"equivocated-s{seed}",
         network=NetworkConfig("seeded_random", seed),
         dep_policy=policy,
@@ -79,12 +88,34 @@ def test_one_equivocator_fails_nothing(policy):
 
 def test_five_servers_with_one_mute_never_decide():
     base = blink_fast()
-    scenario = dataclasses.replace(
-        base, name="n5-mute", n=5, server_faults={"s004": ServerFault("mute")}, blink_script=script([True] * 4)
+    scenario = base.replace(
+        name="n5-mute", n=5, server_faults={"s004": ServerFault("mute")}, blink_script=script([True] * 4)
     )
     run = run_checked(scenario)
     assert run.quiescent
     assert [r.prop for r in run.failed] == ["consensus-termination"]
     assert run.failed[0].detail == "instance label:i0: ['s000', 's001', 's002', 's003'] never decided at quiescence"
-    control = dataclasses.replace(base, server_faults={"s005": ServerFault("mute")}, blink_script=script([True] * 5))
+    control = base.replace(server_faults={"s005": ServerFault("mute")}, blink_script=script([True] * 5))
     assert verdict(run_checked(control), "consensus-termination").verdict == PASS
+
+
+@pytest.mark.parametrize(
+    ("base", "policies", "seeds"),
+    [("campaign_base", ["adversarial_value", "adversarial_timing"], range(5)),
+     ("campaign_wide", ["adversarial_timing"], range(1))],
+    ids=["campaign_base", "campaign_wide"],
+)
+def test_clock_offsets_past_drift_fail_nothing(base, policies, seeds):
+    scenario = load_scenario(SCENARIOS_DIR / f"{base}.json")
+    for behavior in sorted(BEHAVIORS):
+        for policy in policies:
+            for seed in seeds:
+                variant = campaign_variant(scenario, behavior, policy, seed)
+                rng = random.Random(seed)
+                offsets = {p: rng.randint(-200, 200) for p in [*variant.servers, *variant.client_names]}
+                assert max(map(abs, offsets.values())) > 100  # far past drift 2, which the parser would refuse
+                run = run_checked(variant.replace(drift=2, clock_offsets=offsets))
+                assert run.quiescent and not run.failed, variant.name
+                assert {r.prop for r in run.reports if r.verdict == NA} == {
+                    "latency-tob", "latency-blink", "server-lock-vs-local"
+                }, variant.name

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import example, given
@@ -314,7 +313,7 @@ def shifted_last_deliver(trace, ticks):
     """`trace` with its last Deliver, the last on its link, moved by `ticks`, in time order."""
     trace = list(trace)
     i = max(i for i, e in enumerate(trace) if e.kind == DELIVER)
-    trace[i] = dataclasses.replace(trace[i], time=trace[i].time + ticks)
+    trace[i] = trace[i].replace(time=trace[i].time + ticks)
     return sorted(trace, key=lambda e: e.time)
 
 
@@ -383,7 +382,7 @@ def test_one_extra_suggest_fails_complexity():
     assert check_complexity(clean, cfg).detail == "max 36 Suggest sends per instance (limit 36)"
     # a 37th Suggest send, one more copy in the last correct server's run of Suggest sends
     i = max(i for i, e in enumerate(clean) if e.kind == SEND and e.payload["msg"]["kind"] == "Suggest")
-    report = check_complexity(clean[: i + 1] + [dataclasses.replace(clean[i])] + clean[i + 1 :], cfg)
+    report = check_complexity(clean[: i + 1] + [clean[i].replace()] + clean[i + 1 :], cfg)
     assert report.verdict == FAIL
     assert report.detail == "instance (c000, 0x6d, bet=11): 37 Suggest sends from correct servers exceeds n^2=36"
     suggest = {"kind": "Suggest", "instance": {"client": "c000", "message": "6d", "bet": 11}, "value": True}
@@ -396,7 +395,7 @@ def test_late_decide_fails_blink_latency():
     cfg = CheckerConfig.from_scenario(scenario, quiescent)
     assert [r.verdict for r in check_latency(trace, cfg)] == [PASS, NA]
     i = next(i for i, e in enumerate(trace) if e.kind == DECIDE and e.process == "s002")
-    late = trace[:i] + [dataclasses.replace(trace[i], time=trace[i].time + 1)] + trace[i + 1 :]
+    late = trace[:i] + [trace[i].replace(time=trace[i].time + 1)] + trace[i + 1 :]
     (report, _tob) = check_latency(late, cfg)
     assert (report.prop, report.verdict) == ("latency-blink", FAIL)
     assert report.detail == "instance label:i0: decide at t=11, expected exactly t=10"

@@ -1,12 +1,14 @@
-"""Source rules: a stdlib-only package, a checker that shares no protocol code, hex read in one module,
-fan-out and Deliver events in the simulator, one module that hooks the simulator's sink, no scenario
-field that is stored and never read, and no behavior param that no bundled scenario sets."""
+"""Source rules: a stdlib-only package, no `dataclasses` import and a start-up that loads neither
+`dataclasses` nor `inspect`, a checker that shares no protocol code, hex read in one module, fan-out and
+Deliver events in the simulator, one module that hooks the simulator's sink, no scenario field that is
+stored and never read, and no behavior param that no bundled scenario sets."""
 
 from __future__ import annotations
 
 import ast
-import dataclasses
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +41,36 @@ def test_package_imports_only_the_stdlib_and_itself():
     }
     assert len(outside) > 10
     assert {file: names for file, names in outside.items() if names} == {}
+
+
+def test_no_module_imports_dataclasses():
+    # `import dataclasses` loads inspect, ast, dis and tokenize, and each dataclass execs generated code.
+    users = {path.name: [name for name in imports(path) if name.split(".")[0] == "dataclasses"]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {file: names for file, names in users.items() if names} == {}
+
+
+# What a command's start-up does before its first event: import, load a scenario, make a campaign variant, build.
+START_UP = """
+import sys
+import fluttersim
+from fluttersim.adversary import BEHAVIORS
+from fluttersim.runner import campaign_variant
+base = fluttersim.load_scenario(sys.argv[1])
+for behavior in sorted(BEHAVIORS):
+    fluttersim.build_simulation(campaign_variant(base, behavior, "adversarial_value", 0))
+print(fluttersim.__file__)
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook may preload a module, or hide one the package loads.
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP, str(SCENARIOS / "campaign_base.json")],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines() == [str(PACKAGE / "__init__.py"), "[]"]
 
 
 def test_checker_replay_imports_no_protocol_module():
@@ -87,7 +119,7 @@ def test_every_scenario_field_is_read_outside_the_parser():
     # A field the parser fills but no other module reads is a knob that changes nothing.
     texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "scenario.py"]
     classes = [sc.Scenario, sc.NetworkConfig, sc.ClientSpec, sc.ServerFault, sc.BroadcastScript, sc.BlinkScriptEntry]
-    fields = [(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)]
+    fields = [(cls.__name__, name) for cls in classes for name in cls.__slots__]
     assert len(fields) > 25
     unread = [f"{owner}.{name}" for owner, name in fields
               if not any(re.search(rf"\.{name}\b", text) for text in texts)]

@@ -1,11 +1,27 @@
-"""Broadcast tuple ordering, quorum sizes, and wire payload rendering."""
+"""Broadcast tuple ordering, quorum sizes, wire payload rendering, immutable wire messages, and the
+semantics of the slotted records."""
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fluttersim.checkers import CheckerConfig, CheckReport
+from fluttersim.runner import RunResult, campaign_variant, run_checked
+from fluttersim.scenario import (
+    BlinkScriptEntry,
+    BroadcastScript,
+    ClientSpec,
+    NetworkConfig,
+    Scenario,
+    ServerFault,
+    load_scenario,
+)
+from fluttersim.trace import TraceEvent
 from fluttersim.types import (
     BroadcastTuple,
     Decision,
@@ -19,6 +35,9 @@ from fluttersim.types import (
     quorum_small,
     wire_payload,
 )
+
+from conftest import SCENARIOS_DIR
+
 
 tuples = st.builds(  # narrow ranges, so bet and client ties leave the message to decide
     BroadcastTuple,
@@ -127,3 +146,81 @@ def test_instance_payload_forms():
 def test_wire_payload_rejects_unknown():
     with pytest.raises(TypeError):
         wire_payload("not a wire message")  # type: ignore[arg-type]
+
+
+WIRE_MESSAGES = [
+    Suggest(BroadcastTuple(11, "c000", "6d"), True),
+    Time(7),
+    Observe(BroadcastTuple(11, "c000", "6d")),
+    Message("6d", 11),
+    Decision("6d", 11, False),
+]
+
+
+@pytest.mark.parametrize("msg", WIRE_MESSAGES, ids=lambda m: type(m).__name__)
+def test_wire_messages_are_immutable(msg):
+    # One send call hands this object to every copy: no receiver, Byzantine or not, may rewrite it.
+    for name in msg._fields:
+        with pytest.raises(AttributeError):
+            setattr(msg, name, None)
+    with pytest.raises(AttributeError):
+        msg.extra = None
+    assert repr(Time(7)) == "Time(time=7)"
+
+
+def _variant():
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    return campaign_variant(base, "mute", "adversarial_value", 3)
+
+
+# Each record, its fields in the order the dataclass it replaced declared them, and an instance of it.
+RECORDS = {
+    TraceEvent: ("time process kind payload", lambda: TraceEvent(3, "s000", "Send", {"dst": "s001", "msg": {}})),
+    CheckReport: ("prop verdict detail witness", lambda: CheckReport("tob-total-order", "Fail", "planted", [{"k": 1}])),
+    CheckerConfig: (
+        "kind n f delta drift epsilon strategy servers correct_servers clients honest_clients correct_clients"
+        " quiescent delta_estimates scripts",
+        lambda: CheckerConfig.from_scenario(_variant(), quiescent=True),
+    ),
+    RunResult: ("scenario trace quiescent reports metrics", lambda: run_checked(_variant())),
+    Scenario: (
+        "name kind n f delta drift epsilon network clock_offsets server_faults clients dep_policy blink_script"
+        " step_budget until",
+        _variant,
+    ),
+    NetworkConfig: ("strategy seed delays", lambda: _variant().network),
+    ClientSpec: ("name delta_estimate broadcasts crash_time behavior params", lambda: _variant().clients[0]),
+    BroadcastScript: ("at message", lambda: _variant().clients[0].broadcasts[0]),
+    ServerFault: ("behavior params", lambda: _variant().server_faults["s005"]),
+    BlinkScriptEntry: ("at server instance value", lambda: BlinkScriptEntry(0, "s001", "i0", False)),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    names, make = RECORDS[cls]
+    record = make()
+    assert type(record) is cls
+    assert cls.__slots__ == tuple(names.split())
+    assert not hasattr(record, "__dict__")
+    fields = {name: getattr(record, name) for name in cls.__slots__}
+
+    assert copy.deepcopy(record) == record and cls(**fields) == record
+    other = type(cls.__name__, (cls,), {"__slots__": ()})(**fields)  # same name and fields, another class
+    assert other != record and record != other and record != tuple(fields.values())
+    with pytest.raises(TypeError):
+        hash(record)
+
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    assert repr(ServerFault("mute")) == "ServerFault(behavior='mute', params={})"
+
+    first = cls.__slots__[0]
+    changed = record.replace(**{first: "changed"})
+    assert type(changed) is cls and changed is not record
+    assert getattr(changed, first) == "changed" and getattr(record, first) == fields[first]
+    assert all(getattr(changed, name) is value for name, value in fields.items() if name != first)
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+
+    # `--parallel` campaign workers receive their variant pickled.
+    assert pickle.loads(pickle.dumps(record)) == record
