@@ -2,10 +2,9 @@
 
 One JSON object per line, keys always time/process/kind/payload in that
 order. Payloads are built as JSON-ready dicts up front so the in-memory
-trace and the file render identically byte for byte. Lines are rendered
-by hand with f-strings for the payload shapes the simulator emits, each
-guarded by its key order and exact value types; every other shape falls
-back to the JSON encoder, whose bytes the hand renderers reproduce.
+trace and the file render identically byte for byte. Every line is what
+the stdlib's C JSON encoder writes, with compact separators, from one
+encoder built at import (JSONEncoder.encode builds a new one per call).
 
 A wire message is rendered once per send call, and a broadcast is one
 call: every Send event of the call and the Deliver event of each of
@@ -20,6 +19,7 @@ at a time from the simulator; `read_trace` streams a saved trace back so.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote  # what _ENCODER.encode does with a str
 
 from .types import Record
@@ -35,68 +35,16 @@ TIMER_FIRE = "TimerFire"
 DEP_PROPOSE = "DepPropose"
 DEP_DECIDE = "DepDecide"
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))  # shared; json.dumps would build one per line
-_BOOL = {True: "true", False: "false"}
-
-
-# Hand renderers of the payload shapes the simulator emits. Each takes a dict's values in key order and
-# gives what _ENCODER makes of the dict, or None when a value is off its type, so `render` falls back.
-def _tuple(client, message, bet) -> str | None:  # AppDeliver, and a tuple's instance payload
-    if type(client) is str and type(message) is str and type(bet) is int:
-        return f'{{"client":{_quote(client)},"message":{_quote(message)},"bet":{bet}}}'
-    return None
-
-
-def _decided(instance, value) -> str | None:  # Propose, Decide, DepPropose, DepDecide
-    inst = _hand(instance)
-    return f'{{"instance":{inst},"value":{_BOOL[value]}}}' if inst and type(value) is bool else None
-
-
-def _message(message, bet) -> str | None:
-    return f'{{"message":{_quote(message)},"bet":{bet}}}' if type(message) is str and type(bet) is int else None
-
-
-def _decision(message, bet, value) -> str | None:
-    line = _message(message, bet)
-    return f'{line[:-1]},"value":{_BOOL[value]}}}' if line and type(value) is bool else None
-
-
-def _field(key: str, typ: type):  # a one-key payload: Time's body, a label instance, TimerFire, Broadcast
-    head = f'{{"{key}":'
-    return lambda value: f"{head}{_quote(value) if typ is str else value}}}" if type(value) is typ else None
-
-
-def _wire(body):
-    """The renderer of a wire dict {"kind": str, **d}, from the renderer `body` of d."""
-    def rendered(kind, *values) -> str | None:
-        line = body(*values)
-        return f'{{"kind":{_quote(kind)},{line[1:]}' if line and type(kind) is str else None
-    return rendered
-
-
-_SHAPES = {  # key order -> renderer
-    ("kind", "instance", "value"): _wire(_decided),
-    ("kind", "time"): _wire(_field("time", int)),
-    ("kind", "client", "message", "bet"): _wire(_tuple),
-    ("kind", "message", "bet"): _wire(_message),
-    ("kind", "message", "bet", "value"): _wire(_decision),
-    ("instance", "value"): _decided,
-    ("client", "message", "bet"): _tuple,
-    ("label",): _field("label", str),
-    ("token",): _field("token", str),
-    ("message",): _field("message", str),
-}
-
-
-def _hand(d) -> str | None:
-    """`d` rendered by hand, or None when it has no shape in _SHAPES."""
-    shape = _SHAPES.get(tuple(d)) if type(d) is dict else None
-    return shape and shape(*d.values())
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# What _ENCODER.encode runs on a non-str, built once: JSONEncoder builds a new C encoder on every call. No
+# markers, so a cyclic payload raises RecursionError instead of ValueError; trace payloads are trees.
+_ITERENCODE = c_make_encoder(None, _ENCODER.default, _quote, _ENCODER.indent, _ENCODER.key_separator,
+                             _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def render(payload) -> str:
-    """`payload` as _ENCODER renders it: by hand for a shape in _SHAPES, else by _ENCODER."""
-    return _hand(payload) or _ENCODER.encode(payload)
+    """`payload` as _ENCODER.encode renders it."""
+    return "".join(_ITERENCODE(payload, 0))
 
 
 class TraceEvent(Record):
@@ -112,7 +60,7 @@ class TraceEvent(Record):
         if type(self.time) is int and type(self.process) is str and type(self.kind) is str:
             return (f'{{"time":{self.time},"process":{_quote(self.process)},"kind":{_quote(self.kind)},'
                     f'"payload":{render(self.payload)}}}')
-        return _ENCODER.encode({"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload})
+        return render({"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload})
 
 
 class TraceWriter:
@@ -127,9 +75,9 @@ class TraceWriter:
     def write(self, ev: TraceEvent) -> None:
         kind, process, payload, msgs = ev.kind, ev.process, ev.payload, self.msgs
         sending, peer_key = (True, "dst") if kind == SEND else (False, "src")
-        # Only an int time, str names and the exact payload layout {peer_key, "msg"} take the cached path.
-        if ((not sending and kind != DELIVER) or type(ev.time) is not int or len(payload) != 2
-                or next(iter(payload)) != peer_key or "msg" not in payload
+        # Only an int time, str names and a dict payload of exactly {peer_key, "msg"} take the cached path.
+        if ((not sending and kind != DELIVER) or type(ev.time) is not int or type(payload) is not dict
+                or len(payload) != 2 or next(iter(payload)) != peer_key or "msg" not in payload
                 or type(process) is not str or type(peer := payload[peer_key]) is not str):
             self.fh.write(ev.to_line() + "\n")
             return

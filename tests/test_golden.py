@@ -31,6 +31,10 @@ RUN_DIGESTS = {
         "d0d8ce4960f17396bdbf6702971b3e5452dc27a199b269c5dd6d3c50f453dd05",
         "669a5be47103d310136c0b28ea43e3b898c8cbc20497e5bdd83386731fa79b79",
     ),
+    "blink_split": (
+        "cd13a35162b0087bea67f38e273b4798815fc95bc6d60fbac8a373467eed15ee",
+        "269090c8bdbfa1c6e21252053faeda0c4a0fe88dad03a992da16039bc3b25a13",
+    ),
     "campaign_base": (
         "37cc4f6862b7e99d6a2bb02dcfa1d272058673bfc32ce3147aeb69f2840d0e13",
         "c10edc5fe6a57d89e075320ee8037bbe78e316389a060e51da411d37beea72ad",
