@@ -3,16 +3,16 @@
 A `CheckPass` reads each event's kind once. It keeps each low-volume event
 (Broadcast, AppDeliver and the consensus kinds) once, in one list per kind,
 and groups those lists once into the run views read by the checkers that
-judge only at the end. It streams Sends, Delivers and Decides to the
-observers that judge as they go: the server replay, the network and the
-run's `Metrics`. The pass checks a finished trace, or a live run as the
-simulator's event sink, keeping no trace. The network's Send/Deliver
-pairing and the metrics' runs of Sends compare dicts by identity, and each
-holds the dicts it compares, so a recycled id() cannot match. Liveness is
-decided only at quiescence, since a finite prefix cannot refute
-"eventually". Server invariants are checked by an independent replay of
-each server's inputs, so a bug in the live implementation cannot hide in
-the checker.
+judge only at the end. It streams send calls (one per call, not per copy;
+a finished trace's run of Sends of one call is regrouped into it),
+Delivers and Decides to the observers that judge as they go: the server
+replay, the network and the run's `Metrics`. The pass checks a finished
+trace, or a live run as the simulator's sink, keeping no trace. The
+network's Send/Deliver pairing compares dicts by identity and holds the
+dicts it compares, so a recycled id() cannot match. Liveness is decided
+only at quiescence, since a finite prefix cannot refute "eventually".
+Server invariants are checked by an independent replay of each server's
+inputs, so a bug in the live implementation cannot hide in the checker.
 """
 
 from __future__ import annotations
@@ -205,13 +205,14 @@ class CheckPass:
     """Keeps each low-volume event once, in `kept` (kind -> events in trace order), and streams the rest.
 
     A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
-    cls(cfg), with `handles` (event kind -> method name) and finish(quiescent, run). No observer holds the pass.
+    cls(cfg), with `handles` (event kind -> method name; Send's takes a send call, (time, src, dsts, msg)) and
+    finish(quiescent, run). No observer holds the pass. The pass is also a simulator sink (`event`, `sends`).
     """
 
     def __init__(self, cfg: CheckerConfig, checks):
         self.cfg = cfg
         self.events = 0
-        self.last: tr.TraceEvent | None = None
+        self._last: tr.TraceEvent | tuple | None = None  # the last event, or the last copy's (time, src, dst, msg)
         self.kept = {kind: [] for kind in (tr.BROADCAST, tr.APP_DELIVER) + _INSTANCE_KINDS}
         self.routes = {kind: [events.append] for kind, events in self.kept.items()}  # event kind -> its handlers
         self.checks = [check(cfg) if isinstance(check, type) else check for check in checks]
@@ -219,22 +220,62 @@ class CheckPass:
         for obs in self.checks:
             for kind, name in getattr(obs, "handles", {}).items():
                 self.routes.setdefault(kind, []).append(getattr(obs, name))
+        self.senders = self.routes.pop(tr.SEND, [])  # the send call handlers
+
+    @property
+    def last(self) -> tr.TraceEvent | None:
+        """The last event fed, built on first read if it is a Send of a call."""
+        if type(self._last) is tuple:
+            self._last = tr.send_event(*self._last)
+        return self._last
 
     def feed(self, event: tr.TraceEvent) -> None:
+        """One event of any kind; a Send goes on as a one-copy call."""
+        self.run((event,))
+
+    def event(self, event: tr.TraceEvent) -> None:
+        """One event that is no Send."""
         self.events += 1
-        self.last = event
+        self._last = event
         for handler in self.routes.get(event.kind, ()):
             handler(event)
 
+    def sends(self, time: int, src: str, dsts, msg: dict) -> None:
+        """One send call: a Send event to each of `dsts`, all holding `msg`."""
+        self.events += len(dsts)
+        self._last = (time, src, dsts[-1], msg)
+        for handler in self.senders:
+            handler(time, src, dsts, msg)
+
     def run(self, trace) -> "CheckPass":
-        """Feed every event of a finished trace, or of any iterable of events, as `feed` would."""
-        routes, events, last = self.routes, 0, self.last
+        """Feed every event of a finished trace, or any iterable of events; consecutive Sends with one time, sender
+        and `msg` dict go on as one call (a trace read back from a file shares no dicts: one call per line)."""
+        routes, senders, events, last = self.routes, self.senders, 0, self._last
+        send = tr.SEND if senders else None  # with no send call handler, Sends pass unread
+        dsts = time = src = msg = None  # the pending call, if dsts is a list
         for last in trace:
             events += 1
+            if last.kind == send:
+                payload = last.payload
+                if dsts is not None and payload["msg"] is msg and last.time == time and last.process == src:
+                    dsts.append(payload["dst"])
+                    continue
+                if dsts is not None:
+                    for handler in senders:
+                        handler(time, src, dsts, msg)
+                dsts, time, src, msg = [payload["dst"]], last.time, last.process, payload["msg"]
+                continue
+            if dsts is not None:
+                for handler in senders:
+                    handler(time, src, dsts, msg)
+                dsts = None
             for handler in routes.get(last.kind, ()):
                 handler(last)
+        if dsts is not None:
+            for handler in senders:
+                handler(time, src, dsts, msg)
         self.events += events
-        self.last = last
+        self._last = last
         return self
 
     def finish(self, quiescent: bool) -> list[CheckReport]:
@@ -583,7 +624,7 @@ class _ServerInvariants:
 
 
 class _Link(deque):
-    """One (src, dst) link: its Sends not yet delivered, in order."""
+    """One (src, dst) link: the (time, msg) of its Sends not yet delivered, in order."""
 
     __slots__ = ("last",)
 
@@ -598,7 +639,7 @@ class _Network:
     Each property keeps its own first failure, in trace order.
     """
 
-    handles = {tr.SEND: "send", tr.DELIVER: "deliver"}
+    handles = {tr.SEND: "sends", tr.DELIVER: "deliver"}
 
     def __init__(self, cfg: CheckerConfig):
         self.delta = cfg.delta
@@ -606,43 +647,49 @@ class _Network:
         self.links: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
         self.fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}  # property -> its first (detail, witness)
 
-    def send(self, event: tr.TraceEvent) -> None:
-        key = (event.process, event.payload["dst"])
-        link = self.links.get(key)
-        if link is None:
-            link = self.links[key] = _Link()
-        link.append(event)
+    def sends(self, time: int, src: str, dsts, msg: dict) -> None:
+        links, sent = self.links, (time, msg)
+        for dst in dsts:
+            link = links.get((src, dst))
+            if link is None:
+                link = links[(src, dst)] = _Link()
+            link.append(sent)
 
     def deliver(self, event: tr.TraceEvent) -> None:
-        link = self.links.get((event.payload["src"], event.process))
+        src = event.payload["src"]
+        link = self.links.get((src, event.process))
         if not link:  # no link, or none of its Sends pending
             self.fails.setdefault("net-fifo", ("delivery without a matching send", [event]))
             return
-        s_ev = link.popleft()
+        s_time, s_msg = link.popleft()
         if link.last is None:
             return
-        s_msg, d_msg = s_ev.payload["msg"], event.payload["msg"]
+        d_msg = event.payload["msg"]
         t = event.time
-        dt = t - s_ev.time
-        if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_ev until now
-            fail = ("net-fifo", "deliveries out of send order", [s_ev, event])
+        dt = t - s_time
+        if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_msg until now
+            fail = ("net-fifo", "deliveries out of send order", True)
         elif t < link.last:
-            fail = ("net-fifo", "delivery times decreased along a link", [event])
-        elif dt < 1 or (t > s_ev.time + self.delta and t > link.last):
-            fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", [s_ev, event])
+            fail = ("net-fifo", "delivery times decreased along a link", False)
+        elif dt < 1 or (t > s_time + self.delta and t > link.last):
+            fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", True)
         elif self.exact and dt != self.delta:
-            fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", [s_ev, event])
+            fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", True)
         else:
             link.last = t
             return
         link.last = None
-        self.fails.setdefault(fail[0], fail[1:])
+        prop, detail, with_send = fail
+        if prop not in self.fails:
+            self.fails[prop] = (detail, [tr.send_event(s_time, src, event.process, s_msg), event] if with_send
+                                else [event])
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         if "net-fifo" not in self.fails and quiescent:
-            stuck = next((link[0] for link in self.links.values() if link), None)
+            stuck = next(((key, link[0]) for key, link in self.links.items() if link), None)
             if stuck:
-                self.fails["net-fifo"] = ("send never delivered by quiescence", [stuck])
+                (src, dst), (time, msg) = stuck
+                self.fails["net-fifo"] = ("send never delivered by quiescence", [tr.send_event(time, src, dst, msg)])
         return [_verdict(prop, self.fails.get(prop)) for prop in ("net-fifo", "net-delay-bounds")]
 
 
@@ -650,13 +697,9 @@ class _Network:
 
 
 class Metrics:
-    """A run's traffic, broadcast and instance counts (`summary`), and its suggest-complexity report.
+    """A run's traffic, broadcast and instance counts (`summary`), and its suggest-complexity report."""
 
-    The Sends of one broadcast share one `msg` dict and come in a row: each
-    such run of Sends from one sender is booked once, when it ends.
-    """
-
-    handles = {tr.SEND: "send"}
+    handles = {tr.SEND: "sends"}
 
     def __init__(self, cfg: CheckerConfig):
         self.n = cfg.n
@@ -664,54 +707,32 @@ class Metrics:
         self.sends_by_kind: dict[str, int] = {}
         self.total_bits = 0
         self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
-        self.last_suggest: dict[object, tr.TraceEvent] = {}
+        self.last_suggest: dict[object, tuple] = {}  # instance -> its last Suggest copy's (time, src, dst, msg)
         self.attempts: dict[tuple[str, str], set[int]] = {}
-        # The current run of Sends: its dict (held, so `is` is sound), sender, length and last event.
-        self.msg: dict | None = None
-        self.sender = None
-        self.copies = 0
-        self.tail: tr.TraceEvent | None = None
 
-    def send(self, event: tr.TraceEvent) -> None:
-        msg = event.payload["msg"]
-        if msg is not self.msg or event.process != self.sender:
-            self._book()
-            self.msg, self.sender = msg, event.process
-        self.copies += 1
-        self.tail = event
-
-    def _book(self) -> None:
-        msg, copies, sender = self.msg, self.copies, self.sender
-        if not copies:
-            return
-        self.copies = 0
-        kind = msg["kind"]
+    def sends(self, time: int, src: str, dsts, msg: dict) -> None:
+        copies, kind = len(dsts), msg["kind"]
         self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + copies
         self.total_bits += copies * 8 * (_WIRE_OVERHEAD_BYTES + len(msg.get("message", "")) // 2)  # Time/Suggest: 0
-        if kind == "Suggest" and sender in self.correct:
+        if kind == "Suggest" and src in self.correct:
             key = tr.instance_key_from_payload(msg["instance"])
             self.suggests[key] = self.suggests.get(key, 0) + copies
-            self.last_suggest[key] = self.tail
+            self.last_suggest[key] = (time, src, dsts[-1], msg)
         elif kind == "Message":
-            self.attempts.setdefault((sender, msg["message"]), set()).add(msg["bet"])
-
-    @property
-    def max_suggest(self) -> int:
-        self._book()
-        return max(self.suggests.values(), default=0)
+            self.attempts.setdefault((src, msg["message"]), set()).add(msg["bet"])
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         """Correct servers' Suggest traffic stays within n^2 sends per instance."""
         limit = self.n * self.n
-        top = self.max_suggest
+        top = max(self.suggests.values(), default=0)
         over = next((key for key, count in self.suggests.items() if count > limit), None)
         if over is not None:
             detail = f"{self.suggests[over]} Suggest sends from correct servers exceeds n^2={limit}"
-            return [_fail("suggest-complexity", f"instance {_fmt_key(over)}: {detail}", [self.last_suggest[over]])]
+            return [_fail("suggest-complexity", f"instance {_fmt_key(over)}: {detail}",
+                          [tr.send_event(*self.last_suggest[over])])]
         return [_ok("suggest-complexity", f"max {top} Suggest sends per instance (limit {limit})")]
 
     def summary(self, quiescent: bool, run: CheckPass) -> dict:
-        self._book()
         per_broadcast = []
         for event in run.kept[tr.BROADCAST]:
             client, message, at = event.process, event.payload["message"], event.time
@@ -734,7 +755,7 @@ class Metrics:
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
             "total_bits": self.total_bits,
             "consensus_instances": sum(1 for entry in run.instances.values() if entry[tr.PROPOSE]),
-            "max_suggest_sends_per_instance": self.max_suggest,
+            "max_suggest_sends_per_instance": max(self.suggests.values(), default=0),
             "per_broadcast": per_broadcast,
         }
 

@@ -47,7 +47,7 @@ def _cmd_run(args) -> tuple[int, list[str]]:
     report_path = Path(args.report) if args.report else _out_dir() / f"{scenario.name}.report.json"
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     with open(trace_path, "w") as fh:
-        result = run_checked(scenario, TraceWriter(fh).write)
+        result = run_checked(scenario, TraceWriter(fh))
     _write_json(report_path, result.report_dict())
 
     lines = [f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "

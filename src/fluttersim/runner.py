@@ -85,20 +85,28 @@ class RunResult(Record):
         }
 
 
+class _Tee:
+    """A simulator sink that hands each event and send call to `first`, then to `then`."""
+
+    def __init__(self, first, then):
+        self.event = lambda event: (first.event(event), then.event(event))
+        self.sends = lambda *call: (first.sends(*call), then.sends(*call))
+
+
 def run_checked(scenario: Scenario, sink=None) -> RunResult:
-    """Simulate `scenario` with no trace kept, checking each event as emitted (after `sink`, if given)."""
+    """Simulate `scenario` with no trace kept, checking each event as emitted (after `sink`, a simulator sink)."""
     sim = build_simulation(scenario)
     checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False))
-    sim.sink = checks.feed if sink is None else lambda event, feed=checks.feed: (sink(event), feed(event))
+    sim.sink = checks if sink is None else _Tee(sink, checks)
     quiescent = sim.run(until=scenario.until)
-    sim.sink = sim.trace.append  # the simulator is cyclic garbage: unhooked, the pass is freed at once
+    sim.sink = sim.trace  # the simulator is cyclic garbage: unhooked, the pass is freed at once
     return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(quiescent, checks))
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate and check `scenario`, keeping its trace."""
-    trace: list[tr.TraceEvent] = []
-    return run_checked(scenario, trace.append).replace(trace=trace)
+    trace = tr.Trace()
+    return run_checked(scenario, trace).replace(trace=trace)
 
 
 def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: bool) -> dict:

@@ -2,8 +2,9 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets, local-time timers, and full tracing:
-every event goes to `sink` (`trace.append`, or a check pass in
-`runner.run_checked`), which `run()` reads when it starts.
+`sink` (the kept `trace`, or a check pass in `runner.run_checked`), which
+`run()` reads when it starts, takes every other event with `event(ev)`
+and each send call once with `sends(time, src, dsts, msg)`.
 `Simulator.send` is the one send path: a call renders its message once
 and sends a copy to each destination, so a broadcast is one call. The
 Deliver events of one call share one payload dict.
@@ -20,7 +21,7 @@ import random
 from heapq import heappop, heappush
 
 from .errors import BudgetExceededError, ConfigError
-from .trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, TraceEvent
+from .trace import DELIVER, DEP_DECIDE, TIMER_FIRE, Trace, TraceEvent
 from .types import SimTime, WireMessage, instance_payload, wire_payload
 
 _DELIVER = 0
@@ -134,8 +135,8 @@ class Simulator:
         self.clock = clock or ClockModel()
         self.step_budget = step_budget
         self.now: SimTime = 0
-        self.trace: list[TraceEvent] = []
-        self.sink = self.trace.append  # takes every emitted event; replace it to keep no trace
+        self.trace = Trace()
+        self.sink = self.trace  # takes every event and send call; replace it to keep no trace
         self.handlers: dict[str, object] = {}
         self.contexts: dict[str, Context] = {}
         self.servers: list[str] = []
@@ -163,38 +164,35 @@ class Simulator:
         bucket.append((kind, a, b, c, d))
 
     def emit(self, process: str, kind: str, payload: dict) -> None:
-        self.sink(TraceEvent(self.now, process, kind, payload))
+        self.sink.event(TraceEvent(self.now, process, kind, payload))
 
     def send(self, src: str, dsts: list[str] | tuple[str, ...], msg: WireMessage) -> None:
-        """Send `msg` from `src` to each of `dsts` in order.
-
-        The message is rendered once: every Send event of the call and the
-        Deliver event of each copy hold the same `msg` dict, and the Deliver
-        events all hold the same payload dict.
-        """
+        """Send `msg`, rendered once, from `src` to each of `dsts` in order (all checked first), as one sink call."""
+        handlers = self.handlers
+        if not all(map(handlers.__contains__, dsts)):
+            raise ConfigError(f"send to unknown process {next(d for d in dsts if d not in handlers)}")
         wire = wire_payload(msg)
         delivered = {"src": src, "msg": wire}
         links = self._links.get(src)
         if links is None:
             links = self._links[src] = {}
-        now, delay, sink, buckets = self.now, self.strategy.delay, self.sink, self._buckets
+        now, delay, buckets = self.now, self.strategy.delay, self._buckets
         for dst in dsts:
             link = links.get(dst)
             if link is None:
-                if dst not in self.handlers:
-                    raise ConfigError(f"send to unknown process {dst}")
                 link = links[dst] = [0, 0]
             when = now + delay(src, dst, link[1])
             link[1] += 1
             if when < link[0]:  # FIFO repair: never deliver before an earlier send
                 when = link[0]
             link[0] = when
-            sink(TraceEvent(now, src, SEND, {"dst": dst, "msg": wire}))
             bucket = buckets.get(when)
             if bucket is None:
                 bucket = buckets[when] = []
                 heappush(self._times, when)
             bucket.append((_DELIVER, src, dst, msg, delivered))
+        if dsts:
+            self.sink.sends(now, src, dsts, wire)
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
         self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
@@ -225,8 +223,8 @@ class Simulator:
         resumes where it stopped. A run that raised cannot be resumed.
         """
         self.start()
-        buckets, times, handlers, contexts, sink = self._buckets, self._times, self.handlers, self.contexts, self.sink
-        budget, steps = self.step_budget, self._steps
+        buckets, times, handlers, contexts = self._buckets, self._times, self.handlers, self.contexts
+        sink, budget, steps = self.sink.event, self.step_budget, self._steps
         try:
             while times:
                 time = times[0]

@@ -12,8 +12,9 @@ those sends hold the same `msg` dict, and the Deliver events of the call
 share one payload dict. Treat payloads as read-only; code that edits one
 must copy the event (say, with copy.deepcopy) first, or the edit shows up
 in every event sharing it.
-A run reaches the checkers, and `fluttersim run`'s `TraceWriter`, one event
-at a time from the simulator; `read_trace` streams a saved trace back so.
+A run reaches its sink (a `Trace`, the checkers, `fluttersim run`'s
+`TraceWriter`) one event at a time, but each send call once; a `Trace`
+keeps a Send event per copy. `read_trace` streams a saved trace back.
 """
 
 from __future__ import annotations
@@ -63,49 +64,84 @@ class TraceEvent(Record):
         return render({"time": self.time, "process": self.process, "kind": self.kind, "payload": self.payload})
 
 
+def send_event(time: int, src: str, dst: str, msg) -> TraceEvent:
+    """The Send event of the copy of a send call that goes to `dst`."""
+    return TraceEvent(time, src, SEND, {"dst": dst, "msg": msg})
+
+
+class Trace(list):
+    """A kept trace, and the simulator's sink that keeps it: each event, and each send call as its Send events."""
+
+    event = list.append
+
+    def sends(self, time: int, src: str, dsts, msg) -> None:
+        self.extend([TraceEvent(time, src, SEND, {"dst": dst, "msg": msg}) for dst in dsts])
+
+
 class TraceWriter:
-    """Writes trace events to an open text file one at a time, each as `to_line` renders it."""
+    """A sink that writes each event, and each send call's Send events, to an open text file as `to_line` would."""
 
     def __init__(self, fh):
         self.fh = fh
-        # A call's Sends hold one msg dict, as does each copy's Deliver, so a message's line tails are built once:
-        # id(msg) -> [msg, tail, sender JSON + tail, sender, copies in flight]; holding msg keeps its id() unique.
+        # id(msg) -> [msg (held, so its id() stays unique), sender JSON + line tail, sender, copies in flight]
         self.msgs: dict[int, list] = {}
 
-    def write(self, ev: TraceEvent) -> None:
-        kind, process, payload, msgs = ev.kind, ev.process, ev.payload, self.msgs
-        sending, peer_key = (True, "dst") if kind == SEND else (False, "src")
-        # Only an int time, str names and a dict payload of exactly {peer_key, "msg"} take the cached path.
-        if ((not sending and kind != DELIVER) or type(ev.time) is not int or type(payload) is not dict
-                or len(payload) != 2 or next(iter(payload)) != peer_key or "msg" not in payload
-                or type(process) is not str or type(peer := payload[peer_key]) is not str):
+    def sends(self, time: int, src: str, dsts, msg) -> None:
+        """One send call, with an int time and str names: a Send line per copy, in one write."""
+        tail = f',"msg":{render(msg)}}}}}\n'
+        head = f'{{"time":{time},"process":{_quote(src)},"kind":"Send","payload":{{"dst":'
+        self.fh.write("".join([f"{head}{_quote(dst)}{tail}" for dst in dsts]))
+        self.msgs.setdefault(id(msg), [msg, _quote(src) + tail, src, 0])[3] += len(dsts)
+
+    def event(self, ev: TraceEvent) -> None:
+        """One event that is no Send call's copy."""
+        payload = ev.payload
+        # Only a Deliver with an int time, str names and a dict payload of exactly {"src", "msg"} takes the cached path.
+        if (ev.kind != DELIVER or type(ev.time) is not int or type(payload) is not dict or len(payload) != 2
+                or next(iter(payload)) != "src" or "msg" not in payload or type(ev.process) is not str
+                or type(src := payload["src"]) is not str):
             self.fh.write(ev.to_line() + "\n")
             return
+        msgs = self.msgs
         entry = msgs.get(id(msg := payload["msg"]))
-        if sending:
-            if entry is None:
-                tail = f',"msg":{render(msg)}}}}}\n'
-                entry = msgs[id(msg)] = [msg, tail, _quote(process) + tail, process, 0]
-            entry[4] += 1
-            self.fh.write(f'{{"time":{ev.time},"process":{_quote(process)},"kind":"Send","payload":{{"dst":'
-                          f'{_quote(peer)}{entry[1]}')
-        elif entry is None or entry[3] != peer:  # no matching Send: the stream (say, read from a file) shares no dicts
+        if entry is None or entry[2] != src:  # no matching Send: the stream (say, read from a file) shares no dicts
             msgs.clear()
             self.fh.write(ev.to_line() + "\n")
-        else:
-            entry[4] -= 1
-            if not entry[4]:
-                del msgs[id(msg)]
-            self.fh.write(f'{{"time":{ev.time},"process":{_quote(process)},"kind":"Deliver","payload":{{"src":'
-                          f'{entry[2]}')
+            return
+        entry[3] -= 1
+        if not entry[3]:
+            del msgs[id(msg)]
+        self.fh.write(f'{{"time":{ev.time},"process":{_quote(ev.process)},"kind":"Deliver","payload":{{"src":'
+                      f'{entry[1]}')
+
+    def write(self, events) -> None:
+        """Write `events`; consecutive Sends with one time, sender and `msg` dict are one call's copies, if each has
+        an int time, str names and a dict payload of exactly {"dst", "msg"}."""
+        event, sends = self.event, self.sends
+        dsts = time = src = msg = None  # the pending call, if dsts is a list
+        for ev in events:
+            payload = ev.payload
+            if (ev.kind != SEND or type(payload) is not dict or len(payload) != 2 or next(iter(payload)) != "dst"
+                    or "msg" not in payload or type(dst := payload["dst"]) is not str or type(ev.time) is not int
+                    or type(ev.process) is not str):
+                if dsts is not None:
+                    sends(time, src, dsts, msg)
+                    dsts = None
+                event(ev)
+            elif payload["msg"] is msg and dsts is not None and ev.time == time and ev.process == src:
+                dsts.append(dst)
+            else:
+                if dsts is not None:
+                    sends(time, src, dsts, msg)
+                dsts, time, src, msg = [dst], ev.time, ev.process, payload["msg"]
+        if dsts is not None:
+            sends(time, src, dsts, msg)
 
 
 def write_trace(path, events) -> None:
     """Write `events`, any iterable of trace events, as JSONL."""
     with open(path, "w") as fh:
-        write = TraceWriter(fh).write
-        for ev in events:
-            write(ev)
+        TraceWriter(fh).write(events)
 
 
 def read_trace(path):

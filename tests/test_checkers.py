@@ -497,6 +497,14 @@ def test_the_check_drivers_add_up_to_run_all_checks(name, cut):
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in run_all_checks(trace, cfg)]
 
 
+def test_a_pass_with_no_send_consumer_leaves_sends_unread():
+    # Only the network and the metrics take send calls; the other drivers never read a Send's payload.
+    trace, cfg = clean_run()
+    odd = [*trace, TraceEvent(trace[-1].time, "s000", SEND, None)]
+    for driver in (check_tob, check_consensus, check_latency, check_server_invariants):
+        assert [r.to_dict() for r in driver(odd, cfg)] == [r.to_dict() for r in driver(trace, cfg)]
+
+
 def test_an_empty_trace_leaves_tob_validity_not_applicable():
     cfg = CheckerConfig.from_scenario(load_scenario(SCENARIOS_DIR / "goodcase.json"), quiescent=True)
     assert [r.verdict for r in check_tob([], cfg) if r.prop == "tob-validity"] == [NA]

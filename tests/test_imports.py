@@ -1,7 +1,7 @@
 """Source rules: a stdlib-only package, no `dataclasses` import and a start-up that loads neither
-`dataclasses` nor `inspect`, a checker that shares no protocol code, hex read in one module, fan-out and
-Deliver events in the simulator, one module that hooks the simulator's sink, no scenario field that is
-stored and never read, and no behavior param that no bundled scenario sets."""
+`dataclasses` nor `inspect` and compiles a bounded source, a checker that shares no protocol code, hex read
+in one module, fan-out and Deliver events in the simulator, one module that hooks the simulator's sink, no
+scenario field that is stored and never read, and no behavior param that no bundled scenario sets."""
 
 from __future__ import annotations
 
@@ -71,6 +71,27 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines() == [str(PACKAGE / "__init__.py"), "[]"]
+
+
+# Compiling the package's source is most of what `import fluttersim` costs (ROADMAP Baseline), so the lines of the
+# modules it loads are a budget. A change that grows them raises the ceiling and says why in CHANGES.md.
+LOADED_LINES_CEILING = 2574
+LOADED_LINES = """
+import sys
+import fluttersim
+loaded = [m for name, m in sys.modules.items() if name.partition(".")[0] == "fluttersim"]
+print(len(loaded), sum(len(open(m.__file__, encoding="utf-8").readlines()) for m in loaded))
+"""
+
+
+def test_start_up_loads_a_bounded_source():
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_LINES],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True,
+    )
+    modules, lines = map(int, out.stdout.split())
+    assert modules > 10
+    assert lines <= LOADED_LINES_CEILING
 
 
 def test_checker_replay_imports_no_protocol_module():

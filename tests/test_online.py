@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -9,11 +11,12 @@ import pytest
 from fluttersim import trace as tr
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, CheckerConfig, check_pass, run_all_checks
-from fluttersim.runner import _run_one, campaign_variant, compute_metrics
+from fluttersim.runner import _run_one, campaign_variant, compute_metrics, run_campaign
 from fluttersim.scenario import load_scenario
 from fluttersim.server import FlutterServer
 
 from conftest import SCENARIOS_DIR, simulate
+from test_golden import CAMPAIGN_DIGEST
 
 BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
 POLICIES = ["adversarial_value", "adversarial_timing"]
@@ -54,6 +57,22 @@ def test_run_in_two_parts_matches_feeding_every_event(name):
     assert (ran.events, ran.last) == (fed.events, fed.last) == (len(trace), trace[-1])
     assert [r.to_dict() for r in ran.finish(quiescent)] == [r.to_dict() for r in fed.finish(quiescent)]
     assert ran.metrics.summary(quiescent, ran) == fed.metrics.summary(quiescent, fed)
+
+
+def test_a_checked_campaign_builds_no_send_event(monkeypatch):
+    # The live path hands each send call to the check pass once, and no report of these runs names a Send.
+    built = Counter()
+    real = tr.TraceEvent.__init__
+
+    def counting(self, time, process, kind, payload):
+        built[kind] += 1
+        real(self, time, process, kind, payload)
+
+    monkeypatch.setattr(tr.TraceEvent, "__init__", counting)
+    summary = run_campaign(campaign_base(), range(5), sorted(BEHAVIORS))
+    assert built[tr.SEND] == 0 and built[tr.DELIVER] > 5_000
+    rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(rendered.encode()).hexdigest() == CAMPAIGN_DIGEST
 
 
 def test_metrics_book_a_shared_message_per_sender():

@@ -125,7 +125,8 @@ def ref_complexity(trace, cfg: CheckerConfig) -> dict:
             last = [e for e in suggests if e.payload["msg"]["instance"] == key][-1]
             detail = f"instance {fmt_instance(key)}: {count} Suggest sends from correct servers exceeds n^2={limit}"
             return verdict("suggest-complexity", (detail, [last]))
-    return verdict("suggest-complexity", None, f"max {max(counts, default=0)} Suggest sends per instance (limit {limit})")
+    top = max(counts, default=0)
+    return verdict("suggest-complexity", None, f"max {top} Suggest sends per instance (limit {limit})")
 
 
 def ref_metrics(trace, cfg: CheckerConfig) -> dict:

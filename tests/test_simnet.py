@@ -96,6 +96,19 @@ def test_send_to_unknown_process_is_config_error():
         sim.run()
 
 
+def test_a_send_call_with_an_unknown_destination_sends_no_copy():
+    # Every destination is checked before any copy is scheduled or handed to the sink.
+    sim = Simulator(Scripted(10, {"a->b": [3, 4]}))
+    for name in "ab":
+        sim.add_process(name, "server", Sink())
+    with pytest.raises(ConfigError, match="ghost"):
+        sim.send("a", ["b", "ghost", "a"], Time(1))
+    assert sim.trace == [] and sim._links == {} and sim._times == []
+    sim.send("a", ["b"], Time(2))  # the failed call drew no delay: this copy takes the link's first one
+    assert sim.run()
+    assert [(e.time, e.kind, e.process) for e in sim.trace] == [(0, SEND, "a"), (3, DELIVER, "b")]
+
+
 class LocalTimerProbe:
     fired_global = None
     fired_local = None
@@ -360,11 +373,13 @@ class HeapSimulator(Simulator):
         for dst in dsts:
             if dst not in self.handlers:
                 raise ConfigError(f"send to unknown process {dst}")
+        for dst in dsts:
             link = links.setdefault(dst, [0, 0])
             when = max(self.now + self.strategy.delay(src, dst, link[1]), link[0])
             link[0], link[1] = when, link[1] + 1
-            self.sink(TraceEvent(self.now, src, SEND, {"dst": dst, "msg": wire}))
             self._push(when, simnet._DELIVER, src, dst, msg, delivered)
+        if dsts:
+            self.sink.sends(self.now, src, dsts, wire)
 
     def run(self, until=None):
         self.start()
@@ -377,13 +392,13 @@ class HeapSimulator(Simulator):
             time, _seq, kind, a, b, c, d = heapq.heappop(self._heap)
             self.now = time
             if kind == simnet._DELIVER:
-                self.sink(TraceEvent(time, b, DELIVER, d))
+                self.sink.event(TraceEvent(time, b, DELIVER, d))
                 self.handlers[b].on_deliver(self.contexts[b], a, c)
             elif kind == simnet._TIMER:
-                self.sink(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
+                self.sink.event(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
                 self.handlers[a].on_timer(self.contexts[a], b)
             else:
-                self.sink(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                self.sink.event(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
                 self.handlers[a].on_dep_decide(self.contexts[a], b, c)
         return True
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, run_all_checks
-from fluttersim.runner import campaign_variant, run_scenario
+from fluttersim import cli
+from fluttersim.runner import campaign_variant, run_checked, run_scenario
 from fluttersim.scenario import load_scenario
 from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, TraceWriter, read_trace, render, write_trace
 
@@ -93,20 +94,95 @@ def test_writer_matches_to_line_on_hand_built_events(tmp_path):
     assert written(tmp_path, (copy.deepcopy(e) for e in trace)) == lines_of(trace)
 
 
+class HeldSpy:
+    """A sink in front of a writer. After every call and event it checks that the writer holds a message only while
+    copies of it are in flight, and, where a stream's Sends and Delivers share dicts, exactly then."""
+
+    def __init__(self, writer):
+        self.writer = writer
+        self.flying: dict[int, list] = {}  # id(msg) -> [msg (held, so its id() stays unique), copies in flight]
+        self.in_flight = 0  # copies sent and not yet delivered, of any message
+        self.copies: list[int] = []  # each call's copies
+
+    def sends(self, time, src, dsts, msg):
+        self.writer.sends(time, src, dsts, msg)
+        self.copies.append(len(dsts))
+        self.sent(msg, len(dsts))
+        self.check(exact=True)
+
+    def event(self, ev):
+        self.writer.event(ev)
+        self.seen(ev)
+        self.check(exact=True)
+
+    def write(self, events, shared):
+        """`events` through the writer's own `write`, checked after it takes each one. A call's run of Sends is
+        handed on when the run ends, so the exact check waits for an event that is no Send."""
+        def taken():
+            for ev in events:
+                yield ev  # `write` asks for the next event only once it has taken this one
+                self.seen(ev)
+                self.check(exact=shared and ev.kind != SEND)
+
+        self.writer.write(taken())
+
+    def sent(self, msg, copies):
+        self.flying.setdefault(id(msg), [msg, 0])[1] += copies
+        self.in_flight += copies
+
+    def seen(self, ev):
+        if ev.kind == SEND:
+            self.sent(ev.payload["msg"], 1)
+        elif ev.kind == DELIVER:
+            self.in_flight -= 1
+            entry = self.flying.get(id(msg := ev.payload["msg"]))
+            if entry is not None and entry[0] is msg:
+                entry[1] -= 1
+                if not entry[1]:  # the k-th Deliver of a k-copy call releases its dict
+                    del self.flying[id(msg)]
+
+    def check(self, exact):
+        held = self.writer.msgs.keys()
+        assert len(held) <= self.in_flight
+        assert held == self.flying.keys() if exact else held <= self.flying.keys()
+
+    def done(self):
+        assert self.in_flight == 0 and self.writer.msgs == {}
+
+
 def test_writer_holds_only_messages_in_flight(tmp_path):
-    trace = named_trace("goodcase")
-    path = tmp_path / "trace.jsonl"
-    write_trace(path, trace)
-    for stream in (trace, read_trace(path)):  # dicts shared by a call's events, or one set per line
-        with open(tmp_path / "again.jsonl", "w") as fh:
-            writer = TraceWriter(fh)
-            in_flight = held = 0
-            for event in stream:
-                writer.write(event)
-                in_flight += (event.kind == SEND) - (event.kind == DELIVER)
-                held = max(held, len(writer.msgs) - in_flight)
-        assert (in_flight, len(writer.msgs), held) == (0, 0, 0)
-        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    for name in ("goodcase", "campaign+equivocator"):
+        trace = named_trace(name)
+        expected = written(tmp_path, trace)
+        out = tmp_path / "again.jsonl"
+
+        def spied(feed):
+            with open(out, "w") as fh:
+                spy = HeldSpy(TraceWriter(fh))
+                feed(spy)
+            spy.done()
+            assert out.read_bytes() == expected
+            return spy
+
+        # A live run hands the writer each send call once: broadcasts, and one-copy calls.
+        spy = spied(lambda spy: run_checked(named_scenario(name), spy))
+        assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
+        # The kept trace (shared dicts), event by event, each Send a one-copy call.
+        spy = spied(lambda spy: [spy.sends(e.time, e.process, [e.payload["dst"]], e.payload["msg"]) if e.kind == SEND
+                                 else spy.event(e) for e in trace])
+        assert spy.flying == {} and set(spy.copies) == {1}
+        # The kept trace through `write`, which regroups its calls.
+        assert spied(lambda spy: spy.write(trace, shared=True)).flying == {}
+        # Read back, no two lines share a dict: no Deliver finds its Send's entry, and the writer keeps none.
+        spied(lambda spy: spy.write(read_trace(tmp_path / "trace.jsonl"), shared=False))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_streamed_run_writes_the_kept_trace(tmp_path, name):
+    # `fluttersim run` streams each send call to the writer; `write_trace` regroups the kept trace's copies.
+    assert cli.main(["run", str(SCENARIOS_DIR / f"{name}.json"), "--trace", str(tmp_path / "streamed.jsonl"),
+                     "--report", str(tmp_path / "report.json")]) in (cli.EXIT_OK, cli.EXIT_FAIL)
+    assert (tmp_path / "streamed.jsonl").read_bytes() == written(tmp_path, named_trace(name))
 
 
 @pytest.mark.parametrize(
