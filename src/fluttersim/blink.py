@@ -69,6 +69,11 @@ class BlinkInstance:
         self.host.on_decided(ctx, self.key, value)
 
 
+def propose_token(label: str, value: bool) -> str:
+    """The timer token of a scripted proposal, which `BlinkNode.on_timer` reads back."""
+    return f"propose@{label}:{1 if value else 0}"
+
+
 class BlinkNode:
     """Consensus server hosting BlinkInstances; alone it runs scripted proposals.
 

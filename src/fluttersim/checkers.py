@@ -139,49 +139,31 @@ def _check_termination(prop, label, proposals, decides, correct, quiescent, unpr
     return _ok(prop, label)
 
 
-class CheckerConfig(Record):
+class CheckerConfig:
+    """The facts a run is judged against, each worked out once from its scenario; only `quiescent` is given."""
+
     __slots__ = ("kind", "n", "f", "delta", "drift", "epsilon", "strategy", "servers", "correct_servers", "clients",
                  "honest_clients", "correct_clients", "quiescent", "delta_estimates", "scripts")
 
-    def __init__(self, kind: str, n: int, f: int, delta: int, drift: int, epsilon: int, strategy: str,
-                 servers: list[str], correct_servers: list[str], clients: list[str], honest_clients: list[str],
-                 correct_clients: list[str], quiescent: bool, delta_estimates: dict[str, int],
-                 scripts: dict[str, list[str]]):
-        self.kind = kind
-        self.n = n
-        self.f = f
-        self.delta = delta
-        self.drift = drift
-        self.epsilon = epsilon
-        self.strategy = strategy
-        self.servers = servers
-        self.correct_servers = correct_servers
-        self.clients = clients
-        self.honest_clients = honest_clients
-        self.correct_clients = correct_clients
+    def __init__(self, scenario, quiescent: bool):
+        self.kind = scenario.kind
+        self.n = scenario.n
+        self.f = scenario.f
+        self.delta = scenario.delta
+        self.drift = scenario.drift
+        self.epsilon = scenario.epsilon
+        self.strategy = scenario.network.strategy
+        self.servers = scenario.servers
+        self.correct_servers = scenario.correct_servers
+        self.clients = scenario.client_names
+        self.honest_clients = scenario.honest_clients()
+        self.correct_clients = scenario.correct_clients()
         self.quiescent = quiescent  # read by the check_* drivers; a CheckPass takes it in finish()
-        self.delta_estimates = delta_estimates  # client -> its guess of delta
-        self.scripts = scripts  # client -> the message hexes it is scripted to broadcast
+        self.delta_estimates = {c.name: c.delta_estimate for c in scenario.clients}  # client -> its guess of delta
+        # client -> the message hexes it is scripted to broadcast
+        self.scripts = {c.name: [b.message for b in c.broadcasts] for c in scenario.clients}
 
-    @classmethod
-    def from_scenario(cls, scenario, quiescent: bool) -> "CheckerConfig":
-        return cls(
-            kind=scenario.kind,
-            n=scenario.n,
-            f=scenario.f,
-            delta=scenario.delta,
-            drift=scenario.drift,
-            epsilon=scenario.epsilon,
-            strategy=scenario.network.strategy,
-            servers=scenario.servers,
-            correct_servers=scenario.correct_servers,
-            clients=scenario.client_names,
-            honest_clients=scenario.honest_clients(),
-            correct_clients=scenario.correct_clients(),
-            quiescent=quiescent,
-            delta_estimates={c.name: c.delta_estimate for c in scenario.clients},
-            scripts={c.name: [b.message for b in c.broadcasts] for c in scenario.clients},
-        )
+    from_scenario = classmethod(type.__call__)  # the spelling every caller uses: from_scenario(scenario, quiescent)
 
     @property
     def good_case(self) -> bool:
@@ -228,10 +210,6 @@ class CheckPass:
         if type(self._last) is tuple:
             self._last = tr.send_event(*self._last)
         return self._last
-
-    def feed(self, event: tr.TraceEvent) -> None:
-        """One event of any kind; a Send goes on as a one-copy call."""
-        self.run((event,))
 
     def event(self, event: tr.TraceEvent) -> None:
         """One event that is no Send."""
@@ -546,7 +524,7 @@ class _ServerInvariants:
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         self.replays = {s: _ServerReplay(s, cfg.servers, cfg.f) for s in cfg.correct_servers}
-        self.violation: tuple[str, tr.TraceEvent] | None = None
+        self.fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}  # lock property -> its first (detail, witness)
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
     def deliver(self, event: tr.TraceEvent) -> None:
@@ -560,10 +538,11 @@ class _ServerInvariants:
             if kind == "Time":
                 before = replay.lock
                 replay.time(src, msg["time"], event)
-                broken = ("server-lock-monotonic" if replay.lock < before
-                          else "server-lock-vs-local" if self.lock_within_local and replay.lock > event.time else None)
-                if broken and self.violation is None:
-                    self.violation = (broken, event)
+                if replay.lock < before:
+                    self.fails.setdefault("server-lock-monotonic", (f"lock time decreased at {event.process}", [event]))
+                if self.lock_within_local and replay.lock > event.time:
+                    self.fails.setdefault("server-lock-vs-local",
+                                          (f"lock time passed local time at {event.process}", [event]))
             elif kind == "Observe":
                 replay.spot(_key_of(msg))
         elif kind == "Message" and src in self.clients:
@@ -580,14 +559,11 @@ class _ServerInvariants:
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         replays = self.replays.values()
-        broken, at = self.violation or (None, None)
-        reports = [_verdict("server-lock-monotonic",
-                            broken == "server-lock-monotonic" and (f"lock time decreased at {at.process}", [at]))]
+        reports = [_verdict("server-lock-monotonic", self.fails.get("server-lock-monotonic"))]
         if not self.lock_within_local:
             reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
         else:
-            reports.append(_verdict("server-lock-vs-local", broken == "server-lock-vs-local"
-                                    and (f"lock time passed local time at {at.process}", [at])))
+            reports.append(_verdict("server-lock-vs-local", self.fails.get("server-lock-vs-local")))
         if not quiescent:
             reports.append(_na("server-candidate-completeness", "run was cut before quiescence"))
         else:

@@ -12,7 +12,7 @@ import os
 
 from . import trace as tr
 from .adversary import BEHAVIORS
-from .blink import BlinkNode
+from .blink import BlinkNode, propose_token
 from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
 from .client import FlutterClient
 from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
@@ -57,7 +57,7 @@ def build_simulation(scenario: Scenario) -> Simulator:
                                     spec.crash_time)
         sim.add_process(spec.name, "client", handler)
     for entry in scenario.blink_script:
-        sim.schedule_global(entry.server, entry.at, f"propose@{entry.instance}:{1 if entry.value else 0}")
+        sim.schedule_global(entry.server, entry.at, propose_token(entry.instance, entry.value))
     return sim
 
 
@@ -98,8 +98,10 @@ def run_checked(scenario: Scenario, sink=None) -> RunResult:
     sim = build_simulation(scenario)
     checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False))
     sim.sink = checks if sink is None else _Tee(sink, checks)
-    quiescent = sim.run(until=scenario.until)
-    sim.sink = sim.trace  # the simulator is cyclic garbage: unhooked, the pass is freed at once
+    try:
+        quiescent = sim.run(until=scenario.until)
+    finally:  # the simulator is cyclic garbage: unhooked, the pass is freed at once, even when the run raises
+        sim.sink = sim.trace
     return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(quiescent, checks))
 
 

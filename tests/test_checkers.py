@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +16,7 @@ from fluttersim.checkers import (
     PASS,
     CheckerConfig,
     _lock_rank,
+    _ServerReplay,
     check_complexity,
     check_consensus,
     check_latency,
@@ -390,19 +392,26 @@ def test_one_extra_suggest_fails_complexity():
 
 
 def test_late_decide_fails_blink_latency():
-    scenario = load_scenario(SCENARIOS_DIR / "blink_fast.json")
-    trace, quiescent = simulate(scenario)
-    cfg = CheckerConfig.from_scenario(scenario, quiescent)
-    assert [r.verdict for r in check_latency(trace, cfg)] == [PASS, NA]
-    i = next(i for i, e in enumerate(trace) if e.kind == DECIDE and e.process == "s002")
-    late = trace[:i] + [trace[i].replace(time=trace[i].time + 1)] + trace[i + 1 :]
-    (report, _tob) = check_latency(late, cfg)
-    assert (report.prop, report.verdict) == ("latency-blink", FAIL)
-    assert report.detail == "instance label:i0: decide at t=11, expected exactly t=10"
-    assert report.witness == [
-        event(0, "s005", PROPOSE, {"instance": {"label": "i0"}, "value": True}),
-        event(11, "s002", DECIDE, {"instance": {"label": "i0"}, "value": True}),
-    ]
+    doc = json.loads((SCENARIOS_DIR / "blink_fast.json").read_text())
+    # Then with an instance i1 whose proposals split 3-3: it decides too, but only unanimous i0 is held to the bound.
+    split = [{"at": 0, "server": f"s00{i}", "instance": "i1", "value": i < 3} for i in range(6)]
+    for extra, decided in (([], {"i0"}), (split, {"i0", "i1"})):
+        scenario = parse_scenario({**doc, "blink_script": doc["blink_script"] + extra})
+        trace, quiescent = simulate(scenario)
+        cfg = CheckerConfig.from_scenario(scenario, quiescent)
+        assert {e.payload["instance"]["label"] for e in trace if e.kind == DECIDE} == decided
+        blink, tob = check_latency(trace, cfg)
+        assert (blink.verdict, tob.verdict) == (PASS, NA)
+        assert blink.detail == "1 unanimous instance(s) decided within one delta"
+        i = next(i for i, e in enumerate(trace) if e.kind == DECIDE and e.process == "s002")
+        late = trace[:i] + [trace[i].replace(time=trace[i].time + 1)] + trace[i + 1 :]
+        (report, _tob) = check_latency(late, cfg)
+        assert (report.prop, report.verdict) == ("latency-blink", FAIL)
+        assert report.detail == "instance label:i0: decide at t=11, expected exactly t=10"
+        assert report.witness == [
+            event(0, "s005", PROPOSE, {"instance": {"label": "i0"}, "value": True}),
+            event(11, "s002", DECIDE, {"instance": {"label": "i0"}, "value": True}),
+        ]
 
 
 def test_raised_time_reports_fail_lock_vs_local():
@@ -417,6 +426,25 @@ def test_raised_time_reports_fail_lock_vs_local():
     report = failing(trace, cfg, "server-lock-vs-local")
     assert report.detail == "lock time passed local time at s000"
     assert report.witness == [event(21, "s000", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 111}})]
+
+
+def test_each_lock_property_reports_its_own_first_failure(monkeypatch):
+    # A replay whose lock passes local time at its first Time and then falls by one tick at each later Time.
+    def time(self, src, t, event):
+        self.lock = event.time + 100 if self.lock == NEG_INF else self.lock - 1
+
+    monkeypatch.setattr(_ServerReplay, "time", time)
+    clean, cfg = goodcase_run()
+    times = [e for e in clean if e.kind == DELIVER and e.payload["msg"]["kind"] == "Time"]
+    # vs-local fails at the first Time delivered; monotonic at the first that is its server's second
+    first = times[0]
+    second = next(e for i, e in enumerate(times) if any(d.process == e.process for d in times[:i]))
+    reports = by_prop(check_server_invariants(clean, cfg))
+    vs_local, monotonic = reports["server-lock-vs-local"] + reports["server-lock-monotonic"]
+    assert (vs_local.verdict, vs_local.detail) == (FAIL, f"lock time passed local time at {first.process}")
+    assert (monotonic.verdict, monotonic.detail) == (FAIL, f"lock time decreased at {second.process}")
+    assert [vs_local.witness, monotonic.witness] == [[event(e.time, e.process, DELIVER, e.payload)]
+                                                     for e in (first, second)]
 
 
 def test_fail_reports_carry_witnesses():

@@ -11,7 +11,7 @@ import pytest
 from fluttersim import trace as tr
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, CheckerConfig, check_pass, run_all_checks
-from fluttersim.runner import _run_one, campaign_variant, compute_metrics, run_campaign
+from fluttersim.runner import _run_one, build_simulation, campaign_variant, compute_metrics, run_campaign
 from fluttersim.scenario import load_scenario
 from fluttersim.server import FlutterServer
 
@@ -41,22 +41,33 @@ def test_streamed_trace_checks_like_the_kept_trace(tmp_path, name):
     assert compute_metrics(tr.read_trace(path), scenario, quiescent) == compute_metrics(trace, scenario, quiescent)
 
 
-@pytest.mark.parametrize("name", ["goodcase", "campaign+equivocator"])
+# "goodcase@10" is cut by `until` right after s005's Suggest broadcast: the run ends on a send call.
+@pytest.mark.parametrize("name", ["goodcase", "goodcase@10", "campaign+equivocator"])
 def test_run_in_two_parts_matches_feeding_every_event(name):
+    name, _, until = name.partition("@")
     if name.startswith("campaign+"):
         scenario = campaign_variant(campaign_base(), name.split("+")[1], "adversarial_value", 3)
     else:
         scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    if until:
+        scenario = scenario.replace(until=int(until))
     trace, quiescent = simulate(scenario)
+    assert (trace[-1].kind == tr.SEND) == bool(until)
     cfg = CheckerConfig.from_scenario(scenario, quiescent)
     half = len(trace) // 2
     ran = check_pass(cfg).run(trace[:half]).run(iter(trace[half:]))
     fed = check_pass(cfg)
     for event in trace:
-        fed.feed(event)
-    assert (ran.events, ran.last) == (fed.events, fed.last) == (len(trace), trace[-1])
-    assert [r.to_dict() for r in ran.finish(quiescent)] == [r.to_dict() for r in fed.finish(quiescent)]
-    assert ran.metrics.summary(quiescent, ran) == fed.metrics.summary(quiescent, fed)
+        fed.run((event,))
+    live = check_pass(cfg)  # the simulator's sink, handed each send call once
+    sim = build_simulation(scenario)
+    sim.sink = live
+    assert sim.run(until=scenario.until) == quiescent
+    assert (ran.events, ran.last) == (fed.events, fed.last) == (live.events, live.last) == (len(trace), trace[-1])
+    for other in (fed, live):
+        assert [r.to_dict() for r in ran.finish(quiescent)] == [r.to_dict() for r in other.finish(quiescent)]
+        assert ran.metrics.summary(quiescent, ran) == other.metrics.summary(quiescent, other)
+    assert live.metrics.summary(quiescent, live)["final_time"] == trace[-1].time
 
 
 def test_a_checked_campaign_builds_no_send_event(monkeypatch):

@@ -184,7 +184,7 @@ def test_feed_run_and_read_back_agree(tmp_path, name):
     tr.write_trace(path, trace)
     fed = check_pass(cfg)
     for event in trace:
-        fed.feed(event)
+        fed.run((event,))
     passes = [fed, check_pass(cfg).run(trace), check_pass(cfg).run(tr.read_trace(path))]
     outcomes = [([r.to_dict() for r in p.finish(quiescent)], p.metrics.summary(quiescent, p), p.events, p.last)
                 for p in passes]

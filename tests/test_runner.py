@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import weakref
 
 import pytest
 
+from fluttersim import runner
 from fluttersim.adversary import BEHAVIORS, Mute
-from fluttersim.errors import OracleViolationError, ProtocolBugError, ScenarioError
-from fluttersim.runner import campaign_variant, run_campaign, run_scenario
+from fluttersim.errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
+from fluttersim.runner import campaign_variant, run_campaign, run_checked, run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
-from fluttersim.trace import APP_DELIVER, DECIDE, SEND
+from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, SEND
 
 from conftest import SCENARIOS_DIR, scenario_dict
 from test_golden import CAMPAIGN_DIGEST, sha256
@@ -115,14 +118,16 @@ def test_equivocator_frozen_outcome():
 
 
 def test_crashed_client_is_held_to_nothing_and_its_peer_still_delivers():
-    # c000 bets 0 + 1 + 1 = 2 and crashes at 5, before any Decision can reach it.
+    # c000 bets 0 + 1 + 1 = 2 and crashes at 5, before any Decision can reach it; c002 crashes before its broadcast.
     doc = scenario_dict(clients=[
         {"name": "c000", "delta_estimate": 1, "crash_time": 5, "broadcasts": [{"at": 0, "message": "6d"}]},
         {"name": "c001", "broadcasts": [{"at": 0, "message": "6e"}]},
+        {"name": "c002", "crash_time": 3, "broadcasts": [{"at": 4, "message": "6f"}]},
     ])
     result = run_scenario(parse_scenario(doc))
     assert result.quiescent
     assert not result.failed
+    assert [e.process for e in result.trace if e.kind == BROADCAST] == ["c000", "c001"]
     verdicts = {r.prop: (r.verdict, r.detail) for r in result.reports}
     assert verdicts["tob-validity"] == ("Pass", "1 broadcast(s) delivered everywhere")  # c001's only
     assert verdicts["latency-tob"][0] == verdicts["latency-blink"][0] == "NotApplicable"
@@ -249,3 +254,28 @@ def test_rerun_is_event_identical():
     a = run_bundled("campaign_base")
     b = run_bundled("campaign_base")
     assert [e.to_line() for e in a.trace] == [e.to_line() for e in b.trace]
+
+
+def test_a_run_frees_its_check_pass_at_once_even_when_it_raises(monkeypatch):
+    # The simulator is cyclic garbage: a pass still hooked on it would live until the next collection.
+    passes = []
+    real = runner.check_pass
+
+    def spy(cfg):
+        checks = real(cfg)
+        passes.append(weakref.ref(checks))
+        return checks
+
+    monkeypatch.setattr(runner, "check_pass", spy)
+    gc.disable()
+    try:
+        run_checked(parse_scenario(scenario_dict()))
+        try:
+            run_checked(parse_scenario(scenario_dict(step_budget=10)))
+        except BudgetExceededError:  # not bound to a name: its traceback, and the run's frame, go at once
+            pass
+        else:
+            pytest.fail("a run over its step budget must raise")
+        assert [ref() for ref in passes] == [None, None]
+    finally:
+        gc.enable()

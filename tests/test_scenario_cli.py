@@ -89,6 +89,10 @@ def test_scripted_delay_endpoints_must_exist():
         scenario_dict(network={"strategy": "scripted", "delays": {"s000->ghost": [1]}}),
         "ghost",
     )
+    reject(
+        scenario_dict(network={"strategy": "scripted", "delays": {"s000s001": [1]}}),
+        r"scenario.network.delays key 's000s001' must look like 'src->dst'",
+    )
 
 
 @pytest.mark.parametrize("delays", [[0], [11], [10, 1, 0], [1] * 40 + [11]])
@@ -125,6 +129,8 @@ def test_behavior_role_must_match_slot():
 
 def test_unknown_behavior_rejected():
     reject(scenario_dict(servers={"s005": {"behavior": "gremlin"}}), "gremlin")
+    reject(scenario_dict(servers={"s006": {"behavior": "mute"}}),
+           r"servers\['s006'\]: no such server \(servers are s000..s005\)")
 
 
 def test_client_name_collisions_rejected():
@@ -210,6 +216,7 @@ def test_blink_script_only_for_blink_kind():
         scenario_dict(blink_script=[{"at": 0, "server": "s000", "instance": "i0", "value": True}]),
         "blink",
     )
+    reject(scenario_dict(kind="blink"), "kind 'blink' takes no clients")  # scenario_dict has client c000
 
 
 def test_blink_duplicate_proposal_rejected():
@@ -222,6 +229,13 @@ def test_blink_duplicate_proposal_rejected():
         ],
     )
     reject(doc, "i0")
+    doc = scenario_dict(
+        kind="blink",
+        clients=[],
+        servers={"s005": {"behavior": "mute"}},
+        blink_script=[{"at": 0, "server": "s005", "instance": "i0", "value": True}],
+    )
+    reject(doc, r"blink_script\[0\]: s005 is Byzantine and cannot be scripted")
 
 
 # --- every field, any JSON value ---
@@ -427,6 +441,9 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     code = cli.main(["run", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"  # unreadable: no such file
+    assert cli.main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario {missing}: ")
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
+from fluttersim.scenario import Scenario
 from fluttersim.server import FlutterServer
 from fluttersim.trace import APP_DELIVER, DELIVER, TraceEvent
 from fluttersim.types import NEG_INF, BroadcastTuple, Observe, Time, quorum_large
@@ -128,9 +129,7 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
     srv = FlutterServer("s000", f, oracle=None)
     srv.remote_times = dict.fromkeys(names, NEG_INF)
     ctx = FakeCtx()
-    cfg = CheckerConfig(kind="flutter", n=len(names), f=f, delta=10, drift=0, epsilon=1, strategy="exact_delta",
-                        servers=names, correct_servers=names, clients=[], honest_clients=[], correct_clients=[],
-                        quiescent=False, delta_estimates={}, scripts={})
+    cfg = CheckerConfig.from_scenario(Scenario(name="lock", kind="flutter", n=len(names), f=f, delta=10), False)
     invariants = _ServerInvariants(cfg)
     replay = invariants.replays["s000"]
     for i, (sender, how, by) in enumerate(steps):
@@ -143,7 +142,7 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
         assert replay.remote_times == srv.remote_times
         assert replay.lock == _lock_rank(replay.remote_times.values(), f) == srv._lock
         assert replay.above == srv._above
-    assert invariants.violation is None
+    assert invariants.fails == {}
 
 
 def test_spot_new_tuple_relays_then_schedules_then_observes():

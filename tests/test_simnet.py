@@ -92,6 +92,8 @@ def test_scripted_falls_back_to_delta_when_list_exhausted():
 def test_send_to_unknown_process_is_config_error():
     sim = Simulator(ExactDelta(5))
     sim.add_process("a", "server", SendAt("ghost", [0]))
+    with pytest.raises(ConfigError, match="duplicate process a"):
+        sim.add_process("a", "client", Sink())
     with pytest.raises(ConfigError):
         sim.run()
 

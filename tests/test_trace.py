@@ -25,11 +25,13 @@ CAMPAIGN = [f"campaign+{b}" for b in sorted(BEHAVIORS)]
 
 
 def named_scenario(name):
-    """A bundled scenario, or for "campaign+<behavior>" a campaign_base variant."""
+    """A bundled scenario, or for "campaign+<behavior>" a campaign_base variant; "<name>@<t>" cuts it at t."""
+    name, _, until = name.partition("@")
     if name.startswith("campaign+"):
         base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
         return campaign_variant(base, name.split("+")[1], "adversarial_value", 3)
-    return load_scenario(SCENARIOS_DIR / f"{name}.json")
+    scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    return scenario.replace(until=int(until)) if until else scenario
 
 
 def named_trace(name):
@@ -50,10 +52,11 @@ def lines_of(trace) -> bytes:
                    for e in trace).encode()
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+# "goodcase@10" ends on the Sends of s005's Suggest broadcast: `write` must flush its last pending call.
+@pytest.mark.parametrize("name", BUNDLED + ["goodcase@10"])
 def test_writer_matches_to_line_on_bundled_runs(tmp_path, name):
     trace = named_trace(name)
-    assert written(tmp_path, trace) == lines_of(trace)
+    assert written(tmp_path, trace) == lines_of(trace) == "".join(e.to_line() + "\n" for e in trace).encode()
 
 
 @pytest.mark.parametrize("behavior", sorted(BEHAVIORS))

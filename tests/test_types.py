@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fluttersim.checkers import CheckerConfig, CheckReport
+from fluttersim.checkers import CheckReport
 from fluttersim.runner import RunResult, campaign_variant, run_checked
 from fluttersim.scenario import (
     BlinkScriptEntry,
@@ -177,11 +177,6 @@ def _variant():
 RECORDS = {
     TraceEvent: ("time process kind payload", lambda: TraceEvent(3, "s000", "Send", {"dst": "s001", "msg": {}})),
     CheckReport: ("prop verdict detail witness", lambda: CheckReport("tob-total-order", "Fail", "planted", [{"k": 1}])),
-    CheckerConfig: (
-        "kind n f delta drift epsilon strategy servers correct_servers clients honest_clients correct_clients"
-        " quiescent delta_estimates scripts",
-        lambda: CheckerConfig.from_scenario(_variant(), quiescent=True),
-    ),
     RunResult: ("scenario trace quiescent reports metrics", lambda: run_checked(_variant())),
     Scenario: (
         "name kind n f delta drift epsilon network clock_offsets server_faults clients dep_policy blink_script"
