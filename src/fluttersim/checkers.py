@@ -1,10 +1,10 @@
 """Checkers for every property the protocols promise, judged in one pass over a run's events.
 
-A `CheckPass` reads each event's kind once. It keeps each low-volume event
-(Broadcast, AppDeliver and the consensus kinds) once, in one list per kind,
-and groups those lists once into the run views read by the checkers that
-judge only at the end. It streams send calls (one per call, not per copy;
-a finished trace's run of Sends of one call is regrouped into it),
+A `CheckPass` reads each event's kind once. It keeps each low-volume
+event (Broadcast, AppDeliver and the consensus kinds) once, in one list
+per kind, and groups those lists once into the run views read by the
+checkers that judge only at the end. It streams send calls (one per
+call, not per copy, as a live run or a kept `Trace` hands them on),
 Delivers and Decides to the observers that judge as they go: the server
 replay, the network and the run's `Metrics`. The pass checks a finished
 trace, or a live run as the simulator's sink, keeping no trace. The
@@ -158,7 +158,7 @@ class CheckerConfig:
         self.clients = scenario.client_names
         self.honest_clients = scenario.honest_clients()
         self.correct_clients = scenario.correct_clients()
-        self.quiescent = quiescent  # read by the check_* drivers; a CheckPass takes it in finish()
+        self.quiescent = quiescent  # read by the check_* drivers; a CheckPass's finish() sets it
         self.delta_estimates = {c.name: c.delta_estimate for c in scenario.clients}  # client -> its guess of delta
         # client -> the message hexes it is scripted to broadcast
         self.scripts = {c.name: [b.message for b in c.broadcasts] for c in scenario.clients}
@@ -226,37 +226,20 @@ class CheckPass:
             handler(time, src, dsts, msg)
 
     def run(self, trace) -> "CheckPass":
-        """Feed every event of a finished trace, or any iterable of events; consecutive Sends with one time, sender
-        and `msg` dict go on as one call (a trace read back from a file shares no dicts: one call per line)."""
-        routes, senders, events, last = self.routes, self.senders, 0, self._last
-        send = tr.SEND if senders else None  # with no send call handler, Sends pass unread
-        dsts = time = src = msg = None  # the pending call, if dsts is a list
-        for last in trace:
-            events += 1
-            if last.kind == send:
-                payload = last.payload
-                if dsts is not None and payload["msg"] is msg and last.time == time and last.process == src:
-                    dsts.append(payload["dst"])
-                    continue
-                if dsts is not None:
-                    for handler in senders:
-                        handler(time, src, dsts, msg)
-                dsts, time, src, msg = [payload["dst"]], last.time, last.process, payload["msg"]
-                continue
-            if dsts is not None:
-                for handler in senders:
-                    handler(time, src, dsts, msg)
-                dsts = None
-            for handler in routes.get(last.kind, ()):
-                handler(last)
-        if dsts is not None:
-            for handler in senders:
-                handler(time, src, dsts, msg)
-        self.events += events
-        self._last = last
+        """Feed a `Trace`'s calls, or the events of any other iterable, each Send as a one-copy call."""
+        if isinstance(trace, tr.Trace):
+            trace.replay(self)
+            return self
+        send = tr.SEND if self.senders else None  # with no send call handler, a Send is an event read no further
+        for ev in trace:
+            if ev.kind == send:
+                self.sends(ev.time, ev.process, (ev.payload["dst"],), ev.payload["msg"])
+            else:
+                self.event(ev)
         return self
 
     def finish(self, quiescent: bool) -> list[CheckReport]:
+        self.cfg.quiescent = quiescent
         return [report for check in self.checks for report in getattr(check, "finish", check)(quiescent, self)]
 
     # The run views: each built once, on first use, from the kept events; so read them only after the last event.

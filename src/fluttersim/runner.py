@@ -108,10 +108,10 @@ def run_checked(scenario: Scenario, sink=None) -> RunResult:
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate and check `scenario`, keeping its trace."""
     trace = tr.Trace()
-    return run_checked(scenario, trace).replace(trace=trace)
+    return run_checked(scenario, trace).replace(trace=list(trace))
 
 
-def compute_metrics(trace: list[tr.TraceEvent], scenario: Scenario, quiescent: bool) -> dict:
+def compute_metrics(trace, scenario: Scenario, quiescent: bool) -> dict:
     checks = CheckPass(CheckerConfig.from_scenario(scenario, quiescent), [Metrics]).run(trace)
     return checks.metrics.summary(quiescent, checks)
 

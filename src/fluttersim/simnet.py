@@ -2,9 +2,9 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets, local-time timers, and full tracing:
-`sink` (the kept `trace`, or a check pass in `runner.run_checked`), which
-`run()` reads when it starts, takes every other event with `event(ev)`
-and each send call once with `sends(time, src, dsts, msg)`.
+`sink` (the kept `trace.Trace`, or a check pass in `runner.run_checked`),
+read by `run()` when it starts, takes each send call once with
+`sends(time, src, dsts, msg)` and every other event with `event(ev)`.
 `Simulator.send` is the one send path: a call renders its message once
 and sends a copy to each destination, so a broadcast is one call. The
 Deliver events of one call share one payload dict.

@@ -14,7 +14,8 @@ must copy the event (say, with copy.deepcopy) first, or the edit shows up
 in every event sharing it.
 A run reaches its sink (a `Trace`, the checkers, `fluttersim run`'s
 `TraceWriter`) one event at a time, but each send call once; a `Trace`
-keeps a Send event per copy. `read_trace` streams a saved trace back.
+keeps a call once, building its Send events only when iterated.
+`read_trace` streams a saved trace back.
 """
 
 from __future__ import annotations
@@ -69,13 +70,40 @@ def send_event(time: int, src: str, dst: str, msg) -> TraceEvent:
     return TraceEvent(time, src, SEND, {"dst": dst, "msg": msg})
 
 
-class Trace(list):
-    """A kept trace, and the simulator's sink that keeps it: each event, and each send call as its Send events."""
+class Trace:
+    """A kept trace, and the simulator's sink that keeps it: each event, and each send call once, in run order."""
 
-    event = list.append
+    __slots__ = ("calls", "extra")
+
+    def __init__(self):
+        self.calls: list = []  # each event, or a send call's (time, src, dsts, msg) with `dsts` as a tuple
+        self.extra = 0  # events beyond one per call: each send call's copies, less one
+
+    def event(self, ev: TraceEvent) -> None:
+        self.calls.append(ev)
 
     def sends(self, time: int, src: str, dsts, msg) -> None:
-        self.extend([TraceEvent(time, src, SEND, {"dst": dst, "msg": msg}) for dst in dsts])
+        self.calls.append((time, src, tuple(dsts), msg))  # a snapshot: the caller may reuse its list
+        self.extra += len(dsts) - 1
+
+    def replay(self, sink) -> None:
+        """Hand `sink` the calls the run made, in order."""
+        event, sends = sink.event, sink.sends
+        for call in self.calls:
+            if type(call) is tuple:
+                sends(*call)
+            else:
+                event(call)
+
+    def __len__(self) -> int:
+        return len(self.calls) + self.extra
+
+    def __iter__(self):
+        for call in self.calls:
+            if type(call) is tuple:
+                yield from [send_event(call[0], call[1], dst, call[3]) for dst in call[2]]
+            else:
+                yield call
 
 
 class TraceWriter:
@@ -96,7 +124,6 @@ class TraceWriter:
     def event(self, ev: TraceEvent) -> None:
         """One event that is no Send call's copy."""
         payload = ev.payload
-        # Only a Deliver with an int time, str names and a dict payload of exactly {"src", "msg"} takes the cached path.
         if (ev.kind != DELIVER or type(ev.time) is not int or type(payload) is not dict or len(payload) != 2
                 or next(iter(payload)) != "src" or "msg" not in payload or type(ev.process) is not str
                 or type(src := payload["src"]) is not str):
@@ -115,31 +142,21 @@ class TraceWriter:
                       f'{entry[1]}')
 
     def write(self, events) -> None:
-        """Write `events`; consecutive Sends with one time, sender and `msg` dict are one call's copies, if each has
-        an int time, str names and a dict payload of exactly {"dst", "msg"}."""
-        event, sends = self.event, self.sends
-        dsts = time = src = msg = None  # the pending call, if dsts is a list
+        """Write a `Trace`'s calls, or one call per Send of `events` shaped as the simulator writes it."""
+        if isinstance(events, Trace):
+            return events.replay(self)
         for ev in events:
             payload = ev.payload
             if (ev.kind != SEND or type(payload) is not dict or len(payload) != 2 or next(iter(payload)) != "dst"
                     or "msg" not in payload or type(dst := payload["dst"]) is not str or type(ev.time) is not int
                     or type(ev.process) is not str):
-                if dsts is not None:
-                    sends(time, src, dsts, msg)
-                    dsts = None
-                event(ev)
-            elif payload["msg"] is msg and dsts is not None and ev.time == time and ev.process == src:
-                dsts.append(dst)
+                self.event(ev)
             else:
-                if dsts is not None:
-                    sends(time, src, dsts, msg)
-                dsts, time, src, msg = [dst], ev.time, ev.process, payload["msg"]
-        if dsts is not None:
-            sends(time, src, dsts, msg)
+                self.sends(ev.time, ev.process, (dst,), payload["msg"])
 
 
 def write_trace(path, events) -> None:
-    """Write `events`, any iterable of trace events, as JSONL."""
+    """Write `events`, a `Trace` or any iterable of trace events, as JSONL."""
     with open(path, "w") as fh:
         TraceWriter(fh).write(events)
 

@@ -38,10 +38,11 @@ def scenario_dict(**overrides: Any) -> dict[str, Any]:
 
 
 def simulate(scenario) -> tuple[list, bool]:
-    """Run a scenario without checking it: its trace, and whether it quiesced."""
+    """Run a scenario without checking it: its trace as a list of events (so a test may edit it), and whether it
+    quiesced."""
     sim = build_simulation(scenario)
     quiescent = sim.run(until=scenario.until)
-    return sim.trace, quiescent
+    return list(sim.trace), quiescent
 
 
 @pytest.fixture

@@ -86,6 +86,39 @@ def test_a_checked_campaign_builds_no_send_event(monkeypatch):
     assert hashlib.sha256(rendered.encode()).hexdigest() == CAMPAIGN_DIGEST
 
 
+@pytest.mark.parametrize("name", BUNDLED + ["campaign+equivocator"])
+def test_a_kept_trace_is_checked_and_written_with_no_send_event(tmp_path, monkeypatch, name):
+    # A kept `Trace` hands its consumers each send call once; a list or a file goes on one call per Send line.
+    if name.startswith("campaign+"):
+        scenario = campaign_variant(campaign_base(), name.split("+")[1], "adversarial_value", 3)
+    else:
+        scenario = load_scenario(SCENARIOS_DIR / f"{name}.json")
+    built = Counter()
+    real = tr.TraceEvent.__init__
+
+    def counting(self, time, process, kind, payload):
+        built[kind] += 1
+        real(self, time, process, kind, payload)
+
+    monkeypatch.setattr(tr.TraceEvent, "__init__", counting)
+    sim = build_simulation(scenario)
+    quiescent = sim.run(until=scenario.until)
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    reports = [r.to_dict() for r in run_all_checks(sim.trace, cfg)]
+    metrics = compute_metrics(sim.trace, scenario, quiescent)
+    tr.write_trace(tmp_path / "kept.jsonl", sim.trace)
+    assert built[tr.SEND] == 0 and built[tr.DELIVER] > 30
+    monkeypatch.undo()
+    listed = list(sim.trace)
+    assert len(listed) == len(sim.trace) == metrics["events"]
+    assert [r.to_dict() for r in run_all_checks(listed, cfg)] == reports
+    assert compute_metrics(listed, scenario, quiescent) == metrics
+    tr.write_trace(tmp_path / "listed.jsonl", listed)
+    tr.write_trace(tmp_path / "read.jsonl", tr.read_trace(tmp_path / "kept.jsonl"))
+    data = (tmp_path / "kept.jsonl").read_bytes()
+    assert (tmp_path / "listed.jsonl").read_bytes() == (tmp_path / "read.jsonl").read_bytes() == data
+
+
 def test_metrics_book_a_shared_message_per_sender():
     # s005 is the faulty server: its copies of a shared Suggest dict are no correct sends.
     scenario = campaign_variant(campaign_base(), "mute", "adversarial_value", 0)
@@ -124,7 +157,7 @@ def test_online_campaign_rows_equal_offline_rows(behavior, online_sims):
         for seed in range(10):
             assert _run_one((base, behavior, policy, seed)) == offline_row(base, behavior, policy, seed)
     assert len(online_sims) == 2 * 10
-    assert all(sim.trace == [] for sim in online_sims)
+    assert all(len(sim.trace) == 0 for sim in online_sims)
 
 
 def test_online_and_offline_fails_agree_on_a_double_delivering_server(monkeypatch, online_sims):
@@ -141,4 +174,4 @@ def test_online_and_offline_fails_agree_on_a_double_delivering_server(monkeypatc
         online = _run_one((base, behavior, "adversarial_value", 1))
         assert {f["property"] for f in online["fails"]} >= {"tob-no-duplication", "server-order-matches-appdeliver"}
         assert online == offline_row(base, behavior, "adversarial_value", 1)
-    assert all(sim.trace == [] for sim in online_sims)
+    assert all(len(sim.trace) == 0 for sim in online_sims)

@@ -279,3 +279,26 @@ def test_a_run_frees_its_check_pass_at_once_even_when_it_raises(monkeypatch):
         assert [ref() for ref in passes] == [None, None]
     finally:
         gc.enable()
+
+
+def test_a_kept_run_equals_a_rerun_of_its_scenario():
+    # run_scenario's trace is a list of events: it compares by value, indexes and slices.
+    first, again = run_bundled("goodcase"), run_bundled("goodcase")
+    assert type(first.trace) is list and first == again and repr(first) == repr(again)
+    assert first.trace[-1] == again.trace[-1] and first.trace[:3] == again.trace[:3]
+
+
+@pytest.mark.parametrize(("until", "quiescent"), [(None, True), (5, False)])
+def test_a_checked_run_records_how_it_ended_on_its_config(monkeypatch, until, quiescent):
+    # The config is built before the run; finishing the pass records whether the run quiesced.
+    configs = []
+    real = runner.check_pass
+
+    def spy(cfg):
+        configs.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(runner, "check_pass", spy)
+    result = run_checked(parse_scenario(scenario_dict(until=until)))
+    assert result.quiescent is quiescent
+    assert [cfg.quiescent for cfg in configs] == [quiescent]

@@ -496,7 +496,7 @@ def test_cli_run_keeps_no_trace(tmp_path, online_sims):
     code = cli.main(["run", str(SCENARIOS_DIR / "goodcase.json"), "--trace", str(tmp_path / "trace.jsonl"),
                      "--report", str(tmp_path / "report.json")])
     assert code == cli.EXIT_OK
-    assert len(online_sims) == 1 and online_sims[0].trace == []
+    assert len(online_sims) == 1 and len(online_sims[0].trace) == 0
 
 
 def test_cli_fail_report_exit_code(tmp_path, monkeypatch):

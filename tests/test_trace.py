@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, run_all_checks
 from fluttersim import cli
-from fluttersim.runner import campaign_variant, run_checked, run_scenario
+from fluttersim.runner import _Tee, build_simulation, campaign_variant, run_checked, run_scenario
 from fluttersim.scenario import load_scenario
-from fluttersim.trace import DELIVER, SEND, TIMER_FIRE, TraceEvent, TraceWriter, read_trace, render, write_trace
+from fluttersim.trace import (DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter, read_trace, render,
+                              write_trace)
 
 from conftest import SCENARIOS_DIR, simulate
 
@@ -38,6 +39,14 @@ def named_trace(name):
     return simulate(named_scenario(name))[0]
 
 
+def kept_trace(name) -> Trace:
+    """The simulator's own kept trace of a named run."""
+    scenario = named_scenario(name)
+    sim = build_simulation(scenario)
+    sim.run(until=scenario.until)
+    return sim.trace
+
+
 def written(tmp_path, trace) -> bytes:
     path = tmp_path / "trace.jsonl"
     write_trace(path, trace)
@@ -52,7 +61,7 @@ def lines_of(trace) -> bytes:
                    for e in trace).encode()
 
 
-# "goodcase@10" ends on the Sends of s005's Suggest broadcast: `write` must flush its last pending call.
+# "goodcase@10" ends on the Sends of s005's Suggest broadcast.
 @pytest.mark.parametrize("name", BUNDLED + ["goodcase@10"])
 def test_writer_matches_to_line_on_bundled_runs(tmp_path, name):
     trace = named_trace(name)
@@ -119,13 +128,13 @@ class HeldSpy:
         self.check(exact=True)
 
     def write(self, events, shared):
-        """`events` through the writer's own `write`, checked after it takes each one. A call's run of Sends is
-        handed on when the run ends, so the exact check waits for an event that is no Send."""
+        """`events` through the writer's own `write`, checked after it takes each one: a list or a stream hands
+        the writer each Send as a one-copy call at once."""
         def taken():
             for ev in events:
                 yield ev  # `write` asks for the next event only once it has taken this one
                 self.seen(ev)
-                self.check(exact=shared and ev.kind != SEND)
+                self.check(exact=shared)
 
         self.writer.write(taken())
 
@@ -174,7 +183,10 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
         spy = spied(lambda spy: [spy.sends(e.time, e.process, [e.payload["dst"]], e.payload["msg"]) if e.kind == SEND
                                  else spy.event(e) for e in trace])
         assert spy.flying == {} and set(spy.copies) == {1}
-        # The kept trace through `write`, which regroups its calls.
+        # The kept trace, replayed: the calls of the live run.
+        spy = spied(lambda spy: kept_trace(name).replay(spy))
+        assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
+        # The kept trace as a list through `write`, each Send a one-copy call.
         assert spied(lambda spy: spy.write(trace, shared=True)).flying == {}
         # Read back, no two lines share a dict: no Deliver finds its Send's entry, and the writer keeps none.
         spied(lambda spy: spy.write(read_trace(tmp_path / "trace.jsonl"), shared=False))
@@ -182,10 +194,11 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_streamed_run_writes_the_kept_trace(tmp_path, name):
-    # `fluttersim run` streams each send call to the writer; `write_trace` regroups the kept trace's copies.
+    # `fluttersim run` streams each send call to the writer; `write_trace` replays the kept trace's calls.
     assert cli.main(["run", str(SCENARIOS_DIR / f"{name}.json"), "--trace", str(tmp_path / "streamed.jsonl"),
                      "--report", str(tmp_path / "report.json")]) in (cli.EXIT_OK, cli.EXIT_FAIL)
     assert (tmp_path / "streamed.jsonl").read_bytes() == written(tmp_path, named_trace(name))
+    assert (tmp_path / "streamed.jsonl").read_bytes() == written(tmp_path, kept_trace(name))
 
 
 @pytest.mark.parametrize(
@@ -217,6 +230,62 @@ def test_one_deliver_payload_per_send_call(name):
     calls = len({id(e.payload["msg"]) for e in delivers})
     assert len(delivers) > calls > 10
     assert len({id(e.payload) for e in delivers}) == calls
+
+
+class Recorder:
+    """A sink that keeps each call it takes, as (method, args)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def event(self, ev):
+        self.calls.append(("event", (ev,)))
+
+    def sends(self, time, src, dsts, msg):
+        self.calls.append(("sends", (time, src, tuple(dsts), msg)))
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["campaign+equivocator"])
+def test_a_kept_trace_replays_the_live_run(name):
+    scenario = named_scenario(name)
+    sim = build_simulation(scenario)
+    live = Recorder()
+    sim.sink = _Tee(sim.trace, live)
+    sim.run(until=scenario.until)
+    replayed = Recorder()
+    sim.trace.replay(replayed)
+    assert replayed.calls == live.calls
+    # The very objects of the live calls: each event, and each send call's one `msg` dict.
+    assert all(got[-1] is want[-1] for (_, got), (_, want) in zip(replayed.calls, live.calls))
+    assert any(len(args[2]) > 1 for method, args in live.calls if method == "sends")
+    # Iterating gives each event, and a Send event per copy of each call, holding the call's `msg` dict.
+    events = iter(sim.trace)
+    for method, args in live.calls:
+        if method == "event":
+            assert next(events) is args[0]
+        else:
+            time, src, dsts, msg = args
+            copies = [next(events) for _ in dsts]
+            assert [(e.time, e.process, e.kind, e.payload) for e in copies] == [
+                (time, src, SEND, {"dst": dst, "msg": msg}) for dst in dsts
+            ]
+            assert all(e.payload["msg"] is msg for e in copies)
+    assert next(events, None) is None
+    assert len(sim.trace) == sum(1 for _ in sim.trace) == sum(len(args[2]) if method == "sends" else 1
+                                                             for method, args in live.calls)
+
+
+def test_a_kept_trace_holds_what_it_was_handed():
+    # A send call's destinations as they were at the call, though the caller's list changes later.
+    trace, dsts, msg = Trace(), ["s000", "s001"], {"type": "Message"}
+    trace.sends(0, "c000", dsts, msg)
+    dsts.append("s002")
+    assert [e.payload["dst"] for e in trace] == ["s000", "s001"] and len(trace) == 2
+    # A deep copy takes its events into its own calls, not the original's.
+    copied = copy.deepcopy(trace)
+    copied.event(TraceEvent(1, "s000", TIMER_FIRE, {"token": "t"}))
+    assert (len(trace), len(copied)) == (2, 3)
+    assert [e.kind for e in copied] == [SEND, SEND, TIMER_FIRE]
 
 
 @pytest.mark.parametrize("name", BUNDLED + CAMPAIGN)
