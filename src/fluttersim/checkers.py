@@ -1,24 +1,20 @@
 """Checkers for every property the protocols promise, judged in one pass over a run's events.
 
-A `CheckPass` reads each event's kind once. It keeps each low-volume
-event (Broadcast, AppDeliver and the consensus kinds) once, in one list
-per kind, and groups those lists once into the run views read by the
-checkers that judge only at the end. It streams send calls (one per
-call, not per copy, as a live run or a kept `Trace` hands them on),
-Delivers and Decides to the observers that judge as they go: the server
-replay, the network and the run's `Metrics`. The pass checks a finished
-trace, or a live run as the simulator's sink, keeping no trace. The
-network's Send/Deliver pairing compares dicts by identity and holds the
-dicts it compares, so a recycled id() cannot match. Liveness is decided
-only at quiescence, since a finite prefix cannot refute "eventually".
-Server invariants are checked by an independent replay of each server's
+A `CheckPass` is a simulator sink. It keeps each low-volume event
+(Broadcast, AppDeliver, the consensus kinds) once, for the run views the
+end-of-run checkers read, and hands each send call once and each delivery
+as its tuple to the observers that judge as they go (the server replay,
+the network, `Metrics`); a Send or Deliver event is built only for a
+witness. The network pairs dicts by identity and holds those it compares,
+so a recycled id() cannot match. Liveness is decided only at quiescence.
+Server invariants come from an independent replay of each server's
 inputs, so a bug in the live implementation cannot hide in the checker.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from functools import cached_property
 
 from . import trace as tr
@@ -48,7 +44,8 @@ class CheckReport(Record):
         }
 
 
-def _ev(event: tr.TraceEvent) -> dict:
+def _ev(event: tr.TraceEvent | tuple) -> dict:
+    event = tr.deliver_event(event) if type(event) is tuple else event  # a delivery, (time, dst, payload)
     return {
         "time": event.time,
         "process": event.process,
@@ -167,12 +164,7 @@ class CheckerConfig:
 
     @property
     def good_case(self) -> bool:
-        return (
-            self.strategy == "exact_delta"
-            and self.drift == 0
-            and len(self.correct_servers) == self.n
-            and self.correct_clients == self.clients
-        )
+        return self.strategy == "exact_delta" and self.lock_within_local and self.correct_clients == self.clients
 
     @property
     def lock_within_local(self) -> bool:
@@ -187,14 +179,14 @@ class CheckPass:
     """Keeps each low-volume event once, in `kept` (kind -> events in trace order), and streams the rest.
 
     A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
-    cls(cfg), with `handles` (event kind -> method name; Send's takes a send call, (time, src, dsts, msg)) and
-    finish(quiescent, run). No observer holds the pass. The pass is also a simulator sink (`event`, `sends`).
+    cls(cfg), with `handles` (event kind -> method name, taking a Send's call (time, src, dsts, msg), a Deliver's
+    delivery (time, dst, payload), or an event) and finish(quiescent, run). No observer holds the pass.
     """
 
     def __init__(self, cfg: CheckerConfig, checks):
         self.cfg = cfg
         self.events = 0
-        self._last: tr.TraceEvent | tuple | None = None  # the last event, or the last copy's (time, src, dst, msg)
+        self._last: tr.TraceEvent | tuple | None = None  # the last event, delivery, or copy's (time, src, dst, msg)
         self.kept = {kind: [] for kind in (tr.BROADCAST, tr.APP_DELIVER) + _INSTANCE_KINDS}
         self.routes = {kind: [events.append] for kind, events in self.kept.items()}  # event kind -> its handlers
         self.checks = [check(cfg) if isinstance(check, type) else check for check in checks]
@@ -203,20 +195,33 @@ class CheckPass:
             for kind, name in getattr(obs, "handles", {}).items():
                 self.routes.setdefault(kind, []).append(getattr(obs, name))
         self.senders = self.routes.pop(tr.SEND, [])  # the send call handlers
+        self.deliverers = self.routes.pop(tr.DELIVER, [])  # the delivery handlers
 
     @property
     def last(self) -> tr.TraceEvent | None:
-        """The last event fed, built on first read if it is a Send of a call."""
+        """The last event fed, built on first read if it is a delivery or a Send of a call."""
         if type(self._last) is tuple:
-            self._last = tr.send_event(*self._last)
+            self._last = tr.deliver_event(self._last) if len(self._last) == 3 else tr.send_event(*self._last)
         return self._last
 
+    @property
+    def final_time(self) -> int:
+        """The time of the last event fed, else 0."""
+        return 0 if self._last is None else self._last[0] if type(self._last) is tuple else self._last.time
+
     def event(self, event: tr.TraceEvent) -> None:
-        """One event that is no Send."""
+        """One event that is no Send or Deliver."""
         self.events += 1
         self._last = event
         for handler in self.routes.get(event.kind, ()):
             handler(event)
+
+    def deliver(self, delivery: tuple) -> None:
+        """One Deliver event, as the delivery (time, dst, payload)."""
+        self.events += 1
+        self._last = delivery
+        for handler in self.deliverers:
+            handler(delivery)
 
     def sends(self, time: int, src: str, dsts, msg: dict) -> None:
         """One send call: a Send event to each of `dsts`, all holding `msg`."""
@@ -232,7 +237,9 @@ class CheckPass:
             return self
         send = tr.SEND if self.senders else None  # with no send call handler, a Send is an event read no further
         for ev in trace:
-            if ev.kind == send:
+            if ev.kind == tr.DELIVER:
+                self.deliver((ev.time, ev.process, ev.payload))
+            elif ev.kind == send:
                 self.sends(ev.time, ev.process, (ev.payload["dst"],), ev.payload["msg"])
             else:
                 self.event(ev)
@@ -309,7 +316,7 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
     ]
     if not quiescent:
         return reports + [_na("tob-validity", "run was cut before quiescence")]
-    if run.last is None:  # no event could witness a missing broadcast
+    if not run.events:  # no event could witness a missing broadcast
         return reports + [_na("tob-validity", "the trace has no events")]
     checked = 0
     for client in cfg.correct_clients:
@@ -460,9 +467,9 @@ class _ServerReplay:
         self.candidates: set[tuple] = set()
         self.pending: list[tuple] = []  # heap of candidates not yet processed
         self.decisions: dict[tuple, bool] = {}
-        self.orders: list[tuple[tuple, tr.TraceEvent]] = []
+        self.orders: list[tuple[tuple, tr.TraceEvent | tuple]] = []  # (tuple, the Decide event or Time delivery)
 
-    def time(self, src: str, time: int, event: tr.TraceEvent) -> None:
+    def time(self, src: str, time: int, event: tuple) -> None:
         """A Time from server `src`: its entry rises, and with it the lock once 4f+1 entries lie above the lock."""
         old, lock = self.remote_times[src], self.lock
         if time <= old:
@@ -471,10 +478,9 @@ class _ServerReplay:
         if old <= lock < time:
             self.above += 1
             if self.above >= quorum_large(self.f):
-                new = self.lock = _lock_rank(self.remote_times.values(), self.f)
+                new = self.lock = _lock_rank(self.remote_times.values(), self.f)  # a rise: 4f+1 entries lie above
                 self.above = sum(v > new for v in self.remote_times.values())
-                if new != lock:
-                    self.drain(event)
+                self.drain(event)
 
     def spot(self, t: tuple) -> None:
         if t[0] > self.lock and t not in self.candidates:  # a new candidate lies above the lock
@@ -485,7 +491,7 @@ class _ServerReplay:
         self.decisions[t] = value
         self.drain(event)
 
-    def drain(self, event: tr.TraceEvent) -> None:
+    def drain(self, event: tr.TraceEvent | tuple) -> None:
         # Entries only rise, so neither does the lock fall: a candidate admitted
         # above the lock lies above every tuple processed before it.
         pending = self.pending
@@ -507,25 +513,25 @@ class _ServerInvariants:
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         self.replays = {s: _ServerReplay(s, cfg.servers, cfg.f) for s in cfg.correct_servers}
-        self.fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}  # lock property -> its first (detail, witness)
+        self.fails: dict[str, tuple[str, list[tuple]]] = {}  # lock property -> its first (detail, witness deliveries)
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
-    def deliver(self, event: tr.TraceEvent) -> None:
-        replay = self.replays.get(event.process)
+    def deliver(self, delivery: tuple) -> None:
+        time, dst, payload = delivery
+        replay = self.replays.get(dst)
         if replay is None:
             return
-        src = event.payload["src"]
-        msg = event.payload["msg"]
+        src = payload["src"]
+        msg = payload["msg"]
         kind = msg["kind"]
         if src in replay.remote_times:
             if kind == "Time":
                 before = replay.lock
-                replay.time(src, msg["time"], event)
+                replay.time(src, msg["time"], delivery)
                 if replay.lock < before:
-                    self.fails.setdefault("server-lock-monotonic", (f"lock time decreased at {event.process}", [event]))
-                if self.lock_within_local and replay.lock > event.time:
-                    self.fails.setdefault("server-lock-vs-local",
-                                          (f"lock time passed local time at {event.process}", [event]))
+                    self.fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
+                if self.lock_within_local and replay.lock > time:
+                    self.fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
             elif kind == "Observe":
                 replay.spot(_key_of(msg))
         elif kind == "Message" and src in self.clients:
@@ -604,27 +610,28 @@ class _Network:
         self.delta = cfg.delta
         self.exact = cfg.strategy == "exact_delta"
         self.links: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
-        self.fails: dict[str, tuple[str, list[tr.TraceEvent]]] = {}  # property -> its first (detail, witness)
+        self.by_src: defaultdict[str, dict[str, _Link]] = defaultdict(dict)  # src -> dst -> the same links
+        self.fails: dict[str, tuple[str, list]] = {}  # property -> its first (detail, witness)
 
     def sends(self, time: int, src: str, dsts, msg: dict) -> None:
-        links, sent = self.links, (time, msg)
+        links, sent = self.by_src[src], (time, msg)
         for dst in dsts:
-            link = links.get((src, dst))
+            link = links.get(dst)
             if link is None:
-                link = links[(src, dst)] = _Link()
+                link = links[dst] = self.links[(src, dst)] = _Link()
             link.append(sent)
 
-    def deliver(self, event: tr.TraceEvent) -> None:
-        src = event.payload["src"]
-        link = self.links.get((src, event.process))
+    def deliver(self, delivery: tuple) -> None:
+        t, dst, payload = delivery
+        src = payload["src"]
+        link = self.by_src[src].get(dst)
         if not link:  # no link, or none of its Sends pending
-            self.fails.setdefault("net-fifo", ("delivery without a matching send", [event]))
+            self.fails.setdefault("net-fifo", ("delivery without a matching send", [delivery]))
             return
         s_time, s_msg = link.popleft()
         if link.last is None:
             return
-        d_msg = event.payload["msg"]
-        t = event.time
+        d_msg = payload["msg"]
         dt = t - s_time
         if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_msg until now
             fail = ("net-fifo", "deliveries out of send order", True)
@@ -640,8 +647,7 @@ class _Network:
         link.last = None
         prop, detail, with_send = fail
         if prop not in self.fails:
-            self.fails[prop] = (detail, [tr.send_event(s_time, src, event.process, s_msg), event] if with_send
-                                else [event])
+            self.fails[prop] = (detail, [tr.send_event(s_time, src, dst, s_msg), delivery] if with_send else [delivery])
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         if "net-fifo" not in self.fails and quiescent:
@@ -708,7 +714,7 @@ class Metrics:
                 }
             )
         return {
-            "final_time": run.last.time if run.last else 0,
+            "final_time": run.final_time,
             "quiescent": quiescent,
             "events": run.events,
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),

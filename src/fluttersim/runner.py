@@ -86,10 +86,11 @@ class RunResult(Record):
 
 
 class _Tee:
-    """A simulator sink that hands each event and send call to `first`, then to `then`."""
+    """A simulator sink that hands each event, delivery and send call to `first`, then to `then`."""
 
     def __init__(self, first, then):
         self.event = lambda event: (first.event(event), then.event(event))
+        self.deliver = lambda delivery: (first.deliver(delivery), then.deliver(delivery))
         self.sends = lambda *call: (first.sends(*call), then.sends(*call))
 
 

@@ -63,7 +63,6 @@ class FlutterServer(BlinkNode):
                 self._on_time(ctx, src, msg.time)
             elif cls is Observe:
                 self._spot(ctx, msg.tuple)
-                self._process_next(ctx)
         elif cls is Message and src in self._client_set:
             self._on_message(ctx, src, msg.message, msg.bet)
 
@@ -73,12 +72,11 @@ class FlutterServer(BlinkNode):
         instance = self.instance(t)
         if not instance.self_proposed:
             instance.propose(ctx, bet > ctx.local_time())
-        self._process_next(ctx)
 
     def _spot(self, ctx, t: BroadcastTuple) -> None:
         if t in self.observed:
             return
-        # The lock never falls, so a tuple is a candidate iff it clears the lock when first spotted.
+        # A tuple is a candidate iff it clears the never-falling lock when first spotted, so it is not processable yet.
         if t.bet > self._lock:
             heapq.heappush(self._queue, t)
         # Relay before scheduling the beat: every Time(b') with b' >= bet
@@ -108,7 +106,7 @@ class FlutterServer(BlinkNode):
                 if self._above >= quorum_large(self.f):
                     self._lock = lock = self.lock_time()
                     self._above = sum(v > lock for v in self.remote_times.values())
-        self._process_next(ctx)
+                    self._process_next(ctx)
 
     def on_decided(self, ctx, key: InstanceKey, value: bool) -> None:
         if not isinstance(key, BroadcastTuple):
@@ -118,7 +116,7 @@ class FlutterServer(BlinkNode):
         self._process_next(ctx)
 
     def _process_next(self, ctx) -> None:
-        # Queued bets cleared a lock that never falls, so all lie above every tuple already taken.
+        # Run on a decision or a lock rise. Queued bets cleared a lock that never falls: all lie above tuples taken.
         while self._queue:
             best = self._queue[0]
             if best not in self.decisions or best.bet > self._lock:

@@ -1,18 +1,13 @@
 """Deterministic discrete-event simulator.
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
-static per-process clock offsets, local-time timers, and full tracing:
-`sink` (the kept `trace.Trace`, or a check pass in `runner.run_checked`),
-read by `run()` when it starts, takes each send call once with
-`sends(time, src, dsts, msg)` and every other event with `event(ev)`.
-`Simulator.send` is the one send path: a call renders its message once
-and sends a copy to each destination, so a broadcast is one call. The
-Deliver events of one call share one payload dict.
-Pending events wait in per-tick buckets: one list per pending time, in
-push order, plus a heap of the distinct pending times. Events run tick by
-tick, and within a tick in push order, so an event a handler schedules at
-the current time runs later in the same tick. Handler work is
-instantaneous (takes zero ticks). Quiescence = no pending event.
+static per-process clock offsets and local-time timers. A send call (a
+broadcast is one) renders its message once, draws its copies' delays in
+one `strategy.delays(src, dsts)` call, and reaches `sink` (which `run()`
+reads when it starts) once; `trace` has the sink's three calls. Events
+wait in one list per tick, under a heap of those ticks, and run tick by
+tick in push order: one a handler schedules at the current tick runs
+later in it. Handlers take zero ticks. Quiescence = no pending event.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import random
 from heapq import heappop, heappush
 
 from .errors import BudgetExceededError, ConfigError
-from .trace import DELIVER, DEP_DECIDE, TIMER_FIRE, Trace, TraceEvent
+from .trace import DEP_DECIDE, TIMER_FIRE, Trace, TraceEvent
 from .types import SimTime, WireMessage, instance_payload, wire_payload
 
 _DELIVER = 0
@@ -35,8 +30,8 @@ class ExactDelta:
     def __init__(self, delta: int):
         self.delta = delta
 
-    def delay(self, src: str, dst: str, nth: int) -> int:
-        return self.delta
+    def delays(self, src: str, dsts) -> list[int]:
+        return [self.delta] * len(dsts)
 
 
 class SeededRandom:
@@ -47,30 +42,30 @@ class SeededRandom:
         self.rng = random.Random(seed)
         self._bits = delta.bit_length()
 
-    def delay(self, src: str, dst: str, nth: int) -> int:
-        # rng.randint(1, delta) inlined: the same rejection draw from the same stream.
+    def delays(self, src: str, dsts) -> list[int]:
+        # rng.randint(1, delta) inlined: the same rejection draw from the same stream, one per copy.
         bits, delta, getrandbits = self._bits, self.delta, self.rng.getrandbits
-        r = getrandbits(bits)
-        while r >= delta:
+        out = []
+        for _ in dsts:
             r = getrandbits(bits)
-        return r + 1
+            while r >= delta:
+                r = getrandbits(bits)
+            out.append(r + 1)
+        return out
 
 
 class Scripted:
-    """Per-link delay lists keyed "src->dst"; unlisted sends take delta."""
+    """Per-link delay lists keyed "src->dst", each taken in its link's send order; unlisted sends take delta."""
 
     def __init__(self, delta: int, table: dict[str, list[int]]):
         self.delta = delta
-        self.table = table
+        self.left = {link: iter(delays) for link, delays in table.items()}  # each link's delays not yet taken
 
-    def delay(self, src: str, dst: str, nth: int) -> int:
-        delays = self.table.get(f"{src}->{dst}")
-        if delays is None or nth >= len(delays):
-            return self.delta
-        d = delays[nth]
-        if not 1 <= d <= self.delta:
-            raise ConfigError(f"scripted delay {d} on {src}->{dst} outside [1, {self.delta}]")
-        return d
+    def delays(self, src: str, dsts) -> list[int]:
+        out = [next(self.left.get(f"{src}->{dst}", iter(())), self.delta) for dst in dsts]
+        if not all(1 <= d <= self.delta for d in out):
+            raise ConfigError(f"scripted delays {out} from {src} to {list(dsts)} outside [1, {self.delta}]")
+        return out
 
 
 class ClockModel:
@@ -143,7 +138,7 @@ class Simulator:
         self.clients: list[str] = []
         self._buckets: dict[SimTime, list] = {}  # time -> its pending (kind, a, b, c, d), in push order
         self._times: list[SimTime] = []  # heap of the times in _buckets
-        self._links: dict[str, dict[str, list]] = {}  # src -> dst -> [last_delivery, sends]
+        self._links: dict[str, dict[str, SimTime]] = {}  # src -> dst -> the link's last delivery time
         self._started = False
         self._steps = 0
 
@@ -173,19 +168,13 @@ class Simulator:
             raise ConfigError(f"send to unknown process {next(d for d in dsts if d not in handlers)}")
         wire = wire_payload(msg)
         delivered = {"src": src, "msg": wire}
-        links = self._links.get(src)
-        if links is None:
-            links = self._links[src] = {}
-        now, delay, buckets = self.now, self.strategy.delay, self._buckets
-        for dst in dsts:
-            link = links.get(dst)
-            if link is None:
-                link = links[dst] = [0, 0]
-            when = now + delay(src, dst, link[1])
-            link[1] += 1
-            if when < link[0]:  # FIFO repair: never deliver before an earlier send
-                when = link[0]
-            link[0] = when
+        links = self._links.setdefault(src, {})
+        now, buckets = self.now, self._buckets
+        for dst, delay in zip(dsts, self.strategy.delays(src, dsts)):
+            when = now + delay
+            if when < (last := links.get(dst, 0)):  # FIFO repair: never deliver before an earlier send
+                when = last
+            links[dst] = when
             bucket = buckets.get(when)
             if bucket is None:
                 bucket = buckets[when] = []
@@ -224,7 +213,7 @@ class Simulator:
         """
         self.start()
         buckets, times, handlers, contexts = self._buckets, self._times, self.handlers, self.contexts
-        sink, budget, steps = self.sink.event, self.step_budget, self._steps
+        sink, deliver, budget, steps = self.sink.event, self.sink.deliver, self.step_budget, self._steps
         try:
             while times:
                 time = times[0]
@@ -237,7 +226,7 @@ class Simulator:
                     if steps > budget:
                         raise BudgetExceededError(f"no quiescence after {budget} events")
                     if kind == _DELIVER:
-                        sink(TraceEvent(time, b, DELIVER, d))
+                        deliver((time, b, d))
                         handlers[b].on_deliver(contexts[b], a, c)
                     elif kind == _TIMER:
                         sink(TraceEvent(time, a, TIMER_FIRE, {"token": b}))

@@ -1,21 +1,16 @@
 """Trace events and the JSONL trace format.
 
 One JSON object per line, keys always time/process/kind/payload in that
-order. Payloads are built as JSON-ready dicts up front so the in-memory
-trace and the file render identically byte for byte. Every line is what
-the stdlib's C JSON encoder writes, with compact separators, from one
-encoder built at import (JSONEncoder.encode builds a new one per call).
+order, as the stdlib's C JSON encoder writes it (compact separators, one
+encoder built at import): a kept trace and its file render byte for byte.
 
-A wire message is rendered once per send call, and a broadcast is one
-call: every Send event of the call and the Deliver event of each of
-those sends hold the same `msg` dict, and the Deliver events of the call
-share one payload dict. Treat payloads as read-only; code that edits one
-must copy the event (say, with copy.deepcopy) first, or the edit shows up
-in every event sharing it.
 A run reaches its sink (a `Trace`, the checkers, `fluttersim run`'s
-`TraceWriter`) one event at a time, but each send call once; a `Trace`
-keeps a call once, building its Send events only when iterated.
-`read_trace` streams a saved trace back.
+`TraceWriter`) in three calls: `sends(time, src, dsts, msg)` once per send
+call, `deliver((time, dst, payload))` per copy delivered, and `event(ev)`
+for every other event. A call's copies share one `msg` dict and their
+deliveries one payload dict, so treat payloads as read-only (copy an event
+before editing it). A `Trace` keeps the calls, and builds Send and Deliver
+events only when iterated. `read_trace` streams a saved trace back.
 """
 
 from __future__ import annotations
@@ -70,17 +65,24 @@ def send_event(time: int, src: str, dst: str, msg) -> TraceEvent:
     return TraceEvent(time, src, SEND, {"dst": dst, "msg": msg})
 
 
+def deliver_event(delivery: tuple) -> TraceEvent:
+    """The Deliver event of a delivery, (time, dst, payload)."""
+    return TraceEvent(delivery[0], delivery[1], DELIVER, delivery[2])
+
+
 class Trace:
-    """A kept trace, and the simulator's sink that keeps it: each event, and each send call once, in run order."""
+    """A kept trace, and the simulator's sink that keeps it: each event, delivery and send call once, in run order."""
 
     __slots__ = ("calls", "extra")
 
     def __init__(self):
-        self.calls: list = []  # each event, or a send call's (time, src, dsts, msg) with `dsts` as a tuple
+        self.calls: list = []  # each event, delivery (time, dst, payload), or send call (time, src, dsts tuple, msg)
         self.extra = 0  # events beyond one per call: each send call's copies, less one
 
     def event(self, ev: TraceEvent) -> None:
         self.calls.append(ev)
+
+    deliver = event  # a delivery is kept as handed, as an event is
 
     def sends(self, time: int, src: str, dsts, msg) -> None:
         self.calls.append((time, src, tuple(dsts), msg))  # a snapshot: the caller may reuse its list
@@ -88,26 +90,30 @@ class Trace:
 
     def replay(self, sink) -> None:
         """Hand `sink` the calls the run made, in order."""
-        event, sends = sink.event, sink.sends
+        event, deliver, sends = sink.event, sink.deliver, sink.sends
         for call in self.calls:
-            if type(call) is tuple:
-                sends(*call)
-            else:
+            if type(call) is not tuple:
                 event(call)
+            elif len(call) == 3:
+                deliver(call)
+            else:
+                sends(*call)
 
     def __len__(self) -> int:
         return len(self.calls) + self.extra
 
     def __iter__(self):
         for call in self.calls:
-            if type(call) is tuple:
-                yield from [send_event(call[0], call[1], dst, call[3]) for dst in call[2]]
-            else:
+            if type(call) is not tuple:
                 yield call
+            elif len(call) == 3:
+                yield deliver_event(call)
+            else:
+                yield from [send_event(call[0], call[1], dst, call[3]) for dst in call[2]]
 
 
 class TraceWriter:
-    """A sink that writes each event, and each send call's Send events, to an open text file as `to_line` would."""
+    """A sink that writes each event, delivery and send call's Send events to an open text file as `to_line` would."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -121,38 +127,38 @@ class TraceWriter:
         self.fh.write("".join([f"{head}{_quote(dst)}{tail}" for dst in dsts]))
         self.msgs.setdefault(id(msg), [msg, _quote(src) + tail, src, 0])[3] += len(dsts)
 
-    def event(self, ev: TraceEvent) -> None:
-        """One event that is no Send call's copy."""
-        payload = ev.payload
-        if (ev.kind != DELIVER or type(ev.time) is not int or type(payload) is not dict or len(payload) != 2
-                or next(iter(payload)) != "src" or "msg" not in payload or type(ev.process) is not str
-                or type(src := payload["src"]) is not str):
-            self.fh.write(ev.to_line() + "\n")
-            return
+    def deliver(self, delivery: tuple) -> None:
+        """One delivery (int time, str names, payload exactly {"src", "msg"}): its line ends as its Sends' do."""
+        time, dst, payload = delivery
         msgs = self.msgs
         entry = msgs.get(id(msg := payload["msg"]))
-        if entry is None or entry[2] != src:  # no matching Send: the stream (say, read from a file) shares no dicts
+        if entry is None or entry[2] != payload["src"]:  # no Send written: the stream (say, a file) shares no dicts
             msgs.clear()
-            self.fh.write(ev.to_line() + "\n")
+            self.fh.write(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{render(payload)}}}\n')
             return
         entry[3] -= 1
         if not entry[3]:
             del msgs[id(msg)]
-        self.fh.write(f'{{"time":{ev.time},"process":{_quote(ev.process)},"kind":"Deliver","payload":{{"src":'
-                      f'{entry[1]}')
+        self.fh.write(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{{"src":{entry[1]}')
+
+    def event(self, ev: TraceEvent) -> None:
+        """One event that is no delivery or Send call's copy."""
+        self.fh.write(ev.to_line() + "\n")
 
     def write(self, events) -> None:
-        """Write a `Trace`'s calls, or one call per Send of `events` shaped as the simulator writes it."""
+        """Write a `Trace`'s calls, or `events`, each Send and Deliver shaped as the simulator writes it as a call."""
         if isinstance(events, Trace):
             return events.replay(self)
         for ev in events:
             payload = ev.payload
-            if (ev.kind != SEND or type(payload) is not dict or len(payload) != 2 or next(iter(payload)) != "dst"
-                    or "msg" not in payload or type(dst := payload["dst"]) is not str or type(ev.time) is not int
-                    or type(ev.process) is not str):
+            if type(payload) is not dict or type(ev.time) is not int or type(ev.process) is not str:
                 self.event(ev)
-            else:
+            elif ev.kind == SEND and list(payload) == ["dst", "msg"] and type(dst := payload["dst"]) is str:
                 self.sends(ev.time, ev.process, (dst,), payload["msg"])
+            elif ev.kind == DELIVER and list(payload) == ["src", "msg"] and type(payload["src"]) is str:
+                self.deliver((ev.time, ev.process, payload))
+            else:
+                self.event(ev)
 
 
 def write_trace(path, events) -> None:

@@ -430,8 +430,8 @@ def test_raised_time_reports_fail_lock_vs_local():
 
 def test_each_lock_property_reports_its_own_first_failure(monkeypatch):
     # A replay whose lock passes local time at its first Time and then falls by one tick at each later Time.
-    def time(self, src, t, event):
-        self.lock = event.time + 100 if self.lock == NEG_INF else self.lock - 1
+    def time(self, src, t, delivery):
+        self.lock = delivery[0] + 100 if self.lock == NEG_INF else self.lock - 1
 
     monkeypatch.setattr(_ServerReplay, "time", time)
     clean, cfg = goodcase_run()

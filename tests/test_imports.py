@@ -120,12 +120,32 @@ def test_only_the_simulator_fans_out():
     assert [name for name, text in texts.items() if loop.search(text)] == []
 
 
+def functions(path: Path):
+    """(file, qualified name, node) of each function of a module and of its classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield path.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((path.name, f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
 def test_only_the_simulator_builds_deliver_events():
-    # The copies of one send call share one Deliver payload, which `Simulator.send` builds.
+    # The copies of one send call share one Deliver payload, which `Simulator.send` builds; a delivery reaches every
+    # sink as a tuple, and only `trace.deliver_event` makes a Deliver event of one.
+    found = [fn for path in sorted(PACKAGE.glob("*.py")) for fn in functions(path)]
+    assert len(found) > 100
+    payloads = [(file, name) for file, name, fn in found
+                if any(isinstance(node, ast.Dict) and [getattr(k, "value", None) for k in node.keys] == ["src", "msg"]
+                       for node in ast.walk(fn))]
+    assert payloads == [("simnet.py", "Simulator.send")]
+    builders = [(file, name) for file, name, fn in found
+                if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TraceEvent"
+                       and any(getattr(arg, "id", getattr(arg, "attr", None)) == "DELIVER" for arg in node.args)
+                       for node in ast.walk(fn))]
+    assert builders == [("trace.py", "deliver_event")]
     deliver = re.compile(r"TraceEvent\([^)]*\bDELIVER\b")
     texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert deliver.search(texts.pop("simnet.py"))
-    assert [name for name, text in texts.items() if deliver.search(text)] == []
+    assert {name: len(deliver.findall(text)) for name, text in texts.items() if deliver.search(text)} == {"trace.py": 1}
 
 
 def test_only_the_runner_hooks_the_sink():

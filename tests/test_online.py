@@ -12,10 +12,10 @@ from fluttersim import trace as tr
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, CheckerConfig, check_pass, run_all_checks
 from fluttersim.runner import _run_one, build_simulation, campaign_variant, compute_metrics, run_campaign
-from fluttersim.scenario import load_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
 
-from conftest import SCENARIOS_DIR, simulate
+from conftest import SCENARIOS_DIR, scenario_dict, simulate
 from test_golden import CAMPAIGN_DIGEST
 
 BUNDLED = sorted(p.stem for p in SCENARIOS_DIR.glob("*.json"))
@@ -70,8 +70,35 @@ def test_run_in_two_parts_matches_feeding_every_event(name):
     assert live.metrics.summary(quiescent, live)["final_time"] == trace[-1].time
 
 
+def test_a_run_cut_right_after_a_delivery_ends_on_its_deliver_event():
+    # c000's second message is scripted at t=500, after the first is delivered everywhere; a trace cut before it and
+    # judged as quiescent misses that broadcast, and the witness is the run's last event: a delivery the pass kept
+    # as its tuple.
+    scenario = parse_scenario(scenario_dict(clients=[{"name": "c000", "delta_estimate": 10, "broadcasts": [
+        {"at": 0, "message": "01"}, {"at": 500, "message": "02"}]}]))
+    trace, _ = simulate(scenario)
+    cut = max(i for i, e in enumerate(trace) if e.time < 500 and trace[i + 1].time > e.time)  # a tick's last event
+    assert trace[cut].kind == tr.DELIVER
+    cfg = CheckerConfig.from_scenario(scenario, True)
+    live = check_pass(cfg)
+    sim = build_simulation(scenario)
+    sim.sink = live
+    assert not sim.run(until=trace[cut].time)
+    for run in (check_pass(cfg).run(trace[: cut + 1]), live):
+        assert (run.events, run.final_time) == (cut + 1, trace[cut].time)
+        assert run.metrics.summary(True, run)["final_time"] == trace[cut].time
+        validity = next(r for r in run.finish(True) if r.prop == "tob-validity")
+        assert (validity.verdict, validity.detail) == (FAIL, "broadcast (c000, 0x02) not delivered by "
+                                                             "['s000', 's001', 's002', 's003', 's004', 's005'] "
+                                                             "(broadcast event missing)")
+        e = trace[cut]
+        assert validity.witness == [{"time": e.time, "process": e.process, "kind": tr.DELIVER, "payload": e.payload}]
+        assert run.last == e
+
+
 def test_a_checked_campaign_builds_no_send_event(monkeypatch):
-    # The live path hands each send call to the check pass once, and no report of these runs names a Send.
+    # The live path hands the check pass each send call once and each delivery as a tuple, and no report of these
+    # runs names a Send or a Deliver.
     built = Counter()
     real = tr.TraceEvent.__init__
 
@@ -81,14 +108,15 @@ def test_a_checked_campaign_builds_no_send_event(monkeypatch):
 
     monkeypatch.setattr(tr.TraceEvent, "__init__", counting)
     summary = run_campaign(campaign_base(), range(5), sorted(BEHAVIORS))
-    assert built[tr.SEND] == 0 and built[tr.DELIVER] > 5_000
+    assert built[tr.SEND] == built[tr.DELIVER] == 0 and built[tr.TIMER_FIRE] > 500
     rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(rendered.encode()).hexdigest() == CAMPAIGN_DIGEST
 
 
 @pytest.mark.parametrize("name", BUNDLED + ["campaign+equivocator"])
 def test_a_kept_trace_is_checked_and_written_with_no_send_event(tmp_path, monkeypatch, name):
-    # A kept `Trace` hands its consumers each send call once; a list or a file goes on one call per Send line.
+    # A kept `Trace` hands its consumers each send call once and each delivery as a tuple; a list or a file goes on
+    # one call per Send or Deliver line.
     if name.startswith("campaign+"):
         scenario = campaign_variant(campaign_base(), name.split("+")[1], "adversarial_value", 3)
     else:
@@ -107,7 +135,7 @@ def test_a_kept_trace_is_checked_and_written_with_no_send_event(tmp_path, monkey
     reports = [r.to_dict() for r in run_all_checks(sim.trace, cfg)]
     metrics = compute_metrics(sim.trace, scenario, quiescent)
     tr.write_trace(tmp_path / "kept.jsonl", sim.trace)
-    assert built[tr.SEND] == 0 and built[tr.DELIVER] > 30
+    assert built[tr.SEND] == built[tr.DELIVER] == 0 < built[tr.TIMER_FIRE]
     monkeypatch.undo()
     listed = list(sim.trace)
     assert len(listed) == len(sim.trace) == metrics["events"]

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
-from fluttersim.scenario import Scenario
+from fluttersim.runner import campaign_variant, run_checked
+from fluttersim.scenario import Scenario, load_scenario
 from fluttersim.server import FlutterServer
-from fluttersim.trace import APP_DELIVER, DELIVER, TraceEvent
+from fluttersim.trace import APP_DELIVER
 from fluttersim.types import NEG_INF, BroadcastTuple, Observe, Time, quorum_large
+
+from conftest import SCENARIOS_DIR
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
 
@@ -136,7 +142,7 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
         src = names[sender % len(names)]
         time = next_time(srv.remote_times[src], srv._lock, how, by)
         srv._on_time(ctx, src, time)
-        invariants.deliver(TraceEvent(10**6 + i, "s000", DELIVER, {"src": src, "msg": {"kind": "Time", "time": time}}))
+        invariants.deliver((10**6 + i, "s000", {"src": src, "msg": {"kind": "Time", "time": time}}))
         assert srv._lock == srv.lock_time()
         assert srv._above == sum(v > srv._lock for v in srv.remote_times.values())
         assert replay.remote_times == srv.remote_times
@@ -367,6 +373,31 @@ def test_candidate_heap_matches_full_scan(ops):
         delivered = [(p["client"], p["message"], p["bet"]) for k, p in ctx.emitted if k == APP_DELIVER]
         assert delivered == model.delivered
         assert sorted(srv._queue) == sorted(t for t in model.candidates if model.last is None or t > model.last)
+
+
+def test_no_handler_leaves_the_queue_head_processable(monkeypatch):
+    # A server drains its queue only after a decision or a lock rise. That is enough only if, after every input, the
+    # head of the queue is undecided or its bet lies above the lock: no other input may make a candidate processable.
+    calls = Counter()
+
+    def checked(hook):
+        real = getattr(FlutterServer, hook)
+
+        def handler(self, ctx, *args):
+            real(self, ctx, *args)
+            calls[hook] += 1
+            head = self._queue[0] if self._queue else None
+            assert head is None or head not in self.decisions or head.bet > self._lock, (hook, self.name, head)
+
+        return handler
+
+    for hook in ("on_deliver", "on_timer", "on_dep_decide"):
+        monkeypatch.setattr(FlutterServer, hook, checked(hook))
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS_DIR.glob("*.json"))]
+    for scenario in scenarios + [campaign_variant(base, b, "adversarial_timing", 3) for b in sorted(BEHAVIORS)]:
+        run_checked(scenario)
+    assert min(calls.values()) > 100
 
 
 def test_order_dedups_same_client_message_across_bets():

@@ -80,6 +80,16 @@ def test_scripted_rejects_delay_outside_bounds(bad_delay):
         sim.run()
 
 
+def test_scripted_links_take_their_own_lists_in_order():
+    # Two links interleave their sends, in one call and across calls: each takes the next entry of its own list.
+    strategy = Scripted(10, {"a->b": [3, 5, 7], "a->c": [2, 4]})
+    assert strategy.delays("a", ["b", "c"]) == [3, 2]
+    assert strategy.delays("a", ["c"]) == [4]
+    assert strategy.delays("a", ["b", "c", "b"]) == [5, 10, 7]
+    assert strategy.delays("c", ["b"]) == strategy.delays("a", ["b"]) == [10]
+    assert strategy.delays("a", []) == []
+
+
 def test_scripted_falls_back_to_delta_when_list_exhausted():
     sim = Simulator(Scripted(10, {"a->b": [2]}))
     sim.add_process("a", "server", SendAt("b", [0, 0]))
@@ -293,9 +303,12 @@ def test_timer_fire_traced():
 @pytest.mark.parametrize("seed", [0, 104729, "fluttersim"])
 def test_seeded_delays_are_the_randint_stream(seed):
     # SeededRandom inlines randint(1, delta): every golden digest rests on the two streams agreeing.
-    for delta in range(1, 71):
-        strategy, reference = SeededRandom(delta, seed), random.Random(seed)
-        assert [strategy.delay("a", "b", i) for i in range(100)] == [reference.randint(1, delta) for _ in range(100)]
+    for chunk in (1, 6, 16):  # one send call's copies draw in one `delays` call
+        calls = -(-100 // chunk)
+        for delta in range(1, 71):
+            strategy, reference = SeededRandom(delta, seed), random.Random(seed)
+            drawn = [d for _ in range(calls) for d in strategy.delays("a", ["b"] * chunk)]
+            assert drawn == [reference.randint(1, delta) for _ in range(calls * chunk)]
 
 
 class Fanout:
@@ -375,10 +388,8 @@ class HeapSimulator(Simulator):
         for dst in dsts:
             if dst not in self.handlers:
                 raise ConfigError(f"send to unknown process {dst}")
-        for dst in dsts:
-            link = links.setdefault(dst, [0, 0])
-            when = max(self.now + self.strategy.delay(src, dst, link[1]), link[0])
-            link[0], link[1] = when, link[1] + 1
+        for dst, delay in zip(dsts, self.strategy.delays(src, dsts)):
+            when = links[dst] = max(self.now + delay, links.get(dst, 0))
             self._push(when, simnet._DELIVER, src, dst, msg, delivered)
         if dsts:
             self.sink.sends(self.now, src, dsts, wire)
@@ -394,7 +405,7 @@ class HeapSimulator(Simulator):
             time, _seq, kind, a, b, c, d = heapq.heappop(self._heap)
             self.now = time
             if kind == simnet._DELIVER:
-                self.sink.event(TraceEvent(time, b, DELIVER, d))
+                self.sink.deliver((time, b, d))
                 self.handlers[b].on_deliver(self.contexts[b], a, c)
             elif kind == simnet._TIMER:
                 self.sink.event(TraceEvent(time, a, TIMER_FIRE, {"token": b}))

@@ -122,6 +122,11 @@ class HeldSpy:
         self.sent(msg, len(dsts))
         self.check(exact=True)
 
+    def deliver(self, delivery):
+        self.writer.deliver(delivery)
+        self.delivered(delivery[2]["msg"])
+        self.check(exact=True)
+
     def event(self, ev):
         self.writer.event(ev)
         self.seen(ev)
@@ -146,12 +151,15 @@ class HeldSpy:
         if ev.kind == SEND:
             self.sent(ev.payload["msg"], 1)
         elif ev.kind == DELIVER:
-            self.in_flight -= 1
-            entry = self.flying.get(id(msg := ev.payload["msg"]))
-            if entry is not None and entry[0] is msg:
-                entry[1] -= 1
-                if not entry[1]:  # the k-th Deliver of a k-copy call releases its dict
-                    del self.flying[id(msg)]
+            self.delivered(ev.payload["msg"])
+
+    def delivered(self, msg):
+        self.in_flight -= 1
+        entry = self.flying.get(id(msg))
+        if entry is not None and entry[0] is msg:
+            entry[1] -= 1
+            if not entry[1]:  # the k-th Deliver of a k-copy call releases its dict
+                del self.flying[id(msg)]
 
     def check(self, exact):
         held = self.writer.msgs.keys()
@@ -179,8 +187,9 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
         # A live run hands the writer each send call once: broadcasts, and one-copy calls.
         spy = spied(lambda spy: run_checked(named_scenario(name), spy))
         assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
-        # The kept trace (shared dicts), event by event, each Send a one-copy call.
+        # The kept trace (shared dicts), event by event, each Send a one-copy call and each Deliver a delivery.
         spy = spied(lambda spy: [spy.sends(e.time, e.process, [e.payload["dst"]], e.payload["msg"]) if e.kind == SEND
+                                 else spy.deliver((e.time, e.process, e.payload)) if e.kind == DELIVER
                                  else spy.event(e) for e in trace])
         assert spy.flying == {} and set(spy.copies) == {1}
         # The kept trace, replayed: the calls of the live run.
@@ -241,6 +250,9 @@ class Recorder:
     def event(self, ev):
         self.calls.append(("event", (ev,)))
 
+    def deliver(self, delivery):
+        self.calls.append(("deliver", (delivery,)))
+
     def sends(self, time, src, dsts, msg):
         self.calls.append(("sends", (time, src, tuple(dsts), msg)))
 
@@ -255,14 +267,20 @@ def test_a_kept_trace_replays_the_live_run(name):
     replayed = Recorder()
     sim.trace.replay(replayed)
     assert replayed.calls == live.calls
-    # The very objects of the live calls: each event, and each send call's one `msg` dict.
+    # The very objects of the live calls: each event and delivery, and each send call's one `msg` dict.
     assert all(got[-1] is want[-1] for (_, got), (_, want) in zip(replayed.calls, live.calls))
     assert any(len(args[2]) > 1 for method, args in live.calls if method == "sends")
-    # Iterating gives each event, and a Send event per copy of each call, holding the call's `msg` dict.
+    # Iterating gives each event, a Deliver event per delivery holding its payload, and a Send event per copy of
+    # each call, holding the call's `msg` dict.
     events = iter(sim.trace)
+    assert any(method == "deliver" for method, _ in live.calls)
     for method, args in live.calls:
         if method == "event":
             assert next(events) is args[0]
+        elif method == "deliver":
+            (time, dst, payload), = args
+            e = next(events)
+            assert (e.time, e.process, e.kind, e.payload) == (time, dst, DELIVER, payload) and e.payload is payload
         else:
             time, src, dsts, msg = args
             copies = [next(events) for _ in dsts]
