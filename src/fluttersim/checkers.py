@@ -2,13 +2,14 @@
 
 A `CheckPass` is a simulator sink. It keeps each low-volume event
 (Broadcast, AppDeliver, the consensus kinds) once, for the run views the
-end-of-run checkers read, and hands each send call once and each delivery
-as its tuple to the observers that judge as they go (the server replay,
-the network, `Metrics`); a Send or Deliver event is built only for a
-witness. The network pairs dicts by identity and holds those it compares,
-so a recycled id() cannot match. Liveness is decided only at quiescence.
-Server invariants come from an independent replay of each server's
-inputs, so a bug in the live implementation cannot hide in the checker.
+end-of-run checkers read, and hands each send call and each run of
+deliveries once to the observers that judge as they go (the server replay,
+the network, `Metrics`), which read a run only during the call; a Send or
+Deliver event is built only for a witness. The network pairs dicts by
+identity and holds those it compares, so a recycled id() cannot match.
+Liveness is decided only at quiescence. Server invariants come from an
+independent replay of each server's inputs, so a bug in the live
+implementation cannot hide in the checker.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from functools import cached_property
+from itertools import groupby
 
 from . import trace as tr
 from .types import NEG_INF, Record, quorum_large
@@ -180,7 +182,7 @@ class CheckPass:
 
     A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
     cls(cfg), with `handles` (event kind -> method name, taking a Send's call (time, src, dsts, msg), a Deliver's
-    delivery (time, dst, payload), or an event) and finish(quiescent, run). No observer holds the pass.
+    run of deliveries (time, dst, payload), or an event) and finish(quiescent, run). No observer holds the pass.
     """
 
     def __init__(self, cfg: CheckerConfig, checks):
@@ -216,12 +218,12 @@ class CheckPass:
         for handler in self.routes.get(event.kind, ()):
             handler(event)
 
-    def deliver(self, delivery: tuple) -> None:
-        """One Deliver event, as the delivery (time, dst, payload)."""
-        self.events += 1
-        self._last = delivery
+    def deliver(self, run: list) -> None:
+        """A run of Deliver events, each as its delivery (time, dst, payload)."""
+        self.events += len(run)
+        self._last = run[-1]
         for handler in self.deliverers:
-            handler(delivery)
+            handler(run)
 
     def sends(self, time: int, src: str, dsts, msg: dict) -> None:
         """One send call: a Send event to each of `dsts`, all holding `msg`."""
@@ -231,18 +233,21 @@ class CheckPass:
             handler(time, src, dsts, msg)
 
     def run(self, trace) -> "CheckPass":
-        """Feed a `Trace`'s calls, or the events of any other iterable, each Send as a one-copy call."""
+        """Feed a `Trace`'s calls, or the events of any other iterable, each Send as a one-copy call and each stretch
+        of Deliver events as one run."""
         if isinstance(trace, tr.Trace):
             trace.replay(self)
             return self
         send = tr.SEND if self.senders else None  # with no send call handler, a Send is an event read no further
-        for ev in trace:
-            if ev.kind == tr.DELIVER:
-                self.deliver((ev.time, ev.process, ev.payload))
-            elif ev.kind == send:
-                self.sends(ev.time, ev.process, (ev.payload["dst"],), ev.payload["msg"])
-            else:
-                self.event(ev)
+        for delivering, events in groupby(trace, lambda ev: ev.kind == tr.DELIVER):
+            if delivering:
+                self.deliver([(ev.time, ev.process, ev.payload) for ev in events])
+                continue
+            for ev in events:
+                if ev.kind == send:
+                    self.sends(ev.time, ev.process, (ev.payload["dst"],), ev.payload["msg"])
+                else:
+                    self.event(ev)
         return self
 
     def finish(self, quiescent: bool) -> list[CheckReport]:
@@ -516,26 +521,28 @@ class _ServerInvariants:
         self.fails: dict[str, tuple[str, list[tuple]]] = {}  # lock property -> its first (detail, witness deliveries)
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
-    def deliver(self, delivery: tuple) -> None:
-        time, dst, payload = delivery
-        replay = self.replays.get(dst)
-        if replay is None:
-            return
-        src = payload["src"]
-        msg = payload["msg"]
-        kind = msg["kind"]
-        if src in replay.remote_times:
-            if kind == "Time":
-                before = replay.lock
-                replay.time(src, msg["time"], delivery)
-                if replay.lock < before:
-                    self.fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
-                if self.lock_within_local and replay.lock > time:
-                    self.fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
-            elif kind == "Observe":
-                replay.spot(_key_of(msg))
-        elif kind == "Message" and src in self.clients:
-            replay.spot((msg["bet"], src, msg["message"]))
+    def deliver(self, run: list) -> None:
+        replays, clients, fails, within_local = self.replays, self.clients, self.fails, self.lock_within_local
+        for delivery in run:
+            time, dst, payload = delivery
+            replay = replays.get(dst)
+            if replay is None:
+                continue
+            src = payload["src"]
+            msg = payload["msg"]
+            kind = msg["kind"]
+            if src in replay.remote_times:
+                if kind == "Time":
+                    before = replay.lock
+                    replay.time(src, msg["time"], delivery)
+                    if replay.lock < before:
+                        fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
+                    if within_local and replay.lock > time:
+                        fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
+                elif kind == "Observe":
+                    replay.spot(_key_of(msg))
+            elif kind == "Message" and src in clients:
+                replay.spot((msg["bet"], src, msg["message"]))
 
     def decide(self, event: tr.TraceEvent) -> None:
         replay = self.replays.get(event.process)
@@ -621,33 +628,35 @@ class _Network:
                 link = links[dst] = self.links[(src, dst)] = _Link()
             link.append(sent)
 
-    def deliver(self, delivery: tuple) -> None:
-        t, dst, payload = delivery
-        src = payload["src"]
-        link = self.by_src[src].get(dst)
-        if not link:  # no link, or none of its Sends pending
-            self.fails.setdefault("net-fifo", ("delivery without a matching send", [delivery]))
-            return
-        s_time, s_msg = link.popleft()
-        if link.last is None:
-            return
-        d_msg = payload["msg"]
-        dt = t - s_time
-        if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_msg until now
-            fail = ("net-fifo", "deliveries out of send order", True)
-        elif t < link.last:
-            fail = ("net-fifo", "delivery times decreased along a link", False)
-        elif dt < 1 or (t > s_time + self.delta and t > link.last):
-            fail = ("net-delay-bounds", f"delay {dt} outside [1, {self.delta}] (after FIFO repair)", True)
-        elif self.exact and dt != self.delta:
-            fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {self.delta}", True)
-        else:
-            link.last = t
-            return
-        link.last = None
-        prop, detail, with_send = fail
-        if prop not in self.fails:
-            self.fails[prop] = (detail, [tr.send_event(s_time, src, dst, s_msg), delivery] if with_send else [delivery])
+    def deliver(self, run: list) -> None:
+        by_src, fails, delta, exact = self.by_src, self.fails, self.delta, self.exact
+        for delivery in run:
+            t, dst, payload = delivery
+            src = payload["src"]
+            link = by_src[src].get(dst)
+            if not link:  # no link, or none of its Sends pending
+                fails.setdefault("net-fifo", ("delivery without a matching send", [delivery]))
+                continue
+            s_time, s_msg = link.popleft()
+            if link.last is None:
+                continue
+            d_msg = payload["msg"]
+            dt = t - s_time
+            if s_msg is not d_msg and s_msg != d_msg:  # `is` is sound: this pass holds s_msg until now
+                fail = ("net-fifo", "deliveries out of send order", True)
+            elif t < link.last:
+                fail = ("net-fifo", "delivery times decreased along a link", False)
+            elif dt < 1 or (t > s_time + delta and t > link.last):
+                fail = ("net-delay-bounds", f"delay {dt} outside [1, {delta}] (after FIFO repair)", True)
+            elif exact and dt != delta:
+                fail = ("net-delay-bounds", f"exact_delta delivered after {dt} ticks, not {delta}", True)
+            else:
+                link.last = t
+                continue
+            link.last = None
+            prop, detail, with_send = fail
+            if prop not in fails:
+                fails[prop] = (detail, [tr.send_event(s_time, src, dst, s_msg), delivery] if with_send else [delivery])
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         if "net-fifo" not in self.fails and quiescent:

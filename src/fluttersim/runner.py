@@ -86,11 +86,11 @@ class RunResult(Record):
 
 
 class _Tee:
-    """A simulator sink that hands each event, delivery and send call to `first`, then to `then`."""
+    """A simulator sink that hands each event, run of deliveries and send call to `first`, then to `then`."""
 
     def __init__(self, first, then):
         self.event = lambda event: (first.event(event), then.event(event))
-        self.deliver = lambda delivery: (first.deliver(delivery), then.deliver(delivery))
+        self.deliver = lambda run: (first.deliver(run), then.deliver(run))
         self.sends = lambda *call: (first.sends(*call), then.sends(*call))
 
 

@@ -4,10 +4,12 @@ Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets and local-time timers. A send call (a
 broadcast is one) renders its message once, draws its copies' delays in
 one `strategy.delays(src, dsts)` call, and reaches `sink` (which `run()`
-reads when it starts) once; `trace` has the sink's three calls. Events
-wait in one list per tick, under a heap of those ticks, and run tick by
-tick in push order: one a handler schedules at the current tick runs
-later in it. Handlers take zero ticks. Quiescence = no pending event.
+reads when it starts) once. Consecutive deliveries reach it as one run,
+handed before the next event or send call and when `run()` returns or
+raises; `trace` has the sink's three calls. Events wait in one list per
+tick, under a heap of those ticks, and run tick by tick in push order: one
+a handler schedules at the current tick runs later in it. Handlers take
+zero ticks. Quiescence = no pending event.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ class Simulator:
         self._buckets: dict[SimTime, list] = {}  # time -> its pending (kind, a, b, c, d), in push order
         self._times: list[SimTime] = []  # heap of the times in _buckets
         self._links: dict[str, dict[str, SimTime]] = {}  # src -> dst -> the link's last delivery time
+        self._run: list = []  # deliveries (time, dst, payload) not yet handed to the sink, in order
         self._started = False
         self._steps = 0
 
@@ -159,6 +162,9 @@ class Simulator:
         bucket.append((kind, a, b, c, d))
 
     def emit(self, process: str, kind: str, payload: dict) -> None:
+        if run := self._run:
+            self.sink.deliver(run)
+            run.clear()
         self.sink.event(TraceEvent(self.now, process, kind, payload))
 
     def send(self, src: str, dsts: list[str] | tuple[str, ...], msg: WireMessage) -> None:
@@ -181,6 +187,9 @@ class Simulator:
                 heappush(self._times, when)
             bucket.append((_DELIVER, src, dst, msg, delivered))
         if dsts:
+            if run := self._run:
+                self.sink.deliver(run)
+                run.clear()
             self.sink.sends(now, src, dsts, wire)
 
     def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
@@ -213,7 +222,8 @@ class Simulator:
         """
         self.start()
         buckets, times, handlers, contexts = self._buckets, self._times, self.handlers, self.contexts
-        sink, deliver, budget, steps = self.sink.event, self.sink.deliver, self.step_budget, self._steps
+        sink, run, budget, steps = self.sink, self._run, self.step_budget, self._steps
+        event, deliver, pend = sink.event, sink.deliver, run.append
         try:
             while times:
                 time = times[0]
@@ -226,15 +236,22 @@ class Simulator:
                     if steps > budget:
                         raise BudgetExceededError(f"no quiescence after {budget} events")
                     if kind == _DELIVER:
-                        deliver((time, b, d))
+                        pend((time, b, d))
                         handlers[b].on_deliver(contexts[b], a, c)
-                    elif kind == _TIMER:
-                        sink(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
+                        continue
+                    if run:
+                        deliver(run)
+                        run.clear()
+                    if kind == _TIMER:
+                        event(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
                         handlers[a].on_timer(contexts[a], b)
                     else:  # _DEP: decide indication from the weak-consensus oracle
-                        sink(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                        event(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
                         handlers[a].on_dep_decide(contexts[a], b, c)
                 del buckets[time]
             return True
         finally:
             self._steps = steps
+            if run:  # the sink reads a run only during its call
+                deliver(run)
+                run.clear()

@@ -6,11 +6,13 @@ encoder built at import): a kept trace and its file render byte for byte.
 
 A run reaches its sink (a `Trace`, the checkers, `fluttersim run`'s
 `TraceWriter`) in three calls: `sends(time, src, dsts, msg)` once per send
-call, `deliver((time, dst, payload))` per copy delivered, and `event(ev)`
-for every other event. A call's copies share one `msg` dict and their
-deliveries one payload dict, so treat payloads as read-only (copy an event
-before editing it). A `Trace` keeps the calls, and builds Send and Deliver
-events only when iterated. `read_trace` streams a saved trace back.
+call, `deliver(run)` once per run of consecutive deliveries, a non-empty
+list of (time, dst, payload), and `event(ev)` for every other event. The
+simulator reuses a run's list, so a sink reads it only during the call. A
+call's copies share one `msg` dict and their deliveries one payload dict, so
+treat payloads as read-only (copy an event before editing it). A `Trace`
+keeps the calls, and builds Send and Deliver events only when iterated.
+`read_trace` streams a saved trace back.
 """
 
 from __future__ import annotations
@@ -71,18 +73,20 @@ def deliver_event(delivery: tuple) -> TraceEvent:
 
 
 class Trace:
-    """A kept trace, and the simulator's sink that keeps it: each event, delivery and send call once, in run order."""
+    """A kept trace, and the simulator's sink that keeps it: each event, run and send call once, in run order."""
 
     __slots__ = ("calls", "extra")
 
     def __init__(self):
-        self.calls: list = []  # each event, delivery (time, dst, payload), or send call (time, src, dsts tuple, msg)
-        self.extra = 0  # events beyond one per call: each send call's copies, less one
+        self.calls: list = []  # each event, run (a list of deliveries), or send call (time, src, dsts tuple, msg)
+        self.extra = 0  # events beyond one per call: each run's and send call's copies, less one
 
     def event(self, ev: TraceEvent) -> None:
         self.calls.append(ev)
 
-    deliver = event  # a delivery is kept as handed, as an event is
+    def deliver(self, run: list) -> None:
+        self.calls.append(run[:])  # a snapshot: the caller reuses its list
+        self.extra += len(run) - 1
 
     def sends(self, time: int, src: str, dsts, msg) -> None:
         self.calls.append((time, src, tuple(dsts), msg))  # a snapshot: the caller may reuse its list
@@ -92,24 +96,24 @@ class Trace:
         """Hand `sink` the calls the run made, in order."""
         event, deliver, sends = sink.event, sink.deliver, sink.sends
         for call in self.calls:
-            if type(call) is not tuple:
-                event(call)
-            elif len(call) == 3:
+            if type(call) is list:
                 deliver(call)
-            else:
+            elif type(call) is tuple:
                 sends(*call)
+            else:
+                event(call)
 
     def __len__(self) -> int:
         return len(self.calls) + self.extra
 
     def __iter__(self):
         for call in self.calls:
-            if type(call) is not tuple:
-                yield call
-            elif len(call) == 3:
-                yield deliver_event(call)
-            else:
+            if type(call) is list:
+                yield from map(deliver_event, call)
+            elif type(call) is tuple:
                 yield from [send_event(call[0], call[1], dst, call[3]) for dst in call[2]]
+            else:
+                yield call
 
 
 class TraceWriter:
@@ -124,22 +128,23 @@ class TraceWriter:
         """One send call, with an int time and str names: a Send line per copy, in one write."""
         tail = f',"msg":{render(msg)}}}}}\n'
         head = f'{{"time":{time},"process":{_quote(src)},"kind":"Send","payload":{{"dst":'
-        self.fh.write("".join([f"{head}{_quote(dst)}{tail}" for dst in dsts]))
+        self.fh.write(head + (tail + head).join(map(_quote, dsts)) + tail)
         self.msgs.setdefault(id(msg), [msg, _quote(src) + tail, src, 0])[3] += len(dsts)
 
-    def deliver(self, delivery: tuple) -> None:
-        """One delivery (int time, str names, payload exactly {"src", "msg"}): its line ends as its Sends' do."""
-        time, dst, payload = delivery
-        msgs = self.msgs
-        entry = msgs.get(id(msg := payload["msg"]))
-        if entry is None or entry[2] != payload["src"]:  # no Send written: the stream (say, a file) shares no dicts
-            msgs.clear()
-            self.fh.write(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{render(payload)}}}\n')
-            return
-        entry[3] -= 1
-        if not entry[3]:
-            del msgs[id(msg)]
-        self.fh.write(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{{"src":{entry[1]}')
+    def deliver(self, run: list) -> None:
+        """A run of deliveries (int time, str names, payload exactly {"src", "msg"}), each line ending as its Sends'."""
+        msgs, lines = self.msgs, []
+        for time, dst, payload in run:
+            entry = msgs.get(id(msg := payload["msg"]))
+            if entry is None or entry[2] != payload["src"]:  # no Send written: the stream (say, a file) shares no dicts
+                msgs.clear()
+                lines.append(deliver_event((time, dst, payload)).to_line() + "\n")
+                continue
+            entry[3] -= 1
+            if not entry[3]:
+                del msgs[id(msg)]
+            lines.append(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{{"src":{entry[1]}')
+        self.fh.write("".join(lines))
 
     def event(self, ev: TraceEvent) -> None:
         """One event that is no delivery or Send call's copy."""
@@ -156,7 +161,7 @@ class TraceWriter:
             elif ev.kind == SEND and list(payload) == ["dst", "msg"] and type(dst := payload["dst"]) is str:
                 self.sends(ev.time, ev.process, (dst,), payload["msg"])
             elif ev.kind == DELIVER and list(payload) == ["src", "msg"] and type(payload["src"]) is str:
-                self.deliver((ev.time, ev.process, payload))
+                self.deliver([(ev.time, ev.process, payload)])
             else:
                 self.event(ev)
 

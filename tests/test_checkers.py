@@ -15,7 +15,10 @@ from fluttersim.checkers import (
     NA,
     PASS,
     CheckerConfig,
+    CheckPass,
+    _ev,
     _lock_rank,
+    _ServerInvariants,
     _ServerReplay,
     check_complexity,
     check_consensus,
@@ -26,7 +29,7 @@ from fluttersim.checkers import (
     check_tob,
     run_all_checks,
 )
-from fluttersim.runner import campaign_variant
+from fluttersim.runner import build_simulation, campaign_variant
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
 from fluttersim.types import NEG_INF, quorum_large
@@ -482,6 +485,67 @@ def _lock_bruteforce(values, f: int):
 @example(1, [3, 9, 4, 1])
 def test_lock_rank_matches_bruteforce(f, values):
     assert _lock_rank(values, f) == _lock_bruteforce(values, f)
+
+
+def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
+    """Each correct server's accepted tuples, in processing order, each with the input that processed it, and its
+    candidates.
+
+    From the definition, over a list of events, with no lock count and no heap: after every input to a server (a
+    Time or Observe a server sends it, a Message its client sends it, or its Decide of a tuple), its lock is the
+    (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple spotted with a bet above the lock is a
+    candidate. Then, while the least candidate above the last one processed (a full scan) is decided and its bet
+    is at most the lock, it is processed.
+    """
+    out = {}
+    for name in cfg.correct_servers:
+        times = dict.fromkeys(cfg.servers, NEG_INF)
+        orders, candidates, decided, last = [], set(), {}, None
+        out[name] = (orders, candidates)
+        for e in events:
+            spotted = None
+            if e.process != name:
+                continue
+            if e.kind == DELIVER:
+                src, msg = e.payload["src"], e.payload["msg"]
+                if src in times and msg["kind"] == "Time":
+                    times[src] = max(times[src], msg["time"])
+                elif src in times and msg["kind"] == "Observe":
+                    spotted = (msg["bet"], msg["client"], msg["message"])
+                elif src in cfg.clients and msg["kind"] == "Message":
+                    spotted = (msg["bet"], src, msg["message"])
+            elif e.kind == DECIDE and "label" not in (instance := e.payload["instance"]):
+                decided[(instance["bet"], instance["client"], instance["message"])] = e.payload["value"]
+            lock = sorted(times.values(), reverse=True)[4 * cfg.f]
+            if spotted is not None and spotted[0] > lock:
+                candidates.add(spotted)
+            while (best := min((t for t in candidates if last is None or t > last), default=None)) is not None:
+                if best not in decided or best[0] > lock:
+                    break
+                last = best
+                if decided[best]:
+                    orders.append((best, _ev(e)))
+    return out
+
+
+def test_server_replay_orders_match_the_definition():
+    # The replay counts entries above its lock, keeps its candidates in a heap and drains only on a lock rise or a
+    # Decide; the reference does none of that. Both see every bundled flutter run and 48 campaign runs.
+    scenarios = [s for s in map(load_scenario, sorted(SCENARIOS_DIR.glob("*.json"))) if s.kind == "flutter"]
+    for base in ("campaign_base", "campaign_wide"):
+        base = load_scenario(SCENARIOS_DIR / f"{base}.json")
+        scenarios += [campaign_variant(base, behavior, policy, seed) for behavior in sorted(BEHAVIORS)
+                      for policy in ("adversarial_value", "adversarial_timing") for seed in (0, 1)]
+    accepted = 0
+    for scenario in scenarios:
+        sim = build_simulation(scenario)
+        quiescent = sim.run(until=scenario.until)
+        cfg = CheckerConfig.from_scenario(scenario, quiescent)
+        (invariants,) = CheckPass(cfg, [_ServerInvariants]).run(sim.trace).checks
+        got = {name: ([(t, _ev(e)) for t, e in r.orders], r.candidates) for name, r in invariants.replays.items()}
+        assert got == reference_orders(list(sim.trace), cfg), scenario.name
+        accepted += sum(len(orders) for orders, _ in got.values())
+    assert accepted > 1000
 
 
 # run_all_checks order; True marks the drivers it runs for flutter scenarios only.

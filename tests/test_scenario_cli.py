@@ -559,6 +559,32 @@ def test_cli_protocol_bug_exit_code(tmp_path, monkeypatch, capsys, owner, attr, 
     assert "Traceback" not in err
 
 
+def test_a_run_that_raises_hands_its_pending_deliveries_first(tmp_path, monkeypatch):
+    # A delivery handler that raises ends the run; the deliveries not yet handed to the sink, its own included,
+    # still reach it, so the streamed trace and a kept trace of the run both end on the delivery that raised.
+    monkeypatch.setattr(BlinkInstance, "_majority", majority_unreachable(BlinkInstance._majority))
+    handled = []  # (time, server, src) of every server delivery handler call; the calls never nest
+    real = FlutterServer.on_deliver
+
+    def on_deliver(self, ctx, src, msg):
+        handled.append((ctx.now(), ctx.name, src))
+        real(self, ctx, src, msg)
+
+    monkeypatch.setattr(FlutterServer, "on_deliver", on_deliver)
+    path, streamed, kept = SCENARIOS_DIR / "goodcase.json", tmp_path / "streamed.jsonl", tmp_path / "kept.jsonl"
+    assert cli.main(["run", str(path), "--trace", str(streamed), "--report", str(tmp_path / "r.json")]) == 4
+    scenario = load_scenario(path)
+    sim = build_simulation(scenario)
+    with pytest.raises(AssertionError, match="no 2f\\+1 majority"):
+        sim.run(until=scenario.until)
+    write_trace(kept, sim.trace)
+    assert streamed.read_bytes() == kept.read_bytes()
+    last = json.loads(streamed.read_text().splitlines()[-1])
+    time, server, src = handled[-1]
+    assert (last["time"], last["process"], last["kind"], last["payload"]["src"]) == (time, server, "Deliver", src)
+    assert type(sim.trace.calls[-1]) is list  # a run, handed by the simulator as the handler raised
+
+
 def test_cli_campaign_small_sweep(tmp_path, monkeypatch):
     monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
     code = cli.main(

@@ -142,7 +142,7 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
         src = names[sender % len(names)]
         time = next_time(srv.remote_times[src], srv._lock, how, by)
         srv._on_time(ctx, src, time)
-        invariants.deliver((10**6 + i, "s000", {"src": src, "msg": {"kind": "Time", "time": time}}))
+        invariants.deliver([(10**6 + i, "s000", {"src": src, "msg": {"kind": "Time", "time": time}})])
         assert srv._lock == srv.lock_time()
         assert srv._above == sum(v > srv._lock for v in srv.remote_times.values())
         assert replay.remote_times == srv.remote_times

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fluttersim import simnet
 from fluttersim.errors import BudgetExceededError, ConfigError
 from fluttersim.simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
-from fluttersim.trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, TraceEvent
+from fluttersim.trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, Trace, TraceEvent
 from fluttersim.types import Time, instance_payload, wire_payload
 
 
@@ -404,8 +404,8 @@ class HeapSimulator(Simulator):
                 raise BudgetExceededError(f"no quiescence after {self.step_budget} events")
             time, _seq, kind, a, b, c, d = heapq.heappop(self._heap)
             self.now = time
-            if kind == simnet._DELIVER:
-                self.sink.deliver((time, b, d))
+            if kind == simnet._DELIVER:  # each delivery a run of its own
+                self.sink.deliver([(time, b, d)])
                 self.handlers[b].on_deliver(self.contexts[b], a, c)
             elif kind == simnet._TIMER:
                 self.sink.event(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
@@ -473,11 +473,25 @@ def test_event_order_matches_the_reference_heap_loop(scripts, delta, seed, offse
     def run(cls):
         calls = []
         sim = cls(SeededRandom(delta, seed), ClockModel(dict(zip(PROBES, offsets))))
+        sim.trace = sim.sink = RunLog()
         for name, script in zip(PROBES, scripts):
             sim.add_process(name, "client" if name.startswith("q") else "server", Probe(script, calls))
         cut = sim.run(until)
         at_cut = (cut, sim.now, len(calls), len(sim.trace))
         assert sim.run()
-        return at_cut, calls, [e.to_line() for e in sim.trace]
+        return at_cut, calls, sim.trace.deliveries, [e.to_line() for e in sim.trace]
 
+    # The simulator's runs, flattened, hand the sink the reference loop's deliveries, one per copy, in its order.
     assert run(Simulator) == run(HeapSimulator)
+
+
+class RunLog(Trace):
+    """A kept trace that also logs every delivery it is handed, in order, whatever run it came in."""
+
+    def __init__(self):
+        super().__init__()
+        self.deliveries = []
+
+    def deliver(self, run):
+        super().deliver(run)
+        self.deliveries.extend(run)

@@ -6,6 +6,7 @@ import copy
 import enum
 import json
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -122,9 +123,10 @@ class HeldSpy:
         self.sent(msg, len(dsts))
         self.check(exact=True)
 
-    def deliver(self, delivery):
-        self.writer.deliver(delivery)
-        self.delivered(delivery[2]["msg"])
+    def deliver(self, run):
+        self.writer.deliver(run)
+        for _time, _dst, payload in run:
+            self.delivered(payload["msg"])
         self.check(exact=True)
 
     def event(self, ev):
@@ -187,9 +189,9 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
         # A live run hands the writer each send call once: broadcasts, and one-copy calls.
         spy = spied(lambda spy: run_checked(named_scenario(name), spy))
         assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
-        # The kept trace (shared dicts), event by event, each Send a one-copy call and each Deliver a delivery.
+        # The kept trace (shared dicts), event by event, each Send a one-copy call and each Deliver a run of one.
         spy = spied(lambda spy: [spy.sends(e.time, e.process, [e.payload["dst"]], e.payload["msg"]) if e.kind == SEND
-                                 else spy.deliver((e.time, e.process, e.payload)) if e.kind == DELIVER
+                                 else spy.deliver([(e.time, e.process, e.payload)]) if e.kind == DELIVER
                                  else spy.event(e) for e in trace])
         assert spy.flying == {} and set(spy.copies) == {1}
         # The kept trace, replayed: the calls of the live run.
@@ -242,16 +244,18 @@ def test_one_deliver_payload_per_send_call(name):
 
 
 class Recorder:
-    """A sink that keeps each call it takes, as (method, args)."""
+    """A sink that keeps each call it takes, as (method, args), a run as a copy, and each run's list as handed."""
 
     def __init__(self):
         self.calls = []
+        self.runs = []
 
     def event(self, ev):
         self.calls.append(("event", (ev,)))
 
-    def deliver(self, delivery):
-        self.calls.append(("deliver", (delivery,)))
+    def deliver(self, run):
+        self.calls.append(("deliver", (run[:],)))  # the caller may reuse its list
+        self.runs.append(run)
 
     def sends(self, time, src, dsts, msg):
         self.calls.append(("sends", (time, src, tuple(dsts), msg)))
@@ -267,20 +271,23 @@ def test_a_kept_trace_replays_the_live_run(name):
     replayed = Recorder()
     sim.trace.replay(replayed)
     assert replayed.calls == live.calls
-    # The very objects of the live calls: each event and delivery, and each send call's one `msg` dict.
-    assert all(got[-1] is want[-1] for (_, got), (_, want) in zip(replayed.calls, live.calls))
+    # The very objects of the live calls: each event, each delivery of a run, and each send call's one `msg` dict.
+    for (method, got), (_, want) in zip(replayed.calls, live.calls):
+        assert all(map(operator.is_, got[0], want[0])) if method == "deliver" else got[-1] is want[-1]
     assert any(len(args[2]) > 1 for method, args in live.calls if method == "sends")
+    # A replayed run is the trace's own copy, never the list the simulator handed and reused.
+    assert live.runs and all(run is sim._run for run in live.runs)
+    assert not any(run is sim._run for run in replayed.runs)
     # Iterating gives each event, a Deliver event per delivery holding its payload, and a Send event per copy of
     # each call, holding the call's `msg` dict.
     events = iter(sim.trace)
-    assert any(method == "deliver" for method, _ in live.calls)
     for method, args in live.calls:
         if method == "event":
             assert next(events) is args[0]
         elif method == "deliver":
-            (time, dst, payload), = args
-            e = next(events)
-            assert (e.time, e.process, e.kind, e.payload) == (time, dst, DELIVER, payload) and e.payload is payload
+            for time, dst, payload in args[0]:
+                e = next(events)
+                assert (e.time, e.process, e.kind, e.payload) == (time, dst, DELIVER, payload) and e.payload is payload
         else:
             time, src, dsts, msg = args
             copies = [next(events) for _ in dsts]
@@ -289,21 +296,54 @@ def test_a_kept_trace_replays_the_live_run(name):
             ]
             assert all(e.payload["msg"] is msg for e in copies)
     assert next(events, None) is None
-    assert len(sim.trace) == sum(1 for _ in sim.trace) == sum(len(args[2]) if method == "sends" else 1
-                                                             for method, args in live.calls)
+    copies = [len(args[0]) if method == "deliver" else len(args[2]) if method == "sends" else 1
+              for method, args in live.calls]
+    assert len(sim.trace) == sum(1 for _ in sim.trace) == sum(copies)
+
+
+@pytest.mark.parametrize("name", BUNDLED + CAMPAIGN)
+def test_each_run_of_deliveries_is_one_sink_call(name):
+    # Cut just before the middle delivery's tick and resumed, a run reaches its sink in the uncut run's calls,
+    # flattened.
+    scenario = named_scenario(name)
+    times = [e.time for e in named_trace(name) if e.kind == DELIVER]
+    sim, whole = build_simulation(scenario), Recorder()
+    sim.sink = _Tee(sim.trace, whole)
+    sim.run(until=scenario.until)
+    sim, live = build_simulation(scenario), Recorder()
+    sim.sink = _Tee(sim.trace, live)
+    assert not sim.run(until=times[len(times) // 2] - 1)
+    resumed = len(live.calls)
+    sim.run(until=scenario.until)
+
+    def flat(calls):  # each run as its deliveries, one entry each
+        return [(method, one) for method, args in calls for one in (args[0] if method == "deliver" else [args])]
+
+    assert flat(live.calls) == flat(whole.calls)
+    # Every run holds a delivery, and two runs meet only across the resume: an event or a send call ends a run.
+    assert all(args[0] for method, args in live.calls if method == "deliver")
+    methods = [method for method, _ in live.calls]
+    assert {i for i in range(1, len(methods)) if methods[i - 1] == methods[i] == "deliver"} <= {resumed}
+    # A kept trace holds one entry per event, per send call and per run.
+    kinds = {TraceEvent: "event", list: "deliver", tuple: "sends"}
+    assert [kinds[type(call)] for call in sim.trace.calls] == methods
 
 
 def test_a_kept_trace_holds_what_it_was_handed():
-    # A send call's destinations as they were at the call, though the caller's list changes later.
+    # A send call's destinations and a run's deliveries as they were at the call, though the caller's lists change.
     trace, dsts, msg = Trace(), ["s000", "s001"], {"type": "Message"}
     trace.sends(0, "c000", dsts, msg)
     dsts.append("s002")
-    assert [e.payload["dst"] for e in trace] == ["s000", "s001"] and len(trace) == 2
+    run = [(3, "s000", {"src": "c000", "msg": msg})]
+    trace.deliver(run)
+    run.clear()
+    assert [(e.kind, e.process) for e in trace] == [(SEND, "c000"), (SEND, "c000"), (DELIVER, "s000")]
+    assert [e.payload["dst"] for e in trace if e.kind == SEND] == ["s000", "s001"] and len(trace) == 3
     # A deep copy takes its events into its own calls, not the original's.
     copied = copy.deepcopy(trace)
     copied.event(TraceEvent(1, "s000", TIMER_FIRE, {"token": "t"}))
-    assert (len(trace), len(copied)) == (2, 3)
-    assert [e.kind for e in copied] == [SEND, SEND, TIMER_FIRE]
+    assert (len(trace), len(copied)) == (3, 4)
+    assert [e.kind for e in copied] == [SEND, SEND, DELIVER, TIMER_FIRE]
 
 
 @pytest.mark.parametrize("name", BUNDLED + CAMPAIGN)
