@@ -2,14 +2,15 @@
 
 A `CheckPass` is a simulator sink. It keeps each low-volume event
 (Broadcast, AppDeliver, the consensus kinds) once, for the run views the
-end-of-run checkers read, and hands each send call and each run of
-deliveries once to the observers that judge as they go (the server replay,
-the network, `Metrics`), which read a run only during the call; a Send or
-Deliver event is built only for a witness. The network pairs dicts by
-identity and holds those it compares, so a recycled id() cannot match.
-Liveness is decided only at quiescence. Server invariants come from an
-independent replay of each server's inputs, so a bug in the live
-implementation cannot hide in the checker.
+end-of-run checkers read, and hands every call on to the observers that
+judge as they go (the server replay, the network, `Metrics`): each is a
+sink with only the methods it needs, reads a run only during the call,
+and gets each send call and run of deliveries once. A Send or Deliver
+event is built only for a witness. The network pairs dicts by identity
+and holds those it compares, so a recycled id() cannot match. Liveness is
+decided only at quiescence. Server invariants come from an independent
+replay of each server's inputs, so a bug in the live implementation
+cannot hide in the checker.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class CheckPass:
     """Keeps each low-volume event once, in `kept` (kind -> events in trace order), and streams the rest.
 
     A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
-    cls(cfg), with `handles` (event kind -> method name, taking a Send's call (time, src, dsts, msg), a Deliver's
-    run of deliveries (time, dst, payload), or an event) and finish(quiescent, run). No observer holds the pass.
+    cls(cfg): a sink with any of the methods `sends`, `deliver` and `event`, each taking what the simulator hands a
+    sink, and finish(quiescent, run). No observer holds the pass.
     """
 
     def __init__(self, cfg: CheckerConfig, checks):
@@ -190,14 +191,10 @@ class CheckPass:
         self.events = 0
         self._last: tr.TraceEvent | tuple | None = None  # the last event, delivery, or copy's (time, src, dst, msg)
         self.kept = {kind: [] for kind in (tr.BROADCAST, tr.APP_DELIVER) + _INSTANCE_KINDS}
-        self.routes = {kind: [events.append] for kind, events in self.kept.items()}  # event kind -> its handlers
         self.checks = [check(cfg) if isinstance(check, type) else check for check in checks]
         self.metrics = next((obs for obs in self.checks if isinstance(obs, Metrics)), None)
-        for obs in self.checks:
-            for kind, name in getattr(obs, "handles", {}).items():
-                self.routes.setdefault(kind, []).append(getattr(obs, name))
-        self.senders = self.routes.pop(tr.SEND, [])  # the send call handlers
-        self.deliverers = self.routes.pop(tr.DELIVER, [])  # the delivery handlers
+        self.senders, self.deliverers, self.eventers = (
+            [getattr(obs, name) for obs in self.checks if hasattr(obs, name)] for name in ("sends", "deliver", "event"))
 
     @property
     def last(self) -> tr.TraceEvent | None:
@@ -215,7 +212,9 @@ class CheckPass:
         """One event that is no Send or Deliver."""
         self.events += 1
         self._last = event
-        for handler in self.routes.get(event.kind, ()):
+        if (kept := self.kept.get(event.kind)) is not None:
+            kept.append(event)
+        for handler in self.eventers:
             handler(event)
 
     def deliver(self, run: list) -> None:
@@ -512,8 +511,6 @@ class _ServerReplay:
 class _ServerInvariants:
     """Routes each correct server's inputs to its replay, and reports on the replays."""
 
-    handles = {tr.DELIVER: "deliver", tr.DECIDE: "decide"}
-
     def __init__(self, cfg: CheckerConfig):
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
@@ -544,8 +541,8 @@ class _ServerInvariants:
             elif kind == "Message" and src in clients:
                 replay.spot((msg["bet"], src, msg["message"]))
 
-    def decide(self, event: tr.TraceEvent) -> None:
-        replay = self.replays.get(event.process)
+    def event(self, event: tr.TraceEvent) -> None:
+        replay = self.replays.get(event.process) if event.kind == tr.DECIDE else None
         t = None if replay is None else _key_of(event.payload["instance"])
         if t is not None:
             value = event.payload["value"]
@@ -611,8 +608,6 @@ class _Network:
     Each property keeps its own first failure, in trace order.
     """
 
-    handles = {tr.SEND: "sends", tr.DELIVER: "deliver"}
-
     def __init__(self, cfg: CheckerConfig):
         self.delta = cfg.delta
         self.exact = cfg.strategy == "exact_delta"
@@ -672,8 +667,6 @@ class _Network:
 
 class Metrics:
     """A run's traffic, broadcast and instance counts (`summary`), and its suggest-complexity report."""
-
-    handles = {tr.SEND: "sends"}
 
     def __init__(self, cfg: CheckerConfig):
         self.n = cfg.n

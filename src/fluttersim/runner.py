@@ -218,7 +218,7 @@ def run_campaign(
         slot["complexity_ok"] = slot["max_suggest_sends_per_instance"] <= limit
     summary = {
         "base": base.name,
-        "seeds": [seeds.start, seeds.stop - 1] if len(seeds) else [],
+        "seeds": [seeds[0], seeds[-1]] if len(seeds) else [],
         "behaviors": behaviors,
         "policies": policies,
         "runs": len(rows),

@@ -112,7 +112,8 @@ class FlutterServer(BlinkNode):
         if not isinstance(key, BroadcastTuple):
             return
         self.decisions[key] = value
-        ctx.send(key.client, Decision(key.message, key.bet, value))
+        if key.client in self._client_set:  # a forged tuple may name no client
+            ctx.send(key.client, Decision(key.message, key.bet, value))
         self._process_next(ctx)
 
     def _process_next(self, ctx) -> None:

@@ -3,13 +3,14 @@
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 static per-process clock offsets and local-time timers. A send call (a
 broadcast is one) renders its message once, draws its copies' delays in
-one `strategy.delays(src, dsts)` call, and reaches `sink` (which `run()`
-reads when it starts) once. Consecutive deliveries reach it as one run,
-handed before the next event or send call and when `run()` returns or
-raises; `trace` has the sink's three calls. Events wait in one list per
-tick, under a heap of those ticks, and run tick by tick in push order: one
-a handler schedules at the current tick runs later in it. Handlers take
-zero ticks. Quiescence = no pending event.
+one `strategy.delays(src, dsts)` call, and reaches the sink once, and
+consecutive deliveries reach it as one run. Only `emit` (every other
+event, TimerFire and DepDecide too) and `send`, each of which hands the
+pending run first, and `run()`'s `finally` call the sink; `trace` has its
+three calls. Events wait in one list per tick, under a heap of those
+ticks, and run tick by tick in push order: one a handler schedules at the
+current tick runs later in it. Handlers take zero ticks. Quiescence = no
+pending event.
 """
 
 from __future__ import annotations
@@ -222,8 +223,7 @@ class Simulator:
         """
         self.start()
         buckets, times, handlers, contexts = self._buckets, self._times, self.handlers, self.contexts
-        sink, run, budget, steps = self.sink, self._run, self.step_budget, self._steps
-        event, deliver, pend = sink.event, sink.deliver, run.append
+        run, budget, steps, emit, pend = self._run, self.step_budget, self._steps, self.emit, self._run.append
         try:
             while times:
                 time = times[0]
@@ -238,20 +238,16 @@ class Simulator:
                     if kind == _DELIVER:
                         pend((time, b, d))
                         handlers[b].on_deliver(contexts[b], a, c)
-                        continue
-                    if run:
-                        deliver(run)
-                        run.clear()
-                    if kind == _TIMER:
-                        event(TraceEvent(time, a, TIMER_FIRE, {"token": b}))
+                    elif kind == _TIMER:
+                        emit(a, TIMER_FIRE, {"token": b})
                         handlers[a].on_timer(contexts[a], b)
                     else:  # _DEP: decide indication from the weak-consensus oracle
-                        event(TraceEvent(time, a, DEP_DECIDE, {"instance": instance_payload(b), "value": c}))
+                        emit(a, DEP_DECIDE, {"instance": instance_payload(b), "value": c})
                         handlers[a].on_dep_decide(contexts[a], b, c)
                 del buckets[time]
             return True
         finally:
             self._steps = steps
             if run:  # the sink reads a run only during its call
-                deliver(run)
+                self.sink.deliver(run)
                 run.clear()

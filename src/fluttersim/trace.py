@@ -4,14 +4,16 @@ One JSON object per line, keys always time/process/kind/payload in that
 order, as the stdlib's C JSON encoder writes it (compact separators, one
 encoder built at import): a kept trace and its file render byte for byte.
 
-A run reaches its sink (a `Trace`, the checkers, `fluttersim run`'s
-`TraceWriter`) in three calls: `sends(time, src, dsts, msg)` once per send
-call, `deliver(run)` once per run of consecutive deliveries, a non-empty
-list of (time, dst, payload), and `event(ev)` for every other event. The
-simulator reuses a run's list, so a sink reads it only during the call. A
-call's copies share one `msg` dict and their deliveries one payload dict, so
-treat payloads as read-only (copy an event before editing it). A `Trace`
-keeps the calls, and builds Send and Deliver events only when iterated.
+A run reaches its sink (a `Trace`, the check pass and its observers, a
+`TraceWriter`) in three calls, made in `Simulator.emit`, `Simulator.send`
+and `run()`'s `finally`: `sends(time, src, dsts, msg)` once per send call,
+`deliver(run)` once per run of consecutive deliveries, a non-empty list of
+(time, dst, payload), and `event(ev)` for every other event. A sink reads
+a run only during the call: the simulator reuses its list. A call's copies
+share one `msg` dict and their deliveries one payload dict, so treat
+payloads as read-only (copy an event before editing it). A `Trace` keeps
+the calls, and builds Send and Deliver events only when iterated;
+`write_trace` replays one, and writes any other iterable line by line.
 `read_trace` streams a saved trace back.
 """
 
@@ -136,7 +138,7 @@ class TraceWriter:
         msgs, lines = self.msgs, []
         for time, dst, payload in run:
             entry = msgs.get(id(msg := payload["msg"]))
-            if entry is None or entry[2] != payload["src"]:  # no Send written: the stream (say, a file) shares no dicts
+            if entry is None or entry[2] != payload["src"]:  # no Send of it written here (say, a hand-built `Trace`)
                 msgs.clear()
                 lines.append(deliver_event((time, dst, payload)).to_line() + "\n")
                 continue
@@ -147,27 +149,19 @@ class TraceWriter:
         self.fh.write("".join(lines))
 
     def event(self, ev: TraceEvent) -> None:
-        """One event that is no delivery or Send call's copy."""
+        """Any one event, as its `to_line`: the simulator hands every event that is no Send or Deliver here."""
         self.fh.write(ev.to_line() + "\n")
 
     def write(self, events) -> None:
-        """Write a `Trace`'s calls, or `events`, each Send and Deliver shaped as the simulator writes it as a call."""
+        """Replay a `Trace`'s calls, or write each event of any other iterable as its own line."""
         if isinstance(events, Trace):
             return events.replay(self)
         for ev in events:
-            payload = ev.payload
-            if type(payload) is not dict or type(ev.time) is not int or type(ev.process) is not str:
-                self.event(ev)
-            elif ev.kind == SEND and list(payload) == ["dst", "msg"] and type(dst := payload["dst"]) is str:
-                self.sends(ev.time, ev.process, (dst,), payload["msg"])
-            elif ev.kind == DELIVER and list(payload) == ["src", "msg"] and type(payload["src"]) is str:
-                self.deliver([(ev.time, ev.process, payload)])
-            else:
-                self.event(ev)
+            self.event(ev)
 
 
 def write_trace(path, events) -> None:
-    """Write `events`, a `Trace` or any iterable of trace events, as JSONL."""
+    """Write `events` as JSONL: a `Trace` by replaying its calls, any other iterable line by line."""
     with open(path, "w") as fh:
         TraceWriter(fh).write(events)
 

@@ -32,7 +32,7 @@ from fluttersim.checkers import (
 from fluttersim.runner import build_simulation, campaign_variant
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
-from fluttersim.types import NEG_INF, quorum_large
+from fluttersim.types import NEG_INF, BroadcastTuple, quorum_large
 
 from conftest import SCENARIOS_DIR, scenario_dict, simulate
 
@@ -546,6 +546,31 @@ def test_server_replay_orders_match_the_definition():
         assert got == reference_orders(list(sim.trace), cfg), scenario.name
         accepted += sum(len(orders) for orders, _ in got.values())
     assert accepted > 1000
+
+
+def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
+    # c001's bb (bet 2) reaches every server at t=10; c000's aa (bet 3) at t=2, and each server's Observe, Suggest
+    # and Time(3) of it reach s000 one tick after they are sent, so s000's lock is 3 from t=4 on.
+    servers = [f"s{i:03d}" for i in range(6)]
+    delays = {**{f"c001->{s}": [10] for s in servers}, **{f"c000->{s}": [1] for s in servers},
+              **{f"{s}->s000": [1, 1, 1] for s in servers}}
+    scenario = parse_scenario(scenario_dict(network={"strategy": "scripted", "delays": delays}, clients=[
+        {"name": "c000", "delta_estimate": 1, "broadcasts": [{"at": 1, "message": "aa"}]},
+        {"name": "c001", "delta_estimate": 1, "broadcasts": [{"at": 0, "message": "bb"}]},
+    ]))
+    late = BroadcastTuple(2, "c001", "bb")
+    sim = build_simulation(scenario)
+    server = sim.handlers["s000"]
+    assert not sim.run(until=9)
+    assert server._lock == 3 and late not in server.observed
+    assert not sim.run(until=10)
+    assert late in server.observed and late not in server._queue  # spotted at t=10, below the lock
+    quiescent = sim.run()
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    (invariants,) = CheckPass(cfg, [_ServerInvariants]).run(sim.trace).checks
+    replay = invariants.replays["s000"]
+    assert late not in replay.candidates and replay.decisions[late] is False
+    assert quiescent and [r.prop for r in run_all_checks(sim.trace, cfg) if r.verdict == FAIL] == []
 
 
 # run_all_checks order; True marks the drivers it runs for flutter scenarios only.

@@ -11,11 +11,12 @@ import weakref
 import pytest
 
 from fluttersim import runner
-from fluttersim.adversary import BEHAVIORS, Mute
+from fluttersim.adversary import BEHAVIORS, Behavior, Mute
 from fluttersim.errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
 from fluttersim.runner import campaign_variant, run_campaign, run_checked, run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, SEND
+from fluttersim.types import BroadcastTuple, Observe
 
 from conftest import SCENARIOS_DIR, scenario_dict
 from test_golden import CAMPAIGN_DIGEST, sha256
@@ -248,6 +249,33 @@ def test_campaign_records_a_crashing_run_as_a_failing_row(error, monkeypatch):
     ]
     assert summary["per_behavior"]["equivocator"]["fails"] == 0
     assert summary["verdicts"]["Pass"] > 0  # the equivocator runs were still checked
+
+
+class GhostObserver(Behavior):
+    """Relays a well-formed tuple that names a client no scenario has."""
+
+    def on_init(self, ctx):
+        ctx.broadcast(Observe(BroadcastTuple(ctx.local_time() + 50, "ghost", "f00d")))
+
+
+def test_a_forged_tuple_of_no_client_is_decided_and_the_campaign_goes_on(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "ghost_observer", GhostObserver)
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    result = run_scenario(campaign_variant(base, "ghost_observer", "adversarial_value", 0))
+    assert result.quiescent and result.failed == []
+    ghost = {e.process for e in result.trace if e.kind == DECIDE and e.payload["instance"]["client"] == "ghost"}
+    assert ghost == set(CORRECT5)  # every correct server decided the forged tuple, and sent its Decision nowhere
+    assert run_checked(campaign_variant(base, "ghost_observer", "adversarial_timing", 1)).failed == []
+    summary = run_campaign(base, range(2), ["ghost_observer"])
+    assert (summary["runs"], summary["fail_count"], summary["all_pass"]) == (4, 0, True)
+
+
+@pytest.mark.parametrize("seeds, named", [(range(0, 6, 2), [0, 4]), (range(3, 0, -1), [3, 1]), (range(2, 4), [2, 3]),
+                                          (range(0), [])])
+def test_a_campaign_summary_names_its_first_and_last_seed(seeds, named):
+    base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
+    summary = run_campaign(base, seeds, ["mute"], ["adversarial_value"])
+    assert (summary["seeds"], summary["runs"]) == (named, len(seeds))
 
 
 def test_rerun_is_event_identical():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import io
 import json
 import math
 import operator
@@ -134,14 +135,14 @@ class HeldSpy:
         self.seen(ev)
         self.check(exact=True)
 
-    def write(self, events, shared):
-        """`events` through the writer's own `write`, checked after it takes each one: a list or a stream hands
-        the writer each Send as a one-copy call at once."""
+    def write(self, events):
+        """`events` through the writer's own `write`, checked after it takes each one: any iterable that is no
+        `Trace` is written one `event` per item, so the writer holds no message."""
         def taken():
             for ev in events:
                 yield ev  # `write` asks for the next event only once it has taken this one
                 self.seen(ev)
-                self.check(exact=shared)
+                self.check(exact=False)
 
         self.writer.write(taken())
 
@@ -197,10 +198,22 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
         # The kept trace, replayed: the calls of the live run.
         spy = spied(lambda spy: kept_trace(name).replay(spy))
         assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
-        # The kept trace as a list through `write`, each Send a one-copy call.
-        assert spied(lambda spy: spy.write(trace, shared=True)).flying == {}
-        # Read back, no two lines share a dict: no Deliver finds its Send's entry, and the writer keeps none.
-        spied(lambda spy: spy.write(read_trace(tmp_path / "trace.jsonl"), shared=False))
+        # Read back, no two lines share a dict, and the writer keeps none.
+        spied(lambda spy: spy.write(read_trace(tmp_path / "trace.jsonl")))
+
+
+def test_a_delivery_the_writer_saw_no_send_of_renders_whole():
+    msg, other = {"kind": "Time", "time": 4}, {"kind": "Time", "time": 5}
+    trace = Trace()
+    trace.sends(1, "s000", ["s001", "s002", "s003"], msg)
+    trace.deliver([(2, "s001", {"src": "s000", "msg": msg}),  # its Send's tail
+                   (3, "s002", {"src": "s009", "msg": msg}),  # a message s000 sent, from another src
+                   (4, "s003", {"src": "s000", "msg": msg})])
+    trace.deliver([(5, "s004", {"src": "s000", "msg": other})])  # a message no Send holds
+    writer = TraceWriter(io.StringIO())
+    writer.write(trace)
+    assert writer.fh.getvalue().encode() == lines_of(trace) == "".join(e.to_line() + "\n" for e in trace).encode()
+    assert writer.msgs == {}
 
 
 @pytest.mark.parametrize("name", BUNDLED)
