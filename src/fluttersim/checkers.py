@@ -95,6 +95,9 @@ def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent
     Before quiescence a sequence may be a strict prefix of another; at
     quiescence that counts as divergence too.
     """
+    keys = [[k for k, _e in seq] for seq in seqs]
+    if all(k == keys[0] for k in keys):  # the usual case: all equal, so none diverges or is a strict prefix
+        return None
     for i, a in enumerate(seqs):
         for b in seqs[i + 1 :]:
             for (ka, ea), (kb, eb) in zip(a, b):
@@ -108,22 +111,21 @@ def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent
 
 def _check_one_decide_per_server(prop: str, label: str, decides, what: str) -> CheckReport:
     """At most one of `decides` ((server, value, event) triples) per server."""
+    if len({s for s, _v, _e in decides}) == len(decides):
+        return _ok(prop, label)
     by_server: dict[str, list[tr.TraceEvent]] = {}
     for server, _v, event in decides:
         by_server.setdefault(server, []).append(event)
-    twice = next((evs for evs in by_server.values() if len(evs) > 1), None)
-    if twice:
-        return _fail(prop, f"{label}: two {what} at one server", twice[:2])
-    return _ok(prop, label)
+    twice = next(evs for evs in by_server.values() if len(evs) > 1)  # of the servers that decided twice, the first
+    return _fail(prop, f"{label}: two {what} at one server", twice[:2])
 
 
 def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
     """Not both True and False among `decides` ((server, value, event) triples)."""
-    one = next((e for _s, v, e in decides if v), None)
-    other = next((e for _s, v, e in decides if not v), None)
-    if one and other:
-        return _fail(prop, f"{label}: {what}", [one, other])
-    return _ok(prop, label)
+    if len({not v for _s, v, _e in decides}) < 2:  # every value true, or every one false
+        return _ok(prop, label)
+    return _fail(prop, f"{label}: {what}",
+                 [next(e for _s, v, e in decides if v), next(e for _s, v, e in decides if not v)])
 
 
 def _check_termination(prop, label, proposals, decides, correct, quiescent, unproposed, undecided) -> CheckReport:
@@ -153,8 +155,8 @@ class CheckerConfig:
         self.drift = scenario.drift
         self.epsilon = scenario.epsilon
         self.strategy = scenario.network.strategy
-        self.servers = scenario.servers
-        self.correct_servers = scenario.correct_servers
+        self.servers = servers = scenario.servers  # each read of scenario.servers builds the list anew
+        self.correct_servers = [s for s in servers if s not in scenario.server_faults]
         self.clients = scenario.client_names
         self.honest_clients = scenario.honest_clients()
         self.correct_clients = scenario.correct_clients()
@@ -491,10 +493,6 @@ class _ServerReplay:
             self.candidates.add(t)
             heapq.heappush(self.pending, t)
 
-    def decide(self, t: tuple, value: bool, event: tr.TraceEvent) -> None:
-        self.decisions[t] = value
-        self.drain(event)
-
     def drain(self, event: tr.TraceEvent | tuple) -> None:
         # Entries only rise, so neither does the lock fall: a candidate admitted
         # above the lock lies above every tuple processed before it.
@@ -522,12 +520,11 @@ class _ServerInvariants:
         replays, clients, fails, within_local = self.replays, self.clients, self.fails, self.lock_within_local
         for delivery in run:
             time, dst, payload = delivery
-            replay = replays.get(dst)
-            if replay is None:
-                continue
-            src = payload["src"]
             msg = payload["msg"]
             kind = msg["kind"]
+            if kind not in {"Time", "Observe", "Message"} or (replay := replays.get(dst)) is None:
+                continue  # a Suggest or Decision moves no replay
+            src = payload["src"]
             if src in replay.remote_times:
                 if kind == "Time":
                     before = replay.lock
@@ -542,11 +539,11 @@ class _ServerInvariants:
                 replay.spot((msg["bet"], src, msg["message"]))
 
     def event(self, event: tr.TraceEvent) -> None:
-        replay = self.replays.get(event.process) if event.kind == tr.DECIDE else None
-        t = None if replay is None else _key_of(event.payload["instance"])
-        if t is not None:
-            value = event.payload["value"]
-            replay.decide(t, value, event)
+        if event.kind != tr.DECIDE or (replay := self.replays.get(event.process)) is None:
+            return
+        if (t := _key_of(event.payload["instance"])) is not None:
+            replay.decisions[t] = value = event.payload["value"]
+            replay.drain(event)
             if value:
                 self.decided_true.setdefault(t, event)
 
@@ -575,13 +572,10 @@ class _ServerInvariants:
                                 agree and ("servers processed accepted tuples in different orders", agree)))
         match_fail = None
         for replay, app_delivers in zip(replays, seqs):
-            expect: list[tuple] = []
-            seen_cm: set[tuple[str, str]] = set()
-            for (bet, client, message), _e in replay.orders:
-                if (client, message) not in seen_cm:
-                    seen_cm.add((client, message))
-                    expect.append((bet, client, message))
-            if expect != [_key_of(e.payload) for e in app_delivers]:
+            first: dict[tuple[str, str], tuple] = {}  # (client, message) -> its first tuple ordered, in order
+            for t, _e in replay.orders:
+                first.setdefault(t[1:], t)
+            if list(first.values()) != [_key_of(e.payload) for e in app_delivers]:
                 extra = app_delivers or [o[1] for o in replay.orders]
                 match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
                 break
@@ -593,13 +587,9 @@ class _ServerInvariants:
 
 
 class _Link(deque):
-    """One (src, dst) link: the (time, msg) of its Sends not yet delivered, in order."""
+    """One (src, dst) link: the (time, msg) of its Sends not yet delivered, in order. No __init__: built in C."""
 
-    __slots__ = ("last",)
-
-    def __init__(self):
-        super().__init__()
-        self.last: int | None = 0  # time of the last delivery paired; None once a bad pair ended the link's checks
+    __slots__ = ("last",)  # set by its creator: the last pair's delivery time (0 before any), None once a pair failed
 
 
 class _Network:
@@ -611,7 +601,7 @@ class _Network:
     def __init__(self, cfg: CheckerConfig):
         self.delta = cfg.delta
         self.exact = cfg.strategy == "exact_delta"
-        self.links: dict[tuple[str, str], _Link] = {}  # in order of each link's first Send
+        self.links: list[tuple[str, str, _Link]] = []  # (src, dst, link), in order of each link's first Send
         self.by_src: defaultdict[str, dict[str, _Link]] = defaultdict(dict)  # src -> dst -> the same links
         self.fails: dict[str, tuple[str, list]] = {}  # property -> its first (detail, witness)
 
@@ -620,7 +610,9 @@ class _Network:
         for dst in dsts:
             link = links.get(dst)
             if link is None:
-                link = links[dst] = self.links[(src, dst)] = _Link()
+                link = links[dst] = _Link()
+                link.last = 0
+                self.links.append((src, dst, link))
             link.append(sent)
 
     def deliver(self, run: list) -> None:
@@ -655,9 +647,9 @@ class _Network:
 
     def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
         if "net-fifo" not in self.fails and quiescent:
-            stuck = next(((key, link[0]) for key, link in self.links.items() if link), None)
+            stuck = next(((src, dst, link[0]) for src, dst, link in self.links if link), None)
             if stuck:
-                (src, dst), (time, msg) = stuck
+                src, dst, (time, msg) = stuck
                 self.fails["net-fifo"] = ("send never delivered by quiescence", [tr.send_event(time, src, dst, msg)])
         return [_verdict(prop, self.fails.get(prop)) for prop in ("net-fifo", "net-delay-bounds")]
 

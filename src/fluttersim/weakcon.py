@@ -29,6 +29,7 @@ def _minority_value(proposals: dict[str, bool]) -> bool:
 
 class FirstProposal:
     name = "first"
+    draws = False  # whether `delay` reads its rng: seeding one from a string runs SHA-512, so only a drawer gets one
 
     def choose(self, proposals: dict[str, bool]) -> bool:
         """The first proposal's value: `proposals` is in proposal order."""
@@ -49,6 +50,7 @@ class AdversarialTiming(AdversarialValue):
     """Minority value plus seeded per-server indication delays within the budget."""
 
     name = "adversarial_timing"
+    draws = True
 
     def delay(self, server, rng, budget):
         return rng.randint(0, budget)
@@ -83,7 +85,7 @@ class DepOracle:
             raise OracleViolationError(
                 f"policy chose {value} for {instance!r} but correct proposals were {proposals}"
             )
-        rng = random.Random(f"{self.seed}|dep|{instance_payload(instance)}")
+        rng = random.Random(f"{self.seed}|dep|{instance_payload(instance)}") if self.policy.draws else None
         now = self.sim.now
         for server in self.correct:
             d = self.policy.delay(server, rng, self.budget)

@@ -382,6 +382,44 @@ def test_each_network_property_reports_its_own_first_failure():
     ]
 
 
+def test_a_send_stuck_at_quiescence_is_witnessed_in_first_send_order():
+    # Links s000->s001, s002->s003 and s000->s004 are first sent on in that order, and only the first delivers:
+    # the witness is the earliest stuck link's Send, not the first stuck link of the first sender.
+    _trace, cfg = clean_run()
+    msgs = [{"kind": "Time", "time": t} for t in (1, 2, 3)]
+    trace = [
+        TraceEvent(0, "s000", SEND, {"dst": "s001", "msg": msgs[0]}),
+        TraceEvent(0, "s002", SEND, {"dst": "s003", "msg": msgs[1]}),
+        TraceEvent(0, "s000", SEND, {"dst": "s004", "msg": msgs[2]}),
+        TraceEvent(10, "s001", DELIVER, {"src": "s000", "msg": msgs[0]}),
+    ]
+    fifo, delay = check_network(trace, cfg)
+    assert (fifo.verdict, fifo.detail, delay.verdict) == (FAIL, "send never delivered by quiescence", PASS)
+    assert fifo.witness == [event(0, "s002", SEND, {"dst": "s003", "msg": msgs[1]})]
+
+
+def replay_state(invariants):
+    return {name: (dict(r.remote_times), r.lock, set(r.candidates), list(r.pending))
+            for name, r in invariants.replays.items()}
+
+
+def test_suggest_and_decision_copies_move_no_replay():
+    _trace, cfg = clean_run()
+    invariants = _ServerInvariants(cfg)
+    before = replay_state(invariants)
+    suggest = {"kind": "Suggest", "instance": FIRST, "value": True}
+    decision = {"kind": "Decision", **FIRST, "value": True}
+    copies = [(src, msg) for src in ("s001", "s005", "c000") for msg in (suggest, decision)]
+    invariants.deliver([(t, dst, {"src": src, "msg": msg})
+                        for t, (src, msg) in enumerate(copies) for dst in cfg.servers])
+    assert replay_state(invariants) == before
+    # a Time from a server and a Message from the client do move every replay
+    invariants.deliver([(20, dst, {"src": "s001", "msg": {"kind": "Time", "time": 5}}) for dst in cfg.servers]
+                       + [(21, dst, {"src": "c000", "msg": {"kind": "Message", **FIRST}}) for dst in cfg.servers])
+    after = replay_state(invariants)
+    assert all(after[s][0]["s001"] == 5 and after[s][2] == {(11, "c000", "01")} for s in after)
+
+
 def test_one_extra_suggest_fails_complexity():
     clean, cfg = goodcase_run()
     assert check_complexity(clean, cfg).detail == "max 36 Suggest sends per instance (limit 36)"

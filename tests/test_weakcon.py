@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fluttersim import weakcon
 from fluttersim.errors import OracleViolationError, ProtocolBugError
 from fluttersim.simnet import ExactDelta, Simulator
 from fluttersim.trace import DEP_DECIDE, DEP_PROPOSE
@@ -113,6 +117,26 @@ def test_adversarial_timing_is_seed_deterministic():
         return sorted((t, name) for r in recorders.values() for (t, name, _, _) in r.decides)
 
     assert run(7) == run(7)
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_only_a_drawing_policy_seeds_an_rng(name, monkeypatch):
+    seeds = []
+    seeding = SimpleNamespace(Random=lambda seed: seeds.append(seed) or random.Random(seed))
+    monkeypatch.setattr(weakcon, "random", seeding)
+    sim, oracle, recorders = make_sim(POLICIES[name](), budget=30, seed=7)
+    sim.start()
+    for s in SERVERS:
+        oracle.propose("i0", s, True)
+    sim.run()
+    times = [t for r in recorders.values() for (t, _, _, _) in r.decides]
+    if name != "adversarial_timing":
+        assert (seeds, times) == ([], [0] * len(SERVERS))
+        return
+    # one rng per decided instance, seeded from its payload, drawing each correct server's delay in turn
+    assert seeds == ["7|dep|{'label': 'i0'}"]
+    rng = random.Random(seeds[0])
+    assert times == [rng.randint(0, 30) for _ in SERVERS]
 
 
 def test_decide_waits_for_all_correct_proposals():
