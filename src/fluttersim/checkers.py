@@ -128,14 +128,14 @@ def _check_one_value(prop: str, label: str, decides, what: str) -> CheckReport:
                  [next(e for _s, v, e in decides if v), next(e for _s, v, e in decides if not v)])
 
 
-def _check_termination(prop, label, proposals, decides, correct, quiescent, unproposed, undecided) -> CheckReport:
+def _check_termination(prop, label, proposals, decides, cfg, unproposed, undecided) -> CheckReport:
     """Every correct server decides, at quiescence, once every correct server proposed."""
     proposers = {s for s, _v, _e in proposals}
-    if not quiescent:
+    if not cfg.quiescent:
         return _na(prop, f"{label}: run was cut before quiescence")
-    if proposers != correct:
-        return _na(prop, f"{label}: " + unproposed.format(len(proposers), len(correct)))
-    missing = sorted(correct - {s for s, _v, _e in decides})
+    if proposers != cfg.correct:
+        return _na(prop, f"{label}: " + unproposed.format(len(proposers), len(cfg.correct)))
+    missing = sorted(cfg.correct - {s for s, _v, _e in decides})
     if missing:
         return _fail(prop, f"{label}: {missing} {undecided}", [proposals[0][2]])
     return _ok(prop, label)
@@ -144,8 +144,8 @@ def _check_termination(prop, label, proposals, decides, correct, quiescent, unpr
 class CheckerConfig:
     """The facts a run is judged against, each worked out once from its scenario; only `quiescent` is given."""
 
-    __slots__ = ("kind", "n", "f", "delta", "drift", "epsilon", "strategy", "servers", "correct_servers", "clients",
-                 "honest_clients", "correct_clients", "quiescent", "delta_estimates", "scripts")
+    __slots__ = ("kind", "n", "f", "delta", "drift", "epsilon", "strategy", "servers", "correct_servers", "correct",
+                 "clients", "honest_clients", "correct_clients", "quiescent", "delta_estimates", "scripts")
 
     def __init__(self, scenario, quiescent: bool):
         self.kind = scenario.kind
@@ -155,12 +155,13 @@ class CheckerConfig:
         self.drift = scenario.drift
         self.epsilon = scenario.epsilon
         self.strategy = scenario.network.strategy
-        self.servers = servers = scenario.servers  # each read of scenario.servers builds the list anew
-        self.correct_servers = [s for s in servers if s not in scenario.server_faults]
+        self.servers = scenario.servers
+        self.correct_servers = scenario.correct_servers  # in name order, for the checks that walk them
+        self.correct = frozenset(self.correct_servers)  # the same set, for membership tests
         self.clients = scenario.client_names
         self.honest_clients = scenario.honest_clients()
         self.correct_clients = scenario.correct_clients()
-        self.quiescent = quiescent  # read by the check_* drivers; a CheckPass's finish() sets it
+        self.quiescent = quiescent  # every check reads it for its report; `CheckPass.finish` sets it
         self.delta_estimates = {c.name: c.delta_estimate for c in scenario.clients}  # client -> its guess of delta
         # client -> the message hexes it is scripted to broadcast
         self.scripts = {c.name: [b.message for b in c.broadcasts] for c in scenario.clients}
@@ -183,9 +184,9 @@ _INSTANCE_KINDS = (tr.PROPOSE, tr.DECIDE, tr.DEP_PROPOSE, tr.DEP_DECIDE)
 class CheckPass:
     """Keeps each low-volume event once, in `kept` (kind -> events in trace order), and streams the rest.
 
-    A check is a report function fn(quiescent, run), `run` being this pass, or an observer class built as
-    cls(cfg): a sink with any of the methods `sends`, `deliver` and `event`, each taking what the simulator hands a
-    sink, and finish(quiescent, run). No observer holds the pass.
+    A check is a report function fn(run), `run` being this pass, or an observer class built as cls(cfg): a sink
+    with any of the methods `sends`, `deliver` and `event`, each taking what the simulator hands a sink, and
+    finish(run). Each reads `run.cfg.quiescent`, which `finish` sets. No observer holds the pass.
     """
 
     def __init__(self, cfg: CheckerConfig, checks):
@@ -253,7 +254,7 @@ class CheckPass:
 
     def finish(self, quiescent: bool) -> list[CheckReport]:
         self.cfg.quiescent = quiescent
-        return [report for check in self.checks for report in getattr(check, "finish", check)(quiescent, self)]
+        return [report for check in self.checks for report in getattr(check, "finish", check)(self)]
 
     # The run views: each built once, on first use, from the kept events; so read them only after the last event.
 
@@ -279,7 +280,7 @@ class CheckPass:
 
         Keys come in the order of their first Propose, then of their first event of the later kinds.
         """
-        correct, per = set(self.cfg.correct_servers), {}
+        correct, per = self.cfg.correct, {}
         for kind in _INSTANCE_KINDS:
             for event in self.kept[kind]:
                 if event.process in correct:
@@ -293,8 +294,8 @@ class CheckPass:
 # ---------------------------------------------------------------- TOB
 
 
-def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
-    cfg = run.cfg
+def _tob(run: CheckPass) -> list[CheckReport]:
+    cfg, quiescent = run.cfg, run.cfg.quiescent
     seqs = {s: run.sequences[s] for s in cfg.correct_servers}
     broadcasts: dict[tuple[str, str], tr.TraceEvent] = {}
     for event in run.kept[tr.BROADCAST]:
@@ -346,8 +347,8 @@ def _tob(quiescent: bool, run: CheckPass) -> list[CheckReport]:
 # ---------------------------------------------------------------- consensus
 
 
-def _consensus(quiescent: bool, run: CheckPass) -> list[CheckReport]:
-    correct, need, per = set(run.cfg.correct_servers), run.cfg.f + 1, run.instances
+def _consensus(run: CheckPass) -> list[CheckReport]:
+    cfg, need, per = run.cfg, run.cfg.f + 1, run.instances
     reports: list[CheckReport] = []
     for key in sorted(per, key=repr):
         entry = per[key]
@@ -365,15 +366,14 @@ def _consensus(quiescent: bool, run: CheckPass) -> list[CheckReport]:
                 break
         reports.append(_verdict("consensus-representative-validity", rep_fail,
                                 label + ("" if values else ": nothing decided")))
-        reports.append(_check_termination("consensus-termination", label, proposes, decides, correct, quiescent,
+        reports.append(_check_termination("consensus-termination", label, proposes, decides, cfg,
                                           "only {}/{} correct servers proposed", "never decided at quiescence"))
-        reports.extend(_check_dep(entry, label, correct, quiescent))
+        reports.extend(_check_dep(entry, label, cfg))
     return reports
 
 
-def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[CheckReport]:
-    dep_proposals = entry[tr.DEP_PROPOSE]
-    dep_decides = entry[tr.DEP_DECIDE]
+def _check_dep(entry, label: str, cfg: CheckerConfig) -> list[CheckReport]:
+    dep_proposals, dep_decides = entry[tr.DEP_PROPOSE], entry[tr.DEP_DECIDE]
     if not dep_proposals and not dep_decides:
         return []
     allowed = {v for _s, v, _e in dep_proposals}
@@ -383,7 +383,7 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
                  stray and (f"{label}: dep decided a value no correct server dep-proposed", [stray]), label),
         _check_one_value("dep-agreement", label, dep_decides, "dep decided both values"),
         _check_one_decide_per_server("dep-integrity", label, dep_decides, "dep decide indications"),
-        _check_termination("dep-termination", label, dep_proposals, dep_decides, correct, quiescent,
+        _check_termination("dep-termination", label, dep_proposals, dep_decides, cfg,
                            "not every correct server dep-proposed", "got no dep decide indication"),
     ]
 
@@ -391,11 +391,11 @@ def _check_dep(entry, label: str, correct: set[str], quiescent: bool) -> list[Ch
 # ---------------------------------------------------------------- latency
 
 
-def _latency(quiescent: bool, run: CheckPass) -> list[CheckReport]:
+def _latency(run: CheckPass) -> list[CheckReport]:
     """Good-case latency bounds."""
     cfg = run.cfg
     reason = ("not a good-case run (needs exact_delta, zero drift, no faults)" if not cfg.good_case
-              else None if quiescent else "run was cut before quiescence")
+              else None if cfg.quiescent else "run was cut before quiescence")
     if reason:
         return [_na("latency-blink", reason), _na("latency-tob", reason)]
     reports = [_blink_latency(run)]
@@ -429,7 +429,7 @@ def _blink_latency(run: CheckPass) -> CheckReport:
     cfg, unanimous = run.cfg, 0
     for key, entry in run.instances.items():
         plist, decides = entry[tr.PROPOSE], entry[tr.DECIDE]
-        if {s for s, _v, _e in plist} != set(cfg.correct_servers) or len({v for _s, v, _e in plist}) != 1:
+        if {s for s, _v, _e in plist} != cfg.correct or len({v for _s, v, _e in plist}) != 1:
             continue
         unanimous += 1
         times = [e.time for _s, _v, e in plist]
@@ -440,7 +440,7 @@ def _blink_latency(run: CheckPass) -> CheckReport:
                 want = f"exactly t={deadline}" if exact else f"at most t={deadline}"
                 return _fail("latency-blink", f"instance {_fmt_key(key)}: decide at t={event.time}, expected {want}",
                              [plist[-1][2], event])
-        missing = set(cfg.correct_servers) - {s for s, _v, _e in decides}
+        missing = cfg.correct - {s for s, _v, _e in decides}
         if missing:
             return _fail("latency-blink", f"instance {_fmt_key(key)}: {sorted(missing)} never decided", [plist[0][2]])
     if unanimous == 0:
@@ -547,8 +547,8 @@ class _ServerInvariants:
             if value:
                 self.decided_true.setdefault(t, event)
 
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        replays = self.replays.values()
+    def finish(self, run: CheckPass) -> list[CheckReport]:
+        replays, quiescent = self.replays.values(), run.cfg.quiescent
         reports = [_verdict("server-lock-monotonic", self.fails.get("server-lock-monotonic"))]
         if not self.lock_within_local:
             reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
@@ -645,8 +645,8 @@ class _Network:
             if prop not in fails:
                 fails[prop] = (detail, [tr.send_event(s_time, src, dst, s_msg), delivery] if with_send else [delivery])
 
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
-        if "net-fifo" not in self.fails and quiescent:
+    def finish(self, run: CheckPass) -> list[CheckReport]:
+        if "net-fifo" not in self.fails and run.cfg.quiescent:
             stuck = next(((src, dst, link[0]) for src, dst, link in self.links if link), None)
             if stuck:
                 src, dst, (time, msg) = stuck
@@ -662,7 +662,7 @@ class Metrics:
 
     def __init__(self, cfg: CheckerConfig):
         self.n = cfg.n
-        self.correct = set(cfg.correct_servers)
+        self.correct = cfg.correct
         self.sends_by_kind: dict[str, int] = {}
         self.total_bits = 0
         self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
@@ -680,7 +680,7 @@ class Metrics:
         elif kind == "Message":
             self.attempts.setdefault((src, msg["message"]), set()).add(msg["bet"])
 
-    def finish(self, quiescent: bool, run: CheckPass) -> list[CheckReport]:
+    def finish(self, run: CheckPass) -> list[CheckReport]:
         """Correct servers' Suggest traffic stays within n^2 sends per instance."""
         limit = self.n * self.n
         top = max(self.suggests.values(), default=0)

@@ -1,11 +1,14 @@
 """Command-line front end: run one scenario, or sweep a campaign.
 
 Exit codes: 0 all checks Pass/NotApplicable; 1 at least one Fail;
-2 malformed scenario or configuration; 3 step budget exceeded;
-4 a protocol, dep-oracle or internal invariant broke during the run.
+2 malformed scenario or configuration, or an output path that cannot be
+written; 3 step budget exceeded; 4 a protocol, dep-oracle or internal
+invariant broke during the run.
 `run` streams its trace: a run that exits 3 or 4 leaves it up to the error, and no report.
 The FLUTTERSIM_OUT environment variable sets the default output
-directory for traces and reports (default: current directory).
+directory for traces and reports (default: current directory). Each
+output's directory is made before the first run, so one that cannot be
+made ends the command before any run.
 """
 
 from __future__ import annotations
@@ -30,22 +33,21 @@ EXIT_BUDGET = 3
 EXIT_PROTOCOL = 4
 
 
-def _out_dir() -> Path:
-    out = Path(os.environ.get("FLUTTERSIM_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_path(given: str | None, name: str) -> Path:
+    """`given`, else `name` in the output directory; its directory is made now, so a bad one fails before any run."""
+    path = Path(given) if given else Path(os.environ.get("FLUTTERSIM_OUT", ".")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(args) -> tuple[int, list[str]]:
     scenario = load_scenario(args.scenario)
-    trace_path = Path(args.trace) if args.trace else _out_dir() / f"{scenario.name}.trace.jsonl"
-    report_path = Path(args.report) if args.report else _out_dir() / f"{scenario.name}.report.json"
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
+    trace_path = _out_path(args.trace, f"{scenario.name}.trace.jsonl")
+    report_path = _out_path(args.report, f"{scenario.name}.report.json")
     with open(trace_path, "w") as fh:
         result = run_checked(scenario, TraceWriter(fh))
     _write_json(report_path, result.report_dict())
@@ -101,8 +103,10 @@ def _cmd_campaign(args) -> tuple[int, list[str]]:
     policies = None if args.policies is None else _parse_names(args.policies, POLICIES, "dep policy", "--policies")
     if args.parallel < 1:
         raise ScenarioError(f"--parallel must be at least 1, got {args.parallel}")
+    # With no seeds a campaign makes no run: this refuses a base without room before any directory is made.
+    run_campaign(base, range(0), behaviors, policies)
+    report_path = _out_path(args.report, f"{base.name}.campaign.json")
     summary = run_campaign(base, seeds, behaviors, policies, parallel=args.parallel)
-    report_path = Path(args.report) if args.report else _out_dir() / f"{base.name}.campaign.json"
     _write_json(report_path, summary)
 
     lines = [f"campaign {base.name}: {summary['runs']} runs "
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, lines = _cmd_run(args) if args.cmd == "run" else _cmd_campaign(args)
-    except (ScenarioError, ConfigError) as e:
+    except (ScenarioError, ConfigError, OSError) as e:  # OSError: an output path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     except BudgetExceededError as e:

@@ -39,10 +39,8 @@ def build_simulation(scenario: Scenario) -> Simulator:
     sim = Simulator(_strategy(scenario), ClockModel(dict(scenario.clock_offsets)), step_budget=scenario.step_budget)
     # Decide indications land within 3 delta of the last correct proposal.
     policy = POLICIES[scenario.dep_policy]()
-    servers = scenario.servers  # each read of scenario.servers or correct_servers builds the list anew
-    correct = [s for s in servers if s not in scenario.server_faults]
-    oracle = DepOracle(sim, correct, policy, 3 * scenario.delta, seed=scenario.network.seed)
-    for name in servers:
+    oracle = DepOracle(sim, scenario.correct_servers, policy, 3 * scenario.delta, seed=scenario.network.seed)
+    for name in scenario.servers:
         fault = scenario.server_faults.get(name)
         if fault is not None:
             handler = BEHAVIORS[fault.behavior](name, scenario.delta, fault.params)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from pathlib import Path
 
 from .adversary import BEHAVIORS
@@ -47,8 +48,9 @@ _PARAM_TYPES = {
 MAX_SERVERS = 1000  # server names s000..s999
 
 
-def server_names(n: int) -> list[str]:
-    return [f"s{i:03d}" for i in range(n)]
+@cache  # built once per n; a tuple, so no reader can change the shared value
+def server_names(n: int) -> tuple[str, ...]:
+    return tuple(f"s{i:03d}" for i in range(n))
 
 
 class BroadcastScript(Record):
@@ -126,12 +128,12 @@ class Scenario(Record):
         self.until = until
 
     @property
-    def servers(self) -> list[str]:
+    def servers(self) -> tuple[str, ...]:
         return server_names(self.n)
 
     @property
     def correct_servers(self) -> list[str]:
-        return [s for s in self.servers if s not in self.server_faults]
+        return [s for s in server_names(self.n) if s not in self.server_faults]
 
     @property
     def client_names(self) -> list[str]:

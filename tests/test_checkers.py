@@ -420,6 +420,17 @@ def test_suggest_and_decision_copies_move_no_replay():
     assert all(after[s][0]["s001"] == 5 and after[s][2] == {(11, "c000", "01")} for s in after)
 
 
+def test_a_label_decide_moves_no_replay():
+    # A Blink instance decides under a label, not a tuple: no replay takes it as a decision, and no tuple is accepted.
+    _trace, cfg = clean_run()
+    invariants = _ServerInvariants(cfg)
+    before = replay_state(invariants)
+    invariants.event(TraceEvent(5, "s000", DECIDE, {"instance": {"label": "x"}, "value": True}))
+    assert replay_state(invariants) == before
+    assert all(r.decisions == {} and r.orders == [] for r in invariants.replays.values())
+    assert invariants.decided_true == {}
+
+
 def test_one_extra_suggest_fails_complexity():
     clean, cfg = goodcase_run()
     assert check_complexity(clean, cfg).detail == "max 36 Suggest sends per instance (limit 36)"

@@ -1,7 +1,8 @@
 """Source rules: a stdlib-only package, no `dataclasses` import and a start-up that loads neither
 `dataclasses` nor `inspect` and compiles a bounded source, a checker that shares no protocol code, hex read
-in one module, fan-out, Deliver events and sink calls in the simulator, one module that hooks its sink, no
-scenario field that is stored and never read, and no behavior param that no bundled scenario sets."""
+in one module, the server sets derived in one module, fan-out, Deliver events and sink calls in the simulator,
+one module that hooks its sink, no scenario field that is stored and never read, and no behavior param that
+no bundled scenario sets."""
 
 from __future__ import annotations
 
@@ -110,6 +111,18 @@ def test_only_the_scenario_parser_converts_hex():
                for node in ast.parse(scenario).body if isinstance(node, ast.FunctionDef)}
     assert "fromhex(" in readers["_hex"]
     assert [name for name, text in texts.items() if "fromhex(" in text or ".hex()" in text] == []
+
+
+def test_only_the_scenario_derives_the_server_sets():
+    # Every guarantee is judged over the correct servers: one module names the servers and leaves out the faulty
+    # ones, and the checker reads the set its config holds rather than building its own.
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(texts) > 10
+    names = re.compile(r"""f["']s\{[^}]*:03d\}""")
+    faults = re.compile(r"\bif \w+ (?:not )?in [\w.]*server_faults\b")
+    assert [name for name, text in texts.items() if names.search(text)] == ["scenario.py"]
+    assert [name for name, text in texts.items() if faults.search(text)] == ["scenario.py"]
+    assert [name for name, text in texts.items() if re.search(r"\bset\([^()]*correct_servers", text)] == []
 
 
 def test_only_the_simulator_fans_out():

@@ -18,7 +18,7 @@ import fluttersim.cli as cli
 import fluttersim.runner as runner
 from fluttersim.blink import BlinkInstance
 from fluttersim.checkers import CheckReport
-from fluttersim.errors import ConfigError, ScenarioError
+from fluttersim.errors import ConfigError, ProtocolBugError, ScenarioError
 from fluttersim.runner import build_simulation
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
@@ -603,18 +603,73 @@ def test_cli_campaign_small_sweep(tmp_path, monkeypatch):
     assert summary["all_pass"] is True
 
 
-def test_cli_campaign_rejects_bad_seed_range():
-    code = cli.main(
-        [
-            "campaign",
-            str(SCENARIOS_DIR / "campaign_base.json"),
-            "--seeds",
-            "5..1",
-            "--behaviors",
-            "mute",
-        ]
-    )
-    assert code == 2
+def test_cli_campaign_rejects_bad_seed_range(capsys):
+    for seeds, error in [
+        ("5..1", "--seeds range '5..1' is empty"),
+        ("5", "--seeds must look like A..B, got '5'"),
+        ("a..b", "--seeds must be integers, got 'a..b'"),
+    ]:
+        code = cli.main(
+            [
+                "campaign",
+                str(SCENARIOS_DIR / "campaign_base.json"),
+                "--seeds",
+                seeds,
+                "--behaviors",
+                "mute",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_cli_campaign_books_a_run_that_raises_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    real, ran = runner.run_checked, []
+    broken = "campaign_base+mute+adversarial_value+s1"
+
+    def one_raises(variant):
+        ran.append(variant.name)
+        if variant.name == broken:
+            raise ProtocolBugError("planted")
+        return real(variant)
+
+    monkeypatch.setattr(runner, "run_checked", one_raises)
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
+    code = cli.main(["campaign", str(SCENARIOS_DIR / "campaign_base.json"), "--seeds", "0..1", "--behaviors", "mute"])
+    assert code == cli.EXIT_FAIL
+    assert len(ran) == 4  # 1 behavior x 2 default policies x 2 seeds: the run after the broken one still runs
+    assert [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line] == [
+        f"  FAIL {broken}: ProtocolBugError planted"
+    ]
+    summary = json.loads((tmp_path / "campaign_base.campaign.json").read_text())
+    assert (summary["runs"], summary["fail_count"], summary["all_pass"]) == (4, 1, False)
+
+
+@pytest.mark.parametrize("where", ["FLUTTERSIM_OUT", "--report"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", str(SCENARIOS_DIR / "goodcase.json")],
+        ["campaign", str(SCENARIOS_DIR / "campaign_base.json"), "--seeds", "0..1", "--behaviors", "mute"],
+    ],
+    ids=["run", "campaign"],
+)
+def test_cli_output_under_a_regular_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys, args, where):
+    def no_run(*_args):
+        raise AssertionError("a run started")  # a run breaker: the command would exit 4
+
+    monkeypatch.setattr(cli, "run_checked", no_run)
+    monkeypatch.setattr(runner, "_run_one", no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    if where == "FLUTTERSIM_OUT":
+        monkeypatch.setenv("FLUTTERSIM_OUT", str(blocker))
+    else:
+        monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path / "out"))
+        args = [*args, "--report", str(blocker / "report.json")]
+    assert cli.main(args) == cli.EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1, err
 
 
 def test_cli_campaign_rejects_unknown_behavior():

@@ -296,6 +296,15 @@ def test_false_decision_advances_cursor_without_delivery():
     assert srv._queue == []
 
 
+def test_a_label_decision_moves_no_ordering():
+    # A Blink instance decides under a plain label: the server records no decision and tells no client.
+    srv = make_server()
+    ctx = FakeCtx()
+    srv.on_decided(ctx, "x", True)
+    assert srv.decisions == {}
+    assert ctx.sent == [] and ctx.emitted == []
+
+
 class ScanModel:
     """Reference ordering core: a full candidate scan on every step and a
     lock time recomputed from scratch on every read."""
