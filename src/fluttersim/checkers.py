@@ -186,18 +186,20 @@ class CheckPass:
 
     A check is a report function fn(run), `run` being this pass, or an observer class built as cls(cfg): a sink
     with any of the methods `sends`, `deliver` and `event`, each taking what the simulator hands a sink, and
-    finish(run). Each reads `run.cfg.quiescent`, which `finish` sets. No observer holds the pass.
+    finish(run). Each reads `run.cfg.quiescent`, which `finish` sets. No observer holds the pass. A `sink` (say, a
+    `Trace` or a `TraceWriter`) takes each call ahead of the observers.
     """
 
-    def __init__(self, cfg: CheckerConfig, checks):
+    def __init__(self, cfg: CheckerConfig, checks, sink=None):
         self.cfg = cfg
         self.events = 0
         self._last: tr.TraceEvent | tuple | None = None  # the last event, delivery, or copy's (time, src, dst, msg)
         self.kept = {kind: [] for kind in (tr.BROADCAST, tr.APP_DELIVER) + _INSTANCE_KINDS}
         self.checks = [check(cfg) if isinstance(check, type) else check for check in checks]
         self.metrics = next((obs for obs in self.checks if isinstance(obs, Metrics)), None)
+        sinks = self.checks if sink is None else [sink, *self.checks]
         self.senders, self.deliverers, self.eventers = (
-            [getattr(obs, name) for obs in self.checks if hasattr(obs, name)] for name in ("sends", "deliver", "event"))
+            [getattr(obs, name) for obs in sinks if hasattr(obs, name)] for name in ("sends", "deliver", "event"))
 
     @property
     def last(self) -> tr.TraceEvent | None:
@@ -722,11 +724,11 @@ class Metrics:
 # ---------------------------------------------------------------- drivers
 
 
-def check_pass(cfg: CheckerConfig) -> CheckPass:
-    """A pass of every checker `run_all_checks` runs, in its order, and the run's `Metrics`."""
+def check_pass(cfg: CheckerConfig, sink=None) -> CheckPass:
+    """A pass of every checker `run_all_checks` runs, in its order, and the run's `Metrics`, each call after `sink`."""
     flutter = cfg.kind == "flutter"
     return CheckPass(cfg, [_tob] * flutter + [_consensus, _latency] + [_ServerInvariants] * flutter
-                     + [_Network, Metrics])
+                     + [_Network, Metrics], sink)
 
 
 def check_tob(trace, cfg: CheckerConfig) -> list[CheckReport]:

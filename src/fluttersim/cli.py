@@ -4,11 +4,11 @@ Exit codes: 0 all checks Pass/NotApplicable; 1 at least one Fail;
 2 malformed scenario or configuration, or an output path that cannot be
 written; 3 step budget exceeded; 4 a protocol, dep-oracle or internal
 invariant broke during the run.
-`run` streams its trace: a run that exits 3 or 4 leaves it up to the error, and no report.
+`run` streams its trace: a run that exits 3 or 4 leaves it up to the error, and an empty report.
 The FLUTTERSIM_OUT environment variable sets the default output
 directory for traces and reports (default: current directory). Each
-output's directory is made before the first run, so one that cannot be
-made ends the command before any run.
+output's directory is made and its file opened before the first run, so
+one that cannot be written ends the command before any run.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ def _out_path(given: str | None, name: str) -> Path:
     return path
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_json(fh, obj: dict) -> None:
+    fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(args) -> tuple[int, list[str]]:
     scenario = load_scenario(args.scenario)
     trace_path = _out_path(args.trace, f"{scenario.name}.trace.jsonl")
     report_path = _out_path(args.report, f"{scenario.name}.report.json")
-    with open(trace_path, "w") as fh:
+    with open(trace_path, "w") as fh, open(report_path, "w") as report:
         result = run_checked(scenario, TraceWriter(fh))
-    _write_json(report_path, result.report_dict())
+        _write_json(report, result.report_dict())
 
     lines = [f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "
              f"at t={result.metrics['final_time']}, {result.metrics['events']} events"]
@@ -106,8 +106,9 @@ def _cmd_campaign(args) -> tuple[int, list[str]]:
     # With no seeds a campaign makes no run: this refuses a base without room before any directory is made.
     run_campaign(base, range(0), behaviors, policies)
     report_path = _out_path(args.report, f"{base.name}.campaign.json")
-    summary = run_campaign(base, seeds, behaviors, policies, parallel=args.parallel)
-    _write_json(report_path, summary)
+    with open(report_path, "w") as report:
+        summary = run_campaign(base, seeds, behaviors, policies, parallel=args.parallel)
+        _write_json(report, summary)
 
     lines = [f"campaign {base.name}: {summary['runs']} runs "
              f"({len(behaviors)} behaviors x {len(summary['policies'])} policies x {len(seeds)} seeds)"]

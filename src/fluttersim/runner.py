@@ -85,20 +85,10 @@ class RunResult(Record):
         }
 
 
-class _Tee:
-    """A simulator sink that hands each event, run of deliveries and send call to `first`, then to `then`."""
-
-    def __init__(self, first, then):
-        self.event = lambda event: (first.event(event), then.event(event))
-        self.deliver = lambda run: (first.deliver(run), then.deliver(run))
-        self.sends = lambda *call: (first.sends(*call), then.sends(*call))
-
-
 def run_checked(scenario: Scenario, sink=None) -> RunResult:
     """Simulate `scenario` with no trace kept, checking each event as emitted (after `sink`, a simulator sink)."""
     sim = build_simulation(scenario)
-    checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False))
-    sim.sink = checks if sink is None else _Tee(sink, checks)
+    sim.sink = checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False), sink)
     try:
         quiescent = sim.run(until=scenario.until)
     finally:  # the simulator is cyclic garbage: unhooked, the pass is freed at once, even when the run raises

@@ -292,8 +292,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     if n > MAX_SERVERS:  # before any per-server structure is built
         raise ScenarioError(f"scenario.n must be <= {MAX_SERVERS}, got {n}")
     f = _int(obj.get("f"), "scenario.f", minimum=0)
-    if n < 5 * f + 1:
-        raise ScenarioError(f"n={n} violates n >= 5f+1 (f={f} needs n >= {5 * f + 1})")
+    if n != 5 * f + 1:  # every quorum is a function of f: at n > 5f+1, 4f+1 suggestions no longer pin the majority
+        raise ScenarioError(f"n={n} violates n = 5f+1 (f={f} needs n = {5 * f + 1})")
     delta = _int(obj.get("delta"), "scenario.delta", minimum=1)
     drift = _int(obj.get("drift"), "scenario.drift", default=0, minimum=0)
     epsilon = _int(obj.get("epsilon"), "scenario.epsilon", default=1, minimum=1)

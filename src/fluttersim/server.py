@@ -41,6 +41,7 @@ class FlutterServer(BlinkNode):
         self.remote_times: dict[str, int | float] = {}
         self._lock: int | float = NEG_INF  # lock_time(); it cannot move until 4f+1 entries lie above it
         self._above = 0  # entries of remote_times strictly above _lock; fewer than 4f+1 between Times
+        self._announced: int | float = NEG_INF  # the last Time broadcast; a beat at no later clock is no news
         self._expiry: dict[str, BroadcastTuple] = {}
         self._client_set: frozenset[str] = frozenset()
 
@@ -79,9 +80,9 @@ class FlutterServer(BlinkNode):
         # A tuple is a candidate iff it clears the never-falling lock when first spotted, so it is not processable yet.
         if t.bet > self._lock:
             heapq.heappush(self._queue, t)
-        # Relay before scheduling the beat: every Time(b') with b' >= bet
-        # then trails the Observe on each link, so whoever advances our
-        # entry past the bet has already spotted the tuple.
+        # Relay before scheduling the beat. For a tuple spotted before its bet, every Time we sent so far lies below the
+        # bet, and a beat sends only news (a clock above our last Time), so every Time(b') with b' >= bet trails the
+        # Observe on each link: whoever advances our entry past the bet has already spotted the tuple.
         ctx.broadcast(Observe(t))
         token = f"expiry@{len(self._expiry)}"
         self._expiry[token] = t
@@ -91,7 +92,10 @@ class FlutterServer(BlinkNode):
 
     def on_timer(self, ctx, token: str) -> None:
         if token.startswith("beat@"):
-            ctx.broadcast(Time(ctx.local_time()))
+            now = ctx.local_time()
+            if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
+                self._announced = now
+                ctx.broadcast(Time(now))
         else:
             instance = self.instance(self._expiry[token])
             if not instance.self_proposed and instance.key.bet <= ctx.local_time():

@@ -62,14 +62,15 @@ POLICIES = {p.name: p for p in (FirstProposal, AdversarialValue, AdversarialTimi
 class DepOracle:
     def __init__(self, sim, correct_servers: list[str], policy, budget: int, seed=None):
         self.sim = sim
-        self.correct = list(correct_servers)
+        self.correct = list(correct_servers)  # in decide order
+        self._correct_set = frozenset(self.correct)  # the same servers, for the proposer test
         self.policy = policy
         self.budget = budget
         self.seed = seed
         self.instances: dict[InstanceKey, dict[str, bool]] = {}  # server -> value, in proposal order
 
     def propose(self, instance: InstanceKey, server: str, value: bool) -> None:
-        if server not in self.correct:
+        if server not in self._correct_set:
             raise ProtocolBugError(f"dep proposal from non-correct process {server}")
         proposals = self.instances.setdefault(instance, {})
         if server in proposals:

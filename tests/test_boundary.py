@@ -13,10 +13,20 @@ bundled one with `Scenario.replace`.
   14, 21) and on 5 under `first` (4, 11, 13, 15, 20). Control: one
   equivocator (s005), with s004 correct and proposing False, Fails nothing
   on the same 44 runs.
-- n >= 5f+1. Blink, n=5, f=1, with s004 `mute` and s000-s003 proposing
-  True: 4f+1 = 5 suggestions never reach a correct server, so
+- n = 5f+1, from below. Blink, n=5, f=1, with s004 `mute` and s000-s003
+  proposing True: 4f+1 = 5 suggestions never reach a correct server, so
   `consensus-termination` Fails at quiescence. Control: n=6 with s005
   `mute` decides everywhere.
+- n = 5f+1, from above. Blink, n=7, f=1, scripted links, with s006 a
+  `split`/`react: false` equivocator; s000-s003 propose True and
+  s004-s005 False. Every copy takes delta but those to s000 from
+  s000-s003 and s006, and to s004 from s000, s001 and s004-s006, which
+  take 1. s000 fast-decides True on five Trues; s004's first five
+  suggestions hold three Falses, so it dep-proposes False, and a minority
+  dep policy decides False: `consensus-agreement` Fails under
+  `adversarial_value` and `adversarial_timing` (not under `first`).
+  Control: the same script at n=6 (s005 the equivocator, s004 alone
+  proposing False) Fails nothing under every policy.
 - Clock offsets within `drift`. Campaign variants of `campaign_base` and
   `campaign_wide` (6 behaviors x 2 adversarial policies x seeds 0..4, 120
   runs) with every process's offset drawn in +-200 against `drift` 2 all
@@ -37,6 +47,7 @@ import pytest
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, NA, PASS
 from fluttersim.runner import campaign_variant, run_checked
+from fluttersim.weakcon import POLICIES
 from fluttersim.scenario import BlinkScriptEntry, NetworkConfig, ServerFault, load_scenario
 
 from conftest import SCENARIOS_DIR
@@ -97,6 +108,32 @@ def test_five_servers_with_one_mute_never_decide():
     assert run.failed[0].detail == "instance label:i0: ['s000', 's001', 's002', 's003'] never decided at quiescence"
     control = base.replace(server_faults={"s005": ServerFault("mute")}, blink_script=script([True] * 5))
     assert verdict(run_checked(control), "consensus-termination").verdict == PASS
+
+
+def split_at(n, policy):
+    """The n = 5f+1-from-above row's run at n servers, f=1: the equivocator is the last server."""
+    split = f"s{n - 1:03d}"
+    to_s000 = ["s000", "s001", "s002", "s003", split]
+    to_s004 = ["s000", "s001"] + [f"s{i:03d}" for i in range(4, n)]
+    delays = {f"{src}->s000": [1] for src in to_s000} | {f"{src}->s004": [1] for src in to_s004}
+    return blink_fast().replace(
+        name=f"n{n}-split",
+        n=n,
+        network=NetworkConfig("scripted", None, delays),
+        dep_policy=policy,
+        server_faults={split: SPLIT},
+        blink_script=script([True] * 4 + [False] * (n - 5)),
+    )
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_seven_servers_at_f_one_break_agreement(policy):
+    run = run_checked(split_at(7, policy))
+    assert run.quiescent
+    want = [] if policy == "first" else [("consensus-agreement", "instance label:i0: both values decided")]
+    assert [(r.prop, r.detail) for r in run.failed] == want
+    control = run_checked(split_at(6, policy))
+    assert control.quiescent and not control.failed
 
 
 @pytest.mark.parametrize(

@@ -40,8 +40,8 @@ RUN_DIGESTS = {
         "c10edc5fe6a57d89e075320ee8037bbe78e316389a060e51da411d37beea72ad",
     ),
     "campaign_wide": (
-        "d0789642dd9c42dea5c8d6dda01bbd788ae7faf20c15653f17c805583661e731",
-        "677577f52a63757e7b3a189968ac8487c7b76d1193ae6040fa50e0cd603d2318",
+        "bcffecf169a7eae88f1bae448d2bcca8aba586a277f22af02464110b66bcf47c",
+        "24574818795c36017adcd5e2e48e4f6050696015a373c240c263e69c2cca6535",
     ),
     "equivocator": (
         "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
@@ -96,8 +96,8 @@ def test_campaign_summary_digest():
 # seed 101, so that nothing outside this file can move its input.
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
-    "n16-4x10": "a91c3f142dd09c74da1ec655d6608cce2977245add7a542209f586a1db4e391b",
-    "retry-storm": "2b26f4f4f42a38a58adad3840b5cb4567b9ce13909f4928bbd46bbb645acad20",
+    "n16-4x10": "1015f89430a5fffcf1b77053a6665a9cf13ee67b4bf2b1597e855a76a8f820ad",
+    "retry-storm": "fd488257dfec2e79264d02a601ba20f51a59d00897b188ae5dfc68a4f692641d",
 }
 
 

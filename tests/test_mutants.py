@@ -20,6 +20,12 @@ Score: 2 killed. Open: `lock-4f` and `no-lock-check` change when a server
 delivers, not in what order, and wait on a checker that judges the step
 each AppDeliver falls in; `no-dedup` waits on a client that sends one
 message under two bets.
+
+Model kills, 3, kept apart because no verdict judges them:
+`tests/test_blink_model.py` feeds one real `BlinkInstance` every
+suggestion order in a small scope. It flags `fast-4f` and a fallback
+majority of 2f, and a fallback at 4f suggestions raises `_majority`'s
+AssertionError.
 """
 
 from __future__ import annotations

@@ -289,8 +289,8 @@ def test_a_run_frees_its_check_pass_at_once_even_when_it_raises(monkeypatch):
     passes = []
     real = runner.check_pass
 
-    def spy(cfg):
-        checks = real(cfg)
+    def spy(cfg, sink=None):
+        checks = real(cfg, sink)
         passes.append(weakref.ref(checks))
         return checks
 
@@ -322,9 +322,9 @@ def test_a_checked_run_records_how_it_ended_on_its_config(monkeypatch, until, qu
     configs = []
     real = runner.check_pass
 
-    def spy(cfg):
+    def spy(cfg, sink=None):
         configs.append(cfg)
-        return real(cfg)
+        return real(cfg, sink)
 
     monkeypatch.setattr(runner, "check_pass", spy)
     result = run_checked(parse_scenario(scenario_dict(until=until)))

@@ -34,14 +34,17 @@ def reject(doc, fragment):
 
 
 def test_resilience_bound_enforced():
-    reject(scenario_dict(n=5, f=1), r"n=5 violates n >= 5f\+1")
-    parse_scenario(scenario_dict(n=6, f=1))  # boundary is fine
+    # Every quorum is a function of f alone, so one n fits each f: test_boundary runs n = 7 into an agreement Fail.
+    reject(scenario_dict(n=5, f=1), r"^n=5 violates n = 5f\+1 \(f=1 needs n = 6\)$")
+    reject(scenario_dict(n=7, f=1), r"^n=7 violates n = 5f\+1 \(f=1 needs n = 6\)$")
+    reject(scenario_dict(n=6, f=0, clients=[]), r"^n=6 violates n = 5f\+1 \(f=0 needs n = 1\)$")
+    parse_scenario(scenario_dict(n=6, f=1))
     parse_scenario(scenario_dict(n=11, f=2, clients=[]))
 
 
 def test_server_count_bounded():
     reject(scenario_dict(n=1001, f=0, clients=[]), r"scenario.n must be <= 1000, got 1001")
-    assert len(build_simulation(parse_scenario(scenario_dict(n=1000, f=0, clients=[]))).servers) == 1000
+    assert len(build_simulation(parse_scenario(scenario_dict(n=996, f=199, clients=[]))).servers) == 996
 
 
 def test_cli_rejects_a_huge_server_count_within_a_second(tmp_path, write_scenario):
@@ -478,16 +481,18 @@ def test_cli_rejects_bad_behavior_params(write_scenario, capsys, slots, fragment
 
 
 def test_cli_budget_exhaustion_exit_code(tmp_path, write_scenario):
-    # The trace streams to its file as the run goes: a run cut by its budget leaves its own events, no report.
+    # The trace streams to its file as the run goes: a run cut by its budget leaves its own events, and the report
+    # file, opened before the run, empty.
     full = tmp_path / "full.jsonl"
     args = ["--trace", str(full), "--report", str(tmp_path / "full.report.json")]
     assert cli.main(["run", str(write_scenario(scenario_dict(), "full.json")), *args]) == cli.EXIT_OK
     trace, report = tmp_path / "trace.jsonl", tmp_path / "report.json"
     trace.write_text('{"stale": "trace of an earlier run"}\n')
+    report.write_text('{"stale": "report of an earlier run"}\n')
     path = write_scenario(scenario_dict(step_budget=10))
     code = cli.main(["run", str(path), "--trace", str(trace), "--report", str(report)])
     assert code == cli.EXIT_BUDGET == 3
-    assert not report.exists()
+    assert report.read_bytes() == b""
     data = trace.read_bytes()
     assert 0 < len(data) < len(full.read_bytes()) and full.read_bytes().startswith(data) and data.endswith(b"\n")
 
@@ -670,6 +675,29 @@ def test_cli_output_under_a_regular_file_exits_2_before_any_run(tmp_path, monkey
     assert cli.main(args) == cli.EXIT_SCENARIO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", str(SCENARIOS_DIR / "goodcase.json")],
+        ["campaign", str(SCENARIOS_DIR / "campaign_base.json"), "--seeds", "0..1", "--behaviors", "mute"],
+    ],
+    ids=["run", "campaign"],
+)
+def test_cli_report_at_a_directory_exits_2_before_any_run(tmp_path, monkeypatch, capsys, args):
+    # The report file is opened before the first run, as the trace file is: a run would write a whole trace first.
+    def no_run(*_args):
+        raise AssertionError("a run started")  # a run breaker: the command would exit 4
+
+    monkeypatch.setattr(cli, "run_checked", no_run)
+    monkeypatch.setattr(runner, "_run_one", no_run)
+    monkeypatch.setenv("FLUTTERSIM_OUT", str(tmp_path))
+    (tmp_path / "taken").mkdir()
+    assert cli.main([*args, "--report", str(tmp_path / "taken")]) == cli.EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "taken") in err and err.count("\n") == 1, err
+    assert [p.read_bytes() for p in tmp_path.glob("*.jsonl")] == [b""] * (args[0] == "run")
 
 
 def test_cli_campaign_rejects_unknown_behavior():

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
-from fluttersim.runner import campaign_variant, run_checked
-from fluttersim.scenario import Scenario, load_scenario
+from fluttersim.runner import build_simulation, campaign_variant, run_checked
+from fluttersim.scenario import BroadcastScript, ClientSpec, Scenario, load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
-from fluttersim.trace import APP_DELIVER
+from fluttersim.trace import APP_DELIVER, DELIVER, SEND
 from fluttersim.types import NEG_INF, BroadcastTuple, Observe, Time, quorum_large
 
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, simulate
+from test_golden import LARGE_RUN_DIGESTS, _large_run
+from test_mutants import mutant
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
 
@@ -224,6 +226,94 @@ def test_message_in_time_proposes_true_late_proposes_false():
     srv2._on_message(ctx2, "c000", "6d", 11)  # bet 11 == local 11, not strictly ahead
     suggests2 = [m for _, m in ctx2.sent if not isinstance(m, Observe)]
     assert all(m.value is False for m in suggests2)
+
+
+def test_a_beat_announces_only_a_clock_above_the_last_time():
+    srv = make_server()
+    ctx = FakeCtx(local=11)
+    srv.on_timer(ctx, "beat@11")
+    srv.on_timer(ctx, "beat@9")  # a second beat at the same clock: a repeat, which no receiver would read
+    assert ctx.sent == [(s, Time(11)) for s in SERVERS]
+    ctx.local = 12
+    srv.on_timer(ctx, "beat@12")
+    assert ctx.sent[6:] == [(s, Time(12)) for s in SERVERS]
+
+
+def without_repeated_times(trace):
+    """`trace` less each Send and each Deliver of a Time not above the last Time of its kind on its link."""
+    last, kept = {}, []
+    for ev in trace:
+        msg = ev.payload.get("msg") if ev.kind in (SEND, DELIVER) else None
+        if msg is not None and msg["kind"] == "Time":
+            src, dst = (ev.process, ev.payload["dst"]) if ev.kind == SEND else (ev.payload["src"], ev.process)
+            link = (ev.kind, src, dst)
+            if msg["time"] <= last.get(link, NEG_INF):
+                continue
+            last[link] = msg["time"]
+        kept.append(ev)
+    return kept
+
+
+def test_a_beat_leaves_out_exactly_the_repeated_times(monkeypatch):
+    # Two clients broadcast at once, so each server spots two tuples with one bet, and its two beats fire at one
+    # clock: on exact_delta links, the trace is the trace of an unconditional beat less the repeats.
+    base = load_scenario(SCENARIOS_DIR / "goodcase.json")
+    scenario = base.replace(clients=[*base.clients, ClientSpec("c001", 10, [BroadcastScript(0, "6e")])])
+    news, quiescent = simulate(scenario)
+    assert quiescent
+    monkeypatch.setattr(FlutterServer, "on_timer",
+                        mutant(FlutterServer, "on_timer", {"if now > self._announced:": "if True:"}))
+    every, _ = simulate(scenario)
+    assert len(news) < len(every)
+    assert news == without_repeated_times(every)
+
+
+class TimeSends:
+    """A simulator sink that keeps each sender's Time values, one per send call."""
+
+    def __init__(self):
+        self.times = {}
+
+    def event(self, ev):
+        pass
+
+    def deliver(self, run):
+        pass
+
+    def sends(self, time, src, dsts, msg):
+        if msg["kind"] == "Time":
+            self.times.setdefault(src, []).append(msg["time"])
+
+
+def announced(scenario):
+    """Each correct server's Time values, in send order."""
+    sim, sink = build_simulation(scenario), TimeSends()
+    sim.sink = sink
+    sim.run(until=scenario.until)
+    return {s: sink.times[s] for s in scenario.correct_servers if s in sink.times}
+
+
+def announcing_runs():
+    """Every bundled flutter scenario, a campaign sample, and the golden large shapes."""
+    for path in sorted(SCENARIOS_DIR.glob("*.json")):
+        scenario = load_scenario(path)
+        if scenario.kind == "flutter":
+            yield scenario
+    for base in ("campaign_base", "campaign_wide"):
+        for behavior in sorted(BEHAVIORS):
+            for seed in range(2):
+                yield campaign_variant(load_scenario(SCENARIOS_DIR / f"{base}.json"), behavior, "adversarial_value",
+                                       seed)
+    for shape in sorted(LARGE_RUN_DIGESTS):
+        yield parse_scenario(_large_run(shape, 101))
+
+
+@pytest.mark.parametrize("scenario", list(announcing_runs()), ids=lambda scenario: scenario.name)
+def test_each_correct_server_announces_rising_times(scenario):
+    times = announced(scenario)
+    assert times
+    for values in times.values():
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_time_updates_are_monotonic_max():

@@ -14,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fluttersim.adversary import BEHAVIORS
-from fluttersim.checkers import CheckerConfig, run_all_checks
+from fluttersim.checkers import CheckerConfig, CheckPass, run_all_checks
 from fluttersim import cli
-from fluttersim.runner import _Tee, build_simulation, campaign_variant, run_checked, run_scenario
+from fluttersim.runner import build_simulation, campaign_variant, run_checked, run_scenario
 from fluttersim.scenario import load_scenario
 from fluttersim.trace import (DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter, read_trace, render,
                               write_trace)
@@ -274,12 +274,16 @@ class Recorder:
         self.calls.append(("sends", (time, src, tuple(dsts), msg)))
 
 
+def recording_pass(scenario, sim, recorder):
+    """A check pass whose one observer is `recorder`, handing each call to `sim`'s kept trace first."""
+    return CheckPass(CheckerConfig.from_scenario(scenario, False), [recorder], sim.trace)
+
+
 @pytest.mark.parametrize("name", BUNDLED + ["campaign+equivocator"])
 def test_a_kept_trace_replays_the_live_run(name):
     scenario = named_scenario(name)
-    sim = build_simulation(scenario)
-    live = Recorder()
-    sim.sink = _Tee(sim.trace, live)
+    sim, live = build_simulation(scenario), Recorder()
+    sim.sink = recording_pass(scenario, sim, live)
     sim.run(until=scenario.until)
     replayed = Recorder()
     sim.trace.replay(replayed)
@@ -321,10 +325,10 @@ def test_each_run_of_deliveries_is_one_sink_call(name):
     scenario = named_scenario(name)
     times = [e.time for e in named_trace(name) if e.kind == DELIVER]
     sim, whole = build_simulation(scenario), Recorder()
-    sim.sink = _Tee(sim.trace, whole)
+    sim.sink = recording_pass(scenario, sim, whole)
     sim.run(until=scenario.until)
     sim, live = build_simulation(scenario), Recorder()
-    sim.sink = _Tee(sim.trace, live)
+    sim.sink = recording_pass(scenario, sim, live)
     assert not sim.run(until=times[len(times) // 2] - 1)
     resumed = len(live.calls)
     sim.run(until=scenario.until)

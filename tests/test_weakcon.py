@@ -139,6 +139,21 @@ def test_only_a_drawing_policy_seeds_an_rng(name, monkeypatch):
     assert times == [rng.randint(0, 30) for _ in SERVERS]
 
 
+def test_the_correct_servers_draw_their_delays_in_the_order_given():
+    # Membership is tested on a set; the list keeps the order the servers draw their indication delays in.
+    sim, _, recorders = make_sim(AdversarialTiming(), budget=30, seed=7)
+    order = SERVERS[::-1]
+    oracle = DepOracle(sim, order, AdversarialTiming(), 30, 7)
+    sim.start()
+    for s in SERVERS:
+        oracle.propose("i0", s, True)
+    with pytest.raises(ProtocolBugError, match="non-correct process s999"):
+        oracle.propose("i0", "s999", True)
+    sim.run()
+    rng = random.Random("7|dep|{'label': 'i0'}")
+    assert [recorders[s].decides[0][0] for s in order] == [rng.randint(0, 30) for _ in order]
+
+
 def test_decide_waits_for_all_correct_proposals():
     sim, oracle, recorders = make_sim(FirstProposal())
     sim.start()
