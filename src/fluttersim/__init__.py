@@ -3,14 +3,13 @@
 from .checkers import CheckerConfig, CheckReport, run_all_checks
 from .runner import RunResult, build_simulation, run_campaign, run_scenario
 from .scenario import Scenario, load_scenario, parse_scenario
-from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
+from .simnet import ExactDelta, Scripted, SeededRandom, Simulator
 from .types import BroadcastTuple
 
 __all__ = [
     "BroadcastTuple",
     "CheckReport",
     "CheckerConfig",
-    "ClockModel",
     "ExactDelta",
     "RunResult",
     "Scenario",

@@ -693,7 +693,7 @@ class Metrics:
                           [tr.send_event(*self.last_suggest[over])])]
         return [_ok("suggest-complexity", f"max {top} Suggest sends per instance (limit {limit})")]
 
-    def summary(self, quiescent: bool, run: CheckPass) -> dict:
+    def summary(self, run: CheckPass) -> dict:
         per_broadcast = []
         for event in run.kept[tr.BROADCAST]:
             client, message, at = event.process, event.payload["message"], event.time
@@ -711,7 +711,7 @@ class Metrics:
             )
         return {
             "final_time": run.final_time,
-            "quiescent": quiescent,
+            "quiescent": run.cfg.quiescent,
             "events": run.events,
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
             "total_bits": self.total_bits,

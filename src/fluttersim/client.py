@@ -36,7 +36,7 @@ class FlutterClient:
             ctx.schedule_global(entry.at, f"broadcast@{i}")
 
     def on_timer(self, ctx, token: str) -> None:
-        if self._crashed(ctx) or not token.startswith("broadcast@"):
+        if self._crashed(ctx):  # every timer is a `broadcast@<index>` that on_init scheduled
             return
         self.broadcast(ctx, self.script[int(token.removeprefix("broadcast@"))].message)
 

@@ -18,7 +18,7 @@ from .client import FlutterClient
 from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
 from .scenario import ClientSpec, Scenario, ServerFault, require_a_client
 from .server import FlutterServer
-from .simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
+from .simnet import ExactDelta, Scripted, SeededRandom, Simulator
 from .types import Record
 from .weakcon import POLICIES, DepOracle
 
@@ -36,7 +36,7 @@ def _strategy(scenario: Scenario):
 
 
 def build_simulation(scenario: Scenario) -> Simulator:
-    sim = Simulator(_strategy(scenario), ClockModel(dict(scenario.clock_offsets)), step_budget=scenario.step_budget)
+    sim = Simulator(_strategy(scenario), step_budget=scenario.step_budget)
     # Decide indications land within 3 delta of the last correct proposal.
     policy = POLICIES[scenario.dep_policy]()
     oracle = DepOracle(sim, scenario.correct_servers, policy, 3 * scenario.delta, seed=scenario.network.seed)
@@ -48,14 +48,14 @@ def build_simulation(scenario: Scenario) -> Simulator:
             handler = FlutterServer(name, scenario.f, oracle)
         else:
             handler = BlinkNode(name, scenario.f, oracle)
-        sim.add_process(name, "server", handler)
+        sim.add_process(name, "server", handler, scenario.clock_offsets.get(name, 0))
     for spec in scenario.clients:
         if spec.behavior is not None:
             handler = BEHAVIORS[spec.behavior](spec.name, scenario.delta, spec.params)
         else:
             handler = FlutterClient(spec.name, scenario.f, spec.delta_estimate, scenario.epsilon, spec.broadcasts,
                                     spec.crash_time)
-        sim.add_process(spec.name, "client", handler)
+        sim.add_process(spec.name, "client", handler, scenario.clock_offsets.get(spec.name, 0))
     for entry in scenario.blink_script:
         sim.schedule_global(entry.server, entry.at, propose_token(entry.instance, entry.value))
     return sim
@@ -93,7 +93,7 @@ def run_checked(scenario: Scenario, sink=None) -> RunResult:
         quiescent = sim.run(until=scenario.until)
     finally:  # the simulator is cyclic garbage: unhooked, the pass is freed at once, even when the run raises
         sim.sink = sim.trace
-    return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(quiescent, checks))
+    return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(checks))
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -104,7 +104,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 def compute_metrics(trace, scenario: Scenario, quiescent: bool) -> dict:
     checks = CheckPass(CheckerConfig.from_scenario(scenario, quiescent), [Metrics]).run(trace)
-    return checks.metrics.summary(quiescent, checks)
+    return checks.metrics.summary(checks)
 
 
 # ---------------------------------------------------------------- campaigns

@@ -98,7 +98,7 @@ class FlutterServer(BlinkNode):
                 ctx.broadcast(Time(now))
         else:
             instance = self.instance(self._expiry[token])
-            if not instance.self_proposed and instance.key.bet <= ctx.local_time():
+            if not instance.self_proposed:  # a local timer never fires before its local time: the bet is due
                 instance.propose(ctx, False)
 
     def _on_time(self, ctx, src: str, time: int) -> None:

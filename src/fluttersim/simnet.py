@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulator.
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
-static per-process clock offsets and local-time timers. A send call (a
+and a static clock offset per process (`add_process`), which its `Context`
+adds to global time and takes from a local-time timer. A send call (a
 broadcast is one) renders its message once, draws its copies' delays in
 one `strategy.delays(src, dsts)` call, and reaches the sink once, and
 consecutive deliveries reach it as one run. Only `emit` (every other
@@ -71,54 +72,36 @@ class Scripted:
         return out
 
 
-class ClockModel:
-    """Static per-process offsets; local_time(p, t) = t + offset(p)."""
-
-    def __init__(self, offsets: dict[str, int] | None = None):
-        self.offsets = offsets or {}
-
-    def local(self, name: str, t: SimTime) -> SimTime:
-        return t + self.offsets.get(name, 0)
-
-    def global_for_local(self, name: str, local: SimTime) -> SimTime:
-        return local - self.offsets.get(name, 0)
-
-
 class Context:
     """Per-process handle into the simulator, passed to every handler."""
 
-    __slots__ = ("sim", "name")
+    __slots__ = ("sim", "name", "offset", "servers", "clients")
 
-    def __init__(self, sim: "Simulator", name: str):
+    def __init__(self, sim: "Simulator", name: str, offset: int):
         self.sim = sim
         self.name = name
+        self.offset = offset  # its static clock offset: local time = global time + offset
+        self.servers = sim.servers  # the simulator's own lists, which grow as processes are added
+        self.clients = sim.clients
 
     def local_time(self) -> SimTime:
-        return self.sim.clock.local(self.name, self.sim.now)
+        return self.sim.now + self.offset
 
     def send(self, dst: str, msg: WireMessage) -> None:
         self.sim.send(self.name, (dst,), msg)
 
     def broadcast(self, msg: WireMessage) -> None:
         """Send `msg` to every server, this one included, in server order."""
-        self.sim.send(self.name, self.sim.servers, msg)
+        self.sim.send(self.name, self.servers, msg)
 
     def schedule_local(self, fire_at_local: SimTime, token: str) -> None:
-        self.sim.schedule_timer(self.name, fire_at_local, token)
+        self.sim.schedule_global(self.name, fire_at_local - self.offset, token)
 
     def schedule_global(self, fire_at: SimTime, token: str) -> None:
         self.sim.schedule_global(self.name, fire_at, token)
 
     def emit(self, kind: str, payload: dict) -> None:
         self.sim.emit(self.name, kind, payload)
-
-    @property
-    def servers(self) -> list[str]:
-        return self.sim.servers
-
-    @property
-    def clients(self) -> list[str]:
-        return self.sim.clients
 
     # Global time. Behaviors may read it freely; the only correct-process
     # caller is a client checking its scripted crash time, which is part of
@@ -128,9 +111,8 @@ class Context:
 
 
 class Simulator:
-    def __init__(self, strategy, clock: ClockModel | None = None, step_budget: int = 1_000_000):
+    def __init__(self, strategy, *, step_budget: int = 1_000_000):
         self.strategy = strategy
-        self.clock = clock or ClockModel()
         self.step_budget = step_budget
         self.now: SimTime = 0
         self.trace = Trace()
@@ -146,11 +128,11 @@ class Simulator:
         self._started = False
         self._steps = 0
 
-    def add_process(self, name: str, kind: str, handler) -> None:
+    def add_process(self, name: str, kind: str, handler, offset: int = 0) -> None:
         if name in self.handlers:
             raise ConfigError(f"duplicate process {name}")
         self.handlers[name] = handler
-        self.contexts[name] = Context(self, name)
+        self.contexts[name] = Context(self, name, offset)
         (self.servers if kind == "server" else self.clients).append(name)
 
     def _push(self, time: SimTime, kind: int, a, b, c=None, d=None) -> None:
@@ -193,11 +175,8 @@ class Simulator:
                 run.clear()
             self.sink.sends(now, src, dsts, wire)
 
-    def schedule_timer(self, name: str, fire_at_local: SimTime, token: str) -> None:
-        self._push(self.clock.global_for_local(name, fire_at_local), _TIMER, name, token)
-
     def schedule_global(self, name: str, when: SimTime, token: str) -> None:
-        """Global-time timer, for scenario scripts rather than protocol logic."""
+        """Timer at global time `when`: a scenario script's, or a local timer its context has converted."""
         self._push(when, _TIMER, name, token)
 
     def schedule_dep_decide(self, when: SimTime, server: str, instance, value: bool) -> None:

@@ -66,8 +66,8 @@ def test_run_in_two_parts_matches_feeding_every_event(name):
     assert (ran.events, ran.last) == (fed.events, fed.last) == (live.events, live.last) == (len(trace), trace[-1])
     for other in (fed, live):
         assert [r.to_dict() for r in ran.finish(quiescent)] == [r.to_dict() for r in other.finish(quiescent)]
-        assert ran.metrics.summary(quiescent, ran) == other.metrics.summary(quiescent, other)
-    assert live.metrics.summary(quiescent, live)["final_time"] == trace[-1].time
+        assert ran.metrics.summary(ran) == other.metrics.summary(other)
+    assert live.metrics.summary(live)["final_time"] == trace[-1].time
 
 
 def test_a_run_cut_right_after_a_delivery_ends_on_its_deliver_event():
@@ -86,7 +86,7 @@ def test_a_run_cut_right_after_a_delivery_ends_on_its_deliver_event():
     assert not sim.run(until=trace[cut].time)
     for run in (check_pass(cfg).run(trace[: cut + 1]), live):
         assert (run.events, run.final_time) == (cut + 1, trace[cut].time)
-        assert run.metrics.summary(True, run)["final_time"] == trace[cut].time
+        assert run.metrics.summary(run)["final_time"] == trace[cut].time
         validity = next(r for r in run.finish(True) if r.prop == "tob-validity")
         assert (validity.verdict, validity.detail) == (FAIL, "broadcast (c000, 0x02) not delivered by "
                                                              "['s000', 's001', 's002', 's003', 's004', 's005'] "

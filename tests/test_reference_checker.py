@@ -150,7 +150,7 @@ def streamed(trace, cfg: CheckerConfig, quiescent: bool) -> tuple[list[dict], di
     """The pass's Send-derived reports and metrics for `trace`, fed as a list."""
     checks = check_pass(cfg).run(trace)
     reports = [r.to_dict() for r in checks.finish(quiescent) if r.prop in SEND_PROPS]
-    summary = checks.metrics.summary(quiescent, checks)
+    summary = checks.metrics.summary(checks)
     metrics = {
         "sends_by_kind": summary["sends_by_kind"],
         "total_bits": summary["total_bits"],
@@ -186,7 +186,7 @@ def test_feed_run_and_read_back_agree(tmp_path, name):
     for event in trace:
         fed.run((event,))
     passes = [fed, check_pass(cfg).run(trace), check_pass(cfg).run(tr.read_trace(path))]
-    outcomes = [([r.to_dict() for r in p.finish(quiescent)], p.metrics.summary(quiescent, p), p.events, p.last)
+    outcomes = [([r.to_dict() for r in p.finish(quiescent)], p.metrics.summary(p), p.events, p.last)
                 for p in passes]
     assert outcomes[1] == outcomes[0] == outcomes[2]
     assert compute_metrics(tr.read_trace(path), scenario, quiescent) == outcomes[0][1]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fluttersim import simnet
 from fluttersim.errors import BudgetExceededError, ConfigError
-from fluttersim.simnet import ClockModel, ExactDelta, Scripted, SeededRandom, Simulator
+from fluttersim.simnet import ExactDelta, Scripted, SeededRandom, Simulator
 from fluttersim.trace import DELIVER, DEP_DECIDE, SEND, TIMER_FIRE, Trace, TraceEvent
 from fluttersim.types import Time, instance_payload, wire_payload
 
@@ -122,28 +122,39 @@ def test_a_send_call_with_an_unknown_destination_sends_no_copy():
 
 
 class LocalTimerProbe:
-    fired_global = None
-    fired_local = None
+    """At global time 5, schedules one local timer `ahead` ticks past its local clock (negative: in the past)."""
+
+    def __init__(self, ahead):
+        self.ahead = ahead
+        self.fired = []  # (global, local) time of each fire of that timer
 
     def on_init(self, ctx):
-        ctx.schedule_local(11, "k")
+        ctx.schedule_global(5, "start")
 
     def on_deliver(self, ctx, src, msg):
         pass
 
     def on_timer(self, ctx, token):
-        LocalTimerProbe.fired_global = ctx.sim.now
-        LocalTimerProbe.fired_local = ctx.local_time()
+        if token == "start":
+            ctx.schedule_local(ctx.local_time() + self.ahead, "k")
+        else:
+            self.fired.append((ctx.sim.now, ctx.local_time()))
 
 
-def test_local_timer_honours_clock_offset():
-    # Offset +2: local 11 corresponds to global 9.
-    LocalTimerProbe.fired_global = None
-    sim = Simulator(ExactDelta(5), ClockModel({"p": 2}))
-    sim.add_process("p", "server", LocalTimerProbe())
+@pytest.mark.parametrize("ahead", [-3, 0, 4])
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_local_timer_honours_clock_offset(offset, ahead):
+    # A timer for local time `target` fires at global max(target - offset, now), so never before `target` on the
+    # process's clock, and on it unless `target` had passed: the server's expiry relies on this.
+    probe = LocalTimerProbe(ahead)
+    sim = Simulator(ExactDelta(5))
+    sim.add_process("p", "server", probe, offset)
     assert sim.run()
-    assert LocalTimerProbe.fired_global == 9
-    assert LocalTimerProbe.fired_local == 11
+    target = 5 + offset + ahead
+    ((fired, local),) = probe.fired
+    assert fired == max(target - offset, 5)
+    assert local >= target
+    assert local == target or ahead < 0
 
 
 class PastTimer:
@@ -472,10 +483,10 @@ class Probe:
 def test_event_order_matches_the_reference_heap_loop(scripts, delta, seed, offsets, until):
     def run(cls):
         calls = []
-        sim = cls(SeededRandom(delta, seed), ClockModel(dict(zip(PROBES, offsets))))
+        sim = cls(SeededRandom(delta, seed))
         sim.trace = sim.sink = RunLog()
-        for name, script in zip(PROBES, scripts):
-            sim.add_process(name, "client" if name.startswith("q") else "server", Probe(script, calls))
+        for name, script, offset in zip(PROBES, scripts, offsets):
+            sim.add_process(name, "client" if name.startswith("q") else "server", Probe(script, calls), offset)
         cut = sim.run(until)
         at_cut = (cut, sim.now, len(calls), len(sim.trace))
         assert sim.run()
