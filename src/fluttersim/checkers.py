@@ -524,8 +524,8 @@ class _ServerInvariants:
             time, dst, payload = delivery
             msg = payload["msg"]
             kind = msg["kind"]
-            if kind not in {"Time", "Observe", "Message"} or (replay := replays.get(dst)) is None:
-                continue  # a Suggest or Decision moves no replay
+            if (replay := replays.get(dst)) is None:
+                continue
             src = payload["src"]
             if src in replay.remote_times:
                 if kind == "Time":
@@ -537,6 +537,8 @@ class _ServerInvariants:
                         fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
                 elif kind == "Observe":
                     replay.spot(_key_of(msg))
+                elif kind == "Suggest" and (t := _key_of(msg["instance"])) is not None:  # a server's Observe of t too
+                    replay.spot(t)
             elif kind == "Message" and src in clients:
                 replay.spot((msg["bet"], src, msg["message"]))
 

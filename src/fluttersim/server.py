@@ -7,6 +7,18 @@ tuple on whether the bet arrived in time, and app-deliver positive
 tuples in bet order once the lock time (a 4f+1-supported lower bound
 on other servers' clocks) has passed the bet, so no earlier tuple can
 still win a consensus instance.
+
+A server relays a tuple in an Observe, or in its Suggest when it
+proposes in the step that first spots it (a client's Message), and
+every server spots the tuple a peer's Suggest names. That refines the
+protocol that relayed by Observe alone, which sent Observe(t) and
+Suggest(t, v) in one step, in that order, to the same servers: FIFO kept
+each Suggest copy no earlier than its Observe copy, and nothing reaches
+a receiver between two same-tick copies from one sender, so each run is,
+at every correct server, an old run in which each Observe copy took its
+Suggest copy's delay; spotting on a correct sender's Suggest was a
+no-op there; and a Byzantine Suggest on a tuple gives a receiver nothing
+that a Byzantine Observe sent just before it could not.
 """
 
 from __future__ import annotations
@@ -59,7 +71,10 @@ class FlutterServer(BlinkNode):
         cls = type(msg)
         if src in self._server_set:
             if cls is Suggest:
-                self.instance(msg.instance).on_suggest(ctx, src, msg.value)
+                key = msg.instance
+                if key not in self.observed and type(key) is BroadcastTuple:  # a Suggest on a tuple observes it
+                    self._spot(ctx, key)
+                self.instance(key).on_suggest(ctx, src, msg.value)
             elif cls is Time:
                 self._on_time(ctx, src, msg.time)
             elif cls is Observe:
@@ -69,21 +84,23 @@ class FlutterServer(BlinkNode):
 
     def _on_message(self, ctx, client: str, message: str, bet: int) -> None:
         t = BroadcastTuple(bet, client, message)
-        self._spot(ctx, t)
         instance = self.instance(t)
-        if not instance.self_proposed:
+        if not instance.self_proposed:  # so this step proposes, and on t's first spot its Suggest relays t
+            self._spot(ctx, t, relay=False)
             instance.propose(ctx, bet > ctx.local_time())
 
-    def _spot(self, ctx, t: BroadcastTuple) -> None:
+    def _spot(self, ctx, t: BroadcastTuple, relay: bool = True) -> None:
         if t in self.observed:
             return
         # A tuple is a candidate iff it clears the never-falling lock when first spotted, so it is not processable yet.
         if t.bet > self._lock:
             heapq.heappush(self._queue, t)
-        # Relay before scheduling the beat. For a tuple spotted before its bet, every Time we sent so far lies below the
-        # bet, and a beat sends only news (a clock above our last Time), so every Time(b') with b' >= bet trails the
-        # Observe on each link: whoever advances our entry past the bet has already spotted the tuple.
-        ctx.broadcast(Observe(t))
+        # Relay (here, or by the Suggest this step sends) before any beat. For a tuple spotted before its bet, every Time
+        # we sent so far lies below the bet, and a beat sends only news (a clock above our last Time), so every Time(b')
+        # with b' >= bet trails the Observe or Suggest that first names t on each link: whoever advances our entry past
+        # the bet has already spotted the tuple.
+        if relay:
+            ctx.broadcast(Observe(t))
         token = f"expiry@{len(self._expiry)}"
         self._expiry[token] = t
         ctx.schedule_local(t.bet, f"beat@{t.bet}")

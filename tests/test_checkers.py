@@ -90,7 +90,7 @@ def test_clean_two_message_run_passes_everything():
 
 def test_replay_spots_tuples_from_relays_alone():
     # Without the c000 -> s001 link, s001's replay learns both tuples only
-    # from Observe relays, and must still count each as a candidate.
+    # from its peers' Suggests, and must still count each as a candidate.
     clean, cfg = clean_run()
     trace = [
         e
@@ -267,15 +267,16 @@ def test_truncated_run_reports_liveness_not_applicable():
 
 def test_starved_server_fails_candidate_completeness():
     clean, cfg = clean_run()
-    # drop every Message/Observe delivery at s001: it can never spot the
-    # tuples the others decided True
+    # drop every Message, Observe and tuple Suggest delivery at s001: it can
+    # never spot the tuples the others decided True
     trace = [
         e
         for e in copy.deepcopy(clean)
         if not (
             e.kind == DELIVER
             and e.process == "s001"
-            and e.payload["msg"]["kind"] in ("Message", "Observe")
+            and e.payload["msg"]["kind"] in ("Message", "Observe", "Suggest")
+            and "label" not in e.payload["msg"].get("instance", {})
         )
     ]
     failing(trace, cfg, "server-candidate-completeness")
@@ -403,13 +404,23 @@ def replay_state(invariants):
             for name, r in invariants.replays.items()}
 
 
-def test_suggest_and_decision_copies_move_no_replay():
+def test_a_server_tuple_suggest_spots_the_tuple():
+    # A server's Suggest on a tuple is its Observe of it too.
+    _trace, cfg = clean_run()
+    invariants = _ServerInvariants(cfg)
+    invariants.deliver([(1, dst, {"src": "s001", "msg": {"kind": "Suggest", "instance": FIRST, "value": False}})
+                        for dst in cfg.servers])
+    assert all(state[2] == {(11, "c000", "01")} for state in replay_state(invariants).values())
+
+
+def test_client_suggest_label_suggest_and_decision_copies_move_no_replay():
     _trace, cfg = clean_run()
     invariants = _ServerInvariants(cfg)
     before = replay_state(invariants)
-    suggest = {"kind": "Suggest", "instance": FIRST, "value": True}
-    decision = {"kind": "Decision", **FIRST, "value": True}
-    copies = [(src, msg) for src in ("s001", "s005", "c000") for msg in (suggest, decision)]
+    copies = [("c000", {"kind": "Suggest", "instance": FIRST, "value": True})]
+    copies += [(src, msg) for src in ("s001", "s005", "c000")
+               for msg in ({"kind": "Suggest", "instance": {"label": "x"}, "value": True},
+                           {"kind": "Decision", **FIRST, "value": True})]
     invariants.deliver([(t, dst, {"src": src, "msg": msg})
                         for t, (src, msg) in enumerate(copies) for dst in cfg.servers])
     assert replay_state(invariants) == before
@@ -541,9 +552,9 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
     candidates.
 
     From the definition, over a list of events, with no lock count and no heap: after every input to a server (a
-    Time or Observe a server sends it, a Message its client sends it, or its Decide of a tuple), its lock is the
-    (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple spotted with a bet above the lock is a
-    candidate. Then, while the least candidate above the last one processed (a full scan) is decided and its bet
+    Time, an Observe or a Suggest on a tuple a server sends it, a Message its client sends it, or its Decide of a
+    tuple), its lock is the (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple spotted with a bet
+    above the lock is a candidate. Then, while the least candidate above the last one processed (a full scan) is decided and its bet
     is at most the lock, it is processed.
     """
     out = {}
@@ -561,6 +572,8 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
                     times[src] = max(times[src], msg["time"])
                 elif src in times and msg["kind"] == "Observe":
                     spotted = (msg["bet"], msg["client"], msg["message"])
+                elif src in times and msg["kind"] == "Suggest" and "label" not in (instance := msg["instance"]):
+                    spotted = (instance["bet"], instance["client"], instance["message"])
                 elif src in cfg.clients and msg["kind"] == "Message":
                     spotted = (msg["bet"], src, msg["message"])
             elif e.kind == DECIDE and "label" not in (instance := e.payload["instance"]):
@@ -619,6 +632,30 @@ def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
     (invariants,) = CheckPass(cfg, [_ServerInvariants]).run(sim.trace).checks
     replay = invariants.replays["s000"]
     assert late not in replay.candidates and replay.decisions[late] is False
+    assert quiescent and [r.prop for r in run_all_checks(sim.trace, cfg) if r.verdict == FAIL] == []
+
+
+def test_a_tuple_first_seen_in_a_peer_suggest_is_a_candidate():
+    # c000's aa (bet 2) reaches s001-s005 at t=1 and s000 only at t=10. Each of them proposes in its Message step,
+    # so it relays aa in its Suggest alone; those reach s000 at t=2, and their Time(2)s at t=3 lift s000's lock to 2.
+    # So s000 spots aa above its lock only if a server's Suggest on a tuple counts as its Observe of it.
+    servers = [f"s{i:03d}" for i in range(6)]
+    delays = {"c000->s000": [10], **{f"c000->{s}": [1] for s in servers[1:]},
+              **{f"{s}->s000": [1, 1] for s in servers[1:]}}
+    scenario = parse_scenario(scenario_dict(network={"strategy": "scripted", "delays": delays}, clients=[
+        {"name": "c000", "delta_estimate": 1, "broadcasts": [{"at": 0, "message": "aa"}]}]))
+    t = BroadcastTuple(2, "c000", "aa")
+    sim = build_simulation(scenario)
+    server = sim.handlers["s000"]
+    assert not sim.run(until=2)
+    assert t in server._queue and server._lock == NEG_INF
+    assert not sim.run(until=3)
+    assert server._lock == 2 and server.delivered == {("c000", "aa")}  # decided True at t=2, due at t=3
+    quiescent = sim.run()
+    cfg = CheckerConfig.from_scenario(scenario, quiescent)
+    (invariants,) = CheckPass(cfg, [_ServerInvariants]).run(sim.trace).checks
+    assert t in invariants.replays["s000"].candidates
+    assert t in reference_orders(list(sim.trace), cfg)["s000"][1]
     assert quiescent and [r.prop for r in run_all_checks(sim.trace, cfg) if r.verdict == FAIL] == []
 
 

@@ -36,28 +36,28 @@ RUN_DIGESTS = {
         "269090c8bdbfa1c6e21252053faeda0c4a0fe88dad03a992da16039bc3b25a13",
     ),
     "campaign_base": (
-        "37cc4f6862b7e99d6a2bb02dcfa1d272058673bfc32ce3147aeb69f2840d0e13",
-        "c10edc5fe6a57d89e075320ee8037bbe78e316389a060e51da411d37beea72ad",
+        "e80e124f4c10057f4060d6aaa5afd89b3d6ee516ab2551c5cb7acad79920be17",
+        "3d306fc147be8a5914b4668a9d1fda512da2de28e8d5c444ab8cf2246f217f2c",
     ),
     "campaign_wide": (
-        "bcffecf169a7eae88f1bae448d2bcca8aba586a277f22af02464110b66bcf47c",
-        "24574818795c36017adcd5e2e48e4f6050696015a373c240c263e69c2cca6535",
+        "ecc845017d2fb5981ef40a9bf8f0d913a6a1cb17d5bb4c6277933bcca37fd9ed",
+        "49eb40935b8e9978c52d335972e0a448f7651b43b5fba67529f665405fa808c9",
     ),
     "equivocator": (
         "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
         "81a6ad51b225f01e339e2ff97759026ae0da1ba2cc12bc51110a136322d3e9ae",
     ),
     "goodcase": (
-        "1d57350ffaadc9c6332f7fe09f6f68c34064a7f87cb78ac80f71da47197f6a67",
-        "1dce605c6e2352f6c262b4ae8e0a415536702515dcb8754b806327ddbc8a9f7b",
+        "b170ed4af698427df093bb24a3d86eabe42cd07a18074f661746e01a8bc13bf0",
+        "09b374364f765e382f7ec700a240dcb655b649008f719d8aee3d6bf8181c869b",
     ),
     "partial_dissemination": (
-        "7c59198de71d076677c0b7fc9809912e4b0980938bf2d0d0e439d6a2f03761c0",
-        "c52ae4c2b9dbb229bd12fd78b1b66510be78222be3d4d3c327ac3b276f14fabe",
+        "89e4f45580d539b48fe9ad233d91da5e8b2c63cf13bfadeab47ae9f850e60374",
+        "35b3d4112754f8f9a51ce2d3a84cc6e472b7aca094287e61d19614d21812262b",
     ),
     "retry": (
-        "5824e51ae5204434b848339f1983ca0150e22f56633060cfc9a97db7643ab3a2",
-        "d294d805493a43db7f90c188539f42739af23019380f507a4910364240d38492",
+        "71f5ff35fed0a0bcab6feb834e97c54d9c6a78d893a95e06ff843d0659753d37",
+        "d64d71afddf86b429b1b85c1bd7bf5691eb6e0e5ba13f020238ad88523da83cc",
     ),
 }
 
@@ -96,8 +96,8 @@ def test_campaign_summary_digest():
 # seed 101, so that nothing outside this file can move its input.
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
-    "n16-4x10": "1015f89430a5fffcf1b77053a6665a9cf13ee67b4bf2b1597e855a76a8f820ad",
-    "retry-storm": "fd488257dfec2e79264d02a601ba20f51a59d00897b188ae5dfc68a4f692641d",
+    "n16-4x10": "bacdd33cb0780a5fa04dc229251e6b37f05acad1aedc2afd5d63823ae67a331f",
+    "retry-storm": "2dfbfcebff46ccdf90d81eb84cdffd1b29066c0e42bca4d262675c4daa77a9b3",
 }
 
 

@@ -6,10 +6,12 @@ for one test only. A named run must then Fail the named properties under
 every dep policy, while the same run without the mutant Fails nothing. A unit test
 or a golden digest does not count as a kill: only the check pass does.
 
-- `no-relay`: `FlutterServer._spot` no longer relays `Observe(t)`. The
-  `partial_disseminator` variant of `campaign_wide`, on `exact_delta`
-  links, Fails `tob-total-order`, `tob-validity` and
-  `server-order-agreement`.
+- `no-suggest-spot`: `FlutterServer.on_deliver` ignores the tuple that
+  a peer's Suggest names. The `partial_disseminator` variant of
+  `campaign_wide`, on `exact_delta` links, Fails
+  `server-order-matches-appdeliver`, `tob-total-order` and
+  `tob-validity`: s000 alone gets the Message, and its Suggest is the
+  only relay.
 - `fast-4f`: Blink's fast path decides on 4f matching suggestions
   instead of 4f+1. `scenarios/blink_split.json` Fails
   `consensus-agreement`: s000-s002 see four True suggestions (theirs and
@@ -19,7 +21,12 @@ or a golden digest does not count as a kill: only the check pass does.
 Score: 2 killed. Open: `lock-4f` and `no-lock-check` change when a server
 delivers, not in what order, and wait on a checker that judges the step
 each AppDeliver falls in; `no-dedup` waits on a client that sends one
-message under two bets.
+message under two bets; `no-observe-relay` (`_spot` no longer relays
+`Observe(t)`) survives `partial_disseminator` and every campaign run,
+because every server that names a tuple, correct or not, names it to
+all servers, so the relay only repeats what each already got. It waits
+on a partial relayer: a Byzantine server that names t to some servers
+only, as the Twins of ROADMAP item 5 would.
 
 Model kills, 3, kept apart because no verdict judges them:
 `tests/test_blink_model.py` feeds one real `BlinkInstance` every
@@ -71,8 +78,8 @@ def split_run(policy: str):
 
 MUTANTS = {
     # name -> (class, method, source edits, the run that kills it, the properties that then Fail)
-    "no-relay": (FlutterServer, "_spot", {"ctx.broadcast(Observe(t))": "pass"}, relay_run,
-                 ["server-order-agreement", "tob-total-order", "tob-validity"]),
+    "no-suggest-spot": (FlutterServer, "on_deliver", {"self._spot(ctx, key)": "pass"}, relay_run,
+                        ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
     "fast-4f": (BlinkInstance, "on_suggest",
                 {"if self.trues >= large:": "if self.trues >= large - 1:",
                  "elif count - self.trues >= large:": "elif count - self.trues >= large - 1:"},

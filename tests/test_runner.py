@@ -40,15 +40,14 @@ def test_goodcase_frozen_outcome():
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
     assert deliveries == [(21, s) for s in SERVERS]
     assert m["final_time"] == 30
-    assert m["events"] == 284
+    assert m["events"] == 212
     assert m["sends_by_kind"] == {
         "Decision": 6,
         "Message": 6,
-        "Observe": 36,
         "Suggest": 36,
         "Time": 36,
     }
-    assert m["total_bits"] == 8064
+    assert m["total_bits"] == 5472
     assert m["consensus_instances"] == 1
     assert m["per_broadcast"] == [
         {

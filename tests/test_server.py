@@ -14,7 +14,7 @@ from fluttersim.runner import build_simulation, campaign_variant, run_checked
 from fluttersim.scenario import BroadcastScript, ClientSpec, Scenario, load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
 from fluttersim.trace import APP_DELIVER, DELIVER, SEND
-from fluttersim.types import NEG_INF, BroadcastTuple, Observe, Time, quorum_large
+from fluttersim.types import NEG_INF, BroadcastTuple, Message, Observe, Suggest, Time, quorum_large
 
 from conftest import SCENARIOS_DIR, simulate
 from test_golden import LARGE_RUN_DIGESTS, _large_run
@@ -226,6 +226,39 @@ def test_message_in_time_proposes_true_late_proposes_false():
     srv2._on_message(ctx2, "c000", "6d", 11)  # bet 11 == local 11, not strictly ahead
     suggests2 = [m for _, m in ctx2.sent if not isinstance(m, Observe)]
     assert all(m.value is False for m in suggests2)
+
+
+def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
+    srv = make_server()
+    ctx = FakeCtx(local=0)
+    t = BroadcastTuple(11, "c000", "6d")
+    srv.on_deliver(ctx, "c000", Message("6d", 11))
+    assert ctx.sent == [(s, Suggest(t, True)) for s in SERVERS]
+    assert t in srv.observed and srv._queue == [t]
+    assert ctx.timers == [(11, "beat@11"), (11, "expiry@0")]
+
+
+def test_a_peer_suggest_first_sight_relays_an_observe_and_expires_false():
+    srv = make_server()
+    ctx = FakeCtx(local=0)
+    t = BroadcastTuple(11, "c000", "6d")
+    srv.on_deliver(ctx, "s001", Suggest(t, True))
+    srv.on_deliver(ctx, "s002", Suggest(t, True))  # a second sight relays nothing
+    assert ctx.sent == [(s, Observe(t)) for s in SERVERS]
+    assert srv._queue == [t] and srv.instances[t].suggestions == {"s001": True, "s002": True}
+    assert ctx.timers == [(11, "beat@11"), (11, "expiry@0")]
+    ctx.local = 11  # no Message came before the bet
+    srv.on_timer(ctx, "expiry@0")
+    assert ctx.sent[len(SERVERS):] == [(s, Suggest(t, False)) for s in SERVERS]
+
+
+def test_a_label_suggest_spots_nothing():
+    # A BlinkNode's instances are keyed by label, not by tuple: there is nothing to observe.
+    srv = make_server()
+    ctx = FakeCtx(local=0)
+    srv.on_deliver(ctx, "s001", Suggest("x", True))
+    assert srv.observed == set() and srv._queue == [] and ctx.sent == [] and ctx.timers == []
+    assert srv.instances["x"].suggestions == {"s001": True}
 
 
 def test_a_beat_announces_only_a_clock_above_the_last_time():

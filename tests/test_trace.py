@@ -226,11 +226,13 @@ def test_streamed_run_writes_the_kept_trace(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    ("kind", "sender"),
-    [("Observe", "s000"), ("Time", "s000"), ("Suggest", "s000"), ("Message", "c000")],
+    ("name", "kind", "sender"),
+    [("partial_dissemination", "Observe", "s001"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
+     ("goodcase", "Message", "c000")],
 )
-def test_broadcast_shares_one_msg_dict(kind, sender):
-    trace = named_trace("goodcase")
+def test_broadcast_shares_one_msg_dict(name, kind, sender):
+    # s001 spots partial_dissemination's tuple in s000's Suggest, so it relays an Observe; goodcase sends none.
+    trace = named_trace(name)
     servers = [f"s{i:03d}" for i in range(6)]
     first = next(
         i for i, e in enumerate(trace) if e.kind == SEND and e.process == sender and e.payload["msg"]["kind"] == kind
