@@ -668,7 +668,7 @@ class Metrics:
         self.n = cfg.n
         self.correct = cfg.correct
         self.sends_by_kind: dict[str, int] = {}
-        self.total_bits = 0
+        self.total_bits = 0  # framing, plus the body of a Message, Observe or Decision (a tuple Suggest's is uncounted)
         self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
         self.last_suggest: dict[object, tuple] = {}  # instance -> its last Suggest copy's (time, src, dst, msg)
         self.attempts: dict[tuple[str, str], set[int]] = {}
@@ -676,7 +676,7 @@ class Metrics:
     def sends(self, time: int, src: str, dsts, msg: dict) -> None:
         copies, kind = len(dsts), msg["kind"]
         self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + copies
-        self.total_bits += copies * 8 * (_WIRE_OVERHEAD_BYTES + len(msg.get("message", "")) // 2)  # Time/Suggest: 0
+        self.total_bits += copies * 8 * (_WIRE_OVERHEAD_BYTES + len(msg.get("message", "")) // 2)
         if kind == "Suggest" and src in self.correct:
             key = tr.instance_key_from_payload(msg["instance"])
             self.suggests[key] = self.suggests.get(key, 0) + copies

@@ -4,6 +4,8 @@ The client guesses the network delay, bets that a message sent now is
 everywhere within 2^r times that guess, and resubmits with the next r
 when f+1 servers report the bet lost, so one honest report guarantees
 the loss is real and doubling eventually clears any delay underestimate.
+The highest r submitted so far is a floor that each later bet starts
+from, so an underestimate is cleared once per client, not per message.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class FlutterClient:
         # (message, bet) -> the servers whose latest Decision on that bet is False
         self.falses: dict[tuple[str, int], set[str]] = {}
         self._server_set: frozenset[str] = frozenset()
+        self.floor = 0  # the highest attempt submitted so far; only f+1 loss reports raise it
 
     def _crashed(self, ctx) -> bool:
         return self.crash_time is not None and ctx.now() >= self.crash_time
@@ -44,11 +47,12 @@ class FlutterClient:
         if message in self.submissions:
             raise ProtocolBugError(f"{self.name} broadcast {message} twice")
         ctx.emit(tr.BROADCAST, {"message": message})
-        self._submit(ctx, message, 0)
+        self._submit(ctx, message, self.floor)
 
     def _submit(self, ctx, message: str, attempt: int) -> None:
         bet = ctx.local_time() + (2**attempt) * self.delta_estimate + self.epsilon
         self.submissions[message] = (attempt, bet)
+        self.floor = max(self.floor, attempt)
         ctx.broadcast(Message(message, bet))
 
     def on_deliver(self, ctx, src: str, msg) -> None:
@@ -63,4 +67,4 @@ class FlutterClient:
             falses.discard(src)
         current = self.submissions.get(msg.message)
         if current is not None and current[1] == msg.bet and len(falses) >= quorum_small(self.f):
-            self._submit(ctx, msg.message, current[0] + 1)
+            self._submit(ctx, msg.message, max(current[0] + 1, self.floor))

@@ -2,7 +2,8 @@
 
 Each test is one pass/fail line under `pytest -v`, or one per swept value:
 criterion 01 runs over the delay bound and criterion 05 over the client's
-delay estimate. Tolerances are zero
+delay estimate. Criterion 05 has a companion: a client's next broadcast
+starts at the margin its lost bets taught it. Tolerances are zero
 ticks unless a runtime ceiling is stated; no expected value here was
 invented, each was derived by hand or computed by an independent brute
 force before being frozen.
@@ -138,6 +139,41 @@ def test_criterion_05_backoff_clears_underestimate_at_bruteforced_r(estimate):
     assert result.metrics["consensus_instances"] == attempts
     deliverers = {e.process for e in result.trace if e.kind == APP_DELIVER}
     assert deliverers == set(SERVERS)
+    assert not result.failed
+
+
+@pytest.mark.parametrize("estimate", sorted(BACKOFF), ids="estimate={}".format)
+def test_criterion_05_a_client_s_next_broadcast_starts_at_the_margin_it_learned(estimate):
+    # criterion 05's run with a second broadcast at t=300, after the first
+    # is delivered: the client keeps the highest attempt it submitted, so
+    # the second message sends one bet, at the same brute-forced last
+    # attempt, and every server decides it True. Its bet lands at
+    # 300 + 2^last * estimate + epsilon and the bet is ahead of every
+    # arrival, so each server delivers one delta after the bet, as in the
+    # good case (27 ticks for estimate 1, whose first broadcast needed 5
+    # attempts; 21 for estimate 10).
+    attempts, _ = BACKOFF[estimate]
+    delta, epsilon, second = 10, 1, 300
+    last = next(r for r in range(64) if (2**r) * estimate + epsilon > delta)
+    broadcasts = [{"at": 0, "message": "6d"}, {"at": second, "message": "6e"}]
+    client = {"name": "c000", "delta_estimate": estimate, "broadcasts": broadcasts}
+    result = run_scenario(parse_scenario(scenario_dict(delta=delta, clients=[client])))
+    bets = {"6d": {}, "6e": {}}  # message -> its bets in send order (a dict keeps one per bet)
+    for e in result.trace:
+        if e.kind == SEND and e.process == "c000" and e.payload["msg"]["kind"] == "Message":
+            bets[e.payload["msg"]["message"]][e.payload["msg"]["bet"]] = None
+    assert len(bets["6d"]) == attempts
+    assert list(bets["6e"]) == [second + (2**last) * estimate + epsilon]
+    (bet,) = bets["6e"]
+    decided = {(e.process, e.payload["value"]) for e in result.trace
+               if e.kind == DECIDE and e.payload["instance"]["bet"] == bet}
+    assert decided == {(s, True) for s in SERVERS}
+    delivered = [e.time for e in result.trace if e.kind == APP_DELIVER and e.payload["message"] == "6e"]
+    assert len(delivered) == len(SERVERS)
+    latency = max(delivered) - second
+    assert latency == bet + delta - second
+    (row,) = [b for b in result.metrics["per_broadcast"] if b["message"] == "6e"]
+    assert (row["attempts"], row["latency"]) == (1, latency)
     assert not result.failed
 
 

@@ -1,4 +1,4 @@
-"""Client backoff: bet arithmetic, retry threshold, stale reports, crashes."""
+"""Client backoff: bet arithmetic, retry threshold, the attempt floor, stale reports, crashes."""
 
 from __future__ import annotations
 
@@ -83,6 +83,67 @@ def test_retry_fires_at_exactly_f_plus_one_false_reports():
     resubmits = [m for _, m in ctx.sent if isinstance(m, Message)]
     assert len(resubmits) == 6
     assert cl.submissions["6d"][0] == 1
+
+
+def lose(cl, ctx, message, servers=SERVERS[:2]):
+    """Report `message`'s current bet lost by `servers` (two is f+1 for f=1)."""
+    bet = cl.submissions[message][1]
+    for src in servers:
+        deliver_false(cl, ctx, src, message, bet)
+
+
+def test_a_lost_bet_raises_the_next_message_s_first_attempt():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, "6d")
+    lose(cl, ctx, "6d")
+    assert cl.submissions["6d"] == (1, 21)
+    ctx.local = 30
+    cl.broadcast(ctx, "6e")
+    # 30 + 2^1 * 10 + 1: the margin the lost bet taught, not 30 + 10 + 1
+    assert cl.submissions["6e"] == (1, 51)
+
+
+def test_f_false_reports_leave_the_next_message_at_attempt_0():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, "6d")
+    lose(cl, ctx, "6d", SERVERS[:1])  # one False is not proof
+    ctx.local = 30
+    cl.broadcast(ctx, "6e")
+    assert cl.submissions["6e"] == (0, 41)
+
+
+def test_an_in_flight_bet_that_loses_resubmits_at_the_floor():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    cl.broadcast(ctx, "6d")
+    cl.broadcast(ctx, "6e")
+    lose(cl, ctx, "6d")
+    lose(cl, ctx, "6d")
+    assert cl.submissions["6d"] == (2, 41)
+    ctx.local = 12
+    lose(cl, ctx, "6e")  # its attempt-0 bet: the next attempt is the floor 2, not 1
+    assert cl.submissions["6e"] == (2, 12 + 4 * 10 + 1)
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["6d", "6e", "6f"]), st.booleans()), max_size=40))
+def test_one_message_s_bets_strictly_increase(steps):
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    for advance, message, is_broadcast in steps:
+        ctx.local += advance
+        if message not in cl.submissions:
+            if is_broadcast:
+                cl.broadcast(ctx, message)
+        elif not is_broadcast:
+            lose(cl, ctx, message)
+    bets: dict[str, list[int]] = {}
+    for dst, msg in ctx.sent:
+        if dst == SERVERS[0]:
+            bets.setdefault(msg.message, []).append(msg.bet)
+    assert all(b < c for seq in bets.values() for b, c in zip(seq, seq[1:]))
+    assert {m: seq[-1] for m, seq in bets.items()} == {m: bet for m, (_, bet) in cl.submissions.items()}
 
 
 def test_duplicate_false_from_same_server_does_not_count_twice():

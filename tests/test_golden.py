@@ -97,7 +97,7 @@ def test_campaign_summary_digest():
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
     "n16-4x10": "bacdd33cb0780a5fa04dc229251e6b37f05acad1aedc2afd5d63823ae67a331f",
-    "retry-storm": "2dfbfcebff46ccdf90d81eb84cdffd1b29066c0e42bca4d262675c4daa77a9b3",
+    "retry-storm": "61e2fbe204e40d49a6c1b0e08ae1635ec32a8deaea908207132e3bdc6d35013d",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +65,17 @@ def test_minority_value_unanimous_is_forced():
 
 def test_minority_value_tie_goes_false():
     assert _minority_value({"a": True, "b": False}) is False
+
+
+def test_minority_value_matches_its_definition_on_every_count_to_six():
+    # "The allowed value with the fewest correct proposers; ties go False": a value is allowed when some server
+    # proposed it, and with no proposal at all the answer is False.
+    for trues, falses in product(range(7), repeat=2):
+        counts = {False: falses, True: trues}
+        allowed = [value for value in (False, True) if counts[value]]
+        expected = min(allowed, key=counts.__getitem__, default=False)  # min keeps the first of a tie: False
+        proposals = {f"s{i}": i < trues for i in range(trues + falses)}
+        assert _minority_value(proposals) is expected, (trues, falses)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=9))
