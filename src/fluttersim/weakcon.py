@@ -20,7 +20,11 @@ def _minority_value(proposals: dict[str, bool]) -> bool:
     """The allowed value with the fewest correct proposers; ties go False."""
     trues = sum(1 for v in proposals.values() if v)
     falses = len(proposals) - trues
-    return 0 < trues and (falses == 0 or trues < falses)
+    if trues == 0:
+        return False
+    if falses == 0:
+        return True
+    return trues < falses
 
 
 class FirstProposal:

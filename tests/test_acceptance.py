@@ -3,7 +3,8 @@
 Each test is one pass/fail line under `pytest -v`, or one per swept value:
 criterion 01 runs over the delay bound and criterion 05 over the client's
 delay estimate. Criterion 05 has a companion: a client's next broadcast
-starts at the margin its lost bets taught it. Tolerances are zero
+starts at the margin its lost bets taught it, and a win there lowers the
+margin by one step for the broadcast after. Tolerances are zero
 ticks unless a runtime ceiling is stated; no expected value here was
 invented, each was derived by hand or computed by an independent brute
 force before being frozen.
@@ -144,21 +145,25 @@ def test_criterion_05_backoff_clears_underestimate_at_bruteforced_r(estimate):
 
 @pytest.mark.parametrize("estimate", sorted(BACKOFF), ids="estimate={}".format)
 def test_criterion_05_a_client_s_next_broadcast_starts_at_the_margin_it_learned(estimate):
-    # criterion 05's run with a second broadcast at t=300, after the first
-    # is delivered: the client keeps the highest attempt it submitted, so
-    # the second message sends one bet, at the same brute-forced last
-    # attempt, and every server decides it True. Its bet lands at
-    # 300 + 2^last * estimate + epsilon and the bet is ahead of every
-    # arrival, so each server delivers one delta after the bet, as in the
-    # good case (27 ticks for estimate 1, whose first broadcast needed 5
-    # attempts; 21 for estimate 10).
+    # criterion 05's run with a second broadcast at t=300 and a third at
+    # t=600, each after the one before is delivered. The first broadcast's
+    # lost bets raise the client's floor to the brute-forced last attempt,
+    # so the second message sends one bet, at that attempt, and every
+    # server decides it True. Its bet lands at 300 + 2^last * estimate +
+    # epsilon and the bet is ahead of every arrival, so each server
+    # delivers one delta after the bet, as in the good case (27 ticks for
+    # estimate 1, whose first broadcast needed 5 attempts; 21 for estimate
+    # 10). The second message was the first new bet at that floor, so its
+    # win lowers the floor by one: the third message bets at last - 1,
+    # which loses by the brute force, and then at last. With last = 0 the
+    # floor never rises and the third message wins at attempt 0.
     attempts, _ = BACKOFF[estimate]
-    delta, epsilon, second = 10, 1, 300
+    delta, epsilon, second, third = 10, 1, 300, 600
     last = next(r for r in range(64) if (2**r) * estimate + epsilon > delta)
-    broadcasts = [{"at": 0, "message": "6d"}, {"at": second, "message": "6e"}]
+    broadcasts = [{"at": 0, "message": "6d"}, {"at": second, "message": "6e"}, {"at": third, "message": "6f"}]
     client = {"name": "c000", "delta_estimate": estimate, "broadcasts": broadcasts}
     result = run_scenario(parse_scenario(scenario_dict(delta=delta, clients=[client])))
-    bets = {"6d": {}, "6e": {}}  # message -> its bets in send order (a dict keeps one per bet)
+    bets = {"6d": {}, "6e": {}, "6f": {}}  # message -> its bets in send order (a dict keeps one per bet)
     for e in result.trace:
         if e.kind == SEND and e.process == "c000" and e.payload["msg"]["kind"] == "Message":
             bets[e.payload["msg"]["message"]][e.payload["msg"]["bet"]] = None
@@ -172,8 +177,11 @@ def test_criterion_05_a_client_s_next_broadcast_starts_at_the_margin_it_learned(
     assert len(delivered) == len(SERVERS)
     latency = max(delivered) - second
     assert latency == bet + delta - second
-    (row,) = [b for b in result.metrics["per_broadcast"] if b["message"] == "6e"]
-    assert (row["attempts"], row["latency"]) == (1, latency)
+    rows = {b["message"]: b for b in result.metrics["per_broadcast"]}
+    assert (rows["6e"]["attempts"], rows["6e"]["latency"]) == (1, latency)
+    probe = max(last - 1, 0)
+    assert next(iter(bets["6f"])) == third + (2**probe) * estimate + epsilon
+    assert rows["6f"]["attempts"] == (2 if last else 1)
     assert not result.failed
 
 

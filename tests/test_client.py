@@ -1,4 +1,4 @@
-"""Client backoff: bet arithmetic, retry threshold, the attempt floor, stale reports, crashes."""
+"""Client backoff: bet arithmetic, retry threshold, the attempt floor and its probe, stale reports, crashes."""
 
 from __future__ import annotations
 
@@ -92,6 +92,13 @@ def lose(cl, ctx, message, servers=SERVERS[:2]):
         deliver_false(cl, ctx, src, message, bet)
 
 
+def win(cl, ctx, message, servers=SERVERS[:2]):
+    """Report `message`'s current bet won by `servers` (two is f+1 for f=1)."""
+    bet = cl.submissions[message][1]
+    for src in servers:
+        cl.on_deliver(ctx, src, Decision(message, bet, True))
+
+
 def test_a_lost_bet_raises_the_next_message_s_first_attempt():
     cl = make_client()
     ctx = FakeCtx(local=0)
@@ -127,17 +134,96 @@ def test_an_in_flight_bet_that_loses_resubmits_at_the_floor():
     assert cl.submissions["6e"] == (2, 12 + 4 * 10 + 1)
 
 
-@given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["6d", "6e", "6f"]), st.booleans()), max_size=40))
+def raised_to_1(cl, ctx):
+    """Lose 6d's attempt-0 bet, so the client's floor is 1."""
+    cl.broadcast(ctx, "6d")
+    lose(cl, ctx, "6d")
+    assert cl.floor == 1
+
+
+def test_the_first_new_bet_at_the_floor_lowers_it_when_it_wins():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    ctx.local = 30
+    cl.broadcast(ctx, "6e")
+    assert cl.submissions["6e"] == (1, 51)
+    win(cl, ctx, "6e", SERVERS[:1])  # one True is not proof
+    assert cl.floor == 1
+    win(cl, ctx, "6e")
+    assert cl.floor == 0
+    win(cl, ctx, "6e", SERVERS)  # later Trues on the same bet lower nothing more
+    ctx.local = 60
+    cl.broadcast(ctx, "6f")
+    assert cl.submissions["6f"] == (0, 71)
+
+
+def test_a_resubmitted_bet_s_win_leaves_the_floor():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    win(cl, ctx, "6d", SERVERS)  # 6d's attempt-1 bet followed a loss: it says nothing about attempt 0
+    assert cl.floor == 1
+
+
+def test_only_the_first_new_bet_at_a_floor_probes_it():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    cl.broadcast(ctx, "6e")
+    cl.broadcast(ctx, "6f")
+    win(cl, ctx, "6f")
+    assert cl.floor == 1
+    win(cl, ctx, "6e")
+    assert cl.floor == 0
+
+
+def test_a_true_then_false_from_one_server_leaves_one_true_short_of_the_probe():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    cl.broadcast(ctx, "6e")
+    win(cl, ctx, "6e", SERVERS[:1])
+    deliver_false(cl, ctx, SERVERS[0], "6e", cl.submissions["6e"][1])  # replaces its True
+    win(cl, ctx, "6e", SERVERS[1:2])
+    assert cl.floor == 1
+
+
+def test_a_probe_that_loses_raises_the_floor_and_its_later_win_leaves_it():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    cl.broadcast(ctx, "6e")
+    lose(cl, ctx, "6e")
+    assert (cl.submissions["6e"][0], cl.floor) == (2, 2)
+    win(cl, ctx, "6e")
+    assert cl.floor == 2
+
+
+def test_a_probe_whose_floor_another_loss_raised_lowers_nothing():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    cl.broadcast(ctx, "6e")
+    cl.broadcast(ctx, "6f")
+    lose(cl, ctx, "6f")  # attempt 1 lost for 6f: the floor is 2 and 6e no longer probes it
+    win(cl, ctx, "6e")
+    assert cl.floor == 2
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["6d", "6e", "6f"]),
+                          st.sampled_from(["broadcast", "lose", "win"])), max_size=40))
 def test_one_message_s_bets_strictly_increase(steps):
     cl = make_client()
     ctx = FakeCtx(local=0)
-    for advance, message, is_broadcast in steps:
+    for advance, message, action in steps:
         ctx.local += advance
         if message not in cl.submissions:
-            if is_broadcast:
+            if action == "broadcast":
                 cl.broadcast(ctx, message)
-        elif not is_broadcast:
-            lose(cl, ctx, message)
+        elif action != "broadcast":
+            (lose if action == "lose" else win)(cl, ctx, message)
+        assert cl.floor >= 0
     bets: dict[str, list[int]] = {}
     for dst, msg in ctx.sent:
         if dst == SERVERS[0]:

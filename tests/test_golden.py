@@ -97,7 +97,7 @@ def test_campaign_summary_digest():
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
     "n16-4x10": "bacdd33cb0780a5fa04dc229251e6b37f05acad1aedc2afd5d63823ae67a331f",
-    "retry-storm": "61e2fbe204e40d49a6c1b0e08ae1635ec32a8deaea908207132e3bdc6d35013d",
+    "retry-storm": "c45e1ad440af1b4cac18c1827c8d5f5940af690047f2da3b9afcb4247b11471b",
 }
 
 
