@@ -8,17 +8,22 @@ tuples in bet order once the lock time (a 4f+1-supported lower bound
 on other servers' clocks) has passed the bet, so no earlier tuple can
 still win a consensus instance.
 
-A server relays a tuple in an Observe, or in its Suggest when it
-proposes in the step that first spots it (a client's Message), and
-every server spots the tuple a peer's Suggest names. That refines the
-protocol that relayed by Observe alone, which sent Observe(t) and
-Suggest(t, v) in one step, in that order, to the same servers: FIFO kept
-each Suggest copy no earlier than its Observe copy, and nothing reaches
-a receiver between two same-tick copies from one sender, so each run is,
-at every correct server, an old run in which each Observe copy took its
-Suggest copy's delay; spotting on a correct sender's Suggest was a
-no-op there; and a Byzantine Suggest on a tuple gives a receiver nothing
-that a Byzantine Observe sent just before it could not.
+A correct server relays a tuple only in its own Suggest: the one a
+client's Message makes it send, or the False vote its timer sends at the
+bet. It spots the tuple that a client Message, any Suggest on a tuple,
+or an Observe (sent only by Byzantine servers) names, and sets one timer
+at the bet. That timer proposes False on every due tuple not yet
+proposed, in bet order, before it broadcasts its clock as a Time (only
+when that is news). So for a tuple a correct server spots before its
+clock reaches the bet, its first Suggest is sent before its first
+Time(>= bet) on every link.
+
+Why the lock argument holds: if a server's lock passes bet b, it holds
+Time(>= b) from at least 3f+1 correct servers. If any of them spotted t
+in time, its Suggest came first on that FIFO link, so the lock holder
+spotted t earlier, while t still cleared its lock. Otherwise all 3f+1
+vote False (a correct server votes True only on a Message it spots in
+time), at most f correct servers vote True, and t cannot be decided True.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class FlutterServer(BlinkNode):
         self._lock: int | float = NEG_INF  # lock_time(); it cannot move until 4f+1 entries lie above it
         self._above = 0  # entries of remote_times strictly above _lock; fewer than 4f+1 between Times
         self._announced: int | float = NEG_INF  # the last Time broadcast; a beat at no later clock is no news
-        self._expiry: dict[str, BroadcastTuple] = {}
+        self._due: list[BroadcastTuple] = []  # heap of spotted tuples the timer has not yet passed
         self._client_set: frozenset[str] = frozenset()
 
     def on_init(self, ctx) -> None:
@@ -86,37 +91,30 @@ class FlutterServer(BlinkNode):
         t = BroadcastTuple(bet, client, message)
         instance = self.instance(t)
         if not instance.self_proposed:  # so this step proposes, and on t's first spot its Suggest relays t
-            self._spot(ctx, t, relay=False)
+            self._spot(ctx, t)
             instance.propose(ctx, bet > ctx.local_time())
 
-    def _spot(self, ctx, t: BroadcastTuple, relay: bool = True) -> None:
+    def _spot(self, ctx, t: BroadcastTuple) -> None:
         if t in self.observed:
             return
         # A tuple is a candidate iff it clears the never-falling lock when first spotted, so it is not processable yet.
         if t.bet > self._lock:
             heapq.heappush(self._queue, t)
-        # Relay (here, or by the Suggest this step sends) before any beat. For a tuple spotted before its bet, every Time
-        # we sent so far lies below the bet, and a beat sends only news (a clock above our last Time), so every Time(b')
-        # with b' >= bet trails the Observe or Suggest that first names t on each link: whoever advances our entry past
-        # the bet has already spotted the tuple.
-        if relay:
-            ctx.broadcast(Observe(t))
-        token = f"expiry@{len(self._expiry)}"
-        self._expiry[token] = t
-        ctx.schedule_local(t.bet, f"beat@{t.bet}")
-        ctx.schedule_local(t.bet, token)
+        heapq.heappush(self._due, t)
+        ctx.schedule_local(t.bet, "due")
         self.observed.add(t)
 
     def on_timer(self, ctx, token: str) -> None:
-        if token.startswith("beat@"):
-            now = ctx.local_time()
-            if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
-                self._announced = now
-                ctx.broadcast(Time(now))
-        else:
-            instance = self.instance(self._expiry[token])
-            if not instance.self_proposed:  # a local timer never fires before its local time: the bet is due
+        # Vote before the beat: every Time we sent so far lies below the bet of a tuple spotted in time, and a beat
+        # sends only news, so on each link our Suggest on that tuple precedes our first Time(b') with b' >= bet.
+        now, due = ctx.local_time(), self._due
+        while due and due[0].bet <= now:  # a later bet waits for its own timer
+            instance = self.instance(heapq.heappop(due))
+            if not instance.self_proposed:
                 instance.propose(ctx, False)
+        if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
+            self._announced = now
+            ctx.broadcast(Time(now))
 
     def _on_time(self, ctx, src: str, time: int) -> None:
         old, lock = self.remote_times[src], self._lock

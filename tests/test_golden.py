@@ -36,28 +36,28 @@ RUN_DIGESTS = {
         "269090c8bdbfa1c6e21252053faeda0c4a0fe88dad03a992da16039bc3b25a13",
     ),
     "campaign_base": (
-        "e80e124f4c10057f4060d6aaa5afd89b3d6ee516ab2551c5cb7acad79920be17",
-        "3d306fc147be8a5914b4668a9d1fda512da2de28e8d5c444ab8cf2246f217f2c",
+        "443111bb97fec41771a73327b55cd888eeb01852011e6316ee15a8aaf50d952d",
+        "3ce79330b3ddc56841e8674e76c8ec66598af220f4d1744b1d6d7e703bd43b66",
     ),
     "campaign_wide": (
-        "ecc845017d2fb5981ef40a9bf8f0d913a6a1cb17d5bb4c6277933bcca37fd9ed",
-        "49eb40935b8e9978c52d335972e0a448f7651b43b5fba67529f665405fa808c9",
+        "3f65c4f2cd4350fa90e8974e405907e13121a36ce34d8b59bf285f290dd2a59e",
+        "7949891b4b3ce861f5dff6aeaf32b80142cffdb02886777abe9d98b5b31ff824",
     ),
     "equivocator": (
         "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
         "81a6ad51b225f01e339e2ff97759026ae0da1ba2cc12bc51110a136322d3e9ae",
     ),
     "goodcase": (
-        "b170ed4af698427df093bb24a3d86eabe42cd07a18074f661746e01a8bc13bf0",
-        "09b374364f765e382f7ec700a240dcb655b649008f719d8aee3d6bf8181c869b",
+        "e8524b5fdbf184f0d880e7149c1a1424e375a47d23c49d20635e1930d2056961",
+        "699bcf364948d29ae568805f1faeddab61a20f375100fdcd91fb8be0a4e0cf1e",
     ),
     "partial_dissemination": (
-        "89e4f45580d539b48fe9ad233d91da5e8b2c63cf13bfadeab47ae9f850e60374",
-        "35b3d4112754f8f9a51ce2d3a84cc6e472b7aca094287e61d19614d21812262b",
+        "121a93f9dc1d1a004fb3e6032067ab09c606832ffa35558ccca80353dea2cbd3",
+        "5ab1f5fc461656db15e2f3801288c24242e4f40c5bee6fb4856673cebcab1b35",
     ),
     "retry": (
-        "71f5ff35fed0a0bcab6feb834e97c54d9c6a78d893a95e06ff843d0659753d37",
-        "d64d71afddf86b429b1b85c1bd7bf5691eb6e0e5ba13f020238ad88523da83cc",
+        "f0222973b174d5b563d6cc6c56c1b61c6d050374ea2a6995e984db83d5056dba",
+        "9086da0b9f7f884f5bdfb97b736704053fab265bbf91d4b8beb6c914e704d162",
     ),
 }
 
@@ -96,8 +96,8 @@ def test_campaign_summary_digest():
 # seed 101, so that nothing outside this file can move its input.
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
-    "n16-4x10": "bacdd33cb0780a5fa04dc229251e6b37f05acad1aedc2afd5d63823ae67a331f",
-    "retry-storm": "c45e1ad440af1b4cac18c1827c8d5f5940af690047f2da3b9afcb4247b11471b",
+    "n16-4x10": "e9c684066ffab2f685b6c1410c240da9cc50ef1e985b910b33d1647345c180a3",
+    "retry-storm": "cd00691ec836eaacfa2d92e9b3d90024d1a7e7ccbfbf0dbcc841925648e239f1",
 }
 
 

@@ -21,12 +21,17 @@ or a golden digest does not count as a kill: only the check pass does.
 Score: 2 killed. Open: `lock-4f` and `no-lock-check` change when a server
 delivers, not in what order, and wait on a checker that judges the step
 each AppDeliver falls in; `no-dedup` waits on a client that sends one
-message under two bets; `no-observe-relay` (`_spot` no longer relays
-`Observe(t)`) survives `partial_disseminator` and every campaign run,
-because every server that names a tuple, correct or not, names it to
-all servers, so the relay only repeats what each already got. It waits
-on a partial relayer: a Byzantine server that names t to some servers
-only, as the Twins of ROADMAP item 5 would.
+message under two bets; `beat-before-due` (`on_timer` broadcasts its
+Time before it proposes False on the due tuples) survives
+`partial_disseminator` and every campaign run. It lets a Time(>= bet)
+overtake a tuple's only relay from a server that spotted the tuple in a
+peer's Suggest, but every server that names a tuple, correct or not,
+names it to all servers, so each receiver already holds it. It waits on
+a partial relayer: a Byzantine server that names t to some servers
+only, as the Twins of ROADMAP item 5 would. The relay-order test in
+`tests/test_server.py` flags it on a trace, which is not a verdict.
+`no-observe-relay` is retired: a correct server sends no Observe by
+design.
 
 Model kills, 3, kept apart because no verdict judges them:
 `tests/test_blink_model.py` feeds one real `BlinkInstance` every

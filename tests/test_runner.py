@@ -40,7 +40,7 @@ def test_goodcase_frozen_outcome():
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
     assert deliveries == [(21, s) for s in SERVERS]
     assert m["final_time"] == 30
-    assert m["events"] == 212
+    assert m["events"] == 206
     assert m["sends_by_kind"] == {
         "Decision": 6,
         "Message": 6,

@@ -520,14 +520,14 @@ def test_cli_fail_report_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
-def expiry_forgets_proposal(real):
-    """Server mutant: the expiry timer votes False even after proposing."""
+def timer_forgets_proposal(real):
+    """Server mutant: the timer votes False on each due tuple even after proposing."""
 
     def on_timer(self, ctx, token):
-        if token.startswith("expiry@"):
-            self.instance(self._expiry[token]).propose(ctx, False)
-        else:
-            real(self, ctx, token)
+        for t in self._due:
+            if t.bet <= ctx.local_time():
+                self.instance(t).propose(ctx, False)
+        real(self, ctx, token)
 
     return on_timer
 
@@ -549,7 +549,7 @@ def majority_unreachable(_real):
 @pytest.mark.parametrize(
     "owner, attr, mutant, error",
     [
-        (FlutterServer, "on_timer", expiry_forgets_proposal, "ProtocolBugError"),
+        (FlutterServer, "on_timer", timer_forgets_proposal, "ProtocolBugError"),
         (FirstProposal, "choose", policy_invents_value, "OracleViolationError"),
         (BlinkInstance, "_majority", majority_unreachable, "AssertionError"),
     ],

@@ -1,4 +1,4 @@
-"""Server ordering core: lock time, spotting, expiry, in-order release."""
+"""Server ordering core: lock time, spotting, the due timer, in-order release."""
 
 from __future__ import annotations
 
@@ -153,79 +153,71 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
     assert invariants.fails == {}
 
 
-def test_spot_new_tuple_relays_then_schedules_then_observes():
+def test_spot_known_tuple_sets_no_second_timer():
     srv = make_server()
     ctx = FakeCtx()
     t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
-    assert t in srv._queue  # lock is -inf, every bet clears it
-    assert [dst for dst, _ in ctx.sent] == SERVERS
-    assert all(isinstance(m, Observe) and m.tuple == t for _, m in ctx.sent)
-    assert (11, "beat@11") in ctx.timers
-    assert any(tok.startswith("expiry@") for _, tok in ctx.timers)
-    assert t in srv.observed
-
-
-def test_spot_known_tuple_does_not_relay_again():
-    srv = make_server()
-    ctx = FakeCtx()
-    t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
-    sent_before = len(ctx.sent)
-    srv._spot(ctx, t)
-    assert len(ctx.sent) == sent_before
+    assert ctx.sent == [] and ctx.timers == [(11, "due")]
     assert srv._queue == [t]
 
 
-def test_spot_late_tuple_relayed_but_not_candidate():
-    srv = make_server()
-    ctx = FakeCtx()
-    set_lock(srv, ctx, 20)
-    t = BroadcastTuple(15, "c000", "6d")
-    srv._spot(ctx, t)
-    assert t not in srv._queue
-    assert t in srv.observed
-    assert len(ctx.sent) == 6  # still relayed for candidate completeness
-
-
-def test_expiry_votes_false_when_bet_passed_unproposed():
+def test_the_timer_votes_false_on_a_due_tuple_before_its_time():
     srv = make_server()
     ctx = FakeCtx(local=0)
     t = BroadcastTuple(11, "c000", "6d")
     srv._spot(ctx, t)
-    token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
     ctx.local = 11  # local clock reached the bet
-    srv.on_timer(ctx, token)
-    assert srv.instances[t].self_proposed
-    suggests = [m for _, m in ctx.sent if not isinstance(m, Observe)]
-    assert all(m.value is False for m in suggests)
+    srv.on_timer(ctx, "due")
+    assert srv.instances[t].self_proposed and srv._due == []
+    assert ctx.sent == [(s, Suggest(t, False)) for s in SERVERS] + [(s, Time(11)) for s in SERVERS]
 
 
-def test_expiry_is_noop_when_already_proposed():
+def test_two_tuples_due_at_one_clock_both_vote_before_the_single_time():
     srv = make_server()
     ctx = FakeCtx(local=0)
-    t = BroadcastTuple(11, "c000", "6d")
-    srv._spot(ctx, t)
-    token = next(tok for _, tok in ctx.timers if tok.startswith("expiry@"))
-    srv.instance(t).self_proposed = True
+    b, a = BroadcastTuple(11, "c001", "02"), BroadcastTuple(11, "c000", "01")
+    srv._spot(ctx, b)
+    srv._spot(ctx, a)
+    assert ctx.timers == [(11, "due"), (11, "due")]
+    ctx.local = 11
+    srv.on_timer(ctx, "due")
+    srv.on_timer(ctx, "due")  # the second timer finds nothing due and no news
+    assert ctx.sent == [(s, Suggest(t, False)) for t in (a, b) for s in SERVERS] + [(s, Time(11)) for s in SERVERS]
+
+
+def test_the_timer_skips_a_proposed_tuple_and_leaves_a_later_bet():
+    srv = make_server()
+    ctx = FakeCtx(local=0)
+    t, later = BroadcastTuple(11, "c000", "6d"), BroadcastTuple(12, "c000", "6e")
+    srv._on_message(ctx, "c000", "6d", 11)
+    srv._spot(ctx, later)
     sent_before = len(ctx.sent)
     ctx.local = 11
-    srv.on_timer(ctx, token)
-    assert len(ctx.sent) == sent_before
+    srv.on_timer(ctx, "due")
+    assert ctx.sent[sent_before:] == [(s, Time(11)) for s in SERVERS]
+    assert srv._due == [later] and not srv.instance(later).self_proposed
+
+
+def test_a_late_spot_votes_false_at_its_clamped_timer():
+    srv = make_server()
+    ctx = FakeCtx(local=20)
+    set_lock(srv, ctx, 20)
+    t = BroadcastTuple(15, "c000", "6d")
+    srv.on_deliver(ctx, "s001", Observe(t))
+    assert t not in srv._queue and t in srv.observed
+    assert ctx.sent == [] and ctx.timers == [(15, "due")]  # past its bet: the simulator fires it at once
+    srv.on_timer(ctx, "due")
+    assert ctx.sent == [(s, Suggest(t, False)) for s in SERVERS] + [(s, Time(20)) for s in SERVERS]
 
 
 def test_message_in_time_proposes_true_late_proposes_false():
-    srv = make_server()
-    ctx = FakeCtx(local=0)
-    srv._on_message(ctx, "c000", "6d", 11)  # bet 11 > local 0
-    suggests = [m for _, m in ctx.sent if not isinstance(m, Observe)]
-    assert all(m.value is True for m in suggests)
-
-    srv2 = make_server()
-    ctx2 = FakeCtx(local=11)
-    srv2._on_message(ctx2, "c000", "6d", 11)  # bet 11 == local 11, not strictly ahead
-    suggests2 = [m for _, m in ctx2.sent if not isinstance(m, Observe)]
-    assert all(m.value is False for m in suggests2)
+    t = BroadcastTuple(11, "c000", "6d")
+    for local, value in ((0, True), (11, False)):  # bet 11 > local 0; bet 11 == local 11 is not strictly ahead
+        srv, ctx = make_server(), FakeCtx(local=local)
+        srv._on_message(ctx, "c000", "6d", 11)
+        assert ctx.sent == [(s, Suggest(t, value)) for s in SERVERS]
 
 
 def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
@@ -235,21 +227,17 @@ def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
     srv.on_deliver(ctx, "c000", Message("6d", 11))
     assert ctx.sent == [(s, Suggest(t, True)) for s in SERVERS]
     assert t in srv.observed and srv._queue == [t]
-    assert ctx.timers == [(11, "beat@11"), (11, "expiry@0")]
+    assert ctx.timers == [(11, "due")]
 
 
-def test_a_peer_suggest_first_sight_relays_an_observe_and_expires_false():
+def test_a_peer_suggest_first_sight_sends_nothing_and_sets_one_timer():
     srv = make_server()
     ctx = FakeCtx(local=0)
     t = BroadcastTuple(11, "c000", "6d")
     srv.on_deliver(ctx, "s001", Suggest(t, True))
-    srv.on_deliver(ctx, "s002", Suggest(t, True))  # a second sight relays nothing
-    assert ctx.sent == [(s, Observe(t)) for s in SERVERS]
+    srv.on_deliver(ctx, "s002", Suggest(t, True))
+    assert ctx.sent == [] and ctx.timers == [(11, "due")]
     assert srv._queue == [t] and srv.instances[t].suggestions == {"s001": True, "s002": True}
-    assert ctx.timers == [(11, "beat@11"), (11, "expiry@0")]
-    ctx.local = 11  # no Message came before the bet
-    srv.on_timer(ctx, "expiry@0")
-    assert ctx.sent[len(SERVERS):] == [(s, Suggest(t, False)) for s in SERVERS]
 
 
 def test_a_label_suggest_spots_nothing():
@@ -264,11 +252,11 @@ def test_a_label_suggest_spots_nothing():
 def test_a_beat_announces_only_a_clock_above_the_last_time():
     srv = make_server()
     ctx = FakeCtx(local=11)
-    srv.on_timer(ctx, "beat@11")
-    srv.on_timer(ctx, "beat@9")  # a second beat at the same clock: a repeat, which no receiver would read
+    srv.on_timer(ctx, "due")
+    srv.on_timer(ctx, "due")  # a second beat at the same clock: a repeat, which no receiver would read
     assert ctx.sent == [(s, Time(11)) for s in SERVERS]
     ctx.local = 12
-    srv.on_timer(ctx, "beat@12")
+    srv.on_timer(ctx, "due")
     assert ctx.sent[6:] == [(s, Time(12)) for s in SERVERS]
 
 
@@ -347,6 +335,85 @@ def test_each_correct_server_announces_rising_times(scenario):
     assert times
     for values in times.values():
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def tuple_named(src: str, msg: dict, clients, servers) -> BroadcastTuple | None:
+    """The tuple a delivered wire message makes a server spot: a client's Message, a server's Observe or tuple
+    Suggest."""
+    kind = msg["kind"]
+    if kind == "Message":
+        return BroadcastTuple(msg["bet"], src, msg["message"]) if src in clients else None
+    named = msg if kind == "Observe" else msg["instance"] if kind == "Suggest" else {}
+    return BroadcastTuple(named["bet"], named["client"], named["message"]) if src in servers and "bet" in named else None
+
+
+class RelayOrder:
+    """A simulator sink that follows each correct server's spots and sends.
+
+    `unrelayed` holds, per server, the tuples it spotted while its local clock lay below the bet and has sent no
+    Suggest on yet. A correct server sends each Suggest and Time to every server in one call, so the order of its
+    send calls is the order on each FIFO link, and a Time at or above such a bet overtakes the tuple's relay.
+    """
+
+    def __init__(self, sim, correct: list[str]):
+        self.offsets = {s: sim.contexts[s].offset for s in correct}
+        self.clients, self.servers = frozenset(sim.clients), frozenset(sim.servers)
+        self.spotted = {s: set() for s in correct}
+        self.unrelayed = {s: set() for s in correct}
+        self.in_time = 0  # spots before the bet, over all correct servers
+        self.observes = []  # the correct senders of each Observe
+        self.overtaken = []  # (server, tuple, the Time sent before the tuple's Suggest)
+
+    def event(self, ev):
+        pass
+
+    def deliver(self, run):
+        for time, dst, delivered in run:
+            if dst in self.offsets:
+                t = tuple_named(delivered["src"], delivered["msg"], self.clients, self.servers)
+                if t is not None and t not in self.spotted[dst]:
+                    self.spotted[dst].add(t)
+                    if time + self.offsets[dst] < t.bet:
+                        self.unrelayed[dst].add(t)
+                        self.in_time += 1
+
+    def sends(self, time, src, dsts, msg):
+        if src in self.offsets:
+            kind = msg["kind"]
+            if kind == "Observe":
+                self.observes.append(src)
+            elif kind == "Suggest" and "bet" in msg["instance"]:
+                self.unrelayed[src].discard(tuple_named(src, msg, (), self.servers))
+            elif kind == "Time":
+                self.overtaken += [(src, t, msg["time"]) for t in self.unrelayed[src] if t.bet <= msg["time"]]
+
+
+def relay_order(scenario) -> RelayOrder:
+    sim = build_simulation(scenario)
+    sim.sink = order = RelayOrder(sim, scenario.correct_servers)
+    sim.run(until=scenario.until)
+    return order
+
+
+@pytest.mark.parametrize("scenario", list(announcing_runs()), ids=lambda scenario: scenario.name)
+def test_a_correct_server_relays_each_tuple_it_spots_in_time_before_its_time_passes_the_bet(scenario):
+    # The lock argument rests on this (server.py's docstring), and no correct server sends an Observe.
+    order = relay_order(scenario)
+    assert order.in_time > 0
+    assert order.observes == [] and order.overtaken == []
+
+
+def test_a_beat_before_the_due_votes_overtakes_a_relay(monkeypatch):
+    # The open mutant `beat-before-due` (tests/test_mutants.py): partial_dissemination's client tells s000 alone, so
+    # every other server spots the tuple only in s000's Suggest, and its Time at the bet leaves before its False vote.
+    beat = """    if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
+        self._announced = now
+        ctx.broadcast(Time(now))
+"""
+    first = "    now, due = ctx.local_time(), self._due\n"
+    monkeypatch.setattr(FlutterServer, "on_timer", mutant(FlutterServer, "on_timer", {beat: "", first: first + beat}))
+    order = relay_order(load_scenario(SCENARIOS_DIR / "partial_dissemination.json"))
+    assert {server for server, _, _ in order.overtaken} == set(SERVERS[1:])
 
 
 def test_time_updates_are_monotonic_max():

@@ -145,7 +145,7 @@ class LocalTimerProbe:
 @pytest.mark.parametrize("offset", [-2, 0, 2])
 def test_local_timer_honours_clock_offset(offset, ahead):
     # A timer for local time `target` fires at global max(target - offset, now), so never before `target` on the
-    # process's clock, and on it unless `target` had passed: the server's expiry relies on this.
+    # process's clock, and on it unless `target` had passed: the server's due timer relies on this.
     probe = LocalTimerProbe(ahead)
     sim = Simulator(ExactDelta(5))
     sim.add_process("p", "server", probe, offset)

@@ -227,11 +227,11 @@ def test_streamed_run_writes_the_kept_trace(tmp_path, name):
 
 @pytest.mark.parametrize(
     ("name", "kind", "sender"),
-    [("partial_dissemination", "Observe", "s001"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
+    [("campaign+observe_forger", "Observe", "s005"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
      ("goodcase", "Message", "c000")],
 )
 def test_broadcast_shares_one_msg_dict(name, kind, sender):
-    # s001 spots partial_dissemination's tuple in s000's Suggest, so it relays an Observe; goodcase sends none.
+    # Only a Byzantine server sends an Observe: here the campaign's observe_forger, s005; goodcase sends none.
     trace = named_trace(name)
     servers = [f"s{i:03d}" for i in range(6)]
     first = next(
