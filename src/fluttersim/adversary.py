@@ -9,15 +9,13 @@ the global time: there is no shared scratchpad and no trace access.
 
 from __future__ import annotations
 
-from .types import BroadcastTuple, InstanceKey, Message, Observe, Suggest, Time
+from .types import BroadcastTuple, InstanceKey, Message, Suggest, Time
 from . import trace as tr
 
 
 def _sighted_key(src: str, msg) -> InstanceKey | None:
     if isinstance(msg, Suggest):
         return msg.instance
-    if isinstance(msg, Observe):
-        return msg.tuple
     if isinstance(msg, Message):
         return BroadcastTuple(msg.bet, src, msg.message)
     return None
@@ -111,7 +109,7 @@ class TimeLiar(Behavior):
 
 
 class ObserveForger(Behavior):
-    """Injects an observation of message f00d, bet 5 delta ahead, from the first client, which never sent it."""
+    """Votes True on a forged tuple: message f00d, bet 5 delta ahead, from the first client, which never sent it."""
 
     needs_client = True
 
@@ -120,7 +118,7 @@ class ObserveForger(Behavior):
         self.bet_offset = 5 * delta
 
     def on_init(self, ctx) -> None:
-        ctx.broadcast(Observe(BroadcastTuple(ctx.local_time() + self.bet_offset, ctx.clients[0], "f00d")))
+        ctx.broadcast(Suggest(BroadcastTuple(ctx.local_time() + self.bet_offset, ctx.clients[0], "f00d"), True))
 
 
 class Mute(Behavior):
@@ -128,7 +126,7 @@ class Mute(Behavior):
 
 
 class StaleRelay(Behavior):
-    """Reports a clock at each tuple's bet before relaying the tuple."""
+    """Reports a clock at each tuple's bet before relaying the tuple in a False vote."""
 
     def __init__(self, name: str, delta: int, params: dict):
         super().__init__(name, delta, params)
@@ -139,10 +137,10 @@ class StaleRelay(Behavior):
         if not isinstance(key, BroadcastTuple) or key in self.seen:
             return
         self.seen.add(key)
-        # Time first, Observe second on every link: FIFO then shows each
-        # peer a clock already at the bet before it can spot the tuple.
+        # Time first, Suggest second on every link: FIFO then shows each
+        # peer a clock already at the bet before this relay can spot the tuple.
         ctx.broadcast(Time(key.bet))
-        ctx.broadcast(Observe(key))
+        ctx.broadcast(Suggest(key, False))
 
 
 class PartialDisseminator(Behavior):

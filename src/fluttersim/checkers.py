@@ -535,9 +535,7 @@ class _ServerInvariants:
                         fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
                     if within_local and replay.lock > time:
                         fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
-                elif kind == "Observe":
-                    replay.spot(_key_of(msg))
-                elif kind == "Suggest" and (t := _key_of(msg["instance"])) is not None:  # a server's Observe of t too
+                elif kind == "Suggest" and (t := _key_of(msg["instance"])) is not None:  # a Suggest on t spots t
                     replay.spot(t)
             elif kind == "Message" and src in clients:
                 replay.spot((msg["bet"], src, msg["message"]))
@@ -668,7 +666,7 @@ class Metrics:
         self.n = cfg.n
         self.correct = cfg.correct
         self.sends_by_kind: dict[str, int] = {}
-        self.total_bits = 0  # framing, plus the body of a Message, Observe or Decision (a tuple Suggest's is uncounted)
+        self.total_bits = 0  # framing, plus the body of a Message or Decision (a tuple Suggest's is uncounted)
         self.suggests: dict[object, int] = {}  # correct servers' Suggest sends per instance
         self.last_suggest: dict[object, tuple] = {}  # instance -> its last Suggest copy's (time, src, dst, msg)
         self.attempts: dict[tuple[str, str], set[int]] = {}

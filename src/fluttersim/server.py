@@ -1,7 +1,7 @@
 """Leaderless total-order broadcast server.
 
 Every message carries a client-chosen bet, a timestamp by which the
-client expects delivery everywhere. Servers observe (bet, client,
+client expects delivery everywhere. Servers spot (bet, client,
 message) tuples, relay them, vote through one consensus instance per
 tuple on whether the bet arrived in time, and app-deliver positive
 tuples in bet order once the lock time (a 4f+1-supported lower bound
@@ -10,20 +10,18 @@ still win a consensus instance.
 
 A correct server relays a tuple only in its own Suggest: the one a
 client's Message makes it send, or the False vote its timer sends at the
-bet. It spots the tuple that a client Message, any Suggest on a tuple,
-or an Observe (sent only by Byzantine servers) names, and sets one timer
-at the bet. That timer proposes False on every due tuple not yet
-proposed, in bet order, before it broadcasts its clock as a Time (only
-when that is news). So for a tuple a correct server spots before its
-clock reaches the bet, its first Suggest is sent before its first
-Time(>= bet) on every link.
+bet. It spots the tuple that a client Message or any Suggest on a tuple
+names, and sets one timer at the bet.
 
-Why the lock argument holds: if a server's lock passes bet b, it holds
-Time(>= b) from at least 3f+1 correct servers. If any of them spotted t
-in time, its Suggest came first on that FIFO link, so the lock holder
-spotted t earlier, while t still cleared its lock. Otherwise all 3f+1
-vote False (a correct server votes True only on a Message it spots in
-time), at most f correct servers vote True, and t cannot be decided True.
+Why the lock is safe (n = 5f+1, k <= f Byzantine servers): a correct
+server votes True on t only on a Message it gets while its clock is
+below t.bet, and sends that Suggest in the same step, so on every FIFO
+link it precedes the voter's first Time(>= t.bet). A True decision
+needs at least 2f+1-k correct True voters, and a lock at t.bet needs
+Time(>= t.bet) from at least 4f+1-k correct servers. Together they
+outnumber the 5f+1-k correct servers, so some voter's True Suggest
+reached the lock holder before its Time did: the holder spotted t while
+t still cleared its lock. The README's protocol model gives the steps.
 """
 
 from __future__ import annotations
@@ -31,14 +29,13 @@ from __future__ import annotations
 import heapq
 
 from . import trace as tr
-from .blink import BlinkNode
+from .blink import BlinkInstance, BlinkNode
 from .types import (
     NEG_INF,
     BroadcastTuple,
     Decision,
     InstanceKey,
     Message,
-    Observe,
     Suggest,
     Time,
     instance_payload,
@@ -51,7 +48,6 @@ class FlutterServer(BlinkNode):
 
     def __init__(self, name: str, f: int, oracle):
         super().__init__(name, f, oracle)
-        self.observed: set[BroadcastTuple] = set()
         self._queue: list[BroadcastTuple] = []  # heap of unprocessed candidates: tuples whose bet cleared the lock
         self.delivered: set[tuple[str, str]] = set()
         self.decisions: dict[BroadcastTuple, bool] = {}
@@ -77,36 +73,34 @@ class FlutterServer(BlinkNode):
         if src in self._server_set:
             if cls is Suggest:
                 key = msg.instance
-                if key not in self.observed and type(key) is BroadcastTuple:  # a Suggest on a tuple observes it
-                    self._spot(ctx, key)
-                self.instance(key).on_suggest(ctx, src, msg.value)
+                instance = self._spot(ctx, key) if type(key) is BroadcastTuple else self.instance(key)
+                instance.on_suggest(ctx, src, msg.value)
             elif cls is Time:
                 self._on_time(ctx, src, msg.time)
-            elif cls is Observe:
-                self._spot(ctx, msg.tuple)
         elif cls is Message and src in self._client_set:
             self._on_message(ctx, src, msg.message, msg.bet)
 
     def _on_message(self, ctx, client: str, message: str, bet: int) -> None:
         t = BroadcastTuple(bet, client, message)
-        instance = self.instance(t)
+        instance = self._spot(ctx, t)
         if not instance.self_proposed:  # so this step proposes, and on t's first spot its Suggest relays t
-            self._spot(ctx, t)
             instance.propose(ctx, bet > ctx.local_time())
 
-    def _spot(self, ctx, t: BroadcastTuple) -> None:
-        if t in self.observed:
-            return
-        # A tuple is a candidate iff it clears the never-falling lock when first spotted, so it is not processable yet.
-        if t.bet > self._lock:
-            heapq.heappush(self._queue, t)
-        heapq.heappush(self._due, t)
-        ctx.schedule_local(t.bet, "due")
-        self.observed.add(t)
+    def _spot(self, ctx, t: BroadcastTuple) -> BlinkInstance:
+        # A tuple's instance exists iff it is spotted: dep decides one only once every correct server dep-proposed.
+        instance = self.instances.get(t)
+        if instance is None:
+            instance = self.instance(t)
+            # A tuple is a candidate iff it clears the never-falling lock when first spotted, so not processable yet.
+            if t.bet > self._lock:
+                heapq.heappush(self._queue, t)
+            heapq.heappush(self._due, t)
+            ctx.schedule_local(t.bet, "due")
+        return instance
 
     def on_timer(self, ctx, token: str) -> None:
-        # Vote before the beat: every Time we sent so far lies below the bet of a tuple spotted in time, and a beat
-        # sends only news, so on each link our Suggest on that tuple precedes our first Time(b') with b' >= bet.
+        # Vote before the beat. The order is harmless, not what safety rests on: the lock needs only the True votes,
+        # which a Message sends before the clock reaches the bet (the module docstring's proof).
         now, due = ctx.local_time(), self._due
         while due and due[0].bet <= now:  # a later bet waits for its own timer
             instance = self.instance(heapq.heappop(due))

@@ -63,17 +63,13 @@ class BroadcastTuple(namedtuple("BroadcastTuple", "bet client message")):
 InstanceKey = BroadcastTuple | str
 
 
-# Fields: Suggest(instance: InstanceKey, value: bool), Time(time: SimTime), Observe(tuple: BroadcastTuple),
-# Message(message: str, bet: SimTime), Decision(message: str, bet: SimTime, value: bool).
+# Fields: Suggest(instance: InstanceKey, value: bool), Time(time: SimTime), Message(message: str, bet: SimTime),
+# Decision(message: str, bet: SimTime, value: bool). A server learns a tuple from a Message or a Suggest on it.
 class Suggest(namedtuple("Suggest", "instance value")):
     __slots__ = ()
 
 
 class Time(namedtuple("Time", "time")):
-    __slots__ = ()
-
-
-class Observe(namedtuple("Observe", "tuple")):
     __slots__ = ()
 
 
@@ -85,7 +81,7 @@ class Decision(namedtuple("Decision", "message bet value")):
     __slots__ = ()
 
 
-WireMessage = Suggest | Time | Observe | Message | Decision
+WireMessage = Suggest | Time | Message | Decision
 
 
 def instance_payload(instance: InstanceKey) -> dict:
@@ -100,8 +96,6 @@ def wire_payload(msg: WireMessage) -> dict:
         return {"kind": "Suggest", "instance": instance_payload(msg.instance), "value": msg.value}
     if isinstance(msg, Time):
         return {"kind": "Time", "time": msg.time}
-    if isinstance(msg, Observe):
-        return {"kind": "Observe", **instance_payload(msg.tuple)}
     if isinstance(msg, Message):
         return {"kind": "Message", "message": msg.message, "bet": msg.bet}
     if isinstance(msg, Decision):

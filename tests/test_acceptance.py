@@ -254,9 +254,8 @@ def test_criterion_07_quorum_intersections_exhaustive_to_n16():
 
 
 def test_criterion_08_good_case_send_counts_are_exactly_quadratic():
-    # one broadcast attempt, n=6: n Message, n^2 Time, n^2 Suggest, n
-    # Decision sends and no Observe (no correct server sends one: its
-    # Suggest is its relay), counted from the trace.
+    # one broadcast attempt, n=6: n Message, n^2 Time, n^2 Suggest and n
+    # Decision sends (a server's Suggest is its relay), counted from the trace.
     result = run_bundled("goodcase")
     n = 6
     assert result.metrics["sends_by_kind"] == {

@@ -117,14 +117,13 @@ def test_observe_forger_victim_never_delivers_forged_message():
     delivered = {e.payload["message"] for e in result.trace if e.kind == APP_DELIVER}
     assert "f00d" not in delivered
     assert "6d" in delivered
-    # every correct server votes the forged tuple down
-    forged_decides = [
-        e
+    # the forger's own True vote aside, every correct server votes the forged tuple down and decides it False
+    forged_decides = {
+        e.process: e.payload["value"]
         for e in result.trace
         if e.kind == DECIDE and e.payload["instance"].get("message") == "f00d"
-    ]
-    assert forged_decides
-    assert all(e.payload["value"] is False for e in forged_decides)
+    }
+    assert forged_decides == {f"s{i:03d}": False for i in range(5)}
 
 
 def test_observe_forger_needs_a_client_somewhere():
@@ -144,18 +143,20 @@ def test_mute_server_does_not_block_delivery():
     assert deliverers == {f"s{i:03d}" for i in range(5)}
 
 
-def test_stale_relay_times_precede_observes_per_link():
+def test_stale_relay_times_precede_suggests_per_link():
     doc = scenario_dict(servers={"s005": {"behavior": "stale_relay"}})
     result = run(doc)
     assert fails(result) == []
+    relays = 0
     for dst in [f"s{i:03d}" for i in range(6)]:
-        kinds = [
-            e.payload["msg"]["kind"]
-            for e in result.trace
-            if e.kind == SEND and e.process == "s005" and e.payload["dst"] == dst
-        ]
-        if kinds:
-            assert kinds.index("Time") < kinds.index("Observe")
+        msgs = [e.payload["msg"] for e in result.trace
+                if e.kind == SEND and e.process == "s005" and e.payload["dst"] == dst]
+        assert msgs[0]["kind"] == "Time"
+        for before, msg in zip(msgs, msgs[1:]):
+            if msg["kind"] == "Suggest":  # each relay is a False vote, right behind a Time at the tuple's bet
+                assert before == {"kind": "Time", "time": msg["instance"]["bet"]} and msg["value"] is False
+                relays += 1
+    assert relays > 0
 
 
 def test_partial_disseminator_sends_to_subset_then_silence():

@@ -267,7 +267,7 @@ def test_truncated_run_reports_liveness_not_applicable():
 
 def test_starved_server_fails_candidate_completeness():
     clean, cfg = clean_run()
-    # drop every Message, Observe and tuple Suggest delivery at s001: it can
+    # drop every Message and tuple Suggest delivery at s001: it can
     # never spot the tuples the others decided True
     trace = [
         e
@@ -275,7 +275,7 @@ def test_starved_server_fails_candidate_completeness():
         if not (
             e.kind == DELIVER
             and e.process == "s001"
-            and e.payload["msg"]["kind"] in ("Message", "Observe", "Suggest")
+            and e.payload["msg"]["kind"] in ("Message", "Suggest")
             and "label" not in e.payload["msg"].get("instance", {})
         )
     ]
@@ -405,7 +405,7 @@ def replay_state(invariants):
 
 
 def test_a_server_tuple_suggest_spots_the_tuple():
-    # A server's Suggest on a tuple is its Observe of it too.
+    # A server's Suggest on a tuple spots the tuple at its receiver.
     _trace, cfg = clean_run()
     invariants = _ServerInvariants(cfg)
     invariants.deliver([(1, dst, {"src": "s001", "msg": {"kind": "Suggest", "instance": FIRST, "value": False}})
@@ -552,7 +552,7 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
     candidates.
 
     From the definition, over a list of events, with no lock count and no heap: after every input to a server (a
-    Time, an Observe or a Suggest on a tuple a server sends it, a Message its client sends it, or its Decide of a
+    Time or a Suggest on a tuple a server sends it, a Message its client sends it, or its Decide of a
     tuple), its lock is the (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple spotted with a bet
     above the lock is a candidate. Then, while the least candidate above the last one processed (a full scan) is decided and its bet
     is at most the lock, it is processed.
@@ -570,8 +570,6 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
                 src, msg = e.payload["src"], e.payload["msg"]
                 if src in times and msg["kind"] == "Time":
                     times[src] = max(times[src], msg["time"])
-                elif src in times and msg["kind"] == "Observe":
-                    spotted = (msg["bet"], msg["client"], msg["message"])
                 elif src in times and msg["kind"] == "Suggest" and "label" not in (instance := msg["instance"]):
                     spotted = (instance["bet"], instance["client"], instance["message"])
                 elif src in cfg.clients and msg["kind"] == "Message":
@@ -611,8 +609,8 @@ def test_server_replay_orders_match_the_definition():
 
 
 def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
-    # c001's bb (bet 2) reaches every server at t=10; c000's aa (bet 3) at t=2, and each server's Observe, Suggest
-    # and Time(3) of it reach s000 one tick after they are sent, so s000's lock is 3 from t=4 on.
+    # c001's bb (bet 2) reaches every server at t=10; c000's aa (bet 3) at t=2, and each server's Suggest on it and
+    # its Time(3) reach s000 one tick after they are sent, so s000's lock is 3 from t=4 on.
     servers = [f"s{i:03d}" for i in range(6)]
     delays = {**{f"c001->{s}": [10] for s in servers}, **{f"c000->{s}": [1] for s in servers},
               **{f"{s}->s000": [1, 1, 1] for s in servers}}
@@ -624,9 +622,9 @@ def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
     sim = build_simulation(scenario)
     server = sim.handlers["s000"]
     assert not sim.run(until=9)
-    assert server._lock == 3 and late not in server.observed
+    assert server._lock == 3 and late not in server.instances
     assert not sim.run(until=10)
-    assert late in server.observed and late not in server._queue  # spotted at t=10, below the lock
+    assert late in server.instances and late not in server._queue  # spotted at t=10, below the lock
     quiescent = sim.run()
     cfg = CheckerConfig.from_scenario(scenario, quiescent)
     (invariants,) = CheckPass(cfg, [_ServerInvariants]).run(sim.trace).checks
@@ -638,7 +636,7 @@ def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
 def test_a_tuple_first_seen_in_a_peer_suggest_is_a_candidate():
     # c000's aa (bet 2) reaches s001-s005 at t=1 and s000 only at t=10. Each of them proposes in its Message step,
     # so it relays aa in its Suggest alone; those reach s000 at t=2, and their Time(2)s at t=3 lift s000's lock to 2.
-    # So s000 spots aa above its lock only if a server's Suggest on a tuple counts as its Observe of it.
+    # So s000 spots aa above its lock only if a server's Suggest on a tuple spots it.
     servers = [f"s{i:03d}" for i in range(6)]
     delays = {"c000->s000": [10], **{f"c000->{s}": [1] for s in servers[1:]},
               **{f"{s}->s000": [1, 1] for s in servers[1:]}}

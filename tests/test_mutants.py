@@ -6,10 +6,10 @@ for one test only. A named run must then Fail the named properties under
 every dep policy, while the same run without the mutant Fails nothing. A unit test
 or a golden digest does not count as a kill: only the check pass does.
 
-- `no-suggest-spot`: `FlutterServer.on_deliver` ignores the tuple that
-  a peer's Suggest names. The `partial_disseminator` variant of
-  `campaign_wide`, on `exact_delta` links, Fails
-  `server-order-matches-appdeliver`, `tob-total-order` and
+- `no-suggest-spot`: `FlutterServer.on_deliver` takes the instance of
+  the tuple a peer's Suggest names without spotting the tuple. The
+  `partial_disseminator` variant of `campaign_wide`, on `exact_delta`
+  links, Fails `server-order-matches-appdeliver`, `tob-total-order` and
   `tob-validity`: s000 alone gets the Message, and its Suggest is the
   only relay.
 - `fast-4f`: Blink's fast path decides on 4f matching suggestions
@@ -18,20 +18,27 @@ or a golden digest does not count as a kill: only the check pass does.
   the equivocator's) and decide True, while s003-s004 go to the dep
   oracle, which decides False.
 
-Score: 2 killed. Open: `lock-4f` and `no-lock-check` change when a server
-delivers, not in what order, and wait on a checker that judges the step
-each AppDeliver falls in; `no-dedup` waits on a client that sends one
-message under two bets; `beat-before-due` (`on_timer` broadcasts its
-Time before it proposes False on the due tuples) survives
-`partial_disseminator` and every campaign run. It lets a Time(>= bet)
-overtake a tuple's only relay from a server that spotted the tuple in a
-peer's Suggest, but every server that names a tuple, correct or not,
-names it to all servers, so each receiver already holds it. It waits on
-a partial relayer: a Byzantine server that names t to some servers
-only, as the Twins of ROADMAP item 5 would. The relay-order test in
+Score: 2 killed. Open: `lock-4f` changes when a server delivers, not in
+what order, and waits on a checker that judges the step each
+AppDeliver falls in; `no-dedup` waits on a client that sends one
+message under two bets. `no-lock-check` (a tuple spotted at or below
+the lock is queued too) can only delay a delivery: by the lock's proof
+in `server.py`'s docstring, a tuple spotted at or below a correct
+server's lock is never decided True, so the queue waits only until the
+tuple is decided False, and no ordering verdict can catch it.
+
+Retired as an equivalent mutant (Budd & Angluin, "Two notions of
+correctness and their relation to testing", Acta Informatica 1982;
+Offutt & Pan, "Automatically detecting equivalent mutants and
+infeasible paths", STVR 1997): `beat-before-due`, where `on_timer`
+broadcasts its Time before it proposes False on the due tuples. The
+lock's proof needs only each True vote to precede its sender's first
+Time(>= bet), and a True vote leaves from `_on_message` at a clock
+below the bet, before any due timer. So the mutant only lets a Time
+overtake a False vote, a receiver then skips a tuple that is decided
+False anyway, and no property the paper states can fail. It survived
+every campaign run and `partial_disseminator`; the relay-order test in
 `tests/test_server.py` flags it on a trace, which is not a verdict.
-`no-observe-relay` is retired: a correct server sends no Observe by
-design.
 
 Model kills, 3, kept apart because no verdict judges them:
 `tests/test_blink_model.py` feeds one real `BlinkInstance` every
@@ -83,7 +90,7 @@ def split_run(policy: str):
 
 MUTANTS = {
     # name -> (class, method, source edits, the run that kills it, the properties that then Fail)
-    "no-suggest-spot": (FlutterServer, "on_deliver", {"self._spot(ctx, key)": "pass"}, relay_run,
+    "no-suggest-spot": (FlutterServer, "on_deliver", {"self._spot(ctx, key)": "self.instance(key)"}, relay_run,
                         ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
     "fast-4f": (BlinkInstance, "on_suggest",
                 {"if self.trues >= large:": "if self.trues >= large - 1:",

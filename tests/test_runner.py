@@ -16,7 +16,7 @@ from fluttersim.errors import BudgetExceededError, OracleViolationError, Protoco
 from fluttersim.runner import campaign_variant, run_campaign, run_checked, run_scenario
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, SEND
-from fluttersim.types import BroadcastTuple, Observe
+from fluttersim.types import BroadcastTuple, Suggest
 
 from conftest import SCENARIOS_DIR, scenario_dict
 from test_golden import CAMPAIGN_DIGEST, sha256
@@ -250,22 +250,22 @@ def test_campaign_records_a_crashing_run_as_a_failing_row(error, monkeypatch):
     assert summary["verdicts"]["Pass"] > 0  # the equivocator runs were still checked
 
 
-class GhostObserver(Behavior):
-    """Relays a well-formed tuple that names a client no scenario has."""
+class GhostVoter(Behavior):
+    """Votes True on a well-formed tuple that names a client no scenario has."""
 
     def on_init(self, ctx):
-        ctx.broadcast(Observe(BroadcastTuple(ctx.local_time() + 50, "ghost", "f00d")))
+        ctx.broadcast(Suggest(BroadcastTuple(ctx.local_time() + 50, "ghost", "f00d"), True))
 
 
 def test_a_forged_tuple_of_no_client_is_decided_and_the_campaign_goes_on(monkeypatch):
-    monkeypatch.setitem(BEHAVIORS, "ghost_observer", GhostObserver)
+    monkeypatch.setitem(BEHAVIORS, "ghost_voter", GhostVoter)
     base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
-    result = run_scenario(campaign_variant(base, "ghost_observer", "adversarial_value", 0))
+    result = run_scenario(campaign_variant(base, "ghost_voter", "adversarial_value", 0))
     assert result.quiescent and result.failed == []
     ghost = {e.process for e in result.trace if e.kind == DECIDE and e.payload["instance"]["client"] == "ghost"}
     assert ghost == set(CORRECT5)  # every correct server decided the forged tuple, and sent its Decision nowhere
-    assert run_checked(campaign_variant(base, "ghost_observer", "adversarial_timing", 1)).failed == []
-    summary = run_campaign(base, range(2), ["ghost_observer"])
+    assert run_checked(campaign_variant(base, "ghost_voter", "adversarial_timing", 1)).failed == []
+    summary = run_campaign(base, range(2), ["ghost_voter"])
     assert (summary["runs"], summary["fail_count"], summary["all_pass"]) == (4, 0, True)
 
 

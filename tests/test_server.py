@@ -14,7 +14,7 @@ from fluttersim.runner import build_simulation, campaign_variant, run_checked
 from fluttersim.scenario import BroadcastScript, ClientSpec, Scenario, load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
 from fluttersim.trace import APP_DELIVER, DELIVER, SEND
-from fluttersim.types import NEG_INF, BroadcastTuple, Message, Observe, Suggest, Time, quorum_large
+from fluttersim.types import NEG_INF, BroadcastTuple, Message, Suggest, Time, quorum_large
 
 from conftest import SCENARIOS_DIR, simulate
 from test_golden import LARGE_RUN_DIGESTS, _large_run
@@ -205,8 +205,8 @@ def test_a_late_spot_votes_false_at_its_clamped_timer():
     ctx = FakeCtx(local=20)
     set_lock(srv, ctx, 20)
     t = BroadcastTuple(15, "c000", "6d")
-    srv.on_deliver(ctx, "s001", Observe(t))
-    assert t not in srv._queue and t in srv.observed
+    srv.on_deliver(ctx, "s001", Suggest(t, False))
+    assert t not in srv._queue and t in srv.instances
     assert ctx.sent == [] and ctx.timers == [(15, "due")]  # past its bet: the simulator fires it at once
     srv.on_timer(ctx, "due")
     assert ctx.sent == [(s, Suggest(t, False)) for s in SERVERS] + [(s, Time(20)) for s in SERVERS]
@@ -226,7 +226,7 @@ def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
     t = BroadcastTuple(11, "c000", "6d")
     srv.on_deliver(ctx, "c000", Message("6d", 11))
     assert ctx.sent == [(s, Suggest(t, True)) for s in SERVERS]
-    assert t in srv.observed and srv._queue == [t]
+    assert t in srv.instances and srv._queue == [t]
     assert ctx.timers == [(11, "due")]
 
 
@@ -241,11 +241,11 @@ def test_a_peer_suggest_first_sight_sends_nothing_and_sets_one_timer():
 
 
 def test_a_label_suggest_spots_nothing():
-    # A BlinkNode's instances are keyed by label, not by tuple: there is nothing to observe.
+    # A BlinkNode's instances are keyed by label, not by tuple: there is nothing to spot.
     srv = make_server()
     ctx = FakeCtx(local=0)
     srv.on_deliver(ctx, "s001", Suggest("x", True))
-    assert srv.observed == set() and srv._queue == [] and ctx.sent == [] and ctx.timers == []
+    assert srv._due == [] and srv._queue == [] and ctx.sent == [] and ctx.timers == []
     assert srv.instances["x"].suggestions == {"s001": True}
 
 
@@ -338,12 +338,11 @@ def test_each_correct_server_announces_rising_times(scenario):
 
 
 def tuple_named(src: str, msg: dict, clients, servers) -> BroadcastTuple | None:
-    """The tuple a delivered wire message makes a server spot: a client's Message, a server's Observe or tuple
-    Suggest."""
+    """The tuple a delivered wire message makes a server spot: a client's Message or a server's tuple Suggest."""
     kind = msg["kind"]
     if kind == "Message":
         return BroadcastTuple(msg["bet"], src, msg["message"]) if src in clients else None
-    named = msg if kind == "Observe" else msg["instance"] if kind == "Suggest" else {}
+    named = msg["instance"] if kind == "Suggest" else {}
     return BroadcastTuple(named["bet"], named["client"], named["message"]) if src in servers and "bet" in named else None
 
 
@@ -353,6 +352,7 @@ class RelayOrder:
     `unrelayed` holds, per server, the tuples it spotted while its local clock lay below the bet and has sent no
     Suggest on yet. A correct server sends each Suggest and Time to every server in one call, so the order of its
     send calls is the order on each FIFO link, and a Time at or above such a bet overtakes the tuple's relay.
+    `late_trues` holds each copy of a True vote on a tuple sent on a link after a Time at or above its bet.
     """
 
     def __init__(self, sim, correct: list[str]):
@@ -361,8 +361,10 @@ class RelayOrder:
         self.spotted = {s: set() for s in correct}
         self.unrelayed = {s: set() for s in correct}
         self.in_time = 0  # spots before the bet, over all correct servers
-        self.observes = []  # the correct senders of each Observe
         self.overtaken = []  # (server, tuple, the Time sent before the tuple's Suggest)
+        self.clock = {}  # (src, dst) -> the highest Time sent on the link
+        self.true_copies = 0  # True vote copies on tuples, over all correct servers
+        self.late_trues = []  # (src, dst, tuple)
 
     def event(self, ev):
         pass
@@ -380,12 +382,16 @@ class RelayOrder:
     def sends(self, time, src, dsts, msg):
         if src in self.offsets:
             kind = msg["kind"]
-            if kind == "Observe":
-                self.observes.append(src)
-            elif kind == "Suggest" and "bet" in msg["instance"]:
-                self.unrelayed[src].discard(tuple_named(src, msg, (), self.servers))
+            if kind == "Suggest" and "bet" in msg["instance"]:
+                t = tuple_named(src, msg, (), self.servers)
+                self.unrelayed[src].discard(t)
+                if msg["value"]:
+                    self.true_copies += len(dsts)
+                    self.late_trues += [(src, dst, t) for dst in dsts if self.clock.get((src, dst), NEG_INF) >= t.bet]
             elif kind == "Time":
                 self.overtaken += [(src, t, msg["time"]) for t in self.unrelayed[src] if t.bet <= msg["time"]]
+                for dst in dsts:
+                    self.clock[src, dst] = max(self.clock.get((src, dst), NEG_INF), msg["time"])
 
 
 def relay_order(scenario) -> RelayOrder:
@@ -397,15 +403,38 @@ def relay_order(scenario) -> RelayOrder:
 
 @pytest.mark.parametrize("scenario", list(announcing_runs()), ids=lambda scenario: scenario.name)
 def test_a_correct_server_relays_each_tuple_it_spots_in_time_before_its_time_passes_the_bet(scenario):
-    # The lock argument rests on this (server.py's docstring), and no correct server sends an Observe.
+    # A stronger rule than the lock needs: its proof (server.py's docstring) rests only on the True votes, below.
     order = relay_order(scenario)
     assert order.in_time > 0
-    assert order.observes == [] and order.overtaken == []
+    assert order.overtaken == []
+
+
+def true_vote_runs():
+    """Every bundled scenario, and campaign variants of both bases: 6 behaviors x 2 policies x seeds 0-4."""
+    for path in sorted(SCENARIOS_DIR.glob("*.json")):
+        yield load_scenario(path)
+    for base in ("campaign_base", "campaign_wide"):
+        for behavior in sorted(BEHAVIORS):
+            for policy in ("adversarial_value", "adversarial_timing"):
+                for seed in range(5):
+                    yield campaign_variant(load_scenario(SCENARIOS_DIR / f"{base}.json"), behavior, policy, seed)
+
+
+def test_each_correct_true_vote_precedes_its_senders_first_time_at_the_bet_on_every_link():
+    # The fact the lock's proof uses (server.py's docstring): a True vote leaves before its sender's clock reaches
+    # the bet, so every lock holder that counts the sender's Time(>= bet) has spotted the tuple first.
+    copies = 0
+    for scenario in true_vote_runs():
+        order = relay_order(scenario)
+        assert order.late_trues == [], scenario.name
+        copies += order.true_copies
+    assert copies > 10_000
 
 
 def test_a_beat_before_the_due_votes_overtakes_a_relay(monkeypatch):
-    # The open mutant `beat-before-due` (tests/test_mutants.py): partial_dissemination's client tells s000 alone, so
-    # every other server spots the tuple only in s000's Suggest, and its Time at the bet leaves before its False vote.
+    # The retired mutant `beat-before-due` (tests/test_mutants.py): partial_dissemination's client tells s000 alone,
+    # so every other server spots the tuple only in s000's Suggest, and its Time at the bet leaves before its False
+    # vote. It moves no True vote, so the fact the lock's proof uses still holds.
     beat = """    if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
         self._announced = now
         ctx.broadcast(Time(now))
@@ -414,6 +443,7 @@ def test_a_beat_before_the_due_votes_overtakes_a_relay(monkeypatch):
     monkeypatch.setattr(FlutterServer, "on_timer", mutant(FlutterServer, "on_timer", {beat: "", first: first + beat}))
     order = relay_order(load_scenario(SCENARIOS_DIR / "partial_dissemination.json"))
     assert {server for server, _, _ in order.overtaken} == set(SERVERS[1:])
+    assert order.late_trues == [] and order.true_copies > 0
 
 
 def test_time_updates_are_monotonic_max():

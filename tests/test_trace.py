@@ -227,11 +227,11 @@ def test_streamed_run_writes_the_kept_trace(tmp_path, name):
 
 @pytest.mark.parametrize(
     ("name", "kind", "sender"),
-    [("campaign+observe_forger", "Observe", "s005"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
+    [("campaign+observe_forger", "Suggest", "s005"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
      ("goodcase", "Message", "c000")],
 )
 def test_broadcast_shares_one_msg_dict(name, kind, sender):
-    # Only a Byzantine server sends an Observe: here the campaign's observe_forger, s005; goodcase sends none.
+    # The campaign's observe_forger, s005, broadcasts its True vote on a forged tuple as its first send.
     trace = named_trace(name)
     servers = [f"s{i:03d}" for i in range(6)]
     first = next(

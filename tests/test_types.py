@@ -26,7 +26,6 @@ from fluttersim.types import (
     BroadcastTuple,
     Decision,
     Message,
-    Observe,
     Suggest,
     Time,
     instance_payload,
@@ -113,12 +112,7 @@ def test_quorum_sizes():
 
 def test_wire_payload_rendering():
     t = BroadcastTuple(11, "c000", "6d")
-    assert wire_payload(Observe(t)) == {
-        "kind": "Observe",
-        "client": "c000",
-        "message": "6d",
-        "bet": 11,
-    }
+    assert wire_payload(Suggest("i0", True)) == {"kind": "Suggest", "instance": {"label": "i0"}, "value": True}
     assert wire_payload(Time(7)) == {"kind": "Time", "time": 7}
     assert wire_payload(Message("6d", 11)) == {
         "kind": "Message",
@@ -151,7 +145,6 @@ def test_wire_payload_rejects_unknown():
 WIRE_MESSAGES = [
     Suggest(BroadcastTuple(11, "c000", "6d"), True),
     Time(7),
-    Observe(BroadcastTuple(11, "c000", "6d")),
     Message("6d", 11),
     Decision("6d", 11, False),
 ]
