@@ -17,7 +17,7 @@ from .types import InstanceKey, Suggest, instance_payload, quorum_large, quorum_
 class BlinkInstance:
     """Per-instance state machine; the host wires it to the network and dep."""
 
-    __slots__ = ("key", "f", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decided")
+    __slots__ = ("key", "f", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decision")
 
     def __init__(self, key: InstanceKey, f: int, host):
         self.key = key
@@ -27,7 +27,7 @@ class BlinkInstance:
         self.trues = 0  # True entries in `suggestions`
         self.self_proposed = False
         self.dep_proposed = False
-        self.decided = False
+        self.decision: bool | None = None  # the value decided, once decided
 
     def propose(self, ctx, value: bool) -> None:
         if self.self_proposed:
@@ -45,14 +45,14 @@ class BlinkInstance:
         if count >= large and not self.dep_proposed:
             self.dep_proposed = True
             self.host.dep_propose(self.key, self._majority())
-        if not self.decided:
+        if self.decision is None:
             if self.trues >= large:
                 self._decide(ctx, True)
             elif count - self.trues >= large:
                 self._decide(ctx, False)
 
     def on_dep_decide(self, ctx, value: bool) -> None:
-        if not self.decided:
+        if self.decision is None:
             self._decide(ctx, value)
 
     def _majority(self) -> bool:
@@ -64,7 +64,7 @@ class BlinkInstance:
         raise AssertionError("no 2f+1 majority among 4f+1 binary suggestions")
 
     def _decide(self, ctx, value: bool) -> None:
-        self.decided = True
+        self.decision = value
         ctx.emit(tr.DECIDE, {"instance": instance_payload(self.key), "value": value})
         self.host.on_decided(ctx, self.key, value)
 

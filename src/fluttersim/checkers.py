@@ -78,15 +78,8 @@ def _verdict(prop: str, fail, detail: str = "") -> CheckReport:
 def _fmt_key(key) -> str:
     if key[0] == "label":
         return f"label:{key[1]}"
-    client, message, bet = key
+    bet, client, message = key
     return f"({client}, 0x{message}, bet={bet})"
-
-
-def _key_of(payload: dict) -> tuple | None:
-    """(bet, client, message) of the tuple a payload names, ordered as BroadcastTuple; None for a label."""
-    if "label" in payload:
-        return None
-    return (payload["bet"], payload["client"], payload["message"])
 
 
 def _prefix_divergence(seqs: list[list[tuple[object, tr.TraceEvent]]], quiescent: bool):
@@ -315,7 +308,8 @@ def _tob(run: CheckPass) -> list[CheckReport]:
             if bad is None and client in honest and (b is None or b.time > event.time):
                 bad = (f"delivery of a message {client} never broadcast (or broadcast later)",
                        [event] if b is None else [b, event])
-    order = _prefix_divergence([[(_key_of(e.payload), e) for e in evs] for evs in seqs.values()], quiescent)
+    key = tr.instance_key_from_payload
+    order = _prefix_divergence([[(key(e.payload), e) for e in evs] for evs in seqs.values()], quiescent)
     reports = [
         _verdict("tob-no-duplication", dup),
         _verdict("tob-integrity", bad),
@@ -352,7 +346,7 @@ def _tob(run: CheckPass) -> list[CheckReport]:
 def _consensus(run: CheckPass) -> list[CheckReport]:
     cfg, need, per = run.cfg, run.cfg.f + 1, run.instances
     reports: list[CheckReport] = []
-    for key in sorted(per, key=repr):
+    for key in sorted(per, key=_fmt_key):
         entry = per[key]
         proposes, decides = entry[tr.PROPOSE], entry[tr.DECIDE]
         label = f"instance {_fmt_key(key)}"  # one string object shared by the instance's reports
@@ -461,7 +455,7 @@ def _lock_rank(values, f: int):
 
 
 class _ServerReplay:
-    """One correct server's ordering state, rebuilt from its inputs; tuples are `_key_of` keys.
+    """One correct server's ordering state, rebuilt from its inputs; tuples are (bet, client, message) keys.
 
     Only a rise of the lock or a Decide makes a candidate processable, so the replay drains on those two.
     """
@@ -535,15 +529,15 @@ class _ServerInvariants:
                         fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
                     if within_local and replay.lock > time:
                         fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
-                elif kind == "Suggest" and (t := _key_of(msg["instance"])) is not None:  # a Suggest on t spots t
-                    replay.spot(t)
+                elif kind == "Suggest" and (t := tr.instance_key_from_payload(msg["instance"]))[0] != "label":
+                    replay.spot(t)  # a Suggest on t spots t
             elif kind == "Message" and src in clients:
                 replay.spot((msg["bet"], src, msg["message"]))
 
     def event(self, event: tr.TraceEvent) -> None:
         if event.kind != tr.DECIDE or (replay := self.replays.get(event.process)) is None:
             return
-        if (t := _key_of(event.payload["instance"])) is not None:
+        if (t := tr.instance_key_from_payload(event.payload["instance"]))[0] != "label":
             replay.decisions[t] = value = event.payload["value"]
             replay.drain(event)
             if value:
@@ -565,8 +559,8 @@ class _ServerInvariants:
                                     miss and (f"tuple decided True is no candidate at {miss[0]}", [miss[1]]),
                                     f"{len(self.decided_true)} accepted tuple(s)"))
         seqs = [run.sequences[name] for name in self.replays]
-        asc = next((b for evs in seqs for a, b in zip(evs, evs[1:]) if not _key_of(a.payload) < _key_of(b.payload)),
-                   None)
+        key = tr.instance_key_from_payload
+        asc = next((b for evs in seqs for a, b in zip(evs, evs[1:]) if not key(a.payload) < key(b.payload)), None)
         reports.append(_verdict("server-order-ascending",
                                 asc and (f"{asc.process} app-delivered tuples out of ascending order", [asc])))
         agree = _prefix_divergence([r.orders for r in replays], quiescent)
@@ -577,7 +571,7 @@ class _ServerInvariants:
             first: dict[tuple[str, str], tuple] = {}  # (client, message) -> its first tuple ordered, in order
             for t, _e in replay.orders:
                 first.setdefault(t[1:], t)
-            if list(first.values()) != [_key_of(e.payload) for e in app_delivers]:
+            if list(first.values()) != [key(e.payload) for e in app_delivers]:
                 extra = app_delivers or [o[1] for o in replay.orders]
                 match_fail = (f"{replay.name}: app deliveries disagree with replayed ordering", extra[:2])
                 break

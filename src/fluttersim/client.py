@@ -9,7 +9,9 @@ it, so an underestimate that persists across messages is cleared about
 once per client. The first new bet at a floor probes it: if f+1 servers
 decide that bet True, the floor falls by one, so a rare loss does not
 widen every later bet. As in Karn's rule, a resubmitted bet's win says
-nothing about a lower r and leaves the floor alone.
+nothing about a lower r and leaves the floor alone. Both counts read one
+tally per (message, bet): each server's latest Decision on it, so a
+server that changes its report moves the retry and the probe alike.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ class FlutterClient:
         self.script = list(script or [])  # BroadcastScript entries
         self.crash_time = crash_time
         self.submissions: dict[str, tuple[int, int]] = {}
-        # (message, bet) -> the servers whose latest Decision on that bet is False
-        self.falses: dict[tuple[str, int], set[str]] = {}
+        # (message, bet) -> server -> the value of its latest Decision on that bet
+        self.tallies: dict[tuple[str, int], dict[str, bool]] = {}
         self._server_set: frozenset[str] = frozenset()
         self.floor = 0  # the attempt a new message starts at; f+1 False Decisions raise it
-        # the first new (message, bet) at the floor, and the servers whose latest Decision on it is True
-        self.probe: tuple[str, int] | None = None
-        self.probe_trues: set[str] = set()
+        self.probe: tuple[str, int] | None = None  # the first new (message, bet) at the floor
 
     def _crashed(self, ctx) -> bool:
         return self.crash_time is not None and ctx.now() >= self.crash_time
@@ -57,7 +57,6 @@ class FlutterClient:
         self._submit(ctx, message, self.floor)
         if self.probe is None and self.floor:
             self.probe = (message, self.submissions[message][1])
-            self.probe_trues.clear()
 
     def _submit(self, ctx, message: str, attempt: int) -> None:
         bet = ctx.local_time() + (2**attempt) * self.delta_estimate + self.epsilon
@@ -72,15 +71,11 @@ class FlutterClient:
         if not isinstance(msg, Decision) or src not in self._server_set:
             return
         key = (msg.message, msg.bet)
-        falses = self.falses.setdefault(key, set())
-        if msg.value is False:
-            falses.add(src)
-        else:
-            falses.discard(src)
-        if key == self.probe:
-            (self.probe_trues.discard if msg.value is False else self.probe_trues.add)(src)
-            if len(self.probe_trues) >= quorum_small(self.f):  # the floor won on a first attempt: try one lower
-                self.floor, self.probe = self.floor - 1, None
+        tally = self.tallies.setdefault(key, {})
+        tally[src] = msg.value
+        trues, need = sum(tally.values()), quorum_small(self.f)
+        if key == self.probe and trues >= need:  # the floor won on a first attempt: try one lower
+            self.floor, self.probe = self.floor - 1, None
         current = self.submissions.get(msg.message)
-        if current is not None and current[1] == msg.bet and len(falses) >= quorum_small(self.f):
+        if current is not None and current[1] == msg.bet and len(tally) - trues >= need:
             self._submit(ctx, msg.message, max(current[0] + 1, self.floor))

@@ -217,6 +217,6 @@ def run_campaign(
         "fails": fails[:50],
         "per_behavior": per_behavior,
         "suggest_limit_per_instance": limit,
-        "all_pass": not fails and all(s["complexity_ok"] for s in per_behavior.values()),
+        "all_pass": not fails,  # a run over the Suggest limit Fails suggest-complexity, so its fail is in `fails`
     }
     return summary

@@ -11,7 +11,9 @@ still win a consensus instance.
 A correct server relays a tuple only in its own Suggest: the one a
 client's Message makes it send, or the False vote its timer sends at the
 bet. It spots the tuple that a client Message or any Suggest on a tuple
-names, and sets one timer at the bet.
+names, and sets one timer at the bet. It holds one consensus instance
+exactly for each tuple it has spotted, and reads a tuple's decision off
+that instance. A Suggest on a label names no tuple, so it is dropped.
 
 Why the lock is safe (n = 5f+1, k <= f Byzantine servers): a correct
 server votes True on t only on a Message it gets while its clock is
@@ -34,7 +36,6 @@ from .types import (
     NEG_INF,
     BroadcastTuple,
     Decision,
-    InstanceKey,
     Message,
     Suggest,
     Time,
@@ -50,7 +51,6 @@ class FlutterServer(BlinkNode):
         super().__init__(name, f, oracle)
         self._queue: list[BroadcastTuple] = []  # heap of unprocessed candidates: tuples whose bet cleared the lock
         self.delivered: set[tuple[str, str]] = set()
-        self.decisions: dict[BroadcastTuple, bool] = {}
         self.remote_times: dict[str, int | float] = {}
         self._lock: int | float = NEG_INF  # lock_time(); it cannot move until 4f+1 entries lie above it
         self._above = 0  # entries of remote_times strictly above _lock; fewer than 4f+1 between Times
@@ -68,13 +68,14 @@ class FlutterServer(BlinkNode):
         return ranked[quorum_large(self.f) - 1]
 
     def on_deliver(self, ctx, src: str, msg) -> None:
-        # Dispatch on the exact class, most frequent first; a sender of the wrong role is dropped.
+        # Dispatch on the exact class, most frequent first; a sender of the wrong role is dropped, and so is a Suggest
+        # on a label, which names no tuple and which no correct server sends.
         cls = type(msg)
         if src in self._server_set:
             if cls is Suggest:
                 key = msg.instance
-                instance = self._spot(ctx, key) if type(key) is BroadcastTuple else self.instance(key)
-                instance.on_suggest(ctx, src, msg.value)
+                if type(key) is BroadcastTuple:
+                    self._spot(ctx, key).on_suggest(ctx, src, msg.value)
             elif cls is Time:
                 self._on_time(ctx, src, msg.time)
         elif cls is Message and src in self._client_set:
@@ -121,10 +122,7 @@ class FlutterServer(BlinkNode):
                     self._above = sum(v > lock for v in self.remote_times.values())
                     self._process_next(ctx)
 
-    def on_decided(self, ctx, key: InstanceKey, value: bool) -> None:
-        if not isinstance(key, BroadcastTuple):
-            return
-        self.decisions[key] = value
+    def on_decided(self, ctx, key: BroadcastTuple, value: bool) -> None:
         if key.client in self._client_set:  # a forged tuple may name no client
             ctx.send(key.client, Decision(key.message, key.bet, value))
         self._process_next(ctx)
@@ -133,10 +131,11 @@ class FlutterServer(BlinkNode):
         # Run on a decision or a lock rise. Queued bets cleared a lock that never falls: all lie above tuples taken.
         while self._queue:
             best = self._queue[0]
-            if best not in self.decisions or best.bet > self._lock:
+            decision = self.instances[best].decision  # a queued tuple is spotted, so it has its instance
+            if decision is None or best.bet > self._lock:
                 return
             heapq.heappop(self._queue)
-            if self.decisions[best]:
+            if decision:
                 self._order(ctx, best)
 
     def _order(self, ctx, t: BroadcastTuple) -> None:

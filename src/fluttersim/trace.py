@@ -174,7 +174,8 @@ def read_trace(path):
 
 
 def instance_key_from_payload(obj: dict) -> tuple:
-    """Hashable instance key from a rendered instance payload."""
+    """The hashable key of an instance payload, or of an AppDeliver payload of the same shape: a tuple's
+    (bet, client, message), in BroadcastTuple's order, or a label's ("label", label)."""
     if "label" in obj:
         return ("label", obj["label"])
-    return (obj["client"], obj["message"], obj["bet"])
+    return (obj["bet"], obj["client"], obj["message"])

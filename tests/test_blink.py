@@ -57,7 +57,7 @@ def test_mixed_quorum_forwards_majority_to_dep():
     inst, host, ctx = make()
     feed(inst, ctx, [("s000", True), ("s001", True), ("s002", True), ("s003", False), ("s004", False)])
     assert host.dep_proposals == [("i0", True)]
-    assert not inst.decided
+    assert inst.decision is None
 
 
 def test_unanimous_quorum_decides_fast():
@@ -77,9 +77,9 @@ def test_sixth_matching_suggestion_decides_after_fallback():
     feed(inst, ctx, [("s005", False)])
     feed(inst, ctx, [(f"s{i:03d}", True) for i in range(4)])
     assert host.dep_proposals == [("i0", True)]
-    assert not inst.decided
+    assert inst.decision is None
     feed(inst, ctx, [("s004", True)])
-    assert inst.decided
+    assert inst.decision is True
     assert host.decisions == [("i0", True)]
 
 
@@ -87,7 +87,7 @@ def test_duplicate_sender_overwrites_not_accumulates():
     inst, host, ctx = make()
     feed(inst, ctx, [("s000", True), ("s000", True), ("s000", True), ("s000", True), ("s000", True)])
     assert len(inst.suggestions) == 1
-    assert not inst.decided
+    assert inst.decision is None
     assert host.dep_proposals == []
 
 

@@ -17,6 +17,7 @@ from fluttersim.checkers import (
     CheckerConfig,
     CheckPass,
     _ev,
+    _fmt_key,
     _lock_rank,
     _ServerInvariants,
     _ServerReplay,
@@ -31,10 +32,12 @@ from fluttersim.checkers import (
 )
 from fluttersim.runner import build_simulation, campaign_variant
 from fluttersim.scenario import load_scenario, parse_scenario
-from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent
-from fluttersim.types import NEG_INF, BroadcastTuple, quorum_large
+from fluttersim.trace import (APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECIDE, PROPOSE, SEND, TraceEvent,
+                              instance_key_from_payload)
+from fluttersim.types import NEG_INF, BroadcastTuple, instance_payload, quorum_large
 
 from conftest import SCENARIOS_DIR, scenario_dict, simulate
+from test_trace import LABEL_KEYS, TUPLE_KEYS
 
 FIRST = {"client": "c000", "message": "01", "bet": 11}  # the two-message run's first tuple
 
@@ -238,6 +241,18 @@ def test_unproposed_value_fails_representative_validity():
         if e.kind == DECIDE and e.payload["instance"] == target:
             e.payload["value"] = False
     failing(trace, cfg, "consensus-representative-validity")
+
+
+@given(st.one_of(st.lists(TUPLE_KEYS), st.lists(LABEL_KEYS)))
+def test_consensus_reports_sort_as_the_client_message_bet_repr_did(keys):
+    # The consensus reports come in the order of the key they print. A run's instances are all tuples (flutter) or
+    # all labels (blink), and in either case that order is the repr order of the (client, message, bet) form.
+    keys = [instance_key_from_payload(instance_payload(key)) for key in keys]
+
+    def old(key):
+        return key if key[0] == "label" else (key[1], key[2], key[0])
+
+    assert [old(key) for key in sorted(keys, key=_fmt_key)] == sorted(map(old, keys), key=repr)
 
 
 def test_missing_decide_fails_termination_when_quiescent():

@@ -211,6 +211,26 @@ def test_a_probe_whose_floor_another_loss_raised_lowers_nothing():
     assert cl.floor == 2
 
 
+def test_a_server_that_flips_its_decision_moves_the_retry_and_the_probe_alike():
+    cl = make_client()
+    ctx = FakeCtx(local=0)
+    raised_to_1(cl, ctx)
+    cl.broadcast(ctx, "6e")  # the first new bet at floor 1: it probes the floor
+    bet = cl.submissions["6e"][1]
+    ctx.sent.clear()
+    deliver_false(cl, ctx, "s000", "6e", bet)
+    cl.on_deliver(ctx, "s000", Decision("6e", bet, True))  # False to True: one True and no False
+    deliver_false(cl, ctx, "s001", "6e", bet)  # one False: no retry, and one True: no probe win
+    assert (ctx.sent, cl.floor) == ([], 1)
+    cl.on_deliver(ctx, "s001", Decision("6e", bet, True))  # False to True: two Trues win the probe
+    assert (ctx.sent, cl.floor) == ([], 0)
+    deliver_false(cl, ctx, "s000", "6e", bet)  # True back to False: one False
+    assert ctx.sent == []
+    deliver_false(cl, ctx, "s001", "6e", bet)  # two Falses: the bet is lost, so 6e resubmits
+    assert (cl.submissions["6e"][0], cl.floor) == (2, 2)
+    assert [dst for dst, _msg in ctx.sent] == SERVERS
+
+
 @given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["6d", "6e", "6f"]),
                           st.sampled_from(["broadcast", "lose", "win"])), max_size=40))
 def test_one_message_s_bets_strictly_increase(steps):
@@ -266,7 +286,7 @@ def test_false_then_true_from_same_server_stops_counting():
 
 
 @given(st.lists(st.tuples(st.sampled_from(SERVERS), st.sampled_from([11, 31]), st.booleans()), max_size=30))
-def test_false_counter_matches_sum_over_decisions(reports):
+def test_the_tally_holds_each_server_s_latest_decision(reports):
     cl = make_client()
     ctx = FakeCtx(local=0)
     cl.broadcast(ctx, "6d")
@@ -275,8 +295,7 @@ def test_false_counter_matches_sum_over_decisions(reports):
         cl.on_deliver(ctx, src, Decision("6d", bet, value))
         latest[(bet, src)] = value
         for b in (11, 31):
-            falses = {s for (bb, s), v in latest.items() if bb == b and v is False}
-            assert cl.falses.get(("6d", b), set()) == falses
+            assert cl.tallies.get(("6d", b), {}) == {s: v for (bb, s), v in latest.items() if bb == b}
 
 
 def test_stale_bet_reports_are_ignored():
@@ -308,7 +327,7 @@ def test_decision_from_non_server_is_dropped():
     deliver_false(cl, ctx, "c999", "6d", 11)
     deliver_false(cl, ctx, "c998", "6d", 11)
     assert ctx.sent == []
-    assert cl.falses == {}
+    assert cl.tallies == {}
 
 
 def test_double_broadcast_same_message_is_protocol_bug():

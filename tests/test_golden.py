@@ -87,6 +87,7 @@ def test_campaign_summary_digest():
     base = load_scenario(SCENARIOS_DIR / "campaign_base.json")
     summary = run_campaign(base, range(5), sorted(BEHAVIORS))
     assert summary["runs"] == 60 and summary["all_pass"]
+    assert summary["all_pass"] == (summary["fail_count"] == 0)
     rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert sha256(rendered.encode()) == CAMPAIGN_DIGEST
 

@@ -1,8 +1,8 @@
 """Seeded protocol bugs (mutants), each killed by a checker verdict.
 
 A checker that never fails proves nothing. Each mutant below edits the
-source of one protocol method, recompiled and applied with `monkeypatch`
-for one test only. A named run must then Fail the named properties under
+source of one or more protocol methods, recompiled and applied with
+`monkeypatch` for one test only. A named run must then Fail the named properties under
 every dep policy, while the same run without the mutant Fails nothing. A unit test
 or a golden digest does not count as a kill: only the check pass does.
 
@@ -17,10 +17,22 @@ or a golden digest does not count as a kill: only the check pass does.
   `consensus-agreement`: s000-s002 see four True suggestions (theirs and
   the equivocator's) and decide True, while s003-s004 go to the dep
   oracle, which decides False.
+- `lock-4f`: a server's lock is the 4f-th highest clock report instead
+  of the (4f+1)-th: `lock_time` reads one rank lower, and `_on_time`
+  recomputes the lock once 4f reports lie above it. `lock_run` (n=6,
+  f=1, delta=10; c000 bets `aa` at 3, c001 bets `bb` at 4; every link
+  takes 1 but c000's to s002-s005 and s000's and s001's to s002-s004
+  and to the clients, which take delta) Fails
+  `server-order-matches-appdeliver`, `tob-total-order` and
+  `tob-validity`. Its s005 is a test-local partial voter: it lies once
+  that its clock is 1000 ahead, and votes True only to s000 and s001.
+  So s002's lock reaches 3 at t=5, on the Times of s002-s004 and the
+  lie, before s002 spots `aa`. s000 and s001 dep-propose True, `aa` is
+  decided True, and s002-s004 never deliver it. At rank 4f+1, s002
+  needs a fifth Time, which only s000 or s001 sends, and each one's
+  True Suggest arrives first.
 
-Score: 2 killed. Open: `lock-4f` changes when a server delivers, not in
-what order, and waits on a checker that judges the step each
-AppDeliver falls in; `no-dedup` waits on a client that sends one
+Score: 3 killed. Open: `no-dedup` waits on a client that sends one
 message under two bets. `no-lock-check` (a tuple spotted at or below
 the lock is queued too) can only delay a delivery: by the lock's proof
 in `server.py`'s docstring, a tuple spotted at or below a correct
@@ -55,11 +67,13 @@ import textwrap
 
 import pytest
 
+from fluttersim.adversary import BEHAVIORS, Behavior, _sighted_key
 from fluttersim.blink import BlinkInstance
 from fluttersim.checkers import FAIL
 from fluttersim.runner import campaign_variant, run_checked
-from fluttersim.scenario import load_scenario
+from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
+from fluttersim.types import BroadcastTuple, Suggest, Time
 from fluttersim.weakcon import POLICIES
 
 from conftest import SCENARIOS_DIR
@@ -88,14 +102,52 @@ def split_run(policy: str):
     return load_scenario(SCENARIOS_DIR / "blink_split.json").replace(dep_policy=policy)
 
 
+class PartialVoter(Behavior):
+    """Reports its clock 1000 ahead once, then votes True on each tuple it sees, to s000 and s001 only."""
+
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.seen: set[BroadcastTuple] = set()
+
+    def on_init(self, ctx) -> None:
+        ctx.broadcast(Time(ctx.local_time() + 1000))
+
+    def on_deliver(self, ctx, src: str, msg) -> None:
+        key = _sighted_key(src, msg)
+        if isinstance(key, BroadcastTuple) and key not in self.seen:
+            self.seen.add(key)
+            for server in ctx.servers[:2]:
+                ctx.send(server, Suggest(key, True))
+
+
+def lock_run(policy: str):
+    # The links that take 1; every other link takes delta.
+    servers, clients = [f"s{i:03d}" for i in range(6)], ["c000", "c001"]
+    fast = [("c000", dst) for dst in servers[:2]] + [("c001", dst) for dst in servers]
+    fast += [(src, dst) for src in servers[2:] for dst in servers + clients]
+    fast += [(src, dst) for src in servers[:2] for dst in (servers[0], servers[1], servers[5])]
+    return parse_scenario({
+        "name": "lock_4f", "kind": "flutter", "n": 6, "f": 1, "delta": 10, "drift": 0, "epsilon": 1,
+        "dep": {"policy": policy},
+        # A link carries at most 4 sends in this run, so its 20 delays never run out.
+        "network": {"strategy": "scripted", "delays": {f"{src}->{dst}": [1] * 20 for src, dst in fast}},
+        "servers": {"s005": {"behavior": "partial_voter"}},
+        "clients": [{"name": "c000", "delta_estimate": 2, "broadcasts": [{"at": 0, "message": "aa"}]},
+                    {"name": "c001", "delta_estimate": 2, "broadcasts": [{"at": 1, "message": "bb"}]}],
+    })
+
+
 MUTANTS = {
-    # name -> (class, method, source edits, the run that kills it, the properties that then Fail)
-    "no-suggest-spot": (FlutterServer, "on_deliver", {"self._spot(ctx, key)": "self.instance(key)"}, relay_run,
+    # name -> (class, its (method, source edits) pairs, the run that kills it, the properties that then Fail)
+    "no-suggest-spot": (FlutterServer, [("on_deliver", {"self._spot(ctx, key)": "self.instance(key)"})], relay_run,
                         ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
-    "fast-4f": (BlinkInstance, "on_suggest",
-                {"if self.trues >= large:": "if self.trues >= large - 1:",
-                 "elif count - self.trues >= large:": "elif count - self.trues >= large - 1:"},
+    "fast-4f": (BlinkInstance, [("on_suggest", {
+                    "if self.trues >= large:": "if self.trues >= large - 1:",
+                    "elif count - self.trues >= large:": "elif count - self.trues >= large - 1:"})],
                 split_run, ["consensus-agreement"]),
+    "lock-4f": (FlutterServer, [("lock_time", {"- 1]": "- 2]"}),
+                                ("_on_time", {">= quorum_large(self.f)": ">= quorum_large(self.f) - 1"})],
+                lock_run, ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
 }
 
 
@@ -106,7 +158,9 @@ def fails(scenario) -> list[str]:
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed_by_a_checker_verdict(name, policy, monkeypatch):
-    cls, method, edits, run, killed_by = MUTANTS[name]
+    cls, methods, run, killed_by = MUTANTS[name]
+    monkeypatch.setitem(BEHAVIORS, "partial_voter", PartialVoter)  # for this test only: campaigns never run it
     assert fails(run(policy)) == []
-    monkeypatch.setattr(cls, method, mutant(cls, method, edits))
+    for method, edits in methods:
+        monkeypatch.setattr(cls, method, mutant(cls, method, edits))
     assert fails(run(policy)) == killed_by

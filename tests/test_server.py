@@ -74,6 +74,11 @@ def set_lock(srv, ctx, time):
         srv._on_time(ctx, s, time)
 
 
+def decide(srv, ctx, t, value):
+    """Spotted tuple `t`'s instance decides `value`, as when the dep oracle settles it."""
+    srv.instances[t].on_dep_decide(ctx, value)
+
+
 def delivered_bets(ctx):
     return [p["bet"] for k, p in ctx.emitted if k == APP_DELIVER]
 
@@ -240,13 +245,15 @@ def test_a_peer_suggest_first_sight_sends_nothing_and_sets_one_timer():
     assert srv._queue == [t] and srv.instances[t].suggestions == {"s001": True, "s002": True}
 
 
-def test_a_label_suggest_spots_nothing():
-    # A BlinkNode's instances are keyed by label, not by tuple: there is nothing to spot.
+def test_a_label_suggest_is_dropped():
+    # A label names no tuple, and no correct server suggests one: even from every server, a label Suggest makes no
+    # instance, sets no timer, and so reaches no dep proposal, decision or ordering.
     srv = make_server()
     ctx = FakeCtx(local=0)
-    srv.on_deliver(ctx, "s001", Suggest("x", True))
-    assert srv._due == [] and srv._queue == [] and ctx.sent == [] and ctx.timers == []
-    assert srv.instances["x"].suggestions == {"s001": True}
+    for server in SERVERS:
+        srv.on_deliver(ctx, server, Suggest("x", True))
+    assert srv.instances == {} and srv._due == [] and srv._queue == []
+    assert ctx.sent == [] and ctx.timers == [] and ctx.emitted == []
 
 
 def test_a_beat_announces_only_a_clock_above_the_last_time():
@@ -462,8 +469,8 @@ def test_process_next_releases_in_bet_order_after_lock():
     b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, b)
     srv._spot(ctx, a)
-    srv.on_decided(ctx, b, True)
-    srv.on_decided(ctx, a, True)
+    decide(srv, ctx, b, True)
+    decide(srv, ctx, a, True)
     assert delivered_bets(ctx) == []  # lock still -inf
     set_lock(srv, ctx, 9)  # lock = 9 > both bets
     assert delivered_bets(ctx) == [5, 8]
@@ -477,9 +484,9 @@ def test_process_next_stalls_on_undecided_minimum():
     b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, a)
     srv._spot(ctx, b)
-    srv.on_decided(ctx, b, True)  # a undecided blocks everything
+    decide(srv, ctx, b, True)  # a undecided blocks everything
     set_lock(srv, ctx, 9)
-    assert ctx.emitted == []
+    assert delivered_bets(ctx) == []
     assert sorted(srv._queue) == [a, b]
 
 
@@ -488,7 +495,7 @@ def test_process_next_stalls_until_lock_passes_bet():
     ctx = FakeCtx()
     a = BroadcastTuple(5, "c000", "01")
     srv._spot(ctx, a)
-    srv.on_decided(ctx, a, True)
+    decide(srv, ctx, a, True)
     set_lock(srv, ctx, 5)
     assert delivered_bets(ctx) == [5]  # bet 5 <= lock 5 releases
 
@@ -496,9 +503,9 @@ def test_process_next_stalls_until_lock_passes_bet():
     ctx2 = FakeCtx()
     b = BroadcastTuple(6, "c000", "02")
     srv2._spot(ctx2, b)
-    srv2.on_decided(ctx2, b, True)
+    decide(srv2, ctx2, b, True)
     set_lock(srv2, ctx2, 5)  # lock 5 < bet 6 stalls
-    assert ctx2.emitted == []
+    assert delivered_bets(ctx2) == []
 
 
 def test_false_decision_advances_cursor_without_delivery():
@@ -508,21 +515,12 @@ def test_false_decision_advances_cursor_without_delivery():
     b = BroadcastTuple(8, "c000", "02")
     srv._spot(ctx, a)
     srv._spot(ctx, b)
-    srv.on_decided(ctx, a, False)
-    srv.on_decided(ctx, b, True)
+    decide(srv, ctx, a, False)
+    decide(srv, ctx, b, True)
     set_lock(srv, ctx, 9)
     delivered = [p for k, p in ctx.emitted if k == APP_DELIVER]
     assert [d["message"] for d in delivered] == ["02"]
     assert srv._queue == []
-
-
-def test_a_label_decision_moves_no_ordering():
-    # A Blink instance decides under a plain label: the server records no decision and tells no client.
-    srv = make_server()
-    ctx = FakeCtx()
-    srv.on_decided(ctx, "x", True)
-    assert srv.decisions == {}
-    assert ctx.sent == [] and ctx.emitted == []
 
 
 class ScanModel:
@@ -596,8 +594,8 @@ def test_candidate_heap_matches_full_scan(ops):
             set_lock(srv, ctx, op[1])
             for src in SERVERS:
                 model.time(src, op[1])
-        elif op[1] not in model.decisions:  # an instance decides once
-            srv.on_decided(ctx, op[1], op[2])
+        elif op[1] in srv.instances and op[1] not in model.decisions:  # a spotted tuple's instance decides once
+            decide(srv, ctx, op[1], op[2])
             model.decide(op[1], op[2])
         delivered = [(p["client"], p["message"], p["bet"]) for k, p in ctx.emitted if k == APP_DELIVER]
         assert delivered == model.delivered
@@ -616,7 +614,7 @@ def test_no_handler_leaves_the_queue_head_processable(monkeypatch):
             real(self, ctx, *args)
             calls[hook] += 1
             head = self._queue[0] if self._queue else None
-            assert head is None or head not in self.decisions or head.bet > self._lock, (hook, self.name, head)
+            assert head is None or self.instances[head].decision is None or head.bet > self._lock, (hook, head)
 
         return handler
 

@@ -17,9 +17,10 @@ from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, CheckPass, run_all_checks
 from fluttersim import cli
 from fluttersim.runner import build_simulation, campaign_variant, run_checked, run_scenario
-from fluttersim.scenario import load_scenario
-from fluttersim.trace import (DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter, read_trace, render,
-                              write_trace)
+from fluttersim.scenario import _HEX_RE, _LABEL_RE, _NAME_RE, load_scenario
+from fluttersim.trace import (DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter, instance_key_from_payload,
+                              read_trace, render, write_trace)
+from fluttersim.types import BroadcastTuple, instance_payload
 
 from conftest import SCENARIOS_DIR, simulate
 
@@ -472,3 +473,18 @@ def test_any_value_matches_the_stdlib_encoder(value):
 def test_to_line_matches_the_stdlib_encoder(time, process, payload):
     event = TraceEvent(time, process, DELIVER, payload)
     assert event.to_line() == STDLIB.encode({"time": time, "process": process, "kind": DELIVER, "payload": payload})
+
+
+# ---------------------------------------------------------------- instance keys
+
+# Instance keys as a scenario can name them: a client name, a body the parser stores as lowercase hex, any bet.
+TUPLE_KEYS = st.builds(BroadcastTuple, st.integers(), st.from_regex(_NAME_RE, fullmatch=True),
+                       st.from_regex(_HEX_RE, fullmatch=True).map(str.lower))
+LABEL_KEYS = st.from_regex(_LABEL_RE, fullmatch=True)
+
+
+@given(st.one_of(TUPLE_KEYS, LABEL_KEYS))
+def test_an_instance_key_reads_back_from_its_payload(key):
+    # A tuple reads back in BroadcastTuple's order, so the checker's keys sort as the servers order tuples.
+    expected = ("label", key) if type(key) is str else tuple(key)
+    assert instance_key_from_payload(instance_payload(key)) == expected
