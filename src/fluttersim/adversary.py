@@ -103,9 +103,8 @@ class TimeLiar(Behavior):
     def on_init(self, ctx) -> None:
         self._blast(ctx)
 
-    def on_deliver(self, ctx, src: str, msg) -> None:
-        if src != self.name:
-            self._blast(ctx)
+    def on_deliver(self, ctx, src: str, msg) -> None:  # its own broadcast never reaches it
+        self._blast(ctx)
 
 
 class ObserveForger(Behavior):

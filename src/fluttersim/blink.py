@@ -1,10 +1,11 @@
 """One-round binary consensus over 4f+1 suggestion quorums.
 
-Each server suggests its input to everyone. A server that has collected
-4f+1 suggestions forwards the majority value to the dep oracle as a
-fallback; a server that sees 4f+1 matching suggestions decides outright,
-and keeps watching for that even after the fallback fired, so unanimous
-inputs decide one message delay ahead of the dep path.
+Each server suggests its input to every other server and counts its own
+suggestion in the same step. A server that has collected 4f+1
+suggestions forwards the majority value to the dep oracle as a fallback;
+a server that sees 4f+1 matching suggestions decides outright, and keeps
+watching for that even after the fallback fired, so unanimous inputs
+decide one message delay ahead of the dep path.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class BlinkInstance:
         self.self_proposed = True
         ctx.emit(tr.PROPOSE, {"instance": instance_payload(self.key), "value": value})
         ctx.broadcast(Suggest(self.key, value))
+        self.on_suggest(ctx, ctx.name, value)  # its own copy, taken in the step that sends the others
 
     def on_suggest(self, ctx, sender: str, value: bool) -> None:
         # A sender's later suggestion replaces its earlier one, in the tally too.

@@ -47,8 +47,15 @@ class CheckReport(Record):
         }
 
 
+def _built(event: tr.TraceEvent | tuple) -> tr.TraceEvent:
+    """`event`, built if it is a delivery, (time, dst, payload), or one copy of a send call, (time, src, dst, msg)."""
+    if type(event) is not tuple:
+        return event
+    return tr.deliver_event(event) if len(event) == 3 else tr.send_event(*event)
+
+
 def _ev(event: tr.TraceEvent | tuple) -> dict:
-    event = tr.deliver_event(event) if type(event) is tuple else event  # a delivery, (time, dst, payload)
+    event = _built(event)
     return {
         "time": event.time,
         "process": event.process,
@@ -197,8 +204,7 @@ class CheckPass:
     @property
     def last(self) -> tr.TraceEvent | None:
         """The last event fed, built on first read if it is a delivery or a Send of a call."""
-        if type(self._last) is tuple:
-            self._last = tr.deliver_event(self._last) if len(self._last) == 3 else tr.send_event(*self._last)
+        self._last = _built(self._last)
         return self._last
 
     @property
@@ -469,7 +475,7 @@ class _ServerReplay:
         self.candidates: set[tuple] = set()
         self.pending: list[tuple] = []  # heap of candidates not yet processed
         self.decisions: dict[tuple, bool] = {}
-        self.orders: list[tuple[tuple, tr.TraceEvent | tuple]] = []  # (tuple, the Decide event or Time delivery)
+        self.orders: list[tuple[tuple, tr.TraceEvent | tuple]] = []  # (tuple, the Decide or Time input that took it)
 
     def time(self, src: str, time: int, event: tuple) -> None:
         """A Time from server `src`: its entry rises, and with it the lock once 4f+1 entries lie above the lock."""
@@ -503,17 +509,29 @@ class _ServerReplay:
 
 
 class _ServerInvariants:
-    """Routes each correct server's inputs to its replay, and reports on the replays."""
+    """Routes each correct server's inputs to its replay, and reports on the replays.
+
+    A server takes its own Time in the step it sends it, so its replay takes it from that send call.
+    """
 
     def __init__(self, cfg: CheckerConfig):
         self.clients = set(cfg.clients)
         self.lock_within_local = cfg.lock_within_local  # zero drift: local time is global time
         self.replays = {s: _ServerReplay(s, cfg.servers, cfg.f) for s in cfg.correct_servers}
-        self.fails: dict[str, tuple[str, list[tuple]]] = {}  # lock property -> its first (detail, witness deliveries)
+        self.vs_local: tuple[str, list] | None = None  # the first (detail, witness) of a lock past local time
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
+    def _time(self, replay: _ServerReplay, src: str, time: int, now: int, witness: tuple) -> None:
+        replay.time(src, time, witness)
+        if self.lock_within_local and replay.lock > now and self.vs_local is None:
+            self.vs_local = (f"lock time passed local time at {replay.name}", [witness])
+
+    def sends(self, time: int, src: str, dsts, msg: dict) -> None:
+        if msg["kind"] == "Time" and (replay := self.replays.get(src)) is not None:
+            self._time(replay, src, msg["time"], time, (time, src, dsts[0], msg))
+
     def deliver(self, run: list) -> None:
-        replays, clients, fails, within_local = self.replays, self.clients, self.fails, self.lock_within_local
+        replays, clients = self.replays, self.clients
         for delivery in run:
             time, dst, payload = delivery
             msg = payload["msg"]
@@ -523,12 +541,7 @@ class _ServerInvariants:
             src = payload["src"]
             if src in replay.remote_times:
                 if kind == "Time":
-                    before = replay.lock
-                    replay.time(src, msg["time"], delivery)
-                    if replay.lock < before:
-                        fails.setdefault("server-lock-monotonic", (f"lock time decreased at {dst}", [delivery]))
-                    if within_local and replay.lock > time:
-                        fails.setdefault("server-lock-vs-local", (f"lock time passed local time at {dst}", [delivery]))
+                    self._time(replay, src, msg["time"], time, delivery)
                 elif kind == "Suggest" and (t := tr.instance_key_from_payload(msg["instance"]))[0] != "label":
                     replay.spot(t)  # a Suggest on t spots t
             elif kind == "Message" and src in clients:
@@ -545,11 +558,10 @@ class _ServerInvariants:
 
     def finish(self, run: CheckPass) -> list[CheckReport]:
         replays, quiescent = self.replays.values(), run.cfg.quiescent
-        reports = [_verdict("server-lock-monotonic", self.fails.get("server-lock-monotonic"))]
         if not self.lock_within_local:
-            reports.append(_na("server-lock-vs-local", "needs all-correct Time senders and zero drift"))
+            reports = [_na("server-lock-vs-local", "needs all-correct Time senders and zero drift")]
         else:
-            reports.append(_verdict("server-lock-vs-local", self.fails.get("server-lock-vs-local")))
+            reports = [_verdict("server-lock-vs-local", self.vs_local)]
         if not quiescent:
             reports.append(_na("server-candidate-completeness", "run was cut before quiescence"))
         else:
@@ -653,6 +665,11 @@ class _Network:
 # ---------------------------------------------------------------- metrics and complexity
 
 
+def suggest_limit(n: int) -> int:
+    """The most Suggest sends correct servers make per instance: one Suggest each, to each of the n-1 others."""
+    return n * (n - 1)
+
+
 class Metrics:
     """A run's traffic, broadcast and instance counts (`summary`), and its suggest-complexity report."""
 
@@ -677,12 +694,12 @@ class Metrics:
             self.attempts.setdefault((src, msg["message"]), set()).add(msg["bet"])
 
     def finish(self, run: CheckPass) -> list[CheckReport]:
-        """Correct servers' Suggest traffic stays within n^2 sends per instance."""
-        limit = self.n * self.n
+        """Correct servers' Suggest traffic stays within `suggest_limit(n)` sends per instance."""
+        limit = suggest_limit(self.n)
         top = max(self.suggests.values(), default=0)
         over = next((key for key, count in self.suggests.items() if count > limit), None)
         if over is not None:
-            detail = f"{self.suggests[over]} Suggest sends from correct servers exceeds n^2={limit}"
+            detail = f"{self.suggests[over]} Suggest sends from correct servers exceeds n(n-1)={limit}"
             return [_fail("suggest-complexity", f"instance {_fmt_key(over)}: {detail}",
                           [tr.send_event(*self.last_suggest[over])])]
         return [_ok("suggest-complexity", f"max {top} Suggest sends per instance (limit {limit})")]

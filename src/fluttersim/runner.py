@@ -13,7 +13,7 @@ import os
 from . import trace as tr
 from .adversary import BEHAVIORS
 from .blink import BlinkNode, propose_token
-from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass
+from .checkers import FAIL, CheckerConfig, CheckPass, CheckReport, Metrics, check_pass, suggest_limit
 from .client import FlutterClient
 from .errors import BudgetExceededError, OracleViolationError, ProtocolBugError, ScenarioError
 from .scenario import ClientSpec, Scenario, ServerFault, require_a_client
@@ -192,7 +192,7 @@ def run_campaign(
     verdicts: dict[str, int] = {}
     fails: list[dict] = []
     per_behavior: dict[str, dict] = {}
-    limit = base.n * base.n
+    limit = suggest_limit(base.n)
     for row in rows:
         for verdict, count in row["verdicts"].items():
             verdicts[verdict] = verdicts.get(verdict, 0) + count

@@ -291,7 +291,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     n = _int(obj.get("n"), "scenario.n", minimum=1)
     if n > MAX_SERVERS:  # before any per-server structure is built
         raise ScenarioError(f"scenario.n must be <= {MAX_SERVERS}, got {n}")
-    f = _int(obj.get("f"), "scenario.f", minimum=0)
+    f = _int(obj.get("f"), "scenario.f", minimum=1)  # a lone server (f = 0) sends nothing: no trace shows its Time
     if n != 5 * f + 1:  # every quorum is a function of f: at n > 5f+1, 4f+1 suggestions no longer pin the majority
         raise ScenarioError(f"n={n} violates n = 5f+1 (f={f} needs n = {5 * f + 1})")
     delta = _int(obj.get("delta"), "scenario.delta", minimum=1)

@@ -8,22 +8,25 @@ tuples in bet order once the lock time (a 4f+1-supported lower bound
 on other servers' clocks) has passed the bet, so no earlier tuple can
 still win a consensus instance.
 
-A correct server relays a tuple only in its own Suggest: the one a
-client's Message makes it send, or the False vote its timer sends at the
-bet. It spots the tuple that a client Message or any Suggest on a tuple
-names, and sets one timer at the bet. It holds one consensus instance
-exactly for each tuple it has spotted, and reads a tuple's decision off
-that instance. A Suggest on a label names no tuple, so it is dropped.
+A server sends its Suggests and Times to every other server and takes
+its own copy in the step it sends them. A correct server relays a tuple
+only in its own Suggest: the one a client's Message makes it send, or
+the False vote its timer sends at the bet. It spots the tuple that a
+client Message or any Suggest on a tuple names, and sets one timer at
+the bet. It holds one consensus instance exactly for each tuple it has
+spotted, and reads a tuple's decision off that instance. A Suggest on a
+label names no tuple, so it is dropped.
 
 Why the lock is safe (n = 5f+1, k <= f Byzantine servers): a correct
 server votes True on t only on a Message it gets while its clock is
-below t.bet, and sends that Suggest in the same step, so on every FIFO
-link it precedes the voter's first Time(>= t.bet). A True decision
-needs at least 2f+1-k correct True voters, and a lock at t.bet needs
-Time(>= t.bet) from at least 4f+1-k correct servers. Together they
-outnumber the 5f+1-k correct servers, so some voter's True Suggest
-reached the lock holder before its Time did: the holder spotted t while
-t still cleared its lock. The README's protocol model gives the steps.
+below t.bet, and sends and counts that Suggest in the same step, so it
+precedes the voter's first Time(>= t.bet) on every FIFO link and at the
+voter itself. A True decision needs at least 2f+1-k correct True
+voters, and a lock at t.bet needs Time(>= t.bet) from at least 4f+1-k
+correct servers. Together they outnumber the 5f+1-k correct servers, so
+some voter's True Suggest reached the lock holder before its Time did:
+the holder spotted t while t still cleared its lock. The README's
+protocol model gives the steps.
 """
 
 from __future__ import annotations
@@ -110,6 +113,7 @@ class FlutterServer(BlinkNode):
         if now > self._announced:  # a repeat changes no receiver: FIFO delivered our last Time first
             self._announced = now
             ctx.broadcast(Time(now))
+            self._on_time(ctx, self.name, now)
 
     def _on_time(self, ctx, src: str, time: int) -> None:
         old, lock = self.remote_times[src], self._lock

@@ -2,7 +2,9 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 and a static clock offset per process (`add_process`), which its `Context`
-adds to global time and takes from a local-time timer. A send call (a
+adds to global time and takes from a local-time timer. No link leads
+from a process to itself: a broadcast goes to every other server, and a
+server takes its own copy in the step that sends it. A send call (a
 broadcast is one) renders its message once, draws its copies' delays in
 one `strategy.delays(src, dsts)` call, and reaches the sink once, and
 consecutive deliveries reach it as one run. Only `emit` (every other
@@ -75,14 +77,15 @@ class Scripted:
 class Context:
     """Per-process handle into the simulator, passed to every handler."""
 
-    __slots__ = ("sim", "name", "offset", "servers", "clients")
+    __slots__ = ("sim", "name", "offset", "servers", "clients", "peers")
 
-    def __init__(self, sim: "Simulator", name: str, offset: int):
+    def __init__(self, sim: "Simulator", name: str, offset: int, peers: list[str]):
         self.sim = sim
         self.name = name
         self.offset = offset  # its static clock offset: local time = global time + offset
         self.servers = sim.servers  # the simulator's own lists, which grow as processes are added
         self.clients = sim.clients
+        self.peers = peers  # every server but this process, in server order; it grows as servers are added
 
     def local_time(self) -> SimTime:
         return self.sim.now + self.offset
@@ -91,8 +94,8 @@ class Context:
         self.sim.send(self.name, (dst,), msg)
 
     def broadcast(self, msg: WireMessage) -> None:
-        """Send `msg` to every server, this one included, in server order."""
-        self.sim.send(self.name, self.servers, msg)
+        """Send `msg` to every server but this process, in server order; a server takes its own copy itself."""
+        self.sim.send(self.name, self.peers, msg)
 
     def schedule_local(self, fire_at_local: SimTime, token: str) -> None:
         self.sim.schedule_global(self.name, fire_at_local - self.offset, token)
@@ -132,7 +135,11 @@ class Simulator:
         if name in self.handlers:
             raise ConfigError(f"duplicate process {name}")
         self.handlers[name] = handler
-        self.contexts[name] = Context(self, name, offset)
+        if kind == "server":
+            for other in self.servers:
+                self.contexts[other].peers.append(name)
+        peers = self.servers.copy() if kind == "server" else self.servers  # a client's peers are all the servers
+        self.contexts[name] = Context(self, name, offset, peers)
         (self.servers if kind == "server" else self.clients).append(name)
 
     def _push(self, time: SimTime, kind: int, a, b, c=None, d=None) -> None:

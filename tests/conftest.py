@@ -12,6 +12,11 @@ from fluttersim import runner
 from fluttersim.runner import build_simulation
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+# The order in which the six servers of a good-case run reach a quorum within one tick. A server counts its own Suggest
+# or Time in the step it sends it, so it waits on 4f = 4 copies from the others. Those arrive at one tick in send
+# order, and each sender's copies reach the other servers in server order: s004 and s005 hold four once s003's copies
+# have arrived, and s000-s003 only once s004's have.
+QUORUM_ORDER = [f"s{i:03d}" for i in (4, 5, 0, 1, 2, 3)]
 
 
 def scenario_dict(**overrides: Any) -> dict[str, Any]:

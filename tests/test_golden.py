@@ -28,40 +28,40 @@ from conftest import SCENARIOS_DIR
 # scenario -> (trace digest, report digest)
 RUN_DIGESTS = {
     "blink_fast": (
-        "d0d8ce4960f17396bdbf6702971b3e5452dc27a199b269c5dd6d3c50f453dd05",
-        "669a5be47103d310136c0b28ea43e3b898c8cbc20497e5bdd83386731fa79b79",
+        "b39d1dc878fc1e67ae2e5445d553aff2a661941502d83b88c23972ec42e766fd",
+        "b3c12bb29152f87040499c6eb4085a668c054a7be885a40ee54803c09cdf262d",
     ),
     "blink_split": (
-        "cd13a35162b0087bea67f38e273b4798815fc95bc6d60fbac8a373467eed15ee",
-        "269090c8bdbfa1c6e21252053faeda0c4a0fe88dad03a992da16039bc3b25a13",
+        "167658cdc3df594a516cb11f034ed81eca010e837dcacba04da1b23e67b327b8",
+        "211351d6ae3855a46a8f81e49228d0d3246a167d876eb4d4f58404e79a1049fe",
     ),
     "campaign_base": (
-        "443111bb97fec41771a73327b55cd888eeb01852011e6316ee15a8aaf50d952d",
-        "3ce79330b3ddc56841e8674e76c8ec66598af220f4d1744b1d6d7e703bd43b66",
+        "06c28b8068f877121fd8dd6472d3cd7ef4ee062ad93b08110de99b52a56be826",
+        "d99d7fc76cab45bf40ec8daf42b1bc0ddcbb4a42a749508ad018d67a7c0c056c",
     ),
     "campaign_wide": (
-        "3f65c4f2cd4350fa90e8974e405907e13121a36ce34d8b59bf285f290dd2a59e",
-        "7949891b4b3ce861f5dff6aeaf32b80142cffdb02886777abe9d98b5b31ff824",
+        "b29fc25cf9fcca2f3dc9c1c5a8eb1ebc13a3075481bf5fa7cc55f7f5ab7c6363",
+        "dec3c2438b17079d54d30cafeb87f20c54855e1433942a74043518f9ba79a802",
     ),
     "equivocator": (
-        "74427eee7df2b7c805b3d8e36518bc9c0d75b277219805b1a19a4246d4342384",
-        "81a6ad51b225f01e339e2ff97759026ae0da1ba2cc12bc51110a136322d3e9ae",
+        "d6cf26e6be64ae1067372332ee0f034bafa3cef27049671bd0dc9fb91e28d391",
+        "cd9b9f5bc51840b5d593fa29a3e6241067997c770bc2a1dc2f1bfbca222fe696",
     ),
     "goodcase": (
-        "e8524b5fdbf184f0d880e7149c1a1424e375a47d23c49d20635e1930d2056961",
-        "699bcf364948d29ae568805f1faeddab61a20f375100fdcd91fb8be0a4e0cf1e",
+        "23b42f31d9b3ed0b612b981464042af0775e396123e3fe1f2825428aa66ba63a",
+        "b11ac9150f26981aa939675a97bbbc1fc195956b14c335e6783a6df0cdae391b",
     ),
     "partial_dissemination": (
-        "121a93f9dc1d1a004fb3e6032067ab09c606832ffa35558ccca80353dea2cbd3",
-        "5ab1f5fc461656db15e2f3801288c24242e4f40c5bee6fb4856673cebcab1b35",
+        "e8169620170e59621452dcd5100b227643fc4f4fad73a65b20f26bdc942398b1",
+        "e4866a1ea1907b4521f08de48c4d3abf29a726fb940eb8c8a9303738e93f7933",
     ),
     "retry": (
-        "f0222973b174d5b563d6cc6c56c1b61c6d050374ea2a6995e984db83d5056dba",
-        "9086da0b9f7f884f5bdfb97b736704053fab265bbf91d4b8beb6c914e704d162",
+        "1349bed3884545a34a108e8c00aa3d862d3d2c6c1d42f373a6e1a5c25b99f776",
+        "41fbc7936092ecf57af77a9a88605121f80c4db2f53d81f156af266c90132df9",
     ),
 }
 
-CAMPAIGN_DIGEST = "df201ff761c878a45d3b659710322b4af0e3043589a4543c4e1dbb0bd893fdaf"
+CAMPAIGN_DIGEST = "c52105a387369ce363f876496f3186f11a1e9166438f9125b1f44ee67cfd9a91"
 
 
 def sha256(data: bytes) -> str:
@@ -97,8 +97,8 @@ def test_campaign_summary_digest():
 # seed 101, so that nothing outside this file can move its input.
 # shape -> trace digest
 LARGE_RUN_DIGESTS = {
-    "n16-4x10": "e9c684066ffab2f685b6c1410c240da9cc50ef1e985b910b33d1647345c180a3",
-    "retry-storm": "cd00691ec836eaacfa2d92e9b3d90024d1a7e7ccbfbf0dbcc841925648e239f1",
+    "n16-4x10": "24f784d893af577d7547b191bb10cfe88a17eb001452de35f7bbd2d30ae82b9b",
+    "retry-storm": "7cb42cb45217808570c828e3818df4e7a31bc211d31a4a395df2522f94c5d4f0",
 }
 
 

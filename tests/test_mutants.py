@@ -32,8 +32,15 @@ or a golden digest does not count as a kill: only the check pass does.
   needs a fifth Time, which only s000 or s001 sends, and each one's
   True Suggest arrives first.
 
-Score: 3 killed. Open: `no-dedup` waits on a client that sends one
-message under two bets. `no-lock-check` (a tuple spotted at or below
+- `no-dedup`: `FlutterServer._order` app-delivers every tuple it
+  orders, without its `(client, message)` check. `dedup_run`, the
+  campaign variant of `campaign_base` with a test-local double
+  submitter, a faulty client that broadcasts one message at bets
+  local + 10 delta and local + 11 delta, Fails `tob-no-duplication`
+  and `server-order-matches-appdeliver`: both bets clear, both tuples
+  are decided True, and each correct server delivers the message twice.
+
+Score: 4 killed. Open: `no-lock-check` (a tuple spotted at or below
 the lock is queued too) can only delay a delivery: by the lock's proof
 in `server.py`'s docstring, a tuple spotted at or below a correct
 server's lock is never decided True, so the queue waits only until the
@@ -73,7 +80,7 @@ from fluttersim.checkers import FAIL
 from fluttersim.runner import campaign_variant, run_checked
 from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
-from fluttersim.types import BroadcastTuple, Suggest, Time
+from fluttersim.types import BroadcastTuple, Message, Suggest, Time
 from fluttersim.weakcon import POLICIES
 
 from conftest import SCENARIOS_DIR
@@ -120,6 +127,24 @@ class PartialVoter(Behavior):
                 ctx.send(server, Suggest(key, True))
 
 
+class DoubleSubmitter(Behavior):
+    """Faulty client: at start, broadcasts one message at bets local + 10 delta and local + 11 delta."""
+
+    role = "client"
+
+    def __init__(self, name: str, delta: int, params: dict):
+        super().__init__(name, delta, params)
+        self.delta = delta
+
+    def on_init(self, ctx) -> None:
+        for margin in (10, 11):
+            ctx.broadcast(Message("dd", ctx.local_time() + margin * self.delta))
+
+
+def dedup_run(policy: str):
+    return campaign_variant(load_scenario(SCENARIOS_DIR / "campaign_base.json"), "double_submitter", policy, 0)
+
+
 def lock_run(policy: str):
     # The links that take 1; every other link takes delta.
     servers, clients = [f"s{i:03d}" for i in range(6)], ["c000", "c001"]
@@ -148,6 +173,8 @@ MUTANTS = {
     "lock-4f": (FlutterServer, [("lock_time", {"- 1]": "- 2]"}),
                                 ("_on_time", {">= quorum_large(self.f)": ">= quorum_large(self.f) - 1"})],
                 lock_run, ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
+    "no-dedup": (FlutterServer, [("_order", {"if (t.client, t.message) not in self.delivered:": "if True:"})],
+                 dedup_run, ["server-order-matches-appdeliver", "tob-no-duplication"]),
 }
 
 
@@ -159,7 +186,9 @@ def fails(scenario) -> list[str]:
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed_by_a_checker_verdict(name, policy, monkeypatch):
     cls, methods, run, killed_by = MUTANTS[name]
-    monkeypatch.setitem(BEHAVIORS, "partial_voter", PartialVoter)  # for this test only: campaigns never run it
+    # For this test only: campaigns never run either.
+    monkeypatch.setitem(BEHAVIORS, "partial_voter", PartialVoter)
+    monkeypatch.setitem(BEHAVIORS, "double_submitter", DoubleSubmitter)
     assert fails(run(policy)) == []
     for method, edits in methods:
         monkeypatch.setattr(cls, method, mutant(cls, method, edits))

@@ -112,9 +112,9 @@ def correct_suggests(trace, cfg: CheckerConfig) -> list:
 
 
 def ref_complexity(trace, cfg: CheckerConfig) -> dict:
-    """suggest-complexity: no instance gets more than n^2 Suggest sends from correct servers."""
+    """suggest-complexity: no instance gets more than n(n-1) Suggest sends from correct servers."""
     suggests = correct_suggests(trace, cfg)
-    limit = cfg.n * cfg.n
+    limit = cfg.n * (cfg.n - 1)
     keys = []  # instance payloads, in order of their first Suggest
     for e in suggests:
         if e.payload["msg"]["instance"] not in keys:
@@ -123,7 +123,7 @@ def ref_complexity(trace, cfg: CheckerConfig) -> dict:
     for key, count in zip(keys, counts):
         if count > limit:
             last = [e for e in suggests if e.payload["msg"]["instance"] == key][-1]
-            detail = f"instance {fmt_instance(key)}: {count} Suggest sends from correct servers exceeds n^2={limit}"
+            detail = f"instance {fmt_instance(key)}: {count} Suggest sends from correct servers exceeds n(n-1)={limit}"
             return verdict("suggest-complexity", (detail, [last]))
     top = max(counts, default=0)
     return verdict("suggest-complexity", None, f"max {top} Suggest sends per instance (limit {limit})")

@@ -18,7 +18,7 @@ from fluttersim.scenario import load_scenario, parse_scenario
 from fluttersim.trace import APP_DELIVER, BROADCAST, DECIDE, SEND
 from fluttersim.types import BroadcastTuple, Suggest
 
-from conftest import SCENARIOS_DIR, scenario_dict
+from conftest import QUORUM_ORDER, SCENARIOS_DIR, scenario_dict
 from test_golden import CAMPAIGN_DIGEST, sha256
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
@@ -36,18 +36,19 @@ def test_goodcase_frozen_outcome():
     m = result.metrics
     # broadcast at t=0, delta=10, epsilon=1: bet 11, ordered once the
     # first wave of clock reports (t=10) has echoed back (t=20) and the
-    # decision landed; every server app-delivers at exactly 21
+    # decision landed; every server app-delivers at exactly 21, in QUORUM_ORDER.
+    # Each server sends its Suggest and its Time to the five others.
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
-    assert deliveries == [(21, s) for s in SERVERS]
+    assert deliveries == [(21, s) for s in QUORUM_ORDER]
     assert m["final_time"] == 30
-    assert m["events"] == 206
+    assert m["events"] == 182
     assert m["sends_by_kind"] == {
         "Decision": 6,
         "Message": 6,
-        "Suggest": 36,
-        "Time": 36,
+        "Suggest": 30,
+        "Time": 30,
     }
-    assert m["total_bits"] == 5472
+    assert m["total_bits"] == 4704
     assert m["consensus_instances"] == 1
     assert m["per_broadcast"] == [
         {
@@ -85,7 +86,7 @@ def test_retry_frozen_outcome():
     assert m["per_broadcast"][0]["attempts"] == 5
     assert m["per_broadcast"][0]["latency"] == 147
     deliveries = [(e.time, e.process) for e in result.trace if e.kind == APP_DELIVER]
-    assert deliveries == [(147, s) for s in SERVERS]
+    assert deliveries == [(147, s) for s in QUORUM_ORDER]
 
 
 def test_partial_dissemination_frozen_outcome():
@@ -106,7 +107,7 @@ def test_blink_fast_frozen_outcome():
     assert result.quiescent
     assert not result.failed
     decides = [(e.time, e.process, e.payload["value"]) for e in result.trace if e.kind == DECIDE]
-    assert decides == [(10, s, True) for s in SERVERS]
+    assert decides == [(10, s, True) for s in QUORUM_ORDER]
 
 
 def test_equivocator_frozen_outcome():
@@ -114,7 +115,7 @@ def test_equivocator_frozen_outcome():
     assert result.quiescent
     assert not result.failed
     decides = [(e.time, e.process, e.payload["value"]) for e in result.trace if e.kind == DECIDE]
-    assert decides == [(10, s, True) for s in CORRECT5]
+    assert decides == [(10, s, True) for s in QUORUM_ORDER if s in CORRECT5]
 
 
 def test_crashed_client_is_held_to_nothing_and_its_peer_still_delivers():

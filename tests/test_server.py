@@ -13,14 +13,16 @@ from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
 from fluttersim.runner import build_simulation, campaign_variant, run_checked
 from fluttersim.scenario import BroadcastScript, ClientSpec, Scenario, load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
-from fluttersim.trace import APP_DELIVER, DELIVER, SEND
+from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND
 from fluttersim.types import NEG_INF, BroadcastTuple, Message, Suggest, Time, quorum_large
 
 from conftest import SCENARIOS_DIR, simulate
+from test_checkers import late_spot_scenario
 from test_golden import LARGE_RUN_DIGESTS, _large_run
 from test_mutants import mutant
 
 SERVERS = [f"s{i:03d}" for i in range(6)]
+PEERS = SERVERS[1:]  # every server but FakeCtx's s000, which takes its own copy of a broadcast in the step it sends
 
 
 def lock_bruteforce(times, f):
@@ -59,7 +61,8 @@ class FakeCtx:
 
     def broadcast(self, msg):
         for server in self.servers:
-            self.send(server, msg)
+            if server != self.name:
+                self.send(server, msg)
 
     def schedule_local(self, at, token):
         self.timers.append((at, token))
@@ -149,13 +152,17 @@ def test_lock_kept_by_count_matches_the_sort(f, steps):
         src = names[sender % len(names)]
         time = next_time(srv.remote_times[src], srv._lock, how, by)
         srv._on_time(ctx, src, time)
-        invariants.deliver([(10**6 + i, "s000", {"src": src, "msg": {"kind": "Time", "time": time}})])
+        msg = {"kind": "Time", "time": time}
+        if src == "s000":  # its own Time: the replay takes it from the send call
+            invariants.sends(10**6 + i, src, names[1:], msg)
+        else:
+            invariants.deliver([(10**6 + i, "s000", {"src": src, "msg": msg})])
         assert srv._lock == srv.lock_time()
         assert srv._above == sum(v > srv._lock for v in srv.remote_times.values())
         assert replay.remote_times == srv.remote_times
         assert replay.lock == _lock_rank(replay.remote_times.values(), f) == srv._lock
         assert replay.above == srv._above
-    assert invariants.fails == {}
+    assert invariants.vs_local is None
 
 
 def test_spot_known_tuple_sets_no_second_timer():
@@ -176,7 +183,7 @@ def test_the_timer_votes_false_on_a_due_tuple_before_its_time():
     ctx.local = 11  # local clock reached the bet
     srv.on_timer(ctx, "due")
     assert srv.instances[t].self_proposed and srv._due == []
-    assert ctx.sent == [(s, Suggest(t, False)) for s in SERVERS] + [(s, Time(11)) for s in SERVERS]
+    assert ctx.sent == [(s, Suggest(t, False)) for s in PEERS] + [(s, Time(11)) for s in PEERS]
 
 
 def test_two_tuples_due_at_one_clock_both_vote_before_the_single_time():
@@ -189,7 +196,7 @@ def test_two_tuples_due_at_one_clock_both_vote_before_the_single_time():
     ctx.local = 11
     srv.on_timer(ctx, "due")
     srv.on_timer(ctx, "due")  # the second timer finds nothing due and no news
-    assert ctx.sent == [(s, Suggest(t, False)) for t in (a, b) for s in SERVERS] + [(s, Time(11)) for s in SERVERS]
+    assert ctx.sent == [(s, Suggest(t, False)) for t in (a, b) for s in PEERS] + [(s, Time(11)) for s in PEERS]
 
 
 def test_the_timer_skips_a_proposed_tuple_and_leaves_a_later_bet():
@@ -201,7 +208,7 @@ def test_the_timer_skips_a_proposed_tuple_and_leaves_a_later_bet():
     sent_before = len(ctx.sent)
     ctx.local = 11
     srv.on_timer(ctx, "due")
-    assert ctx.sent[sent_before:] == [(s, Time(11)) for s in SERVERS]
+    assert ctx.sent[sent_before:] == [(s, Time(11)) for s in PEERS]
     assert srv._due == [later] and not srv.instance(later).self_proposed
 
 
@@ -214,7 +221,7 @@ def test_a_late_spot_votes_false_at_its_clamped_timer():
     assert t not in srv._queue and t in srv.instances
     assert ctx.sent == [] and ctx.timers == [(15, "due")]  # past its bet: the simulator fires it at once
     srv.on_timer(ctx, "due")
-    assert ctx.sent == [(s, Suggest(t, False)) for s in SERVERS] + [(s, Time(20)) for s in SERVERS]
+    assert ctx.sent == [(s, Suggest(t, False)) for s in PEERS] + [(s, Time(20)) for s in PEERS]
 
 
 def test_message_in_time_proposes_true_late_proposes_false():
@@ -222,7 +229,7 @@ def test_message_in_time_proposes_true_late_proposes_false():
     for local, value in ((0, True), (11, False)):  # bet 11 > local 0; bet 11 == local 11 is not strictly ahead
         srv, ctx = make_server(), FakeCtx(local=local)
         srv._on_message(ctx, "c000", "6d", 11)
-        assert ctx.sent == [(s, Suggest(t, value)) for s in SERVERS]
+        assert ctx.sent == [(s, Suggest(t, value)) for s in PEERS]
 
 
 def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
@@ -230,7 +237,8 @@ def test_a_message_first_sight_relays_the_tuple_in_its_suggest_alone():
     ctx = FakeCtx(local=0)
     t = BroadcastTuple(11, "c000", "6d")
     srv.on_deliver(ctx, "c000", Message("6d", 11))
-    assert ctx.sent == [(s, Suggest(t, True)) for s in SERVERS]
+    assert ctx.sent == [(s, Suggest(t, True)) for s in PEERS]
+    assert srv.instances[t].suggestions == {"s000": True}  # its own vote, counted in the step it sends it
     assert t in srv.instances and srv._queue == [t]
     assert ctx.timers == [(11, "due")]
 
@@ -261,10 +269,11 @@ def test_a_beat_announces_only_a_clock_above_the_last_time():
     ctx = FakeCtx(local=11)
     srv.on_timer(ctx, "due")
     srv.on_timer(ctx, "due")  # a second beat at the same clock: a repeat, which no receiver would read
-    assert ctx.sent == [(s, Time(11)) for s in SERVERS]
+    assert ctx.sent == [(s, Time(11)) for s in PEERS]
     ctx.local = 12
     srv.on_timer(ctx, "due")
-    assert ctx.sent[6:] == [(s, Time(12)) for s in SERVERS]
+    assert ctx.sent[5:] == [(s, Time(12)) for s in PEERS]
+    assert srv.remote_times["s000"] == srv._announced == 12
 
 
 def without_repeated_times(trace):
@@ -357,7 +366,7 @@ class RelayOrder:
     """A simulator sink that follows each correct server's spots and sends.
 
     `unrelayed` holds, per server, the tuples it spotted while its local clock lay below the bet and has sent no
-    Suggest on yet. A correct server sends each Suggest and Time to every server in one call, so the order of its
+    Suggest on yet. A correct server sends each Suggest and Time to every other server in one call, so the order of its
     send calls is the order on each FIFO link, and a Time at or above such a bet overtakes the tuple's relay.
     `late_trues` holds each copy of a True vote on a tuple sent on a link after a Time at or above its bet.
     """
@@ -436,6 +445,115 @@ def test_each_correct_true_vote_precedes_its_senders_first_time_at_the_bet_on_ev
         assert order.late_trues == [], scenario.name
         copies += order.true_copies
     assert copies > 10_000
+
+
+class LateSpots:
+    """A simulator sink that replays each correct server's lock as the checker does (`_ServerInvariants`, one input
+    at a time), and notes each tuple a correct server first spots when its replayed lock is at or past the bet."""
+
+    def __init__(self, scenario):
+        self.invariants = _ServerInvariants(CheckerConfig.from_scenario(scenario, False))
+        self.clients, self.servers = frozenset(scenario.client_names), frozenset(scenario.servers)
+        self.spotted = {s: set() for s in scenario.correct_servers}
+        self.late: set[BroadcastTuple] = set()
+        self.decided: dict[BroadcastTuple, dict[str, bool]] = {}  # tuple -> correct server -> its decision
+
+    def sends(self, time, src, dsts, msg):
+        self.invariants.sends(time, src, dsts, msg)
+
+    def deliver(self, run):
+        for delivery in run:
+            _time, dst, delivered = delivery
+            if dst in self.spotted:
+                t = tuple_named(delivered["src"], delivered["msg"], self.clients, self.servers)
+                if t is not None and t not in self.spotted[dst]:
+                    self.spotted[dst].add(t)
+                    if self.invariants.replays[dst].lock >= t.bet:
+                        self.late.add(t)
+            self.invariants.deliver([delivery])
+
+    def event(self, ev):
+        self.invariants.event(ev)
+        if ev.kind == DECIDE and ev.process in self.spotted and "bet" in (named := ev.payload["instance"]):
+            t = BroadcastTuple(named["bet"], named["client"], named["message"])
+            self.decided.setdefault(t, {})[ev.process] = ev.payload["value"]
+
+
+def test_a_tuple_first_spotted_at_or_past_the_lock_is_decided_false_everywhere():
+    # The lock's proof (server.py's docstring) read the other way round: a tuple that some correct server spots only
+    # once its lock has reached the bet is never decided True, so every correct server decides it False. The 128
+    # runs spot no tuple late (the nearest spot lies 2 ticks above its lock), so a scripted run adds one.
+    late = 0
+    for scenario in [*true_vote_runs(), late_spot_scenario()]:
+        if scenario.kind != "flutter":
+            continue
+        sim = build_simulation(scenario)
+        sim.sink = spots = LateSpots(scenario)
+        assert sim.run(until=scenario.until), scenario.name
+        for t in spots.late:
+            assert spots.decided.get(t) == dict.fromkeys(scenario.correct_servers, False), (scenario.name, t)
+        late += len(spots.late)
+    assert late > 0
+
+
+def send_path_runs():
+    """Every bundled scenario, and both campaign bases x 6 behaviors (adversarial_value, seed 0)."""
+    for path in sorted(SCENARIOS_DIR.glob("*.json")):
+        yield load_scenario(path)
+    for base in ("campaign_base", "campaign_wide"):
+        for behavior in sorted(BEHAVIORS):
+            yield campaign_variant(load_scenario(SCENARIOS_DIR / f"{base}.json"), behavior, "adversarial_value", 0)
+
+
+class SelfSends:
+    """A simulator sink that counts the send calls of correct processes and keeps each one that names its sender."""
+
+    def __init__(self, correct):
+        self.correct = correct
+        self.calls = 0
+        self.to_self = []
+
+    def event(self, ev):
+        pass
+
+    def deliver(self, run):
+        pass
+
+    def sends(self, time, src, dsts, msg):
+        if src in self.correct:
+            self.calls += 1
+            if src in dsts:
+                self.to_self.append((time, src, msg))
+
+
+def takes_its_own_copies(server, handler, proposals: Counter):
+    """`handler`, checked after each call: `server` holds its own suggestion in each instance it proposed on, and a
+    FlutterServer's own Time entry is the last Time it announced."""
+
+    def checked(*args):
+        handler(*args)
+        for instance in server.instances.values():
+            if instance.self_proposed:
+                assert server.name in instance.suggestions, (server.name, instance.key)
+                proposals[server.name] += 1
+        if isinstance(server, FlutterServer):
+            assert server.remote_times[server.name] == server._announced
+
+    return checked
+
+
+@pytest.mark.parametrize("scenario", list(send_path_runs()), ids=lambda scenario: scenario.name)
+def test_a_correct_process_sends_nothing_to_itself_and_takes_its_own_copies_in_the_step(scenario):
+    sim = build_simulation(scenario)
+    sim.sink = sink = SelfSends(set(scenario.correct_servers) | set(scenario.correct_clients()))
+    proposals = Counter()
+    for name in scenario.correct_servers:
+        server = sim.handlers[name]
+        for hook in ("on_deliver", "on_timer", "on_dep_decide"):
+            setattr(server, hook, takes_its_own_copies(server, getattr(server, hook), proposals))
+    assert sim.run(until=scenario.until)
+    assert sink.calls > 0 and sink.to_self == []
+    assert proposals and set(proposals) <= set(scenario.correct_servers)
 
 
 def test_a_beat_before_the_due_votes_overtakes_a_relay(monkeypatch):

@@ -323,7 +323,7 @@ def test_seeded_delays_are_the_randint_stream(seed):
 
 
 class Fanout:
-    """Sends Time(t) to every server at each listed local time t, by broadcast or by a send loop."""
+    """Sends Time(t) to every other server at each listed local time t, by broadcast or by a send loop."""
 
     def __init__(self, times, loop):
         self.times = times
@@ -340,7 +340,8 @@ class Fanout:
         msg = Time(int(token))
         if self.loop:
             for server in ctx.servers:
-                ctx.send(server, msg)
+                if server != ctx.name:
+                    ctx.send(server, msg)
         else:
             ctx.broadcast(msg)
 
@@ -368,10 +369,27 @@ def test_broadcast_matches_a_send_loop(strategy):
     assert [(e.time, e.process, e.kind, e.payload) for e in broadcast] == [
         (e.time, e.process, e.kind, e.payload) for e in looped
     ]
-    assert {e.process for e in broadcast if e.kind == DELIVER} == {"s000", "s001", "s002"}  # servers only
+    assert {e.process for e in broadcast if e.kind == DELIVER} == {"s001", "s002"}  # the other servers only
     # One call renders the message once: its Sends share one dict.
     for t in (0, 1, 4):
         assert len({id(e.payload["msg"]) for e in broadcast if e.kind == SEND and e.time == t}) == 1
+
+
+def test_a_broadcast_reaches_every_server_but_its_sender():
+    # A server's peers grow with each server added after it; a client is no server, so it reaches all n.
+    sim = Simulator(ExactDelta(1))
+    for name in ("s000", "s001"):
+        sim.add_process(name, "server", Sink())
+    sim.add_process("c000", "client", Sink())
+    sim.add_process("s002", "server", Sink())
+    peers = {name: ctx.peers for name, ctx in sim.contexts.items()}
+    assert peers == {"s000": ["s001", "s002"], "s001": ["s000", "s002"], "s002": ["s000", "s001"],
+                     "c000": ["s000", "s001", "s002"]}
+    for name in ("s001", "c000"):
+        sim.contexts[name].broadcast(Time(0))
+    assert sim.run()
+    assert [(e.process, e.payload["dst"]) for e in sim.trace if e.kind == SEND] == [
+        ("s001", "s000"), ("s001", "s002"), ("c000", "s000"), ("c000", "s001"), ("c000", "s002")]
 
 
 def test_scripted_table_forces_fifo_repair_on_broadcast():
