@@ -18,11 +18,12 @@ from .types import InstanceKey, Suggest, instance_payload, quorum_large, quorum_
 class BlinkInstance:
     """Per-instance state machine; the host wires it to the network and dep."""
 
-    __slots__ = ("key", "f", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decision")
+    __slots__ = ("key", "f", "large", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decision")
 
     def __init__(self, key: InstanceKey, f: int, host):
         self.key = key
         self.f = f
+        self.large = quorum_large(f)  # the 4f+1 suggestions that decide, or that hand dep a majority
         self.host = host
         self.suggestions: dict[str, bool] = {}
         self.trues = 0  # True entries in `suggestions`
@@ -42,8 +43,7 @@ class BlinkInstance:
         # A sender's later suggestion replaces its earlier one, in the tally too.
         self.trues += value - (self.suggestions.get(sender) is True)
         self.suggestions[sender] = value
-        large = quorum_large(self.f)
-        count = len(self.suggestions)
+        large, count = self.large, len(self.suggestions)
         if count >= large and not self.dep_proposed:
             self.dep_proposed = True
             self.host.dep_propose(self.key, self._majority())

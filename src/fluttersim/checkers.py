@@ -521,17 +521,19 @@ class _ServerInvariants:
         self.vs_local: tuple[str, list] | None = None  # the first (detail, witness) of a lock past local time
         self.decided_true: dict[tuple, tr.TraceEvent] = {}
 
-    def _time(self, replay: _ServerReplay, src: str, time: int, now: int, witness: tuple) -> None:
-        replay.time(src, time, witness)
-        if self.lock_within_local and replay.lock > now and self.vs_local is None:
+    def _vs_local(self, replay: _ServerReplay, now: int, witness: tuple) -> None:
+        """Book `server-lock-vs-local`'s first failure: a lock that just passed local time, when it must not."""
+        if replay.lock > now and self.vs_local is None:
             self.vs_local = (f"lock time passed local time at {replay.name}", [witness])
 
     def sends(self, time: int, src: str, dsts, msg: dict) -> None:
         if msg["kind"] == "Time" and (replay := self.replays.get(src)) is not None:
-            self._time(replay, src, msg["time"], time, (time, src, dsts[0], msg))
+            replay.time(src, msg["time"], witness := (time, src, dsts[0], msg))
+            if self.lock_within_local:
+                self._vs_local(replay, time, witness)
 
     def deliver(self, run: list) -> None:
-        replays, clients = self.replays, self.clients
+        replays, clients, within_local = self.replays, self.clients, self.lock_within_local
         for delivery in run:
             time, dst, payload = delivery
             msg = payload["msg"]
@@ -541,7 +543,9 @@ class _ServerInvariants:
             src = payload["src"]
             if src in replay.remote_times:
                 if kind == "Time":
-                    self._time(replay, src, msg["time"], time, delivery)
+                    replay.time(src, msg["time"], delivery)
+                    if within_local:
+                        self._vs_local(replay, time, delivery)
                 elif kind == "Suggest" and (t := tr.instance_key_from_payload(msg["instance"]))[0] != "label":
                     replay.spot(t)  # a Suggest on t spots t
             elif kind == "Message" and src in clients:
@@ -726,7 +730,8 @@ class Metrics:
             "events": run.events,
             "sends_by_kind": dict(sorted(self.sends_by_kind.items())),
             "total_bits": self.total_bits,
-            "consensus_instances": sum(1 for entry in run.instances.values() if entry[tr.PROPOSE]),
+            "consensus_instances": len({tr.instance_key_from_payload(event.payload["instance"])
+                                        for event in run.kept[tr.PROPOSE] if event.process in self.correct}),
             "max_suggest_sends_per_instance": max(self.suggests.values(), default=0),
             "per_broadcast": per_broadcast,
         }

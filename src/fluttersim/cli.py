@@ -49,7 +49,8 @@ def _cmd_run(args) -> tuple[int, list[str]]:
     trace_path = _out_path(args.trace, f"{scenario.name}.trace.jsonl")
     report_path = _out_path(args.report, f"{scenario.name}.report.json")
     with open(trace_path, "w") as fh, open(report_path, "w") as report:
-        result = run_checked(scenario, TraceWriter(fh))
+        with TraceWriter(fh) as writer:  # writes its last block even when the run raises
+            result = run_checked(scenario, writer)
         _write_json(report, result.report_dict())
 
     lines = [f"scenario {scenario.name}: {'quiescent' if result.quiescent else 'cut'} "

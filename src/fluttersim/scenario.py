@@ -334,6 +334,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         src, _, dst = link.partition("->")
         if src not in known or dst not in known:
             raise ScenarioError(f"network.delays link {link!r} names an unknown process")
+        if src == dst and src not in server_faults:  # only a Byzantine server sends itself anything
+            raise ScenarioError(f"network.delays link {link!r}: {src} runs no server behavior, so sends itself nothing")
 
     dep = _object(obj.get("dep", {}), "scenario.dep", {"policy"})
     dep_policy = _choice(dep.get("policy", "first"), POLICIES, "scenario.dep.policy")

@@ -12,13 +12,15 @@ event, TimerFire and DepDecide too) and `send`, each of which hands the
 pending run first, and `run()`'s `finally` call the sink; `trace` has its
 three calls. Events wait in one list per tick, under a heap of those
 ticks, and run tick by tick in push order: one a handler schedules at the
-current tick runs later in it. Handlers take zero ticks. Quiescence = no
+current tick runs later in it. Each `run` call looks up every process's
+deliver hook and context once. Handlers take zero ticks. Quiescence = no
 pending event.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from heapq import heappop, heappush
 
 from .errors import BudgetExceededError, ConfigError
@@ -40,24 +42,42 @@ class ExactDelta:
         return [self.delta] * len(dsts)
 
 
+@cache
+def _byte_draws(delta: int) -> tuple[bytes, bytes]:
+    """For delta below 256: the `translate` table that maps a word's top byte to its delay, and the bytes it drops."""
+    bits = delta.bit_length()
+    run = 1 << (8 - bits)  # the top bytes that make one draw; the last draw, 2**bits - 1, is never below delta
+    return (b"".join(bytes((draw + 1,)) * run for draw in range((1 << bits) - 1)) + bytes(run),
+            bytes(range(delta * run, 256)))
+
+
 class SeededRandom:
-    """Uniform delays in [1, delta], drawn in send order from one stream."""
+    """Uniform delays in [1, delta] drawn in send order from one stream: `rng.randint(1, delta)`'s values.
+
+    randint keeps the top delta.bit_length() bits of a 32-bit word, drawing again while they reach delta. Below 256
+    they lie in the word's top byte, every fourth of a block of `_WORDS` words read little-endian, and one `translate`
+    maps each accepted draw to its delay and drops the rest. The rng is private, so drawing ahead changes no delay.
+    """
+
+    _WORDS = 256
 
     def __init__(self, delta: int, seed):
         self.delta = delta
         self.rng = random.Random(seed)
-        self._bits = delta.bit_length()
+        self._drawn, self._taken = b"", 0  # a block of delays, one per byte, and how many of them are taken
+        self._table = _byte_draws(delta) if delta < 256 else None  # from 256 on, each delay is drawn on its own
 
     def delays(self, src: str, dsts) -> list[int]:
-        # rng.randint(1, delta) inlined: the same rejection draw from the same stream, one per copy.
-        bits, delta, getrandbits = self._bits, self.delta, self.rng.getrandbits
-        out = []
-        for _ in dsts:
-            r = getrandbits(bits)
-            while r >= delta:
-                r = getrandbits(bits)
-            out.append(r + 1)
-        return out
+        if self._table is None:
+            return [self.rng.randint(1, self.delta) for _ in dsts]
+        drawn, start = self._drawn, self._taken
+        end = start + len(dsts)
+        while end > len(drawn):
+            words = self.rng.getrandbits(32 * self._WORDS).to_bytes(4 * self._WORDS, "little")
+            drawn = self._drawn = drawn[start:] + words[3::4].translate(*self._table)
+            start, end = 0, end - start
+        self._taken = end
+        return list(drawn[start:end])
 
 
 class Scripted:
@@ -209,6 +229,7 @@ class Simulator:
         """
         self.start()
         buckets, times, handlers, contexts = self._buckets, self._times, self.handlers, self.contexts
+        receivers = {name: (handler.on_deliver, contexts[name]) for name, handler in handlers.items()}
         run, budget, steps, emit, pend = self._run, self.step_budget, self._steps, self.emit, self._run.append
         try:
             while times:
@@ -223,7 +244,8 @@ class Simulator:
                         raise BudgetExceededError(f"no quiescence after {budget} events")
                     if kind == _DELIVER:
                         pend((time, b, d))
-                        handlers[b].on_deliver(contexts[b], a, c)
+                        on_deliver, ctx = receivers[b]
+                        on_deliver(ctx, a, c)
                     elif kind == _TIMER:
                         emit(a, TIMER_FIRE, {"token": b})
                         handlers[a].on_timer(contexts[a], b)

@@ -14,6 +14,8 @@ share one `msg` dict and their deliveries one payload dict, so treat
 payloads as read-only (copy an event before editing it). A `Trace` keeps
 the calls, and builds Send and Deliver events only when iterated;
 `write_trace` replays one, and writes any other iterable line by line.
+A `TraceWriter` writes its lines in blocks of BLOCK_LINES, the last on
+`close`: use it in a `with` block, so a run that raises keeps its lines.
 `read_trace` streams a saved trace back.
 """
 
@@ -118,52 +120,100 @@ class Trace:
                 yield call
 
 
+BLOCK_LINES = 512  # lines a writer collects per write: about 64 KiB, at the 125-140 characters of a typical line
+
+
 class TraceWriter:
-    """A sink that writes each event, delivery and send call's Send events to an open text file as `to_line` would."""
+    """A sink that writes each event, delivery and send call's Send events to an open text file as `to_line` would.
+
+    It collects lines in one block and writes the block in one call once it holds BLOCK_LINES lines, at the end of
+    `write`, and on `close`, which a `with` block calls on the way out, also when the run raised. `close` leaves
+    the file open for its owner, and a second `close` writes nothing.
+    """
 
     def __init__(self, fh):
         self.fh = fh
+        self.block: list[str] = []  # text not yet written: each line, but one string for a send call's Send lines
+        self.lines = 0  # lines in `block`
         # id(msg) -> [msg (held, so its id() stays unique), sender JSON + line tail, sender, copies in flight]
         self.msgs: dict[int, list] = {}
+        self.heads: dict[tuple[str, str], str] = {}  # (process, kind) -> its lines' text from process to payload
+        self.deliver_heads: dict[str, str] = {}  # process -> its Deliver lines' text from process to the src value
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Write the lines collected so far, if any."""
+        if self.block:
+            self.fh.write("".join(self.block))
+            self.block.clear()
+            self.lines = 0
+
+    def _head(self, process: str, kind: str) -> str:
+        head = self.heads[process, kind] = f',"process":{_quote(process)},"kind":{_quote(kind)},"payload":'
+        return head
 
     def sends(self, time: int, src: str, dsts, msg) -> None:
-        """One send call, with an int time and str names: a Send line per copy, in one write."""
+        """One send call, with an int time and str names: a Send line per copy, built by one join."""
         tail = f',"msg":{render(msg)}}}}}\n'
-        head = f'{{"time":{time},"process":{_quote(src)},"kind":"Send","payload":{{"dst":'
-        self.fh.write(head + (tail + head).join(map(_quote, dsts)) + tail)
+        head = f'{{"time":{time}{self.heads.get((src, SEND)) or self._head(src, SEND)}{{"dst":'
+        self.block.append(head + (tail + head).join(map(_quote, dsts)) + tail)
         self.msgs.setdefault(id(msg), [msg, _quote(src) + tail, src, 0])[3] += len(dsts)
+        self.lines += len(dsts)
+        if self.lines >= BLOCK_LINES:
+            self.close()
 
     def deliver(self, run: list) -> None:
         """A run of deliveries (int time, str names, payload exactly {"src", "msg"}), each line ending as its Sends'."""
-        msgs, lines = self.msgs, []
+        msgs, heads, append = self.msgs, self.deliver_heads, self.block.append
         for time, dst, payload in run:
             entry = msgs.get(id(msg := payload["msg"]))
             if entry is None or entry[2] != payload["src"]:  # no Send of it written here (say, a hand-built `Trace`)
                 msgs.clear()
-                lines.append(deliver_event((time, dst, payload)).to_line() + "\n")
+                append(deliver_event((time, dst, payload)).to_line() + "\n")
                 continue
             entry[3] -= 1
             if not entry[3]:
                 del msgs[id(msg)]
-            lines.append(f'{{"time":{time},"process":{_quote(dst)},"kind":"Deliver","payload":{{"src":{entry[1]}')
-        self.fh.write("".join(lines))
+            try:
+                head = heads[dst]
+            except KeyError:
+                head = heads[dst] = self._head(dst, DELIVER) + '{"src":'
+            append(f'{{"time":{time}{head}{entry[1]}')
+        self.lines += len(run)
+        if self.lines >= BLOCK_LINES:
+            self.close()
 
     def event(self, ev: TraceEvent) -> None:
         """Any one event, as its `to_line`: the simulator hands every event that is no Send or Deliver here."""
-        self.fh.write(ev.to_line() + "\n")
+        time, process, kind = ev.time, ev.process, ev.kind
+        if type(time) is int and type(process) is str and type(kind) is str:
+            head = self.heads.get((process, kind)) or self._head(process, kind)
+            self.block.append(f'{{"time":{time}{head}{render(ev.payload)}}}\n')
+        else:
+            self.block.append(ev.to_line() + "\n")
+        self.lines += 1
+        if self.lines >= BLOCK_LINES:
+            self.close()
 
     def write(self, events) -> None:
-        """Replay a `Trace`'s calls, or write each event of any other iterable as its own line."""
+        """Replay a `Trace`'s calls, or write each event of any other iterable as its own line; then `close`."""
         if isinstance(events, Trace):
-            return events.replay(self)
-        for ev in events:
-            self.event(ev)
+            events.replay(self)
+        else:
+            for ev in events:
+                self.event(ev)
+        self.close()
 
 
 def write_trace(path, events) -> None:
     """Write `events` as JSONL: a `Trace` by replaying its calls, any other iterable line by line."""
-    with open(path, "w") as fh:
-        TraceWriter(fh).write(events)
+    with open(path, "w") as fh, TraceWriter(fh) as writer:
+        writer.write(events)
 
 
 def read_trace(path):

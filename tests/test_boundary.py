@@ -36,6 +36,20 @@ bundled one with `Scenario.replace`.
   no checker sees what the skew does to latency. Pinned: all 60
   `campaign_base` runs, and seed 0 of `campaign_wide` under
   `adversarial_timing`.
+- FIFO links. The lock's proof (`server.py`'s docstring) needs each True
+  voter's Suggest to precede its Time(>= bet) on every link. `lock_run`
+  from `tests/test_mutants.py` (n=6, f=1; s005 a partial voter that lies
+  once that its clock is 1000 ahead and votes True only to s000 and
+  s001), with its four copies from s000 to s002 scripted 10, 10, 1, 1,
+  under a `Simulator.send` that skips FIFO repair on that one link: s000's
+  Time(3), sent at t=3, reaches s002 at t=4, ahead of its True Suggest on
+  `aa` (sent at t=1, at s002 at t=11). So s002's lock reaches 4 at t=5,
+  on the Times of s000, s002-s004 and the lie, before it spots `aa`,
+  which is decided True and which s002 never delivers. Under every dep
+  policy it Fails `net-fifo`, `server-candidate-completeness`,
+  `server-order-agreement`, `tob-total-order` and `tob-validity`.
+  Control: the same script with FIFO repair holds both Times until t=12,
+  behind the Suggests, and Fails nothing.
 """
 
 from __future__ import annotations
@@ -46,11 +60,14 @@ import pytest
 
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import FAIL, NA, PASS
-from fluttersim.runner import campaign_variant, run_checked
+from fluttersim.runner import campaign_variant, run_checked, run_scenario
 from fluttersim.weakcon import POLICIES
 from fluttersim.scenario import BlinkScriptEntry, NetworkConfig, ServerFault, load_scenario
+from fluttersim.simnet import Simulator
+from fluttersim.trace import DELIVER
 
 from conftest import SCENARIOS_DIR
+from test_mutants import PartialVoter, lock_run, mutant
 
 SPLIT = ServerFault("equivocator", {"mode": "split", "instances": ["i0"], "react": False})
 SEEDS = range(22)
@@ -156,3 +173,32 @@ def test_clock_offsets_past_drift_fail_nothing(base, policies, seeds):
                 assert {r.prop for r in run.reports if r.verdict == NA} == {
                     "latency-tob", "latency-blink", "server-lock-vs-local"
                 }, variant.name
+
+
+def overtaking_run(policy):
+    """`lock_run`, with s000's Suggests to s002 taking delta and its Times 1."""
+    scenario = lock_run(policy)
+    return scenario.replace(network=scenario.network.replace(delays={**scenario.network.delays,
+                                                                      "s000->s002": [10, 10, 1, 1]}))
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_a_time_that_overtakes_a_true_vote_breaks_the_lock(policy, monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "partial_voter", PartialVoter)  # for this test only, as in test_mutants
+    control = run_checked(overtaking_run(policy))
+    assert control.quiescent and not control.failed
+    repair = "if when < (last := links.get(dst, 0))"
+    unrepaired = f"{repair} and (src, dst) != ('s000', 's002')"  # FIFO repair on every link but s000->s002
+    monkeypatch.setattr(Simulator, "send", mutant(Simulator, "send", {repair: unrepaired}))
+    run = run_scenario(overtaking_run(policy))
+    assert run.quiescent
+    overtaken = [(e.time, e.payload["msg"]["kind"]) for e in run.trace
+                 if e.kind == DELIVER and e.process == "s002" and e.payload["src"] == "s000"]
+    assert overtaken == [(4, "Time"), (5, "Time"), (11, "Suggest"), (12, "Suggest")]
+    assert [(r.prop, r.detail) for r in run.failed] == [
+        ("tob-total-order", "correct servers' delivery sequences diverge"),
+        ("tob-validity", "broadcast (c000, 0xaa) not delivered by ['s002']"),
+        ("server-candidate-completeness", "tuple decided True is no candidate at s002"),
+        ("server-order-agreement", "servers processed accepted tuples in different orders"),
+        ("net-fifo", "deliveries out of send order"),
+    ]

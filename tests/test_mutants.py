@@ -146,11 +146,11 @@ def dedup_run(policy: str):
 
 
 def lock_run(policy: str):
-    # The links that take 1; every other link takes delta.
+    # The links that take 1; every other link takes delta. No process here sends itself anything.
     servers, clients = [f"s{i:03d}" for i in range(6)], ["c000", "c001"]
     fast = [("c000", dst) for dst in servers[:2]] + [("c001", dst) for dst in servers]
-    fast += [(src, dst) for src in servers[2:] for dst in servers + clients]
-    fast += [(src, dst) for src in servers[:2] for dst in (servers[0], servers[1], servers[5])]
+    fast += [(src, dst) for src in servers[2:] for dst in servers + clients if dst != src]
+    fast += [(src, dst) for src in servers[:2] for dst in (servers[0], servers[1], servers[5]) if dst != src]
     return parse_scenario({
         "name": "lock_4f", "kind": "flutter", "n": 6, "f": 1, "delta": 10, "drift": 0, "epsilon": 1,
         "dep": {"policy": policy},

@@ -100,6 +100,25 @@ def test_scripted_delay_endpoints_must_exist():
     )
 
 
+def test_a_scripted_self_link_needs_a_server_behavior(tmp_path, write_scenario):
+    # A correct process takes its own copies itself, and a client of any kind sends only to servers, so their
+    # self-links carry no send; a Byzantine server may send itself a message (the equivocator does).
+    def scripted(link, **overrides):
+        return scenario_dict(network={"strategy": "scripted", "delays": {link: [1]}}, **overrides)
+
+    for process in ("s000", "c000"):
+        reject(scripted(f"{process}->{process}"),
+               rf"^network.delays link '{process}->{process}': {process} runs no server behavior, so sends itself "
+               r"nothing$")
+    disseminator = {"name": "c900", "behavior": "partial_disseminator"}
+    reject(scripted("c900->c900", clients=[*scenario_dict()["clients"], disseminator]), "c900 runs no server behavior")
+    byzantine = scripted("s005->s005", servers={"s005": {"behavior": "equivocator"}})
+    assert parse_scenario(byzantine).network.delays == {"s005->s005": [1]}
+    path = write_scenario(scripted("s001->s001"))
+    assert cli.main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--report", str(tmp_path / "r.json")]) == cli.EXIT_SCENARIO
+
+
 @pytest.mark.parametrize("delays", [[0], [11], [10, 1, 0], [1] * 40 + [11]])
 def test_scripted_delays_must_lie_in_one_to_delta(delays):
     # the last case is out of range only past the sends s000->s001 ever makes

@@ -313,13 +313,22 @@ def test_timer_fire_traced():
 
 @pytest.mark.parametrize("seed", [0, 104729, "fluttersim"])
 def test_seeded_delays_are_the_randint_stream(seed):
-    # SeededRandom inlines randint(1, delta): every golden digest rests on the two streams agreeing.
+    # SeededRandom draws randint(1, delta)'s values, a block at a time below delta 256 and one by one from 256 on:
+    # every golden digest rests on the two streams agreeing.
     for chunk in (1, 6, 16):  # one send call's copies draw in one `delays` call
         calls = -(-100 // chunk)
-        for delta in range(1, 71):
+        for delta in [*range(1, 71), 127, 128, 255, 256, 1000]:
             strategy, reference = SeededRandom(delta, seed), random.Random(seed)
             drawn = [d for _ in range(calls) for d in strategy.delays("a", ["b"] * chunk)]
             assert drawn == [reference.randint(1, delta) for _ in range(calls * chunk)]
+    # 100-copy calls until one takes the end of a block and the start of the next, then a call longer than a block.
+    for delta in (1, 10, 255):
+        strategy, reference = SeededRandom(delta, seed), random.Random(seed)
+        spans = False
+        while not spans:
+            spans = 0 < len(strategy._drawn) - strategy._taken < 100
+            assert strategy.delays("a", ["b"] * 100) == [reference.randint(1, delta) for _ in range(100)]
+        assert strategy.delays("a", ["b"] * 1000) == [reference.randint(1, delta) for _ in range(1000)]
 
 
 class Fanout:

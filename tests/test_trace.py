@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, CheckPass, run_all_checks
 from fluttersim import cli
+from fluttersim.errors import BudgetExceededError
 from fluttersim.runner import build_simulation, campaign_variant, run_checked, run_scenario
 from fluttersim.scenario import _HEX_RE, _LABEL_RE, _NAME_RE, load_scenario
-from fluttersim.trace import (DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter, instance_key_from_payload,
-                              read_trace, render, write_trace)
+from fluttersim.trace import (BLOCK_LINES, DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter,
+                              instance_key_from_payload, read_trace, render, write_trace)
 from fluttersim.types import BroadcastTuple, instance_payload
 
 from conftest import SCENARIOS_DIR, simulate
@@ -181,8 +182,8 @@ def test_writer_holds_only_messages_in_flight(tmp_path):
         out = tmp_path / "again.jsonl"
 
         def spied(feed):
-            with open(out, "w") as fh:
-                spy = HeldSpy(TraceWriter(fh))
+            with open(out, "w") as fh, TraceWriter(fh) as writer:
+                spy = HeldSpy(writer)
                 feed(spy)
             spy.done()
             assert out.read_bytes() == expected
@@ -211,10 +212,55 @@ def test_a_delivery_the_writer_saw_no_send_of_renders_whole():
                    (3, "s002", {"src": "s009", "msg": msg}),  # a message s000 sent, from another src
                    (4, "s003", {"src": "s000", "msg": msg})])
     trace.deliver([(5, "s004", {"src": "s000", "msg": other})])  # a message no Send holds
-    writer = TraceWriter(io.StringIO())
-    writer.write(trace)
+    with TraceWriter(io.StringIO()) as writer:
+        writer.write(trace)
     assert writer.fh.getvalue().encode() == lines_of(trace) == "".join(e.to_line() + "\n" for e in trace).encode()
     assert writer.msgs == {}
+
+
+class Writes(io.StringIO):
+    """A text file that keeps the line count of each `write` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_the_writer_writes_a_block_per_block_lines_and_the_rest_on_close():
+    # A block ends on the call that fills it, so it holds at least BLOCK_LINES lines and less than one call more.
+    trace = kept_trace("campaign_wide")
+    whole = lines_of(trace).decode()
+    largest = max(len(call) if type(call) is list else len(call[2]) if type(call) is tuple else 1
+                  for call in trace.calls)
+    with TraceWriter(Writes()) as writer:
+        trace.replay(writer)  # the live run's calls, as `fluttersim run` streams them
+        blocks = writer.fh.writes[:]
+        assert len(blocks) > 1 and all(BLOCK_LINES <= lines < BLOCK_LINES + largest for lines in blocks)
+        assert whole.startswith(writer.fh.getvalue())
+    assert writer.fh.getvalue() == whole and writer.fh.writes == blocks + [len(trace) - sum(blocks)]
+    writer.close()  # a second close finds nothing left to write
+    writer.write([])
+    assert writer.fh.getvalue() == whole and len(writer.fh.writes) == len(blocks) + 1
+
+
+@pytest.mark.parametrize("budget", [100, BLOCK_LINES + 100, 3 * BLOCK_LINES])
+def test_a_run_past_its_step_budget_leaves_its_trace_up_to_the_raise(tmp_path, write_scenario, budget):
+    # The writer is closed on the way out of the raise, so the lines of its last, partial block reach the file too.
+    doc = json.loads((SCENARIOS_DIR / "campaign_wide.json").read_text())
+    doc["step_budget"] = budget
+    path = write_scenario(doc)
+    assert cli.main(["run", str(path), "--trace", str(tmp_path / "cut.jsonl"),
+                     "--report", str(tmp_path / "report.json")]) == cli.EXIT_BUDGET
+    scenario = load_scenario(path)
+    sim = build_simulation(scenario)
+    with pytest.raises(BudgetExceededError):
+        sim.run(until=scenario.until)
+    assert (tmp_path / "cut.jsonl").read_bytes() == lines_of(sim.trace) == written(tmp_path, sim.trace)
+    assert len(sim.trace) > budget and len(sim.trace) % BLOCK_LINES
 
 
 @pytest.mark.parametrize("name", BUNDLED)
