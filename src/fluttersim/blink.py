@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import trace as tr
 from .errors import ProtocolBugError
-from .types import InstanceKey, Suggest, instance_payload, quorum_large, quorum_majority
+from .types import InstanceKey, Suggest, quorum_large, quorum_majority
 
 
 class BlinkInstance:
@@ -35,7 +35,7 @@ class BlinkInstance:
         if self.self_proposed:
             raise ProtocolBugError(f"{ctx.name} proposed twice to instance {self.key!r}")
         self.self_proposed = True
-        ctx.emit(tr.PROPOSE, {"instance": instance_payload(self.key), "value": value})
+        ctx.emit(tr.PROPOSE, ctx.fact(self.key, value))
         ctx.broadcast(Suggest(self.key, value))
         self.on_suggest(ctx, ctx.name, value)  # its own copy, taken in the step that sends the others
 
@@ -67,7 +67,7 @@ class BlinkInstance:
 
     def _decide(self, ctx, value: bool) -> None:
         self.decision = value
-        ctx.emit(tr.DECIDE, {"instance": instance_payload(self.key), "value": value})
+        ctx.emit(tr.DECIDE, ctx.fact(self.key, value))
         self.host.on_decided(ctx, self.key, value)
 
 

@@ -39,12 +39,7 @@ class CheckReport(Record):
         self.witness = witness  # Fail reports only; the others share one empty tuple
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.prop,
-            "verdict": self.verdict,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
+        return {"property": self.prop, "verdict": self.verdict, "detail": self.detail, "witness": self.witness}
 
 
 def _built(event: tr.TraceEvent | tuple) -> tr.TraceEvent:
@@ -56,12 +51,7 @@ def _built(event: tr.TraceEvent | tuple) -> tr.TraceEvent:
 
 def _ev(event: tr.TraceEvent | tuple) -> dict:
     event = _built(event)
-    return {
-        "time": event.time,
-        "process": event.process,
-        "kind": event.kind,
-        "payload": event.payload,
-    }
+    return {"time": event.time, "process": event.process, "kind": event.kind, "payload": event.payload}
 
 
 def _ok(prop: str, detail: str = "") -> CheckReport:
@@ -469,6 +459,7 @@ class _ServerReplay:
     def __init__(self, name: str, servers: list[str], f: int):
         self.name = name
         self.f = f
+        self.large = quorum_large(f)  # the 4f+1 entries above the lock that raise it
         self.remote_times: dict[str, int | float] = dict.fromkeys(servers, NEG_INF)
         self.lock = NEG_INF  # _lock_rank of remote_times; it cannot move until 4f+1 entries lie above it
         self.above = 0  # entries strictly above the lock; fewer than 4f+1 between Times
@@ -485,7 +476,7 @@ class _ServerReplay:
         self.remote_times[src] = time
         if old <= lock < time:
             self.above += 1
-            if self.above >= quorum_large(self.f):
+            if self.above >= self.large:
                 new = self.lock = _lock_rank(self.remote_times.values(), self.f)  # a rise: 4f+1 entries lie above
                 self.above = sum(v > new for v in self.remote_times.values())
                 self.drain(event)

@@ -42,7 +42,6 @@ from .types import (
     Message,
     Suggest,
     Time,
-    instance_payload,
     quorum_large,
 )
 
@@ -60,6 +59,7 @@ class FlutterServer(BlinkNode):
         self._announced: int | float = NEG_INF  # the last Time broadcast; a beat at no later clock is no news
         self._due: list[BroadcastTuple] = []  # heap of spotted tuples the timer has not yet passed
         self._client_set: frozenset[str] = frozenset()
+        self.large = quorum_large(f)  # the 4f+1 entries above the lock that raise it
 
     def on_init(self, ctx) -> None:
         super().on_init(ctx)
@@ -68,7 +68,7 @@ class FlutterServer(BlinkNode):
 
     def lock_time(self) -> int | float:
         ranked = sorted(self.remote_times.values(), reverse=True)
-        return ranked[quorum_large(self.f) - 1]
+        return ranked[self.large - 1]
 
     def on_deliver(self, ctx, src: str, msg) -> None:
         # Dispatch on the exact class, most frequent first; a sender of the wrong role is dropped, and so is a Suggest
@@ -121,7 +121,7 @@ class FlutterServer(BlinkNode):
             self.remote_times[src] = time
             if old <= lock < time:
                 self._above += 1
-                if self._above >= quorum_large(self.f):
+                if self._above >= self.large:
                     self._lock = lock = self.lock_time()
                     self._above = sum(v > lock for v in self.remote_times.values())
                     self._process_next(ctx)
@@ -145,4 +145,4 @@ class FlutterServer(BlinkNode):
     def _order(self, ctx, t: BroadcastTuple) -> None:
         if (t.client, t.message) not in self.delivered:
             self.delivered.add((t.client, t.message))
-            ctx.emit(tr.APP_DELIVER, instance_payload(t))
+            ctx.emit(tr.APP_DELIVER, ctx.fact(t))

@@ -2,19 +2,19 @@
 
 Reliable authenticated FIFO links with per-message delays in [1, delta],
 and a static clock offset per process (`add_process`), which its `Context`
-adds to global time and takes from a local-time timer. No link leads
-from a process to itself: a broadcast goes to every other server, and a
-server takes its own copy in the step that sends it. A send call (a
-broadcast is one) renders its message once, draws its copies' delays in
-one `strategy.delays(src, dsts)` call, and reaches the sink once, and
-consecutive deliveries reach it as one run. Only `emit` (every other
-event, TimerFire and DepDecide too) and `send`, each of which hands the
-pending run first, and `run()`'s `finally` call the sink; `trace` has its
-three calls. Events wait in one list per tick, under a heap of those
-ticks, and run tick by tick in push order: one a handler schedules at the
-current tick runs later in it. Each `run` call looks up every process's
-deliver hook and context once. Handlers take zero ticks. Quiescence = no
-pending event.
+adds to global time and takes from a local-time timer. No link leads from
+a process to itself: a broadcast goes to every other server, and a server
+takes its own copy in the step that sends it. A send call (a broadcast is
+one) draws its copies' delays in one `strategy.delays(src, dsts)` call,
+gives them one Deliver payload, and reaches the sink once; consecutive
+deliveries reach it as one run. Intern tables keep one dict per run for
+each distinct message (keyed by its class and field types too), timer
+token, and `fact`. Only `emit` (every other event) and `send`, each
+handing the pending run first, and `run()`'s `finally` call the sink.
+Events wait in one list per tick, under a heap of those ticks, and run
+tick by tick in push order: one a handler schedules at the current tick
+runs later in it. Each `run` call looks up every process's deliver hook
+and context once. Handlers take zero ticks. Quiescence = no pending event.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Scripted:
 class Context:
     """Per-process handle into the simulator, passed to every handler."""
 
-    __slots__ = ("sim", "name", "offset", "servers", "clients", "peers")
+    __slots__ = ("sim", "name", "offset", "servers", "clients", "peers", "fact")
 
     def __init__(self, sim: "Simulator", name: str, offset: int, peers: list[str]):
         self.sim = sim
@@ -106,6 +106,7 @@ class Context:
         self.servers = sim.servers  # the simulator's own lists, which grow as processes are added
         self.clients = sim.clients
         self.peers = peers  # every server but this process, in server order; it grows as servers are added
+        self.fact = sim.fact  # the run's one payload of an instance fact, so handlers build no dicts
 
     def local_time(self) -> SimTime:
         return self.sim.now + self.offset
@@ -148,6 +149,9 @@ class Simulator:
         self._times: list[SimTime] = []  # heap of the times in _buckets
         self._links: dict[str, dict[str, SimTime]] = {}  # src -> dst -> the link's last delivery time
         self._run: list = []  # deliveries (time, dst, payload) not yet handed to the sink, in order
+        self._wires: dict[tuple, dict] = {}  # (class, message, its field types) -> the run's one wire dict of it
+        self._facts: dict[tuple, dict] = {}  # (instance key, a bool value or None) -> the run's one payload of it
+        self._tokens: dict[str, dict] = {}  # timer token -> the run's one TimerFire payload of it
         self._started = False
         self._steps = 0
 
@@ -177,12 +181,20 @@ class Simulator:
             run.clear()
         self.sink.event(TraceEvent(self.now, process, kind, payload))
 
+    def fact(self, key, value=None) -> dict:
+        """The run's one `instance_payload(key)`, or with a bool `value` its one {"instance": that, "value": value}."""
+        return self._facts.get((key, value)) or self._facts.setdefault(
+            (key, value), instance_payload(key) if value is None else {"instance": self.fact(key), "value": value})
+
     def send(self, src: str, dsts: list[str] | tuple[str, ...], msg: WireMessage) -> None:
-        """Send `msg`, rendered once, from `src` to each of `dsts` in order (all checked first), as one sink call."""
+        """Send `msg` from `src` to each of `dsts` in order (all checked first), as one sink call."""
         handlers = self.handlers
         if not all(map(handlers.__contains__, dsts)):
             raise ConfigError(f"send to unknown process {next(d for d in dsts if d not in handlers)}")
-        wire = wire_payload(msg)
+        # Equal named tuples may differ in class or field types (Suggest("ab", True) == Message("ab", 1)), so the key
+        # holds both. A wire message has one to three fields, each its first, middle or last: indexing beats `map`.
+        key = (type(msg), msg, type(msg[0]), type(msg[len(msg) // 2]), type(msg[-1]))
+        wire = self._wires.get(key) or self._wires.setdefault(key, wire_payload(msg))
         delivered = {"src": src, "msg": wire}
         links = self._links.setdefault(src, {})
         now, buckets = self.now, self._buckets
@@ -247,10 +259,10 @@ class Simulator:
                         on_deliver, ctx = receivers[b]
                         on_deliver(ctx, a, c)
                     elif kind == _TIMER:
-                        emit(a, TIMER_FIRE, {"token": b})
+                        emit(a, TIMER_FIRE, self._tokens.get(b) or self._tokens.setdefault(b, {"token": b}))
                         handlers[a].on_timer(contexts[a], b)
                     else:  # _DEP: decide indication from the weak-consensus oracle
-                        emit(a, DEP_DECIDE, {"instance": instance_payload(b), "value": c})
+                        emit(a, DEP_DECIDE, self.fact(b, c))
                         handlers[a].on_dep_decide(contexts[a], b, c)
                 del buckets[time]
             return True

@@ -9,14 +9,14 @@ A run reaches its sink (a `Trace`, the check pass and its observers, a
 and `run()`'s `finally`: `sends(time, src, dsts, msg)` once per send call,
 `deliver(run)` once per run of consecutive deliveries, a non-empty list of
 (time, dst, payload), and `event(ev)` for every other event. A sink reads
-a run only during the call: the simulator reuses its list. A call's copies
-share one `msg` dict and their deliveries one payload dict, so treat
-payloads as read-only (copy an event before editing it). A `Trace` keeps
-the calls, and builds Send and Deliver events only when iterated;
-`write_trace` replays one, and writes any other iterable line by line.
-A `TraceWriter` writes its lines in blocks of BLOCK_LINES, the last on
-`close`: use it in a `with` block, so a run that raises keeps its lines.
-`read_trace` streams a saved trace back.
+a run only during the call: the simulator reuses its list. A run holds one
+dict per distinct message, send call's Deliver payload, instance,
+(instance, value) and timer token, so treat payloads as read-only (copy an
+event before editing it). A `Trace` keeps the calls, and builds Send and
+Deliver events only when iterated. A `TraceWriter` renders a dict once
+while its cache, keyed by id() and at most BLOCK_LINES long, holds it, and
+writes lines in blocks of BLOCK_LINES, the last on `close`: use it in a
+`with` block, so a run that raises keeps its lines.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ class TraceWriter:
         self.fh = fh
         self.block: list[str] = []  # text not yet written: each line, but one string for a send call's Send lines
         self.lines = 0  # lines in `block`
-        # id(msg) -> [msg (held, so its id() stays unique), sender JSON + line tail, sender, copies in flight]
-        self.msgs: dict[int, list] = {}
+        self.texts: dict[int, tuple[dict, str]] = {}  # id(payload) -> (payload, held so its id() stays unique, JSON)
         self.heads: dict[tuple[str, str], str] = {}  # (process, kind) -> its lines' text from process to payload
         self.deliver_heads: dict[str, str] = {}  # process -> its Deliver lines' text from process to the src value
 
@@ -157,33 +156,33 @@ class TraceWriter:
         head = self.heads[process, kind] = f',"process":{_quote(process)},"kind":{_quote(kind)},"payload":'
         return head
 
+    def _text(self, payload) -> str:
+        """`render(payload)`, from the cache, which starts over when it holds BLOCK_LINES payloads."""
+        if (entry := self.texts.get(id(payload))) is None:
+            if len(self.texts) >= BLOCK_LINES:
+                self.texts.clear()
+            entry = self.texts[id(payload)] = (payload, render(payload))
+        return entry[1]
+
     def sends(self, time: int, src: str, dsts, msg) -> None:
         """One send call, with an int time and str names: a Send line per copy, built by one join."""
-        tail = f',"msg":{render(msg)}}}}}\n'
+        tail = f',"msg":{self._text(msg)}}}}}\n'
         head = f'{{"time":{time}{self.heads.get((src, SEND)) or self._head(src, SEND)}{{"dst":'
         self.block.append(head + (tail + head).join(map(_quote, dsts)) + tail)
-        self.msgs.setdefault(id(msg), [msg, _quote(src) + tail, src, 0])[3] += len(dsts)
         self.lines += len(dsts)
         if self.lines >= BLOCK_LINES:
             self.close()
 
     def deliver(self, run: list) -> None:
-        """A run of deliveries (int time, str names, payload exactly {"src", "msg"}), each line ending as its Sends'."""
-        msgs, heads, append = self.msgs, self.deliver_heads, self.block.append
+        """A run of deliveries (int time, str names, payload exactly {"src", "msg"}): head, quoted src, msg text."""
+        texts, heads, append = self.texts, self.deliver_heads, self.block.append
         for time, dst, payload in run:
-            entry = msgs.get(id(msg := payload["msg"]))
-            if entry is None or entry[2] != payload["src"]:  # no Send of it written here (say, a hand-built `Trace`)
-                msgs.clear()
-                append(deliver_event((time, dst, payload)).to_line() + "\n")
-                continue
-            entry[3] -= 1
-            if not entry[3]:
-                del msgs[id(msg)]
+            text = self._text(msg) if (entry := texts.get(id(msg := payload["msg"]))) is None else entry[1]
             try:
                 head = heads[dst]
             except KeyError:
                 head = heads[dst] = self._head(dst, DELIVER) + '{"src":'
-            append(f'{{"time":{time}{head}{entry[1]}')
+            append(f'{{"time":{time}{head}{_quote(payload["src"])},"msg":{text}}}}}\n')
         self.lines += len(run)
         if self.lines >= BLOCK_LINES:
             self.close()
@@ -193,7 +192,7 @@ class TraceWriter:
         time, process, kind = ev.time, ev.process, ev.kind
         if type(time) is int and type(process) is str and type(kind) is str:
             head = self.heads.get((process, kind)) or self._head(process, kind)
-            self.block.append(f'{{"time":{time}{head}{render(ev.payload)}}}\n')
+            self.block.append(f'{{"time":{time}{head}{self._text(ev.payload)}}}\n')
         else:
             self.block.append(ev.to_line() + "\n")
         self.lines += 1

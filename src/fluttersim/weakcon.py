@@ -76,16 +76,14 @@ class DepOracle:
         if server in proposals:
             raise ProtocolBugError(f"{server} proposed twice to dep instance {instance!r}")
         proposals[server] = value
-        self.sim.emit(server, tr.DEP_PROPOSE, {"instance": instance_payload(instance), "value": value})
+        self.sim.emit(server, tr.DEP_PROPOSE, self.sim.fact(instance, value))
         if len(proposals) == len(self.correct):
             self._decide(instance, proposals)
 
     def _decide(self, instance: InstanceKey, proposals: dict[str, bool]) -> None:
         value = self.policy.choose(proposals)
         if value not in proposals.values():
-            raise OracleViolationError(
-                f"policy chose {value} for {instance!r} but correct proposals were {proposals}"
-            )
+            raise OracleViolationError(f"policy chose {value} for {instance!r} but correct proposals were {proposals}")
         rng = random.Random(f"{self.seed}|dep|{instance_payload(instance)}") if self.policy.draws else None
         now = self.sim.now
         for server in self.correct:

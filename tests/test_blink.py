@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fluttersim.blink import BlinkInstance
 from fluttersim.errors import ProtocolBugError
+from fluttersim.simnet import ExactDelta, Simulator
 from fluttersim.trace import DECIDE
 
 
@@ -30,6 +31,7 @@ class FakeCtx:
     def __init__(self):
         self.sent = []
         self.emitted = []
+        self.fact = Simulator(ExactDelta(1)).fact  # a run's payload tables, as a real context reaches them
 
     def send(self, dst, msg):
         self.sent.append((dst, msg))

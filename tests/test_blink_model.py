@@ -56,6 +56,9 @@ class Host:
     def emit(self, kind, payload):
         pass
 
+    def fact(self, key, value=None):
+        pass
+
     def dep_propose(self, key, value):
         self.dep, self.dep_at = value, self.fed
 

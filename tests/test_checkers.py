@@ -239,13 +239,12 @@ def test_double_decide_fails_consensus_integrity(kind, prop, what):
 
 def test_unproposed_value_fails_representative_validity():
     clean, cfg = clean_run()
-    trace = copy.deepcopy(clean)
     # all correct proposals said True for the first instance; flip every
-    # decide for it to False
-    target = next(e.payload["instance"] for e in trace if e.kind == PROPOSE and e.payload["value"] is True)
-    for e in trace:
-        if e.kind == DECIDE and e.payload["instance"] == target:
-            e.payload["value"] = False
+    # decide for it to False, on a copy: a run's Propose and Decide of one
+    # (instance, value) share one payload dict
+    target = next(e.payload["instance"] for e in clean if e.kind == PROPOSE and e.payload["value"] is True)
+    trace = [e.replace(payload={**e.payload, "value": False}) if e.kind == DECIDE and e.payload["instance"] == target
+             else e for e in clean]
     failing(trace, cfg, "consensus-representative-validity")
 
 
@@ -321,13 +320,12 @@ def test_held_back_delivery_fails_appdeliver_match():
 
 def test_flipped_local_decide_fails_order_agreement():
     clean, cfg = clean_run()
-    trace = copy.deepcopy(clean)
     # s002's replay sees a False decide for its first tuple and skips it;
-    # everyone else orders that tuple first
-    first = next(
-        e for e in trace if e.kind == DECIDE and e.process == "s002" and e.payload["value"] is True
-    )
-    first.payload["value"] = False
+    # everyone else orders that tuple first. The decide is copied before the
+    # edit: every server's Decide of that tuple shares one payload dict.
+    trace = list(clean)
+    i = next(i for i, e in enumerate(trace) if e.kind == DECIDE and e.process == "s002" and e.payload["value"] is True)
+    trace[i] = trace[i].replace(payload={**trace[i].payload, "value": False})
     report = failing(trace, cfg, "server-order-agreement")
     assert report.detail == "servers processed accepted tuples in different orders"
     assert report.witness == [

@@ -171,7 +171,7 @@ MUTANTS = {
                     "elif count - self.trues >= large:": "elif count - self.trues >= large - 1:"})],
                 split_run, ["consensus-agreement"]),
     "lock-4f": (FlutterServer, [("lock_time", {"- 1]": "- 2]"}),
-                                ("_on_time", {">= quorum_large(self.f)": ">= quorum_large(self.f) - 1"})],
+                                ("_on_time", {">= self.large:": ">= self.large - 1:"})],
                 lock_run, ["server-order-matches-appdeliver", "tob-total-order", "tob-validity"]),
     "no-dedup": (FlutterServer, [("_order", {"if (t.client, t.message) not in self.delivered:": "if True:"})],
                  dedup_run, ["server-order-matches-appdeliver", "tob-no-duplication"]),

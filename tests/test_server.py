@@ -13,6 +13,7 @@ from fluttersim.checkers import CheckerConfig, _lock_rank, _ServerInvariants
 from fluttersim.runner import build_simulation, campaign_variant, run_checked
 from fluttersim.scenario import BroadcastScript, ClientSpec, Scenario, load_scenario, parse_scenario
 from fluttersim.server import FlutterServer
+from fluttersim.simnet import ExactDelta, Simulator
 from fluttersim.trace import APP_DELIVER, DECIDE, DELIVER, SEND
 from fluttersim.types import NEG_INF, BroadcastTuple, Message, Suggest, Time, quorum_large
 
@@ -52,6 +53,7 @@ class FakeCtx:
         self.sent = []
         self.timers = []
         self.emitted = []
+        self.fact = Simulator(ExactDelta(1)).fact  # a run's payload tables, as a real context reaches them
 
     def local_time(self):
         return self.local

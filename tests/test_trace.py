@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import enum
 import io
@@ -16,12 +17,16 @@ from hypothesis import strategies as st
 from fluttersim.adversary import BEHAVIORS
 from fluttersim.checkers import CheckerConfig, CheckPass, run_all_checks
 from fluttersim import cli
+from fluttersim import trace as trace_module
 from fluttersim.errors import BudgetExceededError
 from fluttersim.runner import build_simulation, campaign_variant, run_checked, run_scenario
 from fluttersim.scenario import _HEX_RE, _LABEL_RE, _NAME_RE, load_scenario
-from fluttersim.trace import (BLOCK_LINES, DELIVER, SEND, TIMER_FIRE, Trace, TraceEvent, TraceWriter,
-                              instance_key_from_payload, read_trace, render, write_trace)
-from fluttersim.types import BroadcastTuple, instance_payload
+from fluttersim.simnet import ExactDelta, Simulator
+from fluttersim.trace import (APP_DELIVER, BLOCK_LINES, DECIDE, DELIVER, DEP_DECIDE, DEP_PROPOSE, PROPOSE, SEND,
+                              TIMER_FIRE, Trace, TraceEvent, TraceWriter, instance_key_from_payload, read_trace,
+                              render, write_trace)
+from fluttersim.types import (BroadcastTuple, Decision, Message, Suggest, Time, WireMessage, instance_payload,
+                              wire_payload)
 
 from conftest import SCENARIOS_DIR, simulate
 
@@ -110,112 +115,46 @@ def test_writer_matches_to_line_on_hand_built_events(tmp_path):
     assert written(tmp_path, (copy.deepcopy(e) for e in trace)) == lines_of(trace)
 
 
-class HeldSpy:
-    """A sink in front of a writer. After every call and event it checks that the writer holds a message only while
-    copies of it are in flight, and, where a stream's Sends and Delivers share dicts, exactly then."""
-
-    def __init__(self, writer):
-        self.writer = writer
-        self.flying: dict[int, list] = {}  # id(msg) -> [msg (held, so its id() stays unique), copies in flight]
-        self.in_flight = 0  # copies sent and not yet delivered, of any message
-        self.copies: list[int] = []  # each call's copies
-
-    def sends(self, time, src, dsts, msg):
-        self.writer.sends(time, src, dsts, msg)
-        self.copies.append(len(dsts))
-        self.sent(msg, len(dsts))
-        self.check(exact=True)
-
-    def deliver(self, run):
-        self.writer.deliver(run)
-        for _time, _dst, payload in run:
-            self.delivered(payload["msg"])
-        self.check(exact=True)
-
-    def event(self, ev):
-        self.writer.event(ev)
-        self.seen(ev)
-        self.check(exact=True)
-
-    def write(self, events):
-        """`events` through the writer's own `write`, checked after it takes each one: any iterable that is no
-        `Trace` is written one `event` per item, so the writer holds no message."""
-        def taken():
-            for ev in events:
-                yield ev  # `write` asks for the next event only once it has taken this one
-                self.seen(ev)
-                self.check(exact=False)
-
-        self.writer.write(taken())
-
-    def sent(self, msg, copies):
-        self.flying.setdefault(id(msg), [msg, 0])[1] += copies
-        self.in_flight += copies
-
-    def seen(self, ev):
-        if ev.kind == SEND:
-            self.sent(ev.payload["msg"], 1)
-        elif ev.kind == DELIVER:
-            self.delivered(ev.payload["msg"])
-
-    def delivered(self, msg):
-        self.in_flight -= 1
-        entry = self.flying.get(id(msg))
-        if entry is not None and entry[0] is msg:
-            entry[1] -= 1
-            if not entry[1]:  # the k-th Deliver of a k-copy call releases its dict
-                del self.flying[id(msg)]
-
-    def check(self, exact):
-        held = self.writer.msgs.keys()
-        assert len(held) <= self.in_flight
-        assert held == self.flying.keys() if exact else held <= self.flying.keys()
-
-    def done(self):
-        assert self.in_flight == 0 and self.writer.msgs == {}
+def test_the_writer_caches_at_most_block_lines_payloads(tmp_path):
+    # Read back, no two events share a dict: each is cached until the cache fills and starts over.
+    trace = kept_trace("campaign_wide")
+    expected = written(tmp_path, trace)
+    held = []
+    with open(tmp_path / "again.jsonl", "w") as fh, TraceWriter(fh) as writer:
+        for ev in read_trace(tmp_path / "trace.jsonl"):
+            writer.event(ev)
+            held.append(len(writer.texts))
+    assert (tmp_path / "again.jsonl").read_bytes() == expected
+    assert len(held) > 2 * BLOCK_LINES and max(held) == BLOCK_LINES and held.count(1) > 2
 
 
-def test_writer_holds_only_messages_in_flight(tmp_path):
-    for name in ("goodcase", "campaign+equivocator"):
-        trace = named_trace(name)
-        expected = written(tmp_path, trace)
-        out = tmp_path / "again.jsonl"
+def test_a_live_run_renders_each_distinct_payload_once(monkeypatch):
+    rendered = []
 
-        def spied(feed):
-            with open(out, "w") as fh, TraceWriter(fh) as writer:
-                spy = HeldSpy(writer)
-                feed(spy)
-            spy.done()
-            assert out.read_bytes() == expected
-            return spy
+    def counted(payload):
+        rendered.append(payload)
+        return render(payload)
 
-        # A live run hands the writer each send call once: broadcasts, and one-copy calls.
-        spy = spied(lambda spy: run_checked(named_scenario(name), spy))
-        assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
-        # The kept trace (shared dicts), event by event, each Send a one-copy call and each Deliver a run of one.
-        spy = spied(lambda spy: [spy.sends(e.time, e.process, [e.payload["dst"]], e.payload["msg"]) if e.kind == SEND
-                                 else spy.deliver([(e.time, e.process, e.payload)]) if e.kind == DELIVER
-                                 else spy.event(e) for e in trace])
-        assert spy.flying == {} and set(spy.copies) == {1}
-        # The kept trace, replayed: the calls of the live run.
-        spy = spied(lambda spy: kept_trace(name).replay(spy))
-        assert spy.flying == {} and max(spy.copies) == 6 and 1 in spy.copies
-        # Read back, no two lines share a dict, and the writer keeps none.
-        spied(lambda spy: spy.write(read_trace(tmp_path / "trace.jsonl")))
+    monkeypatch.setattr(trace_module, "render", counted)
+    with TraceWriter(io.StringIO()) as writer:
+        run_checked(named_scenario("goodcase"), writer)
+    assert writer.fh.getvalue().encode() == lines_of(named_trace("goodcase"))
+    texts = list(map(render, rendered))
+    assert len(rendered) < BLOCK_LINES and len({id(p) for p in rendered}) == len(set(texts)) == len(texts)
+    assert len(texts) < sum(1 for _ in named_trace("goodcase")) // 4
 
 
 def test_a_delivery_the_writer_saw_no_send_of_renders_whole():
     msg, other = {"kind": "Time", "time": 4}, {"kind": "Time", "time": 5}
     trace = Trace()
     trace.sends(1, "s000", ["s001", "s002", "s003"], msg)
-    trace.deliver([(2, "s001", {"src": "s000", "msg": msg}),  # its Send's tail
+    trace.deliver([(2, "s001", {"src": "s000", "msg": msg}),  # the message of its Send
                    (3, "s002", {"src": "s009", "msg": msg}),  # a message s000 sent, from another src
                    (4, "s003", {"src": "s000", "msg": msg})])
     trace.deliver([(5, "s004", {"src": "s000", "msg": other})])  # a message no Send holds
     with TraceWriter(io.StringIO()) as writer:
         writer.write(trace)
     assert writer.fh.getvalue().encode() == lines_of(trace) == "".join(e.to_line() + "\n" for e in trace).encode()
-    assert writer.msgs == {}
 
 
 class Writes(io.StringIO):
@@ -272,37 +211,71 @@ def test_streamed_run_writes_the_kept_trace(tmp_path, name):
     assert (tmp_path / "streamed.jsonl").read_bytes() == written(tmp_path, kept_trace(name))
 
 
-@pytest.mark.parametrize(
-    ("name", "kind", "sender"),
-    [("campaign+observe_forger", "Suggest", "s005"), ("goodcase", "Time", "s000"), ("goodcase", "Suggest", "s000"),
-     ("goodcase", "Message", "c000")],
-)
-def test_broadcast_shares_one_msg_dict(name, kind, sender):
-    # The campaign's observe_forger, s005, broadcasts its True vote on a forged tuple as its first send.
-    trace = named_trace(name)
-    servers = [f"s{i:03d}" for i in range(6) if f"s{i:03d}" != sender]  # a server broadcasts to the others
-    first = next(
-        i for i, e in enumerate(trace) if e.kind == SEND and e.process == sender and e.payload["msg"]["kind"] == kind
-    )
-    msg = trace[first].payload["msg"]
-    sends = trace[first : first + len(servers)]
-    assert [(e.kind, e.process, e.payload["dst"]) for e in sends] == [(SEND, sender, s) for s in servers]
-    assert all(e.payload["msg"] is msg for e in sends)
-    sharing = [e for e in trace if e.kind in (SEND, DELIVER) and e.payload["msg"] is msg]
-    assert len(sharing) == 2 * len(servers)
-    assert sorted(e.process for e in sharing if e.kind == DELIVER) == servers
-    # the call's Deliver events hold one payload dict; each Send holds its own
-    assert len({id(e.payload) for e in sharing if e.kind == DELIVER}) == 1
-    assert len({id(e.payload) for e in sharing if e.kind == SEND}) == len(servers)
+@pytest.mark.parametrize("name", ["goodcase", "campaign_wide", "campaign+equivocator"])
+def test_a_run_holds_one_msg_dict_per_distinct_message(name):
+    # Many servers send the same Time and the same Suggest; each distinct message is one dict for the whole run.
+    trace = kept_trace(name)
+    calls = [call for call in trace.calls if type(call) is tuple]
+    dicts = {}
+    for _time, _src, _dsts, msg in calls:
+        dicts.setdefault(render(msg), set()).add(id(msg))
+    assert all(len(ids) == 1 for ids in dicts.values()) and len(calls) > 3 * len(dicts)
+    delivered = [payload["msg"] for run in trace.calls if type(run) is list for _t, _d, payload in run]
+    assert {id(msg) for msg in delivered} <= {id(msg) for *_, msg in calls}
 
 
-@pytest.mark.parametrize("name", ["goodcase", "campaign+stale_relay"])
+@pytest.mark.parametrize("name", ["goodcase", "campaign+stale_relay", "campaign+equivocator"])
 def test_one_deliver_payload_per_send_call(name):
-    # Each send call renders one `msg` dict, so distinct Deliver payloads count the calls delivered.
-    delivers = [e for e in named_trace(name) if e.kind == DELIVER]
-    calls = len({id(e.payload["msg"]) for e in delivers})
-    assert len(delivers) > calls > 10
-    assert len({id(e.payload) for e in delivers}) == calls
+    # The copies of one send call share its Deliver payload; no two calls share one, though they share a `msg`, even
+    # calls from one sender: the equivocator sends each peer its Suggest in a call of its own.
+    trace = kept_trace(name)
+    copies = sorted(len(call[2]) for call in trace.calls if type(call) is tuple)
+    payloads = collections.Counter(id(payload) for run in trace.calls if type(run) is list for _t, _d, payload in run)
+    assert sorted(payloads.values()) == copies and max(copies) > 1
+
+
+def test_one_payload_per_instance_fact_across_kinds_and_servers():
+    # Every Propose, Decide, DepPropose and DepDecide of one (tuple, value), at every server, holds one dict, and its
+    # instance is the one AppDeliver payload of that tuple.
+    facts, seen, delivered = {}, {}, []
+    for e in named_trace("goodcase"):
+        if e.kind in (PROPOSE, DECIDE, DEP_PROPOSE, DEP_DECIDE):
+            key = (instance_key_from_payload(e.payload["instance"]), e.payload["value"])
+            assert facts.setdefault(key, e.payload) is e.payload
+            seen.setdefault(key, set()).add((e.kind, e.process))
+        elif e.kind == APP_DELIVER:
+            delivered.append(e.payload)
+    assert max(map(len, seen.values())) == 4 * 6  # the four kinds at all six servers
+    instances = {key: payload["instance"] for (key, _value), payload in facts.items()}
+    assert delivered and all(instances[instance_key_from_payload(p)] is p for p in delivered)
+
+
+EQUAL_TUPLES = [  # each group: messages equal as tuples, which render apart
+    [Suggest("ab", True), Suggest("ab", 1), Message("ab", 1), Message("ab", True), Message("ab", 1.0)],
+    [Time(1), Time(True), Time(1.0)],
+    [Suggest(BroadcastTuple(1, "c000", "ab"), True), Suggest(BroadcastTuple(1, "c000", "ab"), 1),
+     Suggest((1, "c000", "ab"), True), Suggest((1, "c000", "ab"), 1.0)],
+    [Decision("ab", 1, False), Decision("ab", True, 0), Decision("ab", 1, 0)],
+]
+
+
+@pytest.mark.parametrize("group", EQUAL_TUPLES, ids=["body", "time", "instance", "decision"])
+def test_equal_messages_that_render_apart_keep_their_own_dicts(group):
+    assert all(msg == group[0] for msg in group)
+    sim = Simulator(ExactDelta(1))
+    for name in ("s000", "s001"):
+        sim.add_process(name, "server", None)
+    for msg in group + group:  # the second round finds each message's dict from the first
+        sim.send("s000", ["s001"], msg)
+    sent = [call[3] for call in sim.trace.calls]
+    assert [render(wire) for wire in sent] == [render(wire_payload(msg)) for msg in group + group]
+    assert len({render(wire) for wire in sent}) == len(group)
+    assert all(a is b for a, b in zip(sent, sent[len(group):]))
+
+
+def test_every_wire_message_has_one_to_three_fields():
+    # `Simulator.send` keys a message's wire dict on the types of its first, middle and last fields.
+    assert {len(cls._fields) for cls in WireMessage.__args__} == {1, 2, 3}
 
 
 class Recorder:
