@@ -10,13 +10,18 @@ decide one message delay ahead of the dep path.
 
 from __future__ import annotations
 
+from weakref import proxy
+
 from . import trace as tr
 from .errors import ProtocolBugError
 from .types import InstanceKey, Suggest, quorum_large, quorum_majority
 
 
 class BlinkInstance:
-    """Per-instance state machine; the host wires it to the network and dep."""
+    """Per-instance state machine; the host wires it to the network and dep.
+
+    The host owns its instances, so `host` is a weak proxy: a strong link back would make every server a cycle.
+    """
 
     __slots__ = ("key", "f", "large", "host", "suggestions", "trues", "self_proposed", "dep_proposed", "decision")
 
@@ -24,7 +29,7 @@ class BlinkInstance:
         self.key = key
         self.f = f
         self.large = quorum_large(f)  # the 4f+1 suggestions that decide, or that hand dep a majority
-        self.host = host
+        self.host = proxy(host)
         self.suggestions: dict[str, bool] = {}
         self.trues = 0  # True entries in `suggestions`
         self.self_proposed = False

@@ -66,9 +66,7 @@ class FlutterClient:
         ctx.broadcast(Message(message, bet))
 
     def on_deliver(self, ctx, src: str, msg) -> None:
-        if self._crashed(ctx):
-            return
-        if not isinstance(msg, Decision) or src not in self._server_set:
+        if self._crashed(ctx) or not isinstance(msg, Decision) or src not in self._server_set:
             return
         key = (msg.message, msg.bet)
         tally = self.tallies.setdefault(key, {})

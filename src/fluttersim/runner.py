@@ -91,8 +91,8 @@ def run_checked(scenario: Scenario, sink=None) -> RunResult:
     sim.sink = checks = check_pass(CheckerConfig.from_scenario(scenario, quiescent=False), sink)
     try:
         quiescent = sim.run(until=scenario.until)
-    finally:  # the simulator is cyclic garbage: unhooked, the pass is freed at once, even when the run raises
-        sim.sink = sim.trace
+    finally:  # closed, the simulator holds no cycle: reference counting frees it, even when the run raises
+        sim.close()
     return RunResult(scenario, [], quiescent, checks.finish(quiescent), checks.metrics.summary(checks))
 
 

@@ -277,15 +277,8 @@ def _parse_client(obj, delta: int, idx: int) -> ClientSpec:
 
 
 def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
-    _object(
-        obj,
-        "scenario",
-        {
-            "name", "kind", "n", "f", "delta", "drift", "epsilon", "network",
-            "clock_offsets", "servers", "clients", "dep", "blink_script",
-            "step_budget", "until",
-        },
-    )
+    _object(obj, "scenario", {"name", "kind", "n", "f", "delta", "drift", "epsilon", "network", "clock_offsets",
+                              "servers", "clients", "dep", "blink_script", "step_budget", "until"})
     name = _name(obj.get("name", default_name), "scenario.name")
     kind = _choice(obj.get("kind", "flutter"), ("flutter", "blink"), "scenario.kind")
     n = _int(obj.get("n"), "scenario.n", minimum=1)
@@ -363,23 +356,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     until = _int(obj.get("until"), "scenario.until", default=None, minimum=0)
     step_budget = _int(obj.get("step_budget"), "scenario.step_budget", default=1_000_000, minimum=1)
 
-    return Scenario(
-        name=name,
-        kind=kind,
-        n=n,
-        f=f,
-        delta=delta,
-        drift=drift,
-        epsilon=epsilon,
-        network=network,
-        clock_offsets=offsets,
-        server_faults=server_faults,
-        clients=clients,
-        dep_policy=dep_policy,
-        blink_script=blink_script,
-        step_budget=step_budget,
-        until=until,
-    )
+    return Scenario(name=name, kind=kind, n=n, f=f, delta=delta, drift=drift, epsilon=epsilon, network=network,
+                    clock_offsets=offsets, server_faults=server_faults, clients=clients, dep_policy=dep_policy,
+                    blink_script=blink_script, step_budget=step_budget, until=until)
 
 
 def load_scenario(path: str | Path) -> Scenario:

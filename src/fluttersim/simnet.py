@@ -15,6 +15,12 @@ Events wait in one list per tick, under a heap of those ticks, and run
 tick by tick in push order: one a handler schedules at the current tick
 runs later in it. Each `run` call looks up every process's deliver hook
 and context once. Handlers take zero ticks. Quiescence = no pending event.
+
+The simulator owns each process's handler and context. A context, and
+the dep oracle a server holds, point back at it, so they make cycles
+until `close()` unhooks the sink and drops both; then reference counting
+frees the run. `run_checked` closes its simulator; one from
+`build_simulation` stays open, to be inspected after `run()`.
 """
 
 from __future__ import annotations
@@ -230,6 +236,12 @@ class Simulator:
             init = getattr(handler, "on_init", None)
             if init is not None:
                 init(self.contexts[name])
+
+    def close(self) -> None:
+        """Unhook the sink and drop the processes, so what the run built is freed by reference counting."""
+        self.sink = self.trace
+        self.handlers.clear()
+        self.contexts.clear()
 
     def run(self, until: SimTime | None = None) -> bool:
         """Process events until quiescence or past `until`.

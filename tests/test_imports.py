@@ -76,7 +76,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
 
 # Compiling the package's source is most of what `import fluttersim` costs (ROADMAP Baseline), so the lines of the
 # modules it loads are a budget. A change that grows them raises the ceiling and says why in CHANGES.md.
-LOADED_LINES_CEILING = 2661
+LOADED_LINES_CEILING = 2655
 LOADED_LINES = """
 import sys
 import fluttersim

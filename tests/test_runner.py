@@ -285,7 +285,7 @@ def test_rerun_is_event_identical():
 
 
 def test_a_run_frees_its_check_pass_at_once_even_when_it_raises(monkeypatch):
-    # The simulator is cyclic garbage: a pass still hooked on it would live until the next collection.
+    # A checked run closes its simulator, so reference counting frees the pass: the collector is off here.
     passes = []
     real = runner.check_pass
 
@@ -307,6 +307,37 @@ def test_a_run_frees_its_check_pass_at_once_even_when_it_raises(monkeypatch):
         assert [ref() for ref in passes] == [None, None]
     finally:
         gc.enable()
+
+
+def test_no_checked_run_leaves_cyclic_garbage():
+    # Every bundled scenario, checked and kept; every campaign run on both campaign bases; a run cut by its budget.
+    bundled = [load_scenario(path) for path in sorted(SCENARIOS_DIR.glob("*.json"))]
+    bases = [scenario for scenario in bundled if scenario.name in ("campaign_base", "campaign_wide")]
+    variants = [campaign_variant(base, behavior, policy, 1) for base in bases for behavior in sorted(BEHAVIORS)
+                for policy in ("adversarial_value", "adversarial_timing")]
+    assert len(bundled) == 8 and len(variants) == 24
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for scenario in bundled:
+            run_checked(scenario)
+            left[scenario.name, "run_checked"] = gc.collect()
+            run_scenario(scenario)
+            left[scenario.name, "run_scenario"] = gc.collect()
+        for variant in variants:
+            run_checked(variant)
+            left[variant.name, "run_checked"] = gc.collect()
+        try:
+            run_checked(parse_scenario(scenario_dict(step_budget=10)))
+        except BudgetExceededError:
+            pass
+        else:
+            pytest.fail("a run over its step budget must raise")
+        left["budget", "run_checked"] = gc.collect()
+    finally:
+        gc.enable()
+    assert {run: count for run, count in left.items() if count} == {}
 
 
 def test_a_kept_run_equals_a_rerun_of_its_scenario():

@@ -442,6 +442,21 @@ def test_cli_run_writes_trace_and_report(tmp_path, monkeypatch):
     assert verdicts <= {"Pass", "NotApplicable"}
 
 
+def test_the_readme_quick_start_shows_what_its_command_prints(tmp_path):
+    # Each line of the README's output block but "..." appears in the command's output, in order.
+    root = SCENARIOS_DIR.parent
+    blocks = re.findall(r"^```\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    command = blocks.index("fluttersim run scenarios/goodcase.json\n")
+    shown = [line for line in blocks[command + 1].splitlines() if line.strip() != "..."]
+    env = dict(os.environ, FLUTTERSIM_OUT=str(tmp_path), PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", *blocks[command].split()], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    printed = iter(proc.stdout.splitlines())
+    assert [line for line in shown if line not in printed] == []
+    assert len(shown) == 5 and (tmp_path / "goodcase.trace.jsonl").exists()
+
+
 def test_cli_run_explicit_paths(tmp_path):
     trace = tmp_path / "t.jsonl"
     report = tmp_path / "r.json"
